@@ -19,26 +19,21 @@ from .errors import (
     NotCommuting,
     NotIsometry,
     NotLinear,
-    NotMonomialGap,
     NotPositive,
     NotPositiveSamples,
     OrthogonalPostselection,
     OutOfValidityRange,
     ParseError,
-    TruncationNotPositive,
     ValidationError,
     WeakLabError,
 )
 from .linalg import (
-    SvdTriple,
     common_eigenbasis,
-    eigh,
     partial_trace_meter,
     pinv,
     pinv_and_rank,
     projector,
     psd_sqrt,
-    svd,
     trace_distance,
 )
 from .povm import (
@@ -49,14 +44,11 @@ from .povm import (
     evaluate,
     measurement_operators,
     minimum_nonzero_order,
-    reparameterize_linear,
-    truncate,
     validate,
 )
 from .meter import (
     MeterModel,
     compose_isometry,
-    decompose_isometry,
     isometry_at,
     meter_expectation,
     outcome_probabilities,
@@ -70,7 +62,6 @@ from .contextual import (
     TruncationReport,
     build_F,
     exact_cv_exists,
-    pole_order,
     pseudoinverse_cv,
     truncated_cv_check,
     variance_min_cv,

@@ -9,7 +9,6 @@ log-log regression and check the claim instance by instance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,26 +82,16 @@ class SvdCurve:
 
 
 def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> SvdCurve:
-    """Track singular values across the grid; warn when continuity is violated.
+    """Singular values of F(g) at every grid coupling, plus the singular
+    vectors at the smallest one.
 
-    Adjacent grid points are compared against the spectral-norm perturbation
-    bound |sigma_k(A) - sigma_k(B)| <= ||A - B||; a violation would mean the
-    descending sort mislabeled crossing trajectories.
+    Each point's values are sorted descending.  By Weyl's inequality sorted
+    singular values move by at most ||F(g_a) - F(g_b)||_2 between two
+    couplings, so the sorted trajectories are continuous in g; where analytic
+    branches cross they follow the sorted order, not the branches.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     sig = np.stack([np.linalg.svd(F(g), compute_uv=False) for g in g_grid])
-    order = np.argsort(g_grid)
-    for a, b in zip(order[:-1], order[1:]):
-        bound = np.linalg.norm(F(g_grid[b]) - F(g_grid[a]), 2)
-        jump = float(np.abs(sig[b] - sig[a]).max())
-        if jump > bound + 1e-9:
-            warnings.warn(
-                f"singular-value step {jump:.3e} between g={g_grid[a]:.3g} and "
-                f"g={g_grid[b]:.3g} exceeds the perturbation bound {bound:.3e}; "
-                "trajectories may have swapped",
-                stacklevel=2,
-            )
-            break
     smallest = int(np.argmin(g_grid))
     u, _, vh = np.linalg.svd(F(g_grid[smallest]))
     return SvdCurve(
@@ -150,7 +139,7 @@ def truncation_svd_commutator(
         g_grid = default_pole_grid()
     g_grid = np.asarray(g_grid, dtype=float)
 
-    left = svd_curve(F.truncate_prefix(n), g_grid).singulars
+    left = svd_curve(F.truncate(n), g_grid).singulars
     full = svd_curve(F, g_grid).singulars
 
     k = full.shape[1]

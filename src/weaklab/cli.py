@@ -32,9 +32,10 @@ from .contextual import FMatrix, build_F, pseudoinverse_cv, truncated_cv_check
 from .errors import NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .montecarlo import McConfig, sample_run
+from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
-from .weak import conditioned_average, conjecture_trial, limit_grid, weak_limit
+from .weak import TRIAL_N_OUT_MAX, conditioned_average, conjecture_sweep, limit_grid, weak_limit
 
 
 class _UsageError(Exception):
@@ -122,7 +123,7 @@ def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
         raise _UsageError(f"instance {spec.name!r} has no observable")
     F = build_F(spec.povm, spec.observable)
     if a_text is not None:
-        F = FMatrix(poly=F.poly, a_vec=_parse_floats(a_text, "--a"), basis=F.basis)
+        F = FMatrix(poly=F.poly, a_vec=_parse_floats(a_text, "--a"))
     return F
 
 
@@ -173,6 +174,7 @@ def _cmd_validate(args) -> int:
 def _cmd_cv_solve(args) -> int:
     spec = _resolve(args)
     F = _fmatrix(spec, args.a)
+    check_coupling(args.g, spec.g_max)
     sol = pseudoinverse_cv(F, args.g)
     exact = sol.residual <= 1e-9
     print(f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}")
@@ -391,10 +393,11 @@ def _cmd_proof_claim(args) -> int:
 
 
 def _cmd_conjecture_sweep(args) -> int:
-    records = [
-        conjecture_trial(args.seed, trial=t, dim=args.dim, n_out=args.n_out, tol=args.tol)
-        for t in range(args.trials)
-    ]
+    if args.n_out is None and args.dim is not None and args.dim > TRIAL_N_OUT_MAX:
+        raise _UsageError(f"--dim above {TRIAL_N_OUT_MAX} needs --n-out")
+    records = conjecture_sweep(
+        args.seed, args.trials, dim=args.dim, n_out=args.n_out, tol=args.tol
+    )
     failures = [r for r in records if not r.passed]
     verbose = args.trials <= 20
     for r in records:
@@ -452,6 +455,7 @@ def _cmd_mc_run(args) -> int:
     if spec.observable is None:
         raise _UsageError(f"instance {spec.name!r} has no observable")
     _require_states(spec)
+    check_coupling(args.g, spec.povm.g_max)
     F = build_F(spec.povm, spec.observable)
     sol = pseudoinverse_cv(F, args.g)
     res = sample_run(
@@ -539,6 +543,19 @@ def _cmd_registry(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaklab",
@@ -567,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "truncation-check", parents=[inst], help="do contextual values survive truncation?"
     )
-    p.add_argument("--n", type=int, required=True, help="truncation order")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="truncation order")
     p.add_argument(
         "--truncate-mode",
         choices=["eq13", "prefix"],
@@ -581,31 +598,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi-f", help="final state, comma-separated components")
     p.add_argument("--grid-min", type=float, help="smallest coupling")
     p.add_argument("--grid-max", type=float, help="largest coupling")
-    p.add_argument("--grid-points", type=int, default=13, help="grid size (default 13)")
+    p.add_argument(
+        "--grid-points", type=_int_at_least(3), default=13, help="grid size (default 13)"
+    )
     p.set_defaults(func=_cmd_weak_limit)
 
     p = sub.add_parser(
         "svd-asymptotics", parents=[inst], help="singular value curves, poles, claim audit"
     )
-    p.add_argument("--n", type=int, default=1, help="truncation order for the commutator check")
+    p.add_argument(
+        "--n", type=_int_at_least(0), default=1, help="truncation order for the commutator check"
+    )
     p.set_defaults(func=_cmd_svd_asymptotics)
 
     p = sub.add_parser("proof-claim", parents=[inst], help="audit the first-order claim")
     p.set_defaults(func=_cmd_proof_claim)
 
     p = sub.add_parser("conjecture-sweep", help="random linear-family convergence trials")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--dim", type=int, help="fix the system dimension")
-    p.add_argument("--n-out", type=int, help="fix the number of outcomes")
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
+    p.add_argument("--dim", type=_int_at_least(2), help="fix the system dimension")
+    p.add_argument("--n-out", type=_int_at_least(2), help="fix the number of outcomes")
     p.add_argument("--tol", type=float, default=1e-3, help="pass tolerance on the discrepancy")
     p.add_argument("--out", help="write the sweep CSV here")
     p.set_defaults(func=_cmd_conjecture_sweep)
 
     p = sub.add_parser("mc-run", parents=[inst], help="sample the conditioned average")
     p.add_argument("--g", type=float, required=True, help="coupling strength")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=100_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_mc_run)
 
     p = sub.add_parser("registry", help="list, inspect, or export built-in instances")

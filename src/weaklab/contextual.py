@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics
 from .errors import NoExactCv, ValidationError
 from .linalg import check_hermitian, common_eigenbasis, dagger, pinv_and_rank
 from .povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix
@@ -28,13 +27,11 @@ class FMatrix:
     """Spectral matrix of a commuting measurement, plus the observable's eigenvalues.
 
     poly evaluates to the d x n_out matrix of outcome eigenvalues; a_vec holds
-    the observable eigenvalues in the same (descending) basis order.  basis
-    columns are the common eigenbasis used, when one was computed.
+    the observable eigenvalues in the same (descending) basis order.
     """
 
     poly: PolyMatrix
     a_vec: np.ndarray
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a_vec, dtype=float)
@@ -89,7 +86,7 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
         for j, e in enumerate(povm.elements):
             C[:, j] = np.real(np.diag(dagger(basis) @ e.coefficient(k) @ basis))
         coeffs.append(C)
-    F = FMatrix(poly=PolyMatrix(coeffs), a_vec=a_vec, basis=basis)
+    F = FMatrix(poly=PolyMatrix(coeffs), a_vec=a_vec)
 
     resid = F.row_sum_residual()
     if resid > ROW_SUM_TOL:
@@ -132,17 +129,6 @@ def exact_cv_exists(
     return all(pseudoinverse_cv(F, g).residual <= tol for g in np.asarray(g_grid, float))
 
 
-def truncate_F(F: FMatrix, n: int, mode: str = "eq13") -> FMatrix:
-    """Truncate the spectral matrix itself, keeping basis and eigenvalues."""
-    if mode == "eq13":
-        poly = F.poly.keep_orders([0, n])
-    elif mode == "prefix":
-        poly = F.poly.truncate_prefix(n)
-    else:
-        raise ValueError(f"unknown truncation mode {mode!r}")
-    return FMatrix(poly=poly, a_vec=F.a_vec, basis=F.basis)
-
-
 @dataclass
 class TruncationReport:
     """Full versus truncated pseudoinverse solutions along a grid."""
@@ -177,7 +163,7 @@ def truncated_cv_check(
     """
     g_grid = np.asarray(g_grid, dtype=float)
     F = build_F(povm, A)
-    Ft = truncate_F(F, n, mode)
+    Ft = FMatrix(poly=F.poly.truncate(n, mode), a_vec=F.a_vec)
 
     n_g = len(g_grid)
     af = np.empty((n_g, povm.n_out))
@@ -242,11 +228,3 @@ def variance_min_cv(
         )
     return CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
 
-
-def pole_order(F: FMatrix, g_grid: np.ndarray | None = None) -> asymptotics.PoleEstimate:
-    """Blow-up order of the pseudoinverse weights as the coupling shrinks.
-
-    Log-log fit over the six smallest grid couplings; an identically-zero
-    solution comes back flagged with exponent 0 by convention.
-    """
-    return asymptotics.pinv_pole_order(F.poly, F.a_vec, g_grid)

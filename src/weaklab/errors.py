@@ -57,14 +57,6 @@ class ConstantOutcome(WeakLabError):
     """An outcome has no coupling dependence at all, so no minimum order exists."""
 
 
-class TruncationNotPositive(WeakLabError):
-    """Truncated element family fails positivity at every grid point."""
-
-
-class NotMonomialGap(WeakLabError):
-    """Element family has coefficients at orders other than zero and its minimum order."""
-
-
 class NotIsometry(WeakLabError):
     """Measurement operators do not compose to an isometry."""
 

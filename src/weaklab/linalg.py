@@ -1,13 +1,12 @@
 """Dense linear algebra with deterministic conventions.
 
-Wraps numpy's Hermitian eigensolver, SVD and pseudoinverse behind fixed
-ordering, phase and rank conventions so that every downstream result is
-reproducible bit-for-bit across runs.
+Wraps numpy's Hermitian eigensolver and SVD behind fixed conventions (one
+column order and phase for the common eigenbasis, one rank cutoff for the
+pseudoinverse) so that every downstream result is reproducible bit-for-bit
+across runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, N
 HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-12
 #: eigenvalues closer than this (times the matrix scale) count as degenerate
-DEGENERACY_TOL = 1e-9
+DEGENERACY_TOL = 1e-8
 #: magnitude below which a clamped negative eigenvalue is forgiven in psd_sqrt
 PSD_CLAMP_REL = 1e-10
 COMMUTATOR_REL_TOL = 1e-10
@@ -68,63 +67,6 @@ def _lex_key(v: np.ndarray) -> tuple:
     r = np.round(v.real, 9) + 0.0  # +0.0 normalizes -0.0
     i = np.round(v.imag, 9) + 0.0
     return tuple(np.stack([r, i], axis=1).ravel())
-
-
-def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with a deterministic ordering.
-
-    Eigenvalues come back in descending order.  Within a degenerate cluster
-    the eigenvectors are phase-fixed (largest entry real positive) and sorted
-    lexicographically by their rounded entries, so repeated calls on equal
-    inputs give identical output.
-    """
-    H = check_hermitian(H)
-    w, V = np.linalg.eigh(H)  # ascending
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    scale = max(1.0, float(np.abs(w).max()))
-    # phase-fix every column, then reorder inside degenerate clusters
-    for k in range(V.shape[1]):
-        V[:, k] = _canonical_phase(V[:, k])
-    start = 0
-    while start < len(w):
-        stop = start + 1
-        while stop < len(w) and abs(w[stop] - w[start]) <= DEGENERACY_TOL * scale:
-            stop += 1
-        if stop - start > 1:
-            order = sorted(range(start, stop), key=lambda k: _lex_key(V[:, k]))
-            V[:, start:stop] = V[:, order]
-            w[start:stop] = w[order]
-        start = stop
-    return w, V
-
-
-@dataclass(frozen=True)
-class SvdTriple:
-    """Factors of M = left @ diag(singulars) @ right.conj().T."""
-
-    left: np.ndarray
-    singulars: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        k = len(self.singulars)
-        return (self.left[:, :k] * self.singulars) @ dagger(self.right[:, :k])
-
-
-def svd(M: np.ndarray) -> SvdTriple:
-    """Singular value decomposition with singular values sorted descending."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InvalidMatrix("matrix contains non-finite entries")
-    u, s, vh = np.linalg.svd(M)
-    return SvdTriple(left=u, singulars=s, right=dagger(vh))
-
-
-def singular_values(M: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
 
 
 def default_rank_rtol(shape: tuple[int, int]) -> float:
@@ -240,7 +182,7 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
             start = 0
             while start < len(w):
                 stop = start + 1
-                while stop < len(w) and abs(w[stop] - w[start]) <= 1e-8 * scale:
+                while stop < len(w) and abs(w[stop] - w[start]) <= DEGENERACY_TOL * scale:
                     stop += 1
                 refined.append(B @ V[:, start:stop])
                 start = stop

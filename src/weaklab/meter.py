@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import DimensionError, NotIsometry, OutOfValidityRange
 from .linalg import check_state, projector, psd_sqrt
-from .povm import ParamPovm, PolyMatrix, default_grid
+from .povm import ParamPovm, PolyMatrix, check_coupling, default_grid
 
 ISOMETRY_TOL = 1e-10
 #: meter eigenvalues must stay at least this far apart where sampled
 EIGENVALUE_GAP_TOL = 1e-9
 
-MatrixFamily = PolyMatrix | Callable[[float], np.ndarray]
+MatrixFamily = Callable[[float], np.ndarray]
 
 
 def _family_at(op: MatrixFamily, g: float) -> np.ndarray:
@@ -54,20 +54,6 @@ class MeterModel:
     measurement_ops: tuple[MatrixFamily, ...]
     g_max: float
     meter_eigenvalues: tuple[Callable[[float], float], ...] | None = None
-
-    @property
-    def isometry_poly(self) -> PolyMatrix | None:
-        """Polynomial form of U(g), available when every block is polynomial."""
-        if not all(isinstance(op, PolyMatrix) for op in self.measurement_ops):
-            return None
-        degree = max(op.max_degree for op in self.measurement_ops)  # type: ignore[union-attr]
-        coeffs = []
-        for k in range(degree + 1):
-            U = np.zeros((self.system_dim * self.meter_dim, self.system_dim), dtype=complex)
-            for j, op in enumerate(self.measurement_ops):
-                U[j :: self.meter_dim, :] = op.coefficient(k)  # type: ignore[union-attr]
-            coeffs.append(U)
-        return PolyMatrix(coeffs)
 
 
 def compose_isometry(
@@ -134,31 +120,12 @@ def compose_isometry(
 
 def isometry_at(model: MeterModel, g: float) -> np.ndarray:
     """U(g) as a (system_dim * meter_dim) x system_dim matrix."""
-    _check_range(model, g)
+    check_coupling(g, model.g_max)
     d, dm = model.system_dim, model.meter_dim
     U = np.zeros((d * dm, d), dtype=complex)
     for j, op in enumerate(model.measurement_ops):
         U[j::dm, :] = _family_at(op, g)
     return U
-
-
-def decompose_isometry(model: MeterModel) -> list[Callable[[float], np.ndarray]]:
-    """Recover the measurement operators as the meter-indexed blocks of U(g).
-
-    Block extraction inverts the assembly exactly: composing the result
-    reproduces U(g) with no numerical error.
-    """
-    dm = model.meter_dim
-
-    def make(j: int) -> Callable[[float], np.ndarray]:
-        return lambda g: isometry_at(model, g)[j::dm, :]
-
-    return [make(j) for j in range(dm)]
-
-
-def _check_range(model: MeterModel, g: float) -> None:
-    if abs(g) > model.g_max * (1 + 1e-12):
-        raise OutOfValidityRange(f"g={g} outside validated range (0, {model.g_max}]")
 
 
 def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
@@ -181,7 +148,7 @@ def meter_expectation(model: MeterModel, s: np.ndarray, g: float) -> float:
 def reduced_state(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
     """Post-measurement system state sum_j M_j(g) |s><s| M_j(g)^H."""
     s = check_state(s)
-    _check_range(model, g)
+    check_coupling(g, model.g_max)
     P = projector(s)
     rho = np.zeros((model.system_dim, model.system_dim), dtype=complex)
     for op in model.measurement_ops:

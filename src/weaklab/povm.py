@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConstantOutcome,
-    DimensionError,
-    NonUniformOrder,
-    NotMonomialGap,
-    OutOfValidityRange,
-    TruncationNotPositive,
-)
+from .errors import ConstantOutcome, DimensionError, NonUniformOrder, OutOfValidityRange
 from .linalg import psd_sqrt
 
 #: coefficient matrices with no entry above this are treated as zero
@@ -86,18 +79,23 @@ class PolyMatrix:
             k for k, c in enumerate(self.coefficients) if np.abs(c).max() > tol
         ]
 
-    def keep_orders(self, orders) -> "PolyMatrix":
-        """New family retaining only the listed orders (others zeroed)."""
-        keep = set(orders)
-        coeffs = [
-            c if k in keep else np.zeros(self.shape, dtype=complex)
-            for k, c in enumerate(self.coefficients)
-        ]
-        return PolyMatrix(coeffs)
+    def truncate(self, n: int, mode: str = "prefix") -> "PolyMatrix":
+        """Low-order part of the family, all other coefficients zeroed.
 
-    def truncate_prefix(self, n: int) -> "PolyMatrix":
-        """Expansion through order n: drop every coefficient above g**n."""
-        return PolyMatrix(list(self.coefficients[: n + 1]))
+        mode "prefix" keeps every order through n; mode "eq13" keeps exactly
+        the orders {0, n}, dropping the intermediate ones.
+        """
+        if n < 0:
+            raise ValueError(f"truncation order must be >= 0, got {n}")
+        if mode == "prefix":
+            keep = range(n + 1)
+        elif mode == "eq13":
+            keep = (0, n)
+        else:
+            raise ValueError(f"unknown truncation mode {mode!r}")
+        return PolyMatrix(
+            [c if k in keep else np.zeros_like(c) for k, c in enumerate(self.coefficients)]
+        )
 
     def __repr__(self) -> str:
         return f"PolyMatrix(shape={self.shape}, max_degree={self.max_degree})"
@@ -212,12 +210,15 @@ def validate(
     )
 
 
+def check_coupling(g: float, g_max: float) -> None:
+    """Raise OutOfValidityRange unless |g| <= g_max; NaN fails too."""
+    if not abs(g) <= g_max * (1 + 1e-12):
+        raise OutOfValidityRange(f"g={g} outside validated range (0, {g_max}]")
+
+
 def evaluate(povm: ParamPovm, g: float) -> list[np.ndarray]:
     """Outcome matrices at coupling g, for |g| <= g_max."""
-    if abs(g) > povm.g_max * (1 + 1e-12):
-        raise OutOfValidityRange(
-            f"g={g} outside validated range (0, {povm.g_max}]"
-        )
+    check_coupling(g, povm.g_max)
     return [e(g) for e in povm.elements]
 
 
@@ -250,73 +251,6 @@ def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
     if len(set(orders)) != 1:
         raise NonUniformOrder(tuple(orders))
     return MinOrderResult(n=orders[0], per_outcome_orders=tuple(orders))
-
-
-def truncate(
-    povm: ParamPovm,
-    n: int,
-    mode: str = "eq13",
-    grid: np.ndarray | None = None,
-) -> ParamPovm:
-    """Truncate every outcome to low order in g and re-validate positivity.
-
-    mode "eq13" keeps exactly the orders {0, n} (intermediate orders are
-    dropped); mode "prefix" keeps the full expansion through order n.
-    Completeness survives either way since it holds coefficient-wise.  If
-    positivity fails at the large end of the grid the validity range shrinks
-    to the largest all-good prefix; failure everywhere raises
-    TruncationNotPositive.
-    """
-    if n < 1:
-        raise ValueError(f"truncation order must be >= 1, got {n}")
-    if mode not in ("eq13", "prefix"):
-        raise ValueError(f"unknown truncation mode {mode!r}")
-    if mode == "eq13":
-        elements = tuple(e.keep_orders([0, n]) for e in povm.elements)
-    else:
-        elements = tuple(e.truncate_prefix(n) for e in povm.elements)
-
-    candidate = ParamPovm(elements=elements, g_max=povm.g_max)
-    if grid is None:
-        grid = default_grid(povm.g_max)
-    report = validate(candidate, grid)
-    if report.passed:
-        return candidate
-
-    point_ok = np.all(report.min_eigenvalues >= PSD_GRID_TOL, axis=0)
-    good = np.nonzero(~point_ok)[0]
-    first_bad = int(good[0]) if good.size else len(grid)
-    if first_bad == 0:
-        raise TruncationNotPositive(
-            f"truncation to order {n} ({mode}) is not positive anywhere on the grid"
-        )
-    shrunk = ParamPovm(elements=elements, g_max=float(grid[first_bad - 1]))
-    # the shrunk range must itself validate (guards non-monotone failures)
-    sub = validate(shrunk, grid[:first_bad])
-    if not sub.passed:
-        raise TruncationNotPositive(
-            f"truncation to order {n} ({mode}) fails inside the shrunk range"
-        )
-    return shrunk
-
-
-def reparameterize_linear(povm: ParamPovm) -> ParamPovm:
-    """Rewrite a monomial-gap family E0 + g^n En in the variable h = g^n.
-
-    Requires every outcome to have coefficients only at orders 0 and n;
-    otherwise raises NotMonomialGap.
-    """
-    n = minimum_nonzero_order(povm).n
-    for j, e in enumerate(povm.elements):
-        extra = [k for k in e.nonzero_orders() if k not in (0, n)]
-        if extra:
-            raise NotMonomialGap(
-                f"outcome {j} has coefficients at orders {extra} besides {{0, {n}}}"
-            )
-    elements = tuple(
-        PolyMatrix([e.coefficient(0), e.coefficient(n)]) for e in povm.elements
-    )
-    return ParamPovm(elements=elements, g_max=float(povm.g_max) ** n)
 
 
 def measurement_operators(povm: ParamPovm, g: float) -> list[np.ndarray]:

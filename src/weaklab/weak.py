@@ -31,6 +31,9 @@ LIMIT_GRID_TOP = 0.1
 LIMIT_GRID_POINTS = 13
 LIMIT_FIT_POINTS = 5
 CONJECTURE_TOL = 1e-3
+#: upper ends of the ranges unfixed trial shapes are drawn from (2 <= dim <= n_out)
+TRIAL_DIM_MAX = 4
+TRIAL_N_OUT_MAX = 5
 
 
 def traditional_weak_value(
@@ -282,8 +285,6 @@ def conjecture_trial(
     trial: int = 0,
     dim: int | None = None,
     n_out: int | None = None,
-    dim_max: int = 4,
-    n_out_max: int = 5,
     tol: float = CONJECTURE_TOL,
     psi_i: np.ndarray | None = None,
     psi_f: np.ndarray | None = None,
@@ -298,9 +299,9 @@ def conjecture_trial(
     key = (int(seed), int(trial))
     rng = np.random.default_rng(key)
     if dim is None:
-        dim = int(rng.integers(2, dim_max + 1))
+        dim = int(rng.integers(2, TRIAL_DIM_MAX + 1))
     if n_out is None:
-        n_out = int(rng.integers(dim, n_out_max + 1))
+        n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
 
     inst = generate_linear_commuting_instance(rng, dim, n_out, psi_i=psi_i, psi_f=psi_f)
     grid = limit_grid(min(LIMIT_GRID_TOP, inst.povm.g_max))
@@ -323,12 +324,12 @@ def conjecture_trial(
 def conjecture_sweep(
     seed: int,
     trials: int,
-    dim_max: int = 4,
-    n_out_max: int = 5,
+    dim: int | None = None,
+    n_out: int | None = None,
     tol: float = CONJECTURE_TOL,
 ) -> list[TrialRecord]:
     """Independent conjecture trials with streams derived from (seed, index)."""
     return [
-        conjecture_trial(seed, trial=t, dim_max=dim_max, n_out_max=n_out_max, tol=tol)
+        conjecture_trial(seed, trial=t, dim=dim, n_out=n_out, tol=tol)
         for t in range(trials)
     ]

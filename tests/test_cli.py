@@ -51,6 +51,49 @@ def test_weaklab_error_maps_to_one(capsys):
     assert "error: NoExactCv" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cv-solve", "--instance", "qubit-linear", "--g", "5"],
+        ["cv-solve", "--instance", "eq70", "--g", "0.6", "--a", "1,1"],
+        ["mc-run", "--instance", "qubit-linear", "--g", "nan", "--trials", "10"],
+        ["mc-run", "--instance", "qubit-linear", "--g", "5", "--trials", "10"],
+    ],
+)
+def test_coupling_outside_validity_range_fails(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: OutOfValidityRange" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "0"],
+        ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--seed", "-1"],
+        ["conjecture-sweep", "--trials", "0"],
+        ["conjecture-sweep", "--trials", "1", "--seed", "-1"],
+        ["conjecture-sweep", "--trials", "1", "--dim", "1"],
+        ["conjecture-sweep", "--trials", "1", "--dim", "2", "--n-out", "1"],
+        ["conjecture-sweep", "--trials", "1", "--dim", "6"],
+        ["truncation-check", "--instance", "quad-cx", "--n", "0"],
+        ["truncation-check", "--instance", "quad-cx", "--n", "-1"],
+        ["svd-asymptotics", "--instance", "eq70", "--n", "-1"],
+    ]
+    + [
+        ["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3", "--grid-points", n]
+        for n in ("0", "1", "2")
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err or "error: argument" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_unreadable_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "validate", "--file", str(tmp_path / "missing.json")

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from weaklab import asymptotics as ay
 from weaklab import contextual as cx
 from weaklab.errors import NoExactCv, NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
@@ -185,12 +186,15 @@ def test_truncate_f_modes():
         np.array([[0.2, -0.2], [-0.2, 0.2]]),
         np.array([[0.1, -0.1], [0.1, -0.1]]),
     ]
-    F = cx.FMatrix(poly=PolyMatrix(coeffs), a_vec=np.array([1.0, -1.0]))
+    P = PolyMatrix(coeffs)
     g = 0.4
-    f13 = cx.truncate_F(F, 2, mode="eq13")
-    npt.assert_allclose(f13.at(g), coeffs[0] + g**2 * coeffs[2], atol=1e-14)
-    fpre = cx.truncate_F(F, 1, mode="prefix")
-    npt.assert_allclose(fpre.at(g), coeffs[0] + g * coeffs[1], atol=1e-14)
+    npt.assert_allclose(P.truncate(2, mode="eq13")(g), coeffs[0] + g**2 * coeffs[2], atol=1e-14)
+    npt.assert_allclose(P.truncate(1, mode="prefix")(g), coeffs[0] + g * coeffs[1], atol=1e-14)
+    # above the top order, eq13 keeps only the constant term and prefix keeps everything
+    npt.assert_array_equal(P.truncate(5, mode="eq13")(g), coeffs[0])
+    npt.assert_array_equal(P.truncate(5, mode="prefix")(g), P(g))
+    with pytest.raises(ValueError):
+        P.truncate(1, mode="other")
 
 
 def test_truncated_cv_check_identity_for_linear_family():
@@ -225,7 +229,8 @@ def test_truncated_cv_check_quadratic_counterexample():
 
 
 def test_pole_order_linear_family():
-    est = cx.pole_order(cx.build_F(qubit_linear(), Z))
+    F = cx.build_F(qubit_linear(), Z)
+    est = ay.pinv_pole_order(F.poly, F.a_vec)
     assert abs(est.exponent - 1.0) < 0.05
     assert est.reliable
 
@@ -238,6 +243,7 @@ def test_pole_order_quadratic_family():
         for j in range(3)
     )
     povm = ParamPovm(elements=elements, g_max=0.5)
-    est = cx.pole_order(cx.build_F(povm, np.diag([1.0, -1.0, 0.0])))
+    F = cx.build_F(povm, np.diag([1.0, -1.0, 0.0]))
+    est = ay.pinv_pole_order(F.poly, F.a_vec)
     assert abs(est.exponent - 2.0) < 0.05
     assert est.reliable

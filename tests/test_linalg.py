@@ -19,53 +19,6 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_eigh_reconstructs_and_sorts_descending():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        d = int(rng.integers(2, 7))
-        H = random_hermitian(rng, d)
-        w, V = linalg.eigh(H)
-        assert np.all(np.diff(w) <= 1e-12)
-        npt.assert_allclose(V @ np.diag(w) @ V.conj().T, H, atol=1e-10)
-        npt.assert_allclose(V.conj().T @ V, np.eye(d), atol=1e-12)
-
-
-def test_eigh_phase_is_canonical():
-    # the largest-magnitude entry of each eigenvector is real and positive,
-    # so two calls agree exactly even after a random global phase
-    rng = np.random.default_rng(5)
-    H = random_hermitian(rng, 4)
-    _, V1 = linalg.eigh(H)
-    _, V2 = linalg.eigh(H.copy())
-    npt.assert_array_equal(V1, V2)
-    for col in V1.T:
-        k = np.argmax(np.abs(col))
-        assert col[k].real > 0
-        assert abs(col[k].imag) < 1e-14
-
-
-def test_eigh_degenerate_block_is_deterministic():
-    # a doubly degenerate eigenvalue still comes back in a reproducible basis
-    H = np.diag([2.0, 1.0, 1.0]).astype(complex)
-    w, V = linalg.eigh(H)
-    npt.assert_allclose(w, [2.0, 1.0, 1.0])
-    w2, V2 = linalg.eigh(H)
-    npt.assert_array_equal(V, V2)
-    npt.assert_allclose(V @ np.diag(w) @ V.conj().T, H, atol=1e-12)
-
-
-def test_svd_triple_reconstructs():
-    rng = np.random.default_rng(3)
-    for shape in [(3, 3), (2, 5), (5, 2), (4, 4)]:
-        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        triple = linalg.svd(M)
-        npt.assert_allclose(triple.reconstruct(), M, atol=1e-10)
-        assert np.all(np.diff(triple.singulars) <= 0)
-        npt.assert_allclose(
-            triple.singulars, linalg.singular_values(M), atol=1e-12
-        )
-
-
 def penrose_violation(M, P):
     """Largest deviation among the four defining identities."""
     return max(

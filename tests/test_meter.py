@@ -128,27 +128,3 @@ def test_weak_coupling_check_detects_entanglement():
     ok, gap = mt.weak_coupling_check(model, plus_state())
     assert not ok
     assert gap > 0.1
-
-
-def test_decompose_isometry_round_trip():
-    povm = qubit_linear()
-    ops = mt.positive_family(povm)
-    model = mt.compose_isometry(ops, 2, povm.g_max)
-    back = mt.decompose_isometry(model)
-    for g in [0.05, 0.4, 0.9]:
-        for j in range(2):
-            npt.assert_allclose(back[j](g), ops[j](g), atol=1e-13)
-
-
-def test_polynomial_ops_assemble_into_poly_isometry():
-    # constant projective operators stay polynomial, so the isometry does too
-    m1 = PolyMatrix([np.diag([1.0, 0.0])])
-    m2 = PolyMatrix([np.diag([0.0, 1.0])])
-    model = mt.compose_isometry([m1, m2], 2, 0.9)
-    upoly = model.isometry_poly
-    assert isinstance(upoly, PolyMatrix)
-    npt.assert_allclose(upoly(0.3), mt.isometry_at(model, 0.3), atol=1e-14)
-    g = 0.7
-    U = upoly(g)
-    npt.assert_allclose(U[0::2], m1(g), atol=1e-14)
-    npt.assert_allclose(U[1::2], m2(g), atol=1e-14)

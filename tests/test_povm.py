@@ -10,7 +10,6 @@ from weaklab.errors import (
     DimensionError,
     NonUniformOrder,
     OutOfValidityRange,
-    TruncationNotPositive,
 )
 from weaklab.povm import ParamPovm, PolyMatrix
 
@@ -60,10 +59,13 @@ def test_polymatrix_coefficients_are_frozen():
 def test_polymatrix_nonzero_orders_and_keep():
     P = PolyMatrix([I2, np.zeros((2, 2)), Z])
     assert P.nonzero_orders() == [0, 2]
-    kept = P.keep_orders([0])
-    assert kept.max_degree == 0
-    pref = P.truncate_prefix(1)
-    npt.assert_array_equal(pref(0.5), I2)
+    assert P.truncate(1, mode="eq13").max_degree == 0
+    npt.assert_array_equal(P.truncate(1)(0.5), I2)
+    # above the top order, eq13 keeps only the constant term and prefix keeps everything
+    assert P.truncate(3, mode="eq13").max_degree == 0
+    npt.assert_array_equal(P.truncate(3, mode="prefix")(0.5), P(0.5))
+    with pytest.raises(ValueError):
+        P.truncate(-1)
 
 
 def test_polymatrix_dim_requires_square():
@@ -120,8 +122,9 @@ def test_evaluate_and_range():
     E = pv.evaluate(p, 0.2)
     npt.assert_allclose(E[0], np.diag([0.6, 0.4]), atol=1e-14)
     npt.assert_allclose(E[0] + E[1], I2, atol=1e-14)
-    with pytest.raises(OutOfValidityRange):
-        pv.evaluate(p, 1.0)
+    for g in (1.0, -1.0, float("nan")):
+        with pytest.raises(OutOfValidityRange):
+            pv.evaluate(p, g)
 
 
 def test_default_grid():
@@ -157,67 +160,6 @@ def test_minimum_order_nonuniform_carries_payload():
     with pytest.raises(NonUniformOrder) as err:
         pv.minimum_nonzero_order(p)
     assert err.value.per_outcome_orders == (1, 1, 2)
-
-
-# ------------------------------------------------------------- truncation
-
-
-def test_truncate_eq13_keeps_only_orders_zero_and_n():
-    # orders {0, 1, 2} present; eq13 at n=2 drops the linear term,
-    # prefix at n=2 keeps everything
-    p = scalar_povm([[0.3, 0.2, 0.1], [0.7, -0.2, -0.1]], g_max=0.5)
-    tr13 = pv.truncate(p, 2, mode="eq13")
-    trpre = pv.truncate(p, 2, mode="prefix")
-    g = 0.3
-    npt.assert_allclose(tr13.elements[0](g)[0, 0], 0.3 + 0.1 * g**2, atol=1e-14)
-    npt.assert_allclose(trpre.elements[0](g)[0, 0], 0.3 + 0.2 * g + 0.1 * g**2, atol=1e-14)
-
-
-def test_truncate_impossible_raises():
-    # E_1 = g - g^2/2 vanishes at zeroth order, so the n=2 truncation
-    # -g^2/2 is negative at every coupling
-    p = scalar_povm([[0.0, 1.0, -0.5], [1.0, -1.0, 0.5]], g_max=0.5)
-    assert pv.validate(p).passed
-    with pytest.raises(TruncationNotPositive):
-        pv.truncate(p, 2, mode="eq13")
-
-
-def test_truncate_shrinks_validity_range():
-    # dropping the linear term leaves 0.1 - 0.2 g^2, negative above ~0.707
-    p = scalar_povm([[0.1, 1.0, -0.2], [0.9, -1.0, 0.2]], g_max=0.9)
-    assert pv.validate(p).passed
-    tr = pv.truncate(p, 2, mode="eq13")
-    assert tr.g_max < 0.75
-    assert pv.validate(tr).passed
-
-
-def test_truncate_identity_when_nothing_above_n():
-    p = qubit_linear()
-    tr = pv.truncate(p, 1, mode="eq13")
-    for g in [0.0, 0.2, 0.8]:
-        for a, b in zip(tr.elements, p.elements):
-            npt.assert_allclose(a(g), b(g), atol=1e-14)
-
-
-# ------------------------------------------------------- reparameterization
-
-
-def test_reparameterize_linear_quadratic_family():
-    p = scalar_povm([[0.5, 0.0, 0.25], [0.5, 0.0, -0.25]], g_max=0.5)
-    lin = pv.reparameterize_linear(p)
-    assert lin.max_degree == 1
-    npt.assert_allclose(lin.g_max, 0.25)
-    # h = g^2: evaluating the reparameterized family at h matches the original at g
-    g = 0.4
-    for a, b in zip(lin.elements, p.elements):
-        npt.assert_allclose(a(g**2), b(g), atol=1e-14)
-
-
-def test_reparameterize_rejects_mixed_orders():
-    p = scalar_povm([[0.3, 0.2, 0.1], [0.7, -0.2, -0.1]], g_max=0.5)
-    with pytest.raises(Exception) as err:
-        pv.reparameterize_linear(p)
-    assert "NotMonomialGap" in type(err.value).__name__
 
 
 def test_measurement_operators_square_to_elements():
