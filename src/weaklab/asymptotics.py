@@ -77,13 +77,10 @@ class SvdCurve:
 
     g_grid: np.ndarray
     singulars: np.ndarray  # (n_grid, min(shape))
-    left_limit: np.ndarray  # factors at the smallest sampled coupling
-    right_limit: np.ndarray
 
 
 def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> SvdCurve:
-    """Singular values of F(g) at every grid coupling, plus the singular
-    vectors at the smallest one.
+    """Singular values of F(g) at every grid coupling.
 
     Each point's values are sorted descending.  By Weyl's inequality sorted
     singular values move by at most ||F(g_a) - F(g_b)||_2 between two
@@ -92,14 +89,7 @@ def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> SvdCurve:
     """
     g_grid = np.asarray(g_grid, dtype=float)
     sig = np.stack([np.linalg.svd(F(g), compute_uv=False) for g in g_grid])
-    smallest = int(np.argmin(g_grid))
-    u, _, vh = np.linalg.svd(F(g_grid[smallest]))
-    return SvdCurve(
-        g_grid=g_grid,
-        singulars=sig,
-        left_limit=u,
-        right_limit=vh.conj().T,
-    )
+    return SvdCurve(g_grid=g_grid, singulars=sig)
 
 
 def _fit_series(g: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
@@ -122,23 +112,16 @@ class TruncationSvdReport:
     fit_reliable: list[bool]
 
 
-def truncation_svd_commutator(
-    F: PolyMatrix,
-    n: int,
-    g_grid: np.ndarray | None = None,
-    rel_tol: float = 1e-6,
-) -> TruncationSvdReport:
+def truncation_svd_commutator(F: PolyMatrix, n: int) -> TruncationSvdReport:
     """Compare singular values of the order-n expansion of F against the
-    order-n expansion of the singular values of F.
+    order-n expansion of the singular values of F along default_pole_grid,
+    agreeing when they match within 1e-6 relative.
 
     The two agree for families whose truncation is exact but differ in
     general; the flagship linear example with determinant g**2 has
     sigma_min ~ g**2/2 on the left and identically zero on the right.
     """
-    if g_grid is None:
-        g_grid = default_pole_grid()
-    g_grid = np.asarray(g_grid, dtype=float)
-
+    g_grid = default_pole_grid()
     left = svd_curve(F.truncate(n), g_grid).singulars
     full = svd_curve(F, g_grid).singulars
 
@@ -157,7 +140,7 @@ def truncation_svd_commutator(
 
     diff = np.abs(left - right)
     ref = np.maximum(np.abs(left), np.abs(right))
-    agree = (diff <= rel_tol * ref) | (ref <= ZERO_TRAJECTORY_TOL)
+    agree = (diff <= 1e-6 * ref) | (ref <= ZERO_TRAJECTORY_TOL)
     return TruncationSvdReport(
         n=n,
         g_grid=g_grid,
@@ -189,8 +172,9 @@ class ClaimReport:
     )
 
 
-def proof_claim_check(F: PolyMatrix, g_grid: np.ndarray | None = None) -> ClaimReport:
-    """Audit the first-order claim on a linear family by fitting each trajectory.
+def proof_claim_check(F: PolyMatrix) -> ClaimReport:
+    """Audit the first-order claim on a linear family by fitting each trajectory
+    along default_pole_grid.
 
     A trajectory never exceeding 1e-12 on the grid counts as identically
     zero, making the claim vacuous for this instance.  Otherwise the claim
@@ -199,9 +183,7 @@ def proof_claim_check(F: PolyMatrix, g_grid: np.ndarray | None = None) -> ClaimR
     """
     if F.max_degree > 1:
         raise NotLinear(f"family has degree {F.max_degree}, claim concerns linear families")
-    if g_grid is None:
-        g_grid = default_pole_grid()
-    curve = svd_curve(F, np.asarray(g_grid, dtype=float))
+    curve = svd_curve(F, default_pole_grid())
 
     zero_traj: list[int] = []
     orders: list[OrderEstimate | None] = []
@@ -249,16 +231,13 @@ def pinv_pole_order(
     F: PolyMatrix,
     a: np.ndarray,
     g_grid: np.ndarray | None = None,
-    rank_rtol: float | None = None,
 ) -> PoleEstimate:
     """Fit the growth of ||pinv(F(g)) a||_inf; the negated slope is the pole order."""
     if g_grid is None:
         g_grid = default_pole_grid()
     g_grid = np.asarray(g_grid, dtype=float)
     a = np.asarray(a, dtype=float)
-    norms = np.array(
-        [float(np.abs(pinv(F(g), rank_rtol) @ a).max()) for g in g_grid]
-    )
+    norms = np.array([float(np.abs(pinv(F(g)) @ a).max()) for g in g_grid])
     if norms.max() <= ZERO_TRAJECTORY_TOL:
         return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True)
     est = leading_order_fit(np.stack([g_grid, norms], axis=1))

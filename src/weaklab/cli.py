@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -35,7 +36,8 @@ from .montecarlo import McConfig, sample_run
 from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
-from .weak import TRIAL_N_OUT_MAX, conditioned_average, conjecture_sweep, limit_grid, weak_limit
+from .weak import LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX, conditioned_average, conjecture_sweep
+from .weak import limit_grid, weak_limit
 
 
 class _UsageError(Exception):
@@ -61,15 +63,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     print(f"wrote {path}")
 
 
+def _registry_instance(name: str) -> InstanceSpec:
+    try:
+        return get_instance(name)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
 def _resolve(args) -> InstanceSpec:
     if getattr(args, "instance", None):
-        try:
-            return get_instance(args.instance)
-        except KeyError:
-            known = ", ".join(sorted(REGISTRY))
-            raise _UsageError(
-                f"unknown instance {args.instance!r} (known: {known})"
-            ) from None
+        return _registry_instance(args.instance)
     try:
         return load_instance(args.file)
     except ParseError as exc:
@@ -80,9 +83,12 @@ def _resolve(args) -> InstanceSpec:
 
 def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        vals = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise _UsageError(f"{flag} expects finite numbers, got {text!r}")
+    return vals
 
 
 def _parse_state(text: str, dim: int) -> np.ndarray:
@@ -256,14 +262,14 @@ def _cmd_weak_limit(args) -> int:
         raise _UsageError("no final state: pass --theta-f or --psi-f")
 
     g_top = min(0.1, spec.povm.g_max)
-    if args.grid_min is not None or args.grid_max is not None or args.grid_points != 13:
+    if args.grid_min is None and args.grid_max is None and args.grid_points == LIMIT_GRID_POINTS:
+        grid = limit_grid(g_top)
+    else:
         g_hi = args.grid_max if args.grid_max is not None else g_top
         g_lo = args.grid_min if args.grid_min is not None else g_hi * 2.0**-12
         if not (0 < g_lo < g_hi):
             raise _UsageError("need 0 < --grid-min < --grid-max")
         grid = np.geomspace(g_lo, g_hi, args.grid_points)
-    else:
-        grid = limit_grid(g_top)
 
     rep = weak_limit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)
     print(f"instance {spec.name}: weak limit along {len(grid)} couplings")
@@ -331,7 +337,7 @@ def _cmd_svd_asymptotics(args) -> int:
         print(f"  sigma_{j + 1} series through g^{args.n}: {_vec(series)}")
 
     try:
-        claim = proof_claim_check(fam, grid)
+        claim = proof_claim_check(fam)
     except NotLinear:
         print(f"proof-claim audit skipped: family degree {fam.max_degree} > 1")
     else:
@@ -503,12 +509,7 @@ def _cmd_registry(args) -> int:
         return 0
     if not args.name:
         raise _UsageError(f"registry {args.action} needs an instance name")
-    try:
-        spec = get_instance(args.name)
-    except KeyError:
-        raise _UsageError(
-            f"unknown instance {args.name!r} (known: {', '.join(sorted(REGISTRY))})"
-        ) from None
+    spec = _registry_instance(args.name)
     if args.action == "show":
         print(f"name:     {spec.name}")
         print(f"summary:  {REGISTRY[spec.name].summary}")
@@ -543,16 +544,18 @@ def _cmd_registry(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _at_least(low: float, kind: type = int):
+    """argparse type: a finite number of the given kind no smaller than low."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -584,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "truncation-check", parents=[inst], help="do contextual values survive truncation?"
     )
-    p.add_argument("--n", type=_int_at_least(1), required=True, help="truncation order")
+    p.add_argument("--n", type=_at_least(1), required=True, help="truncation order")
     p.add_argument(
         "--truncate-mode",
         choices=["eq13", "prefix"],
@@ -594,12 +597,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_truncation_check)
 
     p = sub.add_parser("weak-limit", parents=[inst], help="extrapolate the conditioned average")
-    p.add_argument("--theta-f", type=float, help="final qubit state angle (cos t, sin t)")
+    p.add_argument(
+        "--theta-f", type=_at_least(-math.inf, float), help="final qubit state angle (cos t, sin t)"
+    )
     p.add_argument("--psi-f", help="final state, comma-separated components")
     p.add_argument("--grid-min", type=float, help="smallest coupling")
     p.add_argument("--grid-max", type=float, help="largest coupling")
     p.add_argument(
-        "--grid-points", type=_int_at_least(3), default=13, help="grid size (default 13)"
+        "--grid-points",
+        type=_at_least(3),
+        default=LIMIT_GRID_POINTS,
+        help="grid size (default %(default)s)",
     )
     p.set_defaults(func=_cmd_weak_limit)
 
@@ -607,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "svd-asymptotics", parents=[inst], help="singular value curves, poles, claim audit"
     )
     p.add_argument(
-        "--n", type=_int_at_least(0), default=1, help="truncation order for the commutator check"
+        "--n", type=_at_least(0), default=1, help="truncation order for the commutator check"
     )
     p.set_defaults(func=_cmd_svd_asymptotics)
 
@@ -615,18 +623,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_proof_claim)
 
     p = sub.add_parser("conjecture-sweep", help="random linear-family convergence trials")
-    p.add_argument("--trials", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
-    p.add_argument("--dim", type=_int_at_least(2), help="fix the system dimension")
-    p.add_argument("--n-out", type=_int_at_least(2), help="fix the number of outcomes")
-    p.add_argument("--tol", type=float, default=1e-3, help="pass tolerance on the discrepancy")
+    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
+    p.add_argument("--dim", type=_at_least(2), help="fix the system dimension")
+    p.add_argument("--n-out", type=_at_least(2), help="fix the number of outcomes")
+    p.add_argument(
+        "--tol", type=_at_least(0.0, float), default=1e-3, help="pass tolerance on the discrepancy"
+    )
     p.add_argument("--out", help="write the sweep CSV here")
     p.set_defaults(func=_cmd_conjecture_sweep)
 
     p = sub.add_parser("mc-run", parents=[inst], help="sample the conditioned average")
     p.add_argument("--g", type=float, required=True, help="coupling strength")
-    p.add_argument("--trials", type=_int_at_least(1), default=100_000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--trials", type=_at_least(1), default=100_000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_mc_run)
 
     p = sub.add_parser("registry", help="list, inspect, or export built-in instances")

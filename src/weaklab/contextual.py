@@ -108,7 +108,7 @@ class CvSolution:
     rank_used: int
 
 
-def pseudoinverse_cv(F: FMatrix, g: float, rank_rtol: float | None = None) -> CvSolution:
+def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
     The reported residual is the euclidean norm of F(g) alpha - a, which for
@@ -116,17 +116,15 @@ def pseudoinverse_cv(F: FMatrix, g: float, rank_rtol: float | None = None) -> Cv
     outcome sum and the observable.
     """
     Fg = F.at(g)
-    P, rank = pinv_and_rank(Fg, rank_rtol)
+    P, rank = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
     residual = float(np.linalg.norm(Fg @ alpha - F.a_vec))
     return CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
 
 
-def exact_cv_exists(
-    F: FMatrix, g_grid: np.ndarray, tol: float = EXACT_CV_TOL
-) -> bool:
-    """True when the pseudoinverse residual stays below tol at every coupling."""
-    return all(pseudoinverse_cv(F, g).residual <= tol for g in np.asarray(g_grid, float))
+def exact_cv_exists(F: FMatrix, g_grid: np.ndarray) -> bool:
+    """True when the pseudoinverse residual stays below EXACT_CV_TOL at every coupling."""
+    return all(pseudoinverse_cv(F, g).residual <= EXACT_CV_TOL for g in np.asarray(g_grid, float))
 
 
 @dataclass
@@ -151,15 +149,14 @@ def truncated_cv_check(
     n: int,
     g_grid: np.ndarray,
     mode: str = "eq13",
-    tol: float = EXACT_CV_TOL,
-    match_rtol: float = ALPHA_MATCH_RTOL,
 ) -> TruncationReport:
     """Do the truncated outcome family's contextual values survive truncation?
 
     Builds the spectral matrix once and truncates it directly (the truncated
     family is diagonal in the same basis), then compares pseudoinverse
-    solutions point by point.  alphas_match requires agreement within
-    match_rtol relative at every grid point.
+    solutions point by point.  A family is solvable when its residual stays
+    within EXACT_CV_TOL; alphas_match requires agreement within
+    ALPHA_MATCH_RTOL relative at every grid point.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     F = build_F(povm, A)
@@ -180,7 +177,7 @@ def truncated_cv_check(
         if scale <= 1e-300:
             match = match and np.linalg.norm(st.alpha) <= 1e-300
         else:
-            match = match and np.linalg.norm(sf.alpha - st.alpha) <= match_rtol * scale
+            match = match and np.linalg.norm(sf.alpha - st.alpha) <= ALPHA_MATCH_RTOL * scale
 
     return TruncationReport(
         n=n,
@@ -190,18 +187,13 @@ def truncated_cv_check(
         alpha_truncated=at,
         full_residuals=rf,
         truncated_residuals=rt,
-        full_solvable=bool(np.all(rf <= tol)),
-        truncated_solvable=bool(np.all(rt <= tol)),
+        full_solvable=bool(np.all(rf <= EXACT_CV_TOL)),
+        truncated_solvable=bool(np.all(rt <= EXACT_CV_TOL)),
         alphas_match=bool(match),
     )
 
 
-def variance_min_cv(
-    F: FMatrix,
-    g: float,
-    probs: np.ndarray,
-    feas_tol: float = EXACT_CV_TOL,
-) -> CvSolution:
+def variance_min_cv(F: FMatrix, g: float, probs: np.ndarray) -> CvSolution:
     """Exact contextual values minimizing the detector variance sum_j p_j alpha_j^2.
 
     Solved as a weighted minimum-norm problem: substitute beta = sqrt(p) alpha
@@ -222,7 +214,7 @@ def variance_min_cv(
     P, rank = pinv_and_rank(G)
     alpha = np.real(P @ F.a_vec) / root
     residual = float(np.linalg.norm(Fg @ alpha - F.a_vec))
-    if residual > feas_tol:
+    if residual > EXACT_CV_TOL:
         raise NoExactCv(
             f"no exact contextual values at g={g}: best residual {residual:.3e}"
         )

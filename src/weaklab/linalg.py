@@ -30,7 +30,7 @@ def dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().T
 
 
-def check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(M: np.ndarray) -> np.ndarray:
     """Return M as a complex array, raising InvalidMatrix if it is not Hermitian."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -38,16 +38,16 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise InvalidMatrix("matrix contains non-finite entries")
     scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - dagger(M)).max() > tol * scale:
+    if np.abs(M - dagger(M)).max() > HERMITIAN_TOL * scale:
         raise InvalidMatrix("matrix is not Hermitian within tolerance")
     return M
 
 
-def check_state(v: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
+def check_state(v: np.ndarray) -> np.ndarray:
     """Return v as a complex vector, raising InvalidState if zero or unnormalized."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = float(np.linalg.norm(v))
-    if n <= tol:
+    if n <= STATE_NORM_TOL:
         raise InvalidState("state vector is (numerically) zero")
     if abs(n - 1.0) > 1e-10:
         raise InvalidState(f"state vector norm {n!r} is not 1")
@@ -69,25 +69,19 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(np.stack([r, i], axis=1).ravel())
 
 
-def default_rank_rtol(shape: tuple[int, int]) -> float:
-    return 1e-12 * max(shape)
-
-
-def pinv_and_rank(M: np.ndarray, rank_rtol: float | None = None) -> tuple[np.ndarray, int]:
+def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int]:
     """Moore-Penrose pseudoinverse together with the rank actually used.
 
-    Singular values at or below rank_rtol * sigma_max are treated as exact
-    zeros; rank_rtol defaults to 1e-12 times the larger matrix dimension.
+    Singular values at or below 1e-12 * max(M.shape) * sigma_max are treated
+    as exact zeros.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
-    if rank_rtol is None:
-        rank_rtol = default_rank_rtol(M.shape)
     u, s, vh = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex), 0
-    keep = s > rank_rtol * s[0]
+    keep = s > 1e-12 * max(M.shape) * s[0]
     rank = int(np.count_nonzero(keep))
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
@@ -95,8 +89,8 @@ def pinv_and_rank(M: np.ndarray, rank_rtol: float | None = None) -> tuple[np.nda
     return P, rank
 
 
-def pinv(M: np.ndarray, rank_rtol: float | None = None) -> np.ndarray:
-    return pinv_and_rank(M, rank_rtol)[0]
+def pinv(M: np.ndarray) -> np.ndarray:
+    return pinv_and_rank(M)[0]
 
 
 def psd_sqrt(E: np.ndarray) -> np.ndarray:

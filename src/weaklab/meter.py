@@ -61,9 +61,8 @@ def compose_isometry(
     meter_dim: int,
     g_max: float,
     meter_eigenvalues: Sequence[Callable[[float], float]] | None = None,
-    grid: np.ndarray | None = None,
 ) -> MeterModel:
-    """Assemble the dilation isometry, checking completeness on a grid.
+    """Assemble the dilation isometry, checking completeness on default_grid.
 
     Raises NotIsometry unless sum_j M_j(g)^H M_j(g) = identity within 1e-10
     at every sampled coupling.
@@ -80,8 +79,7 @@ def compose_isometry(
         raise DimensionError(f"measurement operators must be square, got {first.shape}")
     d = first.shape[0]
 
-    if grid is None:
-        grid = default_grid(g_max)
+    grid = default_grid(g_max)
     eye = np.eye(d)
     for g in grid:
         total = np.zeros((d, d), dtype=complex)

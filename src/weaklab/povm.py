@@ -74,9 +74,9 @@ class PolyMatrix:
             acc = acc * g + c
         return acc
 
-    def nonzero_orders(self, tol: float = COEFF_ZERO_TOL) -> list[int]:
+    def nonzero_orders(self) -> list[int]:
         return [
-            k for k, c in enumerate(self.coefficients) if np.abs(c).max() > tol
+            k for k, c in enumerate(self.coefficients) if np.abs(c).max() > COEFF_ZERO_TOL
         ]
 
     def truncate(self, n: int, mode: str = "prefix") -> "PolyMatrix":
@@ -134,11 +134,11 @@ class ParamPovm:
         return max(e.max_degree for e in self.elements)
 
 
-def default_grid(g_max: float, points: int = 20) -> np.ndarray:
-    """Logarithmically spaced positivity-check grid in (0, g_max]."""
+def default_grid(g_max: float) -> np.ndarray:
+    """Twenty logarithmically spaced positivity-check couplings in (0, g_max]."""
     if not (g_max > 0):
         raise OutOfValidityRange(f"g_max must be positive, got {g_max}")
-    return np.geomspace(g_max * 1e-3, g_max, points)
+    return np.geomspace(g_max * 1e-3, g_max, 20)
 
 
 @dataclass
@@ -156,16 +156,9 @@ class ValidationReport:
         return not self.failures
 
 
-def validate(
-    povm: ParamPovm,
-    grid: np.ndarray | None = None,
-) -> ValidationReport:
-    """Check Hermiticity, coefficient-wise completeness and grid positivity."""
-    if grid is None:
-        grid = default_grid(povm.g_max)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or np.any(grid > povm.g_max * (1 + 1e-12)):
-        raise OutOfValidityRange("validation grid must lie in (0, g_max]")
+def validate(povm: ParamPovm) -> ValidationReport:
+    """Check Hermiticity, coefficient-wise completeness and positivity on default_grid."""
+    grid = default_grid(povm.g_max)
 
     failures: list[str] = []
     herm = 0.0

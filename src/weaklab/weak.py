@@ -110,9 +110,9 @@ def conditioned_average(
     return float(alpha @ weights) / success, success
 
 
-def limit_grid(g_top: float = LIMIT_GRID_TOP, points: int = LIMIT_GRID_POINTS) -> np.ndarray:
+def limit_grid(g_top: float = LIMIT_GRID_TOP) -> np.ndarray:
     """Descending coupling ladder g_top * 2**-k used for limit extraction."""
-    return g_top * 2.0 ** -np.arange(points, dtype=float)
+    return g_top * 2.0 ** -np.arange(LIMIT_GRID_POINTS, dtype=float)
 
 
 @dataclass
@@ -214,11 +214,6 @@ def generate_linear_commuting_instance(
     rng: np.random.Generator,
     dim: int,
     n_out: int,
-    psi_i: np.ndarray | None = None,
-    psi_f: np.ndarray | None = None,
-    max_attempts: int = 100,
-    min_overlap: float = 0.1,
-    min_g_max: float = 1e-3,
 ) -> ConjectureInstance:
     """Draw a diagonal measurement family linear in g satisfying every hypothesis.
 
@@ -226,13 +221,14 @@ def generate_linear_commuting_instance(
     symmetric Dirichlet (so zero coupling extracts no information and the
     dilation is a product state).  First order: diagonal matrices whose
     entries sum to zero across outcomes at every basis index.  The validity
-    range is 90% of the exact positivity radius; draws whose radius
-    collapses, whose first order degenerates, or whose contextual values are
-    not exact are rejected and redrawn, up to max_attempts.
+    range is 90% of the exact positivity radius; draws whose radius falls
+    below 1e-3, whose first order degenerates, whose states overlap by less
+    than 0.1, or whose contextual values are not exact are rejected and
+    redrawn, up to 100 times.
     """
     if dim < 2 or n_out < 2:
         raise ValueError("need dim >= 2 and n_out >= 2")
-    for _ in range(max_attempts):
+    for _ in range(100):
         a = np.sort(rng.uniform(-1.0, 1.0, size=dim))[::-1]
         w = rng.dirichlet(np.ones(n_out))
         if w.min() <= 1e-3:
@@ -246,7 +242,7 @@ def generate_linear_commuting_instance(
             ratios = np.where(Q < 0, w[None, :] / -Q, np.inf)
         radius = float(ratios.min())
         g_max = min(0.9 * radius, 0.5)
-        if g_max < min_g_max:
+        if g_max < 1e-3:
             continue
 
         elements = tuple(
@@ -256,27 +252,21 @@ def generate_linear_commuting_instance(
         povm = ParamPovm(elements=elements, g_max=g_max)
         A = np.diag(a)
 
-        if psi_i is None:
-            s_i = _random_state(rng, dim)
-        else:
-            s_i = check_state(psi_i)
-        if psi_f is None:
+        s_i = _random_state(rng, dim)
+        s_f = _random_state(rng, dim)
+        for _ in range(50):
+            if abs(np.vdot(s_f, s_i)) >= 0.1:
+                break
             s_f = _random_state(rng, dim)
-            for _ in range(50):
-                if abs(np.vdot(s_f, s_i)) >= min_overlap:
-                    break
-                s_f = _random_state(rng, dim)
-            else:
-                continue
         else:
-            s_f = check_state(psi_f)
+            continue
 
         grid = limit_grid(min(LIMIT_GRID_TOP, g_max))
         if not exact_cv_exists(build_F(povm, A), grid):
             continue  # ill-conditioned draw; hypothesis of exactness fails numerically
         return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f)
     raise GenerationFailed(
-        f"no admissible instance in {max_attempts} attempts (dim={dim}, n_out={n_out})"
+        f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})"
     )
 
 
@@ -286,8 +276,6 @@ def conjecture_trial(
     dim: int | None = None,
     n_out: int | None = None,
     tol: float = CONJECTURE_TOL,
-    psi_i: np.ndarray | None = None,
-    psi_f: np.ndarray | None = None,
 ) -> TrialRecord:
     """Run one random trial of the linear-family convergence conjecture.
 
@@ -303,7 +291,7 @@ def conjecture_trial(
     if n_out is None:
         n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
 
-    inst = generate_linear_commuting_instance(rng, dim, n_out, psi_i=psi_i, psi_f=psi_f)
+    inst = generate_linear_commuting_instance(rng, dim, n_out)
     grid = limit_grid(min(LIMIT_GRID_TOP, inst.povm.g_max))
     report = weak_limit(inst.povm, inst.observable, inst.psi_i, inst.psi_f, grid)
     passed = report.discrepancy <= tol

@@ -84,6 +84,15 @@ def test_coupling_outside_validity_range_fails(capsys, argv):
     + [
         ["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3", "--grid-points", n]
         for n in ("0", "1", "2")
+    ]
+    + [
+        ["cv-solve", "--instance", "eq70", "--g", "0.1", "--a", "nan,1"],
+        ["cv-solve", "--instance", "eq70", "--g", "0.1", "--a", "inf,1"],
+        ["pole-order", "--instance", "eq70", "--a", "1,inf"],
+        ["weak-limit", "--instance", "qubit-linear", "--psi-f", "nan,1"],
+        ["weak-limit", "--instance", "qubit-linear", "--theta-f", "inf"],
+        ["conjecture-sweep", "--trials", "1", "--tol", "nan"],
+        ["conjecture-sweep", "--trials", "1", "--tol", "-1"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

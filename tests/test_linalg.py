@@ -72,12 +72,13 @@ def test_pinv_zero_matrix():
 
 
 def test_pinv_rank_cutoff_is_relative():
-    M = np.diag([1.0, 1e-14])
-    P, rank = linalg.pinv_and_rank(M)
+    # 1e-14 is dropped next to sigma_max = 1 but kept next to sigma_max = 1e-3
+    P, rank = linalg.pinv_and_rank(np.diag([1.0, 1e-14]))
     assert rank == 1
     npt.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-12)
-    P2, rank2 = linalg.pinv_and_rank(M, rank_rtol=1e-16)
+    P2, rank2 = linalg.pinv_and_rank(np.diag([1e-3, 1e-14]))
     assert rank2 == 2
+    npt.assert_allclose(P2, np.diag([1e3, 1e14]), rtol=1e-12)
 
 
 def test_psd_sqrt_squares_back():

@@ -67,37 +67,6 @@ def test_quad_cx_grid_frozen():
     assert registry.QUAD_CX_GRID[0] == pytest.approx(0.01)
 
 
-def test_quad_cx_certification_catches_tampering(monkeypatch):
-    # degrading the instance to first order must make certification fail
-    from weaklab.errors import WeakLabError
-    from weaklab.files import InstanceSpec
-    from weaklab.povm import ParamPovm, PolyMatrix
-
-    good = registry.get_instance("quad-cx")
-
-    def linearized():
-        elements = tuple(
-            PolyMatrix([e.coefficient(0), e.coefficient(2)])
-            for e in good.povm.elements
-        )
-        return InstanceSpec(
-            name="quad-cx",
-            povm=ParamPovm(elements=elements, g_max=0.5),
-            observable=good.observable,
-            psi_i=good.psi_i,
-            psi_f=good.psi_f,
-        )
-
-    entry = registry.REGISTRY["quad-cx"]
-    monkeypatch.setitem(
-        registry.REGISTRY,
-        "quad-cx",
-        type(entry)(name="quad-cx", summary=entry.summary, build=linearized),
-    )
-    with pytest.raises(WeakLabError, match="quad-cx"):
-        registry.get_instance("quad-cx")
-
-
 def test_instances_are_rebuilt_fresh():
     a = registry.get_instance("qubit-linear")
     b = registry.get_instance("qubit-linear")
