@@ -601,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta-f", type=_at_least(-math.inf, float), help="final qubit state angle (cos t, sin t)"
     )
     p.add_argument("--psi-f", help="final state, comma-separated components")
-    p.add_argument("--grid-min", type=float, help="smallest coupling")
-    p.add_argument("--grid-max", type=float, help="largest coupling")
+    p.add_argument("--grid-min", type=_at_least(-math.inf, float), help="smallest coupling")
+    p.add_argument("--grid-max", type=_at_least(-math.inf, float), help="largest coupling")
     p.add_argument(
         "--grid-points",
         type=_at_least(3),

@@ -2,9 +2,16 @@
 
 For a commuting measurement family and observable, everything reduces to a
 spectral matrix F(g) whose entry (i, j) is the i-th common-basis eigenvalue
-of outcome j.  Weights alpha solving F(g) alpha = a (the observable's
-eigenvalues) make the weighted outcome statistics reproduce the observable's
-moments; the pseudoinverse picks the minimum-norm solution.
+of outcome j: E_j(g) = B diag(F(g)[:, j]) B^H for the common eigenbasis B.
+Weights alpha solving F(g) alpha = a (the observable's eigenvalues) make the
+weighted outcome statistics reproduce the observable's moments; the
+pseudoinverse picks the minimum-norm solution.
+
+A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
+grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
+stacked call.  Each grid point comes out bit for bit as the single-coupling
+`pseudoinverse_cv` would give it.  `exact_cv_exists`, `truncated_cv_check`
+and the weak-limit ladder all go through `solve_grid`.
 """
 
 from __future__ import annotations
@@ -27,11 +34,15 @@ class FMatrix:
     """Spectral matrix of a commuting measurement, plus the observable's eigenvalues.
 
     poly evaluates to the d x n_out matrix of outcome eigenvalues; a_vec holds
-    the observable eigenvalues in the same (descending) basis order.
+    the observable eigenvalues in the same (descending) basis order.  basis
+    is the unitary whose columns are the common eigenvectors that build_F
+    found, in row order, so E_j(g) = basis diag(F(g)[:, j]) basis^H; it is
+    None for a raw matrix family, which has no operators behind it.
     """
 
     poly: PolyMatrix
     a_vec: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a_vec, dtype=float)
@@ -79,14 +90,11 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
     basis = common_eigenbasis(ops)
 
     a_vec = np.real(np.diag(dagger(basis) @ A @ basis))
-    degree = povm.max_degree
     coeffs = []
-    for k in range(degree + 1):
-        C = np.empty((povm.dim, povm.n_out))
-        for j, e in enumerate(povm.elements):
-            C[:, j] = np.real(np.diag(dagger(basis) @ e.coefficient(k) @ basis))
-        coeffs.append(C)
-    F = FMatrix(poly=PolyMatrix(coeffs), a_vec=a_vec)
+    for k in range(povm.max_degree + 1):
+        C = dagger(basis) @ np.stack([e.coefficient(k) for e in povm.elements]) @ basis
+        coeffs.append(np.real(np.diagonal(C, axis1=1, axis2=2)).T)
+    F = FMatrix(poly=PolyMatrix(coeffs), a_vec=a_vec, basis=basis)
 
     resid = F.row_sum_residual()
     if resid > ROW_SUM_TOL:
@@ -108,6 +116,39 @@ class CvSolution:
     rank_used: int
 
 
+@dataclass(frozen=True)
+class GridSolution:
+    """Pseudoinverse contextual values at every coupling of a grid."""
+
+    g_grid: np.ndarray
+    F_g: np.ndarray  # (n_g, dim, n_out): F at each coupling
+    alpha: np.ndarray  # (n_g, n_out)
+    residuals: np.ndarray  # (n_g,): ||F(g) alpha - a||_2
+    ranks: np.ndarray  # (n_g,)
+
+    @property
+    def exact(self) -> bool:
+        """True when every residual is within EXACT_CV_TOL."""
+        return bool(np.all(self.residuals <= EXACT_CV_TOL))
+
+
+def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
+    """Minimum-norm weights alpha = pinv(F(g)) a at every coupling, in one stacked solve.
+
+    Each step is the per-matrix operation applied to the stack: the real
+    part of one Horner evaluation, one stacked pseudoinverse, and the
+    residual norm as sqrt(r . r), which is how numpy's norm takes it.  So
+    every grid point equals a separate solve at that coupling bit for bit.
+    """
+    g_grid = np.asarray(g_grid, dtype=float)
+    Fg = np.real(F.poly.at_grid(g_grid))
+    P, ranks = pinv_and_rank(Fg)
+    alpha = np.real(P @ F.a_vec)
+    r = (Fg @ alpha[..., None])[..., 0] - F.a_vec
+    residuals = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    return GridSolution(g_grid=g_grid, F_g=Fg, alpha=alpha, residuals=residuals, ranks=ranks)
+
+
 def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
@@ -124,7 +165,7 @@ def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
 
 def exact_cv_exists(F: FMatrix, g_grid: np.ndarray) -> bool:
     """True when the pseudoinverse residual stays below EXACT_CV_TOL at every coupling."""
-    return all(pseudoinverse_cv(F, g).residual <= EXACT_CV_TOL for g in np.asarray(g_grid, float))
+    return solve_grid(F, g_grid).exact
 
 
 @dataclass
@@ -153,43 +194,32 @@ def truncated_cv_check(
     """Do the truncated outcome family's contextual values survive truncation?
 
     Builds the spectral matrix once and truncates it directly (the truncated
-    family is diagonal in the same basis), then compares pseudoinverse
-    solutions point by point.  A family is solvable when its residual stays
-    within EXACT_CV_TOL; alphas_match requires agreement within
-    ALPHA_MATCH_RTOL relative at every grid point.
+    family is diagonal in the same basis), then solves both over the grid
+    and compares the solutions point by point.  A family is solvable when
+    its residual stays within EXACT_CV_TOL; alphas_match requires agreement
+    within ALPHA_MATCH_RTOL relative at every grid point.
     """
-    g_grid = np.asarray(g_grid, dtype=float)
     F = build_F(povm, A)
-    Ft = FMatrix(poly=F.poly.truncate(n, mode), a_vec=F.a_vec)
+    full = solve_grid(F, g_grid)
+    trunc = solve_grid(FMatrix(poly=F.poly.truncate(n, mode), a_vec=F.a_vec), g_grid)
 
-    n_g = len(g_grid)
-    af = np.empty((n_g, povm.n_out))
-    at = np.empty((n_g, povm.n_out))
-    rf = np.empty(n_g)
-    rt = np.empty(n_g)
-    match = True
-    for i, g in enumerate(g_grid):
-        sf = pseudoinverse_cv(F, g)
-        st = pseudoinverse_cv(Ft, g)
-        af[i], rf[i] = sf.alpha, sf.residual
-        at[i], rt[i] = st.alpha, st.residual
-        scale = np.linalg.norm(sf.alpha)
-        if scale <= 1e-300:
-            match = match and np.linalg.norm(st.alpha) <= 1e-300
-        else:
-            match = match and np.linalg.norm(sf.alpha - st.alpha) <= ALPHA_MATCH_RTOL * scale
-
+    scale = np.linalg.norm(full.alpha, axis=1)
+    match = np.where(
+        scale <= 1e-300,
+        np.linalg.norm(trunc.alpha, axis=1) <= 1e-300,
+        np.linalg.norm(full.alpha - trunc.alpha, axis=1) <= ALPHA_MATCH_RTOL * scale,
+    )
     return TruncationReport(
         n=n,
         mode=mode,
-        g_grid=g_grid,
-        alpha_full=af,
-        alpha_truncated=at,
-        full_residuals=rf,
-        truncated_residuals=rt,
-        full_solvable=bool(np.all(rf <= EXACT_CV_TOL)),
-        truncated_solvable=bool(np.all(rt <= EXACT_CV_TOL)),
-        alphas_match=bool(match),
+        g_grid=full.g_grid,
+        alpha_full=full.alpha,
+        alpha_truncated=trunc.alpha,
+        full_residuals=full.residuals,
+        truncated_residuals=trunc.residuals,
+        full_solvable=full.exact,
+        truncated_solvable=trunc.exact,
+        alphas_match=bool(match.all()),
     )
 
 

@@ -27,7 +27,8 @@ def frob(M: np.ndarray) -> float:
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def check_hermitian(M: np.ndarray) -> np.ndarray:
@@ -69,24 +70,25 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(np.stack([r, i], axis=1).ravel())
 
 
-def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int]:
+def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """Moore-Penrose pseudoinverse together with the rank actually used.
 
-    Singular values at or below 1e-12 * max(M.shape) * sigma_max are treated
-    as exact zeros.
+    Singular values at or below 1e-12 * max(m, n) * sigma_max are treated
+    as exact zeros, so an all-zero matrix gets rank 0 and a zero inverse.
+    M may be a stack (..., m, n): each matrix is solved on its own, bit for
+    bit as a single call would solve it, and the ranks come back as an
+    integer array of shape M.shape[:-2] (a plain int for one matrix).
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
+    if M.ndim < 2:
         raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
     u, s, vh = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=complex), 0
-    keep = s > 1e-12 * max(M.shape) * s[0]
-    rank = int(np.count_nonzero(keep))
+    keep = s > 1e-12 * max(M.shape[-2:]) * s[..., :1]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    P = dagger(vh) @ (inv[:, None] * dagger(u))
-    return P, rank
+    P = dagger(vh) @ (inv[..., None] * dagger(u))
+    rank = keep.sum(axis=-1)
+    return (P, int(rank)) if M.ndim == 2 else (P, rank)
 
 
 def pinv(M: np.ndarray) -> np.ndarray:
@@ -146,8 +148,15 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
     Ordering: columns sorted by descending eigenvalue of the first operator,
     ties broken by the second, and so on; any degeneracy that survives the
     whole family is resolved lexicographically on the phase-fixed entries.
-    Raises NotCommuting (with the offending pair and its commutator norm)
-    when the family fails the pairwise test.
+    Raises NotCommuting (with the first offending pair in (i, j) order and
+    its commutator norm) when the family fails the pairwise test, or with
+    (idx, idx) when the finished basis leaves op idx off-diagonal.
+
+    Each operator only refines the blocks that are still degenerate: a
+    one-column block is already an eigenvector of every operator, and
+    LAPACK would return its single eigenvalue with eigenvector 1, so it is
+    kept without an eigh call.  Once an operator with a simple spectrum has
+    been seen, the remaining operators cost no eigendecomposition at all.
     """
     if not ops:
         raise InvalidMatrix("need at least one operator")
@@ -156,11 +165,18 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
     for m in mats[1:]:
         if m.shape != (d, d):
             raise DimensionError("operators must share a dimension")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            cn = commutator_norm(mats[i], mats[j])
-            if cn > COMMUTATOR_REL_TOL * max(frob(mats[i]) * frob(mats[j]), 1e-300):
-                raise NotCommuting(i, j, cn)
+    stack = np.stack(mats)
+    left, right = np.triu_indices(len(mats), 1)
+    if left.size:
+        X, Y = stack[left], stack[right]
+        norms = np.linalg.norm(X @ Y - Y @ X, axis=(-2, -1))
+        sizes = np.linalg.norm(stack, axis=(-2, -1))
+        bad = np.flatnonzero(
+            norms > COMMUTATOR_REL_TOL * np.maximum(sizes[left] * sizes[right], 1e-300)
+        )
+        if bad.size:
+            i, j = int(left[bad[0]]), int(right[bad[0]])
+            raise NotCommuting(i, j, commutator_norm(mats[i], mats[j]))
 
     # iterative refinement: split the current invariant subspaces by each
     # operator's spectrum in turn, keeping blocks in descending-eigenvalue order
@@ -168,6 +184,9 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
     for m in mats:
         refined: list[np.ndarray] = []
         for B in blocks:
+            if B.shape[1] == 1:
+                refined.append(B)
+                continue
             S = dagger(B) @ m @ B
             S = 0.5 * (S + dagger(S))
             w, V = np.linalg.eigh(S)
@@ -190,11 +209,13 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
         columns.extend(cols)
     basis = np.stack(columns, axis=1)
 
-    for idx, m in enumerate(mats):
-        D = dagger(basis) @ m @ basis
-        off = D - np.diag(np.diag(D))
-        if np.abs(off).max() > 1e-9 * max(1.0, float(np.abs(m).max())):
-            raise NotCommuting(idx, idx, float(np.abs(off).max()))
+    off = np.abs(dagger(basis) @ stack @ basis)
+    off[:, range(d), range(d)] = 0.0
+    worst = off.max(axis=(-2, -1))
+    bad = np.flatnonzero(worst > 1e-9 * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1))))
+    if bad.size:
+        idx = int(bad[0])
+        raise NotCommuting(idx, idx, float(worst[idx]))
     return basis
 
 

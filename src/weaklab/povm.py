@@ -74,6 +74,18 @@ class PolyMatrix:
             acc = acc * g + c
         return acc
 
+    def at_grid(self, g_grid: np.ndarray) -> np.ndarray:
+        """Values at every coupling of a 1-D grid, stacked as (n_g, *shape).
+
+        Runs the same Horner steps as a call, so slice k equals self(g_grid[k])
+        bit for bit.
+        """
+        g = np.asarray(g_grid, dtype=float)[:, None, None]
+        acc = np.broadcast_to(self.coefficients[-1], g.shape[:1] + self.shape)
+        for c in self.coefficients[-2::-1]:
+            acc = acc * g + c
+        return acc
+
     def nonzero_orders(self) -> list[int]:
         return [
             k for k, c in enumerate(self.coefficients) if np.abs(c).max() > COEFF_ZERO_TOL

@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contextual import FMatrix, build_F, exact_cv_exists, pseudoinverse_cv
+from .contextual import FMatrix, GridSolution, build_F, exact_cv_exists, solve_grid
 from .errors import (
     GenerationFailed,
     NoExactCv,
     NotPositive,
     OrthogonalPostselection,
 )
-from .linalg import check_hermitian, check_state, projector
-from .povm import ParamPovm, PolyMatrix, measurement_operators
+from .linalg import PSD_CLAMP_REL, check_hermitian, check_state, dagger, projector
+from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 
 OVERLAP_TOL = 1e-12
 #: grid for limit extraction: LIMIT_GRID_TOP * 2**-k, k = 0..LIMIT_GRID_POINTS-1
@@ -140,23 +140,45 @@ def weak_limit(
     Exact contextual values must exist on the whole grid (otherwise
     NoExactCv); the limit is the constant term of a quadratic fitted to the
     five smallest couplings, compared against the state-pair weak value.
+    The default grid is limit_grid(min(LIMIT_GRID_TOP, g_max)).  This builds
+    F and hands it to spectral_weak_limit, which does the work.
     """
     if g_grid is None:
         g_grid = limit_grid(min(LIMIT_GRID_TOP, povm.g_max))
-    g_grid = np.asarray(g_grid, dtype=float)
+    return spectral_weak_limit(build_F(povm, A), povm, A, psi_i, psi_f, g_grid)
 
-    F = build_F(povm, A)
-    if not exact_cv_exists(F, g_grid):
-        worst = max(pseudoinverse_cv(F, g).residual for g in g_grid)
+
+def spectral_weak_limit(
+    F: FMatrix,
+    povm: ParamPovm,
+    A: np.ndarray,
+    psi_i: np.ndarray,
+    psi_f: np.ndarray,
+    g_grid: np.ndarray,
+) -> WeakLimitReport:
+    """weak_limit on a spectral matrix F = build_F(povm, A) that is already built.
+
+    One stacked solve gives the contextual values on the whole grid.  The
+    conditioned averages then come from sqrt F(g) in the common eigenbasis
+    B, with no matrix square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
+    <psi_f|M_j psi_i> = sum_i conj(y_i) sqrt F_ij(g) x_i with x = B^H psi_i
+    and y = B^H psi_f.  Errors come in this order: NoExactCv, then
+    OutOfValidityRange for a coupling outside (0, g_max], NotPositive for an
+    outcome eigenvalue below -PSD_CLAMP_REL times that outcome's largest
+    one (psd_sqrt's rule), and OrthogonalPostselection.
+
+    Each floating-point step repeats the one conditioned_average takes (a
+    matmul dot for vdot, abs(z) ** 2 per weight), so when B is a permutation
+    of the standard basis, as for every generated and registry family, the
+    averages equal the per-point ones bit for bit.
+    """
+    sol = solve_grid(F, g_grid)
+    if not sol.exact:
         raise NoExactCv(
-            f"no exact contextual values on the grid (worst residual {worst:.3e})"
+            f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
         )
-
-    values = np.empty(len(g_grid))
-    probs = np.empty(len(g_grid))
-    for i, g in enumerate(g_grid):
-        sol = pseudoinverse_cv(F, g)
-        values[i], probs[i] = conditioned_average(povm, sol.alpha, psi_i, psi_f, g)
+    values, probs = _ladder(F, sol, povm.g_max, psi_i, psi_f)
+    g_grid = sol.g_grid
 
     order = np.argsort(g_grid)[:LIMIT_FIT_POINTS]
     fit = np.polynomial.Polynomial.fit(g_grid[order], values[order], 2)
@@ -175,6 +197,41 @@ def weak_limit(
     )
 
 
+def _ladder(
+    F: FMatrix, sol: GridSolution, g_max: float, psi_i: np.ndarray, psi_f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditioned averages and success probabilities at every coupling of sol."""
+    psi_i = check_state(psi_i)
+    psi_f = check_state(psi_f)
+    for g in sol.g_grid:
+        check_coupling(g, g_max)
+    low = sol.F_g.min(axis=1)  # (n_g, n_out)
+    scale = np.abs(sol.F_g).max(axis=1)
+    negative = np.argwhere(low < -PSD_CLAMP_REL * np.maximum(scale, 1e-300))
+    if negative.size:
+        k, j = negative[0]
+        raise NotPositive(
+            f"matrix has negative eigenvalue {low[k, j]:.3e} (scale {scale[k, j]:.3e})"
+        )
+
+    root = np.sqrt(np.clip(sol.F_g.swapaxes(1, 2), 0.0, None))  # (n_g, n_out, d)
+    x = dagger(F.basis) @ psi_i
+    y = dagger(F.basis) @ psi_f
+    amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]
+    # scalar abs(z) ** 2 as in conditioned_average: np.abs and squaring on
+    # arrays round differently in the last bit, which the fit amplifies
+    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
+    success = weights.sum(axis=1)
+    vanishing = np.flatnonzero(success <= OVERLAP_TOL)
+    if vanishing.size:
+        k = vanishing[0]
+        raise OrthogonalPostselection(
+            f"success probability {success[k]:.3e} vanishes at g={sol.g_grid[k]}"
+        )
+    values = (sol.alpha[:, None, :] @ weights[:, :, None])[:, 0, 0] / success
+    return values, success
+
+
 # --------------------------------------------------------------------------
 # randomized conjecture harness
 
@@ -187,6 +244,8 @@ class ConjectureInstance:
     observable: np.ndarray
     psi_i: np.ndarray
     psi_f: np.ndarray
+    #: build_F(povm, observable), as the generator's exactness check built it
+    F: FMatrix = field(repr=False)
 
 
 @dataclass
@@ -261,10 +320,10 @@ def generate_linear_commuting_instance(
         else:
             continue
 
-        grid = limit_grid(min(LIMIT_GRID_TOP, g_max))
-        if not exact_cv_exists(build_F(povm, A), grid):
+        F = build_F(povm, A)
+        if not exact_cv_exists(F, limit_grid(min(LIMIT_GRID_TOP, g_max))):
             continue  # ill-conditioned draw; hypothesis of exactness fails numerically
-        return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f)
+        return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F)
     raise GenerationFailed(
         f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})"
     )
@@ -280,7 +339,9 @@ def conjecture_trial(
     """Run one random trial of the linear-family convergence conjecture.
 
     The per-trial stream is derived from (seed, trial) so sweeps are
-    reproducible and order-independent.  Unspecified dimensions are drawn
+    reproducible and order-independent.  The limit is taken by
+    spectral_weak_limit on the F the generator built for its exactness
+    check, so a trial builds F once.  Unspecified dimensions are drawn
     uniformly with n_out >= dim (so exact contextual values can exist).
     A failing trial keeps its instance attached for serialization.
     """
@@ -293,7 +354,9 @@ def conjecture_trial(
 
     inst = generate_linear_commuting_instance(rng, dim, n_out)
     grid = limit_grid(min(LIMIT_GRID_TOP, inst.povm.g_max))
-    report = weak_limit(inst.povm, inst.observable, inst.psi_i, inst.psi_f, grid)
+    report = spectral_weak_limit(
+        inst.F, inst.povm, inst.observable, inst.psi_i, inst.psi_f, grid
+    )
     passed = report.discrepancy <= tol
     return TrialRecord(
         seed=key,

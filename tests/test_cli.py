@@ -93,6 +93,8 @@ def test_coupling_outside_validity_range_fails(capsys, argv):
         ["weak-limit", "--instance", "qubit-linear", "--theta-f", "inf"],
         ["conjecture-sweep", "--trials", "1", "--tol", "nan"],
         ["conjecture-sweep", "--trials", "1", "--tol", "-1"],
+        ["weak-limit", "--instance", "qubit-linear", "--grid-min", "0.001", "--grid-max", "inf"],
+        ["weak-limit", "--instance", "qubit-linear", "--grid-min", "nan"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

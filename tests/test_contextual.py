@@ -6,6 +6,7 @@ import pytest
 
 from weaklab import asymptotics as ay
 from weaklab import contextual as cx
+from weaklab import weak as wk
 from weaklab.errors import NoExactCv, NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
 
@@ -55,6 +56,38 @@ def test_build_f_in_rotated_basis():
     F = cx.build_F(povm, rot(Z))
     npt.assert_allclose(F.at(0.1), [[0.55, 0.45], [0.45, 0.55]], atol=1e-12)
     npt.assert_allclose(F.a_vec, [1.0, -1.0], atol=1e-12)
+
+
+def test_build_f_basis_rebuilds_the_outcomes():
+    # E_j(g) = B diag(F(g)[:, j]) B^H in the basis build_F found
+    U = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2)
+    rot = lambda M: U @ M @ U.conj().T
+    povm = ParamPovm(
+        elements=(
+            PolyMatrix([I2 / 2, rot(Z) / 2]),
+            PolyMatrix([I2 / 2, -rot(Z) / 2]),
+        ),
+        g_max=0.9,
+    )
+    F = cx.build_F(povm, rot(Z))
+    B = F.basis
+    npt.assert_allclose(B.conj().T @ B, I2, atol=1e-14)
+    for g in (0.0, 0.3, 0.9):
+        for j, e in enumerate(povm.elements):
+            npt.assert_allclose(B @ np.diag(F.at(g)[:, j]) @ B.conj().T, e(g), atol=1e-14)
+
+
+def test_build_f_takes_one_eigh_for_a_generated_family(monkeypatch):
+    # the observable's spectrum is simple, so every later operator meets
+    # one-column blocks only and needs no eigendecomposition
+    inst = wk.generate_linear_commuting_instance(np.random.default_rng(4), 4, 5)
+    assert len(set(np.diag(inst.observable))) == 4
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+    F = cx.build_F(inst.povm, inst.observable)
+    assert calls == [(4, 4)]
+    npt.assert_array_equal(F.a_vec, np.diag(inst.observable).real)
 
 
 def test_build_f_rejects_noncommuting_observable():
@@ -111,6 +144,26 @@ def test_pip_least_squares_when_no_exact_solution():
     npt.assert_allclose(sol.alpha, [0.0, 0.0], atol=1e-12)
     npt.assert_allclose(sol.residual, np.sqrt(2.0), atol=1e-12)
     assert sol.rank_used == 1
+
+
+def test_solve_grid_equals_pointwise_solves():
+    grid = np.geomspace(0.01, 0.5, 12)
+    families = [cx.build_F(qubit_linear(), Z), cx.build_F(flat(), Z)]
+    rng = np.random.default_rng(12)
+    for dim, n_out in [(2, 3), (3, 3), (4, 5)]:
+        inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
+        families.append(inst.F)
+        families.append(cx.FMatrix(poly=inst.F.poly.truncate(0), a_vec=inst.F.a_vec))
+    for F in families:
+        sol = cx.solve_grid(F, grid)
+        assert sol.alpha.shape == (len(grid), F.n_out)
+        for k, g in enumerate(grid):
+            point = cx.pseudoinverse_cv(F, g)
+            assert np.array_equal(sol.F_g[k], F.at(g))
+            assert np.array_equal(sol.alpha[k], point.alpha)
+            assert sol.residuals[k] == point.residual
+            assert sol.ranks[k] == point.rank_used
+        assert sol.exact == cx.exact_cv_exists(F, grid)
 
 
 def test_exact_cv_exists():

@@ -81,6 +81,28 @@ def test_pinv_rank_cutoff_is_relative():
     npt.assert_allclose(P2, np.diag([1e3, 1e14]), rtol=1e-12)
 
 
+def test_stacked_pinv_equals_each_single_call():
+    # full-rank, rank-deficient and all-zero items, real-valued and complex,
+    # solved in one stacked call: every item is exactly the 2-D call's result
+    rng = np.random.default_rng(29)
+    m, n = 3, 4
+    full = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    low = np.outer(rng.standard_normal(m), rng.standard_normal(n))  # rank 1, real
+    items = [full, low, np.zeros((m, n)), rng.standard_normal((m, n)), 1j * low]
+    stack = np.stack([np.asarray(M, dtype=complex) for M in items])
+    P, ranks = linalg.pinv_and_rank(stack)
+    assert P.shape == (len(items), n, m) and ranks.shape == (len(items),)
+    for k, M in enumerate(items):
+        P1, rank1 = linalg.pinv_and_rank(M)
+        assert np.array_equal(P[k], P1)
+        assert ranks[k] == rank1
+    npt.assert_array_equal(ranks, [3, 1, 0, 3, 1])
+    npt.assert_array_equal(P[2], np.zeros((n, m)))
+    # a stack of stacks keeps its leading shape
+    P2, ranks2 = linalg.pinv_and_rank(stack.reshape(5, 1, m, n))
+    assert np.array_equal(P2[:, 0], P) and np.array_equal(ranks2[:, 0], ranks)
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -160,6 +182,14 @@ def test_common_eigenbasis_rejects_noncommuting():
         linalg.common_eigenbasis([Z, X])
     assert err.value.pair == (0, 1)
     assert err.value.commutator_norm > 1.0
+    # Z and I commute, I and X commute: (0, 2) is the first failing pair in
+    # (i, j) order, reported with commutator_norm's own value
+    with pytest.raises(NotCommuting) as err:
+        linalg.common_eigenbasis([Z, np.eye(2), X])
+    assert err.value.pair == (0, 2)
+    assert err.value.commutator_norm == linalg.commutator_norm(
+        linalg.check_hermitian(Z), linalg.check_hermitian(X)
+    )
 
 
 def test_commutator_norm():

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from weaklab import contextual as cx
+from weaklab import linalg
 from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import weak as wk
-from weaklab.errors import NoExactCv, NotPositive, OrthogonalPostselection
+from weaklab.errors import (
+    NoExactCv,
+    NotPositive,
+    OrthogonalPostselection,
+    OutOfValidityRange,
+)
 from weaklab.linalg import commutator_norm, projector
 from weaklab.povm import ParamPovm, PolyMatrix
 
@@ -283,3 +291,151 @@ def test_conjecture_sweep_small():
     npt.assert_array_equal(
         [r.discrepancy for r in records], [r.discrepancy for r in again]
     )
+
+
+# ------------------------------------------------------- spectral core
+
+
+def spy_on_core(monkeypatch):
+    """Record (F, povm, psi_i, psi_f, report) of every spectral_weak_limit call."""
+    seen = []
+    core = wk.spectral_weak_limit
+
+    def spy(F, povm, A, psi_i, psi_f, g_grid):
+        report = core(F, povm, A, psi_i, psi_f, g_grid)
+        seen.append((F, povm, psi_i, psi_f, report))
+        return report
+
+    monkeypatch.setattr(wk, "spectral_weak_limit", spy)
+    return seen
+
+
+def per_point(F, povm, psi_i, psi_f, g):
+    """The general path: pseudoinverse_cv, then psd_sqrt measurement operators."""
+    return wk.conditioned_average(povm, cx.pseudoinverse_cv(F, g).alpha, psi_i, psi_f, g)
+
+
+def test_spectral_ladder_equals_per_point_path_on_trials(monkeypatch):
+    seen = spy_on_core(monkeypatch)
+    for t in range(100):
+        wk.conjecture_trial(7, t)
+    assert len(seen) == 100
+    for F, povm, psi_i, psi_f, rep in seen:
+        for k, g in enumerate(rep.g_grid):
+            value, prob = per_point(F, povm, psi_i, psi_f, g)
+            assert rep.conditioned_averages[k] == value
+            assert rep.success_probabilities[k] == prob
+
+
+def rotated(inst, U, perm):
+    """The instance conjugated by U, with its outcomes reordered by perm."""
+    rot = lambda M: U @ M @ U.conj().T
+    elements = tuple(
+        PolyMatrix([rot(c) for c in inst.povm.elements[j].coefficients]) for j in perm
+    )
+    povm = ParamPovm(elements=elements, g_max=inst.povm.g_max)
+    return povm, rot(inst.observable), U @ inst.psi_i, U @ inst.psi_f
+
+
+def test_spectral_ladder_agrees_in_rotated_bases():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(40):
+        dim = int(rng.integers(2, 5))
+        n_out = int(rng.integers(dim, 6))
+        inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
+        M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(M)
+        U = q * (np.diag(r) / np.abs(np.diag(r)))
+        povm, A, psi_i, psi_f = rotated(inst, U, rng.permutation(n_out))
+        try:
+            rep = wk.weak_limit(povm, A, psi_i, psi_f)
+        except NoExactCv:
+            continue  # the absolute exactness test is basis-dependent
+        F = cx.build_F(povm, A)
+        for k, g in enumerate(rep.g_grid):
+            value, prob = per_point(F, povm, psi_i, psi_f, g)
+            npt.assert_allclose(rep.conditioned_averages[k], value, rtol=1e-7)
+            npt.assert_allclose(rep.success_probabilities[k], prob, rtol=1e-7)
+        checked += 1
+    assert checked >= 35
+
+
+KET0 = np.array([1.0, 0.0])
+KET1 = np.array([0.0, 1.0])
+
+
+def test_spectral_core_error_order():
+    flat = ParamPovm(elements=(PolyMatrix([I2 / 2]), PolyMatrix([I2 / 2])), g_max=0.9)
+    past = np.array([0.05, 0.95])
+    # no exact contextual values beats every later failure
+    with pytest.raises(NoExactCv):
+        wk.weak_limit(flat, Z, KET0, KET1, past)
+    # exact values, but a coupling past g_max: the range rule comes next
+    with pytest.raises(OutOfValidityRange):
+        wk.weak_limit(qubit_linear(), Z, KET0, KET1, past)
+    # orthogonal states on a valid grid
+    with pytest.raises(OrthogonalPostselection) as err:
+        wk.weak_limit(qubit_linear(), Z, KET0, KET1)
+    with pytest.raises(OrthogonalPostselection) as point:
+        per_point(cx.build_F(qubit_linear(), Z), qubit_linear(), KET0, KET1, 0.1)
+    assert str(err.value) == str(point.value)
+
+
+def test_spectral_core_positivity_follows_psd_sqrt():
+    # (I - g Z)/2 has eigenvalue (1 - g)/2 < 0 past g = 1; declare a range
+    # that includes it so only positivity can fail
+    wide = ParamPovm(elements=qubit_linear().elements, g_max=2.0)
+    F = cx.build_F(wide, Z)
+    # a relative -1e-13 is clamped to zero, as psd_sqrt does
+    edge = 1.0 + 2e-13
+    rep = wk.weak_limit(wide, Z, PLUS, final_state(0.3), np.array([0.05, 0.1, edge]))
+    value, prob = per_point(F, wide, PLUS, final_state(0.3), edge)
+    assert rep.conditioned_averages[-1] == value and rep.success_probabilities[-1] == prob
+    with pytest.raises(NotPositive) as err:
+        wk.weak_limit(wide, Z, KET0, KET1, np.array([0.05, 0.1, 1.2]))
+    with pytest.raises(NotPositive) as point:
+        per_point(F, wide, KET0, KET1, 1.2)
+    assert str(err.value) == str(point.value)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every weaklab module that binds it."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("weaklab") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_sweep_hot_path_shape(monkeypatch):
+    counts = {
+        name: count_calls(monkeypatch, module, name)
+        for module, name in [
+            (linalg, "psd_sqrt"),
+            (linalg, "pinv_and_rank"),
+            (wk, "conditioned_average"),
+            (cx, "build_F"),
+            (cx, "exact_cv_exists"),
+            (cx, "solve_grid"),
+        ]
+    }
+    wk.conjecture_sweep(7, 10)
+    n = {name: c[0] for name, c in counts.items()}
+    assert n["psd_sqrt"] == 0
+    assert n["conditioned_average"] == 0
+    # one F per draw that reaches the exactness check, none for the limit
+    assert n["exact_cv_exists"] >= 10
+    assert n["build_F"] == n["exact_cv_exists"]
+    # one stacked solve per exactness check and per trial's ladder, and one
+    # pinv call per stacked solve, not one per coupling
+    assert n["solve_grid"] == n["exact_cv_exists"] + 10
+    assert n["pinv_and_rank"] == n["solve_grid"]
