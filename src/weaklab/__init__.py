@@ -59,12 +59,10 @@ from .meter import (
 from .contextual import (
     CvSolution,
     FMatrix,
-    GridSolution,
     TruncationReport,
     build_F,
     exact_cv_exists,
     pseudoinverse_cv,
-    solve_grid,
     truncated_cv_check,
     variance_min_cv,
 )
@@ -74,7 +72,6 @@ from .weak import (
     conjecture_sweep,
     conjecture_trial,
     mixed_weak_value,
-    spectral_weak_limit,
     traditional_weak_value,
     weak_limit,
 )

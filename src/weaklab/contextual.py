@@ -141,7 +141,8 @@ def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     every grid point equals a separate solve at that coupling bit for bit.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    Fg = np.real(F.poly.at_grid(g_grid))
+    stacked = F.poly(g_grid[:, None, None])
+    Fg = np.real(np.broadcast_to(stacked, g_grid.shape + F.poly.shape))
     P, ranks = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
     r = (Fg @ alpha[..., None])[..., 0] - F.a_vec

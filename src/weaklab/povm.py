@@ -68,20 +68,12 @@ class PolyMatrix:
             return self.coefficients[k]
         return np.zeros(self.shape, dtype=complex)
 
-    def __call__(self, g: float) -> np.ndarray:
-        acc = np.array(self.coefficients[-1])
-        for c in self.coefficients[-2::-1]:
-            acc = acc * g + c
-        return acc
+    def __call__(self, g: float | np.ndarray) -> np.ndarray:
+        """Value at coupling g; an array g of shape (n, 1, 1) gives n stacked values.
 
-    def at_grid(self, g_grid: np.ndarray) -> np.ndarray:
-        """Values at every coupling of a 1-D grid, stacked as (n_g, *shape).
-
-        Runs the same Horner steps as a call, so slice k equals self(g_grid[k])
-        bit for bit.
+        A degree-0 family returns its one coefficient unstacked for any g.
         """
-        g = np.asarray(g_grid, dtype=float)[:, None, None]
-        acc = np.broadcast_to(self.coefficients[-1], g.shape[:1] + self.shape)
+        acc = np.array(self.coefficients[-1])
         for c in self.coefficients[-2::-1]:
             acc = acc * g + c
         return acc

@@ -141,14 +141,14 @@ def weak_limit(
     NoExactCv); the limit is the constant term of a quadratic fitted to the
     five smallest couplings, compared against the state-pair weak value.
     The default grid is limit_grid(min(LIMIT_GRID_TOP, g_max)).  This builds
-    F and hands it to spectral_weak_limit, which does the work.
+    F and hands it to _spectral_weak_limit, which does the work.
     """
     if g_grid is None:
         g_grid = limit_grid(min(LIMIT_GRID_TOP, povm.g_max))
-    return spectral_weak_limit(build_F(povm, A), povm, A, psi_i, psi_f, g_grid)
+    return _spectral_weak_limit(build_F(povm, A), povm, A, psi_i, psi_f, g_grid)
 
 
-def spectral_weak_limit(
+def _spectral_weak_limit(
     F: FMatrix,
     povm: ParamPovm,
     A: np.ndarray,
@@ -340,7 +340,7 @@ def conjecture_trial(
 
     The per-trial stream is derived from (seed, trial) so sweeps are
     reproducible and order-independent.  The limit is taken by
-    spectral_weak_limit on the F the generator built for its exactness
+    _spectral_weak_limit on the F the generator built for its exactness
     check, so a trial builds F once.  Unspecified dimensions are drawn
     uniformly with n_out >= dim (so exact contextual values can exist).
     A failing trial keeps its instance attached for serialization.
@@ -354,7 +354,7 @@ def conjecture_trial(
 
     inst = generate_linear_commuting_instance(rng, dim, n_out)
     grid = limit_grid(min(LIMIT_GRID_TOP, inst.povm.g_max))
-    report = spectral_weak_limit(
+    report = _spectral_weak_limit(
         inst.F, inst.povm, inst.observable, inst.psi_i, inst.psi_f, grid
     )
     passed = report.discrepancy <= tol

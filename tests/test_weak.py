@@ -297,16 +297,16 @@ def test_conjecture_sweep_small():
 
 
 def spy_on_core(monkeypatch):
-    """Record (F, povm, psi_i, psi_f, report) of every spectral_weak_limit call."""
+    """Record (F, povm, psi_i, psi_f, report) of every _spectral_weak_limit call."""
     seen = []
-    core = wk.spectral_weak_limit
+    core = wk._spectral_weak_limit
 
     def spy(F, povm, A, psi_i, psi_f, g_grid):
         report = core(F, povm, A, psi_i, psi_f, g_grid)
         seen.append((F, povm, psi_i, psi_f, report))
         return report
 
-    monkeypatch.setattr(wk, "spectral_weak_limit", spy)
+    monkeypatch.setattr(wk, "_spectral_weak_limit", spy)
     return seen
 
 
