@@ -464,13 +464,16 @@ def _cmd_mc_run(args) -> int:
     check_coupling(args.g, spec.povm.g_max)
     F = build_F(spec.povm, spec.observable)
     sol = pseudoinverse_cv(F, args.g)
-    res = sample_run(
-        spec.povm,
-        sol.alpha,
-        spec.psi_i,
-        spec.psi_f,
-        McConfig(trials=args.trials, seed=args.seed, g=args.g),
-    )
+    try:
+        res = sample_run(
+            spec.povm,
+            sol.alpha,
+            spec.psi_i,
+            spec.psi_f,
+            McConfig(trials=args.trials, seed=args.seed, g=args.g),
+        )
+    except MemoryError:
+        raise _UsageError(f"--trials {args.trials} needs more memory than is available") from None
     analytic, success_prob = conditioned_average(
         spec.povm, sol.alpha, spec.psi_i, spec.psi_f, args.g
     )
@@ -544,15 +547,17 @@ def _cmd_registry(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _at_least(low: float, kind: type = int):
-    """argparse type: a finite number of the given kind no smaller than low."""
+def _at_least(low: float, kind: type = int, below: float = math.inf):
+    """argparse type: a finite number of the given kind in [low, below)."""
 
     def parse(text: str):
         value = kind(text)
-        if not math.isfinite(value):
+        if kind is float and not math.isfinite(value):
             raise ValueError(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
@@ -635,8 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-run", parents=[inst], help="sample the conditioned average")
     p.add_argument("--g", type=float, required=True, help="coupling strength")
-    p.add_argument("--trials", type=_at_least(1), default=100_000)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    # numpy caps an array at 2**63 bytes, so 8-byte uniforms cap the trials at 2**60
+    p.add_argument("--trials", type=_at_least(1, below=2**60), default=100_000)
+    p.add_argument(
+        "--seed", type=_at_least(0, below=2**128), default=0, help="Philox key, below 2**128"
+    )
     p.set_defaults(func=_cmd_mc_run)
 
     p = sub.add_parser("registry", help="list, inspect, or export built-in instances")

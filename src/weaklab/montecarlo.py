@@ -6,8 +6,10 @@ postselection probability |<psi_f|state>|^2.  The empirical conditioned
 average is the mean outcome weight over accepted trials.
 
 Sampling uses a counter-based generator (Philox) keyed by the config seed,
-so reruns are bit-identical and the reduction (numpy pairwise summation)
-does not depend on chunking.
+so reruns are bit-identical.  The first `trials` uniforms pick the outcomes:
+a trial's outcome is the number of cumulative probability bounds at or below
+its uniform.  The next `trials` uniforms decide acceptance.  The mean is
+numpy's pairwise sum over the accepted outcome weights in draw order.
 """
 
 from __future__ import annotations
@@ -76,19 +78,26 @@ def sample_run(
     p, q = joint_probabilities(povm, psi_i, psi_f, config.g)
 
     cum = np.cumsum(p)
-    cum /= cum[-1]
+    cum /= cum[-1]  # non-decreasing, ends at 1, so no uniform reaches the last bound
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u_outcome = rng.random(config.trials)
-    u_accept = rng.random(config.trials)
-    drawn = np.minimum(np.searchsorted(cum, u_outcome, side="right"), povm.n_out - 1)
-    accepted = u_accept < q[drawn]
+    u = rng.random(config.trials)
+    drawn = np.zeros(config.trials, dtype=np.intp)
+    at_or_above = [config.trials]  # trials drawn at or above each outcome
+    for bound in cum[:-1]:
+        above = u >= bound
+        drawn += above
+        at_or_above.append(np.count_nonzero(above))
+    del u  # freed before the acceptance uniforms are drawn, which lowers the peak
+    draws = -np.diff(np.array(at_or_above + [0], dtype=np.intp))
+    kept = np.compress(rng.random(config.trials) < q[drawn], drawn)
+    del drawn
 
-    successes = int(np.count_nonzero(accepted))
+    successes = kept.size
     if successes == 0:
         raise NoSuccesses(
             f"0 of {config.trials} trials survived postselection at g={config.g}"
         )
-    values = alpha[drawn[accepted]]
+    values = alpha[kept]
     empirical = float(values.mean())
     spread = float(values.std(ddof=1)) if successes > 1 else 0.0
     return McResult(
@@ -96,6 +105,6 @@ def sample_run(
         stderr=spread / np.sqrt(successes),
         successes=successes,
         trials=config.trials,
-        per_outcome_counts=np.bincount(drawn[accepted], minlength=povm.n_out),
-        per_outcome_draws=np.bincount(drawn, minlength=povm.n_out),
+        per_outcome_counts=np.bincount(kept, minlength=povm.n_out),
+        per_outcome_draws=draws,
     )

@@ -95,6 +95,10 @@ def test_coupling_outside_validity_range_fails(capsys, argv):
         ["conjecture-sweep", "--trials", "1", "--tol", "-1"],
         ["weak-limit", "--instance", "qubit-linear", "--grid-min", "0.001", "--grid-max", "inf"],
         ["weak-limit", "--instance", "qubit-linear", "--grid-min", "nan"],
+        ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--seed", str(2**128)],
+        ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", str(2**60)],
+        ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--seed", "1" + "0" * 400],
+        ["svd-asymptotics", "--instance", "eq70", "--n", "-1" + "0" * 400],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -376,6 +380,27 @@ def test_mc_run_is_deterministic(capsys):
     line = next(ln for ln in out1.splitlines() if ln.startswith("successes"))
     successes = int(line.split("=")[1].split("/")[0])
     assert 0 < successes < 2000
+
+
+def test_mc_run_takes_any_128_bit_seed(capsys):
+    argv = ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "10"]
+    code, out, _ = run(capsys, *argv, "--seed", str(2**128 - 1))
+    assert code == 0
+    assert f"seed {2**128 - 1}" in out
+
+
+def test_mc_run_out_of_memory_is_usage_error(capsys, monkeypatch):
+    # a refused allocation is simulated: a real one this large could be granted
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sample_run", refuse)
+    code, out, err = run(
+        capsys, "mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "10000000000000"
+    )
+    assert code == 2
+    assert err == "usage error: --trials 10000000000000 needs more memory than is available\n"
+    assert out == ""
 
 
 # ------------------------------------------------------------------- registry

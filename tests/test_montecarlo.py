@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +12,7 @@ from weaklab import montecarlo as mc
 from weaklab import weak as wk
 from weaklab.errors import NoSuccesses
 from weaklab.povm import ParamPovm, PolyMatrix
+from weaklab.registry import get_instance
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -134,3 +138,95 @@ def test_three_stderr_coverage_across_seeds():
         if abs(res.empirical_value - analytic) <= 3 * res.stderr:
             hits += 1
     assert hits >= 97
+
+
+# ------------------------------------------------ bit identity with the oracle
+
+
+def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
+    """The sampler as first written: searchsorted, boolean gathers, two bincounts."""
+    alpha = np.asarray(alpha, dtype=float)
+    p, q = mc.joint_probabilities(povm, psi_i, psi_f, config.g)
+    cum = np.cumsum(p)
+    cum /= cum[-1]
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    u_outcome = rng.random(config.trials)
+    u_accept = rng.random(config.trials)
+    drawn = np.minimum(np.searchsorted(cum, u_outcome, side="right"), povm.n_out - 1)
+    accepted = u_accept < q[drawn]
+    successes = int(np.count_nonzero(accepted))
+    if successes == 0:
+        raise NoSuccesses("no trial survived postselection")
+    values = alpha[drawn[accepted]]
+    spread = float(values.std(ddof=1)) if successes > 1 else 0.0
+    return mc.McResult(
+        empirical_value=float(values.mean()),
+        stderr=spread / np.sqrt(successes),
+        successes=successes,
+        trials=config.trials,
+        per_outcome_counts=np.bincount(drawn[accepted], minlength=povm.n_out),
+        per_outcome_draws=np.bincount(drawn, minlength=povm.n_out),
+    )
+
+
+def oracle_families():
+    """(povm, alpha, psi_i, psi_f, g): n_out 2-5, a null outcome, a null postselection."""
+    rng = np.random.default_rng(17)
+    for dim, n_out in ((2, 2), (2, 3), (3, 4), (4, 5)):
+        inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
+        g = 0.5 * inst.povm.g_max
+        alpha = cx.pseudoinverse_cv(inst.F, g).alpha
+        yield inst.povm, alpha, inst.psi_i, inst.psi_f, g
+    # outcome 1 never fires from e0, so the cumulative bounds are (a, a, 1)
+    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    null_outcome = ParamPovm(
+        elements=(
+            PolyMatrix([P0 / 2, P0 / 2]),
+            PolyMatrix([P1, 0 * P1]),
+            PolyMatrix([P0 / 2, -P0 / 2]),
+        ),
+        g_max=0.9,
+    )
+    yield null_outcome, np.array([1.0, -2.0, 3.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
+    yield qubit_linear(), np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.2
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 100_003])
+def test_sampler_is_bit_identical_to_the_oracle(trials):
+    seen = set()
+    for povm, alpha, psi_i, psi_f, g in oracle_families():
+        for seed in (0, 1, 2**64 + 5, 2**128 - 1):
+            config = mc.McConfig(trials=trials, seed=seed, g=g)
+            try:
+                want = oracle_sample_run(povm, alpha, psi_i, psi_f, config)
+            except NoSuccesses:
+                with pytest.raises(NoSuccesses):
+                    mc.sample_run(povm, alpha, psi_i, psi_f, config)
+                seen.add("none")
+                continue
+            got = mc.sample_run(povm, alpha, psi_i, psi_f, config)
+            for f in dataclasses.fields(mc.McResult):
+                x, y = getattr(got, f.name), getattr(want, f.name)
+                assert type(x) is type(y), f.name
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype, f.name
+                    npt.assert_array_equal(x, y, err_msg=f.name)
+                else:
+                    assert x == y, f.name
+            seen.add("ok")
+    assert seen == {"ok", "none"}
+
+
+def test_million_draws_peak_below_32_mib():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+    spec = get_instance("qubit-linear")
+    g = 0.1
+    alpha = cx.pseudoinverse_cv(cx.build_F(spec.povm, spec.observable), g).alpha
+    config = mc.McConfig(trials=10**6, seed=1, g=g)
+    tracemalloc.start()
+    try:
+        mc.sample_run(spec.povm, alpha, spec.psi_i, spec.psi_f, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
