@@ -79,17 +79,24 @@ def sample_run(
 
     cum = np.cumsum(p)
     cum /= cum[-1]  # non-decreasing, ends at 1, so no uniform reaches the last bound
+    # Branch-free binary search over the bounds cum[:-1], padded with +inf to
+    # 2**levels - 1 entries: each level doubles a trial's node and adds one
+    # comparison, so the cost grows with log2(n_out) passes over the trials.
+    levels = (povm.n_out - 1).bit_length()
+    tree = np.full(2**levels - 1, np.inf)
+    tree[: povm.n_out - 1] = cum[:-1]
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random(config.trials)
     drawn = np.zeros(config.trials, dtype=np.intp)
-    at_or_above = [config.trials]  # trials drawn at or above each outcome
-    for bound in cum[:-1]:
-        above = u >= bound
+    for level in range(levels):
+        step = 2 ** (levels - 1 - level)
+        bounds = tree[step - 1 :: 2 * step]  # node k splits at bounds[k]
+        above = u >= (bounds[drawn] if level else bounds[0])
+        drawn += drawn
         drawn += above
-        at_or_above.append(np.count_nonzero(above))
     del u  # freed before the acceptance uniforms are drawn, which lowers the peak
-    draws = -np.diff(np.array(at_or_above + [0], dtype=np.intp))
     kept = np.compress(rng.random(config.trials) < q[drawn], drawn)
+    draws = np.bincount(drawn, minlength=povm.n_out)
     del drawn
 
     successes = kept.size

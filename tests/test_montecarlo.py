@@ -170,25 +170,44 @@ def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
 
 
 def oracle_families():
-    """(povm, alpha, psi_i, psi_f, g): n_out 2-5, a null outcome, a null postselection."""
+    """(povm, alpha, psi_i, psi_f, g): n_out 1-17, null outcomes, a null postselection."""
     rng = np.random.default_rng(17)
-    for dim, n_out in ((2, 2), (2, 3), (3, 4), (4, 5)):
+    for dim, n_out in ((2, 2), (2, 3), (3, 4), (4, 5), (3, 9), (2, 17)):
         inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
         g = 0.5 * inst.povm.g_max
         alpha = cx.pseudoinverse_cv(inst.F, g).alpha
         yield inst.povm, alpha, inst.psi_i, inst.psi_f, g
-    # outcome 1 never fires from e0, so the cumulative bounds are (a, a, 1)
+    # from e0, the P1 outcome never fires: as the middle outcome it makes the
+    # cumulative bounds (a, a, 1), as the first outcome it makes them (0, a, 1)
     P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    null_outcome = ParamPovm(
-        elements=(
-            PolyMatrix([P0 / 2, P0 / 2]),
-            PolyMatrix([P1, 0 * P1]),
-            PolyMatrix([P0 / 2, -P0 / 2]),
-        ),
-        g_max=0.9,
-    )
-    yield null_outcome, np.array([1.0, -2.0, 3.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
+    null = PolyMatrix([P1, 0 * P1])
+    half_up, half_down = PolyMatrix([P0 / 2, P0 / 2]), PolyMatrix([P0 / 2, -P0 / 2])
+    for elements in ((half_up, null, half_down), (null, half_up, half_down)):
+        povm = ParamPovm(elements=elements, g_max=0.9)
+        yield povm, np.array([1.0, -2.0, 3.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
     yield qubit_linear(), np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.2
+    trivial = ParamPovm(elements=(PolyMatrix([I2]),), g_max=0.9)  # no bound, no search level
+    yield trivial, np.array([2.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
+
+
+def agrees_with_oracle(povm, alpha, psi_i, psi_f, config):
+    """Assert every McResult field equals the oracle's; say whether any trial survived."""
+    try:
+        want = oracle_sample_run(povm, alpha, psi_i, psi_f, config)
+    except NoSuccesses:
+        with pytest.raises(NoSuccesses):
+            mc.sample_run(povm, alpha, psi_i, psi_f, config)
+        return "none"
+    got = mc.sample_run(povm, alpha, psi_i, psi_f, config)
+    for f in dataclasses.fields(mc.McResult):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            npt.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+    return "ok"
 
 
 @pytest.mark.parametrize("trials", [1, 2, 7, 100_003])
@@ -197,24 +216,32 @@ def test_sampler_is_bit_identical_to_the_oracle(trials):
     for povm, alpha, psi_i, psi_f, g in oracle_families():
         for seed in (0, 1, 2**64 + 5, 2**128 - 1):
             config = mc.McConfig(trials=trials, seed=seed, g=g)
-            try:
-                want = oracle_sample_run(povm, alpha, psi_i, psi_f, config)
-            except NoSuccesses:
-                with pytest.raises(NoSuccesses):
-                    mc.sample_run(povm, alpha, psi_i, psi_f, config)
-                seen.add("none")
-                continue
-            got = mc.sample_run(povm, alpha, psi_i, psi_f, config)
-            for f in dataclasses.fields(mc.McResult):
-                x, y = getattr(got, f.name), getattr(want, f.name)
-                assert type(x) is type(y), f.name
-                if isinstance(x, np.ndarray):
-                    assert x.dtype == y.dtype, f.name
-                    npt.assert_array_equal(x, y, err_msg=f.name)
-                else:
-                    assert x == y, f.name
-            seen.add("ok")
+            seen.add(agrees_with_oracle(povm, alpha, psi_i, psi_f, config))
     assert seen == {"ok", "none"}
+
+
+def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
+    # a Philox uniform equals a bound with probability about 2**-53, so the
+    # uniforms are forced: each bound, its neighbours, 0 and the largest below 1
+    class Forced:
+        def __init__(self, bit_generator):
+            self.calls = 0
+
+        def random(self, size):
+            self.calls += 1
+            return outcome_u.copy() if self.calls == 1 else accept_u.copy()
+
+    monkeypatch.setattr(np.random, "Generator", Forced)
+    for povm, alpha, psi_i, psi_f, g in oracle_families():
+        cum = np.cumsum(mc.joint_probabilities(povm, psi_i, psi_f, g)[0])
+        cum /= cum[-1]
+        bounds = cum[:-1]
+        outcome_u = np.concatenate(
+            [bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 1), [0.0, np.nextafter(1, 0)]]
+        )
+        accept_u = np.linspace(0, 1, outcome_u.size, endpoint=False)
+        config = mc.McConfig(trials=outcome_u.size, seed=0, g=g)
+        agrees_with_oracle(povm, alpha, psi_i, psi_f, config)
 
 
 def test_million_draws_peak_below_32_mib():
