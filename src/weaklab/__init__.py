@@ -64,7 +64,6 @@ from .contextual import (
     exact_cv_exists,
     pseudoinverse_cv,
     truncated_cv_check,
-    variance_min_cv,
 )
 from .weak import (
     WeakLimitReport,

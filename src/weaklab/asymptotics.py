@@ -4,7 +4,9 @@ The central question probed here: for a matrix family F(g), does truncating
 F commute with taking singular values?  A disputed proof step claims that a
 linear family with no identically-zero singular value has all singular
 values of exact first order in g; these tools measure leading orders by
-log-log regression and check the claim instance by instance.
+log-log regression and check the claim instance by instance.  Each curve
+is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
+SVD and `pinv_pole_order` one `contextual.solve_grid`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contextual import FMatrix, solve_grid
 from .errors import NotLinear, NotPositiveSamples
-from .linalg import pinv
 from .povm import PolyMatrix
 
 #: a singular-value trajectory never exceeding this is identically zero
@@ -80,7 +82,7 @@ class SvdCurve:
 
 
 def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> SvdCurve:
-    """Singular values of F(g) at every grid coupling.
+    """Singular values of F(g) at every grid coupling, from one stacked SVD.
 
     Each point's values are sorted descending.  By Weyl's inequality sorted
     singular values move by at most ||F(g_a) - F(g_b)||_2 between two
@@ -88,7 +90,7 @@ def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> SvdCurve:
     branches cross they follow the sorted order, not the branches.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    sig = np.stack([np.linalg.svd(F(g), compute_uv=False) for g in g_grid])
+    sig = np.linalg.svd(F(g_grid[:, None, None]), compute_uv=False)
     return SvdCurve(g_grid=g_grid, singulars=sig)
 
 
@@ -235,12 +237,11 @@ def pinv_pole_order(
     """Fit the growth of ||pinv(F(g)) a||_inf; the negated slope is the pole order."""
     if g_grid is None:
         g_grid = default_pole_grid()
-    g_grid = np.asarray(g_grid, dtype=float)
-    a = np.asarray(a, dtype=float)
-    norms = np.array([float(np.abs(pinv(F(g)) @ a).max()) for g in g_grid])
+    sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
+    norms = np.abs(sol.alpha).max(axis=1)
     if norms.max() <= ZERO_TRAJECTORY_TOL:
         return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True)
-    est = leading_order_fit(np.stack([g_grid, norms], axis=1))
+    est = leading_order_fit(np.stack([sol.g_grid, norms], axis=1))
     return PoleEstimate(
         exponent=-est.exponent,
         coefficient=est.coefficient,

@@ -29,7 +29,7 @@ from .asymptotics import (
     svd_curve,
     truncation_svd_commutator,
 )
-from .contextual import FMatrix, build_F, pseudoinverse_cv, truncated_cv_check
+from .contextual import FMatrix, build_F, pseudoinverse_cv, solve_grid, truncated_cv_check
 from .errors import NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .montecarlo import McConfig, sample_run
@@ -210,10 +210,9 @@ def _cmd_pole_order(args) -> int:
     print(f"coefficient  = {_f(est.coefficient)}")
     print(f"fit r^2      = {est.fit_r2:.9f}" + ("" if est.reliable else "  [UNRELIABLE]"))
     if args.out:
-        rows = []
-        for g in np.sort(grid):
-            alpha = pseudoinverse_cv(F, float(g)).alpha
-            rows.append([float(g), float(np.abs(alpha).max())])
+        sol = solve_grid(F, np.sort(grid))
+        sups = np.abs(sol.alpha).max(axis=1)
+        rows = [[float(g), float(sup)] for g, sup in zip(sol.g_grid, sups)]
         _write_csv(args.out, ["g", "alpha_sup"], rows)
     return 0
 
@@ -269,7 +268,12 @@ def _cmd_weak_limit(args) -> int:
         g_lo = args.grid_min if args.grid_min is not None else g_hi * 2.0**-12
         if not (0 < g_lo < g_hi):
             raise _UsageError("need 0 < --grid-min < --grid-max")
-        grid = np.geomspace(g_lo, g_hi, args.grid_points)
+        try:
+            grid = np.geomspace(g_lo, g_hi, args.grid_points)
+        except MemoryError:
+            raise _UsageError(
+                f"--grid-points {args.grid_points} needs more memory than is available"
+            ) from None
 
     rep = weak_limit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)
     print(f"instance {spec.name}: weak limit along {len(grid)} couplings")
@@ -314,7 +318,7 @@ def _cmd_svd_asymptotics(args) -> int:
 
     dets = None
     if rows == cols:
-        dets = np.array([abs(np.linalg.det(fam(float(g)))) for g in curve.g_grid])
+        dets = np.abs(np.linalg.det(fam(curve.g_grid[:, None, None])))
         prods = np.prod(curve.singulars, axis=1)
         rel = np.max(np.abs(dets - prods) / np.maximum(prods, 1e-300))
         print(f"det consistency: max rel deviation of |det F| from prod(sigma) = {rel:.3e}")

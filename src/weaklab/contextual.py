@@ -10,8 +10,9 @@ pseudoinverse picks the minimum-norm solution.
 A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
 grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
 stacked call.  Each grid point comes out bit for bit as the single-coupling
-`pseudoinverse_cv` would give it.  `exact_cv_exists`, `truncated_cv_check`
-and the weak-limit ladder all go through `solve_grid`.
+`pseudoinverse_cv` would give it.  `exact_cv_exists`, `truncated_cv_check`,
+`asymptotics.pinv_pole_order` and the weak-limit ladder all go through
+`solve_grid`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoExactCv, ValidationError
+from .errors import ValidationError
 from .linalg import check_hermitian, common_eigenbasis, dagger, pinv_and_rank
 from .povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix
 
@@ -141,8 +142,7 @@ def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     every grid point equals a separate solve at that coupling bit for bit.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    stacked = F.poly(g_grid[:, None, None])
-    Fg = np.real(np.broadcast_to(stacked, g_grid.shape + F.poly.shape))
+    Fg = np.real(F.poly(g_grid[:, None, None]))
     P, ranks = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
     r = (Fg @ alpha[..., None])[..., 0] - F.a_vec
@@ -222,32 +222,4 @@ def truncated_cv_check(
         truncated_solvable=trunc.exact,
         alphas_match=bool(match.all()),
     )
-
-
-def variance_min_cv(F: FMatrix, g: float, probs: np.ndarray) -> CvSolution:
-    """Exact contextual values minimizing the detector variance sum_j p_j alpha_j^2.
-
-    Solved as a weighted minimum-norm problem: substitute beta = sqrt(p) alpha
-    and take the pseudoinverse solution of (F(g) / sqrt(p)) beta = a.  Raises
-    NoExactCv when no exact solution exists at all.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (F.n_out,):
-        raise ValueError(f"probs must have shape ({F.n_out},), got {probs.shape}")
-    if np.any(probs <= 0):
-        raise ValueError("outcome probabilities must be strictly positive")
-    if abs(probs.sum() - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {probs.sum()!r}, not 1")
-
-    root = np.sqrt(probs)
-    Fg = F.at(g)
-    G = Fg / root[None, :]
-    P, rank = pinv_and_rank(G)
-    alpha = np.real(P @ F.a_vec) / root
-    residual = float(np.linalg.norm(Fg @ alpha - F.a_vec))
-    if residual > EXACT_CV_TOL:
-        raise NoExactCv(
-            f"no exact contextual values at g={g}: best residual {residual:.3e}"
-        )
-    return CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
 

@@ -8,7 +8,8 @@ A single structured-text (JSON) schema with top-level keys:
              {"order": k, "matrix": rows of [re, im] pairs, row-major};
              all-zero coefficients may be omitted
   fmatrix    coefficient records of a raw (not necessarily complete) family,
-             for instances that are a bare matrix family rather than a POVM
+             for instances that are a bare matrix family rather than a POVM;
+             its entries are real (every imaginary part 0)
   observable Hermitian matrix, same [re, im] encoding          (optional)
   psi_i      preparation state, list of [re, im] pairs         (optional)
   psi_f      postselection state                               (optional)
@@ -252,6 +253,9 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
                  "Schema", "malformed coefficient record", "fmatrix[0]")
         cols = len(first["matrix"][0])
         fmatrix = _decode_coefficients(data, dim, cols, "fmatrix")
+        # F holds outcome eigenvalues, so it is real; every solve keeps only its real part
+        _require(all(not c.imag.any() for c in fmatrix.coefficients), "NotReal",
+                 "fmatrix entries must be real", "fmatrix")
 
     observable = None
     if "observable" in d:

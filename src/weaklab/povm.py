@@ -71,8 +71,12 @@ class PolyMatrix:
     def __call__(self, g: float | np.ndarray) -> np.ndarray:
         """Value at coupling g; an array g of shape (n, 1, 1) gives n stacked values.
 
-        A degree-0 family returns its one coefficient unstacked for any g.
+        Every degree stacks, degree 0 included: its one coefficient is
+        repeated to the shape Horner's scheme would give.
         """
+        if self.max_degree == 0:
+            shape = np.broadcast_shapes(np.shape(g), self.shape)
+            return np.array(np.broadcast_to(self.coefficients[0], shape))
         acc = np.array(self.coefficients[-1])
         for c in self.coefficients[-2::-1]:
             acc = acc * g + c
@@ -161,7 +165,11 @@ class ValidationReport:
 
 
 def validate(povm: ParamPovm) -> ValidationReport:
-    """Check Hermiticity, coefficient-wise completeness and positivity on default_grid."""
+    """Check Hermiticity, coefficient-wise completeness and positivity on default_grid.
+
+    Positivity takes every outcome at every grid coupling in one stacked
+    eigvalsh; failures are listed in (outcome, coupling) order.
+    """
     grid = default_grid(povm.g_max)
 
     failures: list[str] = []
@@ -187,16 +195,10 @@ def validate(povm: ParamPovm) -> ValidationReport:
                 f"completeness fails at order {k} (residual {comp[k]:.3e})"
             )
 
-    mins = np.empty((povm.n_out, len(grid)))
-    for j, e in enumerate(povm.elements):
-        for i, g in enumerate(grid):
-            Eg = e(g)
-            Eg = 0.5 * (Eg + Eg.conj().T)
-            mins[j, i] = float(np.linalg.eigvalsh(Eg)[0])
-            if mins[j, i] < PSD_GRID_TOL:
-                failures.append(
-                    f"outcome {j} has eigenvalue {mins[j, i]:.3e} at g={g:.6g}"
-                )
+    E = np.stack([e(grid[:, None, None]) for e in povm.elements])  # (n_out, n_g, d, d)
+    mins = np.linalg.eigvalsh(0.5 * (E + E.conj().swapaxes(-1, -2)))[..., 0]
+    for j, i in np.argwhere(mins < PSD_GRID_TOL):
+        failures.append(f"outcome {j} has eigenvalue {mins[j, i]:.3e} at g={grid[i]:.6g}")
 
     return ValidationReport(
         grid=grid,

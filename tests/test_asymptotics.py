@@ -5,13 +5,47 @@ import numpy.testing as npt
 import pytest
 
 from weaklab import asymptotics as ay
+from weaklab import contextual as cx
+from weaklab import linalg
+from weaklab import povm as pv
+from weaklab import weak as wk
 from weaklab.errors import NotLinear, NotPositiveSamples
-from weaklab.povm import PolyMatrix
+from weaklab.linalg import pinv
+from weaklab.povm import ParamPovm, PolyMatrix
+from weaklab.registry import REGISTRY, get_instance
 
 
 def eq70_family():
     """Linear 2x2 family [[1+g, 1], [-1, -1+g]] with determinant g^2."""
     return PolyMatrix([np.array([[1.0, 1.0], [-1.0, -1.0]]), np.eye(2)])
+
+
+def registry_family(name):
+    """(F, povm) of a registry instance: F raw or from build_F, povm None if raw."""
+    spec = get_instance(name)
+    if spec.fmatrix is not None:
+        return spec.fmatrix, None
+    return cx.build_F(spec.povm, spec.observable).poly, spec.povm
+
+
+def grid_families():
+    """(F, povm) for every registry instance, then 30 raw real families of any
+    shape and degree 0-2 and 30 rotated linear commuting measurements."""
+    families = [registry_family(name) for name in REGISTRY]
+    rng = np.random.default_rng(67)
+    for _ in range(30):
+        rows, cols, degree = rng.integers(1, 5), rng.integers(1, 6), rng.integers(0, 3)
+        coeffs = [rng.standard_normal((rows, cols)) for _ in range(degree + 1)]
+        families.append((PolyMatrix(coeffs), None))
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        inst = wk.generate_linear_commuting_instance(rng, d, int(rng.integers(d, 6)))
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rotated = tuple(
+            PolyMatrix([U @ c @ U.conj().T for c in e.coefficients]) for e in inst.povm.elements
+        )
+        families.append((inst.F.poly, ParamPovm(elements=rotated, g_max=inst.povm.g_max)))
+    return families
 
 
 def eq70_singulars(g):
@@ -77,6 +111,11 @@ def test_svd_curve_shapes_and_monotone_order():
     big, small = eq70_singulars(grid)
     npt.assert_allclose(curve.singulars[:, 0], big, rtol=1e-10)
     npt.assert_allclose(curve.singulars[:, 1], small, rtol=1e-6, atol=1e-18)
+    # the stacked SVD equals a per-coupling SVD bit for bit
+    for fam, _ in grid_families():
+        curve = ay.svd_curve(fam, grid)
+        point = np.stack([np.linalg.svd(fam(g), compute_uv=False) for g in grid])
+        assert np.array_equal(curve.singulars, point)
 
 
 # ------------------------------------------- truncation / SVD commutator
@@ -191,3 +230,47 @@ def test_pinv_pole_order_zero_target():
     assert est.alpha_zero
     assert est.exponent == 0.0
     assert est.reliable
+
+
+# ----------------------------------------------- one stacked call per grid
+
+
+def test_pole_norms_and_validate_eigenvalues_match_per_point_loops(monkeypatch):
+    fitted = []
+    fit = ay.leading_order_fit
+    monkeypatch.setattr(ay, "leading_order_fit", lambda s: fitted.append(s) or fit(s))
+    grid = ay.default_pole_grid()
+    for fam, povm in grid_families():
+        rows = fam.shape[0]
+        for a in [np.ones(rows), (-1.0) ** np.arange(rows)]:
+            norms = np.array([np.abs(pinv(fam(g)) @ a).max() for g in grid])
+            fitted.clear()
+            est = ay.pinv_pole_order(fam, a, grid)
+            if norms.max() <= ay.ZERO_TRAJECTORY_TOL:
+                assert est.alpha_zero and not fitted
+            else:
+                assert np.array_equal(fitted[0], np.stack([grid, norms], axis=1))
+        if povm is None:
+            continue
+        report = pv.validate(povm)
+        mins = np.empty((povm.n_out, len(report.grid)))
+        for j, e in enumerate(povm.elements):
+            for i, g in enumerate(report.grid):
+                E = e(g)
+                mins[j, i] = np.linalg.eigvalsh(0.5 * (E + E.conj().T))[0]
+        assert np.array_equal(report.min_eigenvalues, mins)
+
+
+@pytest.mark.parametrize("name", ["eq70", "quad-cx", "flat"])
+def test_one_stacked_lapack_call_per_grid(name, count_calls):
+    fam, povm = registry_family(name)
+    svd = count_calls(np.linalg, "svd")
+    ay.svd_curve(fam, ay.default_pole_grid())
+    assert svd[0] == 1
+    solves = count_calls(linalg, "pinv_and_rank")
+    ay.pinv_pole_order(fam, np.ones(fam.shape[0]))
+    assert solves[0] == 1
+    if povm is not None:
+        eig = count_calls(np.linalg, "eigvalsh")
+        pv.validate(povm)
+        assert eig[0] == 1

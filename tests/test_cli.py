@@ -403,6 +403,34 @@ def test_mc_run_out_of_memory_is_usage_error(capsys, monkeypatch):
     assert out == ""
 
 
+def test_weak_limit_out_of_memory_grid_is_usage_error(capsys, monkeypatch):
+    # the refused allocation is simulated, so no real huge grid is requested
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.np, "geomspace", refuse)
+    code, out, err = run(
+        capsys, "weak-limit", "--instance", "qubit-linear", "--theta-f", "0.39",
+        "--grid-points", "10000000000000",
+    )
+    assert code == 2
+    assert err == "usage error: --grid-points 10000000000000 needs more memory than is available\n"
+    assert out == ""
+
+
+def test_complex_raw_family_file_is_error(capsys, tmp_path):
+    path = tmp_path / "complex.json"
+    run(capsys, "registry", "export", "eq70", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["fmatrix"][1]["matrix"][0][1] = [1.0, 1.0]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "pole-order", "--file", str(path), "--a", "1,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError: [NotReal] at fmatrix")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------- registry
 
 

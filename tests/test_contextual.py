@@ -7,7 +7,7 @@ import pytest
 from weaklab import asymptotics as ay
 from weaklab import contextual as cx
 from weaklab import weak as wk
-from weaklab.errors import NoExactCv, NotCommuting, ValidationError
+from weaklab.errors import NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
 
 I2 = np.eye(2)
@@ -170,64 +170,6 @@ def test_exact_cv_exists():
     grid = np.geomspace(0.01, 0.5, 8)
     assert cx.exact_cv_exists(cx.build_F(qubit_linear(), Z), grid)
     assert not cx.exact_cv_exists(cx.build_F(flat(), Z), grid)
-
-
-# ---------------------------------------------------------- variance_min
-
-
-def test_variance_min_uniform_probs_hand_example():
-    # minimize (a1^2 + a2^2 + a3^2)/3 subject to a1 + a3/2 = 1, a2 + a3/2 = -1:
-    # Lagrange gives (1, -1, 0)
-    poly = PolyMatrix([np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])])
-    F = cx.FMatrix(poly=poly, a_vec=np.array([1.0, -1.0]))
-    alpha = cx.variance_min_cv(F, 0.2, np.ones(3) / 3).alpha
-    npt.assert_allclose(alpha, [1.0, -1.0, 0.0], atol=1e-10)
-
-
-def test_variance_min_weighted_hand_example():
-    # p = (1/2, 1/4, 1/4): stationarity 2 p_j a_j = (F^T lam)_j gives
-    # a = (6/7, -8/7, 2/7) with variance 5/7 (vs 3/4 for the unweighted choice)
-    poly = PolyMatrix([np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])])
-    F = cx.FMatrix(poly=poly, a_vec=np.array([1.0, -1.0]))
-    probs = np.array([0.5, 0.25, 0.25])
-    alpha = cx.variance_min_cv(F, 0.2, probs).alpha
-    npt.assert_allclose(alpha, [6.0 / 7.0, -8.0 / 7.0, 2.0 / 7.0], atol=1e-10)
-    assert probs @ alpha**2 < 3.0 / 4.0 + 1e-12
-
-
-def test_variance_min_matches_constrained_optimizer():
-    scipy_opt = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        d, n = 2, 4
-        M = rng.standard_normal((d, n))
-        a = rng.standard_normal(d)
-        probs = rng.dirichlet(np.ones(n))
-        if probs.min() < 1e-3:
-            continue
-        F = cx.FMatrix(poly=PolyMatrix([M]), a_vec=a)
-        alpha = cx.variance_min_cv(F, 0.1, probs).alpha
-        res = scipy_opt.minimize(
-            lambda x: probs @ x**2,
-            np.zeros(n),
-            constraints={"type": "eq", "fun": lambda x: M @ x - a},
-            method="SLSQP",
-            options={"ftol": 1e-14, "maxiter": 500},
-        )
-        assert res.success
-        npt.assert_allclose(probs @ alpha**2, probs @ res.x**2, rtol=1e-5, atol=1e-8)
-        npt.assert_allclose(alpha, res.x, atol=1e-4)
-
-
-def test_variance_min_rejects_infeasible_and_bad_probs():
-    F = cx.build_F(flat(), Z)
-    with pytest.raises(NoExactCv):
-        cx.variance_min_cv(F, 0.2, np.array([0.5, 0.5]))
-    F2 = cx.build_F(qubit_linear(), Z)
-    with pytest.raises(ValueError):
-        cx.variance_min_cv(F2, 0.2, np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        cx.variance_min_cv(F2, 0.2, np.array([1.0, 0.0]))
 
 
 # ------------------------------------------------------------- truncation

@@ -229,3 +229,19 @@ def test_instance_needs_some_family(tmp_path):
         d.pop("outcomes")
 
     check_code(tmp_path, mutate, "Schema")
+
+
+def test_complex_fmatrix_rejected(tmp_path):
+    path = tmp_path / "raw.json"
+    fl.save_instance(fmatrix_spec(), path)
+    data = json.loads(path.read_text())
+    data["fmatrix"][1]["matrix"][0][1] = [1.0, 1.0]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError) as err:
+        fl.load_instance(path)
+    assert err.value.code == "NotReal"
+    assert err.value.context == "fmatrix"
+    # a negative zero imaginary part is still real
+    data["fmatrix"][1]["matrix"][0][1] = [1.0, -0.0]
+    path.write_text(json.dumps(data))
+    assert fl.load_instance(path).fmatrix.max_degree == 1

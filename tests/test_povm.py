@@ -44,6 +44,20 @@ def test_polymatrix_matches_direct_evaluation():
         npt.assert_allclose(P(g), direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_polymatrix_stacks_every_degree(degree):
+    # a coupling array of shape (n, 1, 1) gives an (n, rows, cols) stack,
+    # each slice equal to the scalar call; degree 0 included
+    rng = np.random.default_rng(23)
+    P = PolyMatrix([rng.standard_normal((2, 3)) for _ in range(degree + 1)])
+    g = np.array([0.0, 0.25, 0.5, 1.5])
+    stack = P(g[:, None, None])
+    assert stack.shape == (4, 2, 3)
+    for k, gk in enumerate(g):
+        assert np.array_equal(stack[k], P(float(gk)))
+    assert P(0.5).shape == (2, 3)
+
+
 def test_polymatrix_trims_trailing_zeros():
     P = PolyMatrix([I2, Z, np.zeros((2, 2))])
     assert P.max_degree == 1
@@ -107,6 +121,17 @@ def test_validate_flags_negative_eigenvalue():
     report = pv.validate(p)
     assert not report.passed
     assert any("positive" in msg.lower() or "eigen" in msg.lower() for msg in report.failures)
+    # outcomes 0 and 2 go negative above g = 1/6: failures come outcome by
+    # outcome, each in grid order
+    report = pv.validate(scalar_povm([[1 / 3, -2.0], [1 / 3, 4.0], [1 / 3, -2.0]], g_max=0.5))
+    expected = [
+        f"outcome {j} has eigenvalue {report.min_eigenvalues[j, i]:.3e} at g={g:.6g}"
+        for j in range(3)
+        for i, g in enumerate(report.grid)
+        if report.min_eigenvalues[j, i] < pv.PSD_GRID_TOL
+    ]
+    assert report.failures == expected
+    assert expected[0].startswith("outcome 0") and expected[-1].startswith("outcome 2")
 
 
 def test_validate_flags_nonhermitian():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -399,26 +397,9 @@ def test_spectral_core_positivity_follows_psd_sqrt():
     assert str(err.value) == str(point.value)
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls of module.name through every weaklab module that binds it."""
-    original = getattr(module, name)
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("weaklab") and mod is not None:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
-def test_sweep_hot_path_shape(monkeypatch):
+def test_sweep_hot_path_shape(count_calls):
     counts = {
-        name: count_calls(monkeypatch, module, name)
+        name: count_calls(module, name)
         for module, name in [
             (linalg, "psd_sqrt"),
             (linalg, "pinv_and_rank"),
