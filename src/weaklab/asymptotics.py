@@ -6,7 +6,9 @@ linear family with no identically-zero singular value has all singular
 values of exact first order in g; these tools measure leading orders by
 log-log regression and check the claim instance by instance.  Each curve
 is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
-SVD and `pinv_pole_order` one `contextual.solve_grid`.
+SVD and `pinv_pole_order` one `contextual.solve_grid`.  The pole grid is the
+weak-limit ladder `weak.limit_grid()`, so both analyses read g -> 0 off the
+same couplings.
 """
 
 from __future__ import annotations
@@ -18,20 +20,19 @@ import numpy as np
 from .contextual import FMatrix, solve_grid
 from .errors import NotLinear, NotPositiveSamples
 from .povm import PolyMatrix
+from .weak import limit_grid
 
 #: a singular-value trajectory never exceeding this is identically zero
 ZERO_TRAJECTORY_TOL = 1e-12
 #: fitted order at or below this is consistent with "first order"
 FIRST_ORDER_TOL = 1.05
-#: fitted order above this re-verifies a counterexample
-COUNTEREXAMPLE_ORDER = 1.5
 FIT_POINTS = 6
 R2_RELIABLE = 0.999
 
 
 def default_pole_grid() -> np.ndarray:
-    """Descending coupling ladder 0.1 * 2**-k, k = 0..12."""
-    return 0.1 * 2.0 ** -np.arange(13, dtype=float)
+    """The weak-limit ladder limit_grid(): 0.1 * 2**-k, k = 0..12, descending."""
+    return limit_grid()
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,8 @@ def proof_claim_check(F: PolyMatrix) -> ClaimReport:
 
     A trajectory never exceeding 1e-12 on the grid counts as identically
     zero, making the claim vacuous for this instance.  Otherwise the claim
-    holds only if every fitted order is at most 1.05; any trajectory fitted
-    above 1.5 is a re-verified counterexample.
+    holds only if every fitted order is at most 1.05, and any trajectory
+    fitted above that is a counterexample.
     """
     if F.max_degree > 1:
         raise NotLinear(f"family has degree {F.max_degree}, claim concerns linear families")
@@ -217,16 +218,28 @@ def proof_claim_check(F: PolyMatrix) -> ClaimReport:
 
 @dataclass(frozen=True)
 class PoleEstimate:
-    """Blow-up order of a pseudoinverse solution as the coupling shrinks."""
+    """Blow-up order of a pseudoinverse solution as the coupling shrinks.
+
+    g_grid, alpha_sup and ranks come from the fitted solve: each coupling,
+    ||alpha(g)||_inf there and the rank of F(g) used.
+    """
 
     exponent: float  # pole order: ||alpha(g)|| ~ g**(-exponent)
     coefficient: float
     fit_r2: float
+    g_grid: np.ndarray
+    alpha_sup: np.ndarray
+    ranks: np.ndarray
     alpha_zero: bool = False
 
     @property
+    def rank_changes(self) -> bool:
+        return bool(np.any(self.ranks != self.ranks[0]))
+
+    @property
     def reliable(self) -> bool:
-        return self.alpha_zero or self.fit_r2 >= R2_RELIABLE
+        # where the rank drops, pinv drops the blowing-up direction of alpha(g)
+        return self.alpha_zero or (self.fit_r2 >= R2_RELIABLE and not self.rank_changes)
 
 
 def pinv_pole_order(
@@ -239,11 +252,13 @@ def pinv_pole_order(
         g_grid = default_pole_grid()
     sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
     norms = np.abs(sol.alpha).max(axis=1)
+    solve = dict(g_grid=sol.g_grid, alpha_sup=norms, ranks=sol.ranks)
     if norms.max() <= ZERO_TRAJECTORY_TOL:
-        return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True)
+        return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True, **solve)
     est = leading_order_fit(np.stack([sol.g_grid, norms], axis=1))
     return PoleEstimate(
         exponent=-est.exponent,
         coefficient=est.coefficient,
         fit_r2=est.fit_r2,
+        **solve,
     )

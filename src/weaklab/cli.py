@@ -29,15 +29,15 @@ from .asymptotics import (
     svd_curve,
     truncation_svd_commutator,
 )
-from .contextual import FMatrix, build_F, pseudoinverse_cv, solve_grid, truncated_cv_check
+from .contextual import FMatrix, build_F, is_exact, pseudoinverse_cv, truncated_cv_check
 from .errors import NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .montecarlo import McConfig, sample_run
 from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
-from .weak import LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX, conditioned_average, conjecture_sweep
-from .weak import limit_grid, weak_limit
+from .weak import CONJECTURE_TOL, LIMIT_GRID_POINTS, LIMIT_GRID_TOP, TRIAL_N_OUT_MAX
+from .weak import conditioned_average, conjecture_sweep, weak_limit
 
 
 class _UsageError(Exception):
@@ -108,16 +108,8 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
     return v / norm
 
 
-def _family(spec: InstanceSpec):
-    """The matrix polynomial behind an instance: raw, or spectral via build_F."""
-    if spec.fmatrix is not None:
-        return spec.fmatrix
-    if spec.observable is None:
-        raise _UsageError(f"instance {spec.name!r} has no observable")
-    return build_F(spec.povm, spec.observable).poly
-
-
 def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
+    """F and its target a: a raw family with --a, or build_F of the POVM and observable."""
     if spec.fmatrix is not None:
         if a_text is None:
             raise _UsageError(
@@ -131,6 +123,11 @@ def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
     if a_text is not None:
         F = FMatrix(poly=F.poly, a_vec=_parse_floats(a_text, "--a"))
     return F
+
+
+def _family(spec: InstanceSpec):
+    """The matrix polynomial behind an instance: raw, or spectral via build_F."""
+    return spec.fmatrix if spec.fmatrix is not None else _fmatrix(spec, None).poly
 
 
 def _require_states(spec: InstanceSpec, need_final: bool = True):
@@ -182,7 +179,7 @@ def _cmd_cv_solve(args) -> int:
     F = _fmatrix(spec, args.a)
     check_coupling(args.g, spec.g_max)
     sol = pseudoinverse_cv(F, args.g)
-    exact = sol.residual <= 1e-9
+    exact = is_exact(sol.residual)
     print(f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}")
     print(f"a     = {_vec(F.a_vec)}")
     print(f"alpha = {_vec(sol.alpha)}")
@@ -201,18 +198,21 @@ def _cmd_cv_solve(args) -> int:
 def _cmd_pole_order(args) -> int:
     spec = _resolve(args)
     F = _fmatrix(spec, args.a)
-    grid = default_pole_grid()
-    est = pinv_pole_order(F.poly, F.a_vec, grid)
+    est = pinv_pole_order(F.poly, F.a_vec)
     print(f"instance {spec.name}: a = {_vec(F.a_vec)}")
     if est.alpha_zero:
         print("alpha(g) vanishes on the whole grid: no pole")
     print(f"pole order   = {_f(est.exponent)}   (||alpha(g)|| ~ g^-order)")
     print(f"coefficient  = {_f(est.coefficient)}")
     print(f"fit r^2      = {est.fit_r2:.9f}" + ("" if est.reliable else "  [UNRELIABLE]"))
+    order = np.argsort(est.g_grid)
+    if est.rank_changes:
+        g, ranks = est.g_grid[order], est.ranks[order]
+        steps = [0, *(np.flatnonzero(np.diff(ranks)) + 1)]
+        print("rank of F(g) changes along the grid: " + ", ".join(
+            f"rank {ranks[i]} from g = {_f(g[i])}" for i in steps))
     if args.out:
-        sol = solve_grid(F, np.sort(grid))
-        sups = np.abs(sol.alpha).max(axis=1)
-        rows = [[float(g), float(sup)] for g, sup in zip(sol.g_grid, sups)]
+        rows = [[float(est.g_grid[i]), float(est.alpha_sup[i])] for i in order]
         _write_csv(args.out, ["g", "alpha_sup"], rows)
     return 0
 
@@ -260,12 +260,12 @@ def _cmd_weak_limit(args) -> int:
     else:
         raise _UsageError("no final state: pass --theta-f or --psi-f")
 
-    g_top = min(0.1, spec.povm.g_max)
     if args.grid_min is None and args.grid_max is None and args.grid_points == LIMIT_GRID_POINTS:
-        grid = limit_grid(g_top)
+        grid = None  # weak_limit's own ladder
     else:
+        g_top = min(LIMIT_GRID_TOP, spec.povm.g_max)
         g_hi = args.grid_max if args.grid_max is not None else g_top
-        g_lo = args.grid_min if args.grid_min is not None else g_hi * 2.0**-12
+        g_lo = args.grid_min if args.grid_min is not None else g_hi * 2.0 ** (1 - LIMIT_GRID_POINTS)
         if not (0 < g_lo < g_hi):
             raise _UsageError("need 0 < --grid-min < --grid-max")
         try:
@@ -276,7 +276,7 @@ def _cmd_weak_limit(args) -> int:
             ) from None
 
     rep = weak_limit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)
-    print(f"instance {spec.name}: weak limit along {len(grid)} couplings")
+    print(f"instance {spec.name}: weak limit along {len(rep.g_grid)} couplings")
     print(f"{'g':>14}  {'conditioned avg':>16}  {'success prob':>13}")
     order = np.argsort(rep.g_grid)
     for i in order:
@@ -637,7 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_at_least(2), help="fix the system dimension")
     p.add_argument("--n-out", type=_at_least(2), help="fix the number of outcomes")
     p.add_argument(
-        "--tol", type=_at_least(0.0, float), default=1e-3, help="pass tolerance on the discrepancy"
+        "--tol",
+        type=_at_least(0.0, float),
+        default=CONJECTURE_TOL,
+        help="pass tolerance on the discrepancy",
     )
     p.add_argument("--out", help="write the sweep CSV here")
     p.set_defaults(func=_cmd_conjecture_sweep)

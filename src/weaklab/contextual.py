@@ -13,6 +13,9 @@ stacked call.  Each grid point comes out bit for bit as the single-coupling
 `pseudoinverse_cv` would give it.  `exact_cv_exists`, `truncated_cv_check`,
 `asymptotics.pinv_pole_order` and the weak-limit ladder all go through
 `solve_grid`.
+
+A solution is exact when its residual ||F(g) alpha - a|| is within
+EXACT_CV_TOL; `is_exact` is the one place that comparison is made.
 """
 
 from __future__ import annotations
@@ -107,6 +110,11 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
     return F
 
 
+def is_exact(residuals) -> bool:
+    """True when every residual ||F(g) alpha - a|| is within EXACT_CV_TOL."""
+    return bool(np.all(np.asarray(residuals) <= EXACT_CV_TOL))
+
+
 @dataclass(frozen=True)
 class CvSolution:
     """Pseudoinverse contextual values at one coupling."""
@@ -129,8 +137,8 @@ class GridSolution:
 
     @property
     def exact(self) -> bool:
-        """True when every residual is within EXACT_CV_TOL."""
-        return bool(np.all(self.residuals <= EXACT_CV_TOL))
+        """True when every grid point is exact (see is_exact)."""
+        return is_exact(self.residuals)
 
 
 def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:

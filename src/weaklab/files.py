@@ -9,7 +9,8 @@ A single structured-text (JSON) schema with top-level keys:
              all-zero coefficients may be omitted
   fmatrix    coefficient records of a raw (not necessarily complete) family,
              for instances that are a bare matrix family rather than a POVM;
-             its entries are real (every imaginary part 0)
+             its entries are real (every imaginary part 0).  An instance
+             has exactly one of outcomes and fmatrix.
   observable Hermitian matrix, same [re, im] encoding          (optional)
   psi_i      preparation state, list of [re, im] pairs         (optional)
   psi_f      postselection state                               (optional)
@@ -28,14 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .povm import (
-    COMPLETENESS_TOL,
-    HERMITIAN_TOL,
-    PSD_GRID_TOL,
-    ParamPovm,
-    PolyMatrix,
-    validate,
-)
+from .linalg import HERMITIAN_TOL, UNIT_NORM_TOL
+from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, validate
 
 _KNOWN_KEYS = {"dim", "g_max", "outcomes", "fmatrix", "observable", "psi_i", "psi_f", "notes"}
 
@@ -56,6 +51,8 @@ class InstanceSpec:
     def __post_init__(self):
         if self.povm is None and self.fmatrix is None:
             raise ValidationError("Schema", "instance needs outcomes or fmatrix")
+        if self.povm is not None and self.fmatrix is not None:
+            raise ValidationError("Schema", "instance has both outcomes and fmatrix")
 
     @property
     def dim(self) -> int:
@@ -189,7 +186,7 @@ def _decode_state(data, dim: int, context: str) -> np.ndarray:
              f"expected {dim} entries", context)
     v = np.array([_decode_complex_pair(e, f"{context}[{i}]") for i, e in enumerate(data)])
     n = float(np.linalg.norm(v))
-    _require(abs(n - 1.0) <= 1e-10, "BadState", f"state norm {n!r} is not 1", context)
+    _require(abs(n - 1.0) <= UNIT_NORM_TOL, "BadState", f"state norm {n!r} is not 1", context)
     return v
 
 
@@ -207,6 +204,8 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
     g_max = float(g_max)
     _require("outcomes" in d or "fmatrix" in d, "Schema",
              "need outcomes or fmatrix", "$")
+    _require(not ("outcomes" in d and "fmatrix" in d), "Schema",
+             "need outcomes or fmatrix, not both", "$")
 
     povm = None
     if "outcomes" in d:
@@ -219,19 +218,12 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
         )
         povm = ParamPovm(elements=elements, g_max=g_max)
         report = validate(povm)
-        if report.hermiticity_residual > HERMITIAN_TOL:
-            raise ValidationError(
-                "NotHermitian",
-                f"coefficient Hermiticity residual {report.hermiticity_residual:.3e}",
-                "outcomes",
-            )
+        herm = report.hermiticity_residual
+        _require(herm <= HERMITIAN_TOL, "NotHermitian",
+                 f"coefficient Hermiticity residual {herm:.3e}", "outcomes")
         comp = float(report.completeness_residuals.max())
-        if comp > COMPLETENESS_TOL:
-            raise ValidationError(
-                "Completeness",
-                f"coefficient-wise completeness residual {comp:.3e}",
-                "outcomes",
-            )
+        _require(comp <= COMPLETENESS_TOL, "Completeness",
+                 f"coefficient-wise completeness residual {comp:.3e}", "outcomes")
         worst = float(report.min_eigenvalues.min())
         if worst < PSD_GRID_TOL:
             raise ValidationError(

@@ -14,16 +14,13 @@ from .errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, N
 
 HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-12
+#: a state vector's norm may differ from 1 by this much
+UNIT_NORM_TOL = 1e-10
 #: eigenvalues closer than this (times the matrix scale) count as degenerate
 DEGENERACY_TOL = 1e-8
 #: magnitude below which a clamped negative eigenvalue is forgiven in psd_sqrt
 PSD_CLAMP_REL = 1e-10
 COMMUTATOR_REL_TOL = 1e-10
-
-
-def frob(M: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M))
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
@@ -50,7 +47,7 @@ def check_state(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
     if n <= STATE_NORM_TOL:
         raise InvalidState("state vector is (numerically) zero")
-    if abs(n - 1.0) > 1e-10:
+    if abs(n - 1.0) > UNIT_NORM_TOL:
         raise InvalidState(f"state vector norm {n!r} is not 1")
     return v
 
@@ -139,7 +136,7 @@ def partial_trace_meter(T: np.ndarray, system_dim: int, meter_dim: int) -> np.nd
 
 
 def commutator_norm(X: np.ndarray, Y: np.ndarray) -> float:
-    return frob(X @ Y - Y @ X)
+    return float(np.linalg.norm(X @ Y - Y @ X))
 
 
 def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstantOutcome, DimensionError, NonUniformOrder, OutOfValidityRange
-from .linalg import psd_sqrt
+from .linalg import HERMITIAN_TOL, psd_sqrt
 
 #: coefficient matrices with no entry above this are treated as zero
 COEFF_ZERO_TOL = 1e-12
 COMPLETENESS_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
 #: minimum eigenvalue allowed on the positivity grid
 PSD_GRID_TOL = -1e-10
 
@@ -209,14 +208,20 @@ def validate(povm: ParamPovm) -> ValidationReport:
     )
 
 
-def check_coupling(g: float, g_max: float) -> None:
-    """Raise OutOfValidityRange unless |g| <= g_max; NaN fails too."""
-    if not abs(g) <= g_max * (1 + 1e-12):
-        raise OutOfValidityRange(f"g={g} outside validated range (0, {g_max}]")
+def check_coupling(g: float | np.ndarray, g_max: float) -> None:
+    """Raise OutOfValidityRange unless 0 <= g <= g_max; NaN fails too.
+
+    g may be one coupling or an array of them; the error names the first
+    one out of range.  g = 0 is allowed: the dilation is evaluated there.
+    """
+    g = np.asarray(g, dtype=float)
+    outside = ~((g >= 0) & (g <= g_max * (1 + 1e-12)))
+    if outside.any():
+        raise OutOfValidityRange(f"g={g[outside][0]} outside validated range (0, {g_max}]")
 
 
 def evaluate(povm: ParamPovm, g: float) -> list[np.ndarray]:
-    """Outcome matrices at coupling g, for |g| <= g_max."""
+    """Outcome matrices at coupling g, for 0 <= g <= g_max."""
     check_coupling(g, povm.g_max)
     return [e(g) for e in povm.elements]
 

@@ -203,8 +203,7 @@ def _ladder(
     """Conditioned averages and success probabilities at every coupling of sol."""
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
-    for g in sol.g_grid:
-        check_coupling(g, g_max)
+    check_coupling(sol.g_grid, g_max)
     low = sol.F_g.min(axis=1)  # (n_g, n_out)
     scale = np.abs(sol.F_g).max(axis=1)
     negative = np.argwhere(low < -PSD_CLAMP_REL * np.maximum(scale, 1e-300))

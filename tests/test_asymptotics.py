@@ -77,8 +77,11 @@ def test_leading_order_fit_rejects_nonpositive():
         ay.leading_order_fit(np.c_[g, np.zeros_like(g)])
 
 
-def test_default_pole_grid():
+def test_default_pole_grid(count_calls):
+    ladder = count_calls(wk, "limit_grid")
     grid = ay.default_pole_grid()
+    assert ladder[0] == 1
+    assert np.array_equal(grid, wk.limit_grid())
     assert len(grid) == 13
     npt.assert_allclose(grid[0], 0.1)
     npt.assert_allclose(grid[-1], 0.1 * 2.0**-12)
@@ -230,6 +233,25 @@ def test_pinv_pole_order_zero_target():
     assert est.alpha_zero
     assert est.exponent == 0.0
     assert est.reliable
+
+
+def test_rank_drop_makes_the_pole_order_unreliable():
+    zero = np.zeros((2, 2))
+    F = PolyMatrix([np.diag([1.0, 0.0]), zero, zero, zero, np.diag([0.0, 1.0])])
+    est = ay.pinv_pole_order(F, np.ones(2))
+    assert est.fit_r2 == pytest.approx(1.0)  # a clean fit of the wrong curve
+    npt.assert_array_equal(est.ranks, [2] * 7 + [1] * 6)
+    assert est.rank_changes and not est.reliable
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_registry_ranks_are_constant_on_the_pole_grid(name):
+    fam, _ = registry_family(name)
+    rows = fam.shape[0]
+    for a in (np.ones(rows), (-1.0) ** np.arange(rows)):
+        est = ay.pinv_pole_order(fam, a)
+        npt.assert_array_equal(est.g_grid, ay.default_pole_grid())
+        assert not est.rank_changes
 
 
 # ----------------------------------------------- one stacked call per grid

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from weaklab import cli
+from weaklab import cli, contextual, linalg
 from weaklab.files import load_instance
 
 
@@ -58,6 +58,8 @@ def test_weaklab_error_maps_to_one(capsys):
         ["cv-solve", "--instance", "eq70", "--g", "0.6", "--a", "1,1"],
         ["mc-run", "--instance", "qubit-linear", "--g", "nan", "--trials", "10"],
         ["mc-run", "--instance", "qubit-linear", "--g", "5", "--trials", "10"],
+        ["cv-solve", "--instance", "qubit-linear", "--g", "-0.1"],
+        ["mc-run", "--instance", "qubit-linear", "--g", "-0.1", "--trials", "10"],
     ],
 )
 def test_coupling_outside_validity_range_fails(capsys, argv):
@@ -151,6 +153,20 @@ def test_validate_rejects_broken_file(capsys, tmp_path):
     assert "error: ValidationError" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["cv-solve", "--g", "0.1", "--a", "1,1"]])
+def test_file_with_outcomes_and_fmatrix_is_error(capsys, tmp_path, command):
+    path = tmp_path / "both.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["fmatrix"] = [{"order": 0, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError: [Schema]")
+    assert "Traceback" not in err
+
+
 def test_validate_csv(capsys, tmp_path):
     out_path = tmp_path / "grid.csv"
     code, out, _ = run(
@@ -188,6 +204,15 @@ def test_cv_solve_eq70_reference_point(capsys):
     assert "rank used = 2" in out
 
 
+def test_cv_solve_verdict_follows_the_exactness_tolerance(capsys, monkeypatch):
+    argv = ("cv-solve", "--instance", "flat", "--g", "0.05")  # residual sqrt(2)
+    _, out, _ = run(capsys, *argv)
+    assert "residual = 1.414214e+00  (no exact solution)" in out
+    monkeypatch.setattr(contextual, "EXACT_CV_TOL", 2.0)
+    _, out, _ = run(capsys, *argv)
+    assert "residual = 1.414214e+00  (exact solution)" in out
+
+
 # ---------------------------------------------------------------- pole-order
 
 
@@ -204,6 +229,55 @@ def test_pole_order_quad_cx(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["g", "alpha_sup"]
     assert len(rows) > 10
+    assert "rank of F(g)" not in out
+
+
+def test_pole_order_csv_comes_from_the_fitted_solve(capsys, tmp_path, count_calls):
+    solves = count_calls(linalg, "pinv_and_rank")
+    code, _, _ = run(
+        capsys, "pole-order", "--instance", "quad-cx", "--out", str(tmp_path / "pole.csv")
+    )
+    assert code == 0
+    assert solves[0] == 1
+
+
+def rank_drop_file(tmp_path):
+    """Raw family diag(1, g**4): its rank falls to 1 below g ~ 1.2e-3."""
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "rank-drop.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dim": 2,
+                "g_max": 0.5,
+                "fmatrix": [
+                    {"order": 0, "matrix": [[[1.0, 0.0], zero[0]], [zero[0], zero[0]]]},
+                    {"order": 4, "matrix": [[zero[0], zero[0]], [zero[0], [1.0, 0.0]]]},
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_rank_drop_is_reported(capsys, tmp_path):
+    path = rank_drop_file(tmp_path)
+    # alpha_2(g) = g**-4 while the rank holds, and the pseudoinverse drops it after
+    _, out, _ = run(capsys, "cv-solve", "--file", path, "--g", "0.01", "--a", "1,1")
+    assert "alpha = [1, 100000000]" in out
+    assert "(exact solution)" in out and "rank used = 2" in out
+    _, out, _ = run(capsys, "cv-solve", "--file", path, "--g", "0.001", "--a", "1,1")
+    assert "residual = 1.000000e+00  (no exact solution)" in out and "rank used = 1" in out
+    # the drop covers the whole six-point fit window, which then reads order 0
+    code, out, _ = run(capsys, "pole-order", "--file", path, "--a", "1,1")
+    assert code == 0
+    assert "fit r^2      = 1.000000000  [UNRELIABLE]" in out
+    assert (
+        "rank of F(g) changes along the grid: "
+        "rank 1 from g = 2.44140625e-05, rank 2 from g = 0.0015625"
+    ) in out
+    _, out, _ = run(capsys, "svd-asymptotics", "--file", path)
+    assert sum("[UNRELIABLE]" in ln for ln in out.splitlines() if ln.startswith("pole order")) == 2
 
 
 # ---------------------------------------------------------- truncation-check

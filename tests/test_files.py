@@ -231,6 +231,15 @@ def test_instance_needs_some_family(tmp_path):
     check_code(tmp_path, mutate, "Schema")
 
 
+def test_instance_with_outcomes_and_fmatrix_rejected(tmp_path):
+    raw = fl.instance_to_dict(fmatrix_spec())
+    err = check_code(tmp_path, lambda d: d.update(fmatrix=raw["fmatrix"]), "Schema")
+    assert err.context == "$"
+    with pytest.raises(ValidationError) as err:
+        fl.InstanceSpec(name="both", povm=qubit_linear_spec().povm, fmatrix=fmatrix_spec().fmatrix)
+    assert err.value.code == "Schema"
+
+
 def test_complex_fmatrix_rejected(tmp_path):
     path = tmp_path / "raw.json"
     fl.save_instance(fmatrix_spec(), path)

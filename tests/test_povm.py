@@ -147,9 +147,18 @@ def test_evaluate_and_range():
     E = pv.evaluate(p, 0.2)
     npt.assert_allclose(E[0], np.diag([0.6, 0.4]), atol=1e-14)
     npt.assert_allclose(E[0] + E[1], I2, atol=1e-14)
-    for g in (1.0, -1.0, float("nan")):
+    for g in (1.0, -1.0, -0.1, float("nan")):
         with pytest.raises(OutOfValidityRange):
             pv.evaluate(p, g)
+    npt.assert_allclose(pv.evaluate(p, 0.0)[0], I2 / 2)  # the dilation is evaluated at 0
+
+
+def test_check_coupling_names_the_first_coupling_out_of_range():
+    pv.check_coupling(np.array([0.0, 0.45, 0.5]), 0.5)
+    with pytest.raises(OutOfValidityRange, match=r"^g=0\.7 outside"):
+        pv.check_coupling(np.array([0.1, 0.7, -0.2, np.nan]), 0.5)
+    with pytest.raises(OutOfValidityRange, match=r"^g=nan outside"):
+        pv.check_coupling(np.array([0.1, np.nan, 0.7]), 0.5)
 
 
 def test_default_grid():

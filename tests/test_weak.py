@@ -192,6 +192,12 @@ def test_limit_grid_is_a_halving_ladder():
     npt.assert_allclose(ratios, 2.0, atol=1e-12)
 
 
+def test_weak_limit_checks_the_coupling_range_once(count_calls):
+    checks = count_calls(pv, "check_coupling")
+    wk.weak_limit(qubit_linear(), Z, PLUS, final_state(np.pi / 8))
+    assert checks[0] == 1
+
+
 def test_weak_limit_recovers_traditional_value():
     rep = wk.weak_limit(qubit_linear(), Z, PLUS, final_state(np.pi / 8))
     npt.assert_allclose(rep.traditional_value, np.sqrt(2) - 1, atol=1e-12)
