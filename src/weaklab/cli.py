@@ -52,7 +52,8 @@ def _vec(v) -> str:
     return "[" + ", ".join(_f(x) for x in np.asarray(v).ravel()) + "]"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write rows (iterables of values) with every float, numpy's included, as %.17g."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -115,14 +116,18 @@ def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
             raise _UsageError(
                 f"instance {spec.name!r} is a raw matrix family; pass --a re,re,..."
             )
-        a = _parse_floats(a_text, "--a")
-        return FMatrix(poly=spec.fmatrix, a_vec=a)
-    if spec.observable is None:
-        raise _UsageError(f"instance {spec.name!r} has no observable")
-    F = build_F(spec.povm, spec.observable)
-    if a_text is not None:
-        F = FMatrix(poly=F.poly, a_vec=_parse_floats(a_text, "--a"))
-    return F
+        poly = spec.fmatrix
+    else:
+        if spec.observable is None:
+            raise _UsageError(f"instance {spec.name!r} has no observable")
+        F = build_F(spec.povm, spec.observable)
+        if a_text is None:
+            return F
+        poly = F.poly
+    a = _parse_floats(a_text, "--a")
+    if len(a) != poly.shape[0]:
+        raise _UsageError(f"--a needs {poly.shape[0]} values, one per row of F, got {len(a)}")
+    return FMatrix(poly=poly, a_vec=a)
 
 
 def _family(spec: InstanceSpec):
@@ -166,10 +171,7 @@ def _cmd_validate(args) -> int:
     print("validation " + ("PASSED" if report.passed else "FAILED"))
     if args.out:
         header = ["g"] + [f"min_eig_{j}" for j in range(povm.n_out)]
-        rows = [
-            [float(g)] + [float(x) for x in report.min_eigenvalues[:, i]]
-            for i, g in enumerate(report.grid)
-        ]
+        rows = [[g, *report.min_eigenvalues[:, i]] for i, g in enumerate(report.grid)]
         _write_csv(args.out, header, rows)
     return 0 if report.passed else 1
 
@@ -187,11 +189,7 @@ def _cmd_cv_solve(args) -> int:
     print(f"rank used = {sol.rank_used}")
     if args.out:
         header = ["g", "residual", "rank"] + [f"alpha_{j}" for j in range(F.n_out)]
-        _write_csv(
-            args.out,
-            header,
-            [[float(args.g), float(sol.residual), sol.rank_used] + [float(x) for x in sol.alpha]],
-        )
+        _write_csv(args.out, header, [[args.g, sol.residual, sol.rank_used, *sol.alpha]])
     return 0
 
 
@@ -212,7 +210,7 @@ def _cmd_pole_order(args) -> int:
         print("rank of F(g) changes along the grid: " + ", ".join(
             f"rank {ranks[i]} from g = {_f(g[i])}" for i in steps))
     if args.out:
-        rows = [[float(est.g_grid[i]), float(est.alpha_sup[i])] for i in order]
+        rows = zip(est.g_grid[order], est.alpha_sup[order])
         _write_csv(args.out, ["g", "alpha_sup"], rows)
     return 0
 
@@ -236,10 +234,7 @@ def _cmd_truncation_check(args) -> int:
     print(f"truncated family solvable: {rep.truncated_solvable}")
     print(f"contextual values match:   {rep.alphas_match}")
     if args.out:
-        rows = [
-            [float(g), float(rep.full_residuals[i]), float(rep.truncated_residuals[i])]
-            for i, g in enumerate(rep.g_grid)
-        ]
+        rows = zip(rep.g_grid, rep.full_residuals, rep.truncated_residuals)
         _write_csv(args.out, ["g", "full_residual", "truncated_residual"], rows)
     return 0
 
@@ -289,14 +284,9 @@ def _cmd_weak_limit(args) -> int:
     print(f"traditional value:  {rep.traditional_value:.9f}")
     print(f"discrepancy:        {rep.discrepancy:.3e}")
     if args.out:
-        rows = [
-            [
-                float(rep.g_grid[i]),
-                float(rep.conditioned_averages[i]),
-                float(rep.success_probabilities[i]),
-            ]
-            for i in order
-        ]
+        rows = zip(
+            rep.g_grid[order], rep.conditioned_averages[order], rep.success_probabilities[order]
+        )
         _write_csv(args.out, ["g", "conditioned_average", "success_probability"], rows)
     return 0
 
@@ -355,15 +345,11 @@ def _cmd_svd_asymptotics(args) -> int:
 
     if args.out:
         header_row = ["g"] + [f"sigma_{i + 1}" for i in range(k)]
+        columns = [curve.g_grid[:, None], curve.singulars]
         if dets is not None:
             header_row.append("abs_det")
-        out_rows = []
-        for i, g in enumerate(curve.g_grid):
-            row = [float(g)] + [float(s) for s in curve.singulars[i]]
-            if dets is not None:
-                row.append(float(dets[i]))
-            out_rows.append(row)
-        _write_csv(args.out, header_row, out_rows)
+            columns.append(dets[:, None])
+        _write_csv(args.out, header_row, np.hstack(columns))
     return 0
 
 
@@ -386,18 +372,11 @@ def _cmd_proof_claim(args) -> int:
     print(f"counterexample_found={str(rep.counterexample_found).lower()}")
     print(f"note: {rep.caveat}")
     if args.out:
-        rows = []
-        for j, est in enumerate(rep.orders):
-            zero = est is None
-            rows.append(
-                [
-                    j,
-                    0.0 if zero else float(est.exponent),
-                    0.0 if zero else float(est.coefficient),
-                    1.0 if zero else float(est.fit_r2),
-                    str(zero).lower(),
-                ]
-            )
+        rows = [
+            [j, 0.0, 0.0, 1.0, "true"] if est is None
+            else [j, est.exponent, est.coefficient, est.fit_r2, "false"]
+            for j, est in enumerate(rep.orders)
+        ]
         _write_csv(args.out, ["trajectory", "exponent", "coefficient", "fit_r2", "zero"], rows)
     return 0
 
@@ -440,23 +419,12 @@ def _cmd_conjecture_sweep(args) -> int:
         f"(tol {args.tol:g}, max discrepancy {worst:.3e})"
     )
     if args.out:
+        header = ["seed", "trial", "dim", "n_out", "g_min", "discrepancy", "pass"]
         rows = [
-            [
-                r.seed[0],
-                r.trial,
-                r.dim,
-                r.n_out,
-                float(r.g_min),
-                float(r.discrepancy),
-                str(r.passed).lower(),
-            ]
+            [r.seed[0], r.trial, r.dim, r.n_out, r.g_min, r.discrepancy, str(r.passed).lower()]
             for r in records
         ]
-        _write_csv(
-            args.out,
-            ["seed", "trial", "dim", "n_out", "g_min", "discrepancy", "pass"],
-            rows,
-        )
+        _write_csv(args.out, header, rows)
     return 1 if failures else 0
 
 
@@ -491,21 +459,9 @@ def _cmd_mc_run(args) -> int:
     print(f"per-outcome draws:  {[int(x) for x in res.per_outcome_draws]}")
     print(f"per-outcome counts: {[int(x) for x in res.per_outcome_counts]}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["g", "trials", "seed", "empirical_value", "stderr", "successes", "analytic_value"],
-            [
-                [
-                    float(args.g),
-                    args.trials,
-                    args.seed,
-                    float(res.empirical_value),
-                    float(res.stderr),
-                    res.successes,
-                    float(analytic),
-                ]
-            ],
-        )
+        header = ["g", "trials", "seed", "empirical_value", "stderr", "successes", "analytic_value"]
+        values = [res.empirical_value, res.stderr, res.successes, analytic]
+        _write_csv(args.out, header, [[args.g, args.trials, args.seed, *values]])
     return 0
 
 

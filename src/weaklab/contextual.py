@@ -20,7 +20,7 @@ EXACT_CV_TOL; `is_exact` is the one place that comparison is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,15 +41,19 @@ class FMatrix:
     the observable eigenvalues in the same (descending) basis order.  basis
     is the unitary whose columns are the common eigenvectors that build_F
     found, in row order, so E_j(g) = basis diag(F(g)[:, j]) basis^H; it is
-    None for a raw matrix family, which has no operators behind it.
+    None for a raw matrix family, which has no operators behind it.  a_vec
+    is a read-only copy, so nothing solved from F can go stale.
     """
 
     poly: PolyMatrix
     a_vec: np.ndarray
     basis: np.ndarray | None = None
+    #: pseudoinverse_cv's last solution, handed back for a repeated coupling
+    _last_cv: CvSolution | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a_vec, dtype=float)
+        a = np.array(self.a_vec, dtype=float)
+        a.setflags(write=False)
         object.__setattr__(self, "a_vec", a)
         if self.poly.shape[0] != len(a):
             raise ValidationError(
@@ -77,28 +81,37 @@ class FMatrix:
         return worst
 
 
-def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
-    """Diagonalize the observable and every coefficient together and read off F.
+def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
+    """(basis, poly): the common eigenbasis of lead and every nonzero coefficient,
+    and E_j(g) = basis diag(poly(g)[:, j]) basis^H read off in it.
 
-    Basis order: descending eigenvalues of A, ties broken by the coefficient
-    matrices in (outcome, order) sequence.  Raises NotCommuting if the family
-    does not commute, and ValidationError("RowSum") if the row-sum identity
-    fails (i.e. the measurement was not complete).
+    Basis order: descending eigenvalues of the lead operators, ties broken
+    by the coefficients in (outcome, order) sequence.  Raises NotCommuting.
     """
-    A = check_hermitian(A)
-    ops = [A]
+    ops = list(lead)
     for e in povm.elements:
         for c in e.coefficients:
             if np.abs(c).max() > COEFF_ZERO_TOL:
                 ops.append(np.asarray(c))
     basis = common_eigenbasis(ops)
-
-    a_vec = np.real(np.diag(dagger(basis) @ A @ basis))
     coeffs = []
     for k in range(povm.max_degree + 1):
         C = dagger(basis) @ np.stack([e.coefficient(k) for e in povm.elements]) @ basis
         coeffs.append(np.real(np.diagonal(C, axis1=1, axis2=2)).T)
-    F = FMatrix(poly=PolyMatrix(coeffs), a_vec=a_vec, basis=basis)
+    return basis, PolyMatrix(coeffs)
+
+
+def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
+    """Diagonalize the observable and every coefficient together and read off F.
+
+    The basis is spectral_family's with A leading.  Raises NotCommuting if
+    the family does not commute, and ValidationError("RowSum") if the
+    row-sum identity fails (i.e. the measurement was not complete).
+    """
+    A = check_hermitian(A)
+    basis, poly = spectral_family(povm, A)
+    a_vec = np.real(np.diag(dagger(basis) @ A @ basis))
+    F = FMatrix(poly=poly, a_vec=a_vec, basis=basis)
 
     resid = F.row_sum_residual()
     if resid > ROW_SUM_TOL:
@@ -164,12 +177,22 @@ def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     The reported residual is the euclidean norm of F(g) alpha - a, which for
     a spectral matrix equals the Frobenius distance between the weighted
     outcome sum and the observable.
+
+    F keeps the last solution (a one-entry memo), so a repeated call at the
+    same g returns the same, read-only CvSolution without a new solve: the
+    meter's per-outcome eigenvalue functions solve each coupling once.
     """
+    last = F._last_cv
+    if last is not None and last.g == g:
+        return last
     Fg = F.at(g)
     P, rank = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
+    alpha.setflags(write=False)
     residual = float(np.linalg.norm(Fg @ alpha - F.a_vec))
-    return CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
+    sol = CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
+    object.__setattr__(F, "_last_cv", sol)
+    return sol
 
 
 def exact_cv_exists(F: FMatrix, g_grid: np.ndarray) -> bool:

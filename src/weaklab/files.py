@@ -225,12 +225,10 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
         _require(comp <= COMPLETENESS_TOL, "Completeness",
                  f"coefficient-wise completeness residual {comp:.3e}", "outcomes")
         worst = float(report.min_eigenvalues.min())
-        if worst < PSD_GRID_TOL:
-            raise ValidationError(
-                "NotPositive",
-                f"minimum eigenvalue {worst:.3e} on the validation grid",
-                "outcomes",
-            )
+        _require(np.isfinite(worst), "BadValue",
+                 "outcome matrices are not finite on the validation grid", "outcomes")
+        _require(worst >= PSD_GRID_TOL, "NotPositive",
+                 f"minimum eigenvalue {worst:.3e} on the validation grid", "outcomes")
 
     fmatrix = None
     if "fmatrix" in d:

@@ -100,14 +100,26 @@ def psd_sqrt(E: np.ndarray) -> np.ndarray:
     """
     E = check_hermitian(E)
     w, V = np.linalg.eigh(E)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w[0] < -PSD_CLAMP_REL * max(scale, 1e-300):
-        raise NotPositive(
-            f"matrix has negative eigenvalue {w[0]:.3e} (scale {scale:.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    R = (V * np.sqrt(w)) @ dagger(V)
+    R = (V * np.sqrt(clamp_psd(w))) @ dagger(V)
     return 0.5 * (R + dagger(R))
+
+
+def clamp_psd(w: np.ndarray) -> np.ndarray:
+    """Spectra along the last axis of w with small negative eigenvalues set to zero.
+
+    The one positivity rule of psd_sqrt, the weak-limit ladder and the meter:
+    an eigenvalue below -PSD_CLAMP_REL times its spectrum's largest magnitude
+    (or NaN) raises NotPositive for the first such spectrum in C order.
+    """
+    low = w.min(axis=-1)
+    scale = np.abs(w).max(axis=-1)
+    ok = low >= -PSD_CLAMP_REL * np.maximum(scale, 1e-300)
+    if not ok.all():
+        k = tuple(np.argwhere(~ok)[0])  # () for a single spectrum
+        raise NotPositive(
+            f"matrix has negative eigenvalue {low[k]:.3e} (scale {scale[k]:.3e})"
+        )
+    return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
 
 
 def projector(v: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ system (x) meter, where {f_j} is the fixed standard meter basis and the
 composite index is system-major (flat index i * meter_dim + j).  Reading
 out the meter in that basis reproduces the outcome statistics, and
 attaching eigenvalues alpha_j(g) to the pointer states gives the meter
-expectation sum_j alpha_j(g) P(j).
+expectation sum_j alpha_j(g) P(j).  For a commuting family the operators
+M_j(g) = B diag(sqrt lambda_j(g)) B^H come from one common eigenbasis B
+(`positive_family`), and `compose_isometry` checks them on one stack.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NotIsometry, OutOfValidityRange
-from .linalg import check_state, projector, psd_sqrt
-from .povm import ParamPovm, PolyMatrix, check_coupling, default_grid
+from .contextual import spectral_family
+from .errors import DimensionError, NotCommuting, NotIsometry, OutOfValidityRange
+from .linalg import check_state, clamp_psd, dagger, psd_sqrt
+from .povm import ParamPovm, check_coupling, default_grid
 
 ISOMETRY_TOL = 1e-10
 #: meter eigenvalues must stay at least this far apart where sampled
@@ -31,18 +34,36 @@ def _family_at(op: MatrixFamily, g: float) -> np.ndarray:
     return np.asarray(op(g), dtype=complex)
 
 
-def positive_family(povm: ParamPovm) -> list[Callable[[float], np.ndarray]]:
+def positive_family(povm: ParamPovm) -> list[MatrixFamily]:
     """Measurement operators g -> E_j(g)^(1/2) as callables.
 
     The square root of a matrix polynomial is generally not polynomial in g,
     so the minimally disturbing operators enter the dilation as plain
-    functions of the coupling.
+    functions of the coupling.  B and the spectra lambda_j(g) come once from
+    contextual.spectral_family, as build_F reads them.  The callables share
+    a one-entry memo: the first one asked at a new g takes every outcome's
+    root in one stacked product, and the rest read theirs off (read-only).
+    The spectra pass linalg.clamp_psd, psd_sqrt's rule and message, so a
+    coupling where any outcome fails it is refused by every callable.  A
+    family that raises NotCommuting takes psd_sqrt(E_j(g)) at every call.
     """
+    try:
+        basis, spectra = spectral_family(povm)
+    except NotCommuting:
+        return [lambda g, e=e: psd_sqrt(e(g)) for e in povm.elements]
+    basis_h = dagger(basis)
+    memo: dict[float, np.ndarray] = {}
 
-    def make(e: PolyMatrix) -> Callable[[float], np.ndarray]:
-        return lambda g: psd_sqrt(e(g))
+    def roots(g: float) -> np.ndarray:
+        if g not in memo:
+            lam = clamp_psd(np.real(spectra(g)).T)  # (n_out, d): one spectrum per outcome
+            R = (basis * np.sqrt(lam)[:, None, :]) @ basis_h
+            R.setflags(write=False)
+            memo.clear()
+            memo[g] = R
+        return memo[g]
 
-    return [make(e) for e in povm.elements]
+    return [lambda g, j=j: roots(g)[j] for j in range(povm.n_out)]
 
 
 @dataclass
@@ -65,7 +86,9 @@ def compose_isometry(
     """Assemble the dilation isometry, checking completeness on default_grid.
 
     Raises NotIsometry unless sum_j M_j(g)^H M_j(g) = identity within 1e-10
-    at every sampled coupling.
+    at every sampled coupling, and ValueError where two meter eigenvalues
+    come closer than EIGENVALUE_GAP_TOL; each check runs once on the stack
+    of every grid coupling and names the first one that fails.
     """
     ops = tuple(measurement_ops)
     if len(ops) != meter_dim:
@@ -80,32 +103,33 @@ def compose_isometry(
     d = first.shape[0]
 
     grid = default_grid(g_max)
-    eye = np.eye(d)
-    for g in grid:
-        total = np.zeros((d, d), dtype=complex)
-        for op in ops:
-            M = _family_at(op, g)
-            if M.shape != (d, d):
-                raise DimensionError("measurement operators must share one shape")
-            total += M.conj().T @ M
-        dev = float(np.abs(total - eye).max())
-        if dev > ISOMETRY_TOL:
-            raise NotIsometry(
-                f"sum_j M_j^H M_j deviates from identity by {dev:.3e} at g={g:.6g}"
-            )
+    Ms = [_family_at(op, g) for g in grid for op in ops]
+    if any(M.shape != (d, d) for M in Ms):
+        raise DimensionError("measurement operators must share one shape")
+    Ms = np.array(Ms).reshape(len(grid), meter_dim, d, d)
+    dev = np.abs((dagger(Ms) @ Ms).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(dev <= ISOMETRY_TOL))  # NaN fails too
+    if bad.size:
+        k = bad[0]
+        raise NotIsometry(
+            f"sum_j M_j^H M_j deviates from identity by {dev[k]:.3e} at g={grid[k]:.6g}"
+        )
 
     eigs = tuple(meter_eigenvalues) if meter_eigenvalues is not None else None
     if eigs is not None:
         if len(eigs) != meter_dim:
             raise DimensionError("need one meter eigenvalue function per outcome")
-        for g in grid:
-            vals = np.array([float(f(g)) for f in eigs])
-            gaps = np.abs(vals[:, None] - vals[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() < EIGENVALUE_GAP_TOL:
-                raise ValueError(
-                    f"meter eigenvalues collide (gap {gaps.min():.3e}) at g={g:.6g}"
-                )
+        # coupling by coupling, so a memoized solve serves every outcome at once
+        vals = np.array([[float(f(g)) for f in eigs] for g in grid])
+        gaps = np.abs(vals[:, :, None] - vals[:, None, :])
+        gaps[:, range(meter_dim), range(meter_dim)] = np.inf
+        low = gaps.min(axis=(1, 2))
+        bad = np.flatnonzero(low < EIGENVALUE_GAP_TOL)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"meter eigenvalues collide (gap {low[k]:.3e}) at g={grid[k]:.6g}"
+            )
 
     return MeterModel(
         system_dim=d,
@@ -126,12 +150,15 @@ def isometry_at(model: MeterModel, g: float) -> np.ndarray:
     return U
 
 
+def _meter_components(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
+    """U(g) s as a system_dim x meter_dim matrix: column j is M_j(g) s."""
+    s = check_state(s)
+    return (isometry_at(model, g) @ s).reshape(model.system_dim, model.meter_dim)
+
+
 def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
     """P(j) = ||M_j(g) s||^2, read off the meter components of U(g) s."""
-    s = check_state(s)
-    w = isometry_at(model, g) @ s
-    comps = w.reshape(model.system_dim, model.meter_dim)
-    return np.sum(np.abs(comps) ** 2, axis=0)
+    return np.sum(np.abs(_meter_components(model, s, g)) ** 2, axis=0)
 
 
 def meter_expectation(model: MeterModel, s: np.ndarray, g: float) -> float:
@@ -144,15 +171,9 @@ def meter_expectation(model: MeterModel, s: np.ndarray, g: float) -> float:
 
 
 def reduced_state(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
-    """Post-measurement system state sum_j M_j(g) |s><s| M_j(g)^H."""
-    s = check_state(s)
-    check_coupling(g, model.g_max)
-    P = projector(s)
-    rho = np.zeros((model.system_dim, model.system_dim), dtype=complex)
-    for op in model.measurement_ops:
-        M = _family_at(op, g)
-        rho += M @ P @ M.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    """Post-measurement system state sum_j M_j(g) |s><s| M_j(g)^H, the meter traced out."""
+    W = _meter_components(model, s, g)
+    return W @ dagger(W)
 
 
 def weak_coupling_check(model: MeterModel, s: np.ndarray) -> tuple[bool, float]:
@@ -161,9 +182,6 @@ def weak_coupling_check(model: MeterModel, s: np.ndarray) -> tuple[bool, float]:
     The Schmidt coefficients are the singular values of U(0) s reshaped as a
     system x meter matrix; a product state has only one nonzero coefficient.
     """
-    s = check_state(s)
-    w = isometry_at(model, 0.0) @ s
-    A = w.reshape(model.system_dim, model.meter_dim)
-    svals = np.linalg.svd(A, compute_uv=False)
+    svals = np.linalg.svd(_meter_components(model, s, 0.0), compute_uv=False)
     second = float(svals[1]) if len(svals) > 1 else 0.0
     return second <= 1e-10, second

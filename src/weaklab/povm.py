@@ -167,7 +167,8 @@ def validate(povm: ParamPovm) -> ValidationReport:
     """Check Hermiticity, coefficient-wise completeness and positivity on default_grid.
 
     Positivity takes every outcome at every grid coupling in one stacked
-    eigvalsh; failures are listed in (outcome, coupling) order.
+    eigvalsh; failures, a NaN minimum eigenvalue included, are listed in
+    (outcome, coupling) order.
     """
     grid = default_grid(povm.g_max)
 
@@ -194,9 +195,11 @@ def validate(povm: ParamPovm) -> ValidationReport:
                 f"completeness fails at order {k} (residual {comp[k]:.3e})"
             )
 
-    E = np.stack([e(grid[:, None, None]) for e in povm.elements])  # (n_out, n_g, d, d)
-    mins = np.linalg.eigvalsh(0.5 * (E + E.conj().swapaxes(-1, -2)))[..., 0]
-    for j, i in np.argwhere(mins < PSD_GRID_TOL):
+    # a coupling range that overflows F(g) gives NaN minima, which fail below
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.stack([e(grid[:, None, None]) for e in povm.elements])  # (n_out, n_g, d, d)
+        mins = np.linalg.eigvalsh(0.5 * (E + E.conj().swapaxes(-1, -2)))[..., 0]
+    for j, i in np.argwhere(~(mins >= PSD_GRID_TOL)):
         failures.append(f"outcome {j} has eigenvalue {mins[j, i]:.3e} at g={grid[i]:.6g}")
 
     return ValidationReport(

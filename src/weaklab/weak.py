@@ -22,7 +22,7 @@ from .errors import (
     NotPositive,
     OrthogonalPostselection,
 )
-from .linalg import PSD_CLAMP_REL, check_hermitian, check_state, dagger, projector
+from .linalg import check_hermitian, check_state, clamp_psd, dagger, projector
 from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 
 OVERLAP_TOL = 1e-12
@@ -163,9 +163,9 @@ def _spectral_weak_limit(
     B, with no matrix square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
     <psi_f|M_j psi_i> = sum_i conj(y_i) sqrt F_ij(g) x_i with x = B^H psi_i
     and y = B^H psi_f.  Errors come in this order: NoExactCv, then
-    OutOfValidityRange for a coupling outside (0, g_max], NotPositive for an
-    outcome eigenvalue below -PSD_CLAMP_REL times that outcome's largest
-    one (psd_sqrt's rule), and OrthogonalPostselection.
+    OutOfValidityRange for a coupling outside (0, g_max], NotPositive from
+    linalg.clamp_psd (psd_sqrt's rule, per outcome and coupling), and
+    OrthogonalPostselection.
 
     Each floating-point step repeats the one conditioned_average takes (a
     matmul dot for vdot, abs(z) ** 2 per weight), so when B is a permutation
@@ -204,16 +204,7 @@ def _ladder(
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
     check_coupling(sol.g_grid, g_max)
-    low = sol.F_g.min(axis=1)  # (n_g, n_out)
-    scale = np.abs(sol.F_g).max(axis=1)
-    negative = np.argwhere(low < -PSD_CLAMP_REL * np.maximum(scale, 1e-300))
-    if negative.size:
-        k, j = negative[0]
-        raise NotPositive(
-            f"matrix has negative eigenvalue {low[k, j]:.3e} (scale {scale[k, j]:.3e})"
-        )
-
-    root = np.sqrt(np.clip(sol.F_g.swapaxes(1, 2), 0.0, None))  # (n_g, n_out, d)
+    root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
     x = dagger(F.basis) @ psi_i
     y = dagger(F.basis) @ psi_f
     amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]

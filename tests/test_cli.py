@@ -101,6 +101,11 @@ def test_coupling_outside_validity_range_fails(capsys, argv):
         ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", str(2**60)],
         ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--seed", "1" + "0" * 400],
         ["svd-asymptotics", "--instance", "eq70", "--n", "-1" + "0" * 400],
+        # --a must give one value per row of F
+        ["cv-solve", "--instance", "quad-cx", "--g", "0.1", "--a", "1,2"],
+        ["cv-solve", "--instance", "eq70", "--g", "0.1", "--a", "1,2,3"],
+        ["pole-order", "--instance", "quad-cx", "--a", "1,2"],
+        ["pole-order", "--instance", "eq70", "--a", "1"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -151,6 +156,22 @@ def test_validate_rejects_broken_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--file", str(path))
     assert code == 1
     assert "error: ValidationError" in err
+
+
+def test_validate_rejects_overflowing_coupling_range(capsys, tmp_path):
+    # F(g) overflows on the validation grid: refused at load, with no warning
+    path = tmp_path / "overflow.json"
+    diag = lambda x, y: [[[x, 0], [0, 0]], [[0, 0], [y, 0]]]
+    outcomes = [
+        [{"order": 0, "matrix": diag(0.5, 0.5)}, {"order": 1, "matrix": diag(2.0 * s, -2.0 * s)}]
+        for s in (1, -1)
+    ]
+    path.write_text(json.dumps({"dim": 2, "g_max": 1e308, "outcomes": outcomes}))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError: [BadValue]")
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("command", [["validate"], ["cv-solve", "--g", "0.1", "--a", "1,1"]])

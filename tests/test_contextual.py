@@ -6,6 +6,7 @@ import pytest
 
 from weaklab import asymptotics as ay
 from weaklab import contextual as cx
+from weaklab import linalg
 from weaklab import weak as wk
 from weaklab.errors import NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
@@ -144,6 +145,31 @@ def test_pip_least_squares_when_no_exact_solution():
     npt.assert_allclose(sol.alpha, [0.0, 0.0], atol=1e-12)
     npt.assert_allclose(sol.residual, np.sqrt(2.0), atol=1e-12)
     assert sol.rank_used == 1
+
+
+def test_pip_repeat_coupling_returns_the_same_solution(count_calls):
+    F = cx.build_F(qubit_linear(), Z)
+    solves = count_calls(linalg, "pinv_and_rank")
+    first = cx.pseudoinverse_cv(F, 0.3)
+    assert cx.pseudoinverse_cv(F, 0.3) is first
+    assert cx.pseudoinverse_cv(F, 0.5).g == 0.5
+    again = cx.pseudoinverse_cv(F, 0.3)  # the memo holds one coupling
+    assert again is not first
+    assert np.array_equal(again.alpha, first.alpha) and again.residual == first.residual
+    assert solves[0] == 3
+
+
+def test_a_vec_and_alpha_are_read_only():
+    F = cx.build_F(qubit_linear(), Z)
+    sol = cx.pseudoinverse_cv(F, 0.3)
+    with pytest.raises(ValueError):
+        F.a_vec[0] = 2.0
+    with pytest.raises(ValueError):
+        sol.alpha[0] = 2.0
+    a = np.array([1.0, -1.0])
+    raw = cx.FMatrix(poly=PolyMatrix([np.eye(2)]), a_vec=a)
+    a[0] = 5.0  # F keeps its own copy; the caller's array stays writable
+    assert raw.a_vec[0] == 1.0
 
 
 def test_solve_grid_equals_pointwise_solves():

@@ -203,6 +203,22 @@ def test_negative_family_rejected(tmp_path):
     check_code(tmp_path, mutate, "NotPositive")
 
 
+def test_overflowing_coupling_range_rejected(tmp_path):
+    # with g_max 1e308, F(g) overflows on the validation grid and its minimum
+    # eigenvalue is NaN; the refusal raises no RuntimeWarning (an error here)
+    def mutate(d):
+        d["g_max"] = 1e308
+        for outcome in d["outcomes"]:
+            for rec in outcome:
+                if rec["order"] == 1:
+                    for row in rec["matrix"]:
+                        for pair in row:
+                            pair[0] *= 4.0  # +-1/2 -> +-2
+
+    err = check_code(tmp_path, mutate, "BadValue")
+    assert "not finite" in str(err)
+
+
 def test_wrong_matrix_shape_rejected(tmp_path):
     def mutate(d):
         d["observable"] = [[[1.0, 0.0]]]

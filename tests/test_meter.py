@@ -4,9 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from weaklab import contextual as cx
+from weaklab import linalg
 from weaklab import meter as mt
 from weaklab import povm as pv
-from weaklab.errors import NotIsometry
+from weaklab import weak as wk
+from weaklab.errors import NotIsometry, NotPositive
 from weaklab.linalg import partial_trace_meter, projector, trace_distance
 from weaklab.povm import ParamPovm, PolyMatrix
 
@@ -128,3 +131,97 @@ def test_weak_coupling_check_detects_entanglement():
     ok, gap = mt.weak_coupling_check(model, plus_state())
     assert not ok
     assert gap > 0.1
+
+
+# ------------------------------------------------------- eigenbasis dilation
+
+
+def dilate(povm, F):
+    """The acceptance test's dilation: per-outcome pseudoinverse eigenvalues."""
+    eigs = [lambda g, j=j: float(cx.pseudoinverse_cv(F, g).alpha[j]) for j in range(povm.n_out)]
+    return mt.compose_isometry(mt.positive_family(povm), povm.n_out, povm.g_max, eigs)
+
+
+def test_dilation_hot_path_shape(count_calls):
+    inst = wk.generate_linear_commuting_instance(np.random.default_rng(3), 3, 4)
+    povm = inst.povm
+    sqrts = count_calls(linalg, "psd_sqrt")
+    solves = count_calls(linalg, "pinv_and_rank")
+    model = dilate(povm, cx.build_F(povm, inst.observable))
+    g = 0.7 * povm.g_max
+    mt.outcome_probabilities(model, inst.psi_i, g)
+    mt.meter_expectation(model, inst.psi_i, g)
+    assert sqrts[0] == 0
+    # one solve per grid coupling and one at g, not one per outcome
+    assert solves[0] == len(pv.default_grid(povm.g_max)) + 1
+
+
+def haar(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated_povm(povm, U, perm):
+    elements = tuple(
+        PolyMatrix([U @ c @ U.conj().T for c in povm.elements[j].coefficients]) for j in perm
+    )
+    return ParamPovm(elements=elements, g_max=povm.g_max)
+
+
+def test_eigenbasis_roots_equal_psd_sqrt():
+    rng = np.random.default_rng(8)
+    families = [qubit_linear()]  # degenerate zeroth order
+    for _ in range(20):
+        dim = int(rng.integers(2, 5))
+        n_out = int(rng.integers(dim, 6))
+        povm = wk.generate_linear_commuting_instance(rng, dim, n_out).povm
+        families += [povm, rotated_povm(povm, haar(rng, dim), rng.permutation(n_out))]
+    for povm in families:
+        ops = mt.positive_family(povm)
+        for g in np.linspace(0.0, povm.g_max, 7):
+            for op, e in zip(ops, povm.elements):
+                npt.assert_allclose(op(g), linalg.psd_sqrt(e(g)), rtol=0, atol=1e-12)
+
+
+def test_eigenbasis_roots_follow_the_clamp_rule():
+    # (I -+ g Z)/2 has eigenvalue (1 - g)/2, negative past g = 1
+    wide = ParamPovm(elements=qubit_linear().elements, g_max=2.0)
+    ops = mt.positive_family(wide)
+    edge = 1.0 + 2e-13  # a relative -1e-13 is clamped to zero
+    npt.assert_allclose(ops[1](edge), linalg.psd_sqrt(wide.elements[1](edge)), atol=1e-15)
+    with pytest.raises(NotPositive) as point:
+        linalg.psd_sqrt(wide.elements[1](1.2))
+    for op in ops:  # both outcomes have eigenvalue (1 - g)/2 = -0.1 at g = 1.2
+        with pytest.raises(NotPositive) as err:
+            op(1.2)
+        assert str(err.value) == str(point.value)
+
+
+def test_noncommuting_family_still_dilates(count_calls):
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    povm = ParamPovm(
+        elements=tuple(PolyMatrix([I2 / 4, s * P / 4]) for P in (Z, X) for s in (1, -1)),
+        g_max=0.9,
+    )
+    sqrts = count_calls(linalg, "psd_sqrt")
+    model = build_model(povm)
+    assert sqrts[0] > 0  # the psd_sqrt fallback
+    s = plus_state()
+    for g in (0.0, 0.3, 0.9):
+        direct = [np.vdot(s, E @ s).real for E in pv.evaluate(povm, g)]
+        npt.assert_allclose(mt.outcome_probabilities(model, s, g), direct, atol=1e-12)
+
+
+def test_stacked_checks_name_the_first_failing_coupling():
+    povm = qubit_linear()
+    grid = pv.default_grid(povm.g_max)
+    ops = mt.positive_family(povm)
+    ops[0] = (lambda inner: (lambda g: (1.1 if g >= grid[5] else 1.0) * inner(g)))(ops[0])
+    with pytest.raises(NotIsometry, match=f"at g={grid[5]:.6g}$"):
+        mt.compose_isometry(ops, 2, povm.g_max)
+    blank = lambda g: np.full((2, 2), np.nan if g > 0 else 0.5)  # a NaN deviation fails too
+    with pytest.raises(NotIsometry, match=f"by nan at g={grid[0]:.6g}$"):
+        mt.compose_isometry([blank, blank], 2, povm.g_max)
+    eigs = (lambda g: 1.0, lambda g: 1.0 if g >= grid[7] else 2.0)
+    with pytest.raises(ValueError, match=rf"gap 0\.000e\+00\) at g={grid[7]:.6g}$"):
+        mt.compose_isometry(mt.positive_family(povm), 2, povm.g_max, meter_eigenvalues=eigs)
