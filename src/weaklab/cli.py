@@ -6,6 +6,7 @@ Commands map one-to-one onto the library layers: `validate`, `cv-solve`,
 either from the built-in registry (--instance NAME) or from a JSON file
 (--file PATH).  Every command is deterministic given its flags; seeds are
 always explicit.  `--out` additionally writes the numeric payload as CSV.
+The parser is built once per process, on the first `main` call, and reused.
 
 Exit codes: 0 on success, 1 on an analytic failure (no exact contextual
 values, invalid family, no postselection successes, failing sweep trials),
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -524,7 +526,9 @@ def _at_least(low: float, kind: type = int, below: float = math.inf):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later main call."""
     parser = argparse.ArgumentParser(
         prog="weaklab",
         description="numerical workbench for contextual values of parameterized measurements",

@@ -87,8 +87,9 @@ def compose_isometry(
 
     Raises NotIsometry unless sum_j M_j(g)^H M_j(g) = identity within 1e-10
     at every sampled coupling, and ValueError where two meter eigenvalues
-    come closer than EIGENVALUE_GAP_TOL; each check runs once on the stack
-    of every grid coupling and names the first one that fails.
+    come closer than EIGENVALUE_GAP_TOL or one is not finite (gap nan); each
+    check runs once on the stack of every grid coupling and names the first
+    one that fails.
     """
     ops = tuple(measurement_ops)
     if len(ops) != meter_dim:
@@ -121,10 +122,11 @@ def compose_isometry(
             raise DimensionError("need one meter eigenvalue function per outcome")
         # coupling by coupling, so a memoized solve serves every outcome at once
         vals = np.array([[float(f(g)) for f in eigs] for g in grid])
-        gaps = np.abs(vals[:, :, None] - vals[:, None, :])
+        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+            gaps = np.abs(vals[:, :, None] - vals[:, None, :])
         gaps[:, range(meter_dim), range(meter_dim)] = np.inf
-        low = gaps.min(axis=(1, 2))
-        bad = np.flatnonzero(low < EIGENVALUE_GAP_TOL)
+        low = np.where(np.isfinite(vals).all(axis=1), gaps.min(axis=(1, 2)), np.nan)
+        bad = np.flatnonzero(~(low >= EIGENVALUE_GAP_TOL))  # NaN fails too
         if bad.size:
             k = bad[0]
             raise ValueError(

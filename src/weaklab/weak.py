@@ -12,6 +12,7 @@ instances and measures the discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,10 +123,15 @@ class WeakLimitReport:
     g_grid: np.ndarray
     conditioned_averages: np.ndarray
     success_probabilities: np.ndarray
-    fit_coefficients: np.ndarray  # ascending: value(g) ~ c0 + c1 g + c2 g^2
+    fit: np.polynomial.Polynomial  # quadratic in the fit window's scaled coupling
     extrapolated_limit: float
     traditional_value: float
     discrepancy: float
+
+    @cached_property
+    def fit_coefficients(self) -> np.ndarray:
+        """Ascending, in g itself: value(g) ~ c0 + c1 g + c2 g^2; computed on first read."""
+        return self.fit.convert().coef
 
 
 def weak_limit(
@@ -182,7 +188,6 @@ def _spectral_weak_limit(
 
     order = np.argsort(g_grid)[:LIMIT_FIT_POINTS]
     fit = np.polynomial.Polynomial.fit(g_grid[order], values[order], 2)
-    coef = fit.convert().coef
     extrapolated = float(fit(0.0))
 
     traditional = mixed_weak_value(A, projector(psi_i), projector(psi_f))
@@ -190,7 +195,7 @@ def _spectral_weak_limit(
         g_grid=g_grid,
         conditioned_averages=values,
         success_probabilities=probs,
-        fit_coefficients=coef,
+        fit=fit,
         extrapolated_limit=extrapolated,
         traditional_value=traditional,
         discrepancy=abs(extrapolated - traditional),

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,3 +562,58 @@ def test_registry_export_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "registry", "export", "quad-cx")
     assert code == 0
     assert out.strip() == path.read_text().strip()
+
+
+# ------------------------------------------------------------ one parser
+
+#: each command with and then without the flags a leaky parser would carry over
+MIXED_ARGV = [
+    ["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817", "--grid-points", "7"],
+    ["weak-limit", "--instance", "qubit-linear"],
+    ["cv-solve", "--instance", "quad-cx", "--g", "0.1", "--a", "1,2,3"],
+    ["cv-solve", "--instance", "quad-cx", "--g", "0.1"],
+    ["conjecture-sweep", "--trials", "3", "--seed", "5"],
+    ["conjecture-sweep", "--trials", "3"],
+    ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "1000", "--seed", "9"],
+    ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "1000"],
+    ["--help"],
+    ["validate"],
+    ["cv-solve", "--instance", "flat", "--g", "abc"],
+]
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    fresh = []
+    for argv in MIXED_ARGV:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [rc for rc, _, _ in fresh[-3:]] == [0, 2, 2]
+    for _ in range(2):
+        for argv, expected in zip(MIXED_ARGV, fresh):
+            assert run(capsys, *argv) == expected, argv
+
+
+def test_second_main_call_builds_no_parser(capsys, count_calls):
+    cli.build_parser.cache_clear()
+    # argparse names its own class inside its methods, so count the constructor
+    built = count_calls(cli.argparse.ArgumentParser, "__init__")
+    run(capsys, "registry", "list")
+    assert built[0] > 0
+    first = built[0]
+    run(capsys, "cv-solve", "--instance", "flat", "--g", "0.05")
+    assert built[0] == first
+
+
+@pytest.mark.parametrize(
+    "argv", [["registry", "list"], ["cv-solve", "--instance", "flat", "--g", "0.05"]]
+)
+def test_cold_process_runs_cleanly(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weaklab.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout

@@ -70,6 +70,19 @@ def test_meter_eigenvalues_must_be_separated():
         mt.compose_isometry(ops, 2, povm.g_max, meter_eigenvalues=(lambda g: 1.0, lambda g: 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_meter_eigenvalue_is_refused(bad):
+    povm = qubit_linear()
+    grid = pv.default_grid(povm.g_max)
+    with pytest.raises(ValueError, match=rf"collide \(gap nan\) at g={grid[0]:.6g}$"):
+        mt.compose_isometry(
+            mt.positive_family(povm), 2, povm.g_max, meter_eigenvalues=(lambda g: bad, lambda g: 1.0)
+        )
+    late = (lambda g: 1.0, lambda g: bad if g >= grid[4] else 2.0)
+    with pytest.raises(ValueError, match=rf"gap nan\) at g={grid[4]:.6g}$"):
+        mt.compose_isometry(mt.positive_family(povm), 2, povm.g_max, meter_eigenvalues=late)
+
+
 def test_reduced_state_known_values():
     # sqrt factors make the coherence sqrt(1-g^2)/2 while populations stay 1/2
     model = build_model(qubit_linear())

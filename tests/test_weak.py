@@ -403,6 +403,19 @@ def test_spectral_core_positivity_follows_psd_sqrt():
     assert str(err.value) == str(point.value)
 
 
+def test_fit_coefficients_are_the_converted_fit_computed_once(monkeypatch):
+    seen = spy_on_core(monkeypatch)
+    for t in range(20):
+        wk.conjecture_trial(7, t)
+    reports = [rep for *_, rep in seen]
+    reports.append(wk.weak_limit(qubit_linear(), Z, PLUS, final_state(0.3926990817)))
+    for rep in reports:
+        order = np.argsort(rep.g_grid)[: wk.LIMIT_FIT_POINTS]
+        fit = np.polynomial.Polynomial.fit(rep.g_grid[order], rep.conditioned_averages[order], 2)
+        npt.assert_array_equal(rep.fit_coefficients, fit.convert().coef)
+        assert rep.fit_coefficients is rep.fit_coefficients
+
+
 def test_sweep_hot_path_shape(count_calls):
     counts = {
         name: count_calls(module, name)
@@ -413,11 +426,13 @@ def test_sweep_hot_path_shape(count_calls):
             (cx, "build_F"),
             (cx, "exact_cv_exists"),
             (cx, "solve_grid"),
+            (np.polynomial.Polynomial, "convert"),
         ]
     }
     wk.conjecture_sweep(7, 10)
     n = {name: c[0] for name, c in counts.items()}
     assert n["psd_sqrt"] == 0
+    assert n["convert"] == 0  # no trial reads its fit coefficients
     assert n["conditioned_average"] == 0
     # one F per draw that reaches the exactness check, none for the limit
     assert n["exact_cv_exists"] >= 10
