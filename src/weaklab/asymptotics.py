@@ -7,8 +7,9 @@ values of exact first order in g; these tools measure leading orders by
 log-log regression and check the claim instance by instance.  Each curve
 is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
 SVD and `pinv_pole_order` one `contextual.solve_grid`.  The pole grid is the
-weak-limit ladder `weak.limit_grid()`, so both analyses read g -> 0 off the
-same couplings.
+weak-limit ladder `weak.limit_grid()` at its fixed top 0.1, whatever the
+family's g_max; `weak_limit` tops its ladder at min(0.1, g_max), so the two
+share their couplings only when g_max >= 0.1.
 """
 
 from __future__ import annotations

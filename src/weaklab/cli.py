@@ -137,17 +137,6 @@ def _family(spec: InstanceSpec):
     return spec.fmatrix if spec.fmatrix is not None else _fmatrix(spec, None).poly
 
 
-def _require_states(spec: InstanceSpec, need_final: bool = True):
-    if spec.povm is None:
-        raise _UsageError(f"instance {spec.name!r} is not a POVM")
-    if spec.psi_i is None:
-        raise _UsageError(f"instance {spec.name!r} has no initial state")
-    if need_final and spec.psi_f is None:
-        raise _UsageError(
-            f"instance {spec.name!r} has no final state; pass --psi-f or --theta-f"
-        )
-
-
 # ------------------------------------------------------------------- commands
 
 
@@ -245,7 +234,8 @@ def _cmd_weak_limit(args) -> int:
     spec = _resolve(args)
     if spec.povm is None or spec.observable is None:
         raise _UsageError(f"instance {spec.name!r} needs a POVM and an observable")
-    _require_states(spec, need_final=False)
+    if spec.psi_i is None:
+        raise _UsageError(f"instance {spec.name!r} has no initial state")
     if args.theta_f is not None:
         if spec.dim != 2:
             raise _UsageError("--theta-f only makes sense for dimension 2")
@@ -434,7 +424,12 @@ def _cmd_mc_run(args) -> int:
     spec = _resolve(args)
     if spec.observable is None:
         raise _UsageError(f"instance {spec.name!r} has no observable")
-    _require_states(spec)
+    if spec.povm is None:
+        raise _UsageError(f"instance {spec.name!r} is not a POVM")
+    if spec.psi_i is None:
+        raise _UsageError(f"instance {spec.name!r} has no initial state")
+    if spec.psi_f is None:
+        raise _UsageError(f"instance {spec.name!r} has no final state")
     check_coupling(args.g, spec.povm.g_max)
     F = build_F(spec.povm, spec.observable)
     sol = pseudoinverse_cv(F, args.g)
@@ -640,8 +635,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    """Console entry: main's exit code; a reader that closes stdout early gets exit 1, quietly."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs advise: point stdout at devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry_point()

@@ -74,11 +74,9 @@ class FMatrix:
 
     def row_sum_residual(self) -> float:
         """Deviation of the row sums from 1: the spectral shadow of completeness."""
-        worst = 0.0
-        for k, c in enumerate(self.poly.coefficients):
-            target = 1.0 if k == 0 else 0.0
-            worst = max(worst, float(np.abs(c.real.sum(axis=1) - target).max()))
-        return worst
+        sums = np.real(self.poly.coefficients).sum(axis=-1)  # (degree + 1, d)
+        sums[0] -= 1.0
+        return float(np.abs(sums).max())
 
 
 def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
@@ -88,17 +86,11 @@ def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, Pol
     Basis order: descending eigenvalues of the lead operators, ties broken
     by the coefficients in (outcome, order) sequence.  Raises NotCommuting.
     """
-    ops = list(lead)
-    for e in povm.elements:
-        for c in e.coefficients:
-            if np.abs(c).max() > COEFF_ZERO_TOL:
-                ops.append(np.asarray(c))
-    basis = common_eigenbasis(ops)
-    coeffs = []
-    for k in range(povm.max_degree + 1):
-        C = dagger(basis) @ np.stack([e.coefficient(k) for e in povm.elements]) @ basis
-        coeffs.append(np.real(np.diagonal(C, axis1=1, axis2=2)).T)
-    return basis, PolyMatrix(coeffs)
+    C = povm.coefficients  # (n_out, degree + 1, d, d)
+    nonzero = np.abs(C).max(axis=(-2, -1)) > COEFF_ZERO_TOL
+    basis = common_eigenbasis([*lead, *C[nonzero]])
+    spectra = np.real(np.diagonal(dagger(basis) @ C @ basis, axis1=-2, axis2=-1))
+    return basis, PolyMatrix(spectra.transpose(1, 2, 0))  # (degree + 1, d, n_out)
 
 
 def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .linalg import HERMITIAN_TOL, UNIT_NORM_TOL
-from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, validate
+from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, valid_g_max, validate
 
 _KNOWN_KEYS = {"dim", "g_max", "outcomes", "fmatrix", "observable", "psi_i", "psi_f", "notes"}
 
@@ -200,7 +200,7 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
              "Schema", "dim must be a positive integer", "dim")
     g_max = d["g_max"]
     _require(isinstance(g_max, (int, float)) and not isinstance(g_max, bool)
-             and float(g_max) > 0, "Schema", "g_max must be positive", "g_max")
+             and valid_g_max(float(g_max)), "Schema", "g_max must be positive and finite", "g_max")
     g_max = float(g_max)
     _require("outcomes" in d or "fmatrix" in d, "Schema",
              "need outcomes or fmatrix", "$")
@@ -281,7 +281,7 @@ def load_instance(path) -> InstanceSpec:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}") from e
     try:
         data = json.loads(raw)

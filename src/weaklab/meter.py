@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .contextual import spectral_family
-from .errors import DimensionError, NotCommuting, NotIsometry, OutOfValidityRange
+from .errors import DimensionError, NotCommuting, NotIsometry
 from .linalg import check_state, clamp_psd, dagger, psd_sqrt
 from .povm import ParamPovm, check_coupling, default_grid
 
@@ -96,8 +96,6 @@ def compose_isometry(
         raise DimensionError(
             f"got {len(ops)} operators for meter dimension {meter_dim}"
         )
-    if not (g_max > 0):
-        raise OutOfValidityRange(f"g_max must be positive, got {g_max}")
     first = _family_at(ops[0], 0.0)
     if first.ndim != 2 or first.shape[0] != first.shape[1]:
         raise DimensionError(f"measurement operators must be square, got {first.shape}")

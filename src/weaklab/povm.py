@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstantOutcome, DimensionError, NonUniformOrder, OutOfValidityRange
-from .linalg import HERMITIAN_TOL, psd_sqrt
+from .linalg import HERMITIAN_TOL, dagger, psd_sqrt
 
 #: coefficient matrices with no entry above this are treated as zero
 COEFF_ZERO_TOL = 1e-12
@@ -81,11 +81,6 @@ class PolyMatrix:
             acc = acc * g + c
         return acc
 
-    def nonzero_orders(self) -> list[int]:
-        return [
-            k for k, c in enumerate(self.coefficients) if np.abs(c).max() > COEFF_ZERO_TOL
-        ]
-
     def truncate(self, n: int, mode: str = "prefix") -> "PolyMatrix":
         """Low-order part of the family, all other coefficients zeroed.
 
@@ -125,8 +120,8 @@ class ParamPovm:
         for e in self.elements:
             if e.shape != d:
                 raise DimensionError("outcomes must share one dimension")
-        if not (self.g_max > 0):
-            raise OutOfValidityRange(f"g_max must be positive, got {self.g_max}")
+        if not valid_g_max(self.g_max):
+            raise OutOfValidityRange(f"g_max must be positive and finite, got {self.g_max}")
 
     @property
     def dim(self) -> int:
@@ -140,11 +135,24 @@ class ParamPovm:
     def max_degree(self) -> int:
         return max(e.max_degree for e in self.elements)
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """C[j, k] = coefficient k of outcome j, zero-padded: (n_out, max_degree + 1, d, d)."""
+        C = np.zeros((self.n_out, self.max_degree + 1, self.dim, self.dim), dtype=complex)
+        for j, e in enumerate(self.elements):
+            C[j, : e.max_degree + 1] = e.coefficients
+        return C
+
+
+def valid_g_max(g_max: float) -> bool:
+    """The g_max rule: finite, with default_grid's lowest coupling g_max * 1e-3 positive."""
+    return bool(np.isfinite(g_max) and g_max * 1e-3 > 0)
+
 
 def default_grid(g_max: float) -> np.ndarray:
     """Twenty logarithmically spaced positivity-check couplings in (0, g_max]."""
-    if not (g_max > 0):
-        raise OutOfValidityRange(f"g_max must be positive, got {g_max}")
+    if not valid_g_max(g_max):
+        raise OutOfValidityRange(f"g_max must be positive and finite, got {g_max}")
     return np.geomspace(g_max * 1e-3, g_max, 20)
 
 
@@ -172,28 +180,18 @@ def validate(povm: ParamPovm) -> ValidationReport:
     """
     grid = default_grid(povm.g_max)
 
-    failures: list[str] = []
-    herm = 0.0
-    for j, e in enumerate(povm.elements):
-        for k, c in enumerate(e.coefficients):
-            r = float(np.abs(c - c.conj().T).max())
-            herm = max(herm, r)
-            if r > HERMITIAN_TOL:
-                failures.append(
-                    f"coefficient {k} of outcome {j} is not Hermitian (residual {r:.3e})"
-                )
+    C = povm.coefficients
+    herm = np.abs(C - dagger(C)).max(axis=(-2, -1))  # (n_out, degree + 1)
+    failures = [
+        f"coefficient {k} of outcome {j} is not Hermitian (residual {herm[j, k]:.3e})"
+        for j, k in np.argwhere(herm > HERMITIAN_TOL)
+    ]
 
-    degree = povm.max_degree
-    comp = np.zeros(degree + 1)
-    eye = np.eye(povm.dim)
-    for k in range(degree + 1):
-        total = sum(e.coefficient(k) for e in povm.elements)
-        target = eye if k == 0 else 0.0
-        comp[k] = float(np.abs(total - target).max())
-        if comp[k] > COMPLETENESS_TOL:
-            failures.append(
-                f"completeness fails at order {k} (residual {comp[k]:.3e})"
-            )
+    total = sum(C)  # outcome by outcome, in order: C.sum(axis=0) may add them pairwise
+    total[0] -= np.eye(povm.dim)
+    comp = np.abs(total).max(axis=(-2, -1))
+    for k in np.flatnonzero(comp > COMPLETENESS_TOL):
+        failures.append(f"completeness fails at order {k} (residual {comp[k]:.3e})")
 
     # a coupling range that overflows F(g) gives NaN minima, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,7 +204,7 @@ def validate(povm: ParamPovm) -> ValidationReport:
         grid=grid,
         min_eigenvalues=mins,
         completeness_residuals=comp,
-        hermiticity_residual=herm,
+        hermiticity_residual=float(herm.max()),
         failures=failures,
     )
 
@@ -242,22 +240,17 @@ def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
     NonUniformOrder (with the per-outcome orders attached) if outcomes
     disagree.
     """
-    orders = []
-    constant = []
-    for j, e in enumerate(povm.elements):
-        ks = [k for k in e.nonzero_orders() if k >= 1]
-        if not ks:
-            constant.append(j)
-            orders.append(0)
-        else:
-            orders.append(min(ks))
+    nonzero = np.abs(povm.coefficients).max(axis=(-2, -1)) > COEFF_ZERO_TOL
+    nonzero[:, 0] = False
+    orders = tuple(nonzero.argmax(axis=1).tolist())  # first order >= 1 per outcome, 0 if none
+    constant = [j for j, k in enumerate(orders) if k == 0]
     if constant:
         raise ConstantOutcome(
             f"outcomes {constant} have no g-dependence; minimum order undefined"
         )
     if len(set(orders)) != 1:
-        raise NonUniformOrder(tuple(orders))
-    return MinOrderResult(n=orders[0], per_outcome_orders=tuple(orders))
+        raise NonUniformOrder(orders)
+    return MinOrderResult(n=orders[0], per_outcome_orders=orders)
 
 
 def measurement_operators(povm: ParamPovm, g: float) -> list[np.ndarray]:

@@ -178,6 +178,31 @@ def test_validate_rejects_overflowing_coupling_range(capsys, tmp_path):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("g_max", [float("inf"), 5e-324])
+@pytest.mark.parametrize("command", [["validate"], ["weak-limit", "--theta-f", "0.3"]])
+def test_g_max_infinite_or_underflowing_is_refused_at_load(capsys, tmp_path, g_max, command):
+    # inf passed degree 0 with a RuntimeWarning; 5e-324 puts 0 on the validation grid
+    path = tmp_path / "range.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["g_max"] = g_max
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValidationError: [Schema] at g_max: g_max must be positive and finite\n"
+
+
+def test_non_utf8_file_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"dim": 2}')
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: ParseError: {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["validate"], ["cv-solve", "--g", "0.1", "--a", "1,1"]])
 def test_file_with_outcomes_and_fmatrix_is_error(capsys, tmp_path, command):
     path = tmp_path / "both.json"
@@ -481,6 +506,17 @@ def test_mc_run_is_deterministic(capsys):
     assert 0 < successes < 2000
 
 
+def test_mc_run_without_final_state_names_no_flag(capsys):
+    # mc-run has no --psi-f or --theta-f; weak-limit keeps its own hint
+    code, out, err = run(capsys, "mc-run", "--instance", "flat", "--g", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: instance 'flat' has no final state\n"
+    code, _, err = run(capsys, "weak-limit", "--instance", "flat")
+    assert code == 2
+    assert err == "usage error: no final state: pass --theta-f or --psi-f\n"
+
+
 def test_mc_run_takes_any_128_bit_seed(capsys):
     argv = ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "10"]
     code, out, _ = run(capsys, *argv, "--seed", str(2**128 - 1))
@@ -617,3 +653,21 @@ def test_cold_process_runs_cleanly(argv):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader closes the pipe after 10 bytes of about 190 kB, more than a
+    # pipe buffer holds, so a later write of the command must fail
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["--instance", "qubit-linear", "--theta-f", "0.3", "--grid-points", "4000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weaklab.cli", "weak-limit", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -7,8 +7,9 @@ import pytest
 from weaklab import asymptotics as ay
 from weaklab import contextual as cx
 from weaklab import linalg
+from weaklab import povm as pv
 from weaklab import weak as wk
-from weaklab.errors import NotCommuting, ValidationError
+from weaklab.errors import ConstantOutcome, NonUniformOrder, NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
 
 I2 = np.eye(2)
@@ -268,3 +269,176 @@ def test_pole_order_quadratic_family():
     est = ay.pinv_pole_order(F.poly, F.a_vec)
     assert abs(est.exponent - 2.0) < 0.05
     assert est.reliable
+
+
+# ------------------------------------- stacked coefficient rewrites vs loops
+#
+# validate, minimum_nonzero_order, spectral_family and row_sum_residual read
+# the family's coefficients as one (n_out, degree + 1, d, d) stack.  The
+# oracles below walk the same coefficients outcome by outcome and order by
+# order, and every result must agree with them bit for bit.
+
+
+def _loop_checks(povm):
+    """Hermiticity and completeness failures and residuals, outcome by order."""
+    failures, herm = [], 0.0
+    for j, e in enumerate(povm.elements):
+        for k, c in enumerate(e.coefficients):
+            r = float(np.abs(c - c.conj().T).max())
+            herm = max(herm, r)
+            if r > linalg.HERMITIAN_TOL:
+                failures.append(
+                    f"coefficient {k} of outcome {j} is not Hermitian (residual {r:.3e})"
+                )
+    comp = np.zeros(povm.max_degree + 1)
+    for k in range(povm.max_degree + 1):
+        total = sum(e.coefficient(k) for e in povm.elements)
+        comp[k] = float(np.abs(total - (np.eye(povm.dim) if k == 0 else 0.0)).max())
+        if comp[k] > pv.COMPLETENESS_TOL:
+            failures.append(f"completeness fails at order {k} (residual {comp[k]:.3e})")
+    return failures, herm, comp
+
+
+def _loop_orders(povm):
+    """Smallest order k >= 1 with a nonzero coefficient per outcome, 0 if none."""
+    orders = []
+    for e in povm.elements:
+        ks = [k for k, c in enumerate(e.coefficients) if np.abs(c).max() > pv.COEFF_ZERO_TOL]
+        ks = [k for k in ks if k >= 1]
+        orders.append(min(ks) if ks else 0)
+    return tuple(orders)
+
+
+def _loop_spectral(povm, *lead):
+    ops = list(lead) + [
+        c for e in povm.elements for c in e.coefficients if np.abs(c).max() > pv.COEFF_ZERO_TOL
+    ]
+    basis = linalg.common_eigenbasis(ops)
+    coeffs = []
+    for k in range(povm.max_degree + 1):
+        C = linalg.dagger(basis) @ np.stack([e.coefficient(k) for e in povm.elements]) @ basis
+        coeffs.append(np.real(np.diagonal(C, axis1=1, axis2=2)).T)
+    return basis, PolyMatrix(coeffs)
+
+
+def _loop_row_sum(poly):
+    worst = 0.0
+    for k, c in enumerate(poly.coefficients):
+        worst = max(worst, float(np.abs(c.real.sum(axis=1) - (1.0 if k == 0 else 0.0)).max()))
+    return worst
+
+
+def _mixed_degree_family(rng, dim=3):
+    """Complete commuting family in a random basis: outcome degrees 0, 2, 1 and 2.
+
+    Outcome 1 has no order-1 term, so its order-2 coefficient orders the
+    basis when no lead operator does: (outcome, order) sequence, not
+    (order, outcome).
+    """
+    U = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    rot = lambda v: U @ np.diag(v) @ U.conj().T
+    w = rng.random(3) / 4
+    b, c = (0.1 * rng.standard_normal(dim) for _ in range(2))
+    zero = np.zeros((dim, dim))
+    elements = (
+        PolyMatrix([rot(np.full(dim, w[0]))]),
+        PolyMatrix([rot(np.full(dim, w[1])), zero, rot(c)]),
+        PolyMatrix([rot(np.full(dim, w[2])), rot(b)]),
+        PolyMatrix([rot(np.full(dim, 1 - w.sum())), rot(-b), rot(-c)]),
+    )
+    A = rot(rng.standard_normal(dim))
+    return ParamPovm(elements=elements, g_max=0.5), A
+
+
+def _assert_matches_loops(povm, *lead):
+    report = pv.validate(povm)
+    failures, herm, comp = _loop_checks(povm)
+    assert [m for m in report.failures if not m.startswith("outcome ")] == failures
+    assert report.hermiticity_residual == herm
+    assert report.completeness_residuals.tobytes() == comp.tobytes()
+
+    orders = _loop_orders(povm)
+    if 0 in orders:
+        constant = [j for j, k in enumerate(orders) if k == 0]
+        with pytest.raises(ConstantOutcome) as err:
+            pv.minimum_nonzero_order(povm)
+        assert str(err.value).startswith(f"outcomes {constant} have no g-dependence")
+    elif len(set(orders)) > 1:
+        with pytest.raises(NonUniformOrder) as err:
+            pv.minimum_nonzero_order(povm)
+        assert err.value.per_outcome_orders == orders
+    else:
+        assert pv.minimum_nonzero_order(povm).per_outcome_orders == orders
+
+    if not failures:
+        basis, poly = cx.spectral_family(povm, *lead)
+        loop_basis, loop_poly = _loop_spectral(povm, *lead)
+        assert basis.tobytes() == loop_basis.tobytes()
+        assert len(poly.coefficients) == len(loop_poly.coefficients)
+        for c, loop_c in zip(poly.coefficients, loop_poly.coefficients):
+            assert c.tobytes() == loop_c.tobytes()
+        F = cx.FMatrix(poly=poly, a_vec=np.zeros(povm.dim), basis=basis)
+        assert F.row_sum_residual() == _loop_row_sum(poly)
+    return report
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_degree_family_matches_loops(seed):
+    # a degree-0 outcome beside degree-2 ones: the stack zero-pads it
+    povm, A = _mixed_degree_family(np.random.default_rng(seed))
+    assert [e.max_degree for e in povm.elements] == [0, 2, 1, 2]
+    _assert_matches_loops(povm, A)
+    _assert_matches_loops(povm)
+    F = cx.build_F(povm, A)
+    assert F.basis.tobytes() == _loop_spectral(povm, A)[0].tobytes()
+
+
+def test_broken_family_lists_failures_in_loop_order():
+    rng = np.random.default_rng(11)
+    povm, _ = _mixed_degree_family(rng)
+    coeffs = [list(e.coefficients) for e in povm.elements]
+    skew = np.zeros((3, 3))
+    skew[0, 2] = 1e-3
+    for j, k in [(0, 0), (1, 2), (3, 1), (3, 0)]:
+        coeffs[j][k] = coeffs[j][k] + (j + 1) * skew  # not Hermitian
+    coeffs[2][1] = coeffs[2][1] + 1e-6 * np.eye(3)  # incomplete at order 1
+    coeffs[1][0] = coeffs[1][0] + 1e-9 * np.eye(3)  # and at order 0
+    broken = ParamPovm(elements=tuple(PolyMatrix(c) for c in coeffs), g_max=0.5)
+    report = _assert_matches_loops(broken)
+    assert [m.split(" (")[0] for m in report.failures if not m.startswith("outcome ")] == [
+        "coefficient 0 of outcome 0 is not Hermitian",
+        "coefficient 2 of outcome 1 is not Hermitian",
+        "coefficient 0 of outcome 3 is not Hermitian",
+        "coefficient 1 of outcome 3 is not Hermitian",
+        "completeness fails at order 0",
+        "completeness fails at order 1",
+        "completeness fails at order 2",
+    ]
+
+
+def test_dimension_one_many_outcomes_sums_outcomes_in_order():
+    # twelve constant 1 x 1 outcomes: numpy's pairwise C.sum(axis=0) rounds
+    # the completeness residual differently from adding outcome by outcome
+    w = np.random.default_rng(4).random(12)
+    w /= w.sum()
+    povm = ParamPovm(elements=tuple(PolyMatrix([[[x]]]) for x in w), g_max=0.5)
+    C = povm.coefficients
+    assert C.shape == (12, 1, 1, 1)
+    report = _assert_matches_loops(povm)
+    assert report.completeness_residuals[0] != np.abs(C.sum(axis=0) - 1).max()
+    # a mixed-degree 1 x 1 family with as many outcomes
+    rng = np.random.default_rng(5)
+    slopes = 0.1 * rng.standard_normal((11, 2))
+    elements = [PolyMatrix([[[x / 2]], [[s]], [[q]]]) for x, (s, q) in zip(w[:11], slopes)]
+    elements.append(PolyMatrix([[[1 - w[:11].sum() / 2]], [[-slopes[:, 0].sum()]], [[0.0]]]))
+    mixed = ParamPovm(elements=tuple(elements), g_max=0.5)
+    _assert_matches_loops(mixed, np.eye(1))
+
+
+def test_row_sum_residual_matches_loop_on_random_shapes():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        rows, cols, degree = rng.integers(1, 7), rng.integers(1, 12), rng.integers(0, 4)
+        poly = PolyMatrix(list(rng.standard_normal((degree + 1, rows, cols))))
+        F = cx.FMatrix(poly=poly, a_vec=np.zeros(rows))
+        assert F.row_sum_residual() == _loop_row_sum(poly)

@@ -9,7 +9,7 @@ from weaklab import linalg
 from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import weak as wk
-from weaklab.errors import NotIsometry, NotPositive
+from weaklab.errors import NotIsometry, NotPositive, OutOfValidityRange
 from weaklab.linalg import partial_trace_meter, projector, trace_distance
 from weaklab.povm import ParamPovm, PolyMatrix
 
@@ -223,6 +223,12 @@ def test_noncommuting_family_still_dilates(count_calls):
     for g in (0.0, 0.3, 0.9):
         direct = [np.vdot(s, E @ s).real for E in pv.evaluate(povm, g)]
         npt.assert_allclose(mt.outcome_probabilities(model, s, g), direct, atol=1e-12)
+
+
+def test_compose_isometry_refuses_infinite_g_max():
+    ops = mt.positive_family(qubit_linear())
+    with pytest.raises(OutOfValidityRange, match="positive and finite, got inf"):
+        mt.compose_isometry(ops, 2, float("inf"))
 
 
 def test_stacked_checks_name_the_first_failing_coupling():

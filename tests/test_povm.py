@@ -72,7 +72,6 @@ def test_polymatrix_coefficients_are_frozen():
 
 def test_polymatrix_nonzero_orders_and_keep():
     P = PolyMatrix([I2, np.zeros((2, 2)), Z])
-    assert P.nonzero_orders() == [0, 2]
     assert P.truncate(1, mode="eq13").max_degree == 0
     npt.assert_array_equal(P.truncate(1)(0.5), I2)
     # above the top order, eq13 keeps only the constant term and prefix keeps everything
@@ -159,6 +158,17 @@ def test_check_coupling_names_the_first_coupling_out_of_range():
         pv.check_coupling(np.array([0.1, 0.7, -0.2, np.nan]), 0.5)
     with pytest.raises(OutOfValidityRange, match=r"^g=nan outside"):
         pv.check_coupling(np.array([0.1, np.nan, 0.7]), 0.5)
+
+
+@pytest.mark.parametrize("g_max", [0.0, -1.0, float("nan"), float("inf"), 5e-324])
+def test_g_max_must_be_finite_with_a_positive_grid(g_max):
+    # default_grid's lowest coupling g_max * 1e-3 is 0 for g_max = 5e-324
+    assert not pv.valid_g_max(g_max)
+    with pytest.raises(OutOfValidityRange, match="positive and finite"):
+        qubit_linear(g_max=g_max)
+    with pytest.raises(OutOfValidityRange, match="positive and finite"):
+        pv.default_grid(g_max)
+    assert pv.valid_g_max(1e308) and pv.valid_g_max(1e-320)
 
 
 def test_default_grid():
