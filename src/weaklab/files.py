@@ -139,6 +139,14 @@ def _require(cond: bool, code: str, message: str, context: str | None = None):
         raise ValidationError(code, message, context)
 
 
+def _to_float(x: int | float) -> float:
+    """float(x), with an integer beyond float range read as +-inf, like Infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
+
+
 def _decode_complex_pair(entry, context: str) -> complex:
     _require(
         isinstance(entry, (list, tuple)) and len(entry) == 2
@@ -147,7 +155,7 @@ def _decode_complex_pair(entry, context: str) -> complex:
         "expected a [re, im] number pair",
         context,
     )
-    return complex(float(entry[0]), float(entry[1]))
+    return complex(_to_float(entry[0]), _to_float(entry[1]))
 
 
 def _decode_matrix(data, rows: int, cols: int, context: str) -> np.ndarray:
@@ -200,7 +208,7 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
              "Schema", "dim must be a positive integer", "dim")
     g_max = d["g_max"]
     _require(isinstance(g_max, (int, float)) and not isinstance(g_max, bool)
-             and valid_g_max(float(g_max)), "Schema", "g_max must be positive and finite", "g_max")
+             and valid_g_max(_to_float(g_max)), "Schema", "g_max must be positive and finite", "g_max")
     g_max = float(g_max)
     _require("outcomes" in d or "fmatrix" in d, "Schema",
              "need outcomes or fmatrix", "$")

@@ -151,6 +151,60 @@ def commutator_norm(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.linalg.norm(X @ Y - Y @ X))
 
 
+def _diagonal_basis(ops) -> np.ndarray | None:
+    """common_eigenbasis of exactly diagonal operators, or None for any other input.
+
+    Accepts a family of one square shape whose entries are finite, whose
+    off-diagonal entries are exactly zero and whose diagonals pass
+    check_hermitian's test; everything else is left to the general path,
+    which raises what it always raised.  On such a family the off-diagonal
+    entries of B^H op B are exactly zero, and so are the commutators of real
+    diagonals (complex ones leave rounding noise far inside
+    COMMUTATOR_REL_TOL): both commutation tests are identities, so they are
+    skipped here, and for no other input.
+
+    The refinement runs on the real diagonals, which are what eigh returns
+    for them, with the same grouping; a degeneracy that survives every
+    operator comes out in descending index, as _lex_key sorts unit vectors.
+    Entries of 2**256 or more are left to the general path too: below that
+    no product or norm it forms overflows and eigh does not rescale (above
+    2**485 it does), so both paths agree on every family this one takes.
+    """
+    try:
+        stack = np.array(ops, dtype=complex)
+    except (TypeError, ValueError):
+        return None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+        return None
+    D = np.diagonal(stack, axis1=1, axis2=2)
+    scale = np.maximum(1.0, np.abs(D).max(axis=1))
+    if not (
+        np.isfinite(D).all()
+        and scale.max() < 2.0**256
+        and np.count_nonzero(stack) == np.count_nonzero(D)
+        and (np.abs(D - D.conj()) <= HERMITIAN_TOL * scale[:, None]).all()
+    ):
+        return None
+    d = stack.shape[1]
+    blocks = [list(range(d))]
+    for w in D.real.tolist():
+        if len(blocks) == d:
+            break  # every column is already an eigenvector of every operator
+        refined = []
+        for b in blocks:
+            b = sorted(b, key=lambda k: -w[k])
+            tol = DEGENERACY_TOL * max(1.0, max(abs(w[k]) for k in b))
+            start = 0
+            for stop in range(1, len(b) + 1):
+                if stop == len(b) or abs(w[b[stop]] - w[b[start]]) > tol:
+                    refined.append(b[start:stop])
+                    start = stop
+        blocks = refined
+    basis = np.zeros((d, d), dtype=complex)
+    basis[[k for b in blocks for k in sorted(b, reverse=True)], range(d)] = 1.0
+    return basis
+
+
 def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """Orthonormal basis (columns) simultaneously diagonalizing commuting Hermitian ops.
 
@@ -166,9 +220,16 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
     LAPACK would return its single eigenvalue with eigenvector 1, so it is
     kept without an eigh call.  Once an operator with a simple spectrum has
     been seen, the remaining operators cost no eigendecomposition at all.
+
+    No eigendecomposition runs at all when every operator is exactly
+    diagonal (see _diagonal_basis): the basis is then the permutation
+    matrix that the refinement above gives, bit for bit.
     """
     if not ops:
         raise InvalidMatrix("need at least one operator")
+    basis = _diagonal_basis(ops)
+    if basis is not None:
+        return basis
     mats = [check_hermitian(op) for op in ops]
     d = mats[0].shape[0]
     for m in mats[1:]:

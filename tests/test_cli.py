@@ -193,6 +193,18 @@ def test_g_max_infinite_or_underflowing_is_refused_at_load(capsys, tmp_path, g_m
     assert err == "error: ValidationError: [Schema] at g_max: g_max must be positive and finite\n"
 
 
+def test_g_max_integer_beyond_float_range_is_refused_at_load(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["g_max"] = 10**400
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValidationError: [Schema] at g_max: g_max must be positive and finite\n"
+
+
 def test_non_utf8_file_is_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff\xfe{"dim": 2}')

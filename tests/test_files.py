@@ -219,6 +219,21 @@ def test_overflowing_coupling_range_rejected(tmp_path):
     assert "not finite" in str(err)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_beyond_float_range_is_refused_like_infinity(tmp_path, sign):
+    # float() of such an integer raises OverflowError; the loader reads it as
+    # +-inf, which every field already refuses with a ValidationError
+    huge = sign * 10**400
+    err = check_code(tmp_path, lambda d: d.update(g_max=huge), "Schema")
+    assert err.context == "g_max"
+
+    def mutate(d):
+        d["observable"][0][0] = [huge, 0]
+
+    err = check_code(tmp_path, mutate, "BadValue")
+    assert err.context == "observable"
+
+
 def test_wrong_matrix_shape_rejected(tmp_path):
     def mutate(d):
         d["observable"] = [[[1.0, 0.0]]]

@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weaklab import linalg
-from weaklab.errors import InvalidMatrix, InvalidState, NotCommuting, NotPositive
+from weaklab import contextual, linalg, meter, registry, weak
+from weaklab.errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
+from weaklab.povm import ParamPovm, PolyMatrix
 
 
 def random_hermitian(rng, d):
@@ -190,6 +193,211 @@ def test_common_eigenbasis_rejects_noncommuting():
     assert err.value.commutator_norm == linalg.commutator_norm(
         linalg.check_hermitian(Z), linalg.check_hermitian(X)
     )
+
+
+# ---------------------------------------------- diagonal path vs. eigh oracle
+
+
+def _oracle_canonical_phase(v):
+    k = int(np.argmax(np.abs(v)))
+    pivot = v[k]
+    if abs(pivot) == 0.0:
+        return v
+    return v * (pivot.conjugate() / abs(pivot))
+
+
+def _oracle_lex_key(v):
+    r = np.round(v.real, 9) + 0.0
+    i = np.round(v.imag, 9) + 0.0
+    return tuple(np.stack([r, i], axis=1).ravel())
+
+
+def oracle_common_eigenbasis(ops):
+    """common_eigenbasis as it was before the diagonal path: eigh refinement always."""
+    if not ops:
+        raise InvalidMatrix("need at least one operator")
+    mats = [linalg.check_hermitian(op) for op in ops]
+    d = mats[0].shape[0]
+    for m in mats[1:]:
+        if m.shape != (d, d):
+            raise DimensionError("operators must share a dimension")
+    stack = np.stack(mats)
+    left, right = np.triu_indices(len(mats), 1)
+    if left.size:
+        X, Y = stack[left], stack[right]
+        norms = np.linalg.norm(X @ Y - Y @ X, axis=(-2, -1))
+        sizes = np.linalg.norm(stack, axis=(-2, -1))
+        bad = np.flatnonzero(
+            norms > linalg.COMMUTATOR_REL_TOL * np.maximum(sizes[left] * sizes[right], 1e-300)
+        )
+        if bad.size:
+            i, j = int(left[bad[0]]), int(right[bad[0]])
+            raise NotCommuting(i, j, linalg.commutator_norm(mats[i], mats[j]))
+    blocks = [np.eye(d, dtype=complex)]
+    for m in mats:
+        refined = []
+        for B in blocks:
+            if B.shape[1] == 1:
+                refined.append(B)
+                continue
+            S = linalg.dagger(B) @ m @ B
+            S = 0.5 * (S + linalg.dagger(S))
+            w, V = np.linalg.eigh(S)
+            w, V = w[::-1], V[:, ::-1]
+            scale = max(1.0, float(np.abs(w).max()))
+            start = 0
+            while start < len(w):
+                stop = start + 1
+                while stop < len(w) and abs(w[stop] - w[start]) <= linalg.DEGENERACY_TOL * scale:
+                    stop += 1
+                refined.append(B @ V[:, start:stop])
+                start = stop
+        blocks = refined
+    columns = []
+    for B in blocks:
+        cols = [_oracle_canonical_phase(B[:, k]) for k in range(B.shape[1])]
+        if len(cols) > 1:
+            cols.sort(key=_oracle_lex_key)
+        columns.extend(cols)
+    basis = np.stack(columns, axis=1)
+    off = np.abs(linalg.dagger(basis) @ stack @ basis)
+    off[:, range(d), range(d)] = 0.0
+    worst = off.max(axis=(-2, -1))
+    bad = np.flatnonzero(worst > 1e-9 * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1))))
+    if bad.size:
+        idx = int(bad[0])
+        raise NotCommuting(idx, idx, float(worst[idx]))
+    return basis
+
+
+def assert_matches_oracle(ops, diagonal=True):
+    assert (linalg._diagonal_basis(ops) is not None) == diagonal
+    assert linalg.common_eigenbasis(ops).tobytes() == oracle_common_eigenbasis(ops).tobytes()
+
+
+def recorded_families(monkeypatch, run):
+    """Every op list that run() hands to common_eigenbasis through contextual."""
+    seen = []
+    solve = contextual.common_eigenbasis
+    monkeypatch.setattr(contextual, "common_eigenbasis", lambda ops: seen.append(list(ops)) or solve(ops))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_diagonal_path_matches_oracle_on_registry_families(monkeypatch):
+    def run():
+        for name in registry.REGISTRY:
+            spec = registry.get_instance(name)
+            if spec.povm is not None:
+                contextual.build_F(spec.povm, spec.observable)
+                meter.positive_family(spec.povm)
+
+    families = recorded_families(monkeypatch, run)
+    assert len(families) == 6  # eq70 is a raw matrix family
+    for ops in families:
+        assert_matches_oracle(ops)
+
+
+def test_diagonal_path_matches_oracle_on_sweep_families(monkeypatch):
+    families = recorded_families(
+        monkeypatch, lambda: [weak.conjecture_trial(7, t) for t in range(100)]
+    )
+    assert len(families) >= 100
+    for ops in families:
+        assert_matches_oracle(ops)
+
+
+def test_diagonal_path_matches_oracle_on_degenerate_families(monkeypatch):
+    t = linalg.DEGENERACY_TOL
+    h = linalg.HERMITIAN_TOL
+    diag = np.diag
+    neg_off = diag([1.0, 2.0]) * np.array([[1.0, -0.0], [-0.0, 1.0]])
+    families = [
+        [diag([1.0, 1.0, 0.0, 0.0]), diag([2.0, 2.0, 2.0, 5.0])],  # exact ties
+        [diag([1.0, 1.0 + 0.5 * t, 1.0 - 0.5 * t, 0.5]), diag([0.0, 1.0, 2.0, 3.0])],
+        # grouped against each group's first value: 1 and 1 - 0.8t tie,
+        # 1 - 1.6t starts a new group, though it is within t of 1 - 0.8t
+        [diag([1.0 - 1.6 * t, 1.0, 1.0 - 0.8 * t]), diag([3.0, 1.0, 2.0])],
+        [diag([1e6 * (1 + 0.9 * t), 1e6, 7.0])],  # tolerance scales with |w|max
+        [np.eye(3), 2.0 * np.eye(3)],  # ties that survive every operator
+        [diag([5.0, 5.0, 5.0, 1.0]), diag([0.0, 0.0, 0.0, 0.0])],
+        [diag([1.0 + 0.4j * h, 0.5 - 0.4j * h, 0.5]), diag([0.0, 0.25j * h, 1.0])],
+        [diag([-0.0, 0.0, 1.0]), diag([0.0, -0.0, -0.0])],  # signed zeros
+        [neg_off, np.eye(2)],  # -0.0 off the diagonal is still diagonal
+        [diag([3.0, -1.0, 2.0]).real],  # real dtype, simple spectrum
+        [np.array([[2.0]])],
+        [diag([1e70, -1e70, 1e70 * (1 + 0.5 * t)]), diag([1.0, 2.0, 3.0])],
+        [diag([1e-200, 0.0, -1e-200])],
+    ]
+    for ops in families:
+        assert_matches_oracle(ops)
+
+    # degree-0 outcomes: an outcome with no coupling dependence at all
+    povm = ParamPovm(
+        elements=(
+            PolyMatrix([np.eye(2) / 3]),
+            PolyMatrix([np.eye(2) / 3, diag([1.0, -1.0]) / 3]),
+            PolyMatrix([np.eye(2) / 3, diag([-1.0, 1.0]) / 3]),
+        ),
+        g_max=0.5,
+    )
+    recorded = recorded_families(
+        monkeypatch,
+        lambda: (contextual.build_F(povm, diag([1.0, 1.0])), meter.positive_family(povm)),
+    )
+    assert len(recorded) == 2
+    for ops in recorded:
+        assert_matches_oracle(ops)
+
+
+def test_general_path_still_serves_every_other_family():
+    U = random_unitary(np.random.default_rng(17), 3)
+    rotated = [U @ np.diag(w) @ U.conj().T for w in ([1.0, 1.0, 0.0], [2.0, -1.0, 5.0])]
+    assert_matches_oracle(rotated, diagonal=False)
+    # beyond 2**256 the diagonal path steps aside, so overflow stays the general path's
+    assert_matches_oracle([np.diag([2.0**256, 1.0])], diagonal=False)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [np.diag([np.nan, 1.0])],
+        [np.diag([1.0, 2.0]), np.diag([np.inf, 0.0])],
+        [np.diag([1.0, 2.0]), np.ones((2, 3))],
+        [np.eye(2), np.eye(3)],
+        [np.diag([1.0, 1j])],  # not Hermitian
+        [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],  # not commuting
+        [np.zeros((0, 0))],
+        [],
+    ],
+    ids=[
+        "nan", "inf-second", "non-square", "mixed-dims", "non-hermitian", "non-commuting",
+        "zero-dim", "empty",
+    ],
+)
+def test_diagonal_path_keeps_every_error(ops):
+    with pytest.raises(Exception) as want:
+        oracle_common_eigenbasis(ops)
+    with pytest.raises(Exception) as got:
+        linalg.common_eigenbasis(ops)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=4
+        )
+    ),
+    st.floats(min_value=1e-300, max_value=1e70),
+)
+def test_diagonal_path_equals_oracle_bit_for_bit(rows, scale):
+    # small integers make exact ties common; the scale moves them across
+    # the degeneracy tolerance's max(1, |w|max) floor
+    assert_matches_oracle([np.diag(np.array(r, dtype=complex) * scale) for r in rows])
 
 
 def test_commutator_norm():

@@ -160,11 +160,13 @@ def test_dilation_hot_path_shape(count_calls):
     povm = inst.povm
     sqrts = count_calls(linalg, "psd_sqrt")
     solves = count_calls(linalg, "pinv_and_rank")
+    eighs = count_calls(np.linalg, "eigh")
     model = dilate(povm, cx.build_F(povm, inst.observable))
     g = 0.7 * povm.g_max
     mt.outcome_probabilities(model, inst.psi_i, g)
     mt.meter_expectation(model, inst.psi_i, g)
     assert sqrts[0] == 0
+    assert eighs[0] == 0  # both eigenbases of a diagonal family are permutations
     # one solve per grid coupling and one at g, not one per outcome
     assert solves[0] == len(pv.default_grid(povm.g_max)) + 1
 
@@ -179,6 +181,17 @@ def rotated_povm(povm, U, perm):
         PolyMatrix([U @ c @ U.conj().T for c in povm.elements[j].coefficients]) for j in perm
     )
     return ParamPovm(elements=elements, g_max=povm.g_max)
+
+
+def test_rotated_family_still_takes_eigh(count_calls):
+    # the general common-eigenbasis path stays in use off the diagonal
+    rng = np.random.default_rng(3)
+    inst = wk.generate_linear_commuting_instance(rng, 3, 4)
+    U = haar(rng, 3)
+    povm = rotated_povm(inst.povm, U, range(4))
+    eighs = count_calls(np.linalg, "eigh")
+    dilate(povm, cx.build_F(povm, U @ inst.observable @ U.conj().T))
+    assert eighs[0] >= 2  # one eigenbasis for build_F, one for positive_family
 
 
 def test_eigenbasis_roots_equal_psd_sqrt():

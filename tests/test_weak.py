@@ -427,11 +427,13 @@ def test_sweep_hot_path_shape(count_calls):
             (cx, "exact_cv_exists"),
             (cx, "solve_grid"),
             (np.polynomial.Polynomial, "convert"),
+            (np.linalg, "eigh"),
         ]
     }
     wk.conjecture_sweep(7, 10)
     n = {name: c[0] for name, c in counts.items()}
     assert n["psd_sqrt"] == 0
+    assert n["eigh"] == 0  # every generated family is diagonal
     assert n["convert"] == 0  # no trial reads its fit coefficients
     assert n["conditioned_average"] == 0
     # one F per draw that reaches the exactness check, none for the limit
