@@ -6,10 +6,10 @@ linear family with no identically-zero singular value has all singular
 values of exact first order in g; these tools measure leading orders by
 log-log regression and check the claim instance by instance.  Each curve
 is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
-SVD and `pinv_pole_order` one `contextual.solve_grid`.  The pole grid is the
-weak-limit ladder `weak.limit_grid()` at its fixed top 0.1, whatever the
-family's g_max; `weak_limit` tops its ladder at min(0.1, g_max), so the two
-share their couplings only when g_max >= 0.1.
+SVD and `pinv_pole_order` one `contextual.solve_grid`.  Every g -> 0 ladder
+is `weak.limit_grid(g_max)`, topped at min(0.1, g_max).  The pole grid
+passes no g_max, so it tops out at 0.1 whatever the family's g_max, and
+shares its couplings with `weak_limit` only when g_max >= 0.1.
 """
 
 from __future__ import annotations

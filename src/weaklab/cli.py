@@ -32,14 +32,14 @@ from .asymptotics import (
     truncation_svd_commutator,
 )
 from .contextual import FMatrix, build_F, is_exact, pseudoinverse_cv, truncated_cv_check
-from .errors import NotLinear, ParseError, WeakLabError
+from .errors import NoExactCv, NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .montecarlo import McConfig, sample_run
 from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
-from .weak import CONJECTURE_TOL, LIMIT_GRID_POINTS, LIMIT_GRID_TOP, TRIAL_N_OUT_MAX
-from .weak import conditioned_average, conjecture_sweep, weak_limit
+from .weak import CONJECTURE_TOL, LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX
+from .weak import conditioned_average, conjecture_sweep, limit_grid, weak_limit
 
 
 class _UsageError(Exception):
@@ -171,7 +171,10 @@ def _cmd_cv_solve(args) -> int:
     spec = _resolve(args)
     F = _fmatrix(spec, args.a)
     check_coupling(args.g, spec.g_max)
-    sol = pseudoinverse_cv(F, args.g)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
+        sol = pseudoinverse_cv(F, args.g)
+    if not np.isfinite(sol.alpha).all():
+        raise NoExactCv(f"contextual values overflow at g = {_f(args.g)}")
     exact = is_exact(sol.residual)
     print(f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}")
     print(f"a     = {_vec(F.a_vec)}")
@@ -187,7 +190,10 @@ def _cmd_cv_solve(args) -> int:
 def _cmd_pole_order(args) -> int:
     spec = _resolve(args)
     F = _fmatrix(spec, args.a)
-    est = pinv_pole_order(F.poly, F.a_vec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
+        est = pinv_pole_order(F.poly, F.a_vec)
+    if not np.isfinite(est.alpha_sup).all():
+        raise NoExactCv("contextual values overflow on the pole grid")
     print(f"instance {spec.name}: a = {_vec(F.a_vec)}")
     if est.alpha_zero:
         print("alpha(g) vanishes on the whole grid: no pole")
@@ -250,8 +256,7 @@ def _cmd_weak_limit(args) -> int:
     if args.grid_min is None and args.grid_max is None and args.grid_points == LIMIT_GRID_POINTS:
         grid = None  # weak_limit's own ladder
     else:
-        g_top = min(LIMIT_GRID_TOP, spec.povm.g_max)
-        g_hi = args.grid_max if args.grid_max is not None else g_top
+        g_hi = args.grid_max if args.grid_max is not None else limit_grid(spec.povm.g_max)[0]
         g_lo = args.grid_min if args.grid_min is not None else g_hi * 2.0 ** (1 - LIMIT_GRID_POINTS)
         if not (0 < g_lo < g_hi):
             raise _UsageError("need 0 < --grid-min < --grid-max")

@@ -128,27 +128,16 @@ def projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def partial_trace_meter(T: np.ndarray, system_dim: int, meter_dim: int) -> np.ndarray:
-    """Trace out the second (meter) factor of an operator on system (x) meter.
-
-    The composite index convention is system-major: basis state (i, j) of the
-    product space sits at flat index i * meter_dim + j.
-    """
-    T = np.asarray(T, dtype=complex)
-    d = system_dim * meter_dim
-    if system_dim < 1 or meter_dim < 1:
-        raise DimensionError("dimensions must be positive")
-    if T.shape != (d, d):
-        raise DimensionError(
-            f"operator shape {T.shape} does not match "
-            f"system_dim * meter_dim = {d}"
-        )
-    R = T.reshape(system_dim, meter_dim, system_dim, meter_dim)
-    return np.einsum("imjm->ij", R)
+def _pow2_scale(M: np.ndarray) -> np.ndarray:
+    """2**e per matrix with M / 2**e below 1 entrywise: dividing by it loses no bits."""
+    return np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(-2, -1)))[1])
 
 
 def commutator_norm(X: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.linalg.norm(X @ Y - Y @ X))
+    """Frobenius norm of XY - YX, taken on exactly scaled copies so only the result can overflow."""
+    sx, sy = float(_pow2_scale(X)), float(_pow2_scale(Y))
+    X, Y = X / sx, Y / sy
+    return sx * sy * float(np.linalg.norm(X @ Y - Y @ X))
 
 
 def _diagonal_basis(ops) -> np.ndarray | None:
@@ -238,9 +227,11 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
     stack = np.stack(mats)
     left, right = np.triu_indices(len(mats), 1)
     if left.size:
-        X, Y = stack[left], stack[right]
+        # a relative test, so each operator may be scaled down first: no overflow at any size
+        unit = stack / _pow2_scale(stack)[:, None, None]
+        X, Y = unit[left], unit[right]
         norms = np.linalg.norm(X @ Y - Y @ X, axis=(-2, -1))
-        sizes = np.linalg.norm(stack, axis=(-2, -1))
+        sizes = np.linalg.norm(unit, axis=(-2, -1))
         bad = np.flatnonzero(
             norms > COMMUTATOR_REL_TOL * np.maximum(sizes[left] * sizes[right], 1e-300)
         )
@@ -287,9 +278,3 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
         idx = int(bad[0])
         raise NotCommuting(idx, idx, float(worst[idx]))
     return basis
-
-
-def trace_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Half the trace norm of A - B (both Hermitian)."""
-    diff = check_hermitian(A) - check_hermitian(B)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())

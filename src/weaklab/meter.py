@@ -150,15 +150,11 @@ def isometry_at(model: MeterModel, g: float) -> np.ndarray:
     return U
 
 
-def _meter_components(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
-    """U(g) s as a system_dim x meter_dim matrix: column j is M_j(g) s."""
-    s = check_state(s)
-    return (isometry_at(model, g) @ s).reshape(model.system_dim, model.meter_dim)
-
-
 def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
-    """P(j) = ||M_j(g) s||^2, read off the meter components of U(g) s."""
-    return np.sum(np.abs(_meter_components(model, s, g)) ** 2, axis=0)
+    """P(j) = ||M_j(g) s||^2: column j of U(g) s, reshaped system x meter, is M_j(g) s."""
+    s = check_state(s)
+    W = (isometry_at(model, g) @ s).reshape(model.system_dim, model.meter_dim)
+    return np.sum(np.abs(W) ** 2, axis=0)
 
 
 def meter_expectation(model: MeterModel, s: np.ndarray, g: float) -> float:
@@ -168,20 +164,3 @@ def meter_expectation(model: MeterModel, s: np.ndarray, g: float) -> float:
     p = outcome_probabilities(model, s, g)
     vals = np.array([float(f(g)) for f in model.meter_eigenvalues])
     return float(vals @ p)
-
-
-def reduced_state(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
-    """Post-measurement system state sum_j M_j(g) |s><s| M_j(g)^H, the meter traced out."""
-    W = _meter_components(model, s, g)
-    return W @ dagger(W)
-
-
-def weak_coupling_check(model: MeterModel, s: np.ndarray) -> tuple[bool, float]:
-    """Is U(0) s a product state?  Returns (is_product, second Schmidt coefficient).
-
-    The Schmidt coefficients are the singular values of U(0) s reshaped as a
-    system x meter matrix; a product state has only one nonzero coefficient.
-    """
-    svals = np.linalg.svd(_meter_components(model, s, 0.0), compute_uv=False)
-    second = float(svals[1]) if len(svals) > 1 else 0.0
-    return second <= 1e-10, second

@@ -56,17 +56,6 @@ class PolyMatrix:
     def max_degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def dim(self) -> int:
-        if self.shape[0] != self.shape[1]:
-            raise DimensionError(f"matrix family is not square: {self.shape}")
-        return self.shape[0]
-
-    def coefficient(self, k: int) -> np.ndarray:
-        if 0 <= k <= self.max_degree:
-            return self.coefficients[k]
-        return np.zeros(self.shape, dtype=complex)
-
     def __call__(self, g: float | np.ndarray) -> np.ndarray:
         """Value at coupling g; an array g of shape (n, 1, 1) gives n stacked values.
 

@@ -27,7 +27,7 @@ from .linalg import check_hermitian, check_state, clamp_psd, dagger, projector
 from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 
 OVERLAP_TOL = 1e-12
-#: grid for limit extraction: LIMIT_GRID_TOP * 2**-k, k = 0..LIMIT_GRID_POINTS-1
+#: the g -> 0 ladder's top coupling; limit_grid lowers it to a smaller g_max
 LIMIT_GRID_TOP = 0.1
 LIMIT_GRID_POINTS = 13
 LIMIT_FIT_POINTS = 5
@@ -35,22 +35,6 @@ CONJECTURE_TOL = 1e-3
 #: upper ends of the ranges unfixed trial shapes are drawn from (2 <= dim <= n_out)
 TRIAL_DIM_MAX = 4
 TRIAL_N_OUT_MAX = 5
-
-
-def traditional_weak_value(
-    A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray
-) -> tuple[complex, float]:
-    """<psi_f|A psi_i> / <psi_f|psi_i> and its real part."""
-    A = check_hermitian(A)
-    psi_i = check_state(psi_i)
-    psi_f = check_state(psi_f)
-    denom = np.vdot(psi_f, psi_i)
-    if abs(denom) <= OVERLAP_TOL:
-        raise OrthogonalPostselection(
-            f"postselection overlap {abs(denom):.3e} vanishes"
-        )
-    wv = complex(np.vdot(psi_f, A @ psi_i) / denom)
-    return wv, wv.real
 
 
 def check_effect(E: np.ndarray) -> np.ndarray:
@@ -111,9 +95,9 @@ def conditioned_average(
     return float(alpha @ weights) / success, success
 
 
-def limit_grid(g_top: float = LIMIT_GRID_TOP) -> np.ndarray:
-    """Descending coupling ladder g_top * 2**-k used for limit extraction."""
-    return g_top * 2.0 ** -np.arange(LIMIT_GRID_POINTS, dtype=float)
+def limit_grid(g_max: float = LIMIT_GRID_TOP) -> np.ndarray:
+    """The g -> 0 ladder min(LIMIT_GRID_TOP, g_max) * 2**-k, k < LIMIT_GRID_POINTS, descending."""
+    return min(LIMIT_GRID_TOP, g_max) * 2.0 ** -np.arange(LIMIT_GRID_POINTS, dtype=float)
 
 
 @dataclass
@@ -146,11 +130,11 @@ def weak_limit(
     Exact contextual values must exist on the whole grid (otherwise
     NoExactCv); the limit is the constant term of a quadratic fitted to the
     five smallest couplings, compared against the state-pair weak value.
-    The default grid is limit_grid(min(LIMIT_GRID_TOP, g_max)).  This builds
+    The default grid is limit_grid(povm.g_max).  This builds
     F and hands it to _spectral_weak_limit, which does the work.
     """
     if g_grid is None:
-        g_grid = limit_grid(min(LIMIT_GRID_TOP, povm.g_max))
+        g_grid = limit_grid(povm.g_max)
     return _spectral_weak_limit(build_F(povm, A), povm, A, psi_i, psi_f, g_grid)
 
 
@@ -316,7 +300,7 @@ def generate_linear_commuting_instance(
             continue
 
         F = build_F(povm, A)
-        if not exact_cv_exists(F, limit_grid(min(LIMIT_GRID_TOP, g_max))):
+        if not exact_cv_exists(F, limit_grid(g_max)):
             continue  # ill-conditioned draw; hypothesis of exactness fails numerically
         return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F)
     raise GenerationFailed(
@@ -348,7 +332,7 @@ def conjecture_trial(
         n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
 
     inst = generate_linear_commuting_instance(rng, dim, n_out)
-    grid = limit_grid(min(LIMIT_GRID_TOP, inst.povm.g_max))
+    grid = limit_grid(inst.povm.g_max)
     report = _spectral_weak_limit(
         inst.F, inst.povm, inst.observable, inst.psi_i, inst.psi_f, grid
     )

@@ -74,6 +74,20 @@ def test_coupling_outside_validity_range_fails(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["cv-solve", "--instance", "eq70", "--g", "0.1", "--a", "1e308,-1e308"], "at g = 0.1"),
+        (["pole-order", "--instance", "eq70", "--a", "1e308,1e308"], "on the pole grid"),
+    ],
+)
+def test_overflowing_contextual_values_are_an_error(capsys, argv, where):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: NoExactCv: contextual values overflow {where}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "0"],

@@ -279,6 +279,11 @@ def test_pole_order_quadratic_family():
 # order, and every result must agree with them bit for bit.
 
 
+def _coefficient(e, k):
+    """Coefficient k of one outcome, zero above its degree."""
+    return e.coefficients[k] if k <= e.max_degree else np.zeros(e.shape, dtype=complex)
+
+
 def _loop_checks(povm):
     """Hermiticity and completeness failures and residuals, outcome by order."""
     failures, herm = [], 0.0
@@ -292,7 +297,7 @@ def _loop_checks(povm):
                 )
     comp = np.zeros(povm.max_degree + 1)
     for k in range(povm.max_degree + 1):
-        total = sum(e.coefficient(k) for e in povm.elements)
+        total = sum(_coefficient(e, k) for e in povm.elements)
         comp[k] = float(np.abs(total - (np.eye(povm.dim) if k == 0 else 0.0)).max())
         if comp[k] > pv.COMPLETENESS_TOL:
             failures.append(f"completeness fails at order {k} (residual {comp[k]:.3e})")
@@ -316,7 +321,7 @@ def _loop_spectral(povm, *lead):
     basis = linalg.common_eigenbasis(ops)
     coeffs = []
     for k in range(povm.max_degree + 1):
-        C = linalg.dagger(basis) @ np.stack([e.coefficient(k) for e in povm.elements]) @ basis
+        C = linalg.dagger(basis) @ np.stack([_coefficient(e, k) for e in povm.elements]) @ basis
         coeffs.append(np.real(np.diagonal(C, axis1=1, axis2=2)).T)
     return basis, PolyMatrix(coeffs)
 

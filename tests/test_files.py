@@ -72,7 +72,7 @@ def test_round_trip_preserves_numbers_exactly(tmp_path):
     for a, b in zip(loaded.povm.elements, spec.povm.elements):
         assert a.max_degree == b.max_degree
         for k in range(a.max_degree + 1):
-            npt.assert_array_equal(a.coefficient(k), b.coefficient(k))
+            npt.assert_array_equal(a.coefficients[k], b.coefficients[k])
     assert loaded.povm.g_max == spec.povm.g_max
     assert loaded.notes == spec.notes
 
@@ -90,8 +90,8 @@ def test_seventeen_digit_floats_survive(tmp_path):
     path = tmp_path / "digits.json"
     fl.save_instance(spec, path)
     loaded = fl.load_instance(path)
-    assert loaded.povm.elements[0].coefficient(0)[0, 0] == 0.1
-    assert loaded.povm.elements[0].coefficient(1)[0, 0] == 1 / 3
+    assert loaded.povm.elements[0].coefficients[0][0, 0] == 0.1
+    assert loaded.povm.elements[0].coefficients[1][0, 0] == 1 / 3
 
 
 def test_canonical_layout(tmp_path):
@@ -116,7 +116,7 @@ def test_zero_interior_coefficient_is_omitted_but_round_trips(tmp_path):
     assert orders == [0, 2]  # the all-zero order-1 block is not stored
     loaded = fl.load_instance(path)
     npt.assert_array_equal(
-        loaded.povm.elements[0].coefficient(1), np.zeros((3, 3))
+        loaded.povm.elements[0].coefficients[1], np.zeros((3, 3))
     )
 
 

@@ -10,6 +10,8 @@ from weaklab import contextual, linalg, meter, registry, weak
 from weaklab.errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
 from weaklab.povm import ParamPovm, PolyMatrix
 
+from oracles import partial_trace_meter, trace_distance
+
 
 def random_hermitian(rng, d):
     M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -143,13 +145,13 @@ def test_partial_trace_product_state():
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     f /= np.linalg.norm(f)
     T = np.kron(s, f)  # system-major layout
-    rho = linalg.partial_trace_meter(np.outer(T, T.conj()), 3, 2)
+    rho = partial_trace_meter(np.outer(T, T.conj()), 3, 2)
     npt.assert_allclose(rho, np.outer(s, s.conj()), atol=1e-12)
 
 
 def test_partial_trace_bell_state():
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    rho = linalg.partial_trace_meter(np.outer(bell, bell.conj()), 2, 2)
+    rho = partial_trace_meter(np.outer(bell, bell.conj()), 2, 2)
     npt.assert_allclose(rho, np.eye(2) / 2, atol=1e-14)
 
 
@@ -193,6 +195,32 @@ def test_common_eigenbasis_rejects_noncommuting():
     assert err.value.commutator_norm == linalg.commutator_norm(
         linalg.check_hermitian(Z), linalg.check_hermitian(X)
     )
+    # at 1e100 the pair is still refused, with the unscaled pair's norm and no overflow
+    with pytest.raises(NotCommuting) as err:
+        linalg.common_eigenbasis([1e100 * Z, 1e100 * X])
+    assert err.value.pair == (0, 1)
+    npt.assert_allclose(err.value.commutator_norm, 2 * np.sqrt(2) * 1e200, rtol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+def test_common_eigenbasis_of_a_huge_commuting_family(scale):
+    # the commutator test runs on scaled copies, so nothing overflows
+    U = random_unitary(np.random.default_rng(5), 3)
+    ops = [scale * U @ np.diag(w) @ U.conj().T for w in ([1.0, 2.0, -3.0], [0.5, -1.0, 2.0])]
+    ops = [(op + op.conj().T) / 2 for op in ops]
+    V = linalg.common_eigenbasis(ops)
+    for op in ops:
+        D = V.conj().T @ op @ V
+        assert np.abs(D - np.diag(np.diag(D))).max() < 1e-12 * np.abs(D).max()
+
+
+def test_commutator_norm_scaling_is_exact():
+    # power-of-two scaling: the plain norm's bits wherever that one neither overflows nor underflows
+    rng = np.random.default_rng(11)
+    for scale in (1e-60, 1e-3, 1.0, 7.0, 1e60):
+        X, Y = (scale * random_hermitian(rng, 4) for _ in range(2))
+        assert linalg.commutator_norm(X, Y) == float(np.linalg.norm(X @ Y - Y @ X))
+    assert linalg.commutator_norm(np.zeros((2, 2)), np.eye(2)) == 0.0
 
 
 # ---------------------------------------------- diagonal path vs. eigh oracle
@@ -411,10 +439,10 @@ def test_commutator_norm():
 def test_trace_distance():
     P0 = np.diag([1.0, 0.0])
     P1 = np.diag([0.0, 1.0])
-    npt.assert_allclose(linalg.trace_distance(P0, P1), 1.0, atol=1e-14)
-    npt.assert_allclose(linalg.trace_distance(P0, P0), 0.0, atol=1e-14)
+    npt.assert_allclose(trace_distance(P0, P1), 1.0, atol=1e-14)
+    npt.assert_allclose(trace_distance(P0, P0), 0.0, atol=1e-14)
     npt.assert_allclose(
-        linalg.trace_distance(P0, np.eye(2) / 2), 0.5, atol=1e-14
+        trace_distance(P0, np.eye(2) / 2), 0.5, atol=1e-14
     )
 
 

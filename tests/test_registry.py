@@ -24,9 +24,9 @@ def test_unknown_name_lists_known():
 def test_qubit_linear_coefficients():
     spec = registry.get_instance("qubit-linear")
     e0, e1 = spec.povm.elements
-    npt.assert_array_equal(e0.coefficient(0), np.eye(2) / 2)
-    npt.assert_array_equal(e0.coefficient(1), np.diag([0.5, -0.5]))
-    npt.assert_array_equal(e1.coefficient(1), np.diag([-0.5, 0.5]))
+    npt.assert_array_equal(e0.coefficients[0], np.eye(2) / 2)
+    npt.assert_array_equal(e0.coefficients[1], np.diag([0.5, -0.5]))
+    npt.assert_array_equal(e1.coefficients[1], np.diag([-0.5, 0.5]))
     assert spec.povm.g_max == 0.9
     assert validate(spec.povm).passed
     npt.assert_allclose(spec.psi_f, [np.cos(np.pi / 8), np.sin(np.pi / 8)])
@@ -71,4 +71,4 @@ def test_instances_are_rebuilt_fresh():
     a = registry.get_instance("qubit-linear")
     b = registry.get_instance("qubit-linear")
     assert a is not b
-    assert a.povm.elements[0].coefficient(0) is not b.povm.elements[0].coefficient(0)
+    assert a.povm.elements[0].coefficients[0] is not b.povm.elements[0].coefficients[0]

@@ -18,6 +18,8 @@ from weaklab.errors import (
 from weaklab.linalg import commutator_norm, projector
 from weaklab.povm import ParamPovm, PolyMatrix
 
+from oracles import traditional_weak_value, weak_coupling_check
+
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -60,24 +62,24 @@ def random_state(rng, d):
 def test_traditional_weak_value_qubit_closed_form():
     # for A = Z the weak value is tan(pi/4 - theta)
     for theta in [np.pi / 8, 0.3, 1.2, 0.74 * np.pi]:
-        wv, re = wk.traditional_weak_value(Z, PLUS, final_state(theta))
+        wv, re = traditional_weak_value(Z, PLUS, final_state(theta))
         npt.assert_allclose(re, np.tan(np.pi / 4 - theta), atol=1e-12)
         npt.assert_allclose(wv.imag, 0.0, atol=1e-12)
 
 
 def test_traditional_weak_value_frozen_values():
-    _, re = wk.traditional_weak_value(Z, PLUS, final_state(np.pi / 8))
+    _, re = traditional_weak_value(Z, PLUS, final_state(np.pi / 8))
     npt.assert_allclose(re, np.sqrt(2) - 1, atol=1e-14)
     npt.assert_allclose(re, 0.41421356237309503, atol=1e-15)
     # far past orthogonality the value is anomalously large and negative
-    _, re = wk.traditional_weak_value(Z, PLUS, final_state(0.74 * np.pi))
+    _, re = traditional_weak_value(Z, PLUS, final_state(0.74 * np.pi))
     npt.assert_allclose(re, -31.820515953773974, atol=1e-9)
 
 
 def test_traditional_weak_value_orthogonal_raises():
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     with pytest.raises(OrthogonalPostselection):
-        wk.traditional_weak_value(Z, PLUS, minus)
+        traditional_weak_value(Z, PLUS, minus)
 
 
 def test_mixed_matches_traditional_on_pure_states():
@@ -91,7 +93,7 @@ def test_mixed_matches_traditional_on_pure_states():
         psi_f = random_state(rng, d)
         if abs(np.vdot(psi_f, psi_i)) < 1e-3:
             continue
-        _, re = wk.traditional_weak_value(A, psi_i, psi_f)
+        _, re = traditional_weak_value(A, psi_i, psi_f)
         mixed = wk.mixed_weak_value(A, projector(psi_i), projector(psi_f))
         npt.assert_allclose(mixed, re, rtol=1e-9, atol=1e-9)
         checked += 1
@@ -192,6 +194,13 @@ def test_limit_grid_is_a_halving_ladder():
     npt.assert_allclose(ratios, 2.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("g_max", [0.02, 0.1, 0.5, 7])
+def test_limit_grid_tops_out_at_the_smaller_of_its_top_and_g_max(g_max):
+    ladder = min(0.1, g_max) * 2.0 ** -np.arange(13, dtype=float)
+    assert wk.limit_grid(g_max).tobytes() == ladder.tobytes()
+    assert wk.limit_grid().tobytes() == wk.limit_grid(0.1).tobytes()
+
+
 def test_weak_limit_checks_the_coupling_range_once(count_calls):
     checks = count_calls(pv, "check_coupling")
     wk.weak_limit(qubit_linear(), Z, PLUS, final_state(np.pi / 8))
@@ -253,7 +262,7 @@ def test_generated_instances_are_valid():
         assert abs(np.vdot(inst.psi_f, inst.psi_i)) >= 0.1
         assert povm.g_max >= 1e-3
         F = cx.build_F(povm, inst.observable)
-        assert cx.exact_cv_exists(F, wk.limit_grid(min(0.1, povm.g_max)))
+        assert cx.exact_cv_exists(F, wk.limit_grid(povm.g_max))
 
 
 def test_generated_instance_weak_coupling_structure():
@@ -263,7 +272,7 @@ def test_generated_instance_weak_coupling_structure():
     inst = wk.generate_linear_commuting_instance(rng, 3, 4)
     ops = mt.positive_family(inst.povm)
     model = mt.compose_isometry(ops, 4, inst.povm.g_max)
-    ok, gap = mt.weak_coupling_check(model, inst.psi_i)
+    ok, gap = weak_coupling_check(model, inst.psi_i)
     assert ok
     assert gap < 1e-10
 
