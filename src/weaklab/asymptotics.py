@@ -7,9 +7,8 @@ values of exact first order in g; these tools measure leading orders by
 log-log regression and check the claim instance by instance.  Each curve
 is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
 SVD and `pinv_pole_order` one `contextual.solve_grid`.  Every g -> 0 ladder
-is `weak.limit_grid(g_max)`, topped at min(0.1, g_max).  The pole grid
-passes no g_max, so it tops out at 0.1 whatever the family's g_max, and
-shares its couplings with `weak_limit` only when g_max >= 0.1.
+is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the analyses take
+the family's g_max as data, so no coupling they read leaves (0, g_max].
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from .contextual import FMatrix, solve_grid
 from .errors import NotLinear, NotPositiveSamples
 from .povm import PolyMatrix
-from .weak import limit_grid
+from .weak import LIMIT_GRID_TOP, limit_grid
 
 #: a singular-value trajectory never exceeding this is identically zero
 ZERO_TRAJECTORY_TOL = 1e-12
@@ -32,7 +31,7 @@ R2_RELIABLE = 0.999
 
 
 def default_pole_grid() -> np.ndarray:
-    """The weak-limit ladder limit_grid(): 0.1 * 2**-k, k = 0..12, descending."""
+    """limit_grid() for a family with g_max >= 0.1; analyses build limit_grid(g_max) instead."""
     return limit_grid()
 
 
@@ -116,16 +115,18 @@ class TruncationSvdReport:
     fit_reliable: list[bool]
 
 
-def truncation_svd_commutator(F: PolyMatrix, n: int) -> TruncationSvdReport:
+def truncation_svd_commutator(
+    F: PolyMatrix, n: int, g_max: float = LIMIT_GRID_TOP
+) -> TruncationSvdReport:
     """Compare singular values of the order-n expansion of F against the
-    order-n expansion of the singular values of F along default_pole_grid,
+    order-n expansion of the singular values of F along limit_grid(g_max),
     agreeing when they match within 1e-6 relative.
 
     The two agree for families whose truncation is exact but differ in
     general; the flagship linear example with determinant g**2 has
     sigma_min ~ g**2/2 on the left and identically zero on the right.
     """
-    g_grid = default_pole_grid()
+    g_grid = limit_grid(g_max)
     left = svd_curve(F.truncate(n), g_grid).singulars
     full = svd_curve(F, g_grid).singulars
 
@@ -176,9 +177,9 @@ class ClaimReport:
     )
 
 
-def proof_claim_check(F: PolyMatrix) -> ClaimReport:
+def proof_claim_check(F: PolyMatrix, g_max: float = LIMIT_GRID_TOP) -> ClaimReport:
     """Audit the first-order claim on a linear family by fitting each trajectory
-    along default_pole_grid.
+    along limit_grid(g_max).
 
     A trajectory never exceeding 1e-12 on the grid counts as identically
     zero, making the claim vacuous for this instance.  Otherwise the claim
@@ -187,7 +188,7 @@ def proof_claim_check(F: PolyMatrix) -> ClaimReport:
     """
     if F.max_degree > 1:
         raise NotLinear(f"family has degree {F.max_degree}, claim concerns linear families")
-    curve = svd_curve(F, default_pole_grid())
+    curve = svd_curve(F, limit_grid(g_max))
 
     zero_traj: list[int] = []
     orders: list[OrderEstimate | None] = []
@@ -243,14 +244,8 @@ class PoleEstimate:
         return self.alpha_zero or (self.fit_r2 >= R2_RELIABLE and not self.rank_changes)
 
 
-def pinv_pole_order(
-    F: PolyMatrix,
-    a: np.ndarray,
-    g_grid: np.ndarray | None = None,
-) -> PoleEstimate:
-    """Fit the growth of ||pinv(F(g)) a||_inf; the negated slope is the pole order."""
-    if g_grid is None:
-        g_grid = default_pole_grid()
+def pinv_pole_order(F: PolyMatrix, a: np.ndarray, g_grid: np.ndarray) -> PoleEstimate:
+    """Fit the growth of ||pinv(F(g)) a||_inf over g_grid; the negated slope is the pole order."""
     sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
     norms = np.abs(sol.alpha).max(axis=1)
     solve = dict(g_grid=sol.g_grid, alpha_sup=norms, ranks=sol.ranks)

@@ -16,6 +16,7 @@ values, invalid family, no postselection successes, failing sweep trials),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -24,13 +25,7 @@ import sys
 
 import numpy as np
 
-from .asymptotics import (
-    default_pole_grid,
-    pinv_pole_order,
-    proof_claim_check,
-    svd_curve,
-    truncation_svd_commutator,
-)
+from .asymptotics import pinv_pole_order, proof_claim_check, svd_curve, truncation_svd_commutator
 from .contextual import FMatrix, build_F, is_exact, pseudoinverse_cv, truncated_cv_check
 from .errors import NoExactCv, NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
@@ -54,9 +49,18 @@ def _vec(v) -> str:
     return "[" + ", ".join(_f(x) for x in np.asarray(v).ravel()) + "]"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An --out path that cannot be written is a usage error, as an unreadable --file is."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write rows (iterables of values) with every float, numpy's included, as %.17g."""
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -191,7 +195,7 @@ def _cmd_pole_order(args) -> int:
     spec = _resolve(args)
     F = _fmatrix(spec, args.a)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
-        est = pinv_pole_order(F.poly, F.a_vec)
+        est = pinv_pole_order(F.poly, F.a_vec, limit_grid(spec.g_max))
     if not np.isfinite(est.alpha_sup).all():
         raise NoExactCv("contextual values overflow on the pole grid")
     print(f"instance {spec.name}: a = {_vec(F.a_vec)}")
@@ -256,7 +260,7 @@ def _cmd_weak_limit(args) -> int:
     if args.grid_min is None and args.grid_max is None and args.grid_points == LIMIT_GRID_POINTS:
         grid = None  # weak_limit's own ladder
     else:
-        g_hi = args.grid_max if args.grid_max is not None else limit_grid(spec.povm.g_max)[0]
+        g_hi = args.grid_max if args.grid_max is not None else limit_grid(spec.g_max)[0]
         g_lo = args.grid_min if args.grid_min is not None else g_hi * 2.0 ** (1 - LIMIT_GRID_POINTS)
         if not (0 < g_lo < g_hi):
             raise _UsageError("need 0 < --grid-min < --grid-max")
@@ -291,7 +295,7 @@ def _cmd_weak_limit(args) -> int:
 def _cmd_svd_asymptotics(args) -> int:
     spec = _resolve(args)
     fam = _family(spec)
-    grid = np.sort(default_pole_grid())
+    grid = np.sort(limit_grid(spec.g_max))
     curve = svd_curve(fam, grid)
     k = curve.singulars.shape[1]
     rows, cols = fam.shape
@@ -319,7 +323,7 @@ def _cmd_svd_asymptotics(args) -> int:
             f"(coefficient {_f(est.coefficient)}, r^2 {est.fit_r2:.6f}){tag}"
         )
 
-    tsc = truncation_svd_commutator(fam, args.n)
+    tsc = truncation_svd_commutator(fam, args.n, spec.g_max)
     print(
         f"order-{args.n} truncation vs singular-value expansion: "
         + ("commute" if tsc.commute else "do NOT commute")
@@ -328,7 +332,7 @@ def _cmd_svd_asymptotics(args) -> int:
         print(f"  sigma_{j + 1} series through g^{args.n}: {_vec(series)}")
 
     try:
-        claim = proof_claim_check(fam)
+        claim = proof_claim_check(fam, spec.g_max)
     except NotLinear:
         print(f"proof-claim audit skipped: family degree {fam.max_degree} > 1")
     else:
@@ -353,7 +357,7 @@ def _cmd_svd_asymptotics(args) -> int:
 def _cmd_proof_claim(args) -> int:
     spec = _resolve(args)
     fam = _family(spec)
-    rep = proof_claim_check(fam)
+    rep = proof_claim_check(fam, spec.g_max)
     print(f"instance {spec.name}: auditing the first-order singular value claim")
     if rep.zero_trajectories:
         print(f"identically-zero trajectories: {rep.zero_trajectories}")
@@ -408,7 +412,8 @@ def _cmd_conjecture_sweep(args) -> int:
             ),
         )
         path = os.path.join(out_dir, fail_spec.name + ".json")
-        save_instance(fail_spec, path)
+        with _writing(path):
+            save_instance(fail_spec, path)
         print(f"serialized failing instance to {path}")
     worst = max(r.discrepancy for r in records)
     print(
@@ -498,7 +503,7 @@ def _cmd_registry(args) -> int:
     # export
     text = canonical_json(instance_to_dict(spec))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:

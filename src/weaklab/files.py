@@ -33,6 +33,10 @@ from .linalg import HERMITIAN_TOL, UNIT_NORM_TOL
 from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, valid_g_max, validate
 
 _KNOWN_KEYS = {"dim", "g_max", "outcomes", "fmatrix", "observable", "psi_i", "psi_f", "notes"}
+#: the largest coefficient order a file may give.  A family is decoded into a
+#: dense list of max(order) + 1 matrices, so one large order in a small file
+#: would allocate without bound; the families studied here have degree <= 2.
+MAX_ORDER = 64
 
 
 @dataclass
@@ -182,6 +186,7 @@ def _decode_coefficients(data, rows: int, cols: int, context: str) -> PolyMatrix
         k = rec["order"]
         _require(isinstance(k, int) and not isinstance(k, bool) and k >= 0,
                  "Schema", "order must be a nonnegative integer", ctx)
+        _require(k <= MAX_ORDER, "Schema", f"order must be at most {MAX_ORDER}", ctx)
         _require(k not in seen, "Schema", f"duplicate order {k}", ctx)
         seen[k] = _decode_matrix(rec["matrix"], rows, cols, f"{ctx}.matrix")
     degree = max(seen)
@@ -193,7 +198,8 @@ def _decode_state(data, dim: int, context: str) -> np.ndarray:
     _require(isinstance(data, list) and len(data) == dim, "BadShape",
              f"expected {dim} entries", context)
     v = np.array([_decode_complex_pair(e, f"{context}[{i}]") for i, e in enumerate(data)])
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and is refused
+        n = float(np.linalg.norm(v))
     _require(abs(n - 1.0) <= UNIT_NORM_TOL, "BadState", f"state norm {n!r} is not 1", context)
     return v
 
@@ -250,6 +256,7 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
                  and isinstance(first["matrix"][0], list),
                  "Schema", "malformed coefficient record", "fmatrix[0]")
         cols = len(first["matrix"][0])
+        _require(cols >= 1, "BadShape", "a raw family needs at least one column", "fmatrix[0]")
         fmatrix = _decode_coefficients(data, dim, cols, "fmatrix")
         # F holds outcome eigenvalues, so it is real; every solve keeps only its real part
         _require(all(not c.imag.any() for c in fmatrix.coefficients), "NotReal",
@@ -258,7 +265,8 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
     observable = None
     if "observable" in d:
         observable = _decode_matrix(d["observable"], dim, dim, "observable")
-        res = float(np.abs(observable - observable.conj().T).max())
+        with np.errstate(over="ignore"):  # an overflowing residual is inf, and is refused
+            res = float(np.abs(observable - observable.conj().T).max())
         _require(res <= HERMITIAN_TOL, "NotHermitian",
                  f"observable Hermiticity residual {res:.3e}", "observable")
 

@@ -163,29 +163,33 @@ class ValidationReport:
 def validate(povm: ParamPovm) -> ValidationReport:
     """Check Hermiticity, coefficient-wise completeness and positivity on default_grid.
 
-    Positivity takes every outcome at every grid coupling in one stacked
-    eigvalsh; failures, a NaN minimum eigenvalue included, are listed in
-    (outcome, coupling) order.
+    Positivity takes every finite outcome matrix on the grid in one stacked
+    eigvalsh, which solves each matrix on its own; a non-finite one gets a
+    NaN minimum.  Failures, NaN minima included, are listed in (outcome,
+    coupling) order.
     """
     grid = default_grid(povm.g_max)
 
     C = povm.coefficients
-    herm = np.abs(C - dagger(C)).max(axis=(-2, -1))  # (n_out, degree + 1)
+    with np.errstate(over="ignore"):  # an overflowing residual is inf, and fails below
+        herm = np.abs(C - dagger(C)).max(axis=(-2, -1))  # (n_out, degree + 1)
+        total = sum(C)  # outcome by outcome, in order: C.sum(axis=0) may add them pairwise
+        total[0] -= np.eye(povm.dim)
+        comp = np.abs(total).max(axis=(-2, -1))
     failures = [
         f"coefficient {k} of outcome {j} is not Hermitian (residual {herm[j, k]:.3e})"
         for j, k in np.argwhere(herm > HERMITIAN_TOL)
     ]
-
-    total = sum(C)  # outcome by outcome, in order: C.sum(axis=0) may add them pairwise
-    total[0] -= np.eye(povm.dim)
-    comp = np.abs(total).max(axis=(-2, -1))
     for k in np.flatnonzero(comp > COMPLETENESS_TOL):
         failures.append(f"completeness fails at order {k} (residual {comp[k]:.3e})")
 
     # a coupling range that overflows F(g) gives NaN minima, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
         E = np.stack([e(grid[:, None, None]) for e in povm.elements])  # (n_out, n_g, d, d)
-        mins = np.linalg.eigvalsh(0.5 * (E + E.conj().swapaxes(-1, -2)))[..., 0]
+        H = 0.5 * (E + E.conj().swapaxes(-1, -2))
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    mins = np.full(finite.shape, np.nan)
+    mins[finite] = np.linalg.eigvalsh(H[finite])[..., 0]
     for j, i in np.argwhere(~(mins >= PSD_GRID_TOL)):
         failures.append(f"outcome {j} has eigenvalue {mins[j, i]:.3e} at g={grid[i]:.6g}")
 

@@ -219,17 +219,17 @@ def test_claim_audit_random_families_are_internally_consistent():
 
 
 def test_pinv_pole_orders_for_eq70():
-    F = eq70_family()
-    est = ay.pinv_pole_order(F, np.array([1.0, 1.0]))
+    F, grid = eq70_family(), ay.default_pole_grid()
+    est = ay.pinv_pole_order(F, np.array([1.0, 1.0]), grid)
     assert abs(est.exponent - 2.0) <= 0.05
     assert est.reliable
-    est = ay.pinv_pole_order(F, np.array([1.0, -1.0]))
+    est = ay.pinv_pole_order(F, np.array([1.0, -1.0]), grid)
     assert abs(est.exponent - 1.0) <= 0.05
     assert est.reliable
 
 
 def test_pinv_pole_order_zero_target():
-    est = ay.pinv_pole_order(eq70_family(), np.zeros(2))
+    est = ay.pinv_pole_order(eq70_family(), np.zeros(2), ay.default_pole_grid())
     assert est.alpha_zero
     assert est.exponent == 0.0
     assert est.reliable
@@ -238,7 +238,7 @@ def test_pinv_pole_order_zero_target():
 def test_rank_drop_makes_the_pole_order_unreliable():
     zero = np.zeros((2, 2))
     F = PolyMatrix([np.diag([1.0, 0.0]), zero, zero, zero, np.diag([0.0, 1.0])])
-    est = ay.pinv_pole_order(F, np.ones(2))
+    est = ay.pinv_pole_order(F, np.ones(2), ay.default_pole_grid())
     assert est.fit_r2 == pytest.approx(1.0)  # a clean fit of the wrong curve
     npt.assert_array_equal(est.ranks, [2] * 7 + [1] * 6)
     assert est.rank_changes and not est.reliable
@@ -247,10 +247,10 @@ def test_rank_drop_makes_the_pole_order_unreliable():
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_registry_ranks_are_constant_on_the_pole_grid(name):
     fam, _ = registry_family(name)
-    rows = fam.shape[0]
+    rows, grid = fam.shape[0], ay.default_pole_grid()
     for a in (np.ones(rows), (-1.0) ** np.arange(rows)):
-        est = ay.pinv_pole_order(fam, a)
-        npt.assert_array_equal(est.g_grid, ay.default_pole_grid())
+        est = ay.pinv_pole_order(fam, a, grid)
+        npt.assert_array_equal(est.g_grid, grid)
         assert not est.rank_changes
 
 
@@ -290,7 +290,7 @@ def test_one_stacked_lapack_call_per_grid(name, count_calls):
     ay.svd_curve(fam, ay.default_pole_grid())
     assert svd[0] == 1
     solves = count_calls(linalg, "pinv_and_rank")
-    ay.pinv_pole_order(fam, np.ones(fam.shape[0]))
+    ay.pinv_pole_order(fam, np.ones(fam.shape[0]), ay.default_pole_grid())
     assert solves[0] == 1
     if povm is not None:
         eig = count_calls(np.linalg, "eigvalsh")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklab import cli, contextual, linalg
+from weaklab import asymptotics, cli, contextual, files, linalg
 from weaklab.files import load_instance
 
 
@@ -142,6 +142,26 @@ def test_unreadable_file_is_usage_error(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["validate", "--instance", "qubit-linear", "--out", "{d}/x.csv"], "{d}/x.csv"),
+        (["registry", "export", "eq70", "--out", "{d}/x.json"], "{d}/x.json"),
+        # the first failing trial is serialized next to --out before the CSV is written
+        (
+            ["conjecture-sweep", "--trials", "2", "--tol", "0", "--out", "{d}/s.csv"],
+            "{d}/conjecture-fail-s0-t0.json",
+        ),
+    ],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, *(a.format(d=missing) for a in argv))
+    assert code == 2
+    assert err.startswith(f"usage error: cannot write {target.format(d=missing)}: [Errno 2]")
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ validate
 
 
@@ -190,6 +210,73 @@ def test_validate_rejects_overflowing_coupling_range(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ValidationError: [BadValue]")
     assert "Warning" not in err
+
+
+def test_quadratic_family_overflowing_its_range_is_bad_value(capsys, tmp_path):
+    # 0 * g**2 is NaN off the diagonal at g ~ 1e308: NaN minimum, not a LinAlgError
+    path = tmp_path / "quad.json"
+    run(capsys, "registry", "export", "quad-cx", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["g_max"] = 1e308
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: ValidationError: [BadValue] at outcomes: "
+        "outcome matrices are not finite on the validation grid\n"
+    )
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["pole-order", "--a", "1"],
+        ["svd-asymptotics"],
+        ["proof-claim"],
+        ["cv-solve", "--g", "0.1", "--a", "1"],
+    ],
+)
+def test_raw_family_without_columns_is_refused_at_load(capsys, tmp_path, degree, command):
+    path = tmp_path / "empty.json"
+    records = [{"order": k, "matrix": [[]]} for k in range(degree + 1)]
+    path.write_text(json.dumps({"dim": 1, "g_max": 0.5, "fmatrix": records}))
+    code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: ValidationError: [BadShape] at fmatrix[0]: a raw family needs at least one column\n"
+    )
+
+
+def test_huge_coefficient_order_is_refused_before_allocating(capsys, tmp_path):
+    # decoding order 10**9 densely needs more than 100 GB; the child caps its own
+    # address space, so a loader that allocated ends in MemoryError, not an OOM kill
+    path = tmp_path / "huge-order.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["outcomes"][0][1]["order"] = 10**9
+    path.write_text(json.dumps(data))
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, sys; "
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, hard)); "
+        "from weaklab.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "validate", "--file", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: ValidationError: [Schema] at outcomes[0][1]: "
+        f"order must be at most {files.MAX_ORDER}\n"
+    )
 
 
 @pytest.mark.parametrize("g_max", [float("inf"), 5e-324])
@@ -454,6 +541,39 @@ def test_proof_claim_eq70(capsys, tmp_path):
     exponents = sorted(float(r[1]) for r in rows[1:])
     assert exponents[0] == pytest.approx(0.0, abs=0.05)
     assert exponents[1] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("name", ["qubit-linear", "eq70"])
+def test_g_to_zero_analyses_stay_inside_a_small_g_max(capsys, tmp_path, monkeypatch, name):
+    # every g -> 0 ladder is limit_grid(g_max), topped at min(0.1, g_max)
+    path = tmp_path / f"{name}.json"
+    run(capsys, "registry", "export", name, "--out", str(path))
+    data = json.loads(path.read_text())
+    data["g_max"] = 0.02
+    path.write_text(json.dumps(data))
+    tops = []  # the largest coupling of every grid read or written
+    svd_curve = asymptotics.svd_curve
+
+    def recording(F, g_grid):
+        tops.append(float(np.max(g_grid)))
+        return svd_curve(F, g_grid)
+
+    monkeypatch.setattr(asymptotics, "svd_curve", recording)
+    monkeypatch.setattr(cli, "svd_curve", recording)
+    a = ["--a", "1,1"] if name == "eq70" else []
+    commands = [["pole-order", *a], ["svd-asymptotics"], ["proof-claim"]]
+    if name == "qubit-linear":
+        commands.append(["weak-limit", "--theta-f", "0.3"])
+    for command in commands:
+        out_path = tmp_path / "out.csv"
+        argv = [command[0], "--file", str(path), *command[1:], "--out", str(out_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        with open(out_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if "g" in rows[0]:
+            tops.append(max(float(r["g"]) for r in rows))
+    assert max(tops) == 0.02
 
 
 def test_proof_claim_rejects_nonlinear(capsys):

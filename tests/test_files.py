@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import copy
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklab import files as fl
 from weaklab.errors import ParseError, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
+from weaklab.registry import REGISTRY, get_instance
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -285,3 +290,125 @@ def test_complex_fmatrix_rejected(tmp_path):
     data["fmatrix"][1]["matrix"][0][1] = [1.0, -0.0]
     path.write_text(json.dumps(data))
     assert fl.load_instance(path).fmatrix.max_degree == 1
+
+
+def test_coefficient_order_is_bounded(tmp_path):
+    def set_order(k):
+        def mutate(d):
+            for outcome in d["outcomes"]:
+                outcome[1]["order"] = k  # each outcome's linear record
+
+        return mutate
+
+    path = write_instance(tmp_path, set_order(fl.MAX_ORDER))
+    assert fl.load_instance(path).povm.max_degree == fl.MAX_ORDER
+    err = check_code(tmp_path, set_order(fl.MAX_ORDER + 1), "Schema")
+    assert err.context == "outcomes[0][1]"
+    assert str(err).endswith(f"order must be at most {fl.MAX_ORDER}")
+
+
+BIG = [1e308, 0]
+C0 = ("outcomes", 0, 0, "matrix")  # order-0 coefficient of outcome 0
+C1 = ("outcomes", 1, 0, "matrix")
+
+
+@pytest.mark.parametrize(
+    "entries, code",
+    [
+        # C - C^H overflows in the Hermiticity residual
+        ({(*C0, 0, 1): BIG, (*C0, 1, 0): [-1e308, 0]}, "NotHermitian"),
+        # the coefficient-wise sum over outcomes overflows
+        ({(*C0, 0, 0): BIG, (*C1, 0, 0): BIG}, "Completeness"),
+        ({("observable", 0, 1): BIG, ("observable", 1, 0): [-1e308, 0]}, "NotHermitian"),
+        ({("psi_i", 0): [1e308, 1e308]}, "BadState"),
+    ],
+)
+def test_entries_near_float_max_are_refused_without_warnings(tmp_path, entries, code):
+    # an overflow RuntimeWarning is an error in this suite
+    def mutate(d):
+        for path, value in entries.items():
+            node = d
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+
+    check_code(tmp_path, mutate, code)
+
+
+# ------------------------------------------------------------ loader fuzz
+
+EXPORTS = [json.loads(fl.canonical_json(fl.instance_to_dict(get_instance(n)))) for n in REGISTRY]
+EXTREMES = [1e308, -1e308, 1e300, math.nan, math.inf, -math.inf, 5e-324, -0.0, 10**400, -(10**400)]
+NUMBERS = st.sampled_from(EXTREMES) | st.floats() | st.integers()
+VALUES = st.recursive(
+    NUMBERS | st.sampled_from([True, None, "x", "", [], {}, [[]], [1e308, 1e308]]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["order", "matrix", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """(path, value) of every node below a JSON document's root."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _paths(child, prefix + (key,))
+
+
+def _scaled(node, factor):
+    """node with every number multiplied by factor; an int too large for a float is kept."""
+    if isinstance(node, list):
+        return [_scaled(x, factor) for x in node]
+    if isinstance(node, dict):
+        return {k: _scaled(v, factor) for k, v in node.items()}
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        try:
+            return node * factor
+        except OverflowError:
+            return node
+    return node
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_loader_fuzz_raises_only_its_own_errors(data):
+    """A mutated registry export loads or raises ParseError/ValidationError, with no warning.
+
+    A mutation replaces, deletes or appends a node, scales every number
+    below one, or sets one number, often to an extreme.
+    """
+    doc = copy.deepcopy(data.draw(st.sampled_from(EXPORTS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["number", "replace", "scale", "delete", "append"]))
+        fits = {"number": _is_number, "append": lambda x: isinstance(x, list)}.get(action)
+        paths = [p for p, x in _paths(doc) if fits is None or fits(x)]
+        if not paths:
+            continue
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "number":
+            parent[key] = data.draw(NUMBERS)
+        elif action == "replace":
+            parent[key] = copy.deepcopy(data.draw(VALUES))
+        elif action == "scale":
+            factor = data.draw(st.sampled_from([1e300, 1e308, -1e308, 1e-300, 0.0, math.nan]))
+            parent[key] = _scaled(parent[key], factor)
+        elif action == "delete":
+            del parent[key]
+        else:
+            parent[key].append(copy.deepcopy(data.draw(VALUES)))
+    try:
+        fl.dict_to_instance(doc, "fuzz")
+    except (ParseError, ValidationError):
+        pass
