@@ -11,8 +11,9 @@ A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
 grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
 stacked call.  Each grid point comes out bit for bit as the single-coupling
 `pseudoinverse_cv` would give it.  `exact_cv_exists`, `truncated_cv_check`,
-`asymptotics.pinv_pole_order` and the weak-limit ladder all go through
-`solve_grid`.
+`asymptotics.pinv_pole_order`, `weak.weak_limit` and the conjecture
+generator all go through `solve_grid`; the last two hand their solution on
+to the weak-limit ladder, so a grid is solved once per limit.
 
 A solution is exact when its residual ||F(g) alpha - a|| is within
 EXACT_CV_TOL; `is_exact` is the one place that comparison is made.

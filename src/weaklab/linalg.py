@@ -122,12 +122,6 @@ def clamp_psd(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
 
 
-def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-one projector |v><v| onto a normalized state."""
-    v = check_state(v)
-    return np.outer(v, v.conj())
-
-
 def _pow2_scale(M: np.ndarray) -> np.ndarray:
     """2**e per matrix with M / 2**e below 1 entrywise: dividing by it loses no bits."""
     return np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(-2, -1)))[1])

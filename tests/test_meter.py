@@ -10,10 +10,15 @@ from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import weak as wk
 from weaklab.errors import NotIsometry, NotPositive, OutOfValidityRange
-from weaklab.linalg import projector
 from weaklab.povm import ParamPovm, PolyMatrix
 
-from oracles import partial_trace_meter, reduced_state, trace_distance, weak_coupling_check
+from oracles import (
+    partial_trace_meter,
+    projector,
+    reduced_state,
+    trace_distance,
+    weak_coupling_check,
+)
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])

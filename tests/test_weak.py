@@ -9,16 +9,23 @@ from weaklab import linalg
 from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import weak as wk
+from weaklab.registry import get_instance
 from weaklab.errors import (
     NoExactCv,
     NotPositive,
     OrthogonalPostselection,
     OutOfValidityRange,
 )
-from weaklab.linalg import commutator_norm, projector
+from weaklab.linalg import commutator_norm
 from weaklab.povm import ParamPovm, PolyMatrix
 
-from oracles import traditional_weak_value, weak_coupling_check
+from oracles import (
+    check_effect,
+    mixed_weak_value,
+    projector,
+    traditional_weak_value,
+    weak_coupling_check,
+)
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -94,7 +101,7 @@ def test_mixed_matches_traditional_on_pure_states():
         if abs(np.vdot(psi_f, psi_i)) < 1e-3:
             continue
         _, re = traditional_weak_value(A, psi_i, psi_f)
-        mixed = wk.mixed_weak_value(A, projector(psi_i), projector(psi_f))
+        mixed = mixed_weak_value(A, projector(psi_i), projector(psi_f))
         npt.assert_allclose(mixed, re, rtol=1e-9, atol=1e-9)
         checked += 1
     assert checked > 900
@@ -104,16 +111,16 @@ def test_mixed_weak_value_maximally_mixed():
     rng = np.random.default_rng(8)
     A = np.diag([2.0, -1.0, 0.5])
     v = random_state(rng, 3)
-    got = wk.mixed_weak_value(A, np.eye(3) / 3, projector(v))
+    got = mixed_weak_value(A, np.eye(3) / 3, projector(v))
     npt.assert_allclose(got, np.vdot(v, A @ v).real, atol=1e-12)
 
 
 def test_check_effect_bounds():
-    wk.check_effect(np.diag([0.0, 1.0]))
+    check_effect(np.diag([0.0, 1.0]))
     with pytest.raises(NotPositive):
-        wk.check_effect(np.diag([1.5, 0.5]))
+        check_effect(np.diag([1.5, 0.5]))
     with pytest.raises(NotPositive):
-        wk.check_effect(np.diag([-0.1, 0.5]))
+        check_effect(np.diag([-0.1, 0.5]))
 
 
 # ---------------------------------------------------- conditioned average
@@ -310,13 +317,13 @@ def test_conjecture_sweep_small():
 
 
 def spy_on_core(monkeypatch):
-    """Record (F, povm, psi_i, psi_f, report) of every _spectral_weak_limit call."""
+    """Record (F, povm, A, psi_i, psi_f, report) of every _spectral_weak_limit call."""
     seen = []
     core = wk._spectral_weak_limit
 
-    def spy(F, povm, A, psi_i, psi_f, g_grid):
-        report = core(F, povm, A, psi_i, psi_f, g_grid)
-        seen.append((F, povm, psi_i, psi_f, report))
+    def spy(F, sol, povm, A, psi_i, psi_f):
+        report = core(F, sol, povm, A, psi_i, psi_f)
+        seen.append((F, povm, A, psi_i, psi_f, report))
         return report
 
     monkeypatch.setattr(wk, "_spectral_weak_limit", spy)
@@ -333,7 +340,7 @@ def test_spectral_ladder_equals_per_point_path_on_trials(monkeypatch):
     for t in range(100):
         wk.conjecture_trial(7, t)
     assert len(seen) == 100
-    for F, povm, psi_i, psi_f, rep in seen:
+    for F, povm, _, psi_i, psi_f, rep in seen:
         for k, g in enumerate(rep.g_grid):
             value, prob = per_point(F, povm, psi_i, psi_f, g)
             assert rep.conditioned_averages[k] == value
@@ -437,18 +444,57 @@ def test_sweep_hot_path_shape(count_calls):
             (cx, "solve_grid"),
             (np.polynomial.Polynomial, "convert"),
             (np.linalg, "eigh"),
+            (np.linalg, "eigvalsh"),
         ]
     }
     wk.conjecture_sweep(7, 10)
     n = {name: c[0] for name, c in counts.items()}
     assert n["psd_sqrt"] == 0
     assert n["eigh"] == 0  # every generated family is diagonal
+    assert n["eigvalsh"] == 0  # the weak value needs no effect spectrum
     assert n["convert"] == 0  # no trial reads its fit coefficients
     assert n["conditioned_average"] == 0
-    # one F per draw that reaches the exactness check, none for the limit
-    assert n["exact_cv_exists"] >= 10
-    assert n["build_F"] == n["exact_cv_exists"]
-    # one stacked solve per exactness check and per trial's ladder, and one
-    # pinv call per stacked solve, not one per coupling
-    assert n["solve_grid"] == n["exact_cv_exists"] + 10
+    assert n["exact_cv_exists"] == 0
+    # one F and one stacked solve per draw that reaches the exactness check;
+    # the ladder reuses the generator's solution
+    assert n["build_F"] >= 10
+    assert n["solve_grid"] == n["build_F"]
+    # one pinv call per stacked solve, not one per coupling
     assert n["pinv_and_rank"] == n["solve_grid"]
+
+
+def test_generated_instance_keeps_its_grid_solution():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        dim = int(rng.integers(2, 5))
+        inst = wk.generate_linear_commuting_instance(rng, dim, int(rng.integers(dim, 6)))
+        fresh = cx.solve_grid(inst.F, wk.limit_grid(inst.povm.g_max))
+        for name in ["g_grid", "F_g", "alpha", "residuals", "ranks"]:
+            assert getattr(inst.sol, name).tobytes() == getattr(fresh, name).tobytes()
+        assert inst.sol.exact
+
+
+def test_conjecture_trial_equals_weak_limit_on_its_instance(monkeypatch):
+    seen = spy_on_core(monkeypatch)
+    records = [wk.conjecture_trial(7, t) for t in range(100)]
+    cases = [(povm, A, psi_i, psi_f) for _, povm, A, psi_i, psi_f, _ in seen]
+    for rec, (povm, A, psi_i, psi_f) in zip(records, cases, strict=True):
+        rep = wk.weak_limit(povm, A, psi_i, psi_f)
+        assert rec.extrapolated == rep.extrapolated_limit
+        assert rec.traditional == rep.traditional_value
+        assert rec.discrepancy == rep.discrepancy
+        assert rec.g_min == rep.g_grid.min()
+
+
+def test_traditional_value_equals_the_mixed_weak_value_oracle(monkeypatch):
+    seen = spy_on_core(monkeypatch)
+    for t in range(100):
+        wk.conjecture_trial(7, t)
+    # quad-cx is exact only down to g ~ 1e-3, above its default ladder's bottom
+    for name, grid in [("qubit-linear", None), ("quad-cx", np.geomspace(1e-3, 0.1, 9))]:
+        spec = get_instance(name)
+        wk.weak_limit(spec.povm, spec.observable, spec.psi_i, spec.psi_f, grid)
+    assert len(seen) == 102
+    for _, _, A, psi_i, psi_f, rep in seen:
+        oracle = mixed_weak_value(A, projector(psi_i), projector(psi_f))
+        assert rep.traditional_value == oracle
