@@ -15,13 +15,19 @@ stacked call.  Each grid point comes out bit for bit as the single-coupling
 generator all go through `solve_grid`; the last two hand their solution on
 to the weak-limit ladder, so a grid is solved once per limit.
 
-A solution is exact when its residual ||F(g) alpha - a|| is within
-EXACT_CV_TOL; `is_exact` is the one place that comparison is made.
+`pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
+by identity).  A solution is exact when its residual ||F(g) alpha - a|| is
+within EXACT_CV_TOL; `is_exact` is the one place that comparison is made.
+Both solvers take that norm on the residual scaled by a power of two, so it
+is the plain norm bit for bit wherever that neither overflows nor underflows,
+and finite wherever the true norm is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +40,7 @@ EXACT_CV_TOL = 1e-9
 ALPHA_MATCH_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FMatrix:
     """Spectral matrix of a commuting measurement, plus the observable's eigenvalues.
 
@@ -43,14 +49,13 @@ class FMatrix:
     is the unitary whose columns are the common eigenvectors that build_F
     found, in row order, so E_j(g) = basis diag(F(g)[:, j]) basis^H; it is
     None for a raw matrix family, which has no operators behind it.  a_vec
-    is a read-only copy, so nothing solved from F can go stale.
+    is a read-only copy, so nothing solved from F can go stale.  F compares
+    and hashes by identity, the key of pseudoinverse_cv's memo.
     """
 
     poly: PolyMatrix
     a_vec: np.ndarray
     basis: np.ndarray | None = None
-    #: pseudoinverse_cv's last solution, handed back for a repeated coupling
-    _last_cv: CvSolution | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a_vec, dtype=float)
@@ -69,9 +74,6 @@ class FMatrix:
     @property
     def n_out(self) -> int:
         return self.poly.shape[1]
-
-    def at(self, g: float) -> np.ndarray:
-        return np.real(self.poly(g))
 
     def row_sum_residual(self) -> float:
         """Deviation of the row sums from 1: the spectral shadow of completeness."""
@@ -147,45 +149,53 @@ class GridSolution:
         return is_exact(self.residuals)
 
 
+def _residual_scale(r: np.ndarray) -> np.ndarray:
+    """2**(e - 1) per row: the row's largest entry over it is in [1, 2); no square overflows."""
+    return np.ldexp(1.0, np.frexp(np.abs(r).max(axis=-1))[1] - 1)
+
+
 def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     """Minimum-norm weights alpha = pinv(F(g)) a at every coupling, in one stacked solve.
 
     Each step is the per-matrix operation applied to the stack: the real
     part of one Horner evaluation, one stacked pseudoinverse, and the
-    residual norm as sqrt(r . r), which is how numpy's norm takes it.  So
-    every grid point equals a separate solve at that coupling bit for bit.
+    residual norm as sqrt(u . u) * s for u = r / s, s = _residual_scale(r),
+    which is how pseudoinverse_cv takes it.  So every grid point equals a
+    separate solve at that coupling bit for bit.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     Fg = np.real(F.poly(g_grid[:, None, None]))
     P, ranks = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
     r = (Fg @ alpha[..., None])[..., 0] - F.a_vec
-    residuals = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    s = _residual_scale(r)
+    u = r / s[:, None]
+    residuals = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0]) * s
     return GridSolution(g_grid=g_grid, F_g=Fg, alpha=alpha, residuals=residuals, ranks=ranks)
 
 
+@functools.lru_cache(maxsize=1)
 def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
     The reported residual is the euclidean norm of F(g) alpha - a, which for
     a spectral matrix equals the Frobenius distance between the weighted
-    outcome sum and the observable.
+    outcome sum and the observable; it is taken on r / _residual_scale(r).
 
-    F keeps the last solution (a one-entry memo), so a repeated call at the
-    same g returns the same, read-only CvSolution without a new solve: the
-    meter's per-outcome eigenvalue functions solve each coupling once.
+    The last (F, g) is memoized (lru_cache, maxsize 1), so a repeated call
+    returns the same, read-only CvSolution without a new solve: the meter's
+    per-outcome eigenvalue functions solve each coupling once.
     """
-    last = F._last_cv
-    if last is not None and last.g == g:
-        return last
-    Fg = F.at(g)
+    Fg = np.real(F.poly(g))
     P, rank = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
     alpha.setflags(write=False)
-    residual = float(np.linalg.norm(Fg @ alpha - F.a_vec))
-    sol = CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
-    object.__setattr__(F, "_last_cv", sol)
-    return sol
+    r = Fg @ alpha - F.a_vec
+    # _residual_scale's scale and numpy's sqrt(u . u), in scalar math: this runs per coupling
+    s = math.ldexp(1.0, math.frexp(max(map(abs, r.tolist())))[1] - 1)
+    u = r / s
+    residual = math.sqrt(u.dot(u)) * s
+    return CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
 
 
 def exact_cv_exists(F: FMatrix, g_grid: np.ndarray) -> bool:

@@ -269,6 +269,9 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
             res = float(np.abs(observable - observable.conj().T).max())
         _require(res <= HERMITIAN_TOL, "NotHermitian",
                  f"observable Hermiticity residual {res:.3e}", "observable")
+        # the bound linalg's diagonal eigenbasis path keeps to
+        _require(np.abs(observable).max() < 2.0**256, "BadValue",
+                 "observable has an entry of magnitude 2**256 or more", "observable")
 
     psi_i = _decode_state(d["psi_i"], dim, "psi_i") if "psi_i" in d else None
     psi_f = _decode_state(d["psi_f"], dim, "psi_f") if "psi_f" in d else None

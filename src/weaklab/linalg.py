@@ -53,11 +53,8 @@ def check_state(v: np.ndarray) -> np.ndarray:
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if abs(pivot) == 0.0:
-        return v
+    """Rotate the global phase of a unit vector so its largest-magnitude entry is real positive."""
+    pivot = v[int(np.argmax(np.abs(v)))]
     return v * (pivot.conjugate() / abs(pivot))
 
 

@@ -13,6 +13,7 @@ M_j(g) = B diag(sqrt lambda_j(g)) B^H come from one common eigenbasis B
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +42,7 @@ def positive_family(povm: ParamPovm) -> list[MatrixFamily]:
     so the minimally disturbing operators enter the dilation as plain
     functions of the coupling.  B and the spectra lambda_j(g) come once from
     contextual.spectral_family, as build_F reads them.  The callables share
-    a one-entry memo: the first one asked at a new g takes every outcome's
+    one lru_cache(maxsize=1): the first asked at a new g takes every outcome's
     root in one stacked product, and the rest read theirs off (read-only).
     The spectra pass linalg.clamp_psd, psd_sqrt's rule and message, so a
     coupling where any outcome fails it is refused by every callable.  A
@@ -52,16 +53,13 @@ def positive_family(povm: ParamPovm) -> list[MatrixFamily]:
     except NotCommuting:
         return [lambda g, e=e: psd_sqrt(e(g)) for e in povm.elements]
     basis_h = dagger(basis)
-    memo: dict[float, np.ndarray] = {}
 
+    @functools.lru_cache(maxsize=1)
     def roots(g: float) -> np.ndarray:
-        if g not in memo:
-            lam = clamp_psd(np.real(spectra(g)).T)  # (n_out, d): one spectrum per outcome
-            R = (basis * np.sqrt(lam)[:, None, :]) @ basis_h
-            R.setflags(write=False)
-            memo.clear()
-            memo[g] = R
-        return memo[g]
+        lam = clamp_psd(np.real(spectra(g)).T)  # (n_out, d): one spectrum per outcome
+        R = (basis * np.sqrt(lam)[:, None, :]) @ basis_h
+        R.setflags(write=False)
+        return R
 
     return [lambda g, j=j: roots(g)[j] for j in range(povm.n_out)]
 

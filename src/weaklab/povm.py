@@ -22,15 +22,10 @@ COMPLETENESS_TOL = 1e-12
 PSD_GRID_TOL = -1e-10
 
 
-def _freeze(M: np.ndarray) -> np.ndarray:
-    out = np.array(M, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 class PolyMatrix:
     """Matrix-valued polynomial, stored by coefficient order.
 
+    coefficients is one read-only (degree + 1, rows, cols) complex array:
     coefficients[k] multiplies g**k.  Trailing all-zero coefficients are
     trimmed on construction; evaluation uses Horner's scheme.
     """
@@ -49,7 +44,8 @@ class PolyMatrix:
                 raise DimensionError("coefficient contains non-finite entries")
         while len(coeffs) > 1 and np.abs(coeffs[-1]).max() <= COEFF_ZERO_TOL:
             coeffs.pop()
-        self.coefficients: tuple[np.ndarray, ...] = tuple(_freeze(c) for c in coeffs)
+        self.coefficients = np.array(coeffs)
+        self.coefficients.setflags(write=False)
         self.shape = shape
 
     @property
@@ -65,9 +61,10 @@ class PolyMatrix:
         if self.max_degree == 0:
             shape = np.broadcast_shapes(np.shape(g), self.shape)
             return np.array(np.broadcast_to(self.coefficients[0], shape))
-        acc = np.array(self.coefficients[-1])
-        for c in self.coefficients[-2::-1]:
-            acc = acc * g + c
+        C = self.coefficients
+        acc = C[-1]  # the first step below makes a new array
+        for k in range(len(C) - 2, -1, -1):  # indexing: iterating a reversed view is slower
+            acc = acc * g + C[k]
         return acc
 
     def truncate(self, n: int, mode: str = "prefix") -> "PolyMatrix":

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,26 @@ def test_cv_solve_verdict_follows_the_exactness_tolerance(capsys, monkeypatch):
     assert "residual = 1.414214e+00  (exact solution)" in out
 
 
+def test_cv_solve_out_csv(capsys, tmp_path):
+    path = tmp_path / "cv.csv"
+    code, out, _ = run(capsys, "cv-solve", "--instance", "qubit-linear", "--g", "0.1",
+                       "--out", str(path))
+    assert code == 0
+    assert out.endswith(f"rank used = 2\nwrote {path}\n")
+    assert path.read_bytes().decode() == (
+        "g,residual,rank,alpha_0,alpha_1\r\n"
+        "0.10000000000000001,1.2560739669470201e-15,2,9.9999999999999893,-9.9999999999999893\r\n"
+    )
+
+
+def test_cv_solve_residual_of_huge_target_is_finite(capsys):
+    # the residual's entries are near 7e285: squared without scaling they overflow
+    code, out, _ = run(capsys, "cv-solve", "--instance", "eq70", "--g", "0.1",
+                       "--a", "1e300,-1e300")
+    assert code == 0
+    assert "residual = 1.012919e+286  (no exact solution)" in out
+
+
 # ---------------------------------------------------------------- pole-order
 
 
@@ -456,6 +477,20 @@ def test_truncation_check_quad_cx(capsys):
     assert "contextual values match:   False" in out
 
 
+def test_truncation_check_out_csv(capsys, tmp_path):
+    path = tmp_path / "tc.csv"
+    code, out, _ = run(capsys, "truncation-check", "--instance", "quad-cx", "--n", "1",
+                       "--out", str(path))
+    assert code == 0
+    assert out.endswith(f"contextual values match:   False\nwrote {path}\n")
+    rows = path.read_bytes().decode().split("\r\n")
+    assert rows[0] == "g,full_residual,truncated_residual"
+    assert rows[1] == "0.01,1.2862197713967053e-12,1.4142135623730951"
+    assert rows[5] == "0.04147699404454562,7.0683339686648436e-17,1.4142135623730951"
+    assert rows[12] == "0.5,1.0363836789455734e-15,1.4142135623730951"
+    assert rows[13:] == [""]
+
+
 def test_truncation_check_identity_for_linear(capsys):
     code, out, _ = run(
         capsys, "truncation-check", "--instance", "qubit-linear", "--n", "1"
@@ -527,6 +562,62 @@ def test_weak_limit_takes_a_final_state_the_loader_accepts(capsys, tmp_path):
     data["psi_f"] = [[x * (1 + 8e-11) for x in entry] for entry in data["psi_f"]]
     path.write_text(json.dumps(data))
     assert limit() == pytest.approx(normalized, abs=1e-9)
+
+
+WEAK_LIMIT_PSI_F_2_1 = """\
+instance qubit-linear: weak limit along 13 couplings
+             g   conditioned avg   success prob
+2.44140625e-05       0.333333333    0.900000000
+ 4.8828125e-05       0.333333334    0.900000000
+  9.765625e-05       0.333333334    0.899999998
+  0.0001953125       0.333333336    0.899999992
+   0.000390625       0.333333345    0.899999969
+    0.00078125       0.333333379    0.899999878
+     0.0015625       0.333333514    0.899999512
+      0.003125       0.333334057    0.899998047
+       0.00625       0.333336227    0.899992187
+        0.0125       0.333344908    0.899968749
+         0.025       0.333379643    0.899874980
+          0.05       0.333518737    0.899499687
+           0.1       0.334077593    0.897994975
+quadratic fit (c0 + c1 g + c2 g^2): [0.333333333, -1.2734213e-07, 0.0743233005]
+extrapolated limit: 0.333333333
+traditional value:  0.333333333
+discrepancy:        1.239e-11
+"""
+
+
+@pytest.mark.parametrize("psi_f", ["2,1", "2,0,1,0"], ids=["real", "interleaved"])
+def test_weak_limit_psi_f_is_normalized_in_either_form(capsys, psi_f):
+    code, out, err = run(capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", psi_f)
+    assert (code, err) == (0, "")
+    assert out == WEAK_LIMIT_PSI_F_2_1
+
+
+def test_weak_limit_psi_f_takes_imaginary_parts(capsys):
+    # interleaved re,im: psi_f = (0.8, 0.6i)
+    code, out, err = run(
+        capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", "0.8,0,0,0.6"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-4:] == [
+        "quadratic fit (c0 + c1 g + c2 g^2): [0.28, -1.98427987e-08, 3.7164278e-05]",
+        "extrapolated limit: 0.280000000",
+        "traditional value:  0.280000000",
+        "discrepancy:        2.295e-12",
+    ]
+
+
+@pytest.mark.parametrize(
+    "psi_f, message",
+    [
+        ("1,0,0", "--psi-f needs 2 reals or 4 interleaved re,im values"),
+        ("0,0", "--psi-f is the zero vector"),
+    ],
+)
+def test_weak_limit_psi_f_usage_errors(capsys, psi_f, message):
+    code, out, err = run(capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", psi_f)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 # ----------------------------------------------------- asymptotics and claim
@@ -670,6 +761,19 @@ def test_mc_run_is_deterministic(capsys):
     assert 0 < successes < 2000
 
 
+def test_mc_run_out_csv(capsys, tmp_path):
+    path = tmp_path / "mc.csv"
+    code, out, _ = run(capsys, "mc-run", "--instance", "qubit-linear", "--g", "0.1",
+                       "--trials", "2000", "--seed", "1", "--out", str(path))
+    assert code == 0
+    assert out.endswith(f"per-outcome counts: [891, 800]\nwrote {path}\n")
+    assert path.read_bytes().decode() == (
+        "g,trials,seed,empirical_value,stderr,successes,analytic_value\r\n"
+        "0.10000000000000001,2000,1,0.53814311058545183,0.24289964566750999,1691,"
+        "0.41507537155096519\r\n"
+    )
+
+
 def test_mc_run_without_final_state_names_no_flag(capsys):
     # mc-run has no --psi-f or --theta-f; weak-limit keeps its own hint
     code, out, err = run(capsys, "mc-run", "--instance", "flat", "--g", "0.1")
@@ -717,6 +821,39 @@ def test_weak_limit_out_of_memory_grid_is_usage_error(capsys, monkeypatch):
     assert out == ""
 
 
+OBSERVABLE_COMMANDS = [
+    ["cv-solve", "--g", "0.1"],
+    ["pole-order"],
+    ["svd-asymptotics"],
+    ["truncation-check", "--n", "1"],
+    ["weak-limit"],
+    ["mc-run", "--g", "0.1", "--trials", "1000", "--seed", "1"],
+    ["validate"],
+]
+
+
+@pytest.mark.parametrize("name", ["qubit-linear", "quad-cx", "flat"])
+def test_observable_entries_stay_below_2_to_the_256(capsys, tmp_path, name):
+    # an overflow RuntimeWarning is an error in this suite; the observables
+    # here have largest entry 1, so a scale of 2**255 is the last one loaded
+    path = tmp_path / f"{name}.json"
+    run(capsys, "registry", "export", name, "--out", str(path))
+    data = json.loads(path.read_text())
+    refused = "error: ValidationError: [BadValue] at observable: "
+    for scale, ok in [(2.0**255, True), (2.0**256, False), (1e300, False)]:
+        scaled = dict(data, observable=[[[x * scale for x in z] for z in row]
+                                        for row in data["observable"]])
+        path.write_text(json.dumps(scaled))
+        for argv in OBSERVABLE_COMMANDS:
+            code, _, err = run(capsys, *argv, "--file", str(path))
+            if ok:
+                assert code in (0, 1, 2) and refused not in err
+            else:
+                assert (code, err) == (
+                    1, refused + "observable has an entry of magnitude 2**256 or more\n"
+                )
+
+
 def test_complex_raw_family_file_is_error(capsys, tmp_path):
     path = tmp_path / "complex.json"
     run(capsys, "registry", "export", "eq70", "--out", str(path))
@@ -746,6 +883,20 @@ def test_registry_show(capsys):
     assert "fmatrix:  2 x 2" in out
 
 
+def test_registry_show_povm(capsys):
+    code, out, _ = run(capsys, "registry", "show", "qubit-linear")
+    assert code == 0
+    assert out == (
+        "name:     qubit-linear\n"
+        "summary:  qubit family (I +- g Z)/2: contextual values +-1/g, weak-value limit\n"
+        "povm:     2 outcomes, dimension 2, degree 1, g_max 0.9\n"
+        "observable eigenvalues: [1, -1]\n"
+        "psi_i:    set\n"
+        "psi_f:    set\n"
+        "notes:    two-outcome qubit family (I +- g Z)/2 with observable Z\n"
+    )
+
+
 def test_registry_show_needs_name(capsys):
     code, _, err = run(capsys, "registry", "show")
     assert code == 2
@@ -762,6 +913,27 @@ def test_registry_export_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "registry", "export", "quad-cx")
     assert code == 0
     assert out.strip() == path.read_text().strip()
+
+
+# ------------------------------------------------------------ README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `weaklab ...` line of README.md's sh blocks, split as a shell would."""
+    blocks = README.read_text().split("```sh\n")[1:]
+    lines = [ln for block in blocks for ln in block.split("```")[0].splitlines()]
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("weaklab ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 # ------------------------------------------------------------ one parser

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from weaklab import asymptotics as ay
 from weaklab import contextual as cx
 from weaklab import linalg
 from weaklab import povm as pv
+from weaklab import registry
 from weaklab import weak as wk
 from weaklab.errors import ConstantOutcome, NonUniformOrder, NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
@@ -38,7 +41,7 @@ def test_build_f_qubit_linear():
     npt.assert_allclose(F.a_vec, [1.0, -1.0])
     g = 0.1
     expected = np.array([[0.55, 0.45], [0.45, 0.55]])
-    npt.assert_allclose(F.at(g), expected, atol=1e-14)
+    npt.assert_allclose(np.real(F.poly(g)), expected, atol=1e-14)
     assert F.dim == 2 and F.n_out == 2
     assert F.row_sum_residual() < 1e-14
 
@@ -56,7 +59,7 @@ def test_build_f_in_rotated_basis():
         g_max=0.9,
     )
     F = cx.build_F(povm, rot(Z))
-    npt.assert_allclose(F.at(0.1), [[0.55, 0.45], [0.45, 0.55]], atol=1e-12)
+    npt.assert_allclose(np.real(F.poly(0.1)), [[0.55, 0.45], [0.45, 0.55]], atol=1e-12)
     npt.assert_allclose(F.a_vec, [1.0, -1.0], atol=1e-12)
 
 
@@ -75,8 +78,9 @@ def test_build_f_basis_rebuilds_the_outcomes():
     B = F.basis
     npt.assert_allclose(B.conj().T @ B, I2, atol=1e-14)
     for g in (0.0, 0.3, 0.9):
+        Fg = np.real(F.poly(g))
         for j, e in enumerate(povm.elements):
-            npt.assert_allclose(B @ np.diag(F.at(g)[:, j]) @ B.conj().T, e(g), atol=1e-14)
+            npt.assert_allclose(B @ np.diag(Fg[:, j]) @ B.conj().T, e(g), atol=1e-14)
 
 
 def test_build_f_takes_no_eigh_for_a_generated_family(monkeypatch):
@@ -186,11 +190,53 @@ def test_solve_grid_equals_pointwise_solves():
         assert sol.alpha.shape == (len(grid), F.n_out)
         for k, g in enumerate(grid):
             point = cx.pseudoinverse_cv(F, g)
-            assert np.array_equal(sol.F_g[k], F.at(g))
+            assert np.array_equal(sol.F_g[k], np.real(F.poly(g)))
             assert np.array_equal(sol.alpha[k], point.alpha)
             assert sol.residuals[k] == point.residual
             assert sol.ranks[k] == point.rank_used
         assert sol.exact == cx.exact_cv_exists(F, grid)
+
+
+def _registry_and_generated_families():
+    """(F, g_max) of every registry instance (eq70 against a = (1, 1)) and 100 generated ones."""
+    out = []
+    for name in registry.REGISTRY:
+        spec = registry.get_instance(name)
+        if spec.povm is None:
+            out.append((cx.FMatrix(poly=spec.fmatrix, a_vec=[1.0, 1.0]), spec.g_max))
+        else:
+            out.append((cx.build_F(spec.povm, spec.observable), spec.g_max))
+    rng = np.random.default_rng(15)
+    shapes = [(2, 2), (2, 3), (3, 3), (3, 5), (4, 4)]
+    for t in range(100):
+        inst = wk.generate_linear_commuting_instance(rng, *shapes[t % len(shapes)])
+        out.append((inst.F, inst.povm.g_max))
+    return out
+
+
+def test_residuals_equal_the_unscaled_norm_bit_for_bit():
+    # the norms are taken on an exactly rescaled residual; where the plain
+    # sqrt(r . r) does not overflow, nothing changes
+    for F, g_max in _registry_and_generated_families():
+        grid = np.concatenate([wk.limit_grid(g_max), np.geomspace(g_max * 1e-3, g_max, 7)])
+        sol = cx.solve_grid(F, grid)
+        r = (sol.F_g @ sol.alpha[..., None])[..., 0] - F.a_vec
+        plain = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+        assert sol.residuals.tobytes() == plain.tobytes()
+        point = cx.pseudoinverse_cv(F, grid[-1])
+        assert point.residual == float(np.linalg.norm(r[-1]))
+
+
+def test_residual_of_a_huge_target_is_finite():
+    eq70 = registry.get_instance("eq70").fmatrix
+    F = cx.FMatrix(poly=eq70, a_vec=[1e300, -1e300])
+    sol = cx.solve_grid(F, [0.1, 0.2])
+    point = cx.pseudoinverse_cv(F, 0.1)
+    assert np.isfinite(sol.residuals).all()
+    assert point.residual == sol.residuals[0]
+    r = sol.F_g[0] @ sol.alpha[0] - F.a_vec  # entries near 7e285: their squares overflow
+    npt.assert_allclose(point.residual, math.hypot(*r), rtol=1e-15)
+    assert not cx.is_exact(point.residual)
 
 
 def test_exact_cv_exists():

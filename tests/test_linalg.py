@@ -383,6 +383,8 @@ def test_general_path_still_serves_every_other_family():
     U = random_unitary(np.random.default_rng(17), 3)
     rotated = [U @ np.diag(w) @ U.conj().T for w in ([1.0, 1.0, 0.0], [2.0, -1.0, 5.0])]
     assert_matches_oracle(rotated, diagonal=False)
+    # alone, the first keeps its degeneracy: the lexicographic tie-break decides the order
+    assert_matches_oracle(rotated[:1], diagonal=False)
     # beyond 2**256 the diagonal path steps aside, so overflow stays the general path's
     assert_matches_oracle([np.diag([2.0**256, 1.0])], diagonal=False)
 

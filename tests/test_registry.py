@@ -56,7 +56,7 @@ def test_quad_cx_certificates():
     # determinant certificate: |det F(g)| = (3/4) g^2 (1 - 3 g^2 / 4);
     # the sign depends on the descending-eigenvalue row order
     for g in (0.05, 0.2, 0.5):
-        F = build_F(spec.povm, spec.observable).at(g)
+        F = np.real(build_F(spec.povm, spec.observable).poly(g))
         npt.assert_allclose(
             abs(np.linalg.det(F)), 0.75 * g**2 * (1 - 0.75 * g**2), rtol=1e-10
         )
