@@ -30,11 +30,6 @@ FIT_POINTS = 6
 R2_RELIABLE = 0.999
 
 
-def default_pole_grid() -> np.ndarray:
-    """limit_grid() for a family with g_max >= 0.1; analyses build limit_grid(g_max) instead."""
-    return limit_grid()
-
-
 @dataclass(frozen=True)
 class OrderEstimate:
     """Leading-order fit v(g) ~ coefficient * g**exponent."""

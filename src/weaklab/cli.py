@@ -6,6 +6,8 @@ Commands map one-to-one onto the library layers: `validate`, `cv-solve`,
 either from the built-in registry (--instance NAME) or from a JSON file
 (--file PATH).  Every command is deterministic given its flags; seeds are
 always explicit.  `--out` additionally writes the numeric payload as CSV.
+A command returns its text lines, its table (CSV header and rows) and its
+exit code; only `main` resolves the instance, prints and writes `--out`.
 The parser is built once per process, on the first `main` call, and reused.
 
 Exit codes: 0 on success, 1 on an analytic failure (no exact contextual
@@ -22,6 +24,8 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +71,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow(
                 [f"{v:.17g}" if isinstance(v, float) else v for v in row]
             )
-    print(f"wrote {path}")
 
 
 def _registry_instance(name: str) -> InstanceSpec:
@@ -78,7 +81,7 @@ def _registry_instance(name: str) -> InstanceSpec:
 
 
 def _resolve(args) -> InstanceSpec:
-    if getattr(args, "instance", None):
+    if args.instance:
         return _registry_instance(args.instance)
     try:
         return load_instance(args.file)
@@ -144,35 +147,40 @@ def _family(spec: InstanceSpec):
 # ------------------------------------------------------------------- commands
 
 
-def _cmd_validate(args) -> int:
-    spec = _resolve(args)
+class _Output(NamedTuple):
+    """A command's result: its text lines, its --out table (header None: none) and exit code."""
+
+    lines: Iterable[str]
+    header: list[str] | None = None
+    rows: Iterable = ()
+    code: int = 0
+
+
+def _cmd_validate(args, spec: InstanceSpec) -> _Output:
     if spec.povm is None:
         fam = spec.fmatrix
-        print(f"instance {spec.name}: raw {fam.shape[0]} x {fam.shape[1]} matrix family")
-        print(f"degree {fam.max_degree}, g_max {_f(spec.g_max)}")
-        print("no positivity/completeness constraints apply to a raw family")
-        return 0
+        return _Output([
+            f"instance {spec.name}: raw {fam.shape[0]} x {fam.shape[1]} matrix family",
+            f"degree {fam.max_degree}, g_max {_f(spec.g_max)}",
+            "no positivity/completeness constraints apply to a raw family",
+        ])
     povm = spec.povm
     report = validate_povm(povm)
-    print(
+    lines = [
         f"instance {spec.name}: {povm.n_out} outcomes on dimension {povm.dim}, "
-        f"degree {povm.max_degree}, g_max {_f(povm.g_max)}"
-    )
-    print(f"hermiticity residual:    {report.hermiticity_residual:.3e}")
-    print(f"completeness residuals:  {_vec(report.completeness_residuals)}")
-    print(f"min eigenvalue on grid:  {report.min_eigenvalues.min():.3e}")
-    for msg in report.failures:
-        print(f"FAIL: {msg}")
-    print("validation " + ("PASSED" if report.passed else "FAILED"))
-    if args.out:
-        header = ["g"] + [f"min_eig_{j}" for j in range(povm.n_out)]
-        rows = [[g, *report.min_eigenvalues[:, i]] for i, g in enumerate(report.grid)]
-        _write_csv(args.out, header, rows)
-    return 0 if report.passed else 1
+        f"degree {povm.max_degree}, g_max {_f(povm.g_max)}",
+        f"hermiticity residual:    {report.hermiticity_residual:.3e}",
+        f"completeness residuals:  {_vec(report.completeness_residuals)}",
+        f"min eigenvalue on grid:  {report.min_eigenvalues.min():.3e}",
+        *(f"FAIL: {msg}" for msg in report.failures),
+        "validation " + ("PASSED" if report.passed else "FAILED"),
+    ]
+    header = ["g"] + [f"min_eig_{j}" for j in range(povm.n_out)]
+    rows = ([g, *report.min_eigenvalues[:, i]] for i, g in enumerate(report.grid))
+    return _Output(lines, header, rows, 0 if report.passed else 1)
 
 
-def _cmd_cv_solve(args) -> int:
-    spec = _resolve(args)
+def _cmd_cv_solve(args, spec: InstanceSpec) -> _Output:
     F = _fmatrix(spec, args.a)
     check_coupling(args.g, spec.g_max)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
@@ -180,44 +188,41 @@ def _cmd_cv_solve(args) -> int:
     if not np.isfinite(sol.alpha).all():
         raise NoExactCv(f"contextual values overflow at g = {_f(args.g)}")
     exact = is_exact(sol.residual)
-    print(f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}")
-    print(f"a     = {_vec(F.a_vec)}")
-    print(f"alpha = {_vec(sol.alpha)}")
-    print(f"residual = {sol.residual:.6e}  ({'exact' if exact else 'no exact'} solution)")
-    print(f"rank used = {sol.rank_used}")
-    if args.out:
-        header = ["g", "residual", "rank"] + [f"alpha_{j}" for j in range(F.n_out)]
-        _write_csv(args.out, header, [[args.g, sol.residual, sol.rank_used, *sol.alpha]])
-    return 0
+    lines = [
+        f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}",
+        f"a     = {_vec(F.a_vec)}",
+        f"alpha = {_vec(sol.alpha)}",
+        f"residual = {sol.residual:.6e}  ({'exact' if exact else 'no exact'} solution)",
+        f"rank used = {sol.rank_used}",
+    ]
+    header = ["g", "residual", "rank"] + [f"alpha_{j}" for j in range(F.n_out)]
+    return _Output(lines, header, [[args.g, sol.residual, sol.rank_used, *sol.alpha]])
 
 
-def _cmd_pole_order(args) -> int:
-    spec = _resolve(args)
+def _cmd_pole_order(args, spec: InstanceSpec) -> _Output:
     F = _fmatrix(spec, args.a)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
         est = pinv_pole_order(F.poly, F.a_vec, limit_grid(spec.g_max))
     if not np.isfinite(est.alpha_sup).all():
         raise NoExactCv("contextual values overflow on the pole grid")
-    print(f"instance {spec.name}: a = {_vec(F.a_vec)}")
+    lines = [f"instance {spec.name}: a = {_vec(F.a_vec)}"]
     if est.alpha_zero:
-        print("alpha(g) vanishes on the whole grid: no pole")
-    print(f"pole order   = {_f(est.exponent)}   (||alpha(g)|| ~ g^-order)")
-    print(f"coefficient  = {_f(est.coefficient)}")
-    print(f"fit r^2      = {est.fit_r2:.9f}" + ("" if est.reliable else "  [UNRELIABLE]"))
+        lines.append("alpha(g) vanishes on the whole grid: no pole")
+    lines += [
+        f"pole order   = {_f(est.exponent)}   (||alpha(g)|| ~ g^-order)",
+        f"coefficient  = {_f(est.coefficient)}",
+        f"fit r^2      = {est.fit_r2:.9f}" + ("" if est.reliable else "  [UNRELIABLE]"),
+    ]
     order = np.argsort(est.g_grid)
+    g, ranks = est.g_grid[order], est.ranks[order]
     if est.rank_changes:
-        g, ranks = est.g_grid[order], est.ranks[order]
         steps = [0, *(np.flatnonzero(np.diff(ranks)) + 1)]
-        print("rank of F(g) changes along the grid: " + ", ".join(
+        lines.append("rank of F(g) changes along the grid: " + ", ".join(
             f"rank {ranks[i]} from g = {_f(g[i])}" for i in steps))
-    if args.out:
-        rows = zip(est.g_grid[order], est.alpha_sup[order])
-        _write_csv(args.out, ["g", "alpha_sup"], rows)
-    return 0
+    return _Output(lines, ["g", "alpha_sup"], zip(g, est.alpha_sup[order]))
 
 
-def _cmd_truncation_check(args) -> int:
-    spec = _resolve(args)
+def _cmd_truncation_check(args, spec: InstanceSpec) -> _Output:
     if spec.povm is None or spec.observable is None:
         raise _UsageError(f"instance {spec.name!r} needs a POVM and an observable")
     g_max = spec.povm.g_max
@@ -225,23 +230,19 @@ def _cmd_truncation_check(args) -> int:
     rep = truncated_cv_check(
         spec.povm, spec.observable, args.n, grid, mode=args.truncate_mode
     )
-    print(f"instance {spec.name}: truncation order n = {rep.n}, mode = {rep.mode}")
-    print(f"{'g':>12}  {'full residual':>14}  {'trunc residual':>14}")
-    for i, g in enumerate(rep.g_grid):
-        print(
-            f"{_f(g):>12}  {rep.full_residuals[i]:>14.6e}  {rep.truncated_residuals[i]:>14.6e}"
-        )
-    print(f"full family solvable:      {rep.full_solvable}")
-    print(f"truncated family solvable: {rep.truncated_solvable}")
-    print(f"contextual values match:   {rep.alphas_match}")
-    if args.out:
-        rows = zip(rep.g_grid, rep.full_residuals, rep.truncated_residuals)
-        _write_csv(args.out, ["g", "full_residual", "truncated_residual"], rows)
-    return 0
+    rows = list(zip(rep.g_grid, rep.full_residuals, rep.truncated_residuals))
+    lines = [
+        f"instance {spec.name}: truncation order n = {rep.n}, mode = {rep.mode}",
+        f"{'g':>12}  {'full residual':>14}  {'trunc residual':>14}",
+        *(f"{_f(g):>12}  {full:>14.6e}  {trunc:>14.6e}" for g, full, trunc in rows),
+        f"full family solvable:      {rep.full_solvable}",
+        f"truncated family solvable: {rep.truncated_solvable}",
+        f"contextual values match:   {rep.alphas_match}",
+    ]
+    return _Output(lines, ["g", "full_residual", "truncated_residual"], rows)
 
 
-def _cmd_weak_limit(args) -> int:
-    spec = _resolve(args)
+def _cmd_weak_limit(args, spec: InstanceSpec) -> _Output:
     if spec.povm is None or spec.observable is None:
         raise _UsageError(f"instance {spec.name!r} needs a POVM and an observable")
     if spec.psi_i is None:
@@ -272,185 +273,161 @@ def _cmd_weak_limit(args) -> int:
             ) from None
 
     rep = weak_limit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)
-    print(f"instance {spec.name}: weak limit along {len(rep.g_grid)} couplings")
-    print(f"{'g':>14}  {'conditioned avg':>16}  {'success prob':>13}")
     order = np.argsort(rep.g_grid)
-    for i in order:
-        print(
-            f"{_f(rep.g_grid[i]):>14}  {rep.conditioned_averages[i]:>16.9f}  "
-            f"{rep.success_probabilities[i]:>13.9f}"
-        )
-    print(f"quadratic fit (c0 + c1 g + c2 g^2): {_vec(rep.fit_coefficients)}")
-    print(f"extrapolated limit: {rep.extrapolated_limit:.9f}")
-    print(f"traditional value:  {rep.traditional_value:.9f}")
-    print(f"discrepancy:        {rep.discrepancy:.3e}")
-    if args.out:
-        rows = zip(
-            rep.g_grid[order], rep.conditioned_averages[order], rep.success_probabilities[order]
-        )
-        _write_csv(args.out, ["g", "conditioned_average", "success_probability"], rows)
-    return 0
+    rows = list(zip(
+        rep.g_grid[order], rep.conditioned_averages[order], rep.success_probabilities[order]
+    ))
+    lines = [
+        f"instance {spec.name}: weak limit along {len(rep.g_grid)} couplings",
+        f"{'g':>14}  {'conditioned avg':>16}  {'success prob':>13}",
+        *(f"{_f(g):>14}  {avg:>16.9f}  {prob:>13.9f}" for g, avg, prob in rows),
+        f"quadratic fit (c0 + c1 g + c2 g^2): {_vec(rep.fit_coefficients)}",
+        f"extrapolated limit: {rep.extrapolated_limit:.9f}",
+        f"traditional value:  {rep.traditional_value:.9f}",
+        f"discrepancy:        {rep.discrepancy:.3e}",
+    ]
+    return _Output(lines, ["g", "conditioned_average", "success_probability"], rows)
 
 
-def _cmd_svd_asymptotics(args) -> int:
-    spec = _resolve(args)
+def _cmd_svd_asymptotics(args, spec: InstanceSpec) -> _Output:
     fam = _family(spec)
     grid = np.sort(limit_grid(spec.g_max))
     curve = svd_curve(fam, grid)
-    k = curve.singulars.shape[1]
     rows, cols = fam.shape
 
-    print(f"instance {spec.name}: {rows} x {cols} family, degree {fam.max_degree}")
-    header = f"{'g':>14}  " + "  ".join(f"{f'sigma_{i + 1}':>13}" for i in range(k))
-    print(header)
-    for i, g in enumerate(curve.g_grid):
-        sig = "  ".join(f"{s:>13.6e}" for s in curve.singulars[i])
-        print(f"{_f(g):>14}  {sig}")
-
-    dets = None
+    header = ["g"] + [f"sigma_{i + 1}" for i in range(curve.singulars.shape[1])]
+    table = np.column_stack([curve.g_grid, curve.singulars])
+    lines = [
+        f"instance {spec.name}: {rows} x {cols} family, degree {fam.max_degree}",
+        f"{'g':>14}  " + "  ".join(f"{name:>13}" for name in header[1:]),
+        *(f"{_f(g):>14}  " + "  ".join(f"{s:>13.6e}" for s in sig) for g, *sig in table),
+    ]
     if rows == cols:
         dets = np.abs(np.linalg.det(fam(curve.g_grid[:, None, None])))
         prods = np.prod(curve.singulars, axis=1)
         rel = np.max(np.abs(dets - prods) / np.maximum(prods, 1e-300))
-        print(f"det consistency: max rel deviation of |det F| from prod(sigma) = {rel:.3e}")
+        lines.append(f"det consistency: max rel deviation of |det F| from prod(sigma) = {rel:.3e}")
+        header.append("abs_det")
+        table = np.column_stack([table, dets])
 
-    probes = [np.ones(rows), (-1.0) ** np.arange(rows)]
-    for a in probes:
+    for a in [np.ones(rows), (-1.0) ** np.arange(rows)]:
         est = pinv_pole_order(fam, a, grid)
         tag = "" if est.reliable else "  [UNRELIABLE]"
-        print(
+        lines.append(
             f"pole order for a = {_vec(a)}: {_f(est.exponent)} "
             f"(coefficient {_f(est.coefficient)}, r^2 {est.fit_r2:.6f}){tag}"
         )
 
     tsc = truncation_svd_commutator(fam, args.n, spec.g_max)
-    print(
+    lines.append(
         f"order-{args.n} truncation vs singular-value expansion: "
         + ("commute" if tsc.commute else "do NOT commute")
     )
-    for j, series in enumerate(tsc.right_series):
-        print(f"  sigma_{j + 1} series through g^{args.n}: {_vec(series)}")
+    lines += [
+        f"  sigma_{j + 1} series through g^{args.n}: {_vec(series)}"
+        for j, series in enumerate(tsc.right_series)
+    ]
 
     try:
         claim = proof_claim_check(fam, spec.g_max)
     except NotLinear:
-        print(f"proof-claim audit skipped: family degree {fam.max_degree} > 1")
+        lines.append(f"proof-claim audit skipped: family degree {fam.max_degree} > 1")
     else:
-        for j, est in enumerate(claim.orders):
-            if est is None:
-                print(f"  sigma_{j + 1}: identically zero trajectory")
-            else:
-                print(f"  sigma_{j + 1} leading order {_f(est.exponent)} (r^2 {est.fit_r2:.6f})")
-        print(f"claim holds: {str(claim.claim_holds).lower()}")
-        print(f"proof-claim verdict: counterexample_found={str(claim.counterexample_found).lower()}")
-
-    if args.out:
-        header_row = ["g"] + [f"sigma_{i + 1}" for i in range(k)]
-        columns = [curve.g_grid[:, None], curve.singulars]
-        if dets is not None:
-            header_row.append("abs_det")
-            columns.append(dets[:, None])
-        _write_csv(args.out, header_row, np.hstack(columns))
-    return 0
-
-
-def _cmd_proof_claim(args) -> int:
-    spec = _resolve(args)
-    fam = _family(spec)
-    rep = proof_claim_check(fam, spec.g_max)
-    print(f"instance {spec.name}: auditing the first-order singular value claim")
-    if rep.zero_trajectories:
-        print(f"identically-zero trajectories: {rep.zero_trajectories}")
-    for j, est in enumerate(rep.orders):
-        if est is None:
-            continue
-        tag = "" if est.reliable else "  [UNRELIABLE]"
-        print(
-            f"sigma_{j + 1}: leading order {_f(est.exponent)}, "
-            f"coefficient {_f(est.coefficient)}, r^2 {est.fit_r2:.6f}{tag}"
-        )
-    print(f"claim holds: {str(rep.claim_holds).lower()}")
-    print(f"counterexample_found={str(rep.counterexample_found).lower()}")
-    print(f"note: {rep.caveat}")
-    if args.out:
-        rows = [
-            [j, 0.0, 0.0, 1.0, "true"] if est is None
-            else [j, est.exponent, est.coefficient, est.fit_r2, "false"]
-            for j, est in enumerate(rep.orders)
+        lines += [
+            f"  sigma_{j + 1}: identically zero trajectory" if est is None
+            else f"  sigma_{j + 1} leading order {_f(est.exponent)} (r^2 {est.fit_r2:.6f})"
+            for j, est in enumerate(claim.orders)
         ]
-        _write_csv(args.out, ["trajectory", "exponent", "coefficient", "fit_r2", "zero"], rows)
-    return 0
+        lines += [
+            f"claim holds: {str(claim.claim_holds).lower()}",
+            f"proof-claim verdict: counterexample_found={str(claim.counterexample_found).lower()}",
+        ]
+    return _Output(lines, header, table)
 
 
-def _cmd_conjecture_sweep(args) -> int:
+def _cmd_proof_claim(args, spec: InstanceSpec) -> _Output:
+    rep = proof_claim_check(_family(spec), spec.g_max)
+    lines = [f"instance {spec.name}: auditing the first-order singular value claim"]
+    if rep.zero_trajectories:
+        lines.append(f"identically-zero trajectories: {rep.zero_trajectories}")
+    lines += [
+        f"sigma_{j + 1}: leading order {_f(est.exponent)}, "
+        f"coefficient {_f(est.coefficient)}, r^2 {est.fit_r2:.6f}"
+        + ("" if est.reliable else "  [UNRELIABLE]")
+        for j, est in enumerate(rep.orders) if est is not None
+    ]
+    lines += [
+        f"claim holds: {str(rep.claim_holds).lower()}",
+        f"counterexample_found={str(rep.counterexample_found).lower()}",
+        f"note: {rep.caveat}",
+    ]
+    rows = (
+        [j, 0.0, 0.0, 1.0, "true"] if est is None
+        else [j, est.exponent, est.coefficient, est.fit_r2, "false"]
+        for j, est in enumerate(rep.orders)
+    )
+    return _Output(lines, ["trajectory", "exponent", "coefficient", "fit_r2", "zero"], rows)
+
+
+def _cmd_conjecture_sweep(args, spec: None) -> _Output:
     if args.n_out is None and args.dim is not None and args.dim > TRIAL_N_OUT_MAX:
         raise _UsageError(f"--dim above {TRIAL_N_OUT_MAX} needs --n-out")
     records = conjecture_sweep(
         args.seed, args.trials, dim=args.dim, n_out=args.n_out, tol=args.tol
     )
     failures = [r for r in records if not r.passed]
-    verbose = args.trials <= 20
-    for r in records:
-        if verbose or not r.passed:
-            status = "pass" if r.passed else "FAIL"
-            print(
-                f"trial {r.trial:>3}: dim {r.dim}, n_out {r.n_out}, "
-                f"g_min {r.g_min:.3e}, discrepancy {r.discrepancy:.3e}  {status}"
+
+    def lines():
+        # a generator: each failing instance is saved as main prints its line, so a
+        # failed save still leaves every line before it on stdout
+        for r in records:
+            if args.trials <= 20 or not r.passed:
+                yield (
+                    f"trial {r.trial:>3}: dim {r.dim}, n_out {r.n_out}, g_min {r.g_min:.3e}, "
+                    f"discrepancy {r.discrepancy:.3e}  {'pass' if r.passed else 'FAIL'}"
+                )
+        out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
+        for r in failures:
+            inst = r.instance
+            fail_spec = InstanceSpec(
+                name=f"conjecture-fail-s{args.seed}-t{r.trial}",
+                povm=inst.povm,
+                observable=inst.observable,
+                psi_i=inst.psi_i,
+                psi_f=inst.psi_f,
+                notes=(
+                    f"failing conjecture trial: seed {args.seed}, trial {r.trial}, "
+                    f"discrepancy {r.discrepancy:.6e} at tol {args.tol:g}"
+                ),
             )
-    out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
-    for r in failures:
-        inst = r.instance
-        fail_spec = InstanceSpec(
-            name=f"conjecture-fail-s{args.seed}-t{r.trial}",
-            povm=inst.povm,
-            observable=inst.observable,
-            psi_i=inst.psi_i,
-            psi_f=inst.psi_f,
-            notes=(
-                f"failing conjecture trial: seed {args.seed}, trial {r.trial}, "
-                f"discrepancy {r.discrepancy:.6e} at tol {args.tol:g}"
-            ),
+            path = os.path.join(out_dir, fail_spec.name + ".json")
+            with _writing(path):
+                save_instance(fail_spec, path)
+            yield f"serialized failing instance to {path}"
+        yield (
+            f"{len(records) - len(failures)}/{len(records)} trials passed "
+            f"(tol {args.tol:g}, max discrepancy {max(r.discrepancy for r in records):.3e})"
         )
-        path = os.path.join(out_dir, fail_spec.name + ".json")
-        with _writing(path):
-            save_instance(fail_spec, path)
-        print(f"serialized failing instance to {path}")
-    worst = max(r.discrepancy for r in records)
-    print(
-        f"{len(records) - len(failures)}/{len(records)} trials passed "
-        f"(tol {args.tol:g}, max discrepancy {worst:.3e})"
+
+    header = ["seed", "trial", "dim", "n_out", "g_min", "discrepancy", "pass"]
+    rows = (
+        [r.seed[0], r.trial, r.dim, r.n_out, r.g_min, r.discrepancy, str(r.passed).lower()]
+        for r in records
     )
-    if args.out:
-        header = ["seed", "trial", "dim", "n_out", "g_min", "discrepancy", "pass"]
-        rows = [
-            [r.seed[0], r.trial, r.dim, r.n_out, r.g_min, r.discrepancy, str(r.passed).lower()]
-            for r in records
-        ]
-        _write_csv(args.out, header, rows)
-    return 1 if failures else 0
+    return _Output(lines(), header, rows, 1 if failures else 0)
 
 
-def _cmd_mc_run(args) -> int:
-    spec = _resolve(args)
-    if spec.observable is None:
-        raise _UsageError(f"instance {spec.name!r} has no observable")
-    if spec.povm is None:
-        raise _UsageError(f"instance {spec.name!r} is not a POVM")
-    if spec.psi_i is None:
-        raise _UsageError(f"instance {spec.name!r} has no initial state")
-    if spec.psi_f is None:
-        raise _UsageError(f"instance {spec.name!r} has no final state")
+def _cmd_mc_run(args, spec: InstanceSpec) -> _Output:
+    for part, missing in [(spec.observable, "has no observable"), (spec.povm, "is not a POVM"),
+                          (spec.psi_i, "has no initial state"), (spec.psi_f, "has no final state")]:
+        if part is None:
+            raise _UsageError(f"instance {spec.name!r} {missing}")
     check_coupling(args.g, spec.povm.g_max)
     F = build_F(spec.povm, spec.observable)
     sol = pseudoinverse_cv(F, args.g)
     try:
-        res = sample_run(
-            spec.povm,
-            sol.alpha,
-            spec.psi_i,
-            spec.psi_f,
-            McConfig(trials=args.trials, seed=args.seed, g=args.g),
-        )
+        config = McConfig(trials=args.trials, seed=args.seed, g=args.g)
+        res = sample_run(spec.povm, sol.alpha, spec.psi_i, spec.psi_f, config)
     except MemoryError:
         raise _UsageError(f"--trials {args.trials} needs more memory than is available") from None
     analytic, success_prob = conditioned_average(
@@ -458,57 +435,53 @@ def _cmd_mc_run(args) -> int:
     )
     dev = abs(res.empirical_value - analytic)
     sig = dev / res.stderr if res.stderr > 0 else float("inf")
-    print(f"instance {spec.name}: g = {_f(args.g)}, {args.trials} trials, seed {args.seed}")
-    print(f"empirical  = {res.empirical_value:.9f} +- {res.stderr:.9f}")
-    print(f"analytic   = {analytic:.9f}  (success probability {success_prob:.6f})")
-    print(f"deviation  = {dev:.3e}  ({sig:.2f} standard errors)")
-    print(f"successes  = {res.successes}/{res.trials}")
-    print(f"per-outcome draws:  {[int(x) for x in res.per_outcome_draws]}")
-    print(f"per-outcome counts: {[int(x) for x in res.per_outcome_counts]}")
-    if args.out:
-        header = ["g", "trials", "seed", "empirical_value", "stderr", "successes", "analytic_value"]
-        values = [res.empirical_value, res.stderr, res.successes, analytic]
-        _write_csv(args.out, header, [[args.g, args.trials, args.seed, *values]])
-    return 0
+    lines = [
+        f"instance {spec.name}: g = {_f(args.g)}, {args.trials} trials, seed {args.seed}",
+        f"empirical  = {res.empirical_value:.9f} +- {res.stderr:.9f}",
+        f"analytic   = {analytic:.9f}  (success probability {success_prob:.6f})",
+        f"deviation  = {dev:.3e}  ({sig:.2f} standard errors)",
+        f"successes  = {res.successes}/{res.trials}",
+        f"per-outcome draws:  {[int(x) for x in res.per_outcome_draws]}",
+        f"per-outcome counts: {[int(x) for x in res.per_outcome_counts]}",
+    ]
+    header = ["g", "trials", "seed", "empirical_value", "stderr", "successes", "analytic_value"]
+    values = [res.empirical_value, res.stderr, res.successes, analytic]
+    return _Output(lines, header, [[args.g, args.trials, args.seed, *values]])
 
 
-def _cmd_registry(args) -> int:
+def _cmd_registry(args, spec: None) -> _Output:
     if args.action == "list":
-        for entry in REGISTRY.values():
-            print(f"{entry.name:<14} {entry.summary}")
-        return 0
+        return _Output([f"{entry.name:<14} {entry.summary}" for entry in REGISTRY.values()])
     if not args.name:
         raise _UsageError(f"registry {args.action} needs an instance name")
     spec = _registry_instance(args.name)
-    if args.action == "show":
-        print(f"name:     {spec.name}")
-        print(f"summary:  {REGISTRY[spec.name].summary}")
-        if spec.povm is not None:
-            print(
-                f"povm:     {spec.povm.n_out} outcomes, dimension {spec.povm.dim}, "
-                f"degree {spec.povm.max_degree}, g_max {_f(spec.povm.g_max)}"
-            )
-        else:
-            print(
-                f"fmatrix:  {spec.fmatrix.shape[0]} x {spec.fmatrix.shape[1]}, "
-                f"degree {spec.fmatrix.max_degree}, g_max {_f(spec.g_max)}"
-            )
-        if spec.observable is not None:
-            print(f"observable eigenvalues: {_vec(np.linalg.eigvalsh(spec.observable)[::-1])}")
-        print(f"psi_i:    {'set' if spec.psi_i is not None else 'absent'}")
-        print(f"psi_f:    {'set' if spec.psi_f is not None else 'absent'}")
-        if spec.notes:
-            print(f"notes:    {spec.notes}")
-        return 0
-    # export
-    text = canonical_json(instance_to_dict(spec))
-    if args.out:
+    if args.action == "export":
+        text = canonical_json(instance_to_dict(spec))
+        if not args.out:
+            return _Output([text])
         with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {args.out}")
+        return _Output([f"wrote {args.out}"])
+    lines = [f"name:     {spec.name}", f"summary:  {REGISTRY[spec.name].summary}"]
+    if spec.povm is not None:
+        lines.append(
+            f"povm:     {spec.povm.n_out} outcomes, dimension {spec.povm.dim}, "
+            f"degree {spec.povm.max_degree}, g_max {_f(spec.povm.g_max)}"
+        )
     else:
-        print(text)
-    return 0
+        lines.append(
+            f"fmatrix:  {spec.fmatrix.shape[0]} x {spec.fmatrix.shape[1]}, "
+            f"degree {spec.fmatrix.max_degree}, g_max {_f(spec.g_max)}"
+        )
+    if spec.observable is not None:
+        lines.append(f"observable eigenvalues: {_vec(np.linalg.eigvalsh(spec.observable)[::-1])}")
+    lines += [
+        f"psi_i:    {'set' if spec.psi_i is not None else 'absent'}",
+        f"psi_f:    {'set' if spec.psi_f is not None else 'absent'}",
+    ]
+    if spec.notes:
+        lines.append(f"notes:    {spec.notes}")
+    return _Output(lines)
 
 
 # -------------------------------------------------------------------- parser
@@ -635,7 +608,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out = args.func(args, _resolve(args) if "file" in args else None)  # --instance/--file
+        for line in out.lines:
+            print(line)
+        if out.header is not None and args.out:
+            _write_csv(args.out, out.header, out.rows)
+            print(f"wrote {args.out}")
+        return out.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

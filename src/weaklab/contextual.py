@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import check_hermitian, common_eigenbasis, dagger, pinv_and_rank
+from .linalg import check_hermitian, common_eigenbasis, dagger, pinv_and_rank, pow2_scale
 from .povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix
 
 ROW_SUM_TOL = 1e-11
@@ -149,17 +149,12 @@ class GridSolution:
         return is_exact(self.residuals)
 
 
-def _residual_scale(r: np.ndarray) -> np.ndarray:
-    """2**(e - 1) per row: the row's largest entry over it is in [1, 2); no square overflows."""
-    return np.ldexp(1.0, np.frexp(np.abs(r).max(axis=-1))[1] - 1)
-
-
 def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     """Minimum-norm weights alpha = pinv(F(g)) a at every coupling, in one stacked solve.
 
     Each step is the per-matrix operation applied to the stack: the real
     part of one Horner evaluation, one stacked pseudoinverse, and the
-    residual norm as sqrt(u . u) * s for u = r / s, s = _residual_scale(r),
+    residual norm as sqrt(u . u) * s for u = r / s, s = pow2_scale(r, axis=-1),
     which is how pseudoinverse_cv takes it.  So every grid point equals a
     separate solve at that coupling bit for bit.
     """
@@ -168,7 +163,7 @@ def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     P, ranks = pinv_and_rank(Fg)
     alpha = np.real(P @ F.a_vec)
     r = (Fg @ alpha[..., None])[..., 0] - F.a_vec
-    s = _residual_scale(r)
+    s = pow2_scale(r, axis=-1)
     u = r / s[:, None]
     residuals = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0]) * s
     return GridSolution(g_grid=g_grid, F_g=Fg, alpha=alpha, residuals=residuals, ranks=ranks)
@@ -180,7 +175,7 @@ def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
 
     The reported residual is the euclidean norm of F(g) alpha - a, which for
     a spectral matrix equals the Frobenius distance between the weighted
-    outcome sum and the observable; it is taken on r / _residual_scale(r).
+    outcome sum and the observable; it is taken on r / pow2_scale(r, axis=-1).
 
     The last (F, g) is memoized (lru_cache, maxsize 1), so a repeated call
     returns the same, read-only CvSolution without a new solve: the meter's
@@ -191,7 +186,7 @@ def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     alpha = np.real(P @ F.a_vec)
     alpha.setflags(write=False)
     r = Fg @ alpha - F.a_vec
-    # _residual_scale's scale and numpy's sqrt(u . u), in scalar math: this runs per coupling
+    # pow2_scale's scale and numpy's sqrt(u . u), in scalar math: this runs per coupling
     s = math.ldexp(1.0, math.frexp(max(map(abs, r.tolist())))[1] - 1)
     u = r / s
     residual = math.sqrt(u.dot(u)) * s

@@ -85,10 +85,6 @@ def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     return (P, int(rank)) if M.ndim == 2 else (P, rank)
 
 
-def pinv(M: np.ndarray) -> np.ndarray:
-    return pinv_and_rank(M)[0]
-
-
 def psd_sqrt(E: np.ndarray) -> np.ndarray:
     """Positive square root of a positive semidefinite Hermitian matrix.
 
@@ -119,14 +115,16 @@ def clamp_psd(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
 
 
-def _pow2_scale(M: np.ndarray) -> np.ndarray:
-    """2**e per matrix with M / 2**e below 1 entrywise: dividing by it loses no bits."""
-    return np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(-2, -1)))[1])
+def pow2_scale(M: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """2**(e - 1) per matrix (per row with axis=-1): the largest entry over it is in [1, 2).
+
+    Dividing by it loses no bits, no square overflows, and it is finite for every float."""
+    return np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axis))[1] - 1)
 
 
 def commutator_norm(X: np.ndarray, Y: np.ndarray) -> float:
     """Frobenius norm of XY - YX, taken on exactly scaled copies so only the result can overflow."""
-    sx, sy = float(_pow2_scale(X)), float(_pow2_scale(Y))
+    sx, sy = float(pow2_scale(X)), float(pow2_scale(Y))
     X, Y = X / sx, Y / sy
     return sx * sy * float(np.linalg.norm(X @ Y - Y @ X))
 
@@ -219,7 +217,7 @@ def common_eigenbasis(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndar
     left, right = np.triu_indices(len(mats), 1)
     if left.size:
         # a relative test, so each operator may be scaled down first: no overflow at any size
-        unit = stack / _pow2_scale(stack)[:, None, None]
+        unit = stack / pow2_scale(stack)[:, None, None]
         X, Y = unit[left], unit[right]
         norms = np.linalg.norm(X @ Y - Y @ X, axis=(-2, -1))
         sizes = np.linalg.norm(unit, axis=(-2, -1))

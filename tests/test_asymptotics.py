@@ -10,7 +10,6 @@ from weaklab import linalg
 from weaklab import povm as pv
 from weaklab import weak as wk
 from weaklab.errors import NotLinear, NotPositiveSamples
-from weaklab.linalg import pinv
 from weaklab.povm import ParamPovm, PolyMatrix
 from weaklab.registry import REGISTRY, get_instance
 
@@ -77,16 +76,6 @@ def test_leading_order_fit_rejects_nonpositive():
         ay.leading_order_fit(np.c_[g, np.zeros_like(g)])
 
 
-def test_default_pole_grid(count_calls):
-    ladder = count_calls(wk, "limit_grid")
-    grid = ay.default_pole_grid()
-    assert ladder[0] == 1
-    assert np.array_equal(grid, wk.limit_grid())
-    assert len(grid) == 13
-    npt.assert_allclose(grid[0], 0.1)
-    npt.assert_allclose(grid[-1], 0.1 * 2.0**-12)
-
-
 # ------------------------------------------------------ eq70 closed forms
 
 
@@ -107,7 +96,7 @@ def test_eq70_determinant_is_g_squared():
 
 def test_svd_curve_shapes_and_monotone_order():
     F = eq70_family()
-    grid = np.sort(ay.default_pole_grid())
+    grid = np.sort(wk.limit_grid())
     curve = ay.svd_curve(F, grid)
     assert curve.singulars.shape == (13, 2)
     assert np.all(curve.singulars[:, 0] >= curve.singulars[:, 1])
@@ -219,7 +208,7 @@ def test_claim_audit_random_families_are_internally_consistent():
 
 
 def test_pinv_pole_orders_for_eq70():
-    F, grid = eq70_family(), ay.default_pole_grid()
+    F, grid = eq70_family(), wk.limit_grid()
     est = ay.pinv_pole_order(F, np.array([1.0, 1.0]), grid)
     assert abs(est.exponent - 2.0) <= 0.05
     assert est.reliable
@@ -229,7 +218,7 @@ def test_pinv_pole_orders_for_eq70():
 
 
 def test_pinv_pole_order_zero_target():
-    est = ay.pinv_pole_order(eq70_family(), np.zeros(2), ay.default_pole_grid())
+    est = ay.pinv_pole_order(eq70_family(), np.zeros(2), wk.limit_grid())
     assert est.alpha_zero
     assert est.exponent == 0.0
     assert est.reliable
@@ -238,7 +227,7 @@ def test_pinv_pole_order_zero_target():
 def test_rank_drop_makes_the_pole_order_unreliable():
     zero = np.zeros((2, 2))
     F = PolyMatrix([np.diag([1.0, 0.0]), zero, zero, zero, np.diag([0.0, 1.0])])
-    est = ay.pinv_pole_order(F, np.ones(2), ay.default_pole_grid())
+    est = ay.pinv_pole_order(F, np.ones(2), wk.limit_grid())
     assert est.fit_r2 == pytest.approx(1.0)  # a clean fit of the wrong curve
     npt.assert_array_equal(est.ranks, [2] * 7 + [1] * 6)
     assert est.rank_changes and not est.reliable
@@ -247,7 +236,7 @@ def test_rank_drop_makes_the_pole_order_unreliable():
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_registry_ranks_are_constant_on_the_pole_grid(name):
     fam, _ = registry_family(name)
-    rows, grid = fam.shape[0], ay.default_pole_grid()
+    rows, grid = fam.shape[0], wk.limit_grid()
     for a in (np.ones(rows), (-1.0) ** np.arange(rows)):
         est = ay.pinv_pole_order(fam, a, grid)
         npt.assert_array_equal(est.g_grid, grid)
@@ -261,11 +250,11 @@ def test_pole_norms_and_validate_eigenvalues_match_per_point_loops(monkeypatch):
     fitted = []
     fit = ay.leading_order_fit
     monkeypatch.setattr(ay, "leading_order_fit", lambda s: fitted.append(s) or fit(s))
-    grid = ay.default_pole_grid()
+    grid = wk.limit_grid()
     for fam, povm in grid_families():
         rows = fam.shape[0]
         for a in [np.ones(rows), (-1.0) ** np.arange(rows)]:
-            norms = np.array([np.abs(pinv(fam(g)) @ a).max() for g in grid])
+            norms = np.array([np.abs(linalg.pinv_and_rank(fam(g))[0] @ a).max() for g in grid])
             fitted.clear()
             est = ay.pinv_pole_order(fam, a, grid)
             if norms.max() <= ay.ZERO_TRAJECTORY_TOL:
@@ -287,10 +276,10 @@ def test_pole_norms_and_validate_eigenvalues_match_per_point_loops(monkeypatch):
 def test_one_stacked_lapack_call_per_grid(name, count_calls):
     fam, povm = registry_family(name)
     svd = count_calls(np.linalg, "svd")
-    ay.svd_curve(fam, ay.default_pole_grid())
+    ay.svd_curve(fam, wk.limit_grid())
     assert svd[0] == 1
     solves = count_calls(linalg, "pinv_and_rank")
-    ay.pinv_pole_order(fam, np.ones(fam.shape[0]), ay.default_pole_grid())
+    ay.pinv_pole_order(fam, np.ones(fam.shape[0]), wk.limit_grid())
     assert solves[0] == 1
     if povm is not None:
         eig = count_calls(np.linalg, "eigvalsh")

@@ -298,7 +298,7 @@ def test_truncated_cv_check_quadratic_counterexample():
 
 def test_pole_order_linear_family():
     F = cx.build_F(qubit_linear(), Z)
-    est = ay.pinv_pole_order(F.poly, F.a_vec, ay.default_pole_grid())
+    est = ay.pinv_pole_order(F.poly, F.a_vec, wk.limit_grid())
     assert abs(est.exponent - 1.0) < 0.05
     assert est.reliable
 
@@ -312,7 +312,7 @@ def test_pole_order_quadratic_family():
     )
     povm = ParamPovm(elements=elements, g_max=0.5)
     F = cx.build_F(povm, np.diag([1.0, -1.0, 0.0]))
-    est = ay.pinv_pole_order(F.poly, F.a_vec, ay.default_pole_grid())
+    est = ay.pinv_pole_order(F.poly, F.a_vec, wk.limit_grid())
     assert abs(est.exponent - 2.0) < 0.05
     assert est.reliable
 

@@ -223,6 +223,19 @@ def test_commutator_norm_scaling_is_exact():
     assert linalg.commutator_norm(np.zeros((2, 2)), np.eye(2)) == 0.0
 
 
+def test_pow2_scale_stays_finite_at_the_largest_float():
+    top = np.finfo(float).max
+    M = np.array([[0.5, top], [2.0**1023, -3.0]])
+    assert linalg.pow2_scale(M) == 2.0**1023
+    npt.assert_array_equal(linalg.pow2_scale(M, axis=-1), [2.0**1023, 2.0**1023])
+    assert linalg.pow2_scale(np.array([[3.0]])) == 2.0
+    # two operators at 2**1023 still name the first non-commuting pair
+    X = np.array([[0.0, 2.0**1023], [2.0**1023, 0.0]])
+    with pytest.raises(NotCommuting) as err:
+        linalg.common_eigenbasis([np.eye(2), np.diag([1.0, -1.0]), X])
+    assert err.value.pair == (1, 2)
+
+
 # ---------------------------------------------- diagonal path vs. eigh oracle
 
 
