@@ -240,7 +240,10 @@ class PoleEstimate:
 
 
 def pinv_pole_order(F: PolyMatrix, a: np.ndarray, g_grid: np.ndarray) -> PoleEstimate:
-    """Fit the growth of ||pinv(F(g)) a||_inf over g_grid; the negated slope is the pole order."""
+    """Fit the growth of ||pinv(F(g)) a||_inf over g_grid; the negated slope is the pole order.
+
+    Weights that overflow at some coupling raise solve_grid's NoExactCv.
+    """
     sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
     norms = np.abs(sol.alpha).max(axis=1)
     solve = dict(g_grid=sol.g_grid, alpha_sup=norms, ranks=sol.ranks)

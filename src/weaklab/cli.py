@@ -7,8 +7,8 @@ either from the built-in registry (--instance NAME) or from a JSON file
 (--file PATH).  Every command is deterministic given its flags; seeds are
 always explicit.  `--out` additionally writes the numeric payload as CSV.
 A command returns its text lines, its table (CSV header and rows) and its
-exit code; only `main` resolves the instance, prints and writes `--out`.
-The parser is built once per process, on the first `main` call, and reused.
+exit code; only `main` resolves the instance, prints and writes `--out`, and
+it refuses `--out` for a command that has no table there.
 
 Exit codes: 0 on success, 1 on an analytic failure (no exact contextual
 values, invalid family, no postselection successes, failing sweep trials),
@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import pinv_pole_order, proof_claim_check, svd_curve, truncation_svd_commutator
-from .contextual import FMatrix, build_F, is_exact, pseudoinverse_cv, truncated_cv_check
-from .errors import NoExactCv, NotLinear, ParseError, WeakLabError
+from .contextual import FMatrix, build_F, pseudoinverse_cv, solve_grid, truncated_cv_check
+from .errors import NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .montecarlo import McConfig, sample_run
 from .povm import check_coupling
@@ -68,9 +68,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-            )
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 def _registry_instance(name: str) -> InstanceSpec:
@@ -183,28 +181,21 @@ def _cmd_validate(args, spec: InstanceSpec) -> _Output:
 def _cmd_cv_solve(args, spec: InstanceSpec) -> _Output:
     F = _fmatrix(spec, args.a)
     check_coupling(args.g, spec.g_max)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
-        sol = pseudoinverse_cv(F, args.g)
-    if not np.isfinite(sol.alpha).all():
-        raise NoExactCv(f"contextual values overflow at g = {_f(args.g)}")
-    exact = is_exact(sol.residual)
+    sol = solve_grid(F, [args.g])
     lines = [
         f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}",
         f"a     = {_vec(F.a_vec)}",
-        f"alpha = {_vec(sol.alpha)}",
-        f"residual = {sol.residual:.6e}  ({'exact' if exact else 'no exact'} solution)",
-        f"rank used = {sol.rank_used}",
+        f"alpha = {_vec(sol.alpha[0])}",
+        f"residual = {sol.residuals[0]:.6e}  ({'exact' if sol.exact else 'no exact'} solution)",
+        f"rank used = {sol.ranks[0]}",
     ]
     header = ["g", "residual", "rank"] + [f"alpha_{j}" for j in range(F.n_out)]
-    return _Output(lines, header, [[args.g, sol.residual, sol.rank_used, *sol.alpha]])
+    return _Output(lines, header, [[args.g, sol.residuals[0], sol.ranks[0], *sol.alpha[0]]])
 
 
 def _cmd_pole_order(args, spec: InstanceSpec) -> _Output:
     F = _fmatrix(spec, args.a)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha is refused below
-        est = pinv_pole_order(F.poly, F.a_vec, limit_grid(spec.g_max))
-    if not np.isfinite(est.alpha_sup).all():
-        raise NoExactCv("contextual values overflow on the pole grid")
+    est = pinv_pole_order(F.poly, F.a_vec, limit_grid(spec.g_max))
     lines = [f"instance {spec.name}: a = {_vec(F.a_vec)}"]
     if est.alpha_zero:
         lines.append("alpha(g) vanishes on the whole grid: no pole")
@@ -608,7 +599,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed its own message
         return int(exc.code or 0)
     try:
-        out = args.func(args, _resolve(args) if "file" in args else None)  # --instance/--file
+        spec = _resolve(args) if "file" in args else None  # --instance/--file
+        out = args.func(args, spec)
+        if spec is not None and args.out and out.header is None:
+            raise _UsageError(f"{args.command} writes no --out table for instance {spec.name!r}")
         for line in out.lines:
             print(line)
         if out.header is not None and args.out:

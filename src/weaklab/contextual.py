@@ -16,22 +16,21 @@ generator all go through `solve_grid`; the last two hand their solution on
 to the weak-limit ladder, so a grid is solved once per limit.
 
 `pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
-by identity).  A solution is exact when its residual ||F(g) alpha - a|| is
-within EXACT_CV_TOL; `is_exact` is the one place that comparison is made.
-Both solvers take that norm on the residual scaled by a power of two, so it
-is the plain norm bit for bit wherever that neither overflows nor underflows,
-and finite wherever the true norm is.
+by identity).  Each rule of a solve has one owner: `_pinv_weights`, under both
+solvers, raises NoExactCv at the first coupling whose alpha is not finite;
+`solve_grid` alone forms the residual ||F(g) alpha - a||, on a copy scaled by
+a power of two so that it is finite wherever the true norm is; and
+`GridSolution.exact` alone compares residuals with EXACT_CV_TOL.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NoExactCv, ValidationError
 from .linalg import check_hermitian, common_eigenbasis, dagger, pinv_and_rank, pow2_scale
 from .povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix
 
@@ -118,19 +117,18 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
     return F
 
 
-def is_exact(residuals) -> bool:
-    """True when every residual ||F(g) alpha - a|| is within EXACT_CV_TOL."""
-    return bool(np.all(np.asarray(residuals) <= EXACT_CV_TOL))
-
-
 @dataclass(frozen=True)
 class CvSolution:
     """Pseudoinverse contextual values at one coupling."""
 
     g: float
     alpha: np.ndarray
-    residual: float  # ||F(g) alpha - a||_2, equal to the Frobenius operator residual
-    rank_used: int
+    F: FMatrix
+
+    @property
+    def residual(self) -> float:
+        """||F(g) alpha - a||_2 (the Frobenius operator residual), as solve_grid takes it."""
+        return float(solve_grid(self.F, [self.g]).residuals[0])
 
 
 @dataclass(frozen=True)
@@ -145,23 +143,34 @@ class GridSolution:
 
     @property
     def exact(self) -> bool:
-        """True when every grid point is exact (see is_exact)."""
-        return is_exact(self.residuals)
+        """True when every residual ||F(g) alpha - a|| is within EXACT_CV_TOL."""
+        return bool(np.all(self.residuals <= EXACT_CV_TOL))
+
+
+def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.ndarray | int]:
+    """alpha = pinv(F(g)) a and the ranks used, for one F(g) or a stack over the couplings g."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite alpha is refused below
+        P, ranks = pinv_and_rank(Fg)
+        alpha = np.real(P @ a_vec)
+    finite = np.isfinite(alpha)
+    if not finite.all():
+        first = finite.reshape(-1, finite.shape[-1]).all(axis=1).argmin()
+        raise NoExactCv(f"contextual values overflow at g = {np.ravel(g)[first]:.9g}")
+    return alpha, ranks
 
 
 def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     """Minimum-norm weights alpha = pinv(F(g)) a at every coupling, in one stacked solve.
 
     Each step is the per-matrix operation applied to the stack: the real
-    part of one Horner evaluation, one stacked pseudoinverse, and the
-    residual norm as sqrt(u . u) * s for u = r / s, s = pow2_scale(r, axis=-1),
-    which is how pseudoinverse_cv takes it.  So every grid point equals a
-    separate solve at that coupling bit for bit.
+    part of one Horner evaluation and one stacked pseudoinverse, so every
+    alpha equals pseudoinverse_cv's at that coupling bit for bit.  The
+    residual norm is sqrt(u . u) * s for u = r / s, s = pow2_scale(r, axis=-1).
+    Raises NoExactCv where alpha is not finite.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     Fg = np.real(F.poly(g_grid[:, None, None]))
-    P, ranks = pinv_and_rank(Fg)
-    alpha = np.real(P @ F.a_vec)
+    alpha, ranks = _pinv_weights(Fg, F.a_vec, g_grid)
     r = (Fg @ alpha[..., None])[..., 0] - F.a_vec
     s = pow2_scale(r, axis=-1)
     u = r / s[:, None]
@@ -173,24 +182,14 @@ def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
 def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
-    The reported residual is the euclidean norm of F(g) alpha - a, which for
-    a spectral matrix equals the Frobenius distance between the weighted
-    outcome sum and the observable; it is taken on r / pow2_scale(r, axis=-1).
-
-    The last (F, g) is memoized (lru_cache, maxsize 1), so a repeated call
-    returns the same, read-only CvSolution without a new solve: the meter's
-    per-outcome eigenvalue functions solve each coupling once.
+    Raises NoExactCv where alpha is not finite.  The last (F, g) is memoized
+    (lru_cache, maxsize 1), so a repeated call returns the same, read-only
+    CvSolution without a new solve: the meter's per-outcome eigenvalue
+    functions solve each coupling once.
     """
-    Fg = np.real(F.poly(g))
-    P, rank = pinv_and_rank(Fg)
-    alpha = np.real(P @ F.a_vec)
+    alpha, _ = _pinv_weights(np.real(F.poly(g)), F.a_vec, g)
     alpha.setflags(write=False)
-    r = Fg @ alpha - F.a_vec
-    # pow2_scale's scale and numpy's sqrt(u . u), in scalar math: this runs per coupling
-    s = math.ldexp(1.0, math.frexp(max(map(abs, r.tolist())))[1] - 1)
-    u = r / s
-    residual = math.sqrt(u.dot(u)) * s
-    return CvSolution(g=float(g), alpha=alpha, residual=residual, rank_used=rank)
+    return CvSolution(g=float(g), alpha=alpha, F=F)
 
 
 def exact_cv_exists(F: FMatrix, g_grid: np.ndarray) -> bool:

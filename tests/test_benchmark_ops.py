@@ -1,0 +1,27 @@
+"""The benchmark's first ops run and pass their own checks.
+
+`perfbench/workloads.py` is imported as the benchmark imports it, with its
+directory on the path, and only read: each workload is prepared in a
+temporary directory at the benchmark's default seed.  A change to the
+library that would make a benchmark op fail (a `CvSolution` field it reads,
+a meter signature, a changed CLI line) then fails here first.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name, n_ops", [("sweep", 1), ("mc", 1), ("analyses", 1), ("dilation", 3)])
+def test_first_ops_pass_their_checks(tmp_path, name, n_ops):
+    plan = workloads.prepare(name, 0, tmp_path)
+    refs = plan.refs()
+    for op in itertools.islice(plan.ops(), n_ops):
+        assert op.check(op.run(), refs) is None

@@ -78,7 +78,7 @@ def test_coupling_outside_validity_range_fails(capsys, argv):
     "argv, where",
     [
         (["cv-solve", "--instance", "eq70", "--g", "0.1", "--a", "1e308,-1e308"], "at g = 0.1"),
-        (["pole-order", "--instance", "eq70", "--a", "1e308,1e308"], "on the pole grid"),
+        (["pole-order", "--instance", "eq70", "--a", "1e308,1e308"], "at g = 0.1"),
     ],
 )
 def test_overflowing_contextual_values_are_an_error(capsys, argv, where):
@@ -86,6 +86,28 @@ def test_overflowing_contextual_values_are_an_error(capsys, argv, where):
     assert code == 1
     assert out == ""
     assert err == f"error: NoExactCv: contextual values overflow {where}\n"
+
+
+SUBNORMAL = str(Path(__file__).resolve().parent / "data" / "subnormal-sigma.json")
+
+
+@pytest.mark.parametrize(
+    "argv, g",
+    [
+        (["cv-solve", "--g", "0.01", "--a", "1,1"], "0.01"),
+        (["pole-order", "--a", "1,1"], "0.1"),  # the first coupling of the descending ladder
+        (["svd-asymptotics"], "2.44140625e-05"),  # it fits the ladder in ascending order
+    ],
+)
+def test_subnormal_singular_value_is_refused_by_every_solve(capsys, argv, g):
+    # diag(1e-300, 1e-310): 1/sigma overflows, which no command may print as nan or warn about
+    code, out, err = run(capsys, *argv, "--file", SUBNORMAL)
+    assert (code, out) == (1, "")
+    assert err == f"error: NoExactCv: contextual values overflow at g = {g}\n"
+
+
+def test_proof_claim_on_a_subnormal_family_solves_nothing(capsys):
+    assert run(capsys, "proof-claim", "--file", SUBNORMAL)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -176,6 +198,15 @@ def test_validate_raw_family(capsys):
     code, out, _ = run(capsys, "validate", "--instance", "eq70")
     assert code == 0
     assert "raw 2 x 2 matrix family" in out
+
+
+def test_out_for_a_command_without_a_table_is_usage_error(capsys, tmp_path):
+    # validate has no table for a raw family: --out is refused before anything is printed
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "validate", "--instance", "eq70", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "usage error: validate writes no --out table for instance 'eq70'\n"
+    assert not path.exists()
 
 
 def test_validate_rejects_broken_file(capsys, tmp_path):
