@@ -6,14 +6,20 @@ linear family with no identically-zero singular value has all singular
 values of exact first order in g; these tools measure leading orders by
 log-log regression and check the claim instance by instance.  Each curve
 is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
-SVD and `pinv_pole_order` one `contextual.solve_grid`.  Every g -> 0 ladder
-is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the analyses take
-the family's g_max as data, so no coupling they read leaves (0, g_max].
+SVD returning the (n_g, k) array and `pinv_pole_order` one
+`contextual.solve_grid`.  Every fit is an `OrderEstimate`; a pole order is
+one that also carries its solve.  "Identically zero" is relative to scale:
+a trajectory against the largest singular value on the grid, a solution
+against max|a|, so a rescaled family or target keeps its verdict.  Every
+g -> 0 ladder is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the
+analyses take the family's g_max as data, so no coupling they read leaves
+(0, g_max].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .errors import NotLinear, NotPositiveSamples
 from .povm import PolyMatrix
 from .weak import LIMIT_GRID_TOP, limit_grid
 
-#: a singular-value trajectory never exceeding this is identically zero
+#: a trajectory never exceeding this times its scale is identically zero
 ZERO_TRAJECTORY_TOL = 1e-12
 #: fitted order at or below this is consistent with "first order"
 FIRST_ORDER_TOL = 1.05
@@ -43,17 +49,17 @@ class OrderEstimate:
         return self.fit_r2 >= R2_RELIABLE
 
 
-def leading_order_fit(samples) -> OrderEstimate:
+def leading_order_fit(g: np.ndarray, v: np.ndarray) -> OrderEstimate:
     """Least-squares slope of log v against log g over the six smallest couplings.
 
-    samples: iterable of (g, value) pairs, values strictly positive.
+    g and v: equal-length 1-D arrays of couplings and strictly positive values.
     """
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < FIT_POINTS:
+    g = np.asarray(g, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if g.ndim != 1 or g.shape != v.shape or len(g) < FIT_POINTS:
         raise ValueError(f"need at least {FIT_POINTS} (g, value) samples")
-    order = np.argsort(arr[:, 0])
-    g = arr[order[:FIT_POINTS], 0]
-    v = arr[order[:FIT_POINTS], 1]
+    order = np.argsort(g)[:FIT_POINTS]
+    g, v = g[order], v[order]
     if np.any(g <= 0):
         raise ValueError("couplings must be positive")
     if np.any(v <= 0):
@@ -69,32 +75,17 @@ def leading_order_fit(samples) -> OrderEstimate:
     return OrderEstimate(exponent=float(slope), coefficient=float(np.exp(intercept)), fit_r2=r2)
 
 
-@dataclass
-class SvdCurve:
-    """Singular values of F(g) along a coupling grid, sorted descending per point."""
-
-    g_grid: np.ndarray
-    singulars: np.ndarray  # (n_grid, min(shape))
-
-
-def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> SvdCurve:
+def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> np.ndarray:
     """Singular values of F(g) at every grid coupling, from one stacked SVD.
 
-    Each point's values are sorted descending.  By Weyl's inequality sorted
-    singular values move by at most ||F(g_a) - F(g_b)||_2 between two
-    couplings, so the sorted trajectories are continuous in g; where analytic
-    branches cross they follow the sorted order, not the branches.
+    The (n_g, min(shape)) array's rows are sorted descending.  By Weyl's
+    inequality sorted singular values move by at most ||F(g_a) - F(g_b)||_2
+    between two couplings, so the sorted trajectories are continuous in g;
+    where analytic branches cross they follow the sorted order, not the
+    branches.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    sig = np.linalg.svd(F(g_grid[:, None, None]), compute_uv=False)
-    return SvdCurve(g_grid=g_grid, singulars=sig)
-
-
-def _fit_series(g: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
-    """Power-series coefficients (ascending) fitted over the grid."""
-    deg = min(degree, len(g) - 1)
-    poly = np.polynomial.Polynomial.fit(g, values, deg)
-    return poly.convert().coef
+    return np.linalg.svd(F(g_grid[:, None, None]), compute_uv=False)
 
 
 @dataclass
@@ -115,22 +106,24 @@ def truncation_svd_commutator(
 ) -> TruncationSvdReport:
     """Compare singular values of the order-n expansion of F against the
     order-n expansion of the singular values of F along limit_grid(g_max),
-    agreeing when they match within 1e-6 relative.
+    agreeing when they match within 1e-6 relative or both are zero next to
+    F's largest singular value on the grid.  Each expansion is a degree
+    n + 3 power series fitted to the whole grid, then truncated.
 
     The two agree for families whose truncation is exact but differ in
     general; the flagship linear example with determinant g**2 has
     sigma_min ~ g**2/2 on the left and identically zero on the right.
     """
     g_grid = limit_grid(g_max)
-    left = svd_curve(F.truncate(n), g_grid).singulars
-    full = svd_curve(F, g_grid).singulars
+    left = svd_curve(F.truncate(n), g_grid)
+    full = svd_curve(F, g_grid)
 
-    k = full.shape[1]
+    deg = min(n + 3, len(g_grid) - 1)
     right = np.empty_like(full)
     series: list[np.ndarray] = []
     reliable: list[bool] = []
-    for t in range(k):
-        coef = _fit_series(g_grid, full[:, t], degree=n + 3)
+    for t in range(full.shape[1]):
+        coef = np.polynomial.Polynomial.fit(g_grid, full[:, t], deg).convert().coef
         fitted = np.polynomial.polynomial.polyval(g_grid, coef)
         scale = max(1.0, float(np.abs(full[:, t]).max()))
         reliable.append(float(np.abs(fitted - full[:, t]).max()) <= 1e-6 * scale)
@@ -140,7 +133,7 @@ def truncation_svd_commutator(
 
     diff = np.abs(left - right)
     ref = np.maximum(np.abs(left), np.abs(right))
-    agree = (diff <= 1e-6 * ref) | (ref <= ZERO_TRAJECTORY_TOL)
+    agree = (diff <= 1e-6 * ref) | (ref <= ZERO_TRAJECTORY_TOL * full.max())
     return TruncationSvdReport(
         n=n,
         g_grid=g_grid,
@@ -159,37 +152,43 @@ class ClaimReport:
     The claim under audit: if no singular value of the linear family F(g)
     vanishes identically near g = 0, then every singular value is O(g) exactly
     (so that all 1/sigma_k blow up like 1/g).  All singular values are treated
-    as relevant; see the caveat field.
+    as relevant; see caveat.
     """
+
+    caveat: ClassVar[str] = (
+        "every singular-value trajectory is treated as relevant to the claim; "
+        "the disputed argument never defines which ones matter"
+    )
 
     zero_trajectories: list[int]
     orders: list[OrderEstimate | None]
     claim_holds: bool
-    counterexample_found: bool
-    caveat: str = (
-        "every singular-value trajectory is treated as relevant to the claim; "
-        "the disputed argument never defines which ones matter"
-    )
+
+    @property
+    def counterexample_found(self) -> bool:
+        return not self.claim_holds
 
 
 def proof_claim_check(F: PolyMatrix, g_max: float = LIMIT_GRID_TOP) -> ClaimReport:
     """Audit the first-order claim on a linear family by fitting each trajectory
     along limit_grid(g_max).
 
-    A trajectory never exceeding 1e-12 on the grid counts as identically
-    zero, making the claim vacuous for this instance.  Otherwise the claim
-    holds only if every fitted order is at most 1.05, and any trajectory
-    fitted above that is a counterexample.
+    A trajectory never exceeding 1e-12 times the largest singular value on
+    the grid counts as identically zero, making the claim vacuous for this
+    instance.  Otherwise the claim holds only if every fitted order is at
+    most 1.05, and any trajectory fitted above that is a counterexample.
     """
     if F.max_degree > 1:
         raise NotLinear(f"family has degree {F.max_degree}, claim concerns linear families")
-    curve = svd_curve(F, limit_grid(g_max))
+    g_grid = limit_grid(g_max)
+    sig = svd_curve(F, g_grid)
+    zero_tol = ZERO_TRAJECTORY_TOL * sig.max()
 
     zero_traj: list[int] = []
     orders: list[OrderEstimate | None] = []
-    for t in range(curve.singulars.shape[1]):
-        traj = curve.singulars[:, t]
-        if traj.max() <= ZERO_TRAJECTORY_TOL:
+    for t in range(sig.shape[1]):
+        traj = sig[:, t]
+        if traj.max() <= zero_tol:
             zero_traj.append(t)
             orders.append(None)
             continue
@@ -197,33 +196,25 @@ def proof_claim_check(F: PolyMatrix, g_max: float = LIMIT_GRID_TOP) -> ClaimRepo
         if np.count_nonzero(positive) < FIT_POINTS:
             orders.append(None)
             continue
-        samples = np.stack([curve.g_grid[positive], traj[positive]], axis=1)
-        orders.append(leading_order_fit(samples))
+        orders.append(leading_order_fit(g_grid[positive], traj[positive]))
 
     if zero_traj:
         claim_holds = True  # vacuous: the claim's hypothesis fails
     else:
         fitted = [o for o in orders if o is not None]
         claim_holds = all(o.exponent <= FIRST_ORDER_TOL for o in fitted)
-    return ClaimReport(
-        zero_trajectories=zero_traj,
-        orders=orders,
-        claim_holds=claim_holds,
-        counterexample_found=not claim_holds,
-    )
+    return ClaimReport(zero_trajectories=zero_traj, orders=orders, claim_holds=claim_holds)
 
 
 @dataclass(frozen=True)
-class PoleEstimate:
+class PoleEstimate(OrderEstimate):
     """Blow-up order of a pseudoinverse solution as the coupling shrinks.
 
+    exponent is the pole order, ||alpha(g)||_inf ~ coefficient * g**(-exponent).
     g_grid, alpha_sup and ranks come from the fitted solve: each coupling,
     ||alpha(g)||_inf there and the rank of F(g) used.
     """
 
-    exponent: float  # pole order: ||alpha(g)|| ~ g**(-exponent)
-    coefficient: float
-    fit_r2: float
     g_grid: np.ndarray
     alpha_sup: np.ndarray
     ranks: np.ndarray
@@ -236,23 +227,22 @@ class PoleEstimate:
     @property
     def reliable(self) -> bool:
         # where the rank drops, pinv drops the blowing-up direction of alpha(g)
-        return self.alpha_zero or (self.fit_r2 >= R2_RELIABLE and not self.rank_changes)
+        return self.alpha_zero or (super().reliable and not self.rank_changes)
 
 
 def pinv_pole_order(F: PolyMatrix, a: np.ndarray, g_grid: np.ndarray) -> PoleEstimate:
     """Fit the growth of ||pinv(F(g)) a||_inf over g_grid; the negated slope is the pole order.
 
-    Weights that overflow at some coupling raise solve_grid's NoExactCv.
+    A solution never exceeding 1e-12 max|a| on the grid is alpha_zero, with
+    no fit.  Weights that overflow at some coupling raise solve_grid's
+    NoExactCv.
     """
     sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
     norms = np.abs(sol.alpha).max(axis=1)
     solve = dict(g_grid=sol.g_grid, alpha_sup=norms, ranks=sol.ranks)
-    if norms.max() <= ZERO_TRAJECTORY_TOL:
+    if norms.max() <= ZERO_TRAJECTORY_TOL * np.abs(a).max():
         return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True, **solve)
-    est = leading_order_fit(np.stack([sol.g_grid, norms], axis=1))
+    est = leading_order_fit(sol.g_grid, norms)
     return PoleEstimate(
-        exponent=-est.exponent,
-        coefficient=est.coefficient,
-        fit_r2=est.fit_r2,
-        **solve,
+        exponent=-est.exponent, coefficient=est.coefficient, fit_r2=est.fit_r2, **solve
     )

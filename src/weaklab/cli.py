@@ -283,19 +283,19 @@ def _cmd_weak_limit(args, spec: InstanceSpec) -> _Output:
 def _cmd_svd_asymptotics(args, spec: InstanceSpec) -> _Output:
     fam = _family(spec)
     grid = np.sort(limit_grid(spec.g_max))
-    curve = svd_curve(fam, grid)
+    singulars = svd_curve(fam, grid)
     rows, cols = fam.shape
 
-    header = ["g"] + [f"sigma_{i + 1}" for i in range(curve.singulars.shape[1])]
-    table = np.column_stack([curve.g_grid, curve.singulars])
+    header = ["g"] + [f"sigma_{i + 1}" for i in range(singulars.shape[1])]
+    table = np.column_stack([grid, singulars])
     lines = [
         f"instance {spec.name}: {rows} x {cols} family, degree {fam.max_degree}",
         f"{'g':>14}  " + "  ".join(f"{name:>13}" for name in header[1:]),
         *(f"{_f(g):>14}  " + "  ".join(f"{s:>13.6e}" for s in sig) for g, *sig in table),
     ]
     if rows == cols:
-        dets = np.abs(np.linalg.det(fam(curve.g_grid[:, None, None])))
-        prods = np.prod(curve.singulars, axis=1)
+        dets = np.abs(np.linalg.det(fam(grid[:, None, None])))
+        prods = np.prod(singulars, axis=1)
         rel = np.max(np.abs(dets - prods) / np.maximum(prods, 1e-300))
         lines.append(f"det consistency: max rel deviation of |det F| from prod(sigma) = {rel:.3e}")
         header.append("abs_det")

@@ -6,7 +6,9 @@ open question this module instruments: for measurement families linear in
 the coupling (commuting, minimally disturbing, with exact contextual
 values), does the conditioned average always converge to the traditional
 weak value as the coupling vanishes?  ``conjecture_trial`` samples random
-instances and measures the discrepancy.
+instances and measures the discrepancy.  ``weak_limit`` and every trial share
+one core, ``_spectral_weak_limit``: from F and its solve_grid solution it
+forms the ladder's conditioned averages and fits their g -> 0 limit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ LIMIT_GRID_TOP = 0.1
 LIMIT_GRID_POINTS = 13
 LIMIT_FIT_POINTS = 5
 CONJECTURE_TOL = 1e-3
+#: generated outcome weights at or below this are rejected and redrawn
+WEIGHT_FLOOR = 1e-3
 #: upper ends of the ranges unfixed trial shapes are drawn from (2 <= dim <= n_out)
 TRIAL_DIM_MAX = 4
 TRIAL_N_OUT_MAX = 5
@@ -98,9 +102,7 @@ def weak_limit(
     Exact contextual values must exist on the whole grid (otherwise
     NoExactCv); the limit is the constant term of a quadratic fitted to the
     five smallest couplings, compared against the state-pair weak value.
-    The default grid is limit_grid(povm.g_max).  This builds F, solves
-    it on the grid and hands both to _spectral_weak_limit, which does the
-    rest.
+    The default grid is limit_grid(povm.g_max).
     """
     if g_grid is None:
         g_grid = limit_grid(povm.g_max)
@@ -139,8 +141,23 @@ def _spectral_weak_limit(
         )
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
-    values, probs = _ladder(F, sol, povm.g_max, psi_i, psi_f)
     g_grid = sol.g_grid
+    check_coupling(g_grid, povm.g_max)
+    root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
+    x = dagger(F.basis) @ psi_i
+    y = dagger(F.basis) @ psi_f
+    amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]
+    # scalar abs(z) ** 2 as in conditioned_average: np.abs and squaring on
+    # arrays round differently in the last bit, which the fit amplifies
+    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
+    probs = weights.sum(axis=1)
+    vanishing = np.flatnonzero(probs <= OVERLAP_TOL)
+    if vanishing.size:
+        k = vanishing[0]
+        raise OrthogonalPostselection(
+            f"success probability {probs[k]:.3e} vanishes at g={g_grid[k]}"
+        )
+    values = (sol.alpha[:, None, :] @ weights[:, :, None])[:, 0, 0] / probs
 
     order = np.argsort(g_grid)[:LIMIT_FIT_POINTS]
     fit = np.polynomial.Polynomial.fit(g_grid[order], values[order], 2)
@@ -173,32 +190,6 @@ def _weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> float:
         raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
     num = float(np.trace(effect @ (A @ rho + rho @ A)).real)
     return num / (2.0 * denom)
-
-
-def _ladder(
-    F: FMatrix, sol: GridSolution, g_max: float, psi_i: np.ndarray, psi_f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditioned averages and success probabilities at every coupling of sol.
-
-    psi_i and psi_f are check_state's output.
-    """
-    check_coupling(sol.g_grid, g_max)
-    root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
-    x = dagger(F.basis) @ psi_i
-    y = dagger(F.basis) @ psi_f
-    amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]
-    # scalar abs(z) ** 2 as in conditioned_average: np.abs and squaring on
-    # arrays round differently in the last bit, which the fit amplifies
-    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
-    success = weights.sum(axis=1)
-    vanishing = np.flatnonzero(success <= OVERLAP_TOL)
-    if vanishing.size:
-        k = vanishing[0]
-        raise OrthogonalPostselection(
-            f"success probability {success[k]:.3e} vanishes at g={sol.g_grid[k]}"
-        )
-    values = (sol.alpha[:, None, :] @ weights[:, :, None])[:, 0, 0] / success
-    return values, success
 
 
 # --------------------------------------------------------------------------
@@ -255,18 +246,31 @@ def generate_linear_commuting_instance(
     symmetric Dirichlet (so zero coupling extracts no information and the
     dilation is a product state).  First order: diagonal matrices whose
     entries sum to zero across outcomes at every basis index.  The validity
-    range is 90% of the exact positivity radius; draws whose radius falls
-    below 1e-3, whose first order degenerates, whose states overlap by less
-    than 0.1, or whose contextual values are not exact on limit_grid(g_max)
-    are rejected and redrawn, up to 100 times.  The instance keeps F and
-    that grid's solution.
+    range is 90% of the exact positivity radius; draws with a weight at or
+    below WEIGHT_FLOOR, whose radius falls below 1e-3, whose first order
+    degenerates, whose states overlap by less than 0.1, or whose contextual
+    values are not exact on limit_grid(g_max) are rejected and redrawn, up
+    to 100 times.  The instance keeps F and that grid's solution.
+
+    A shape no draw can pass raises GenerationFailed before any draw:
+    n_out < dim leaves F(g) rank-deficient, and the smallest of n_out
+    weights summing to 1 is at most 1/n_out.
     """
     if dim < 2 or n_out < 2:
         raise ValueError("need dim >= 2 and n_out >= 2")
+    if n_out < dim:
+        raise GenerationFailed(
+            f"no instance with n_out={n_out} < dim={dim}: F(g) has rank below dim"
+        )
+    if 1.0 / n_out <= WEIGHT_FLOOR:
+        raise GenerationFailed(
+            f"no instance with n_out={n_out}: the smallest outcome weight is at most "
+            f"1/n_out, at or below the floor {WEIGHT_FLOOR:g}"
+        )
     for _ in range(100):
         a = np.sort(rng.uniform(-1.0, 1.0, size=dim))[::-1]
         w = rng.dirichlet(np.ones(n_out))
-        if w.min() <= 1e-3:
+        if w.min() <= WEIGHT_FLOOR:
             continue
         Q = rng.uniform(-1.0, 1.0, size=(dim, n_out))
         Q -= Q.mean(axis=1, keepdims=True)  # rows sum to zero across outcomes

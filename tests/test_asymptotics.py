@@ -64,7 +64,7 @@ def eq70_singulars(g):
 def test_leading_order_fit_recovers_pure_powers():
     g = np.geomspace(1e-4, 1e-1, 10)
     for p in [0.5, 1.0, 2.0, 3.0]:
-        est = ay.leading_order_fit(np.c_[g, 4.2 * g**p])
+        est = ay.leading_order_fit(g, 4.2 * g**p)
         npt.assert_allclose(est.exponent, p, atol=1e-10)
         npt.assert_allclose(est.coefficient, 4.2, rtol=1e-8)
         assert est.reliable
@@ -73,7 +73,7 @@ def test_leading_order_fit_recovers_pure_powers():
 def test_leading_order_fit_rejects_nonpositive():
     g = np.geomspace(1e-3, 1e-1, 8)
     with pytest.raises(NotPositiveSamples):
-        ay.leading_order_fit(np.c_[g, np.zeros_like(g)])
+        ay.leading_order_fit(g, np.zeros_like(g))
 
 
 # ------------------------------------------------------ eq70 closed forms
@@ -97,17 +97,16 @@ def test_eq70_determinant_is_g_squared():
 def test_svd_curve_shapes_and_monotone_order():
     F = eq70_family()
     grid = np.sort(wk.limit_grid())
-    curve = ay.svd_curve(F, grid)
-    assert curve.singulars.shape == (13, 2)
-    assert np.all(curve.singulars[:, 0] >= curve.singulars[:, 1])
+    sig = ay.svd_curve(F, grid)
+    assert sig.shape == (13, 2)
+    assert np.all(sig[:, 0] >= sig[:, 1])
     big, small = eq70_singulars(grid)
-    npt.assert_allclose(curve.singulars[:, 0], big, rtol=1e-10)
-    npt.assert_allclose(curve.singulars[:, 1], small, rtol=1e-6, atol=1e-18)
+    npt.assert_allclose(sig[:, 0], big, rtol=1e-10)
+    npt.assert_allclose(sig[:, 1], small, rtol=1e-6, atol=1e-18)
     # the stacked SVD equals a per-coupling SVD bit for bit
     for fam, _ in grid_families():
-        curve = ay.svd_curve(fam, grid)
         point = np.stack([np.linalg.svd(fam(g), compute_uv=False) for g in grid])
-        assert np.array_equal(curve.singulars, point)
+        assert np.array_equal(ay.svd_curve(fam, grid), point)
 
 
 # ------------------------------------------- truncation / SVD commutator
@@ -204,6 +203,18 @@ def test_claim_audit_random_families_are_internally_consistent():
     assert n_flagged >= 20  # every rotated eq70 copy must be flagged
 
 
+@pytest.mark.parametrize("k", [-38, -35, 0, 20, 40])
+def test_claim_verdict_is_scale_covariant(k):
+    # 2**k rescales every singular value exactly; "identically zero" is
+    # relative to the largest, so the verdict cannot depend on k
+    F = PolyMatrix([2.0**k * c for c in eq70_family().coefficients])
+    rep = ay.proof_claim_check(F)
+    assert rep.zero_trajectories == []
+    assert rep.counterexample_found
+    npt.assert_allclose([est.exponent for est in rep.orders], [0.0, 2.0], atol=0.05)
+    assert not ay.truncation_svd_commutator(F, 1).commute
+
+
 # ------------------------------------------------------------ pole orders
 
 
@@ -222,6 +233,18 @@ def test_pinv_pole_order_zero_target():
     assert est.alpha_zero
     assert est.exponent == 0.0
     assert est.reliable
+
+
+def test_pole_order_is_scale_covariant_in_the_target():
+    # alpha = pinv(F) a scales with a, so alpha_zero is judged against max|a|
+    fam, _ = registry_family("qubit-linear")
+    ests = [
+        ay.pinv_pole_order(fam, 2.0**k * np.array([1.0, -1.0]), wk.limit_grid())
+        for k in (-70, 0, 70)
+    ]
+    assert [est.alpha_zero for est in ests] == [False] * 3
+    assert abs(ests[1].exponent - 1.0) <= 0.05
+    npt.assert_allclose([est.exponent for est in ests], ests[1].exponent, rtol=0, atol=1e-9)
 
 
 def test_rank_drop_makes_the_pole_order_unreliable():
@@ -249,7 +272,7 @@ def test_registry_ranks_are_constant_on_the_pole_grid(name):
 def test_pole_norms_and_validate_eigenvalues_match_per_point_loops(monkeypatch):
     fitted = []
     fit = ay.leading_order_fit
-    monkeypatch.setattr(ay, "leading_order_fit", lambda s: fitted.append(s) or fit(s))
+    monkeypatch.setattr(ay, "leading_order_fit", lambda g, v: fitted.append((g, v)) or fit(g, v))
     grid = wk.limit_grid()
     for fam, povm in grid_families():
         rows = fam.shape[0]
@@ -257,10 +280,11 @@ def test_pole_norms_and_validate_eigenvalues_match_per_point_loops(monkeypatch):
             norms = np.array([np.abs(linalg.pinv_and_rank(fam(g))[0] @ a).max() for g in grid])
             fitted.clear()
             est = ay.pinv_pole_order(fam, a, grid)
-            if norms.max() <= ay.ZERO_TRAJECTORY_TOL:
+            if norms.max() <= ay.ZERO_TRAJECTORY_TOL * np.abs(a).max():
                 assert est.alpha_zero and not fitted
             else:
-                assert np.array_equal(fitted[0], np.stack([grid, norms], axis=1))
+                assert np.array_equal(fitted[0][0], grid)
+                assert np.array_equal(fitted[0][1], norms)
         if povm is None:
             continue
         report = pv.validate(povm)

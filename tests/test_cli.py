@@ -693,6 +693,20 @@ def test_proof_claim_eq70(capsys, tmp_path):
     assert exponents[1] == pytest.approx(2.0, abs=0.05)
 
 
+def test_proof_claim_verdict_survives_a_small_rescale(capsys, tmp_path):
+    # eq70 * 2**-35 has the same singular-value orders as eq70 itself
+    path = tmp_path / "eq70-small.json"
+    run(capsys, "registry", "export", "eq70", "--out", str(path))
+    data = json.loads(path.read_text())
+    for term in data["fmatrix"]:
+        term["matrix"] = (2.0**-35 * np.array(term["matrix"], dtype=float)).tolist()
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "proof-claim", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert "identically-zero" not in out
+    assert "counterexample_found=true" in out
+
+
 @pytest.mark.parametrize("name", ["qubit-linear", "eq70"])
 def test_g_to_zero_analyses_stay_inside_a_small_g_max(capsys, tmp_path, monkeypatch, name):
     # every g -> 0 ladder is limit_grid(g_max), topped at min(0.1, g_max)
@@ -758,6 +772,15 @@ def test_conjecture_sweep_csv_schema(capsys, tmp_path):
         assert row[1] == str(i)
         assert row[6] == "true"
         assert float(row[5]) <= 1e-3
+
+
+@pytest.mark.parametrize("dim, n_out", [("4", "2"), ("2", "2000000000")])
+def test_conjecture_sweep_refuses_a_shape_no_draw_can_pass(capsys, dim, n_out):
+    code, out, err = run(
+        capsys, "conjecture-sweep", "--trials", "1", "--dim", dim, "--n-out", n_out
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: GenerationFailed: ") and err.count("\n") == 1
 
 
 def test_conjecture_sweep_fixed_shape(capsys):

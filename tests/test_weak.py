@@ -9,6 +9,7 @@ from weaklab import linalg
 from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import weak as wk
+from weaklab.errors import GenerationFailed
 from weaklab.registry import get_instance
 from weaklab.errors import (
     NoExactCv,
@@ -270,6 +271,21 @@ def test_generated_instances_are_valid():
         assert povm.g_max >= 1e-3
         F = cx.build_F(povm, inst.observable)
         assert cx.exact_cv_exists(F, wk.limit_grid(povm.g_max))
+
+
+class UntouchedRng:
+    """A stand-in generator that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used")
+
+
+@pytest.mark.parametrize("dim, n_out", [(3, 2), (4, 2), (2, 1000), (2, 2_000_000_000)])
+def test_generator_refuses_shapes_no_draw_can_pass(dim, n_out):
+    # n_out < dim: F(g) has rank below dim; n_out >= 1000: the smallest
+    # Dirichlet weight is at most 1/n_out <= WEIGHT_FLOOR
+    with pytest.raises(GenerationFailed):
+        wk.generate_linear_commuting_instance(UntouchedRng(), dim, n_out)
 
 
 def test_generated_instance_weak_coupling_structure():
