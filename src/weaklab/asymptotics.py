@@ -98,7 +98,6 @@ class TruncationSvdReport:
     right: np.ndarray  # truncated fitted series of the singular values
     right_series: list[np.ndarray]  # fitted, truncated coefficients per trajectory
     commute: bool
-    fit_reliable: list[bool]
 
 
 def truncation_svd_commutator(
@@ -121,12 +120,8 @@ def truncation_svd_commutator(
     deg = min(n + 3, len(g_grid) - 1)
     right = np.empty_like(full)
     series: list[np.ndarray] = []
-    reliable: list[bool] = []
     for t in range(full.shape[1]):
         coef = np.polynomial.Polynomial.fit(g_grid, full[:, t], deg).convert().coef
-        fitted = np.polynomial.polynomial.polyval(g_grid, coef)
-        scale = max(1.0, float(np.abs(full[:, t]).max()))
-        reliable.append(float(np.abs(fitted - full[:, t]).max()) <= 1e-6 * scale)
         coef = coef[: n + 1]
         series.append(coef)
         right[:, t] = np.polynomial.polynomial.polyval(g_grid, coef)
@@ -141,7 +136,6 @@ def truncation_svd_commutator(
         right=right,
         right_series=series,
         commute=bool(np.all(agree)),
-        fit_reliable=reliable,
     )
 
 

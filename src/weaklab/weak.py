@@ -324,13 +324,15 @@ def conjecture_trial(
     _spectral_weak_limit on the F and grid solution the generator made for
     its exactness check, so a trial builds F and solves its grid once.
     Unspecified dimensions are drawn uniformly with n_out >= dim (so exact
-    contextual values can exist).
+    contextual values can exist): dim from [2, min(TRIAL_DIM_MAX, n_out)]
+    when n_out is fixed, n_out from [dim, TRIAL_N_OUT_MAX] when it is not.
     A failing trial keeps its instance attached for serialization.
     """
     key = (int(seed), int(trial))
     rng = np.random.default_rng(key)
     if dim is None:
-        dim = int(rng.integers(2, TRIAL_DIM_MAX + 1))
+        top = TRIAL_DIM_MAX if n_out is None else max(2, min(TRIAL_DIM_MAX, n_out))
+        dim = int(rng.integers(2, top + 1))
     if n_out is None:
         n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
 

@@ -123,7 +123,11 @@ def test_truncation_svd_do_not_commute_for_eq70():
     assert np.all(rep.left[:, 1] > 0)
     npt.assert_allclose(rep.left[:, 1], eq70_singulars(rep.g_grid)[1], rtol=1e-6)
     npt.assert_allclose(rep.left[:, 1], rep.g_grid**2 / 2, rtol=4e-3)
-    assert all(rep.fit_reliable)
+    # the degree n + 3 series behind the right side fits every trajectory
+    full = ay.svd_curve(eq70_family(), rep.g_grid)
+    for sigma in full.T:
+        fit = np.polynomial.Polynomial.fit(rep.g_grid, sigma, rep.n + 3)
+        assert np.abs(fit(rep.g_grid) - sigma).max() <= 1e-6 * np.abs(sigma).max()
 
 
 def test_truncation_svd_commute_for_diagonal_family():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -798,6 +799,17 @@ def test_conjecture_sweep_fixed_shape(capsys):
     )
     assert code == 0
     assert "dim 3, n_out 4" in out
+
+
+@pytest.mark.parametrize("argv", [("--n-out", "2"), ("--n-out", "3", "--seed", "2")])
+def test_conjecture_sweep_with_few_outcomes_draws_dim_at_most_n_out(capsys, argv):
+    # a free dim is drawn no larger than the fixed n_out, so no trial asks
+    # the generator for a shape it must refuse
+    code, out, err = run(capsys, "conjecture-sweep", "--trials", "5", *argv)
+    assert (code, err) == (0, "")
+    assert "5/5 trials passed" in out
+    dims = [int(d) for d in re.findall(r"dim (\d+), n_out " + argv[1], out)]
+    assert len(dims) == 5 and max(dims) <= int(argv[1])
 
 
 # --------------------------------------------------------------------- mc-run

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklab import contextual as cx
 from weaklab import montecarlo as mc
@@ -210,7 +213,15 @@ def agrees_with_oracle(povm, alpha, psi_i, psi_f, config):
     return "ok"
 
 
-@pytest.mark.parametrize("trials", [1, 2, 7, 100_003])
+BLOCK = mc._BLOCK
+
+
+@pytest.mark.parametrize(
+    "trials",
+    # the block edges between them leave trials % 4 at 3, 0, 1, 2 and 3, so
+    # the acceptance stream starts at every offset within a Philox step
+    [1, 2, 7, 100_003, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 3],
+)
 def test_sampler_is_bit_identical_to_the_oracle(trials):
     seen = set()
     for povm, alpha, psi_i, psi_f, g in oracle_families():
@@ -220,31 +231,74 @@ def test_sampler_is_bit_identical_to_the_oracle(trials):
     assert seen == {"ok", "none"}
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(trials=st.integers(1, 3 * BLOCK), seed=st.integers(0, 2**128 - 1))
+def test_sampler_matches_the_oracle_for_any_length_and_seed(trials, seed):
+    for povm, alpha, psi_i, psi_f, g in oracle_families():
+        config = mc.McConfig(trials=trials, seed=seed, g=g)
+        agrees_with_oracle(povm, alpha, psi_i, psi_f, config)
+
+
 def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
     # a Philox uniform equals a bound with probability about 2**-53, so the
     # uniforms are forced: each bound, its neighbours, 0 and the largest below 1
-    class Forced:
-        def __init__(self, bit_generator):
-            self.calls = 0
+    real_generator = np.random.Generator
 
-        def random(self, size):
-            self.calls += 1
-            return outcome_u.copy() if self.calls == 1 else accept_u.copy()
+    class Forced:
+        """Hands out forced[i] wherever the real stream would hand out its value i.
+
+        The real values locate each read in the stream, so however the
+        sampler splits its draws, it gets the forced outcome uniforms from
+        the first `trials` values and the forced acceptance uniforms from
+        the next `trials`, and every read is recorded.
+        """
+
+        def __init__(self, bit_generator):
+            self.real = real_generator(bit_generator)
+
+        def random(self, size=None, out=None):
+            drawn = self.real.random(size, out=out)
+            at = order[np.searchsorted(stream, drawn, sorter=order).clip(max=stream.size - 1)]
+            assert np.array_equal(stream[at], drawn), "read beyond 2 * trials values"
+            reads.append(at)
+            drawn[...] = forced[at]
+            return drawn
+
+    def read_once_each():
+        at = np.concatenate(reads)
+        reads.clear()
+        return np.array_equal(np.sort(at), np.arange(forced.size))
 
     monkeypatch.setattr(np.random, "Generator", Forced)
+    filler = np.random.default_rng(23)
+    reads = []
     for povm, alpha, psi_i, psi_f, g in oracle_families():
         cum = np.cumsum(mc.joint_probabilities(povm, psi_i, psi_f, g)[0])
         cum /= cum[-1]
         bounds = cum[:-1]
-        outcome_u = np.concatenate(
+        on_bounds = np.concatenate(
             [bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 1), [0.0, np.nextafter(1, 0)]]
         )
-        accept_u = np.linspace(0, 1, outcome_u.size, endpoint=False)
-        config = mc.McConfig(trials=outcome_u.size, seed=0, g=g)
-        agrees_with_oracle(povm, alpha, psi_i, psi_f, config)
+        m = on_bounds.size
+        # the forced trials alone, then the same trials straddling a block edge
+        for trials, first in ((m, 0), (BLOCK + m, BLOCK - m // 2)):
+            outcome_u, accept_u = filler.random(trials), filler.random(trials)
+            outcome_u[first : first + m] = on_bounds
+            accept_u[first : first + m] = np.linspace(0, 1, m, endpoint=False)
+            forced = np.concatenate([outcome_u, accept_u])
+            stream = real_generator(np.random.Philox(key=0)).random(forced.size)
+            order = np.argsort(stream)
+            assert np.unique(stream).size == stream.size
+            config = mc.McConfig(trials=trials, seed=0, g=g)
+            for run in (oracle_sample_run, mc.sample_run):
+                with contextlib.suppress(NoSuccesses):
+                    run(povm, alpha, psi_i, psi_f, config)
+                assert read_once_each(), run.__name__
+            agrees_with_oracle(povm, alpha, psi_i, psi_f, config)
+            reads.clear()
 
 
-def test_million_draws_peak_below_32_mib():
+def test_million_draws_peak_below_16_mib():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic
     spec = get_instance("qubit-linear")
     g = 0.1
@@ -256,4 +310,4 @@ def test_million_draws_peak_below_32_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 16 * 2**20
