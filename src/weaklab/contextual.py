@@ -10,17 +10,20 @@ pseudoinverse picks the minimum-norm solution.
 A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
 grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
 stacked call.  Each grid point comes out bit for bit as the single-coupling
-`pseudoinverse_cv` would give it.  `exact_cv_exists`, `truncated_cv_check`,
-`asymptotics.pinv_pole_order`, `weak.weak_limit` and the conjecture
-generator all go through `solve_grid`; the last two hand their solution on
-to the weak-limit ladder, so a grid is solved once per limit.
+`pseudoinverse_cv` would give it.  `solve_grid` is the one-F case of
+`solve_stack`, which solves the grids of many F at once: the conjecture
+generator and sweep solve their draws through it.  `exact_cv_exists`,
+`truncated_cv_check`, `asymptotics.pinv_pole_order` and `weak.weak_limit`
+go through `solve_grid`; the weak limit and the sweep hand their solution
+on to the weak-limit ladder, so a grid is solved once per limit.
 
 `pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
 by identity).  Each rule of a solve has one owner: `_pinv_weights`, under both
 solvers, raises NoExactCv at the first coupling whose alpha is not finite;
-`solve_grid` alone forms the residual ||F(g) alpha - a||, on a copy scaled by
-a power of two so that it is finite wherever the true norm is; and
-`GridSolution.exact` alone compares residuals with EXACT_CV_TOL.
+`solve_stack` alone forms the residual ||F(g) alpha - a||, on a copy scaled
+by a power of two so that it is finite wherever the true norm is;
+`GridSolution.exact` alone compares residuals with EXACT_CV_TOL; and
+`check_row_sums` alone tests completeness.
 """
 
 from __future__ import annotations
@@ -76,9 +79,27 @@ class FMatrix:
 
     def row_sum_residual(self) -> float:
         """Deviation of the row sums from 1: the spectral shadow of completeness."""
-        sums = np.real(self.poly.coefficients).sum(axis=-1)  # (degree + 1, d)
-        sums[0] -= 1.0
-        return float(np.abs(sums).max())
+        return _row_sum_residual(self.poly.coefficients)
+
+
+def _row_sum_residual(C: np.ndarray) -> float:
+    """row_sum_residual of spectral coefficients C (..., degree + 1, d, n_out), worst over a stack."""
+    sums = np.real(C).sum(axis=-1)  # (..., degree + 1, d)
+    sums[..., 0, :] -= 1.0
+    return float(np.abs(sums).max())
+
+
+def check_row_sums(C: np.ndarray) -> None:
+    """Raise ValidationError("RowSum") unless the spectral coefficients C, or every
+    stack of them (..., degree + 1, d, n_out), have rows summing to one, i.e.
+    the measurement is complete."""
+    resid = _row_sum_residual(C)
+    if resid > ROW_SUM_TOL:
+        raise ValidationError(
+            "RowSum",
+            f"spectral rows do not sum to one (residual {resid:.3e}); "
+            "the measurement is not complete",
+        )
 
 
 def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
@@ -105,16 +126,8 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
     A = check_hermitian(A)
     basis, poly = spectral_family(povm, A)
     a_vec = np.real(np.diag(dagger(basis) @ A @ basis))
-    F = FMatrix(poly=poly, a_vec=a_vec, basis=basis)
-
-    resid = F.row_sum_residual()
-    if resid > ROW_SUM_TOL:
-        raise ValidationError(
-            "RowSum",
-            f"spectral rows do not sum to one (residual {resid:.3e}); "
-            "the measurement is not complete",
-        )
-    return F
+    check_row_sums(poly.coefficients)
+    return FMatrix(poly=poly, a_vec=a_vec, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -133,7 +146,11 @@ class CvSolution:
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Pseudoinverse contextual values at every coupling of a grid."""
+    """Pseudoinverse contextual values at every coupling of a grid.
+
+    A stacked solve (see solve_stack) puts leading axes on every field;
+    indexing the stack gives one member's solution.
+    """
 
     g_grid: np.ndarray
     F_g: np.ndarray  # (n_g, dim, n_out): F at each coupling
@@ -142,16 +159,25 @@ class GridSolution:
     ranks: np.ndarray  # (n_g,)
 
     @property
-    def exact(self) -> bool:
-        """True when every residual ||F(g) alpha - a|| is within EXACT_CV_TOL."""
-        return bool(np.all(self.residuals <= EXACT_CV_TOL))
+    def exact(self) -> bool | np.ndarray:
+        """True when every residual ||F(g) alpha - a|| is within EXACT_CV_TOL; one per member of a stack."""
+        ok = np.all(self.residuals <= EXACT_CV_TOL, axis=-1)
+        return bool(ok) if ok.ndim == 0 else ok
+
+    def __getitem__(self, i) -> GridSolution:
+        return GridSolution(self.g_grid[i], self.F_g[i], self.alpha[i], self.residuals[i], self.ranks[i])
 
 
 def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.ndarray | int]:
-    """alpha = pinv(F(g)) a and the ranks used, for one F(g) or a stack over the couplings g."""
+    """alpha = pinv(F(g)) a and the ranks used, for one F(g) or a stack over the couplings g.
+
+    a_vec is one target (d,) or one per member of a stack (..., 1, d); the
+    two products round alike, and the first is the cheaper.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite alpha is refused below
         P, ranks = pinv_and_rank(Fg)
-        alpha = np.real(P @ a_vec)
+        Pa = P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]
+        alpha = np.real(Pa)
     finite = np.isfinite(alpha)
     if not finite.all():
         first = finite.reshape(-1, finite.shape[-1]).all(axis=1).argmin()
@@ -162,20 +188,31 @@ def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.
 def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
     """Minimum-norm weights alpha = pinv(F(g)) a at every coupling, in one stacked solve.
 
-    Each step is the per-matrix operation applied to the stack: the real
-    part of one Horner evaluation and one stacked pseudoinverse, so every
-    alpha equals pseudoinverse_cv's at that coupling bit for bit.  The
-    residual norm is sqrt(u . u) * s for u = r / s, s = pow2_scale(r, axis=-1).
-    Raises NoExactCv where alpha is not finite.
+    The one-F case of solve_stack, on the real part of one Horner
+    evaluation over the grid, so every alpha equals pseudoinverse_cv's at
+    that coupling bit for bit.  Raises NoExactCv where alpha is not finite.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    Fg = np.real(F.poly(g_grid[:, None, None]))
-    alpha, ranks = _pinv_weights(Fg, F.a_vec, g_grid)
-    r = (Fg @ alpha[..., None])[..., 0] - F.a_vec
+    return solve_stack(np.real(F.poly(g_grid[:, None, None])), F.a_vec, g_grid)
+
+
+def solve_stack(Fg: np.ndarray, a_vec: np.ndarray, g: np.ndarray) -> GridSolution:
+    """solve_grid's solution of evaluated F(g) stacks (..., n_g, d, n_out), each with its own a.
+
+    Every matrix is solved on its own, in one stacked pseudoinverse: a
+    member of the stack comes out bit for bit as solve_grid gives it alone,
+    provided its F(g) has solve_grid's layout (the real part of a complex
+    evaluation; matmul takes BLAS for one layout and its own loop for
+    another, and the two round differently).  a_vec is (d,) or (..., 1, d)
+    and g is (..., n_g).  The residual norm is sqrt(u . u) * s for u = r / s,
+    s = pow2_scale(r, axis=-1).  Raises NoExactCv where alpha is not finite.
+    """
+    alpha, ranks = _pinv_weights(Fg, a_vec, g)
+    r = (Fg @ alpha[..., None])[..., 0] - a_vec
     s = pow2_scale(r, axis=-1)
-    u = r / s[:, None]
-    residuals = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0]) * s
-    return GridSolution(g_grid=g_grid, F_g=Fg, alpha=alpha, residuals=residuals, ranks=ranks)
+    u = r / s[..., None]
+    residuals = np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0]) * s
+    return GridSolution(g_grid=g, F_g=Fg, alpha=alpha, residuals=residuals, ranks=ranks)
 
 
 @functools.lru_cache(maxsize=1)

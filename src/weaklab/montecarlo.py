@@ -147,7 +147,7 @@ def sample_run(
     spread = float(values.std(ddof=1)) if successes > 1 else 0.0
     return McResult(
         empirical_value=empirical,
-        stderr=spread / np.sqrt(successes),
+        stderr=float(spread / np.sqrt(successes)),
         successes=successes,
         trials=trials,
         per_outcome_counts=tally[1::2].copy(),

@@ -5,10 +5,24 @@ probability of that outcome followed by a successful postselection.  The
 open question this module instruments: for measurement families linear in
 the coupling (commuting, minimally disturbing, with exact contextual
 values), does the conditioned average always converge to the traditional
-weak value as the coupling vanishes?  ``conjecture_trial`` samples random
+weak value as the coupling vanishes?  ``conjecture_sweep`` samples random
 instances and measures the discrepancy.  ``weak_limit`` and every trial share
-one core, ``_spectral_weak_limit``: from F and its solve_grid solution it
-forms the ladder's conditioned averages and fits their g -> 0 limit.
+one core, ``_spectral_weak_limit``: from F's basis and its solve_grid
+solution it forms the ladder's conditioned averages and fits their g -> 0
+limit.
+
+A sweep batches its linear algebra, not its randomness.  Each trial draws
+from its own stream (seeded by (seed, trial)) through the generator
+``_draws``, which pauses at each candidate's exactness check.  Trials run in
+blocks of ``_SWEEP_BLOCK``; in each round of a block every pending trial
+advances to its next candidate, and the candidates are solved together, one
+stacked pseudoinverse per (dim, n_out) group (in chunks of at most
+``_STACK_ENTRIES`` for large shapes).  A refused candidate advances only its
+own trial, so every stream is consumed exactly as a lone trial consumes it.
+A group's F(g) is the real part of one complex Horner evaluation, the
+layout solve_grid uses: numpy's matmul takes BLAS for one layout and its
+own loop for another, which round differently.  The ladder and its fit
+stay per trial, where they reproduce a lone trial bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .contextual import FMatrix, GridSolution, build_F, solve_grid
+from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
 from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection
-from .linalg import check_state, clamp_psd, dagger
+from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 
 OVERLAP_TOL = 1e-12
@@ -34,6 +48,14 @@ WEIGHT_FLOOR = 1e-3
 #: upper ends of the ranges unfixed trial shapes are drawn from (2 <= dim <= n_out)
 TRIAL_DIM_MAX = 4
 TRIAL_N_OUT_MAX = 5
+#: trials whose draws conjecture_sweep solves together: the README's
+#: 100-trial sweep is one block.  A block keeps its draws and solutions
+#: until the ladders run, about 4 MiB at the largest drawn shape
+_SWEEP_BLOCK = 128
+#: most F(g) entries per coupling (dim * n_out per draw) in one stacked
+#: solve: a whole block of any drawn shape fits, and a block of a large
+#: fixed shape is solved in chunks, which bounds the SVD's workspace
+_STACK_ENTRIES = 4096
 
 
 def conditioned_average(
@@ -107,22 +129,23 @@ def weak_limit(
     if g_grid is None:
         g_grid = limit_grid(povm.g_max)
     F = build_F(povm, A)
-    return _spectral_weak_limit(F, solve_grid(F, g_grid), povm, A, psi_i, psi_f)
+    return _spectral_weak_limit(F.basis, solve_grid(F, g_grid), povm.g_max, A, psi_i, psi_f)
 
 
 def _spectral_weak_limit(
-    F: FMatrix,
+    basis: np.ndarray,
     sol: GridSolution,
-    povm: ParamPovm,
+    g_max: float,
     A: np.ndarray,
     psi_i: np.ndarray,
     psi_f: np.ndarray,
 ) -> WeakLimitReport:
-    """weak_limit on a spectral matrix F = build_F(povm, A) and its solve_grid solution.
+    """weak_limit from the solve_grid solution of a spectral matrix F of (povm, A).
 
-    The caller has built F, which checked A, and solved it on the grid.  The
-    conditioned averages come from sqrt F(g) in the common eigenbasis
-    B, with no matrix square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
+    The caller has built F, which checked A, and solved it on the grid;
+    basis is F's common eigenbasis B and g_max the family's validity
+    range.  The conditioned averages come from sqrt F(g) in B, with no
+    matrix square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
     <psi_f|M_j psi_i> = sum_i conj(y_i) sqrt F_ij(g) x_i with x = B^H psi_i
     and y = B^H psi_f.  Each state is checked once here.  Errors come in
     this order: NoExactCv, InvalidState, then OutOfValidityRange for a
@@ -142,10 +165,10 @@ def _spectral_weak_limit(
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
     g_grid = sol.g_grid
-    check_coupling(g_grid, povm.g_max)
+    check_coupling(g_grid, g_max)
     root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
-    x = dagger(F.basis) @ psi_i
-    y = dagger(F.basis) @ psi_f
+    x = dagger(basis) @ psi_i
+    y = dagger(basis) @ psi_f
     amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]
     # scalar abs(z) ** 2 as in conditioned_average: np.abs and squaring on
     # arrays round differently in the last bit, which the fit amplifies
@@ -200,15 +223,15 @@ def _weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> float:
 class ConjectureInstance:
     """One randomly drawn linear commuting measurement with states.
 
-    F and sol are the generator's exactness check, kept so that a trial
-    builds F and solves its grid once.
+    F and sol are the generator's exactness check, kept so that a user of
+    the instance need not build F and solve its grid again.
     """
 
     povm: ParamPovm
     observable: np.ndarray
     psi_i: np.ndarray
     psi_f: np.ndarray
-    #: build_F(povm, observable)
+    #: build_F(povm, observable) bit for bit, read off the draw (see _solve_draws)
     F: FMatrix = field(repr=False)
     #: solve_grid(F, limit_grid(povm.g_max)), exact at every coupling
     sol: GridSolution = field(repr=False)
@@ -235,26 +258,13 @@ def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def generate_linear_commuting_instance(
-    rng: np.random.Generator,
-    dim: int,
-    n_out: int,
-) -> ConjectureInstance:
-    """Draw a diagonal measurement family linear in g satisfying every hypothesis.
+def _draws(rng: np.random.Generator, dim: int, n_out: int):
+    """The candidate draws (a, w, Q, g_max, psi_i, psi_f) of generate_linear_commuting_instance.
 
-    Zeroth order: outcome weights w_j times the identity, w drawn from a
-    symmetric Dirichlet (so zero coupling extracts no information and the
-    dilation is a product state).  First order: diagonal matrices whose
-    entries sum to zero across outcomes at every basis index.  The validity
-    range is 90% of the exact positivity radius; draws with a weight at or
-    below WEIGHT_FLOOR, whose radius falls below 1e-3, whose first order
-    degenerates, whose states overlap by less than 0.1, or whose contextual
-    values are not exact on limit_grid(g_max) are rejected and redrawn, up
-    to 100 times.  The instance keeps F and that grid's solution.
-
-    A shape no draw can pass raises GenerationFailed before any draw:
-    n_out < dim leaves F(g) rank-deficient, and the smallest of n_out
-    weights summing to 1 is at most 1/n_out.
+    Each draw that passes the cheap rejections is yielded where its
+    contextual values are to be checked; advancing again rejects it.  After
+    the last of 100 attempts, or before any draw for a shape no draw can
+    pass, this raises GenerationFailed.
     """
     if dim < 2 or n_out < 2:
         raise ValueError("need dim >= 2 and n_out >= 2")
@@ -284,13 +294,6 @@ def generate_linear_commuting_instance(
         if g_max < 1e-3:
             continue
 
-        elements = tuple(
-            PolyMatrix([np.diag(np.full(dim, w[j])), np.diag(Q[:, j])])
-            for j in range(n_out)
-        )
-        povm = ParamPovm(elements=elements, g_max=g_max)
-        A = np.diag(a)
-
         s_i = _random_state(rng, dim)
         s_f = _random_state(rng, dim)
         for _ in range(50):
@@ -300,14 +303,133 @@ def generate_linear_commuting_instance(
         else:
             continue
 
-        F = build_F(povm, A)
-        sol = solve_grid(F, limit_grid(g_max))
-        if not sol.exact:
-            continue  # ill-conditioned draw; hypothesis of exactness fails numerically
-        return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F, sol=sol)
+        yield a, w, Q, g_max, s_i, s_f
     raise GenerationFailed(
         f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})"
     )
+
+
+def _povm(w: np.ndarray, Q: np.ndarray, g_max: float) -> ParamPovm:
+    """The drawn family: outcome j is w_j I + g diag(Q[:, j])."""
+    dim, n_out = Q.shape
+    elements = tuple(
+        PolyMatrix([np.diag(np.full(dim, w[j])), np.diag(Q[:, j])]) for j in range(n_out)
+    )
+    return ParamPovm(elements=elements, g_max=g_max)
+
+
+def _solve_draws(draws: list[tuple]) -> list[tuple[tuple, GridSolution]]:
+    """((coefficients, a_vec, basis), solve_grid(F, limit_grid(g_max))) of each draw's
+    F = build_F(povm, A), one stacked solve per shape (or per chunk of
+    _STACK_ENTRIES, for large shapes).
+
+    F is read off the draw: identity basis, rows in a's descending order,
+    coefficients w and Q.  Where adjacent entries of a are within
+    DEGENERACY_TOL, build_F's tie-break could permute rows, so F comes from
+    build_F.  F(g) has solve_grid's layout, so each solution is bit for bit
+    solve_grid's.  An incomplete draw raises ValidationError("RowSum").
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, draw in enumerate(draws):
+        groups.setdefault(draw[2].shape, []).append(i)
+    solved = [None] * len(draws)
+    for (dim, n_out), same_shape in groups.items():
+        step = max(1, _STACK_ENTRIES // (dim * n_out))
+        for start in range(0, len(same_shape), step):
+            members = same_shape[start : start + step]
+            C = np.empty((len(members), 2, dim, n_out), dtype=complex)  # (k, order, d, n_out)
+            a_vec = np.empty((len(members), 1, dim))
+            bases = []
+            for m, i in enumerate(members):
+                a, w, Q, g_max = draws[i][:4]
+                if (a[:-1] - a[1:]).min() <= DEGENERACY_TOL * max(1.0, float(np.abs(a).max())):
+                    F = build_F(_povm(w, Q, g_max), np.diag(a))
+                    C[m], a_vec[m, 0] = F.poly.coefficients, F.a_vec
+                    bases.append(F.basis)
+                else:
+                    C[m, 0], C[m, 1], a_vec[m, 0] = w, Q, a
+                    bases.append(np.eye(dim, dtype=complex))
+            check_row_sums(C)
+            g = np.stack([limit_grid(draws[i][3]) for i in members])  # (k, n_g)
+            Fg = np.real(C[:, None, 1] * g[..., None, None] + C[:, None, 0])
+            sol = solve_stack(Fg, a_vec, g)
+            for m, i in enumerate(members):
+                solved[i] = (C[m], a_vec[m, 0], bases[m]), sol[m]
+    return solved
+
+
+def _instance(draw: tuple, spectral: tuple, sol: GridSolution) -> ConjectureInstance:
+    a, w, Q, g_max, psi_i, psi_f = draw
+    coefficients, a_vec, basis = spectral
+    F = FMatrix(poly=PolyMatrix(coefficients), a_vec=a_vec, basis=basis)
+    return ConjectureInstance(_povm(w, Q, g_max), np.diag(a), psi_i, psi_f, F, sol)
+
+
+def generate_linear_commuting_instance(
+    rng: np.random.Generator,
+    dim: int,
+    n_out: int,
+) -> ConjectureInstance:
+    """Draw a diagonal measurement family linear in g satisfying every hypothesis.
+
+    Zeroth order: outcome weights w_j times the identity, w drawn from a
+    symmetric Dirichlet (so zero coupling extracts no information and the
+    dilation is a product state).  First order: diagonal matrices whose
+    entries sum to zero across outcomes at every basis index.  The validity
+    range is 90% of the exact positivity radius; draws with a weight at or
+    below WEIGHT_FLOOR, whose radius falls below 1e-3, whose first order
+    degenerates, whose states overlap by less than 0.1, or whose contextual
+    values are not exact on limit_grid(g_max) are rejected and redrawn, up
+    to 100 times.  The instance keeps F and that grid's solution.
+
+    A shape no draw can pass raises GenerationFailed before any draw:
+    n_out < dim leaves F(g) rank-deficient, and the smallest of n_out
+    weights summing to 1 is at most 1/n_out.
+    """
+    for draw in _draws(rng, dim, n_out):  # raises GenerationFailed after its last draw
+        [(spectral, sol)] = _solve_draws([draw])
+        if sol.exact:
+            return _instance(draw, spectral, sol)
+
+
+def _trial_shape(rng: np.random.Generator, dim: int | None, n_out: int | None) -> tuple[int, int]:
+    if dim is None:
+        top = TRIAL_DIM_MAX if n_out is None else max(2, min(TRIAL_DIM_MAX, n_out))
+        dim = int(rng.integers(2, top + 1))
+    if n_out is None:
+        n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
+    return dim, n_out
+
+
+def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
+    """conjecture_trial of each trial index, in rounds of one candidate per
+    pending trial solved together (see the module docstring)."""
+    keys, shapes, streams = [], [], []
+    for t in trials:
+        keys.append((int(seed), int(t)))
+        rng = np.random.default_rng(keys[-1])
+        shapes.append(_trial_shape(rng, dim, n_out))
+        streams.append(_draws(rng, *shapes[-1]))
+    accepted = [None] * len(keys)
+    pending = list(range(len(keys)))
+    while pending:
+        draws = [next(streams[i]) for i in pending]
+        for i, draw, (spectral, sol) in zip(pending, draws, _solve_draws(draws)):
+            if sol.exact:
+                accepted[i] = draw, spectral, sol
+        pending = [i for i in pending if accepted[i] is None]
+
+    records = []
+    for t, key, (d, n), (draw, spectral, sol) in zip(trials, keys, shapes, accepted):
+        a, _, _, g_max, psi_i, psi_f = draw
+        report = _spectral_weak_limit(spectral[2], sol, g_max, np.diag(a), psi_i, psi_f)
+        passed = report.discrepancy <= tol
+        records.append(TrialRecord(
+            key, t, d, n, float(sol.g_grid.min()), report.extrapolated_limit,
+            report.traditional_value, report.discrepancy, passed,
+            instance=None if passed else _instance(draw, spectral, sol),
+        ))
+    return records
 
 
 def conjecture_trial(
@@ -320,39 +442,16 @@ def conjecture_trial(
     """Run one random trial of the linear-family convergence conjecture.
 
     The per-trial stream is derived from (seed, trial) so sweeps are
-    reproducible and order-independent.  The limit is taken by
-    _spectral_weak_limit on the F and grid solution the generator made for
-    its exactness check, so a trial builds F and solves its grid once.
-    Unspecified dimensions are drawn uniformly with n_out >= dim (so exact
-    contextual values can exist): dim from [2, min(TRIAL_DIM_MAX, n_out)]
-    when n_out is fixed, n_out from [dim, TRIAL_N_OUT_MAX] when it is not.
-    A failing trial keeps its instance attached for serialization.
+    reproducible and order-independent; this is conjecture_sweep's path for
+    one trial.  The limit is taken by _spectral_weak_limit on the grid
+    solution of the generator's exactness check, so a trial solves its
+    grid once.  Unspecified dimensions are drawn uniformly with n_out >= dim
+    (so exact contextual values can exist): dim from
+    [2, min(TRIAL_DIM_MAX, n_out)] when n_out is fixed, n_out from
+    [dim, TRIAL_N_OUT_MAX] when it is not.  A failing trial keeps its
+    instance attached for serialization.
     """
-    key = (int(seed), int(trial))
-    rng = np.random.default_rng(key)
-    if dim is None:
-        top = TRIAL_DIM_MAX if n_out is None else max(2, min(TRIAL_DIM_MAX, n_out))
-        dim = int(rng.integers(2, top + 1))
-    if n_out is None:
-        n_out = int(rng.integers(dim, TRIAL_N_OUT_MAX + 1))
-
-    inst = generate_linear_commuting_instance(rng, dim, n_out)
-    report = _spectral_weak_limit(
-        inst.F, inst.sol, inst.povm, inst.observable, inst.psi_i, inst.psi_f
-    )
-    passed = report.discrepancy <= tol
-    return TrialRecord(
-        seed=key,
-        trial=trial,
-        dim=dim,
-        n_out=n_out,
-        g_min=float(inst.sol.g_grid.min()),
-        extrapolated=report.extrapolated_limit,
-        traditional=report.traditional_value,
-        discrepancy=report.discrepancy,
-        passed=passed,
-        instance=None if passed else inst,
-    )
+    return _trial_block(seed, [trial], dim, n_out, tol)[0]
 
 
 def conjecture_sweep(
@@ -362,8 +461,13 @@ def conjecture_sweep(
     n_out: int | None = None,
     tol: float = CONJECTURE_TOL,
 ) -> list[TrialRecord]:
-    """Independent conjecture trials with streams derived from (seed, index)."""
-    return [
-        conjecture_trial(seed, trial=t, dim=dim, n_out=n_out, tol=tol)
-        for t in range(trials)
-    ]
+    """Independent conjecture trials with streams derived from (seed, index).
+
+    Trials run in blocks of _SWEEP_BLOCK (see _trial_block); every record
+    equals conjecture_trial's for its index.
+    """
+    records = []
+    for start in range(0, trials, _SWEEP_BLOCK):
+        block = range(start, min(trials, start + _SWEEP_BLOCK))
+        records += _trial_block(seed, block, dim, n_out, tol)
+    return records

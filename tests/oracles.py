@@ -5,17 +5,22 @@ over the meter, the trace distance, the dilation's reduced state and
 weak-coupling check (both built on the public `meter.isometry_at`), the
 traditional weak value of a pure pre- and postselection, and the
 symmetrized weak value of a mixed state and effect, which checks every
-input itself, with the rank-one projector that makes a state its operand.
+input itself, with the rank-one projector that makes a state its operand,
+and the conjecture trial as a lone loop: build_F and solve_grid on each
+draw, then the weak-limit core, the path conjecture_sweep batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from weaklab.errors import DimensionError, NotPositive, OrthogonalPostselection
+from weaklab import weak
+from weaklab.contextual import build_F, solve_grid
+from weaklab.errors import DimensionError, GenerationFailed, NotPositive, OrthogonalPostselection
 from weaklab.linalg import check_hermitian, check_state, dagger
 from weaklab.meter import MeterModel, isometry_at
-from weaklab.weak import OVERLAP_TOL
+from weaklab.povm import ParamPovm, PolyMatrix
+from weaklab.weak import OVERLAP_TOL, ConjectureInstance, TrialRecord
 
 
 def partial_trace_meter(T: np.ndarray, system_dim: int, meter_dim: int) -> np.ndarray:
@@ -113,3 +118,70 @@ def mixed_weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> floa
         raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
     num = float(np.trace(effect @ (A @ rho + rho @ A)).real)
     return num / (2.0 * denom)
+
+
+def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> ConjectureInstance:
+    """generate_linear_commuting_instance drawn one candidate at a time, each
+    with its own ParamPovm, build_F and solve_grid."""
+    for _ in range(100):
+        a = np.sort(rng.uniform(-1.0, 1.0, size=dim))[::-1]
+        w = rng.dirichlet(np.ones(n_out))
+        if w.min() <= weak.WEIGHT_FLOOR:
+            continue
+        Q = rng.uniform(-1.0, 1.0, size=(dim, n_out))
+        Q -= Q.mean(axis=1, keepdims=True)
+        if np.abs(Q).max(axis=0).min() <= 1e-9:
+            continue
+        with np.errstate(divide="ignore"):
+            ratios = np.where(Q < 0, w[None, :] / -Q, np.inf)
+        g_max = min(0.9 * float(ratios.min()), 0.5)
+        if g_max < 1e-3:
+            continue
+        elements = tuple(
+            PolyMatrix([np.diag(np.full(dim, w[j])), np.diag(Q[:, j])]) for j in range(n_out)
+        )
+        povm = ParamPovm(elements=elements, g_max=g_max)
+        A = np.diag(a)
+        s_i = weak._random_state(rng, dim)
+        s_f = weak._random_state(rng, dim)
+        for _ in range(50):
+            if abs(np.vdot(s_f, s_i)) >= 0.1:
+                break
+            s_f = weak._random_state(rng, dim)
+        else:
+            continue
+        F = build_F(povm, A)
+        sol = solve_grid(F, weak.limit_grid(g_max))
+        if sol.exact:
+            return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F, sol=sol)
+    raise GenerationFailed(f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})")
+
+
+def oracle_conjecture_trial(
+    seed, trial: int = 0, dim: int | None = None, n_out: int | None = None, tol: float = weak.CONJECTURE_TOL
+) -> TrialRecord:
+    """conjecture_trial on its own: its stream, oracle_instance, then the weak-limit core."""
+    key = (int(seed), int(trial))
+    rng = np.random.default_rng(key)
+    if dim is None:
+        top = weak.TRIAL_DIM_MAX if n_out is None else max(2, min(weak.TRIAL_DIM_MAX, n_out))
+        dim = int(rng.integers(2, top + 1))
+    if n_out is None:
+        n_out = int(rng.integers(dim, weak.TRIAL_N_OUT_MAX + 1))
+    inst = oracle_instance(rng, dim, n_out)
+    report = weak._spectral_weak_limit(
+        inst.F.basis, inst.sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f
+    )
+    passed = report.discrepancy <= tol
+    return TrialRecord(
+        seed=key,
+        trial=trial,
+        dim=dim,
+        n_out=n_out,
+        g_min=float(inst.sol.g_grid.min()),
+        extrapolated=report.extrapolated_limit,
+        traditional=report.traditional_value,
+        discrepancy=report.discrepancy,
+        passed=passed,
+        instance=None if passed else inst,
+    )

@@ -1067,6 +1067,27 @@ def test_cold_process_runs_cleanly(argv):
     assert proc.stdout
 
 
+def test_cli_import_loads_only_stdlib_numpy_and_weaklab():
+    # what `import weaklab.cli` loads is paid by every cold start, and numpy's
+    # lazily loaded subpackages stay unloaded until a command needs one
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, sys; before = set(sys.modules); import weaklab.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "weaklab.cli" in loaded
+    tops = {name.split(".")[0] for name in loaded}
+    assert tops - set(sys.stdlib_module_names) <= {"numpy", "weaklab"}
+    packages = {".".join(name.split(".")[:2]) for name in loaded}
+    assert packages.isdisjoint({"numpy.random", "numpy.polynomial", "numpy.fft"})
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # the reader closes the pipe after 10 bytes of about 190 kB, more than a
     # pipe buffer holds, so a later write of the command must fail

@@ -341,10 +341,15 @@ def test_diagonal_path_matches_oracle_on_registry_families(monkeypatch):
 
 
 def test_diagonal_path_matches_oracle_on_sweep_families(monkeypatch):
+    # the sweep reads F off its draws, so build it for each seed-7 trial's instance
+    instances = []
+    for t in range(100):
+        rng = np.random.default_rng((7, t))
+        instances.append(weak.generate_linear_commuting_instance(rng, *weak._trial_shape(rng, None, None)))
     families = recorded_families(
-        monkeypatch, lambda: [weak.conjecture_trial(7, t) for t in range(100)]
+        monkeypatch, lambda: [contextual.build_F(i.povm, i.observable) for i in instances]
     )
-    assert len(families) >= 100
+    assert len(families) == 100
     for ops in families:
         assert_matches_oracle(ops)
 

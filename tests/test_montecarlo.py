@@ -99,6 +99,14 @@ def test_outcome_draws_follow_the_povm():
         assert abs(res.per_outcome_counts[j] - mean_acc) < 4 * sd_acc + 1e-9
 
 
+def test_result_scalars_are_python_numbers():
+    cfg = mc.McConfig(trials=20_000, seed=42, g=0.2)
+    res = mc.sample_run(qubit_linear(), pip_alpha(qubit_linear(), 0.2), PLUS, final_state(0.3), cfg)
+    assert type(res.empirical_value) is float
+    assert type(res.stderr) is float
+    assert type(res.successes) is int and type(res.trials) is int
+
+
 def test_constant_weights_have_zero_spread():
     povm = qubit_linear()
     res = mc.sample_run(
@@ -164,7 +172,7 @@ def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
     spread = float(values.std(ddof=1)) if successes > 1 else 0.0
     return mc.McResult(
         empirical_value=float(values.mean()),
-        stderr=spread / np.sqrt(successes),
+        stderr=float(spread / np.sqrt(successes)),
         successes=successes,
         trials=config.trials,
         per_outcome_counts=np.bincount(drawn[accepted], minlength=povm.n_out),

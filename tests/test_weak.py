@@ -23,6 +23,7 @@ from weaklab.povm import ParamPovm, PolyMatrix
 from oracles import (
     check_effect,
     mixed_weak_value,
+    oracle_conjecture_trial,
     projector,
     traditional_weak_value,
     weak_coupling_check,
@@ -333,17 +334,23 @@ def test_conjecture_sweep_small():
 
 
 def spy_on_core(monkeypatch):
-    """Record (F, povm, A, psi_i, psi_f, report) of every _spectral_weak_limit call."""
+    """Record (basis, sol, g_max, A, psi_i, psi_f, report) of every _spectral_weak_limit call."""
     seen = []
     core = wk._spectral_weak_limit
 
-    def spy(F, sol, povm, A, psi_i, psi_f):
-        report = core(F, sol, povm, A, psi_i, psi_f)
-        seen.append((F, povm, A, psi_i, psi_f, report))
+    def spy(basis, sol, g_max, A, psi_i, psi_f):
+        report = core(basis, sol, g_max, A, psi_i, psi_f)
+        seen.append((basis, sol, g_max, A, psi_i, psi_f, report))
         return report
 
     monkeypatch.setattr(wk, "_spectral_weak_limit", spy)
     return seen
+
+
+def trial_instance(seed, t):
+    """generate_linear_commuting_instance on trial t's own stream, as the trial draws it."""
+    rng = np.random.default_rng((seed, t))
+    return wk.generate_linear_commuting_instance(rng, *wk._trial_shape(rng, None, None))
 
 
 def per_point(F, povm, psi_i, psi_f, g):
@@ -353,12 +360,13 @@ def per_point(F, povm, psi_i, psi_f, g):
 
 def test_spectral_ladder_equals_per_point_path_on_trials(monkeypatch):
     seen = spy_on_core(monkeypatch)
-    for t in range(100):
-        wk.conjecture_trial(7, t)
+    wk.conjecture_sweep(7, 100)
     assert len(seen) == 100
-    for F, povm, _, psi_i, psi_f, rep in seen:
+    for t, (*_, psi_i, psi_f, rep) in enumerate(seen):
+        inst = trial_instance(7, t)
+        assert inst.psi_i.tobytes() == psi_i.tobytes() and inst.psi_f.tobytes() == psi_f.tobytes()
         for k, g in enumerate(rep.g_grid):
-            value, prob = per_point(F, povm, psi_i, psi_f, g)
+            value, prob = per_point(inst.F, inst.povm, psi_i, psi_f, g)
             assert rep.conditioned_averages[k] == value
             assert rep.success_probabilities[k] == prob
 
@@ -448,7 +456,7 @@ def test_fit_coefficients_are_the_converted_fit_computed_once(monkeypatch):
         assert rep.fit_coefficients is rep.fit_coefficients
 
 
-def test_sweep_hot_path_shape(count_calls):
+def test_sweep_hot_path_shape(count_calls, monkeypatch):
     counts = {
         name: count_calls(module, name)
         for module, name in [
@@ -463,6 +471,11 @@ def test_sweep_hot_path_shape(count_calls):
             (np.linalg, "eigvalsh"),
         ]
     }
+    groups = []  # the (dim, n_out) groups of each round
+    solve = wk._solve_draws
+    monkeypatch.setattr(
+        wk, "_solve_draws", lambda draws: groups.append({d[2].shape for d in draws}) or solve(draws)
+    )
     wk.conjecture_sweep(7, 10)
     n = {name: c[0] for name, c in counts.items()}
     assert n["psd_sqrt"] == 0
@@ -471,12 +484,104 @@ def test_sweep_hot_path_shape(count_calls):
     assert n["convert"] == 0  # no trial reads its fit coefficients
     assert n["conditioned_average"] == 0
     assert n["exact_cv_exists"] == 0
-    # one F and one stacked solve per draw that reaches the exactness check;
-    # the ladder reuses the generator's solution
-    assert n["build_F"] >= 10
-    assert n["solve_grid"] == n["build_F"]
-    # one pinv call per stacked solve, not one per coupling
-    assert n["pinv_and_rank"] == n["solve_grid"]
+    # no draw of this sweep has a near-tie in a, so F is read off every
+    # draw, and each round solves every candidate of a shape together
+    assert n["build_F"] == 0
+    assert n["solve_grid"] == 0
+    assert len(groups) >= 1 and all(groups)
+    # one pinv call per (round, shape group), not one per draw or coupling
+    assert n["pinv_and_rank"] == sum(len(g) for g in groups)
+
+
+def record_fields(r):
+    """Every field of a TrialRecord but the instance, floats as their exact hex."""
+    floats = (r.g_min, r.extrapolated, r.traditional, r.discrepancy)
+    return (r.seed, r.trial, r.dim, r.n_out, *(float(x).hex() for x in floats), r.passed, r.instance is None)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_equals_lone_trial_oracle(seed):
+    records = wk.conjecture_sweep(seed, 100)
+    assert [record_fields(r) for r in records] == [
+        record_fields(oracle_conjecture_trial(seed, t)) for t in range(100)
+    ]
+
+
+def test_sweep_equals_oracle_at_a_fixed_shape():
+    records = wk.conjecture_sweep(4, 30, dim=3, n_out=4)
+    assert [record_fields(r) for r in records] == [
+        record_fields(oracle_conjecture_trial(4, t, dim=3, n_out=4)) for t in range(30)
+    ]
+
+
+def test_sweep_equals_oracle_across_block_edges():
+    block = wk._SWEEP_BLOCK
+    oracle = [record_fields(oracle_conjecture_trial(2, t)) for t in range(block + 1)]
+    for trials in (block - 1, block, block + 1):
+        assert [record_fields(r) for r in wk.conjecture_sweep(2, trials)] == oracle[:trials]
+
+
+def test_sweep_equals_oracle_when_large_shapes_are_chunked(monkeypatch, count_calls):
+    pinvs = count_calls(linalg, "pinv_and_rank")
+    whole = wk.conjecture_sweep(5, 40)
+    unchunked = pinvs[0]
+    # a cap of 24 entries splits each shape group into chunks of one draw
+    # (dim * n_out >= 13) to six draws (2 x 2)
+    monkeypatch.setattr(wk, "_STACK_ENTRIES", 24)
+    records = wk.conjecture_sweep(5, 40)
+    assert pinvs[0] - unchunked > unchunked
+    oracle = [record_fields(oracle_conjecture_trial(5, t)) for t in range(40)]
+    assert [record_fields(r) for r in records] == oracle == [record_fields(r) for r in whole]
+
+
+def test_sweep_keeps_a_draw_just_inside_the_exactness_tolerance():
+    # seed 20, trial 5: the first draw's worst residual is 9.926e-10, just
+    # under EXACT_CV_TOL, so its F(g) layout decides whether it is accepted
+    rng = np.random.default_rng((20, 5))
+    draw = next(wk._draws(rng, *wk._trial_shape(rng, None, None)))
+    [(_, sol)] = wk._solve_draws([draw])
+    assert 9.9e-10 < sol.residuals.max() <= cx.EXACT_CV_TOL
+    record = wk.conjecture_sweep(20, 6)[5]
+    assert record.g_min == 1.6606013560701914e-06
+    assert record_fields(record) == record_fields(oracle_conjecture_trial(20, 5))
+
+
+class TiedRng:
+    """A generator whose first draw of a (the first uniform vector) has an exact tie."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.tied = False
+
+    def uniform(self, low, high, size):
+        x = self.rng.uniform(low, high, size)
+        if isinstance(size, int) and not self.tied:
+            x[1], self.tied = x[0], True
+        return x
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_near_tie_in_a_takes_F_from_build_F(monkeypatch):
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: TiedRng(real(key)) if key == (3, 2) else real(key))
+    oracle = [record_fields(oracle_conjecture_trial(3, t)) for t in range(4)]
+    built = []
+    build = cx.build_F
+    monkeypatch.setattr(wk, "build_F", lambda povm, A: built.append(build(povm, A)) or built[-1])
+    records = wk.conjecture_sweep(3, 4)
+    assert [record_fields(r) for r in records] == oracle
+    # one build_F call, for trial 2's tied draw, whose tie-break permutes rows
+    assert len(built) == 1
+    a_vec, basis = built[0].a_vec, built[0].basis
+    assert len(set(a_vec)) < len(a_vec)
+    assert not np.array_equal(basis, np.eye(len(a_vec)))
+    # the generator's instance of that draw keeps build_F's F
+    rng = np.random.default_rng((3, 2))
+    inst = wk.generate_linear_commuting_instance(rng, *wk._trial_shape(rng, None, None))
+    assert inst.F.poly.coefficients.tobytes() == built[0].poly.coefficients.tobytes()
+    assert inst.F.a_vec.tobytes() == a_vec.tobytes() and inst.F.basis.tobytes() == basis.tobytes()
 
 
 def test_generated_instance_keeps_its_grid_solution():
@@ -488,14 +593,18 @@ def test_generated_instance_keeps_its_grid_solution():
         for name in ["g_grid", "F_g", "alpha", "residuals", "ranks"]:
             assert getattr(inst.sol, name).tobytes() == getattr(fresh, name).tobytes()
         assert inst.sol.exact
+        # the instance's F is read off the draw, and is build_F's bit for bit
+        built = cx.build_F(inst.povm, inst.observable)
+        assert inst.F.poly.coefficients.tobytes() == built.poly.coefficients.tobytes()
+        assert inst.F.a_vec.tobytes() == built.a_vec.tobytes()
+        assert inst.F.basis.tobytes() == built.basis.tobytes()
 
 
-def test_conjecture_trial_equals_weak_limit_on_its_instance(monkeypatch):
-    seen = spy_on_core(monkeypatch)
-    records = [wk.conjecture_trial(7, t) for t in range(100)]
-    cases = [(povm, A, psi_i, psi_f) for _, povm, A, psi_i, psi_f, _ in seen]
-    for rec, (povm, A, psi_i, psi_f) in zip(records, cases, strict=True):
-        rep = wk.weak_limit(povm, A, psi_i, psi_f)
+def test_conjecture_trial_equals_weak_limit_on_its_instance():
+    records = wk.conjecture_sweep(7, 100)
+    for t, rec in enumerate(records):
+        inst = trial_instance(7, t)
+        rep = wk.weak_limit(inst.povm, inst.observable, inst.psi_i, inst.psi_f)
         assert rec.extrapolated == rep.extrapolated_limit
         assert rec.traditional == rep.traditional_value
         assert rec.discrepancy == rep.discrepancy
@@ -511,6 +620,6 @@ def test_traditional_value_equals_the_mixed_weak_value_oracle(monkeypatch):
         spec = get_instance(name)
         wk.weak_limit(spec.povm, spec.observable, spec.psi_i, spec.psi_f, grid)
     assert len(seen) == 102
-    for _, _, A, psi_i, psi_f, rep in seen:
+    for *_, A, psi_i, psi_f, rep in seen:
         oracle = mixed_weak_value(A, projector(psi_i), projector(psi_f))
         assert rep.traditional_value == oracle
