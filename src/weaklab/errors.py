@@ -43,20 +43,6 @@ class OutOfValidityRange(WeakLabError):
     """Coupling strength outside the validated range of the model."""
 
 
-class NonUniformOrder(WeakLabError):
-    """Outcomes disagree on the minimum nonzero coefficient order."""
-
-    def __init__(self, per_outcome_orders):
-        self.per_outcome_orders = tuple(per_outcome_orders)
-        super().__init__(
-            f"minimum nonzero orders differ between outcomes: {list(self.per_outcome_orders)}"
-        )
-
-
-class ConstantOutcome(WeakLabError):
-    """An outcome has no coupling dependence at all, so no minimum order exists."""
-
-
 class NotIsometry(WeakLabError):
     """Measurement operators do not compose to an isometry."""
 

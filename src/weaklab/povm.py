@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstantOutcome, DimensionError, NonUniformOrder, OutOfValidityRange
+from .errors import DimensionError, OutOfValidityRange
 from .linalg import HERMITIAN_TOL, dagger, psd_sqrt
 
 #: coefficient matrices with no entry above this are treated as zero
@@ -215,32 +215,6 @@ def evaluate(povm: ParamPovm, g: float) -> list[np.ndarray]:
     """Outcome matrices at coupling g, for 0 <= g <= g_max."""
     check_coupling(g, povm.g_max)
     return [e(g) for e in povm.elements]
-
-
-@dataclass(frozen=True)
-class MinOrderResult:
-    n: int
-    per_outcome_orders: tuple[int, ...]
-
-
-def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
-    """Smallest order k >= 1 with a nonzero coefficient, shared by all outcomes.
-
-    Raises ConstantOutcome if some outcome has no coupling dependence, and
-    NonUniformOrder (with the per-outcome orders attached) if outcomes
-    disagree.
-    """
-    nonzero = np.abs(povm.coefficients).max(axis=(-2, -1)) > COEFF_ZERO_TOL
-    nonzero[:, 0] = False
-    orders = tuple(nonzero.argmax(axis=1).tolist())  # first order >= 1 per outcome, 0 if none
-    constant = [j for j, k in enumerate(orders) if k == 0]
-    if constant:
-        raise ConstantOutcome(
-            f"outcomes {constant} have no g-dependence; minimum order undefined"
-        )
-    if len(set(orders)) != 1:
-        raise NonUniformOrder(orders)
-    return MinOrderResult(n=orders[0], per_outcome_orders=orders)
 
 
 def measurement_operators(povm: ParamPovm, g: float) -> list[np.ndarray]:

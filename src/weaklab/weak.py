@@ -7,9 +7,9 @@ the coupling (commuting, minimally disturbing, with exact contextual
 values), does the conditioned average always converge to the traditional
 weak value as the coupling vanishes?  ``conjecture_sweep`` samples random
 instances and measures the discrepancy.  ``weak_limit`` and every trial share
-one core, ``_spectral_weak_limit``: from F's basis and its solve_grid
+one core, ``_spectral_weak_limits``: from F's basis and its solve_grid
 solution it forms the ladder's conditioned averages and fits their g -> 0
-limit.
+limit, for one member or a stack of them.
 
 A sweep batches its linear algebra, not its randomness.  Each trial draws
 from its own stream (seeded by (seed, trial)) through the generator
@@ -21,19 +21,25 @@ stacked pseudoinverse per (dim, n_out) group (in chunks of at most
 own trial, so every stream is consumed exactly as a lone trial consumes it.
 A group's F(g) is the real part of one complex Horner evaluation, the
 layout solve_grid uses: numpy's matmul takes BLAS for one layout and its
-own loop for another, which round differently.  The ladder and its fit
-stay per trial, where they reproduce a lone trial bit for bit.
+own loop for another, which round differently.  Once every trial of a
+block is accepted, their ladders run stacked, one stack per shape group;
+``weak_limit`` is the one-member case.  Each stacked step rounds as it does
+on one member, the one product that would not stays per member, and the
+quadratic fit repeats numpy's Polynomial.fit step by step with one lstsq
+per member, so every record equals a lone trial's bit for bit and a sweep
+never imports numpy.polynomial.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
-from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection
+from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, WeakLabError
 from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 
@@ -101,10 +107,21 @@ class WeakLimitReport:
     g_grid: np.ndarray
     conditioned_averages: np.ndarray
     success_probabilities: np.ndarray
-    fit: np.polynomial.Polynomial  # quadratic in the fit window's scaled coupling
+    #: the quadratic fit's coefficients in its window's scaled coupling, and its domain
+    fit_scaled_coefficients: np.ndarray = field(repr=False)
+    fit_domain: np.ndarray = field(repr=False)
     extrapolated_limit: float
     traditional_value: float
     discrepancy: float
+
+    @cached_property
+    def fit(self) -> np.polynomial.Polynomial:
+        """Polynomial.fit of the averages at the fit window's couplings, built on first read.
+
+        The ladder fits without numpy.polynomial (see _quadratic_fits); this
+        is the object Polynomial.fit returns for the same points, bit for bit.
+        """
+        return np.polynomial.Polynomial(self.fit_scaled_coefficients, domain=self.fit_domain)
 
     @cached_property
     def fit_coefficients(self) -> np.ndarray:
@@ -129,89 +146,159 @@ def weak_limit(
     if g_grid is None:
         g_grid = limit_grid(povm.g_max)
     F = build_F(povm, A)
-    return _spectral_weak_limit(F.basis, solve_grid(F, g_grid), povm.g_max, A, psi_i, psi_f)
+    [report] = _spectral_weak_limits([(F.basis, solve_grid(F, g_grid), povm.g_max, A, psi_i, psi_f)])
+    return report
 
 
-def _spectral_weak_limit(
-    basis: np.ndarray,
-    sol: GridSolution,
-    g_max: float,
-    A: np.ndarray,
-    psi_i: np.ndarray,
-    psi_f: np.ndarray,
-) -> WeakLimitReport:
-    """weak_limit from the solve_grid solution of a spectral matrix F of (povm, A).
+def _spectral_weak_limits(members: list[tuple]) -> list[WeakLimitReport]:
+    """The weak-limit report of each member (basis, sol, g_max, A, psi_i, psi_f).
 
-    The caller has built F, which checked A, and solved it on the grid;
-    basis is F's common eigenbasis B and g_max the family's validity
-    range.  The conditioned averages come from sqrt F(g) in B, with no
-    matrix square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
+    sol is the solve_grid solution of a spectral matrix F of (povm, A),
+    basis F's common eigenbasis B and g_max the family's validity range;
+    the caller has built F, which checked A.  Members whose F(g) stacks
+    have one shape run together in _ladders.  If any fails, the members run
+    again one by one, in order, so the first failing member raises the
+    error it raises alone.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, member in enumerate(members):
+        groups.setdefault(member[1].F_g.shape, []).append(i)
+    reports: list[WeakLimitReport] = [None] * len(members)
+    try:
+        for same in groups.values():
+            for i, report in zip(same, _ladders([members[i] for i in same])):
+                reports[i] = report
+    except WeakLabError:
+        for member in members:
+            _ladders([member])
+        raise
+    return reports
+
+
+def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
+    """Reports of members of one shape, stacked; raises the first failure met.
+
+    The conditioned averages come from sqrt F(g) in B, with no matrix
+    square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
     <psi_f|M_j psi_i> = sum_i conj(y_i) sqrt F_ij(g) x_i with x = B^H psi_i
-    and y = B^H psi_f.  Each state is checked once here.  Errors come in
-    this order: NoExactCv, InvalidState, then OutOfValidityRange for a
-    coupling outside (0, g_max], NotPositive from linalg.clamp_psd
+    and y = B^H psi_f.  Each state is checked once here.  A member's errors
+    come in this order: NoExactCv, InvalidState, then OutOfValidityRange
+    for a coupling outside (0, g_max], NotPositive from linalg.clamp_psd
     (psd_sqrt's rule, per outcome and coupling), and
     OrthogonalPostselection.
 
     Each floating-point step repeats the one conditioned_average takes (a
     matmul dot for vdot, abs(z) ** 2 per weight), so when B is a permutation
     of the standard basis, as for every generated and registry family, the
-    averages equal the per-point ones bit for bit.
+    averages equal the per-point ones bit for bit.  Every stacked step
+    rounds as it does on one member; the alpha-weights product does not
+    (a stacked matmul takes another loop), so it runs per member.
     """
-    if not sol.exact:
-        raise NoExactCv(
-            f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
-        )
-    psi_i = check_state(psi_i)
-    psi_f = check_state(psi_f)
-    g_grid = sol.g_grid
-    check_coupling(g_grid, g_max)
-    root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
-    x = dagger(basis) @ psi_i
-    y = dagger(basis) @ psi_f
-    amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]
+    bases, sols, g_maxes, As, psis_i, psis_f = zip(*members)
+    states = []
+    for sol, g_max, psi_i, psi_f in zip(sols, g_maxes, psis_i, psis_f):
+        if not sol.exact:
+            raise NoExactCv(
+                f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
+            )
+        states.append((check_state(psi_i), check_state(psi_f)))
+        check_coupling(sol.g_grid, g_max)
+    # np.array stacks these as np.stack does, at a fraction of its call cost
+    psi_i, psi_f = (np.array(s) for s in zip(*states))  # (k, d) each
+    g = np.array([sol.g_grid for sol in sols])  # (k, n_g)
+    root = np.sqrt(clamp_psd(np.array([sol.F_g for sol in sols]).swapaxes(-1, -2)))  # (k, n_g, n_out, d)
+    Bh = dagger(np.array(bases))
+    x = (Bh @ psi_i[..., None])[..., 0]
+    y = (Bh @ psi_f[..., None])[..., 0]
+    amplitudes = (y.conj()[:, None, None, None, :] @ (root * x[:, None, None, :])[..., None])[..., 0, 0]
     # scalar abs(z) ** 2 as in conditioned_average: np.abs and squaring on
     # arrays round differently in the last bit, which the fit amplifies
     weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
-    probs = weights.sum(axis=1)
-    vanishing = np.flatnonzero(probs <= OVERLAP_TOL)
-    if vanishing.size:
-        k = vanishing[0]
+    probs = weights.sum(axis=-1)  # (k, n_g)
+    vanishing = probs <= OVERLAP_TOL
+    if vanishing.any():
+        m, j = np.argwhere(vanishing)[0]
         raise OrthogonalPostselection(
-            f"success probability {probs[k]:.3e} vanishes at g={g_grid[k]}"
+            f"success probability {probs[m, j]:.3e} vanishes at g={g[m, j]}"
         )
-    values = (sol.alpha[:, None, :] @ weights[:, :, None])[:, 0, 0] / probs
+    values = np.array([
+        (sol.alpha[:, None, :] @ w[:, :, None])[:, 0, 0] for sol, w in zip(sols, weights)
+    ]) / probs
 
-    order = np.argsort(g_grid)[:LIMIT_FIT_POINTS]
-    fit = np.polynomial.Polynomial.fit(g_grid[order], values[order], 2)
-    extrapolated = float(fit(0.0))
+    lowest = np.arange(len(g))[:, None], np.argsort(g, axis=-1)[:, :LIMIT_FIT_POINTS]
+    coef, domain, at_zero = _quadratic_fits(g[lowest], values[lowest])
+    traditional = _weak_values(np.array(As, dtype=complex), psi_i, psi_f)
+    reports = []
+    for m, sol in enumerate(sols):
+        extrapolated, value = float(at_zero[m]), float(traditional[m])
+        reports.append(WeakLimitReport(
+            g_grid=sol.g_grid,
+            conditioned_averages=values[m],
+            success_probabilities=probs[m],
+            fit_scaled_coefficients=coef[m],
+            fit_domain=domain[m],
+            extrapolated_limit=extrapolated,
+            traditional_value=value,
+            discrepancy=abs(extrapolated - value),
+        ))
+    return reports
 
-    traditional = _weak_value(
-        np.asarray(A, dtype=complex),
-        np.outer(psi_i, psi_i.conj()),
-        np.outer(psi_f, psi_f.conj()),
-    )
-    return WeakLimitReport(
-        g_grid=g_grid,
-        conditioned_averages=values,
-        success_probabilities=probs,
-        fit=fit,
-        extrapolated_limit=extrapolated,
-        traditional_value=traditional,
-        discrepancy=abs(extrapolated - traditional),
-    )
 
+def _quadratic_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polynomial.fit(x[m], y[m], 2) of each row m and its value at 0, without numpy.polynomial.
 
-def _weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> float:
-    """Symmetrized weak value tr(E (A rho + rho A)) / (2 tr(E rho)) of checked inputs.
-
-    For pure rho and a rank-one effect this is the real part of the
-    traditional weak value.
+    Each row of x is sorted ascending.  Returns the fits' coefficients in
+    the scaled coupling of the window [-1, 1], their domains, and
+    fit(0.0).  Every floating-point step is
+    numpy's own, in its order: the domain (widened by 1 each way when it
+    has zero width), the map onto the window, the Vandermonde matrix, its
+    column norms, one lstsq per row with rcond = len(x) eps (warning as
+    Polynomial.fit does when the rank falls short), the unscaling, and
+    Horner's rule at the mapped 0.  So each is Polynomial.fit's bit for bit.
     """
-    denom = float(np.trace(effect @ rho).real)
-    if denom <= OVERLAP_TOL:
-        raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
-    num = float(np.trace(effect @ (A @ rho + rho @ A)).real)
+    lo, hi = x[:, 0], x[:, -1]
+    flat = lo == hi
+    lo, hi = np.where(flat, lo - 1, lo), np.where(flat, hi + 1, hi)
+    span = hi - lo
+    off = (hi * -1.0 - lo * 1.0) / span  # mapparms onto the window [-1, 1]
+    scl = 2.0 / span
+    t = (off[:, None] + scl[:, None] * x) + 0.0
+    V = np.empty((len(x), 3, x.shape[-1]))  # polyvander's layout and steps
+    V[:, 0], V[:, 1] = t * 0 + 1, t
+    V[:, 2] = V[:, 1] * t
+    norms = np.sqrt(np.square(V).sum(axis=-1))
+    norms[norms == 0] = 1
+    lhs = V.swapaxes(-1, -2) / norms[:, None, :]
+    rhs = y + 0.0
+    rcond = x.shape[-1] * np.finfo(x.dtype).eps
+    coef = np.empty((len(x), 3))
+    for m in range(len(x)):
+        coef[m], _, rank, _ = np.linalg.lstsq(lhs[m], rhs[m], rcond)
+        if rank != 3:
+            warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    coef /= norms
+    t0 = off + scl * 0.0
+    at_zero = coef[:, 2] + t0 * 0
+    at_zero = coef[:, 1] + at_zero * t0
+    at_zero = coef[:, 0] + at_zero * t0
+    return coef, np.stack([lo, hi], axis=-1), at_zero
+
+
+def _weak_values(A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray) -> np.ndarray:
+    """Symmetrized weak value tr(E (A rho + rho A)) / (2 tr(E rho)) of checked inputs, per member.
+
+    rho = |psi_i><psi_i| and E = |psi_f><psi_f|, so this is the real part
+    of the traditional weak value.
+    """
+    rho = psi_i[:, :, None] * psi_i.conj()[:, None, :]  # np.outer, stacked
+    effect = psi_f[:, :, None] * psi_f.conj()[:, None, :]
+    denom = np.trace(effect @ rho, axis1=-2, axis2=-1).real
+    vanishing = denom <= OVERLAP_TOL
+    if vanishing.any():
+        raise OrthogonalPostselection(
+            f"postselection probability {float(denom[vanishing.argmax()]):.3e} vanishes"
+        )
+    num = np.trace(effect @ (A @ rho + rho @ A), axis1=-2, axis2=-1).real
     return num / (2.0 * denom)
 
 
@@ -402,8 +489,9 @@ def _trial_shape(rng: np.random.Generator, dim: int | None, n_out: int | None) -
 
 
 def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
-    """conjecture_trial of each trial index, in rounds of one candidate per
-    pending trial solved together (see the module docstring)."""
+    """conjecture_trial of each trial index: rounds of one candidate per
+    pending trial solved together, then every accepted trial's ladder,
+    stacked per shape (see the module docstring)."""
     keys, shapes, streams = [], [], []
     for t in trials:
         keys.append((int(seed), int(t)))
@@ -419,10 +507,12 @@ def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
                 accepted[i] = draw, spectral, sol
         pending = [i for i in pending if accepted[i] is None]
 
+    reports = _spectral_weak_limits([
+        (spectral[2], sol, draw[3], np.diag(draw[0]), draw[4], draw[5])
+        for draw, spectral, sol in accepted
+    ])
     records = []
-    for t, key, (d, n), (draw, spectral, sol) in zip(trials, keys, shapes, accepted):
-        a, _, _, g_max, psi_i, psi_f = draw
-        report = _spectral_weak_limit(spectral[2], sol, g_max, np.diag(a), psi_i, psi_f)
+    for t, key, (d, n), (draw, spectral, sol), report in zip(trials, keys, shapes, accepted, reports):
         passed = report.discrepancy <= tol
         records.append(TrialRecord(
             key, t, d, n, float(sol.g_grid.min()), report.extrapolated_limit,
@@ -443,7 +533,7 @@ def conjecture_trial(
 
     The per-trial stream is derived from (seed, trial) so sweeps are
     reproducible and order-independent; this is conjecture_sweep's path for
-    one trial.  The limit is taken by _spectral_weak_limit on the grid
+    one trial.  The limit is taken by _spectral_weak_limits on the grid
     solution of the generator's exactness check, so a trial solves its
     grid once.  Unspecified dimensions are drawn uniformly with n_out >= dim
     (so exact contextual values can exist): dim from

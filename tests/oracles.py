@@ -6,21 +6,33 @@ weak-coupling check (both built on the public `meter.isometry_at`), the
 traditional weak value of a pure pre- and postselection, and the
 symmetrized weak value of a mixed state and effect, which checks every
 input itself, with the rank-one projector that makes a state its operand,
-and the conjecture trial as a lone loop: build_F and solve_grid on each
-draw, then the weak-limit core, the path conjecture_sweep batches.
+the conjecture trial as a lone loop: build_F and solve_grid on each
+draw, then the weak-limit ladder with numpy's own Polynomial.fit, the path
+conjecture_sweep batches and stacks.  The minimum nonzero order of a family,
+with the two errors it raises, lives here too: the acceptance suite reads it
+and no analysis path does.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from weaklab import weak
-from weaklab.contextual import build_F, solve_grid
-from weaklab.errors import DimensionError, GenerationFailed, NotPositive, OrthogonalPostselection
-from weaklab.linalg import check_hermitian, check_state, dagger
+from weaklab.contextual import GridSolution, build_F, solve_grid
+from weaklab.errors import (
+    DimensionError,
+    GenerationFailed,
+    NoExactCv,
+    NotPositive,
+    OrthogonalPostselection,
+    WeakLabError,
+)
+from weaklab.linalg import check_hermitian, check_state, clamp_psd, dagger
 from weaklab.meter import MeterModel, isometry_at
-from weaklab.povm import ParamPovm, PolyMatrix
-from weaklab.weak import OVERLAP_TOL, ConjectureInstance, TrialRecord
+from weaklab.povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix, check_coupling
+from weaklab.weak import OVERLAP_TOL, ConjectureInstance, TrialRecord, WeakLimitReport
 
 
 def partial_trace_meter(T: np.ndarray, system_dim: int, meter_dim: int) -> np.ndarray:
@@ -157,10 +169,68 @@ def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> Conjectur
     raise GenerationFailed(f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})")
 
 
+def oracle_spectral_weak_limit(
+    basis: np.ndarray,
+    sol: GridSolution,
+    g_max: float,
+    A: np.ndarray,
+    psi_i: np.ndarray,
+    psi_f: np.ndarray,
+) -> WeakLimitReport:
+    """The weak-limit ladder of one member, alone, fitted by numpy's Polynomial.fit.
+
+    The library stacks this ladder over a sweep block and repeats the fit's
+    floating-point steps itself; this is the per-trial loop it replaced.
+    """
+    if not sol.exact:
+        raise NoExactCv(
+            f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
+        )
+    psi_i = check_state(psi_i)
+    psi_f = check_state(psi_f)
+    g_grid = sol.g_grid
+    check_coupling(g_grid, g_max)
+    root = np.sqrt(clamp_psd(sol.F_g.swapaxes(1, 2)))  # (n_g, n_out, d)
+    x = dagger(basis) @ psi_i
+    y = dagger(basis) @ psi_f
+    amplitudes = (y.conj() @ (root * x)[..., None])[..., 0]
+    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
+    probs = weights.sum(axis=1)
+    vanishing = np.flatnonzero(probs <= OVERLAP_TOL)
+    if vanishing.size:
+        k = vanishing[0]
+        raise OrthogonalPostselection(
+            f"success probability {probs[k]:.3e} vanishes at g={g_grid[k]}"
+        )
+    values = (sol.alpha[:, None, :] @ weights[:, :, None])[:, 0, 0] / probs
+
+    order = np.argsort(g_grid)[: weak.LIMIT_FIT_POINTS]
+    fit = np.polynomial.Polynomial.fit(g_grid[order], values[order], 2)
+    extrapolated = float(fit(0.0))
+
+    rho = np.outer(psi_i, psi_i.conj())
+    effect = np.outer(psi_f, psi_f.conj())
+    A = np.asarray(A, dtype=complex)
+    denom = float(np.trace(effect @ rho).real)
+    if denom <= OVERLAP_TOL:
+        raise OrthogonalPostselection(f"postselection probability {denom:.3e} vanishes")
+    traditional = float(np.trace(effect @ (A @ rho + rho @ A)).real) / (2.0 * denom)
+    return WeakLimitReport(
+        g_grid=g_grid,
+        conditioned_averages=values,
+        success_probabilities=probs,
+        fit_scaled_coefficients=fit.coef,
+        fit_domain=fit.domain,
+        extrapolated_limit=extrapolated,
+        traditional_value=traditional,
+        discrepancy=abs(extrapolated - traditional),
+    )
+
+
 def oracle_conjecture_trial(
     seed, trial: int = 0, dim: int | None = None, n_out: int | None = None, tol: float = weak.CONJECTURE_TOL
 ) -> TrialRecord:
-    """conjecture_trial on its own: its stream, oracle_instance, then the weak-limit core."""
+    """conjecture_trial on its own: its stream, oracle_instance, then oracle_spectral_weak_limit."""
     key = (int(seed), int(trial))
     rng = np.random.default_rng(key)
     if dim is None:
@@ -169,7 +239,7 @@ def oracle_conjecture_trial(
     if n_out is None:
         n_out = int(rng.integers(dim, weak.TRIAL_N_OUT_MAX + 1))
     inst = oracle_instance(rng, dim, n_out)
-    report = weak._spectral_weak_limit(
+    report = oracle_spectral_weak_limit(
         inst.F.basis, inst.sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f
     )
     passed = report.discrepancy <= tol
@@ -185,3 +255,43 @@ def oracle_conjecture_trial(
         passed=passed,
         instance=None if passed else inst,
     )
+
+
+class NonUniformOrder(WeakLabError):
+    """Outcomes disagree on the minimum nonzero coefficient order."""
+
+    def __init__(self, per_outcome_orders):
+        self.per_outcome_orders = tuple(per_outcome_orders)
+        super().__init__(
+            f"minimum nonzero orders differ between outcomes: {list(self.per_outcome_orders)}"
+        )
+
+
+class ConstantOutcome(WeakLabError):
+    """An outcome has no coupling dependence at all, so no minimum order exists."""
+
+
+@dataclass(frozen=True)
+class MinOrderResult:
+    n: int
+    per_outcome_orders: tuple[int, ...]
+
+
+def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
+    """Smallest order k >= 1 with a nonzero coefficient, shared by all outcomes.
+
+    Raises ConstantOutcome if some outcome has no coupling dependence, and
+    NonUniformOrder (with the per-outcome orders attached) if outcomes
+    disagree.
+    """
+    nonzero = np.abs(povm.coefficients).max(axis=(-2, -1)) > COEFF_ZERO_TOL
+    nonzero[:, 0] = False
+    orders = tuple(nonzero.argmax(axis=1).tolist())  # first order >= 1 per outcome, 0 if none
+    constant = [j for j, k in enumerate(orders) if k == 0]
+    if constant:
+        raise ConstantOutcome(
+            f"outcomes {constant} have no g-dependence; minimum order undefined"
+        )
+    if len(set(orders)) != 1:
+        raise NonUniformOrder(orders)
+    return MinOrderResult(n=orders[0], per_outcome_orders=orders)

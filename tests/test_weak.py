@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,20 +13,24 @@ from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import weak as wk
 from weaklab.errors import GenerationFailed
-from weaklab.registry import get_instance
+from weaklab.files import load_instance
+from weaklab.registry import REGISTRY, get_instance
 from weaklab.errors import (
     NoExactCv,
     NotPositive,
     OrthogonalPostselection,
     OutOfValidityRange,
+    WeakLabError,
 )
 from weaklab.linalg import commutator_norm
 from weaklab.povm import ParamPovm, PolyMatrix
 
 from oracles import (
     check_effect,
+    minimum_nonzero_order,
     mixed_weak_value,
     oracle_conjecture_trial,
+    oracle_spectral_weak_limit,
     projector,
     traditional_weak_value,
     weak_coupling_check,
@@ -263,7 +270,7 @@ def test_generated_instances_are_valid():
         assert povm.dim == dim and povm.n_out == n_out
         assert povm.max_degree == 1
         assert pv.validate(povm).passed
-        assert pv.minimum_nonzero_order(povm).n == 1
+        assert minimum_nonzero_order(povm).n == 1
         coeffs = [c for e in povm.elements for c in e.coefficients]
         for i, a in enumerate(coeffs):
             for b in coeffs[i + 1 :]:
@@ -334,16 +341,17 @@ def test_conjecture_sweep_small():
 
 
 def spy_on_core(monkeypatch):
-    """Record (basis, sol, g_max, A, psi_i, psi_f, report) of every _spectral_weak_limit call."""
+    """Record (basis, sol, g_max, A, psi_i, psi_f, report) of every member of every
+    _spectral_weak_limits call, in member order."""
     seen = []
-    core = wk._spectral_weak_limit
+    core = wk._spectral_weak_limits
 
-    def spy(basis, sol, g_max, A, psi_i, psi_f):
-        report = core(basis, sol, g_max, A, psi_i, psi_f)
-        seen.append((basis, sol, g_max, A, psi_i, psi_f, report))
-        return report
+    def spy(members):
+        reports = core(members)
+        seen.extend((*member, report) for member, report in zip(members, reports))
+        return reports
 
-    monkeypatch.setattr(wk, "_spectral_weak_limit", spy)
+    monkeypatch.setattr(wk, "_spectral_weak_limits", spy)
     return seen
 
 
@@ -456,6 +464,145 @@ def test_fit_coefficients_are_the_converted_fit_computed_once(monkeypatch):
         assert rep.fit_coefficients is rep.fit_coefficients
 
 
+def report_fields(rep):
+    """Every number of a weak-limit report, as exact bytes, with its fit's."""
+    arrays = (
+        rep.g_grid, rep.conditioned_averages, rep.success_probabilities,
+        rep.fit.coef, rep.fit.domain, rep.fit.window, rep.fit_coefficients,
+    )
+    floats = (rep.extrapolated_limit, rep.traditional_value, rep.discrepancy)
+    return (*(a.tobytes() for a in arrays), *(float(x).hex() for x in floats))
+
+
+def ladder_outcome(ladder):
+    """report_fields of ladder(), or its error, with the categories of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = ("report", *report_fields(ladder()))
+        except WeakLabError as err:
+            outcome = ("error", type(err), str(err))
+    return outcome, [w.category for w in caught]
+
+
+def assert_ladder_equals_numpy_fit(povm, A, psi_i, psi_f, grid=None):
+    """weak_limit against the per-trial ladder fitted by numpy's Polynomial.fit, bit for bit."""
+    F = cx.build_F(povm, A)
+    sol = cx.solve_grid(F, wk.limit_grid(povm.g_max) if grid is None else grid)
+    lean = ladder_outcome(lambda: wk.weak_limit(povm, A, psi_i, psi_f, grid))
+    numpy_fit = ladder_outcome(lambda: oracle_spectral_weak_limit(F.basis, sol, povm.g_max, A, psi_i, psi_f))
+    assert lean == numpy_fit
+    return lean
+
+
+# ends one ulp apart: the five smallest couplings coincide, so the fit's
+# domain is widened by 1 each way and the rank falls short
+ZERO_WIDTH = np.geomspace(0.05, np.nextafter(0.05, 1.0), wk.LIMIT_GRID_POINTS)
+
+
+@pytest.mark.parametrize(
+    "g_max, grid, caught",
+    [
+        # weak-limit --grid-points 3: the quadratic passes through every point
+        (0.9, np.geomspace(0.1 * 2.0 ** (1 - wk.LIMIT_GRID_POINTS), 0.1, 3), []),
+        (0.9, ZERO_WIDTH, [np.exceptions.RankWarning]),
+        # default ladders topped below 0.1
+        (0.003, None, []),
+        (0.02, None, []),
+        (0.0999, None, []),
+    ],
+)
+def test_lean_fit_equals_polynomial_fit(g_max, grid, caught):
+    assert len(set(np.sort(ZERO_WIDTH)[: wk.LIMIT_FIT_POINTS])) == 1
+    povm = ParamPovm(elements=qubit_linear().elements, g_max=g_max)
+    outcome, warned = assert_ladder_equals_numpy_fit(povm, Z, PLUS, final_state(np.pi / 8), grid)
+    assert outcome[0] == "report" and warned == caught
+
+
+def test_lean_fit_on_trials_with_small_coupling_ranges(monkeypatch):
+    seen = spy_on_core(monkeypatch)
+    wk.conjecture_sweep(11, 100)
+    small = [(basis, sol, g_max, A, psi_i, psi_f, rep) for basis, sol, g_max, A, psi_i, psi_f, rep in seen if g_max < 0.1]
+    assert len(small) >= 5
+    for basis, sol, g_max, A, psi_i, psi_f, rep in small:
+        assert report_fields(rep) == report_fields(oracle_spectral_weak_limit(basis, sol, g_max, A, psi_i, psi_f))
+
+
+def test_lean_fit_on_every_registry_instance():
+    outcomes = []
+    for name in sorted(REGISTRY):
+        spec = get_instance(name)
+        if spec.povm is None or spec.observable is None:
+            continue  # a raw family: no conditioned average
+        psi_f = spec.psi_f if spec.psi_f is not None else final_state(np.pi / 8)
+        for grid in (None, np.geomspace(1e-3, 0.1, 9)):
+            outcomes.append(assert_ladder_equals_numpy_fit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)[0][0])
+    # qubit-linear on both grids, quad-cx on the second; flat has no exact values
+    assert outcomes.count("report") >= 3 and "error" in outcomes
+
+
+@pytest.mark.parametrize("name", ["qubit-linear-rotated.json", "quad-cx-rotated-permuted.json"])
+def test_lean_fit_on_rotated_instance_files(name):
+    spec = load_instance(Path(__file__).parent / "data" / name)
+    reports = 0
+    for grid in (None, np.geomspace(1e-3, 0.1, 9), np.geomspace(1e-3, 0.05, 3)):
+        (kind, *_), _ = assert_ladder_equals_numpy_fit(spec.povm, spec.observable, spec.psi_i, spec.psi_f, grid)
+        reports += kind == "report"
+    assert reports >= 2
+
+
+class KeyedRng:
+    """A generator that remembers the key it was seeded with."""
+
+    def __init__(self, rng, key):
+        self.rng = rng
+        self.key = key
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_sweep_raises_the_first_failing_trials_error(monkeypatch):
+    # seed 3: trials 3 and 5 are 2 x 2, trial 4 is 2 x 5, so trial 5's shape
+    # group runs before trial 4's; both get a near-orthogonal postselection
+    tilt = {(3, 4): 1e-7, (3, 5): 2e-7}
+    real_rng, real_draws = np.random.default_rng, wk._draws
+    monkeypatch.setattr(np.random, "default_rng", lambda key: KeyedRng(real_rng(key), key))
+
+    def draws(rng, dim, n_out):
+        eps = tilt.get(rng.key)
+        for *head, psi_i, psi_f in real_draws(rng, dim, n_out):
+            if eps is not None:
+                u = psi_f - np.vdot(psi_i, psi_f) * psi_i
+                psi_f = np.sqrt(1 - eps**2) * u / np.linalg.norm(u) + eps * psi_i
+            yield (*head, psi_i, psi_f)
+
+    monkeypatch.setattr(wk, "_draws", draws)
+    assert [wk._trial_shape(real_rng((3, t)), None, None) for t in (3, 4, 5)] == [(2, 2), (2, 5), (2, 2)]
+    alone = {}
+    for t in tilt:
+        with pytest.raises(OrthogonalPostselection) as err:
+            wk.conjecture_trial(*t)
+        alone[t] = str(err.value)
+        # the per-trial ladder with numpy's fit raises the same
+        rng = np.random.default_rng(t)
+        inst = wk.generate_linear_commuting_instance(rng, *wk._trial_shape(rng, None, None))
+        with pytest.raises(OrthogonalPostselection) as err:
+            oracle_spectral_weak_limit(
+                inst.F.basis, inst.sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f
+            )
+        assert str(err.value) == alone[t]
+    assert alone[3, 4] != alone[3, 5]
+    with pytest.raises(OrthogonalPostselection) as err:
+        wk.conjecture_sweep(3, 8)
+    assert str(err.value) == alone[3, 4]
+    # without trial 4, trial 5 fails first
+    del tilt[3, 4]
+    with pytest.raises(OrthogonalPostselection) as err:
+        wk.conjecture_sweep(3, 8)
+    assert str(err.value) == alone[3, 5]
+
+
 def test_sweep_hot_path_shape(count_calls, monkeypatch):
     counts = {
         name: count_calls(module, name)
@@ -467,6 +614,8 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
             (cx, "exact_cv_exists"),
             (cx, "solve_grid"),
             (np.polynomial.Polynomial, "convert"),
+            (np.polynomial.Polynomial, "fit"),
+            (np.linalg, "lstsq"),
             (np.linalg, "eigh"),
             (np.linalg, "eigvalsh"),
         ]
@@ -482,6 +631,8 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
     assert n["eigh"] == 0  # every generated family is diagonal
     assert n["eigvalsh"] == 0  # the weak value needs no effect spectrum
     assert n["convert"] == 0  # no trial reads its fit coefficients
+    assert n["fit"] == 0  # the ladder repeats Polynomial.fit's steps itself
+    assert n["lstsq"] == 10  # one least-squares solve per trial
     assert n["conditioned_average"] == 0
     assert n["exact_cv_exists"] == 0
     # no draw of this sweep has a near-tie in a, so F is read off every
