@@ -37,7 +37,7 @@ from .montecarlo import McConfig, sample_run
 from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
-from .weak import CONJECTURE_TOL, LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX
+from .weak import CONJECTURE_TOL, LIMIT_FIT_POINTS, LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX
 from .weak import conditioned_average, conjecture_sweep, limit_grid, weak_limit
 
 
@@ -262,6 +262,9 @@ def _cmd_weak_limit(args, spec: InstanceSpec) -> _Output:
             raise _UsageError(
                 f"--grid-points {args.grid_points} needs more memory than is available"
             ) from None
+        # the quadratic fit of the smallest couplings needs 3 distinct ones, told apart as printed
+        if len({_f(g) for g in np.sort(grid)[:LIMIT_FIT_POINTS]}) < 3:
+            raise _UsageError("--grid-min and --grid-max are too close: the fit needs 3 distinct couplings")
 
     rep = weak_limit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)
     order = np.argsort(rep.g_grid)

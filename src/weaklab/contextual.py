@@ -5,7 +5,8 @@ spectral matrix F(g) whose entry (i, j) is the i-th common-basis eigenvalue
 of outcome j: E_j(g) = B diag(F(g)[:, j]) B^H for the common eigenbasis B.
 Weights alpha solving F(g) alpha = a (the observable's eigenvalues) make the
 weighted outcome statistics reproduce the observable's moments; the
-pseudoinverse picks the minimum-norm solution.
+pseudoinverse picks the minimum-norm solution.  `build_F` reads F off
+povm.spectral_family, the decomposition povm.root_family takes roots in.
 
 A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
 grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoExactCv, ValidationError
-from .linalg import check_hermitian, common_eigenbasis, dagger, pinv_and_rank, pow2_scale
-from .povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix
+from .linalg import check_hermitian, dagger, pinv_and_rank, pow2_scale
+from .povm import ParamPovm, PolyMatrix, spectral_family
 
 ROW_SUM_TOL = 1e-11
 EXACT_CV_TOL = 1e-9
@@ -77,13 +78,9 @@ class FMatrix:
     def n_out(self) -> int:
         return self.poly.shape[1]
 
-    def row_sum_residual(self) -> float:
-        """Deviation of the row sums from 1: the spectral shadow of completeness."""
-        return _row_sum_residual(self.poly.coefficients)
-
 
 def _row_sum_residual(C: np.ndarray) -> float:
-    """row_sum_residual of spectral coefficients C (..., degree + 1, d, n_out), worst over a stack."""
+    """Worst deviation from 1 of the row sums of spectral coefficients C (..., degree + 1, d, n_out)."""
     sums = np.real(C).sum(axis=-1)  # (..., degree + 1, d)
     sums[..., 0, :] -= 1.0
     return float(np.abs(sums).max())
@@ -100,20 +97,6 @@ def check_row_sums(C: np.ndarray) -> None:
             f"spectral rows do not sum to one (residual {resid:.3e}); "
             "the measurement is not complete",
         )
-
-
-def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
-    """(basis, poly): the common eigenbasis of lead and every nonzero coefficient,
-    and E_j(g) = basis diag(poly(g)[:, j]) basis^H read off in it.
-
-    Basis order: descending eigenvalues of the lead operators, ties broken
-    by the coefficients in (outcome, order) sequence.  Raises NotCommuting.
-    """
-    C = povm.coefficients  # (n_out, degree + 1, d, d)
-    nonzero = np.abs(C).max(axis=(-2, -1)) > COEFF_ZERO_TOL
-    basis = common_eigenbasis([*lead, *C[nonzero]])
-    spectra = np.real(np.diagonal(dagger(basis) @ C @ basis, axis1=-2, axis2=-1))
-    return basis, PolyMatrix(spectra.transpose(1, 2, 0))  # (degree + 1, d, n_out)
 
 
 def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
@@ -137,11 +120,6 @@ class CvSolution:
     g: float
     alpha: np.ndarray
     F: FMatrix
-
-    @property
-    def residual(self) -> float:
-        """||F(g) alpha - a||_2 (the Frobenius operator residual), as solve_grid takes it."""
-        return float(solve_grid(self.F, [self.g]).residuals[0])
 
 
 @dataclass(frozen=True)

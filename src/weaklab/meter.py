@@ -6,23 +6,21 @@ system (x) meter, where {f_j} is the fixed standard meter basis and the
 composite index is system-major (flat index i * meter_dim + j).  Reading
 out the meter in that basis reproduces the outcome statistics, and
 attaching eigenvalues alpha_j(g) to the pointer states gives the meter
-expectation sum_j alpha_j(g) P(j).  For a commuting family the operators
-M_j(g) = B diag(sqrt lambda_j(g)) B^H come from one common eigenbasis B
-(`positive_family`), and `compose_isometry` checks them on one stack.
+expectation sum_j alpha_j(g) P(j).  The operators M_j(g) = E_j(g)^(1/2)
+are povm.root_family's, read one outcome at a time (`positive_family`), and
+`compose_isometry` checks them on one stack.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .contextual import spectral_family
-from .errors import DimensionError, NotCommuting, NotIsometry
-from .linalg import check_state, clamp_psd, dagger, psd_sqrt
-from .povm import ParamPovm, check_coupling, default_grid
+from .errors import DimensionError, NotIsometry
+from .linalg import check_state, dagger
+from .povm import ParamPovm, check_coupling, default_grid, root_family
 
 ISOMETRY_TOL = 1e-10
 #: meter eigenvalues must stay at least this far apart where sampled
@@ -36,31 +34,11 @@ def _family_at(op: MatrixFamily, g: float) -> np.ndarray:
 
 
 def positive_family(povm: ParamPovm) -> list[MatrixFamily]:
-    """Measurement operators g -> E_j(g)^(1/2) as callables.
-
-    The square root of a matrix polynomial is generally not polynomial in g,
-    so the minimally disturbing operators enter the dilation as plain
-    functions of the coupling.  B and the spectra lambda_j(g) come once from
-    contextual.spectral_family, as build_F reads them.  The callables share
-    one lru_cache(maxsize=1): the first asked at a new g takes every outcome's
-    root in one stacked product, and the rest read theirs off (read-only).
-    The spectra pass linalg.clamp_psd, psd_sqrt's rule and message, so a
-    coupling where any outcome fails it is refused by every callable.  A
-    family that raises NotCommuting takes psd_sqrt(E_j(g)) at every call.
-    """
-    try:
-        basis, spectra = spectral_family(povm)
-    except NotCommuting:
-        return [lambda g, e=e: psd_sqrt(e(g)) for e in povm.elements]
-    basis_h = dagger(basis)
-
-    @functools.lru_cache(maxsize=1)
-    def roots(g: float) -> np.ndarray:
-        lam = clamp_psd(np.real(spectra(g)).T)  # (n_out, d): one spectrum per outcome
-        R = (basis * np.sqrt(lam)[:, None, :]) @ basis_h
-        R.setflags(write=False)
-        return R
-
+    """Measurement operators g -> E_j(g)^(1/2) as callables: the square root of a
+    matrix polynomial is generally not polynomial in g.  Each reads its outcome
+    off povm.root_family's stack, unchecked: compose_isometry and isometry_at
+    check the coupling range."""
+    roots = root_family(povm)
     return [lambda g, j=j: roots(g)[j] for j in range(povm.n_out)]
 
 

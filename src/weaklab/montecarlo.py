@@ -71,8 +71,7 @@ def joint_probabilities(
     for j, M in enumerate(measurement_operators(povm, g)):
         if p[j] > 0:
             post = M @ psi_i
-            post = post / np.linalg.norm(post)
-            q[j] = abs(np.vdot(psi_f, post)) ** 2
+            q[j] = abs(np.vdot(psi_f, post / np.linalg.norm(post))) ** 2
     return p, q
 
 

@@ -4,16 +4,24 @@ A measurement here is a finite set of Hermitian matrix polynomials
 E_j(g) = sum_k C_jk g^k that is complete coefficient-wise (the C_j0 sum to
 the identity and every higher order sums to zero) and positive semidefinite
 on a validated range (0, g_max].
+
+A commuting family is E_j(g) = B diag(lambda_j(g)) B^H (`spectral_family`,
+which contextual.build_F reads F off).  `root_family` alone forms the
+minimally disturbing operators M_j(g) = B diag(sqrt lambda_j(g)) B^H from it,
+with linalg.psd_sqrt per outcome only for a family that does not commute;
+`measurement_operators` and meter.positive_family read its stacks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, OutOfValidityRange
-from .linalg import HERMITIAN_TOL, dagger, psd_sqrt
+from .errors import DimensionError, NotCommuting, OutOfValidityRange
+from .linalg import HERMITIAN_TOL, clamp_psd, common_eigenbasis, dagger, psd_sqrt
 
 #: coefficient matrices with no entry above this are treated as zero
 COEFF_ZERO_TOL = 1e-12
@@ -84,9 +92,6 @@ class PolyMatrix:
         return PolyMatrix(
             [c if k in keep else np.zeros_like(c) for k, c in enumerate(self.coefficients)]
         )
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix(shape={self.shape}, max_degree={self.max_degree})"
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,48 @@ def evaluate(povm: ParamPovm, g: float) -> list[np.ndarray]:
     return [e(g) for e in povm.elements]
 
 
-def measurement_operators(povm: ParamPovm, g: float) -> list[np.ndarray]:
-    """Positive square roots M_j = E_j(g)^(1/2) (the minimally disturbing choice)."""
-    return [psd_sqrt(E) for E in evaluate(povm, g)]
+def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
+    """(basis, poly): the common eigenbasis of lead and every nonzero coefficient,
+    and E_j(g) = basis diag(poly(g)[:, j]) basis^H read off in it.
+
+    Basis order: descending eigenvalues of the lead operators, ties broken
+    by the coefficients in (outcome, order) sequence.  Raises NotCommuting.
+    """
+    C = povm.coefficients  # (n_out, degree + 1, d, d)
+    nonzero = np.abs(C).max(axis=(-2, -1)) > COEFF_ZERO_TOL
+    basis = common_eigenbasis([*lead, *C[nonzero]])
+    spectra = np.real(np.diagonal(dagger(basis) @ C @ basis, axis1=-2, axis2=-1))
+    return basis, PolyMatrix(spectra.transpose(1, 2, 0))  # (degree + 1, d, n_out)
+
+
+@functools.lru_cache(maxsize=1)
+def root_family(povm: ParamPovm) -> Callable[[float], np.ndarray]:
+    """g -> the read-only (n_out, d, d) stack of M_j(g) = E_j(g)^(1/2), kept for the last family and g.
+
+    A commuting family takes B diag(sqrt lambda_j(g)) B^H, its spectra through
+    linalg.clamp_psd (psd_sqrt's rule and message); one that raises
+    NotCommuting takes psd_sqrt(E_j(g)) per outcome.  A coupling where any
+    outcome is refused raises for the whole stack; no range is checked."""
+    try:
+        basis, spectra = spectral_family(povm)
+        basis_h = dagger(basis)
+    except NotCommuting:
+        basis = None
+
+    @functools.lru_cache(maxsize=1)
+    def roots(g: float) -> np.ndarray:
+        if basis is None:
+            R = np.array([psd_sqrt(e(g)) for e in povm.elements])
+        else:
+            lam = clamp_psd(np.real(spectra(g)).T)  # (n_out, d): one spectrum per outcome
+            R = (basis * np.sqrt(lam)[:, None, :]) @ basis_h
+        R.setflags(write=False)
+        return R
+
+    return roots
+
+
+def measurement_operators(povm: ParamPovm, g: float) -> np.ndarray:
+    """root_family's stack of M_j = E_j(g)^(1/2) (the minimally disturbing choice), for 0 <= g <= g_max."""
+    check_coupling(g, povm.g_max)
+    return root_family(povm)(g)

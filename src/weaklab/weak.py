@@ -81,12 +81,7 @@ def conditioned_average(
     psi_f = check_state(psi_f)
     if alpha.shape != (povm.n_out,):
         raise ValueError(f"alpha must have shape ({povm.n_out},), got {alpha.shape}")
-    weights = np.array(
-        [
-            abs(np.vdot(psi_f, M @ psi_i)) ** 2
-            for M in measurement_operators(povm, g)
-        ]
-    )
+    weights = np.array([abs(np.vdot(psi_f, M @ psi_i)) ** 2 for M in measurement_operators(povm, g)])
     success = float(weights.sum())
     if success <= OVERLAP_TOL:
         raise OrthogonalPostselection(

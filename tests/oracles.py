@@ -10,7 +10,8 @@ the conjecture trial as a lone loop: build_F and solve_grid on each
 draw, then the weak-limit ladder with numpy's own Polynomial.fit, the path
 conjecture_sweep batches and stacks.  The minimum nonzero order of a family,
 with the two errors it raises, lives here too: the acceptance suite reads it
-and no analysis path does.
+and no analysis path does.  So does the residual of a single-coupling
+pseudoinverse_cv solution, which no command reads either.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from weaklab import weak
-from weaklab.contextual import GridSolution, build_F, solve_grid
+from weaklab.contextual import CvSolution, GridSolution, build_F, solve_grid
 from weaklab.errors import (
     DimensionError,
     GenerationFailed,
@@ -97,6 +98,11 @@ def traditional_weak_value(
         )
     wv = complex(np.vdot(psi_f, A @ psi_i) / denom)
     return wv, wv.real
+
+
+def cv_residual(sol: CvSolution) -> float:
+    """||F(g) alpha - a||_2 of a pseudoinverse_cv solution, as solve_grid takes it at that one coupling."""
+    return float(solve_grid(sol.F, [sol.g]).residuals[0])
 
 
 def projector(v: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from weaklab.weak import (
     weak_limit,
 )
 
-from oracles import minimum_nonzero_order
+from oracles import cv_residual, minimum_nonzero_order
 
 
 def test_flagship_singular_values_match_closed_form_and_det():
@@ -228,5 +228,5 @@ def test_flat_family_has_no_exact_contextual_values():
     assert exact_cv_exists(F, grid) is False
     sol = pseudoinverse_cv(F, 0.3)
     npt.assert_allclose(sol.alpha, [0.0, 0.0], atol=1e-12)
-    assert abs(sol.residual - np.sqrt(2.0)) <= 1e-12
+    assert abs(cv_residual(sol) - np.sqrt(2.0)) <= 1e-12
     assert time.perf_counter() - t0 < 1.0

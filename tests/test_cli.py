@@ -158,6 +158,19 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("points", [[], ["--grid-points", "3"]])
+def test_weak_limit_refuses_a_fit_window_without_three_couplings(capsys, points):
+    # the 13-point grid holds 2 distinct floats among its 5 smallest, the
+    # 3-point one 3 floats an ulp apart: both print as 0.05 and fitted a
+    # limit near 1e29 or 6e15 with exit 0
+    code, out, err = run(
+        capsys, "weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817",
+        "--grid-min", "0.05", "--grid-max", "0.05000000000000001", *points,
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: --grid-min and --grid-max are too close: the fit needs 3 distinct couplings\n"
+
+
 def test_unreadable_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "validate", "--file", str(tmp_path / "missing.json")

@@ -6,8 +6,8 @@ any `conjecture-fail-*.json`.  The set covers every subcommand on every
 registry instance by `--instance` and by `--file`, each with and without
 `--out`; the two non-diagonal files under `tests/data/` (registry families
 conjugated by a fixed unitary, one of them with its outcomes permuted), which
-reach the general eigenbasis path and the meter's `psd_sqrt`; and usage errors
-(exit 2) and analytic failures (exit 1).
+reach the general eigenbasis path of `build_F` and of `povm.root_family`; and
+usage errors (exit 2) and analytic failures (exit 1).
 
 Each command runs in its own empty directory with a relative `--out`.  The
 directory, the directory of exported registry instances and `tests/data` are

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklab import contextual, linalg, meter, registry, weak
+from weaklab import povm as pv
 from weaklab.errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
 from weaklab.povm import ParamPovm, PolyMatrix
 
@@ -317,10 +318,14 @@ def assert_matches_oracle(ops, diagonal=True):
 
 
 def recorded_families(monkeypatch, run):
-    """Every op list that run() hands to common_eigenbasis through contextual."""
+    """Every op list that run() hands to common_eigenbasis through povm.spectral_family.
+
+    root_family's cache is cleared first, so a family met before is solved again.
+    """
     seen = []
-    solve = contextual.common_eigenbasis
-    monkeypatch.setattr(contextual, "common_eigenbasis", lambda ops: seen.append(list(ops)) or solve(ops))
+    solve = pv.common_eigenbasis
+    monkeypatch.setattr(pv, "common_eigenbasis", lambda ops: seen.append(list(ops)) or solve(ops))
+    pv.root_family.cache_clear()
     run()
     monkeypatch.undo()
     return seen

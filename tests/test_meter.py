@@ -8,6 +8,7 @@ from weaklab import contextual as cx
 from weaklab import linalg
 from weaklab import meter as mt
 from weaklab import povm as pv
+from weaklab import registry
 from weaklab import weak as wk
 from weaklab.errors import NotIsometry, NotPositive, OutOfValidityRange
 from weaklab.povm import ParamPovm, PolyMatrix
@@ -201,6 +202,10 @@ def test_rotated_family_still_takes_eigh(count_calls):
     assert eighs[0] >= 2  # one eigenbasis for build_F, one for positive_family
 
 
+#: the couplings of the benchmark's mc-run workload
+MC_GS = (0.05, 0.1, 0.2, 0.4)
+
+
 def test_eigenbasis_roots_equal_psd_sqrt():
     rng = np.random.default_rng(8)
     families = [qubit_linear()]  # degenerate zeroth order
@@ -214,6 +219,17 @@ def test_eigenbasis_roots_equal_psd_sqrt():
         for g in np.linspace(0.0, povm.g_max, 7):
             for op, e in zip(ops, povm.elements):
                 npt.assert_allclose(op(g), linalg.psd_sqrt(e(g)), rtol=0, atol=1e-12)
+
+    # bit for bit where psd_sqrt diagonalizes a diagonal matrix: every registry
+    # family and generated diagonal ones, on default_grid and at mc's couplings
+    exact = [spec.povm for spec in map(registry.get_instance, registry.REGISTRY) if spec.povm]
+    exact += families[1::2]  # the generated families, before rotation
+    assert len(exact) == 23
+    for povm in exact:
+        grid = [*pv.default_grid(povm.g_max), *(g for g in MC_GS if g <= povm.g_max)]
+        for g in grid:
+            roots = np.array([linalg.psd_sqrt(e(g)) for e in povm.elements])
+            assert pv.measurement_operators(povm, g).tobytes() == roots.tobytes()
 
 
 def test_eigenbasis_roots_follow_the_clamp_rule():
@@ -230,12 +246,16 @@ def test_eigenbasis_roots_follow_the_clamp_rule():
         assert str(err.value) == str(point.value)
 
 
-def test_noncommuting_family_still_dilates(count_calls):
+def noncommuting():
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    povm = ParamPovm(
+    return ParamPovm(
         elements=tuple(PolyMatrix([I2 / 4, s * P / 4]) for P in (Z, X) for s in (1, -1)),
         g_max=0.9,
     )
+
+
+def test_noncommuting_family_still_dilates(count_calls):
+    povm = noncommuting()
     sqrts = count_calls(linalg, "psd_sqrt")
     model = build_model(povm)
     assert sqrts[0] > 0  # the psd_sqrt fallback
@@ -243,6 +263,30 @@ def test_noncommuting_family_still_dilates(count_calls):
     for g in (0.0, 0.3, 0.9):
         direct = [np.vdot(s, E @ s).real for E in pv.evaluate(povm, g)]
         npt.assert_allclose(mt.outcome_probabilities(model, s, g), direct, atol=1e-12)
+
+
+def test_noncommuting_roots_are_psd_sqrt_bit_for_bit(count_calls):
+    povm = noncommuting()
+    sqrts = count_calls(linalg, "psd_sqrt")
+    for g in (0.0, *pv.default_grid(povm.g_max)):
+        roots = np.array([linalg.psd_sqrt(e(g)) for e in povm.elements])
+        assert pv.measurement_operators(povm, g).tobytes() == roots.tobytes()
+        for op, root in zip(mt.positive_family(povm), roots):
+            assert op(g).tobytes() == root.tobytes()
+    # per coupling: the oracle's four, then the stack's four, which every reader shares
+    assert sqrts[0] == 2 * 4 * 21
+
+
+@pytest.mark.parametrize("make", [qubit_linear, noncommuting])
+def test_root_stacks_are_read_only(make):
+    povm = make()
+    stack = pv.measurement_operators(povm, 0.3)
+    assert stack.shape == (povm.n_out, 2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mt.positive_family(povm)[1](0.2)[0, 0] = 1.0
+    assert pv.measurement_operators(povm, 0.3).tobytes() == stack.tobytes()
 
 
 def test_compose_isometry_refuses_infinite_g_max():

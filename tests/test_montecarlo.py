@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaklab import cli
 from weaklab import contextual as cx
+from weaklab import linalg
 from weaklab import montecarlo as mc
 from weaklab import weak as wk
 from weaklab.errors import NoSuccesses
@@ -319,3 +321,14 @@ def test_million_draws_peak_below_16_mib():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_mc_run_takes_no_psd_sqrt_or_eigh(count_calls, capsys):
+    # qubit-linear is diagonal: root_family reads its roots off a permutation basis
+    sqrts = count_calls(linalg, "psd_sqrt")
+    eighs = count_calls(np.linalg, "eigh")
+    argv = ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "1000", "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert "successes  = " in capsys.readouterr().out
+    assert sqrts[0] == 0
+    assert eighs[0] == 0
