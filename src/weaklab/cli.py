@@ -41,6 +41,11 @@ from .weak import CONJECTURE_TOL, LIMIT_FIT_POINTS, LIMIT_GRID_POINTS, TRIAL_N_O
 from .weak import conditioned_average, conjecture_sweep, limit_grid, weak_limit
 
 
+#: the least relative width, (largest - smallest) / largest, of weak-limit's fit window:
+#: the LIMIT_FIT_POINTS smallest couplings of a --grid-min/--grid-max grid
+LIMIT_FIT_WIDTH = 1e-3
+
+
 class _UsageError(Exception):
     """Bad flag combination discovered after argparse (exit code 2)."""
 
@@ -262,9 +267,14 @@ def _cmd_weak_limit(args, spec: InstanceSpec) -> _Output:
             raise _UsageError(
                 f"--grid-points {args.grid_points} needs more memory than is available"
             ) from None
-        # the quadratic fit of the smallest couplings needs 3 distinct ones, told apart as printed
-        if len({_f(g) for g in np.sort(grid)[:LIMIT_FIT_POINTS]}) < 3:
-            raise _UsageError("--grid-min and --grid-max are too close: the fit needs 3 distinct couplings")
+        # the quadratic fit's rounding grows about as the inverse square of its window's
+        # relative width; a width of LIMIT_FIT_WIDTH keeps it near 1e-9
+        window = np.sort(grid)[:LIMIT_FIT_POINTS]
+        if window[-1] - window[0] < LIMIT_FIT_WIDTH * window[-1]:
+            raise _UsageError(
+                f"--grid-min and --grid-max are too close: the fit's {window.size} smallest "
+                f"couplings must span a relative width of at least {LIMIT_FIT_WIDTH:g}"
+            )
 
     rep = weak_limit(spec.povm, spec.observable, spec.psi_i, psi_f, grid)
     order = np.argsort(rep.g_grid)

@@ -8,17 +8,19 @@ average is the mean outcome weight over accepted trials.
 Sampling uses a counter-based generator (Philox) keyed by the config seed,
 so reruns are bit-identical.  The first `trials` uniforms pick the outcomes:
 a trial's outcome is the number of cumulative probability bounds at or below
-its uniform.  The next `trials` uniforms decide acceptance.  The mean is
-numpy's pairwise sum over the accepted outcome weights in draw order.
+its uniform.  The next `trials` uniforms decide acceptance.  The mean and
+the spread are numpy's own `mean` and `std(ddof=1)` of the accepted outcome
+weights in draw order, formed without that array (see `_mean_and_spread`).
 
 The trials run in blocks small enough to stay in cache: each block draws its
 outcome uniforms, searches the bounds, draws its acceptance uniforms,
-accepts, tallies and appends its accepted weights before the next block
-starts.  The acceptance uniforms come from a second Philox generator moved
-straight to stream position `trials`, which a counter-based stream allows
-without drawing the values before it.  One bincount over the codes
+accepts, tallies and appends its accepted outcome codes before the next
+block starts.  The acceptance uniforms come from a second Philox generator
+moved straight to stream position `trials`, which a counter-based stream
+allows without drawing the values before it.  One bincount over the codes
 2 j + accepted tallies the draws and the acceptances of every outcome.  Only
-the accepted weights are kept at trial length.
+the accepted outcome codes are kept at trial length, in the smallest
+unsigned type that holds n_out - 1: one byte a trial up to 256 outcomes.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .errors import NoSuccesses
 from .linalg import check_state
 from .povm import ParamPovm, evaluate, measurement_operators
 
-# Trials per block.  A block's uniforms, search codes and weights (24 bytes a
-# trial, 384 KiB at 2**14) stay in a core's L2 cache from the draw to the
-# tally; 2**12 to 2**14 ran fastest, and 2**16 and above lost most of the gain
-# over whole-array passes.
+# Trials per block.  A block's uniforms and search codes (16 bytes a trial,
+# 256 KiB at 2**14) stay in a core's L2 cache from the draw to the tally;
+# 2**12 to 2**14 ran fastest, and 2**16 and above lost most of the gain over
+# whole-array passes.  It is also the most weights the final sums gather at
+# once: the leaf size of `_pairwise_sum`.
 _BLOCK = 2**14
 
 
@@ -75,6 +78,40 @@ def joint_probabilities(
     return p, q
 
 
+def _pairwise_sum(weights: np.ndarray, codes: np.ndarray) -> np.float64:
+    """np.add.reduce(weights.take(codes)) bit for bit, gathering at most _BLOCK weights at once.
+
+    numpy sums a contiguous float array pairwise: a run of n > 128 values
+    splits at n // 2 rounded down to a multiple of 8, whatever the values,
+    and the sum starts from the identity 0.0.  This follows the same splits
+    down to runs of at most _BLOCK codes and lets np.add.reduce sum each of
+    those.  Its 0.0 + (left + right) can differ from numpy's left + right
+    only in the sign of a zero, which the 0.0 of the next level up erases.
+    """
+    n = codes.size
+    if n <= _BLOCK:
+        return np.add.reduce(weights.take(codes))
+    half = n // 2
+    half -= half % 8
+    return 0.0 + (_pairwise_sum(weights, codes[:half]) + _pairwise_sum(weights, codes[half:]))
+
+
+def _mean_and_spread(weights: np.ndarray, codes: np.ndarray) -> tuple[float, float]:
+    """weights.take(codes).mean() and .std(ddof=1), or 0.0 for one code, bit for bit.
+
+    numpy's steps: the sum over the count, then the root of the summed
+    squared deviations over count - 1.  A deviation depends only on its
+    outcome, so each outcome's squared deviation is formed once and gathered
+    like a weight.
+    """
+    n = codes.size
+    mean = _pairwise_sum(weights, codes) / n
+    if n == 1:
+        return float(mean), 0.0
+    squares = np.square(weights - mean)
+    return float(mean), float(np.sqrt(_pairwise_sum(squares, codes) / (n - 1)))
+
+
 def sample_run(
     povm: ParamPovm,
     alpha: np.ndarray,
@@ -113,37 +150,34 @@ def sample_run(
     accept_rng = np.random.Generator(accept_bits)
 
     block = min(_BLOCK, trials)
-    u, weights = np.empty(block), np.empty(block)
+    u = np.empty(block)
     code = np.empty(block, dtype=np.intp)
     tally = np.zeros(2 * n_out, dtype=np.intp)  # [rejected, accepted] per outcome
-    values = np.empty(trials)  # accepted weights in draw order
+    kept_codes = np.empty(trials, dtype=np.min_scalar_type(n_out - 1))  # in draw order
     successes = 0
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
-        u_n, code_n, weights_n = u[:n], code[:n], weights[:n]
+        u_n, code_n = u[:n], code[:n]
         outcome_rng.random(out=u_n)
         np.greater_equal(u_n, root, out=code_n)
         for bounds in splits:  # node k splits at bounds[k]
             above = u_n >= bounds.take(code_n)
             code_n += code_n
             code_n += above
-        alpha.take(code_n, out=weights_n)
         accept_rng.random(out=u_n)
         accepted = u_n < q.take(code_n)
+        kept = int(np.count_nonzero(accepted))
+        code_n.compress(accepted, out=kept_codes[successes : successes + kept])
+        successes += kept
         code_n += code_n
         code_n += accepted
         tally += np.bincount(code_n, minlength=2 * n_out)
-        kept = int(np.count_nonzero(accepted))
-        np.compress(accepted, weights_n, out=values[successes : successes + kept])
-        successes += kept
 
     if successes == 0:
         raise NoSuccesses(
             f"0 of {trials} trials survived postselection at g={config.g}"
         )
-    values = values[:successes]
-    empirical = float(values.mean())
-    spread = float(values.std(ddof=1)) if successes > 1 else 0.0
+    empirical, spread = _mean_and_spread(alpha, kept_codes[:successes])
     return McResult(
         empirical_value=empirical,
         stderr=float(spread / np.sqrt(successes)),

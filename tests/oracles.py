@@ -11,7 +11,9 @@ draw, then the weak-limit ladder with numpy's own Polynomial.fit, the path
 conjecture_sweep batches and stacks.  The minimum nonzero order of a family,
 with the two errors it raises, lives here too: the acceptance suite reads it
 and no analysis path does.  So does the residual of a single-coupling
-pseudoinverse_cv solution, which no command reads either.
+pseudoinverse_cv solution, which no command reads either, and the Monte
+Carlo sampler as first written: whole-array draws, searchsorted and
+numpy's own mean and std over the materialized accepted weights.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from weaklab import montecarlo as mc
 from weaklab import weak
 from weaklab.contextual import CvSolution, GridSolution, build_F, solve_grid
 from weaklab.errors import (
     DimensionError,
     GenerationFailed,
     NoExactCv,
+    NoSuccesses,
     NotPositive,
     OrthogonalPostselection,
     WeakLabError,
@@ -301,3 +305,29 @@ def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
     if len(set(orders)) != 1:
         raise NonUniformOrder(orders)
     return MinOrderResult(n=orders[0], per_outcome_orders=orders)
+
+
+def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
+    """The sampler as first written: searchsorted, boolean gathers, two bincounts."""
+    alpha = np.asarray(alpha, dtype=float)
+    p, q = mc.joint_probabilities(povm, psi_i, psi_f, config.g)
+    cum = np.cumsum(p)
+    cum /= cum[-1]
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    u_outcome = rng.random(config.trials)
+    u_accept = rng.random(config.trials)
+    drawn = np.minimum(np.searchsorted(cum, u_outcome, side="right"), povm.n_out - 1)
+    accepted = u_accept < q[drawn]
+    successes = int(np.count_nonzero(accepted))
+    if successes == 0:
+        raise NoSuccesses("no trial survived postselection")
+    values = alpha[drawn[accepted]]
+    spread = float(values.std(ddof=1)) if successes > 1 else 0.0
+    return mc.McResult(
+        empirical_value=float(values.mean()),
+        stderr=float(spread / np.sqrt(successes)),
+        successes=successes,
+        trials=config.trials,
+        per_outcome_counts=np.bincount(drawn[accepted], minlength=povm.n_out),
+        per_outcome_draws=np.bincount(drawn, minlength=povm.n_out),
+    )

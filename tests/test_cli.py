@@ -158,17 +158,42 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize("points", [[], ["--grid-points", "3"]])
-def test_weak_limit_refuses_a_fit_window_without_three_couplings(capsys, points):
-    # the 13-point grid holds 2 distinct floats among its 5 smallest, the
-    # 3-point one 3 floats an ulp apart: both print as 0.05 and fitted a
-    # limit near 1e29 or 6e15 with exit 0
+@pytest.mark.parametrize(
+    "grid_max, points, size",
+    [
+        # the 13-point grid holds 2 distinct floats among its 5 smallest, the
+        # 3-point one 3 floats an ulp apart: both print as 0.05 and fitted a
+        # limit near 1e29 or 6e15 with exit 0
+        ("0.05000000000000001", [], 5),
+        ("0.05000000000000001", ["--grid-points", "3"], 3),
+        # 5 couplings printed apart, spanning 1e-8 and 1e-7 of the largest:
+        # the fits extrapolated -241.65 and 0.575 against 0.414 with exit 0
+        ("0.0500000005", ["--grid-points", "5"], 5),
+        ("0.050000005", ["--grid-points", "5"], 5),
+    ],
+)
+def test_weak_limit_refuses_a_fit_window_narrower_than_its_width_rule(
+    capsys, grid_max, points, size
+):
     code, out, err = run(
         capsys, "weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817",
-        "--grid-min", "0.05", "--grid-max", "0.05000000000000001", *points,
+        "--grid-min", "0.05", "--grid-max", grid_max, *points,
     )
     assert (code, out) == (2, "")
-    assert err == "usage error: --grid-min and --grid-max are too close: the fit needs 3 distinct couplings\n"
+    assert err == (
+        f"usage error: --grid-min and --grid-max are too close: the fit's {size} smallest "
+        "couplings must span a relative width of at least 0.001\n"
+    )
+
+
+def test_weak_limit_takes_a_fit_window_just_wider_than_its_width_rule(capsys):
+    code, out, err = run(
+        capsys, "weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817",
+        "--grid-min", "0.05", "--grid-max", "0.0501", "--grid-points", "5",
+    )
+    assert (code, err) == (0, "")
+    line = next(ln for ln in out.splitlines() if "extrapolated" in ln)
+    assert float(line.split(":")[1]) == pytest.approx(np.sqrt(2) - 1, abs=1e-5)
 
 
 def test_unreadable_file_is_usage_error(capsys, tmp_path):

@@ -7,7 +7,8 @@ registry instance by `--instance` and by `--file`, each with and without
 `--out`; the two non-diagonal files under `tests/data/` (registry families
 conjugated by a fixed unitary, one of them with its outcomes permuted), which
 reach the general eigenbasis path of `build_F` and of `povm.root_family`; and
-usage errors (exit 2) and analytic failures (exit 1).
+usage errors (exit 2) and analytic failures (exit 1), two of them on the
+non-commuting and the incomplete instance files there.
 
 Each command runs in its own empty directory with a relative `--out`.  The
 directory, the directory of exported registry instances and `tests/data` are
@@ -90,6 +91,9 @@ ERROR_COMMANDS = [
     ["weak-limit", "--instance", "qubit-linear", "--grid-min", "0.1", "--grid-max", "0.01"],
     ["mc-run", "--instance", "eq70", "--g", "0.1"],
     ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "10", "--out", "missing/out.csv"],
+    # a valid POVM with no common eigenbasis, and a file whose one outcome is not a POVM
+    ["cv-solve", "--file", "<DATA>/noncommuting.json", "--g", "0.1"],
+    ["validate", "--file", "<DATA>/incomplete.json"],
 ]
 
 

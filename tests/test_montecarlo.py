@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,8 @@ from weaklab import weak as wk
 from weaklab.errors import NoSuccesses
 from weaklab.povm import ParamPovm, PolyMatrix
 from weaklab.registry import get_instance
+
+from oracles import oracle_sample_run
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -156,34 +159,23 @@ def test_three_stderr_coverage_across_seeds():
 # ------------------------------------------------ bit identity with the oracle
 
 
-def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
-    """The sampler as first written: searchsorted, boolean gathers, two bincounts."""
-    alpha = np.asarray(alpha, dtype=float)
-    p, q = mc.joint_probabilities(povm, psi_i, psi_f, config.g)
-    cum = np.cumsum(p)
-    cum /= cum[-1]
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u_outcome = rng.random(config.trials)
-    u_accept = rng.random(config.trials)
-    drawn = np.minimum(np.searchsorted(cum, u_outcome, side="right"), povm.n_out - 1)
-    accepted = u_accept < q[drawn]
-    successes = int(np.count_nonzero(accepted))
-    if successes == 0:
-        raise NoSuccesses("no trial survived postselection")
-    values = alpha[drawn[accepted]]
-    spread = float(values.std(ddof=1)) if successes > 1 else 0.0
-    return mc.McResult(
-        empirical_value=float(values.mean()),
-        stderr=float(spread / np.sqrt(successes)),
-        successes=successes,
-        trials=config.trials,
-        per_outcome_counts=np.bincount(drawn[accepted], minlength=povm.n_out),
-        per_outcome_draws=np.bincount(drawn, minlength=povm.n_out),
-    )
+def many_outcomes(pairs):
+    """A diagonal qubit family of 2 pairs + 1 outcomes, with weights of every sign and size.
+
+    Pair k is w_k (I +- g t_k Z), and the last outcome is the identity's
+    remainder, so the completeness holds for every g.
+    """
+    rng = np.random.default_rng(pairs)
+    w = rng.uniform(0.5, 1.5, pairs) / (2.5 * pairs)
+    tilt = w * rng.uniform(-1.0, 1.0, pairs)
+    elements = [PolyMatrix([w_k * I2, s * t_k * Z]) for w_k, t_k in zip(w, tilt) for s in (1, -1)]
+    elements.append(PolyMatrix([(1.0 - 2.0 * w.sum()) * I2, 0.0 * Z]))
+    alpha = rng.normal(size=2 * pairs + 1) * 10.0 ** rng.integers(-3, 4, 2 * pairs + 1)
+    return ParamPovm(elements=tuple(elements), g_max=0.9), alpha
 
 
 def oracle_families():
-    """(povm, alpha, psi_i, psi_f, g): n_out 1-17, null outcomes, a null postselection."""
+    """(povm, alpha, psi_i, psi_f, g): n_out 1-17 and 257, null outcomes, a null postselection."""
     rng = np.random.default_rng(17)
     for dim, n_out in ((2, 2), (2, 3), (3, 4), (4, 5), (3, 9), (2, 17)):
         inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
@@ -201,6 +193,8 @@ def oracle_families():
     yield qubit_linear(), np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.2
     trivial = ParamPovm(elements=(PolyMatrix([I2]),), g_max=0.9)  # no bound, no search level
     yield trivial, np.array([2.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
+    povm, alpha = many_outcomes(128)  # 257 outcomes: two-byte codes
+    yield povm, alpha, PLUS, final_state(0.3), 0.4
 
 
 def agrees_with_oracle(povm, alpha, psi_i, psi_f, config):
@@ -308,19 +302,65 @@ def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
             reads.clear()
 
 
-def test_million_draws_peak_below_16_mib():
-    # numpy reports its buffers to tracemalloc, so the peak is deterministic
+def million_draws():
+    """A 1M-draw run's arguments, once a first run has imported numpy.random and filled the caches."""
     spec = get_instance("qubit-linear")
     g = 0.1
     alpha = cx.pseudoinverse_cv(cx.build_F(spec.povm, spec.observable), g).alpha
-    config = mc.McConfig(trials=10**6, seed=1, g=g)
+    args = spec.povm, alpha, spec.psi_i, spec.psi_f, mc.McConfig(trials=10**6, seed=1, g=g)
+    mc.sample_run(*args)
+    return args
+
+
+def test_million_draws_peak_below_2_mib():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic:
+    # one byte a trial for the kept codes, and a block's buffers on top
+    args = million_draws()
     tracemalloc.start()
     try:
-        mc.sample_run(spec.povm, alpha, spec.psi_i, spec.psi_f, config)
+        mc.sample_run(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 2 * 2**20
+
+
+def test_a_run_leaves_nothing_for_the_collector():
+    # with the collector off, a buffer that a reference cycle held would stay
+    # allocated after the run: the codes' 1 MiB, or a 128 KiB leaf of the
+    # sums.  numpy's own wrappers leave a few hundred bytes of garbage for
+    # the collector, far below either.
+    args = million_draws()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = mc.sample_run(*args)
+        del result
+        left = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 2**16
+
+
+@pytest.mark.parametrize(
+    "n", [1, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 10**6 + 7]
+)
+def test_sums_follow_numpys_own_pairwise_tree(n):
+    # weights spanning 16 decades round differently under any other order of
+    # additions, so a numpy that splits its pairwise sum elsewhere fails here
+    rng = np.random.default_rng(n)
+    weights = rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, 300)
+    codes = rng.integers(0, 300, n).astype(np.uint16)
+    values = weights.take(codes)
+    total = mc._pairwise_sum(weights, codes)
+    assert type(total) is np.float64
+    assert total == np.add.reduce(values)
+    mean, spread = mc._mean_and_spread(weights, codes)
+    assert mean == values.mean()
+    assert spread == (values.std(ddof=1) if n > 1 else 0.0)
 
 
 def test_mc_run_takes_no_psd_sqrt_or_eigh(count_calls, capsys):

@@ -31,11 +31,7 @@ REACHED_ELSEWHERE = {
     "cli.entry_point": "the console script's process entry; tests run cli.main in process",
     "contextual.exact_cv_exists": "a span of the benchmark tracer, which names it",
     "weak.conjecture_trial": "a span of the benchmark tracer, which names it",
-    "linalg.psd_sqrt": "root_family's fallback for a non-commuting family, which no instance is",
-    # error paths no golden argv takes; tests/test_cli.py and tests/test_files.py take them
-    "errors.NotCommuting.__init__": "raised for a non-commuting family",
-    "linalg.commutator_norm": "sizes NotCommuting's commutator",
-    "errors.ValidationError.__init__": "raised for an invalid instance file or incomplete family",
+    "linalg.psd_sqrt": "root_family's fallback for a non-commuting family, which no command reaches",
 }
 
 WORKLOADS = ("sweep", "mc", "analyses", "dilation")
