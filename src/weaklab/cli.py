@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import pinv_pole_order, proof_claim_check, svd_curve, truncation_svd_commutator
-from .contextual import FMatrix, build_F, pseudoinverse_cv, solve_grid, truncated_cv_check
+from .contextual import FMatrix, build_F, solve_grid, truncated_cv_check
 from .errors import NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .montecarlo import McConfig, sample_run
@@ -428,15 +428,13 @@ def _cmd_mc_run(args, spec: InstanceSpec) -> _Output:
             raise _UsageError(f"instance {spec.name!r} {missing}")
     check_coupling(args.g, spec.povm.g_max)
     F = build_F(spec.povm, spec.observable)
-    sol = pseudoinverse_cv(F, args.g)
+    alpha = solve_grid(F, [args.g]).alpha[0]
     try:
         config = McConfig(trials=args.trials, seed=args.seed, g=args.g)
-        res = sample_run(spec.povm, sol.alpha, spec.psi_i, spec.psi_f, config)
+        res = sample_run(F, alpha, spec.psi_i, spec.psi_f, config)
     except MemoryError:
         raise _UsageError(f"--trials {args.trials} needs more memory than is available") from None
-    analytic, success_prob = conditioned_average(
-        spec.povm, sol.alpha, spec.psi_i, spec.psi_f, args.g
-    )
+    analytic, success_prob = conditioned_average(F, alpha, spec.psi_i, spec.psi_f, args.g)
     dev = abs(res.empirical_value - analytic)
     sig = dev / res.stderr if res.stderr > 0 else float("inf")
     lines = [

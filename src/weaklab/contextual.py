@@ -6,7 +6,7 @@ of outcome j: E_j(g) = B diag(F(g)[:, j]) B^H for the common eigenbasis B.
 Weights alpha solving F(g) alpha = a (the observable's eigenvalues) make the
 weighted outcome statistics reproduce the observable's moments; the
 pseudoinverse picks the minimum-norm solution.  `build_F` reads F off
-povm.spectral_family, the decomposition povm.root_family takes roots in.
+povm.spectral_family; weak._postselection takes amplitudes in F's basis.
 
 A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
 grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one

@@ -30,11 +30,12 @@ class DimensionError(WeakLabError):
 class NotCommuting(WeakLabError):
     """A family expected to commute pairwise does not."""
 
-    def __init__(self, i: int, j: int, commutator_norm: float):
+    def __init__(self, i: int, j: int, commutator_norm: float, names: tuple[str, str] | None = None):
         self.pair = (i, j)
         self.commutator_norm = commutator_norm
+        first, second = names or (f"operators {i}", str(j))
         super().__init__(
-            f"operators {i} and {j} do not commute "
+            f"{first} and {second} do not commute "
             f"(commutator norm {commutator_norm:.3e})"
         )
 

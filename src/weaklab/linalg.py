@@ -100,7 +100,7 @@ def psd_sqrt(E: np.ndarray) -> np.ndarray:
 def clamp_psd(w: np.ndarray) -> np.ndarray:
     """Spectra along the last axis of w with small negative eigenvalues set to zero.
 
-    The one positivity rule of psd_sqrt, the weak-limit ladder and povm.root_family:
+    The one positivity rule of psd_sqrt, weak._postselection and povm.root_family:
     an eigenvalue below -PSD_CLAMP_REL times its spectrum's largest magnitude
     (or NaN) raises NotPositive for the first such spectrum in C order.
     """

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contextual import FMatrix
 from .errors import NoSuccesses
 from .linalg import check_state
-from .povm import ParamPovm, evaluate, measurement_operators
+from .weak import _postselection
 
 # Trials per block.  A block's uniforms and search codes (16 bytes a trial,
 # 256 KiB at 2**14) stay in a core's L2 cache from the draw to the tally;
@@ -63,19 +64,20 @@ class McResult:
 
 
 def joint_probabilities(
-    povm: ParamPovm, psi_i: np.ndarray, psi_f: np.ndarray, g: float
+    F: FMatrix, psi_i: np.ndarray, psi_f: np.ndarray, g: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic outcome probabilities p_j and acceptance probabilities q_j."""
+    """Outcome probabilities p_j = sum_i |x_i|^2 F_ij(g) and acceptance probabilities
+    q_j = min(w_j / p_j, 1) (0 where p_j is 0) for weak._postselection's x and w.
+
+    sqrt F(g)^2 may round above F(g), hence the min.  As in pseudoinverse_cv,
+    the caller checks the coupling range."""
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
-    p = np.array([float(np.vdot(psi_i, E @ psi_i).real) for E in evaluate(povm, g)])
-    p = np.clip(p, 0.0, None)
-    q = np.zeros_like(p)
-    for j, M in enumerate(measurement_operators(povm, g)):
-        if p[j] > 0:
-            post = M @ psi_i
-            q[j] = abs(np.vdot(psi_f, post / np.linalg.norm(post))) ** 2
-    return p, q
+    Fg = np.real(F.poly(g))
+    x, weights = _postselection(F.basis, Fg[None], psi_i, psi_f)
+    p = np.clip(np.square(np.abs(x)) @ Fg, 0.0, None)
+    q = np.divide(weights[0], p, out=np.zeros_like(p), where=p > 0)
+    return p, np.minimum(q, 1.0)
 
 
 def _pairwise_sum(weights: np.ndarray, codes: np.ndarray) -> np.float64:
@@ -113,7 +115,7 @@ def _mean_and_spread(weights: np.ndarray, codes: np.ndarray) -> tuple[float, flo
 
 
 def sample_run(
-    povm: ParamPovm,
+    F: FMatrix,
     alpha: np.ndarray,
     psi_i: np.ndarray,
     psi_f: np.ndarray,
@@ -124,10 +126,10 @@ def sample_run(
     Raises NoSuccesses when postselection rejects every trial.
     """
     alpha = np.asarray(alpha, dtype=float)
-    n_out = povm.n_out
+    n_out = F.n_out
     if alpha.shape != (n_out,):
         raise ValueError(f"alpha must have shape ({n_out},), got {alpha.shape}")
-    p, q = joint_probabilities(povm, psi_i, psi_f, config.g)
+    p, q = joint_probabilities(F, psi_i, psi_f, config.g)
 
     cum = np.cumsum(p)
     cum /= cum[-1]  # non-decreasing, ends at 1, so no uniform reaches the last bound

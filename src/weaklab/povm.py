@@ -6,10 +6,10 @@ the identity and every higher order sums to zero) and positive semidefinite
 on a validated range (0, g_max].
 
 A commuting family is E_j(g) = B diag(lambda_j(g)) B^H (`spectral_family`,
-which contextual.build_F reads F off).  `root_family` alone forms the
-minimally disturbing operators M_j(g) = B diag(sqrt lambda_j(g)) B^H from it,
+which contextual.build_F reads F off).  `root_family` forms the minimally
+disturbing operators M_j(g) = B diag(sqrt lambda_j(g)) B^H for the meter,
 with linalg.psd_sqrt per outcome only for a family that does not commute;
-`measurement_operators` and meter.positive_family read its stacks.
+every other analysis reads the family through F.
 """
 
 from __future__ import annotations
@@ -216,29 +216,27 @@ def check_coupling(g: float | np.ndarray, g_max: float) -> None:
         raise OutOfValidityRange(f"g={g[outside][0]} outside validated range (0, {g_max}]")
 
 
-def evaluate(povm: ParamPovm, g: float) -> list[np.ndarray]:
-    """Outcome matrices at coupling g, for 0 <= g <= g_max."""
-    check_coupling(g, povm.g_max)
-    return [e(g) for e in povm.elements]
-
-
 def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
     """(basis, poly): the common eigenbasis of lead and every nonzero coefficient,
     and E_j(g) = basis diag(poly(g)[:, j]) basis^H read off in it.
 
     Basis order: descending eigenvalues of the lead operators, ties broken
-    by the coefficients in (outcome, order) sequence.  Raises NotCommuting.
+    by the coefficients in (outcome, order) sequence.  Raises NotCommuting,
+    naming the pair "observable" (a lead operator) or "outcome j, order k".
     """
     C = povm.coefficients  # (n_out, degree + 1, d, d)
     nonzero = np.abs(C).max(axis=(-2, -1)) > COEFF_ZERO_TOL
-    basis = common_eigenbasis([*lead, *C[nonzero]])
+    try:
+        basis = common_eigenbasis([*lead, *C[nonzero]])
+    except NotCommuting as err:
+        names = ["observable"] * len(lead) + [f"outcome {j}, order {k}" for j, k in np.argwhere(nonzero)]
+        raise NotCommuting(*err.pair, err.commutator_norm, tuple(names[i] for i in err.pair)) from None
     spectra = np.real(np.diagonal(dagger(basis) @ C @ basis, axis1=-2, axis2=-1))
     return basis, PolyMatrix(spectra.transpose(1, 2, 0))  # (degree + 1, d, n_out)
 
 
-@functools.lru_cache(maxsize=1)
 def root_family(povm: ParamPovm) -> Callable[[float], np.ndarray]:
-    """g -> the read-only (n_out, d, d) stack of M_j(g) = E_j(g)^(1/2), kept for the last family and g.
+    """g -> the read-only (n_out, d, d) stack of M_j(g) = E_j(g)^(1/2), kept for the last g.
 
     A commuting family takes B diag(sqrt lambda_j(g)) B^H, its spectra through
     linalg.clamp_psd (psd_sqrt's rule and message); one that raises

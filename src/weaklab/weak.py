@@ -9,7 +9,8 @@ weak value as the coupling vanishes?  ``conjecture_sweep`` samples random
 instances and measures the discrepancy.  ``weak_limit`` and every trial share
 one core, ``_spectral_weak_limits``: from F's basis and its solve_grid
 solution it forms the ladder's conditioned averages and fits their g -> 0
-limit, for one member or a stack of them.
+limit, for one member or a stack of them, from the weights of
+``_postselection``, which conditioned_average and the Monte Carlo share.
 
 A sweep batches its linear algebra, not its randomness.  Each trial draws
 from its own stream (seeded by (seed, trial)) through the generator
@@ -41,7 +42,7 @@ import numpy as np
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
 from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, WeakLabError
 from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
-from .povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
+from .povm import ParamPovm, PolyMatrix, check_coupling
 
 OVERLAP_TOL = 1e-12
 #: the g -> 0 ladder's top coupling; limit_grid lowers it to a smaller g_max
@@ -65,7 +66,7 @@ _STACK_ENTRIES = 4096
 
 
 def conditioned_average(
-    povm: ParamPovm,
+    F: FMatrix,
     alpha: np.ndarray,
     psi_i: np.ndarray,
     psi_f: np.ndarray,
@@ -73,21 +74,40 @@ def conditioned_average(
 ) -> tuple[float, float]:
     """Postselected average of the outcome weights, plus the success probability.
 
-    Outcome j contributes weight |<psi_f| M_j(g) psi_i>|^2 with
-    M_j = E_j(g)^(1/2); the value is the weight-normalized sum of alpha_j.
+    Outcome j contributes weight |<psi_f| M_j(g) psi_i>|^2 (see _postselection); the value is
+    the weight-normalized sum of alpha_j.  As in pseudoinverse_cv, the caller checks g's range.
     """
     alpha = np.asarray(alpha, dtype=float)
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
-    if alpha.shape != (povm.n_out,):
-        raise ValueError(f"alpha must have shape ({povm.n_out},), got {alpha.shape}")
-    weights = np.array([abs(np.vdot(psi_f, M @ psi_i)) ** 2 for M in measurement_operators(povm, g)])
+    if alpha.shape != (F.n_out,):
+        raise ValueError(f"alpha must have shape ({F.n_out},), got {alpha.shape}")
+    weights = _postselection(F.basis, np.real(F.poly(g))[None], psi_i, psi_f)[1][0]
     success = float(weights.sum())
     if success <= OVERLAP_TOL:
         raise OrthogonalPostselection(
             f"success probability {success:.3e} vanishes at g={g}"
         )
     return float(alpha @ weights) / success, success
+
+
+def _postselection(bases, Fg, psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
+    """x = B^H psi_i (..., d) and the weights |<psi_f|M_j(g) psi_i>|^2 (..., n_g, n_out)
+    of checked states (..., d), F bases B (..., d, d) and F(g) stacks (..., n_g, d, n_out).
+
+    M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so the amplitude is sum_i conj(y_i) sqrt F_ij x_i
+    with y = B^H psi_f, sqrt F through linalg.clamp_psd.  The steps repeat vdot's, so in a
+    permutation basis (every generated and registry family) the weights equal
+    abs(vdot(psi_f, M_j @ psi_i)) ** 2 bit for bit.
+    """
+    root = np.sqrt(clamp_psd(Fg.swapaxes(-1, -2)))  # (..., n_g, n_out, d)
+    Bh = dagger(bases)
+    x = (Bh @ psi_i[..., None])[..., 0]
+    y = (Bh @ psi_f[..., None])[..., 0]
+    amplitudes = (y.conj()[..., None, None, None, :] @ (root * x[..., None, None, :])[..., None])[..., 0, 0]
+    # np.abs and squaring on arrays round differently in the last bit, which the fit amplifies
+    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
+    return x, weights
 
 
 def limit_grid(g_max: float = LIMIT_GRID_TOP) -> np.ndarray:
@@ -173,21 +193,13 @@ def _spectral_weak_limits(members: list[tuple]) -> list[WeakLimitReport]:
 def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
     """Reports of members of one shape, stacked; raises the first failure met.
 
-    The conditioned averages come from sqrt F(g) in B, with no matrix
-    square root: M_j(g) = B diag(sqrt F(g)[:, j]) B^H, so
-    <psi_f|M_j psi_i> = sum_i conj(y_i) sqrt F_ij(g) x_i with x = B^H psi_i
-    and y = B^H psi_f.  Each state is checked once here.  A member's errors
-    come in this order: NoExactCv, InvalidState, then OutOfValidityRange
-    for a coupling outside (0, g_max], NotPositive from linalg.clamp_psd
-    (psd_sqrt's rule, per outcome and coupling), and
-    OrthogonalPostselection.
-
-    Each floating-point step repeats the one conditioned_average takes (a
-    matmul dot for vdot, abs(z) ** 2 per weight), so when B is a permutation
-    of the standard basis, as for every generated and registry family, the
-    averages equal the per-point ones bit for bit.  Every stacked step
-    rounds as it does on one member; the alpha-weights product does not
-    (a stacked matmul takes another loop), so it runs per member.
+    Each state is checked once here.  A member's errors come in this order:
+    NoExactCv, InvalidState, then OutOfValidityRange for a coupling outside
+    (0, g_max], NotPositive from linalg.clamp_psd, and
+    OrthogonalPostselection.  Every stacked step rounds as it does on one
+    member, so the averages equal conditioned_average's bit for bit; the
+    alpha-weights product would not (a stacked matmul takes another loop),
+    so it runs per member.
     """
     bases, sols, g_maxes, As, psis_i, psis_f = zip(*members)
     states = []
@@ -201,14 +213,7 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
     # np.array stacks these as np.stack does, at a fraction of its call cost
     psi_i, psi_f = (np.array(s) for s in zip(*states))  # (k, d) each
     g = np.array([sol.g_grid for sol in sols])  # (k, n_g)
-    root = np.sqrt(clamp_psd(np.array([sol.F_g for sol in sols]).swapaxes(-1, -2)))  # (k, n_g, n_out, d)
-    Bh = dagger(np.array(bases))
-    x = (Bh @ psi_i[..., None])[..., 0]
-    y = (Bh @ psi_f[..., None])[..., 0]
-    amplitudes = (y.conj()[:, None, None, None, :] @ (root * x[:, None, None, :])[..., None])[..., 0, 0]
-    # scalar abs(z) ** 2 as in conditioned_average: np.abs and squaring on
-    # arrays round differently in the last bit, which the fit amplifies
-    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
+    weights = _postselection(np.array(bases), np.array([sol.F_g for sol in sols]), psi_i, psi_f)[1]
     probs = weights.sum(axis=-1)  # (k, n_g)
     vanishing = probs <= OVERLAP_TOL
     if vanishing.any():

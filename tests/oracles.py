@@ -13,7 +13,10 @@ with the two errors it raises, lives here too: the acceptance suite reads it
 and no analysis path does.  So does the residual of a single-coupling
 pseudoinverse_cv solution, which no command reads either, and the Monte
 Carlo sampler as first written: whole-array draws, searchsorted and
-numpy's own mean and std over the materialized accepted weights.
+numpy's own mean and std over the materialized accepted weights.  The
+conditioned average and the Monte Carlo probabilities are here outcome by
+outcome, on povm.measurement_operators, as they were before the library
+read them off F's basis.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from weaklab.errors import (
 )
 from weaklab.linalg import check_hermitian, check_state, clamp_psd, dagger
 from weaklab.meter import MeterModel, isometry_at
-from weaklab.povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix, check_coupling
+from weaklab.povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix, check_coupling, measurement_operators
 from weaklab.weak import OVERLAP_TOL, ConjectureInstance, TrialRecord, WeakLimitReport
 
 
@@ -307,16 +310,59 @@ def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
     return MinOrderResult(n=orders[0], per_outcome_orders=orders)
 
 
-def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
+def oracle_conditioned_average(
+    povm: ParamPovm,
+    alpha: np.ndarray,
+    psi_i: np.ndarray,
+    psi_f: np.ndarray,
+    g: float,
+) -> tuple[float, float]:
+    """weak.conditioned_average outcome by outcome, on povm.measurement_operators.
+
+    Outcome j contributes weight |<psi_f| M_j(g) psi_i>|^2 with
+    M_j = E_j(g)^(1/2); the value is the weight-normalized sum of alpha_j.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    psi_i = check_state(psi_i)
+    psi_f = check_state(psi_f)
+    if alpha.shape != (povm.n_out,):
+        raise ValueError(f"alpha must have shape ({povm.n_out},), got {alpha.shape}")
+    weights = np.array([abs(np.vdot(psi_f, M @ psi_i)) ** 2 for M in measurement_operators(povm, g)])
+    success = float(weights.sum())
+    if success <= OVERLAP_TOL:
+        raise OrthogonalPostselection(
+            f"success probability {success:.3e} vanishes at g={g}"
+        )
+    return float(alpha @ weights) / success, success
+
+
+def oracle_joint_probabilities(
+    povm: ParamPovm, psi_i: np.ndarray, psi_f: np.ndarray, g: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """montecarlo.joint_probabilities outcome by outcome: p_j from E_j(g), q_j from M_j(g)."""
+    psi_i = check_state(psi_i)
+    psi_f = check_state(psi_f)
+    check_coupling(g, povm.g_max)
+    p = np.array([float(np.vdot(psi_i, e(g) @ psi_i).real) for e in povm.elements])
+    p = np.clip(p, 0.0, None)
+    q = np.zeros_like(p)
+    for j, M in enumerate(measurement_operators(povm, g)):
+        if p[j] > 0:
+            post = M @ psi_i
+            q[j] = abs(np.vdot(psi_f, post / np.linalg.norm(post))) ** 2
+    return p, q
+
+
+def oracle_sample_run(F, alpha, psi_i, psi_f, config):
     """The sampler as first written: searchsorted, boolean gathers, two bincounts."""
     alpha = np.asarray(alpha, dtype=float)
-    p, q = mc.joint_probabilities(povm, psi_i, psi_f, config.g)
+    p, q = mc.joint_probabilities(F, psi_i, psi_f, config.g)
     cum = np.cumsum(p)
     cum /= cum[-1]
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u_outcome = rng.random(config.trials)
     u_accept = rng.random(config.trials)
-    drawn = np.minimum(np.searchsorted(cum, u_outcome, side="right"), povm.n_out - 1)
+    drawn = np.minimum(np.searchsorted(cum, u_outcome, side="right"), F.n_out - 1)
     accepted = u_accept < q[drawn]
     successes = int(np.count_nonzero(accepted))
     if successes == 0:
@@ -328,6 +374,6 @@ def oracle_sample_run(povm, alpha, psi_i, psi_f, config):
         stderr=float(spread / np.sqrt(successes)),
         successes=successes,
         trials=config.trials,
-        per_outcome_counts=np.bincount(drawn[accepted], minlength=povm.n_out),
-        per_outcome_draws=np.bincount(drawn, minlength=povm.n_out),
+        per_outcome_counts=np.bincount(drawn[accepted], minlength=F.n_out),
+        per_outcome_draws=np.bincount(drawn, minlength=F.n_out),
     )

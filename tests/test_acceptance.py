@@ -108,7 +108,7 @@ def test_weak_limit_recovers_traditional_value():
     # the raw conditioned average is already this close at g = 0.01
     F = build_F(spec.povm, spec.observable)
     alpha = pseudoinverse_cv(F, 0.01).alpha
-    raw, _ = conditioned_average(spec.povm, alpha, spec.psi_i, spec.psi_f, 0.01)
+    raw, _ = conditioned_average(F, alpha, spec.psi_i, spec.psi_f, 0.01)
     assert abs(raw - rep.extrapolated_limit) <= 2e-4
     assert time.perf_counter() - t0 < 1.0
 
@@ -170,12 +170,10 @@ def test_monte_carlo_matches_analytic_and_reproduces():
     F = build_F(spec.povm, spec.observable)
     alpha = pseudoinverse_cv(F, 0.1).alpha
     config = McConfig(trials=1_000_000, seed=1, g=0.1)
-    res = sample_run(spec.povm, alpha, spec.psi_i, spec.psi_f, config)
-    analytic, _ = conditioned_average(
-        spec.povm, alpha, spec.psi_i, spec.psi_f, 0.1
-    )
+    res = sample_run(F, alpha, spec.psi_i, spec.psi_f, config)
+    analytic, _ = conditioned_average(F, alpha, spec.psi_i, spec.psi_f, 0.1)
     assert abs(res.empirical_value - analytic) <= 3.0 * res.stderr
-    again = sample_run(spec.povm, alpha, spec.psi_i, spec.psi_f, config)
+    again = sample_run(F, alpha, spec.psi_i, spec.psi_f, config)
     assert again.empirical_value == res.empirical_value
     assert again.stderr == res.stderr
     assert again.successes == res.successes

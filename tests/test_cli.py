@@ -379,12 +379,14 @@ def test_g_max_integer_beyond_float_range_is_refused_at_load(capsys, tmp_path):
 
 def test_coefficients_at_the_top_of_the_float_range_name_the_failing_pair(capsys):
     # outcomes I/2 +- g 2**1023 X and observable Z: the pairwise pre-test scales them by
-    # a finite 2**1023, so it refuses (outcome 0, observable) with no overflow warning
+    # a finite 2**1023, so it refuses (observable, outcome 0's order 1) with no overflow warning
     path = str(Path(__file__).resolve().parent / "data" / "huge-coefficients.json")
     assert run(capsys, "validate", "--file", path)[0] == 0
     code, out, err = run(capsys, "cv-solve", "--file", path, "--g", "4e-309")
     assert (code, out) == (1, "")
-    assert err == "error: NotCommuting: operators 0 and 2 do not commute (commutator norm inf)\n"
+    assert err == (
+        "error: NotCommuting: observable and outcome 0, order 1 do not commute (commutator norm inf)\n"
+    )
 
 
 def test_non_utf8_file_is_parse_error(capsys, tmp_path):

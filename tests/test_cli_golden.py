@@ -6,7 +6,7 @@ any `conjecture-fail-*.json`.  The set covers every subcommand on every
 registry instance by `--instance` and by `--file`, each with and without
 `--out`; the two non-diagonal files under `tests/data/` (registry families
 conjugated by a fixed unitary, one of them with its outcomes permuted), which
-reach the general eigenbasis path of `build_F` and of `povm.root_family`; and
+reach the general eigenbasis path of `build_F`; and
 usage errors (exit 2) and analytic failures (exit 1), two of them on the
 non-commuting and the incomplete instance files there.
 
@@ -16,7 +16,8 @@ replaced by `<CWD>`, `<INST>` and `<DATA>` before comparing.  Re-record with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-only for an intended output change, and name that change where it lands.
+only for an intended output change, and name that change where it lands: the
+recorder lists every command whose run changed, was added or was removed.
 """
 
 from __future__ import annotations
@@ -185,6 +186,14 @@ def record() -> None:
             cwd = Path(tmp, f"c{i}")
             cwd.mkdir()
             golden[key(argv)] = run_command(argv, cwd, inst)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for label, keys in (
+        ("changed", [k for k in golden if k in old and golden[k] != old[k]]),
+        ("added", [k for k in golden if k not in old]),
+        ("removed", [k for k in old if k not in golden]),
+    ):
+        for k in keys:
+            print(f"{label}: {k}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"recorded {len(golden)} commands to {GOLDEN}", file=sys.stderr)
 

@@ -105,6 +105,24 @@ def test_build_f_rejects_noncommuting_observable():
         cx.build_F(qubit_linear(), X)
 
 
+def test_not_commuting_names_the_observable_and_each_outcome_order():
+    # outcome 0 is constant: its zero order-1 coefficient is left out of the
+    # eigenbasis search, and the names still count outcomes and orders in full
+    povm = ParamPovm(
+        elements=(PolyMatrix([I2 / 2]), PolyMatrix([I2 / 4, X / 4]), PolyMatrix([I2 / 4, -X / 4])),
+        g_max=0.5,
+    )
+    with pytest.raises(NotCommuting, match=r"^observable and outcome 1, order 1 do not commute") as err:
+        cx.build_F(povm, Z)
+    assert err.value.pair == (0, 3)  # positions in the list linalg.common_eigenbasis was given
+    mixed = ParamPovm(
+        elements=(PolyMatrix([I2 / 4, X / 4]), PolyMatrix([I2 / 4, Z / 4]), PolyMatrix([I2 / 2, -(X + Z) / 4])),
+        g_max=0.5,
+    )
+    with pytest.raises(NotCommuting, match=r"^outcome 0, order 1 and outcome 1, order 1 do not commute"):
+        pv.spectral_family(mixed)
+
+
 def test_build_f_rejects_bad_row_sums():
     # an "incomplete" family slips past construction but not past build_F
     povm = ParamPovm(

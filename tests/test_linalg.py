@@ -318,14 +318,10 @@ def assert_matches_oracle(ops, diagonal=True):
 
 
 def recorded_families(monkeypatch, run):
-    """Every op list that run() hands to common_eigenbasis through povm.spectral_family.
-
-    root_family's cache is cleared first, so a family met before is solved again.
-    """
+    """Every op list that run() hands to common_eigenbasis through povm.spectral_family."""
     seen = []
     solve = pv.common_eigenbasis
     monkeypatch.setattr(pv, "common_eigenbasis", lambda ops: seen.append(list(ops)) or solve(ops))
-    pv.root_family.cache_clear()
     run()
     monkeypatch.undo()
     return seen

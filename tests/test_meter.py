@@ -50,7 +50,7 @@ def test_probabilities_match_povm_expectations():
         s /= np.linalg.norm(s)
         g = float(rng.uniform(0, 0.9))
         p = mt.outcome_probabilities(model, s, g)
-        direct = [np.vdot(s, E @ s).real for E in pv.evaluate(povm, g)]
+        direct = [np.vdot(s, e(g) @ s).real for e in povm.elements]
         npt.assert_allclose(p, direct, atol=1e-12)
         npt.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
@@ -261,7 +261,7 @@ def test_noncommuting_family_still_dilates(count_calls):
     assert sqrts[0] > 0  # the psd_sqrt fallback
     s = plus_state()
     for g in (0.0, 0.3, 0.9):
-        direct = [np.vdot(s, E @ s).real for E in pv.evaluate(povm, g)]
+        direct = [np.vdot(s, e(g) @ s).real for e in povm.elements]
         npt.assert_allclose(mt.outcome_probabilities(model, s, g), direct, atol=1e-12)
 
 
@@ -273,8 +273,9 @@ def test_noncommuting_roots_are_psd_sqrt_bit_for_bit(count_calls):
         assert pv.measurement_operators(povm, g).tobytes() == roots.tobytes()
         for op, root in zip(mt.positive_family(povm), roots):
             assert op(g).tobytes() == root.tobytes()
-    # per coupling: the oracle's four, then the stack's four, which every reader shares
-    assert sqrts[0] == 2 * 4 * 21
+    # per coupling: the oracle's four, measurement_operators' four, and positive_family's
+    # four, which its operators share
+    assert sqrts[0] == 3 * 4 * 21
 
 
 @pytest.mark.parametrize("make", [qubit_linear, noncommuting])

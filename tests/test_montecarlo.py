@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -15,13 +16,17 @@ from weaklab import cli
 from weaklab import contextual as cx
 from weaklab import linalg
 from weaklab import montecarlo as mc
+from weaklab import povm as pv
 from weaklab import weak as wk
 from weaklab.errors import NoSuccesses
 from weaklab.povm import ParamPovm, PolyMatrix
-from weaklab.registry import get_instance
+from weaklab.files import load_instance
+from weaklab.registry import REGISTRY, get_instance
 
-from oracles import oracle_sample_run
+from oracles import oracle_joint_probabilities, oracle_sample_run
 
+DATA = Path(__file__).resolve().parent / "data"
+ROTATED = ("qubit-linear-rotated", "quad-cx-rotated-permuted")
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -34,8 +39,13 @@ def qubit_linear():
     )
 
 
-def pip_alpha(povm, g):
-    return cx.pseudoinverse_cv(cx.build_F(povm, Z), g).alpha
+def spectral(povm):
+    """F of a diagonal qubit family, with Z as its observable."""
+    return cx.build_F(povm, Z)
+
+
+def pip_alpha(F, g):
+    return cx.pseudoinverse_cv(F, g).alpha
 
 
 def final_state(theta):
@@ -47,25 +57,43 @@ def test_config_rejects_empty_run():
         mc.McConfig(trials=0, seed=1, g=0.1)
 
 
+def states_families():
+    """(povm, F, psi_i, psi_f) of each registry POVM with both states, and of the two rotated files."""
+    specs = [get_instance(name) for name in REGISTRY]
+    specs += [load_instance(DATA / f"{name}.json") for name in ROTATED]
+    for spec in specs:
+        if spec.povm is not None and spec.psi_f is not None:
+            yield spec.povm, cx.build_F(spec.povm, spec.observable), spec.psi_i, spec.psi_f
+
+
 def test_joint_probabilities():
-    povm = qubit_linear()
-    p, q = mc.joint_probabilities(povm, PLUS, final_state(np.pi / 8), 0.1)
+    F = spectral(qubit_linear())
+    p, q = mc.joint_probabilities(F, PLUS, final_state(np.pi / 8), 0.1)
     npt.assert_allclose(p.sum(), 1.0, atol=1e-12)
     npt.assert_allclose(p, [0.5, 0.5], atol=1e-12)
     assert np.all((0 <= q) & (q <= 1))
     # total acceptance equals the analytic success probability
-    _, success = wk.conditioned_average(
-        povm, pip_alpha(povm, 0.1), PLUS, final_state(np.pi / 8), 0.1
-    )
+    _, success = wk.conditioned_average(F, pip_alpha(F, 0.1), PLUS, final_state(np.pi / 8), 0.1)
     npt.assert_allclose(p @ q, success, atol=1e-12)
+    # p from F's spectra and q = w / p agree with <psi_i|E_j psi_i> and the
+    # normalized post-measurement overlap to rounding, in every basis
+    checked = 0
+    for povm, F, psi_i, psi_f in states_families():
+        for g in np.linspace(0.05, 1.0, 7) * povm.g_max:
+            p, q = mc.joint_probabilities(F, psi_i, psi_f, g)
+            want_p, want_q = oracle_joint_probabilities(povm, psi_i, psi_f, g)
+            npt.assert_allclose(p, want_p, rtol=1e-14, atol=0)
+            npt.assert_allclose(q, want_q, rtol=1e-14, atol=0)
+            checked += 1
+    assert checked == 4 * 7
 
 
 def test_rerun_is_bit_identical():
-    povm = qubit_linear()
+    F = spectral(qubit_linear())
     cfg = mc.McConfig(trials=20_000, seed=42, g=0.2)
-    alpha = pip_alpha(povm, 0.2)
-    r1 = mc.sample_run(povm, alpha, PLUS, final_state(0.3), cfg)
-    r2 = mc.sample_run(povm, alpha, PLUS, final_state(0.3), cfg)
+    alpha = pip_alpha(F, 0.2)
+    r1 = mc.sample_run(F, alpha, PLUS, final_state(0.3), cfg)
+    r2 = mc.sample_run(F, alpha, PLUS, final_state(0.3), cfg)
     assert r1.empirical_value == r2.empirical_value
     assert r1.stderr == r2.stderr
     assert r1.successes == r2.successes
@@ -74,12 +102,12 @@ def test_rerun_is_bit_identical():
 
 
 def test_empirical_value_tracks_analytic():
-    povm = qubit_linear()
+    F = spectral(qubit_linear())
     g = 0.1
-    alpha = pip_alpha(povm, g)
+    alpha = pip_alpha(F, g)
     psi_f = final_state(np.pi / 8)
-    analytic, _ = wk.conditioned_average(povm, alpha, PLUS, psi_f, g)
-    res = mc.sample_run(povm, alpha, PLUS, psi_f, mc.McConfig(trials=10**5, seed=5, g=g))
+    analytic, _ = wk.conditioned_average(F, alpha, PLUS, psi_f, g)
+    res = mc.sample_run(F, alpha, PLUS, psi_f, mc.McConfig(trials=10**5, seed=5, g=g))
     assert abs(res.empirical_value - analytic) < 3 * res.stderr
     # alpha = +-10 with near-even weights: stderr ~ 10/sqrt(successes)
     assert 0.02 < res.stderr < 0.05
@@ -88,13 +116,14 @@ def test_empirical_value_tracks_analytic():
 
 
 def test_outcome_draws_follow_the_povm():
-    povm = qubit_linear()
+    F = spectral(qubit_linear())
     g = 0.4
     psi = np.array([1.0, 0.0])  # p = ((1+g)/2, (1-g)/2) exactly
     res = mc.sample_run(
-        povm, np.array([1.0, -1.0]), psi, psi, mc.McConfig(trials=10**5, seed=9, g=g)
+        F, np.array([1.0, -1.0]), psi, psi, mc.McConfig(trials=10**5, seed=9, g=g)
     )
-    p, q = mc.joint_probabilities(povm, psi, psi, g)
+    p, q = mc.joint_probabilities(F, psi, psi, g)
+    assert q.max() <= 1.0  # w / p is 1 here, and sqrt(F)^2 may round above F
     n = res.trials
     for j in range(2):
         sd = np.sqrt(n * p[j] * (1 - p[j]))
@@ -106,16 +135,16 @@ def test_outcome_draws_follow_the_povm():
 
 def test_result_scalars_are_python_numbers():
     cfg = mc.McConfig(trials=20_000, seed=42, g=0.2)
-    res = mc.sample_run(qubit_linear(), pip_alpha(qubit_linear(), 0.2), PLUS, final_state(0.3), cfg)
+    F = spectral(qubit_linear())
+    res = mc.sample_run(F, pip_alpha(F, 0.2), PLUS, final_state(0.3), cfg)
     assert type(res.empirical_value) is float
     assert type(res.stderr) is float
     assert type(res.successes) is int and type(res.trials) is int
 
 
 def test_constant_weights_have_zero_spread():
-    povm = qubit_linear()
     res = mc.sample_run(
-        povm,
+        spectral(qubit_linear()),
         np.array([2.5, 2.5]),
         PLUS,
         final_state(0.2),
@@ -127,10 +156,9 @@ def test_constant_weights_have_zero_spread():
 
 def test_impossible_postselection_raises():
     # psi_i = e0 keeps every branch on e0, orthogonal to psi_f = e1
-    povm = qubit_linear()
     with pytest.raises(NoSuccesses):
         mc.sample_run(
-            povm,
+            spectral(qubit_linear()),
             np.array([1.0, -1.0]),
             np.array([1.0, 0.0]),
             np.array([0.0, 1.0]),
@@ -141,15 +169,15 @@ def test_impossible_postselection_raises():
 def test_three_stderr_coverage_across_seeds():
     # the 3-sigma interval should cover the analytic value for ~99.7% of
     # seeds; over 100 independent seeds even 97 hits would be a fluke floor
-    povm = qubit_linear()
+    F = spectral(qubit_linear())
     g = 0.1
-    alpha = pip_alpha(povm, g)
+    alpha = pip_alpha(F, g)
     psi_f = final_state(np.pi / 8)
-    analytic, _ = wk.conditioned_average(povm, alpha, PLUS, psi_f, g)
+    analytic, _ = wk.conditioned_average(F, alpha, PLUS, psi_f, g)
     hits = 0
     for seed in range(100):
         res = mc.sample_run(
-            povm, alpha, PLUS, psi_f, mc.McConfig(trials=10**4, seed=seed, g=g)
+            F, alpha, PLUS, psi_f, mc.McConfig(trials=10**4, seed=seed, g=g)
         )
         if abs(res.empirical_value - analytic) <= 3 * res.stderr:
             hits += 1
@@ -171,41 +199,41 @@ def many_outcomes(pairs):
     elements = [PolyMatrix([w_k * I2, s * t_k * Z]) for w_k, t_k in zip(w, tilt) for s in (1, -1)]
     elements.append(PolyMatrix([(1.0 - 2.0 * w.sum()) * I2, 0.0 * Z]))
     alpha = rng.normal(size=2 * pairs + 1) * 10.0 ** rng.integers(-3, 4, 2 * pairs + 1)
-    return ParamPovm(elements=tuple(elements), g_max=0.9), alpha
+    return spectral(ParamPovm(elements=tuple(elements), g_max=0.9)), alpha
 
 
 def oracle_families():
-    """(povm, alpha, psi_i, psi_f, g): n_out 1-17 and 257, null outcomes, a null postselection."""
+    """(F, alpha, psi_i, psi_f, g): n_out 1-17 and 257, null outcomes, a null postselection."""
     rng = np.random.default_rng(17)
     for dim, n_out in ((2, 2), (2, 3), (3, 4), (4, 5), (3, 9), (2, 17)):
         inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
         g = 0.5 * inst.povm.g_max
         alpha = cx.pseudoinverse_cv(inst.F, g).alpha
-        yield inst.povm, alpha, inst.psi_i, inst.psi_f, g
+        yield inst.F, alpha, inst.psi_i, inst.psi_f, g
     # from e0, the P1 outcome never fires: as the middle outcome it makes the
     # cumulative bounds (a, a, 1), as the first outcome it makes them (0, a, 1)
     P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     null = PolyMatrix([P1, 0 * P1])
     half_up, half_down = PolyMatrix([P0 / 2, P0 / 2]), PolyMatrix([P0 / 2, -P0 / 2])
     for elements in ((half_up, null, half_down), (null, half_up, half_down)):
-        povm = ParamPovm(elements=elements, g_max=0.9)
-        yield povm, np.array([1.0, -2.0, 3.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
-    yield qubit_linear(), np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.2
+        F = spectral(ParamPovm(elements=elements, g_max=0.9))
+        yield F, np.array([1.0, -2.0, 3.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
+    yield spectral(qubit_linear()), np.array([1.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.2
     trivial = ParamPovm(elements=(PolyMatrix([I2]),), g_max=0.9)  # no bound, no search level
-    yield trivial, np.array([2.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
-    povm, alpha = many_outcomes(128)  # 257 outcomes: two-byte codes
-    yield povm, alpha, PLUS, final_state(0.3), 0.4
+    yield spectral(trivial), np.array([2.0]), np.array([1.0, 0.0]), final_state(0.3), 0.4
+    F, alpha = many_outcomes(128)  # 257 outcomes: two-byte codes
+    yield F, alpha, PLUS, final_state(0.3), 0.4
 
 
-def agrees_with_oracle(povm, alpha, psi_i, psi_f, config):
+def agrees_with_oracle(F, alpha, psi_i, psi_f, config):
     """Assert every McResult field equals the oracle's; say whether any trial survived."""
     try:
-        want = oracle_sample_run(povm, alpha, psi_i, psi_f, config)
+        want = oracle_sample_run(F, alpha, psi_i, psi_f, config)
     except NoSuccesses:
         with pytest.raises(NoSuccesses):
-            mc.sample_run(povm, alpha, psi_i, psi_f, config)
+            mc.sample_run(F, alpha, psi_i, psi_f, config)
         return "none"
-    got = mc.sample_run(povm, alpha, psi_i, psi_f, config)
+    got = mc.sample_run(F, alpha, psi_i, psi_f, config)
     for f in dataclasses.fields(mc.McResult):
         x, y = getattr(got, f.name), getattr(want, f.name)
         assert type(x) is type(y), f.name
@@ -228,19 +256,19 @@ BLOCK = mc._BLOCK
 )
 def test_sampler_is_bit_identical_to_the_oracle(trials):
     seen = set()
-    for povm, alpha, psi_i, psi_f, g in oracle_families():
+    for F, alpha, psi_i, psi_f, g in oracle_families():
         for seed in (0, 1, 2**64 + 5, 2**128 - 1):
             config = mc.McConfig(trials=trials, seed=seed, g=g)
-            seen.add(agrees_with_oracle(povm, alpha, psi_i, psi_f, config))
+            seen.add(agrees_with_oracle(F, alpha, psi_i, psi_f, config))
     assert seen == {"ok", "none"}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(trials=st.integers(1, 3 * BLOCK), seed=st.integers(0, 2**128 - 1))
 def test_sampler_matches_the_oracle_for_any_length_and_seed(trials, seed):
-    for povm, alpha, psi_i, psi_f, g in oracle_families():
+    for F, alpha, psi_i, psi_f, g in oracle_families():
         config = mc.McConfig(trials=trials, seed=seed, g=g)
-        agrees_with_oracle(povm, alpha, psi_i, psi_f, config)
+        agrees_with_oracle(F, alpha, psi_i, psi_f, config)
 
 
 def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
@@ -276,8 +304,8 @@ def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", Forced)
     filler = np.random.default_rng(23)
     reads = []
-    for povm, alpha, psi_i, psi_f, g in oracle_families():
-        cum = np.cumsum(mc.joint_probabilities(povm, psi_i, psi_f, g)[0])
+    for F, alpha, psi_i, psi_f, g in oracle_families():
+        cum = np.cumsum(mc.joint_probabilities(F, psi_i, psi_f, g)[0])
         cum /= cum[-1]
         bounds = cum[:-1]
         on_bounds = np.concatenate(
@@ -296,9 +324,9 @@ def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
             config = mc.McConfig(trials=trials, seed=0, g=g)
             for run in (oracle_sample_run, mc.sample_run):
                 with contextlib.suppress(NoSuccesses):
-                    run(povm, alpha, psi_i, psi_f, config)
+                    run(F, alpha, psi_i, psi_f, config)
                 assert read_once_each(), run.__name__
-            agrees_with_oracle(povm, alpha, psi_i, psi_f, config)
+            agrees_with_oracle(F, alpha, psi_i, psi_f, config)
             reads.clear()
 
 
@@ -306,8 +334,8 @@ def million_draws():
     """A 1M-draw run's arguments, once a first run has imported numpy.random and filled the caches."""
     spec = get_instance("qubit-linear")
     g = 0.1
-    alpha = cx.pseudoinverse_cv(cx.build_F(spec.povm, spec.observable), g).alpha
-    args = spec.povm, alpha, spec.psi_i, spec.psi_f, mc.McConfig(trials=10**6, seed=1, g=g)
+    F = cx.build_F(spec.povm, spec.observable)
+    args = F, pip_alpha(F, g), spec.psi_i, spec.psi_f, mc.McConfig(trials=10**6, seed=1, g=g)
     mc.sample_run(*args)
     return args
 
@@ -364,11 +392,15 @@ def test_sums_follow_numpys_own_pairwise_tree(n):
 
 
 def test_mc_run_takes_no_psd_sqrt_or_eigh(count_calls, capsys):
-    # qubit-linear is diagonal: root_family reads its roots off a permutation basis
+    # qubit-linear is diagonal: the amplitudes are read off build_F's permutation basis
     sqrts = count_calls(linalg, "psd_sqrt")
     eighs = count_calls(np.linalg, "eigh")
+    bases = count_calls(linalg, "common_eigenbasis")
+    roots = count_calls(pv, "measurement_operators")
     argv = ["mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "1000", "--seed", "3"]
     assert cli.main(argv) == 0
     assert "successes  = " in capsys.readouterr().out
     assert sqrts[0] == 0
     assert eighs[0] == 0
+    assert bases[0] == 1  # build_F's, which every later step reads
+    assert roots[0] == 0

@@ -131,19 +131,20 @@ def test_validate_flags_nonhermitian():
     assert report.hermiticity_residual > 0.5
 
 
-def test_evaluate_and_range():
+def test_outcomes_evaluate_as_polynomials():
     p = qubit_linear(g_max=0.9)
-    E = pv.evaluate(p, 0.2)
+    E = [e(0.2) for e in p.elements]
     npt.assert_allclose(E[0], np.diag([0.6, 0.4]), atol=1e-14)
     npt.assert_allclose(E[0] + E[1], I2, atol=1e-14)
-    for g in (1.0, -1.0, -0.1, float("nan")):
-        with pytest.raises(OutOfValidityRange):
-            pv.evaluate(p, g)
-    npt.assert_allclose(pv.evaluate(p, 0.0)[0], I2 / 2)  # the dilation is evaluated at 0
+    npt.assert_allclose(p.elements[0](0.0), I2 / 2)
 
 
 def test_check_coupling_names_the_first_coupling_out_of_range():
     pv.check_coupling(np.array([0.0, 0.45, 0.5]), 0.5)
+    pv.check_coupling(0.0, 0.9)  # the dilation is evaluated at 0
+    for g in (1.0, -1.0, -0.1, float("nan")):
+        with pytest.raises(OutOfValidityRange):
+            pv.check_coupling(g, 0.9)
     with pytest.raises(OutOfValidityRange, match=r"^g=0\.7 outside"):
         pv.check_coupling(np.array([0.1, 0.7, -0.2, np.nan]), 0.5)
     with pytest.raises(OutOfValidityRange, match=r"^g=nan outside"):
@@ -200,6 +201,7 @@ def test_measurement_operators_square_to_elements():
     p = qubit_linear()
     for g in [0.0, 0.3, 0.85]:
         ops = pv.measurement_operators(p, g)
-        for M, E in zip(ops, pv.evaluate(p, g)):
+        for M, e in zip(ops, p.elements):
+            E = e(g)
             npt.assert_allclose(M @ M, E, atol=1e-12)
             npt.assert_allclose(M, M.conj().T, atol=1e-13)

@@ -32,6 +32,7 @@ REACHED_ELSEWHERE = {
     "contextual.exact_cv_exists": "a span of the benchmark tracer, which names it",
     "weak.conjecture_trial": "a span of the benchmark tracer, which names it",
     "linalg.psd_sqrt": "root_family's fallback for a non-commuting family, which no command reaches",
+    "povm.measurement_operators": "a span of the benchmark tracer, which names it",
 }
 
 WORKLOADS = ("sweep", "mc", "analyses", "dilation")

@@ -29,6 +29,7 @@ from oracles import (
     check_effect,
     minimum_nonzero_order,
     mixed_weak_value,
+    oracle_conditioned_average,
     oracle_conjecture_trial,
     oracle_spectral_weak_limit,
     projector,
@@ -142,15 +143,15 @@ def test_conditioned_average_matches_oracle():
     psi_f = final_state(theta)
     for g in [0.5, 0.1, 0.05, 0.01]:
         alpha = cx.pseudoinverse_cv(F, g).alpha
-        value, prob = wk.conditioned_average(povm, alpha, PLUS, psi_f, g)
+        value, prob = wk.conditioned_average(F, alpha, PLUS, psi_f, g)
         npt.assert_allclose(value, conditioned_oracle(theta, g), rtol=1e-11)
         npt.assert_allclose(prob, success_oracle(theta, g), rtol=1e-11)
 
 
 def test_conditioned_average_frozen_point():
-    povm = qubit_linear()
-    alpha = cx.pseudoinverse_cv(cx.build_F(povm, Z), 0.01).alpha
-    value, prob = wk.conditioned_average(povm, alpha, PLUS, final_state(np.pi / 8), 0.01)
+    F = cx.build_F(qubit_linear(), Z)
+    alpha = cx.pseudoinverse_cv(F, 0.01).alpha
+    value, prob = wk.conditioned_average(F, alpha, PLUS, final_state(np.pi / 8), 0.01)
     npt.assert_allclose(value, 0.41422214140901664, rtol=1e-12)
     npt.assert_allclose(prob, 0.8535357124817800, rtol=1e-12)
 
@@ -161,22 +162,24 @@ def test_conditioned_average_affine_covariance():
     povm = qubit_linear()
     g = 0.07
     psi_f = final_state(0.4)
-    alpha = cx.pseudoinverse_cv(cx.build_F(povm, Z), g).alpha
-    base, _ = wk.conditioned_average(povm, alpha, PLUS, psi_f, g)
+    F = cx.build_F(povm, Z)
+    alpha = cx.pseudoinverse_cv(F, g).alpha
+    base, _ = wk.conditioned_average(F, alpha, PLUS, psi_f, g)
     for a, b in [(2.0, 0.0), (1.0, 3.0), (-0.7, 0.2)]:
-        shifted = cx.pseudoinverse_cv(cx.build_F(povm, a * Z + b * I2), g).alpha
+        shifted_F = cx.build_F(povm, a * Z + b * I2)
+        shifted = cx.pseudoinverse_cv(shifted_F, g).alpha
         npt.assert_allclose(shifted, a * alpha + b, rtol=1e-9)
-        value, _ = wk.conditioned_average(povm, shifted, PLUS, psi_f, g)
+        value, _ = wk.conditioned_average(shifted_F, shifted, PLUS, psi_f, g)
         npt.assert_allclose(value, a * base + b, rtol=1e-9)
 
 
 def test_conditioned_average_phase_invariance():
-    povm = qubit_linear()
+    F = cx.build_F(qubit_linear(), Z)
     alpha = np.array([3.0, -2.0])
     psi_f = final_state(0.3)
-    v1, p1 = wk.conditioned_average(povm, alpha, PLUS, psi_f, 0.2)
+    v1, p1 = wk.conditioned_average(F, alpha, PLUS, psi_f, 0.2)
     v2, p2 = wk.conditioned_average(
-        povm, alpha, np.exp(1.3j) * PLUS, np.exp(-0.4j) * psi_f, 0.2
+        F, alpha, np.exp(1.3j) * PLUS, np.exp(-0.4j) * psi_f, 0.2
     )
     npt.assert_allclose(v1, v2, atol=1e-13)
     npt.assert_allclose(p1, p2, atol=1e-13)
@@ -192,10 +195,29 @@ def test_conditioned_average_is_convex_combination():
         g = float(rng.uniform(0.01, 0.9))
         alpha = cx.pseudoinverse_cv(F, g).alpha
         value, prob = wk.conditioned_average(
-            povm, alpha, random_state(rng, 2), random_state(rng, 2), g
+            F, alpha, random_state(rng, 2), random_state(rng, 2), g
         )
         assert alpha.min() - 1e-9 <= value <= alpha.max() + 1e-9
         assert 0.0 <= prob <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "source, rtol",
+    # the registry's families are diagonal, so the amplitudes are the per-operator
+    # path's bit for bit; a rotated basis rounds each step differently
+    [("qubit-linear", 0), ("quad-cx", 0), ("qubit-linear-rotated.json", 1e-12), ("quad-cx-rotated-permuted.json", 1e-12)],
+)
+def test_conditioned_average_equals_the_per_operator_path(source, rtol):
+    spec = load_instance(Path(__file__).parent / "data" / source) if rtol else get_instance(source)
+    F = cx.build_F(spec.povm, spec.observable)
+    for g in np.linspace(0.05, 1.0, 7) * spec.g_max:
+        alpha = cx.pseudoinverse_cv(F, g).alpha
+        got = wk.conditioned_average(F, alpha, spec.psi_i, spec.psi_f, g)
+        want = oracle_conditioned_average(spec.povm, alpha, spec.psi_i, spec.psi_f, g)
+        if rtol:
+            npt.assert_allclose(got, want, rtol=rtol)
+        else:
+            assert got == want
 
 
 # -------------------------------------------------------------- weak limit
@@ -362,8 +384,8 @@ def trial_instance(seed, t):
 
 
 def per_point(F, povm, psi_i, psi_f, g):
-    """The general path: pseudoinverse_cv, then psd_sqrt measurement operators."""
-    return wk.conditioned_average(povm, cx.pseudoinverse_cv(F, g).alpha, psi_i, psi_f, g)
+    """The per-operator path: pseudoinverse_cv, then povm.measurement_operators."""
+    return oracle_conditioned_average(povm, cx.pseudoinverse_cv(F, g).alpha, psi_i, psi_f, g)
 
 
 def test_spectral_ladder_equals_per_point_path_on_trials(monkeypatch):
@@ -409,6 +431,10 @@ def test_spectral_ladder_agrees_in_rotated_bases():
             value, prob = per_point(F, povm, psi_i, psi_f, g)
             npt.assert_allclose(rep.conditioned_averages[k], value, rtol=1e-7)
             npt.assert_allclose(rep.success_probabilities[k], prob, rtol=1e-7)
+            # one core: the library's one-coupling average is the ladder's in any basis
+            alpha = cx.pseudoinverse_cv(F, g).alpha
+            point = wk.conditioned_average(F, alpha, psi_i, psi_f, g)
+            assert point == (rep.conditioned_averages[k], rep.success_probabilities[k])
         checked += 1
     assert checked >= 35
 
