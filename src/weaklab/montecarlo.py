@@ -32,7 +32,7 @@ import numpy as np
 from .contextual import FMatrix
 from .errors import NoSuccesses
 from .linalg import check_state
-from .weak import _postselection
+from .weak import _operator_basis, _postselection
 
 # Trials per block.  A block's uniforms and search codes (16 bytes a trial,
 # 256 KiB at 2**14) stay in a core's L2 cache from the draw to the tally;
@@ -71,10 +71,11 @@ def joint_probabilities(
 
     sqrt F(g)^2 may round above F(g), hence the min.  As in pseudoinverse_cv,
     the caller checks the coupling range."""
+    basis = _operator_basis(F)
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
     Fg = np.real(F.poly(g))
-    x, weights = _postselection(F.basis, Fg[None], psi_i, psi_f)
+    x, weights = _postselection(basis, Fg[None], psi_i, psi_f)
     p = np.clip(np.square(np.abs(x)) @ Fg, 0.0, None)
     q = np.divide(weights[0], p, out=np.zeros_like(p), where=p > 0)
     return p, np.minimum(q, 1.0)

@@ -7,28 +7,30 @@ the coupling (commuting, minimally disturbing, with exact contextual
 values), does the conditioned average always converge to the traditional
 weak value as the coupling vanishes?  ``conjecture_sweep`` samples random
 instances and measures the discrepancy.  ``weak_limit`` and every trial share
-one core, ``_spectral_weak_limits``: from F's basis and its solve_grid
-solution it forms the ladder's conditioned averages and fits their g -> 0
-limit, for one member or a stack of them, from the weights of
-``_postselection``, which conditioned_average and the Monte Carlo share.
+one core, ``_ladders``: from F's basis and its solve_grid solution it forms
+the ladder's conditioned averages and fits their g -> 0 limit, for one
+member or a stack of them, from the weights of ``_postselection``, which
+conditioned_average and the Monte Carlo share.
 
 A sweep batches its linear algebra, not its randomness.  Each trial draws
 from its own stream (seeded by (seed, trial)) through the generator
 ``_draws``, which pauses at each candidate's exactness check.  Trials run in
-blocks of ``_SWEEP_BLOCK``; in each round of a block every pending trial
-advances to its next candidate, and the candidates are solved together, one
-stacked pseudoinverse per (dim, n_out) group (in chunks of at most
-``_STACK_ENTRIES`` for large shapes).  A refused candidate advances only its
-own trial, so every stream is consumed exactly as a lone trial consumes it.
-A group's F(g) is the real part of one complex Horner evaluation, the
-layout solve_grid uses: numpy's matmul takes BLAS for one layout and its
-own loop for another, which round differently.  Once every trial of a
-block is accepted, their ladders run stacked, one stack per shape group;
-``weak_limit`` is the one-member case.  Each stacked step rounds as it does
-on one member, the one product that would not stays per member, and the
-quadratic fit repeats numpy's Polynomial.fit step by step with one lstsq
-per member, so every record equals a lone trial's bit for bit and a sweep
-never imports numpy.polynomial.
+blocks of ``_SWEEP_BLOCK``, and ``_trial_block`` alone decides which trials
+share a stack: it groups a block's trials by drawn (dim, n_out) once and
+cuts each group into chunks of at most ``_STACK_ENTRIES`` F(g) entries per
+coupling.  In each round every pending trial advances to its next
+candidate, and each chunk's candidates are solved together, one stacked
+pseudoinverse per chunk.  A refused candidate advances only its own trial,
+so every stream is consumed exactly as a lone trial consumes it.  A chunk's
+F(g) is the real part of one complex Horner evaluation, the layout
+solve_grid uses: numpy's matmul takes BLAS for one layout and its own loop
+for another, which round differently.  Once every trial of a block is
+accepted, each chunk's ladders run as one stack; ``weak_limit`` is the
+one-member case.  Each stacked step rounds as it does on one member, the
+one product that would not stays per member, and the quadratic fit repeats
+numpy's Polynomial.fit step by step with one lstsq per member, so every
+record equals a lone trial's bit for bit and a sweep never imports
+numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
-from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, WeakLabError
+from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, ValidationError, WeakLabError
 from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling
 
@@ -55,13 +57,13 @@ WEIGHT_FLOOR = 1e-3
 #: upper ends of the ranges unfixed trial shapes are drawn from (2 <= dim <= n_out)
 TRIAL_DIM_MAX = 4
 TRIAL_N_OUT_MAX = 5
-#: trials whose draws conjecture_sweep solves together: the README's
-#: 100-trial sweep is one block.  A block keeps its draws and solutions
-#: until the ladders run, about 4 MiB at the largest drawn shape
+#: trials whose draws conjecture_sweep solves together: the README's 100-trial
+#: sweep is one block.  A block keeps each accepted trial's draw and solution
+#: until its ladders run, about 4 MiB at the largest drawn shape
 _SWEEP_BLOCK = 128
-#: most F(g) entries per coupling (dim * n_out per draw) in one stacked
-#: solve: a whole block of any drawn shape fits, and a block of a large
-#: fixed shape is solved in chunks, which bounds the SVD's workspace
+#: most F(g) entries per coupling (dim * n_out per trial) in one stacked solve
+#: or ladder: a block of any drawn shape fits, and one of a large fixed shape
+#: runs in chunks, which bounds the SVD's workspace and the ladders' weights
 _STACK_ENTRIES = 4096
 
 
@@ -77,18 +79,26 @@ def conditioned_average(
     Outcome j contributes weight |<psi_f| M_j(g) psi_i>|^2 (see _postselection); the value is
     the weight-normalized sum of alpha_j.  As in pseudoinverse_cv, the caller checks g's range.
     """
+    basis = _operator_basis(F)
     alpha = np.asarray(alpha, dtype=float)
     psi_i = check_state(psi_i)
     psi_f = check_state(psi_f)
     if alpha.shape != (F.n_out,):
         raise ValueError(f"alpha must have shape ({F.n_out},), got {alpha.shape}")
-    weights = _postselection(F.basis, np.real(F.poly(g))[None], psi_i, psi_f)[1][0]
+    weights = _postselection(basis, np.real(F.poly(g))[None], psi_i, psi_f)[1][0]
     success = float(weights.sum())
     if success <= OVERLAP_TOL:
         raise OrthogonalPostselection(
             f"success probability {success:.3e} vanishes at g={g}"
         )
     return float(alpha @ weights) / success, success
+
+
+def _operator_basis(F: FMatrix) -> np.ndarray:
+    """F's common eigenbasis; a raw family (basis None) has no operators to postselect."""
+    if F.basis is None:
+        raise ValidationError("NoBasis", "a raw matrix family has no measurement operators")
+    return F.basis
 
 
 def _postselection(bases, Fg, psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
@@ -161,39 +171,15 @@ def weak_limit(
     if g_grid is None:
         g_grid = limit_grid(povm.g_max)
     F = build_F(povm, A)
-    [report] = _spectral_weak_limits([(F.basis, solve_grid(F, g_grid), povm.g_max, A, psi_i, psi_f)])
+    [report] = _ladders([(F.basis, solve_grid(F, g_grid), povm.g_max, A, psi_i, psi_f)])
     return report
 
 
-def _spectral_weak_limits(members: list[tuple]) -> list[WeakLimitReport]:
-    """The weak-limit report of each member (basis, sol, g_max, A, psi_i, psi_f).
-
-    sol is the solve_grid solution of a spectral matrix F of (povm, A),
-    basis F's common eigenbasis B and g_max the family's validity range;
-    the caller has built F, which checked A.  Members whose F(g) stacks
-    have one shape run together in _ladders.  If any fails, the members run
-    again one by one, in order, so the first failing member raises the
-    error it raises alone.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, member in enumerate(members):
-        groups.setdefault(member[1].F_g.shape, []).append(i)
-    reports: list[WeakLimitReport] = [None] * len(members)
-    try:
-        for same in groups.values():
-            for i, report in zip(same, _ladders([members[i] for i in same])):
-                reports[i] = report
-    except WeakLabError:
-        for member in members:
-            _ladders([member])
-        raise
-    return reports
-
-
 def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
-    """Reports of members of one shape, stacked; raises the first failure met.
+    """Weak-limit reports of members (basis, sol, g_max, A, psi_i, psi_f) of one shape,
+    stacked, for sol = solve_grid(F, ...) of F = build_F(povm, A) with basis F.basis.
 
-    Each state is checked once here.  A member's errors come in this order:
+    Raises the first failure met; a member's errors come in this order:
     NoExactCv, InvalidState, then OutOfValidityRange for a coupling outside
     (0, g_max], NotPositive from linalg.clamp_psd, and
     OrthogonalPostselection.  Every stacked step rounds as it does on one
@@ -407,8 +393,7 @@ def _povm(w: np.ndarray, Q: np.ndarray, g_max: float) -> ParamPovm:
 
 def _solve_draws(draws: list[tuple]) -> list[tuple[tuple, GridSolution]]:
     """((coefficients, a_vec, basis), solve_grid(F, limit_grid(g_max))) of each draw's
-    F = build_F(povm, A), one stacked solve per shape (or per chunk of
-    _STACK_ENTRIES, for large shapes).
+    F = build_F(povm, A), in one stacked solve; every draw has one shape.
 
     F is read off the draw: identity basis, rows in a's descending order,
     coefficients w and Q.  Where adjacent entries of a are within
@@ -416,33 +401,23 @@ def _solve_draws(draws: list[tuple]) -> list[tuple[tuple, GridSolution]]:
     build_F.  F(g) has solve_grid's layout, so each solution is bit for bit
     solve_grid's.  An incomplete draw raises ValidationError("RowSum").
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, draw in enumerate(draws):
-        groups.setdefault(draw[2].shape, []).append(i)
-    solved = [None] * len(draws)
-    for (dim, n_out), same_shape in groups.items():
-        step = max(1, _STACK_ENTRIES // (dim * n_out))
-        for start in range(0, len(same_shape), step):
-            members = same_shape[start : start + step]
-            C = np.empty((len(members), 2, dim, n_out), dtype=complex)  # (k, order, d, n_out)
-            a_vec = np.empty((len(members), 1, dim))
-            bases = []
-            for m, i in enumerate(members):
-                a, w, Q, g_max = draws[i][:4]
-                if (a[:-1] - a[1:]).min() <= DEGENERACY_TOL * max(1.0, float(np.abs(a).max())):
-                    F = build_F(_povm(w, Q, g_max), np.diag(a))
-                    C[m], a_vec[m, 0] = F.poly.coefficients, F.a_vec
-                    bases.append(F.basis)
-                else:
-                    C[m, 0], C[m, 1], a_vec[m, 0] = w, Q, a
-                    bases.append(np.eye(dim, dtype=complex))
-            check_row_sums(C)
-            g = np.stack([limit_grid(draws[i][3]) for i in members])  # (k, n_g)
-            Fg = np.real(C[:, None, 1] * g[..., None, None] + C[:, None, 0])
-            sol = solve_stack(Fg, a_vec, g)
-            for m, i in enumerate(members):
-                solved[i] = (C[m], a_vec[m, 0], bases[m]), sol[m]
-    return solved
+    dim, n_out = draws[0][2].shape
+    C = np.empty((len(draws), 2, dim, n_out), dtype=complex)  # (k, order, d, n_out)
+    a_vec = np.empty((len(draws), 1, dim))
+    bases = []
+    for m, (a, w, Q, g_max, *_) in enumerate(draws):
+        if (a[:-1] - a[1:]).min() <= DEGENERACY_TOL * max(1.0, float(np.abs(a).max())):
+            F = build_F(_povm(w, Q, g_max), np.diag(a))
+            C[m], a_vec[m, 0] = F.poly.coefficients, F.a_vec
+            bases.append(F.basis)
+        else:
+            C[m, 0], C[m, 1], a_vec[m, 0] = w, Q, a
+            bases.append(np.eye(dim, dtype=complex))
+    check_row_sums(C)
+    g = np.stack([limit_grid(draw[3]) for draw in draws])  # (k, n_g)
+    Fg = np.real(C[:, None, 1] * g[..., None, None] + C[:, None, 0])
+    sol = solve_stack(Fg, a_vec, g)
+    return [((C[m], a_vec[m, 0], bases[m]), sol[m]) for m in range(len(draws))]
 
 
 def _instance(draw: tuple, spectral: tuple, sol: GridSolution) -> ConjectureInstance:
@@ -489,28 +464,45 @@ def _trial_shape(rng: np.random.Generator, dim: int | None, n_out: int | None) -
 
 
 def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
-    """conjecture_trial of each trial index: rounds of one candidate per
-    pending trial solved together, then every accepted trial's ladder,
-    stacked per shape (see the module docstring)."""
+    """conjecture_trial of each trial index, stacked by chunk (see the module docstring).
+
+    If a chunk's ladder stack fails, its trials run again alone once every
+    chunk has run, in trial order, so the first failing trial raises its own error.
+    """
     keys, shapes, streams = [], [], []
     for t in trials:
         keys.append((int(seed), int(t)))
         rng = np.random.default_rng(keys[-1])
         shapes.append(_trial_shape(rng, dim, n_out))
         streams.append(_draws(rng, *shapes[-1]))
-    accepted = [None] * len(keys)
-    pending = list(range(len(keys)))
-    while pending:
-        draws = [next(streams[i]) for i in pending]
-        for i, draw, (spectral, sol) in zip(pending, draws, _solve_draws(draws)):
-            if sol.exact:
-                accepted[i] = draw, spectral, sol
-        pending = [i for i in pending if accepted[i] is None]
+    chunks = []  # the block's trials by shape, at most _STACK_ENTRIES entries a chunk
+    for d, n in dict.fromkeys(shapes):
+        same_shape = [i for i, shape in enumerate(shapes) if shape == (d, n)]
+        step = max(1, _STACK_ENTRIES // (d * n))
+        chunks += [same_shape[start : start + step] for start in range(0, len(same_shape), step)]
 
-    reports = _spectral_weak_limits([
-        (spectral[2], sol, draw[3], np.diag(draw[0]), draw[4], draw[5])
-        for draw, spectral, sol in accepted
-    ])
+    accepted = [None] * len(keys)
+    pending = chunks
+    while pending:
+        draws = {i: next(streams[i]) for i in sorted(i for chunk in pending for i in chunk)}
+        for chunk in pending:
+            for i, (spectral, sol) in zip(chunk, _solve_draws([draws[i] for i in chunk])):
+                if sol.exact:
+                    accepted[i] = draws[i], spectral, sol
+        pending = [left for chunk in pending if (left := [i for i in chunk if accepted[i] is None])]
+
+    members = [(spectral[2], sol, draw[3], np.diag(draw[0]), *draw[4:]) for draw, spectral, sol in accepted]
+    reports, failed = [None] * len(keys), []
+    for chunk in chunks:
+        try:
+            for i, report in zip(chunk, _ladders([members[i] for i in chunk])):
+                reports[i] = report
+        except WeakLabError as err:
+            failed.append((chunk, err))
+    if failed:
+        for i in sorted(i for chunk, _ in failed for i in chunk):
+            _ladders([members[i]])
+        raise failed[0][1]
     records = []
     for t, key, (d, n), (draw, spectral, sol), report in zip(trials, keys, shapes, accepted, reports):
         passed = report.discrepancy <= tol
@@ -533,12 +525,11 @@ def conjecture_trial(
 
     The per-trial stream is derived from (seed, trial) so sweeps are
     reproducible and order-independent; this is conjecture_sweep's path for
-    one trial.  The limit is taken by _spectral_weak_limits on the grid
-    solution of the generator's exactness check, so a trial solves its
-    grid once.  Unspecified dimensions are drawn uniformly with n_out >= dim
-    (so exact contextual values can exist): dim from
-    [2, min(TRIAL_DIM_MAX, n_out)] when n_out is fixed, n_out from
-    [dim, TRIAL_N_OUT_MAX] when it is not.  A failing trial keeps its
+    one trial.  The limit is taken by _ladders on the grid solution of the
+    generator's exactness check, so a trial solves its grid once.
+    Unspecified dimensions are drawn uniformly with n_out >= dim (so exact
+    contextual values can exist): dim from [2, min(TRIAL_DIM_MAX, n_out)]
+    when n_out is fixed, n_out from [dim, TRIAL_N_OUT_MAX] when it is not.  A failing trial keeps its
     instance attached for serialization.
     """
     return _trial_block(seed, [trial], dim, n_out, tol)[0]

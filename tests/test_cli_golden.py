@@ -71,6 +71,8 @@ OTHER_COMMANDS = [
     ["conjecture-sweep", "--trials", "5", "--seed", "3", "--out", "out.csv"],
     ["conjecture-sweep", "--trials", "25", "--seed", "1", "--out", "out.csv"],
     ["conjecture-sweep", "--trials", "3", "--dim", "3", "--n-out", "4"],
+    # a large fixed shape: the block's trials solve and run their ladders in two chunks
+    ["conjecture-sweep", "--trials", "25", "--dim", "12", "--n-out", "16", "--seed", "2", "--out", "out.csv"],
     # every trial fails at --tol 0 and is serialized beside --out, or in the directory
     ["conjecture-sweep", "--trials", "2", "--tol", "0"],
     ["conjecture-sweep", "--trials", "2", "--tol", "0", "--out", "out.csv"],

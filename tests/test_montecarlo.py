@@ -18,7 +18,7 @@ from weaklab import linalg
 from weaklab import montecarlo as mc
 from weaklab import povm as pv
 from weaklab import weak as wk
-from weaklab.errors import NoSuccesses
+from weaklab.errors import NoSuccesses, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
 from weaklab.files import load_instance
 from weaklab.registry import REGISTRY, get_instance
@@ -86,6 +86,22 @@ def test_joint_probabilities():
             npt.assert_allclose(q, want_q, rtol=1e-14, atol=0)
             checked += 1
     assert checked == 4 * 7
+
+
+def test_raw_family_is_refused_before_any_arithmetic(monkeypatch):
+    # a raw F (no basis) has no measurement operators to postselect with
+    raw = cx.FMatrix(PolyMatrix([np.full((2, 2), 0.5), [[0.5, -0.5], [-0.5, 0.5]]]), [1, -1])
+    monkeypatch.setattr(PolyMatrix, "__call__", lambda self, g: pytest.fail("F(g) evaluated"))
+    alpha = np.array([1.0, -1.0])
+    calls = [
+        lambda: wk.conditioned_average(raw, alpha, PLUS, final_state(0.3), 0.1),
+        lambda: mc.joint_probabilities(raw, PLUS, final_state(0.3), 0.1),
+        lambda: mc.sample_run(raw, alpha, PLUS, final_state(0.3), mc.McConfig(trials=10, seed=1, g=0.1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == "NoBasis"
 
 
 def test_rerun_is_bit_identical():

@@ -364,16 +364,16 @@ def test_conjecture_sweep_small():
 
 def spy_on_core(monkeypatch):
     """Record (basis, sol, g_max, A, psi_i, psi_f, report) of every member of every
-    _spectral_weak_limits call, in member order."""
+    successful _ladders call, in member order."""
     seen = []
-    core = wk._spectral_weak_limits
+    core = wk._ladders
 
     def spy(members):
         reports = core(members)
         seen.extend((*member, report) for member, report in zip(members, reports))
         return reports
 
-    monkeypatch.setattr(wk, "_spectral_weak_limits", spy)
+    monkeypatch.setattr(wk, "_ladders", spy)
     return seen
 
 
@@ -392,9 +392,13 @@ def test_spectral_ladder_equals_per_point_path_on_trials(monkeypatch):
     seen = spy_on_core(monkeypatch)
     wk.conjecture_sweep(7, 100)
     assert len(seen) == 100
-    for t, (*_, psi_i, psi_f, rep) in enumerate(seen):
+    # stacks come by shape, not in trial order: find each trial by its initial state
+    by_psi_i = {psi_i.tobytes(): (psi_f, rep) for *_, psi_i, psi_f, rep in seen}
+    for t in range(100):
         inst = trial_instance(7, t)
-        assert inst.psi_i.tobytes() == psi_i.tobytes() and inst.psi_f.tobytes() == psi_f.tobytes()
+        psi_i = inst.psi_i
+        psi_f, rep = by_psi_i.pop(psi_i.tobytes())
+        assert inst.psi_f.tobytes() == psi_f.tobytes()
         for k, g in enumerate(rep.g_grid):
             value, prob = per_point(inst.F, inst.povm, psi_i, psi_f, g)
             assert rep.conditioned_averages[k] == value
@@ -646,7 +650,7 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
             (np.linalg, "eigvalsh"),
         ]
     }
-    groups = []  # the (dim, n_out) groups of each round
+    groups = []  # the (dim, n_out) shapes of each stacked solve
     solve = wk._solve_draws
     monkeypatch.setattr(
         wk, "_solve_draws", lambda draws: groups.append({d[2].shape for d in draws}) or solve(draws)
@@ -665,9 +669,9 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
     # draw, and each round solves every candidate of a shape together
     assert n["build_F"] == 0
     assert n["solve_grid"] == 0
-    assert len(groups) >= 1 and all(groups)
-    # one pinv call per (round, shape group), not one per draw or coupling
-    assert n["pinv_and_rank"] == sum(len(g) for g in groups)
+    assert len(groups) >= 1 and all(len(g) == 1 for g in groups)
+    # one pinv call per (round, chunk), not one per draw or coupling
+    assert n["pinv_and_rank"] == len(groups)
 
 
 def record_fields(r):
@@ -705,8 +709,16 @@ def test_sweep_equals_oracle_when_large_shapes_are_chunked(monkeypatch, count_ca
     # a cap of 24 entries splits each shape group into chunks of one draw
     # (dim * n_out >= 13) to six draws (2 x 2)
     monkeypatch.setattr(wk, "_STACK_ENTRIES", 24)
+    stacks = []  # (members, dim, n_out) of each _ladders call
+    ladders = wk._ladders
+    monkeypatch.setattr(
+        wk, "_ladders", lambda members: stacks.append((len(members), *members[0][1].F_g.shape[1:])) or ladders(members)
+    )
     records = wk.conjecture_sweep(5, 40)
     assert pinvs[0] - unchunked > unchunked
+    # the ladders keep the solves' chunks
+    assert sum(k for k, _, _ in stacks) == 40
+    assert all(k <= max(1, 24 // (d * n)) for k, d, n in stacks)
     oracle = [record_fields(oracle_conjecture_trial(5, t)) for t in range(40)]
     assert [record_fields(r) for r in records] == oracle == [record_fields(r) for r in whole]
 
