@@ -145,6 +145,21 @@ class GridSolution:
     def __getitem__(self, i) -> GridSolution:
         return GridSolution(self.g_grid[i], self.F_g[i], self.alpha[i], self.residuals[i], self.ranks[i])
 
+    @classmethod
+    def stack(cls, members) -> GridSolution:
+        """The solutions of members of one shape as one stack, member m at index m.
+
+        alpha keeps solve_stack's layout, the real part of a complex array:
+        a product with the stack then takes the BLAS path one with a member
+        takes, and rounds as it does (BLAS dot rounds differently on
+        contiguous and strided operands).
+        """
+        g_grid, F_g, alpha, residuals, ranks = zip(
+            *((m.g_grid, m.F_g, m.alpha, m.residuals, m.ranks) for m in members)
+        )
+        alpha = np.array(alpha, dtype=complex).real
+        return cls(np.array(g_grid), np.array(F_g), alpha, np.array(residuals), np.array(ranks))
+
 
 def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.ndarray | int]:
     """alpha = pinv(F(g)) a and the ranks used, for one F(g) or a stack over the couplings g.

@@ -204,16 +204,19 @@ def validate(povm: ParamPovm) -> ValidationReport:
     )
 
 
-def check_coupling(g: float | np.ndarray, g_max: float) -> None:
+def check_coupling(g: float | np.ndarray, g_max: float | np.ndarray) -> None:
     """Raise OutOfValidityRange unless 0 <= g <= g_max; NaN fails too.
 
-    g may be one coupling or an array of them; the error names the first
-    one out of range.  g = 0 is allowed: the dilation is evaluated there.
+    g may be one coupling or an array of them, and g_max one bound or an
+    array of bounds broadcasting against g (a stack of grids, one bound per
+    row); the error names the first coupling out of range, in C order, and
+    its bound.  g = 0 is allowed: the dilation is evaluated there.
     """
     g = np.asarray(g, dtype=float)
     outside = ~((g >= 0) & (g <= g_max * (1 + 1e-12)))
     if outside.any():
-        raise OutOfValidityRange(f"g={g[outside][0]} outside validated range (0, {g_max}]")
+        bound = np.broadcast_to(g_max, outside.shape)[outside][0]
+        raise OutOfValidityRange(f"g={g[outside][0]} outside validated range (0, {bound}]")
 
 
 def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:

@@ -26,10 +26,12 @@ F(g) is the real part of one complex Horner evaluation, the layout
 solve_grid uses: numpy's matmul takes BLAS for one layout and its own loop
 for another, which round differently.  Once every trial of a block is
 accepted, each chunk's ladders run as one stack; ``weak_limit`` is the
-one-member case.  Each stacked step rounds as it does on one member, the
-one product that would not stays per member, and the quadratic fit repeats
-numpy's Polynomial.fit step by step with one lstsq per member, so every
-record equals a lone trial's bit for bit and a sweep never imports
+one-member case.  No arithmetic of a stack runs per member: the guards
+check the whole stack at once (per-member checks run only to name a
+failure), the averages take one stacked product, and the quadratic fit
+repeats numpy's Polynomial.fit step by step with one stacked least-squares
+call per stack.  Each stacked step rounds as it does on one member, so
+every record equals a lone trial's bit for bit and a sweep never imports
 numpy.polynomial.
 """
 
@@ -40,10 +42,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
 from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, ValidationError, WeakLabError
-from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
+from .linalg import DEGENERACY_TOL, UNIT_NORM_TOL, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling
 
 OVERLAP_TOL = 1e-12
@@ -115,14 +118,26 @@ def _postselection(bases, Fg, psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
     x = (Bh @ psi_i[..., None])[..., 0]
     y = (Bh @ psi_f[..., None])[..., 0]
     amplitudes = (y.conj()[..., None, None, None, :] @ (root * x[..., None, None, :])[..., None])[..., 0, 0]
-    # np.abs and squaring on arrays round differently in the last bit, which the fit amplifies
-    weights = np.array([abs(z) ** 2 for z in amplitudes.ravel()]).reshape(amplitudes.shape)
-    return x, weights
+    return x, _squared_moduli(amplitudes)
 
 
-def limit_grid(g_max: float = LIMIT_GRID_TOP) -> np.ndarray:
-    """The g -> 0 ladder min(LIMIT_GRID_TOP, g_max) * 2**-k, k < LIMIT_GRID_POINTS, descending."""
-    return min(LIMIT_GRID_TOP, g_max) * 2.0 ** -np.arange(LIMIT_GRID_POINTS, dtype=float)
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """abs(z) ** 2 of each entry of the complex array z, rounded as numpy's scalars round it.
+
+    np.abs and squaring on arrays round differently in the last bit, which
+    the fit amplifies.  Python's abs and ** on the listed entries take the
+    same libm hypot and pow as numpy's complex and float scalars, without
+    making a numpy scalar per entry.
+    """
+    return np.array([abs(v) ** 2 for v in z.ravel().tolist()]).reshape(z.shape)
+
+
+def limit_grid(g_max: float | np.ndarray = LIMIT_GRID_TOP) -> np.ndarray:
+    """The g -> 0 ladder min(LIMIT_GRID_TOP, g_max) * 2**-k, k < LIMIT_GRID_POINTS, descending.
+
+    An array of tops (...,) gives their ladders (..., LIMIT_GRID_POINTS).
+    """
+    return np.minimum(LIMIT_GRID_TOP, g_max)[..., None] * 2.0 ** -np.arange(LIMIT_GRID_POINTS, dtype=float)
 
 
 @dataclass
@@ -182,24 +197,30 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
     Raises the first failure met; a member's errors come in this order:
     NoExactCv, InvalidState, then OutOfValidityRange for a coupling outside
     (0, g_max], NotPositive from linalg.clamp_psd, and
-    OrthogonalPostselection.  Every stacked step rounds as it does on one
-    member, so the averages equal conditioned_average's bit for bit; the
-    alpha-weights product would not (a stacked matmul takes another loop),
-    so it runs per member.
+    OrthogonalPostselection.  The first three are checked on the whole
+    stack at once, and the one check_coupling call names the first coupling
+    out of range in member order; only when a member may fail the first
+    two do the per-member checks run, in member order, so the error is the
+    one that member raises alone.  Every stacked step rounds as it does on
+    one member, so the averages equal conditioned_average's bit for bit.
     """
     bases, sols, g_maxes, As, psis_i, psis_f = zip(*members)
-    states = []
-    for sol, g_max, psi_i, psi_f in zip(sols, g_maxes, psis_i, psis_f):
-        if not sol.exact:
-            raise NoExactCv(
-                f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
-            )
-        states.append((check_state(psi_i), check_state(psi_f)))
-        check_coupling(sol.g_grid, g_max)
+    stack = GridSolution.stack(sols)
+    g = stack.g_grid  # (k, n_g)
     # np.array stacks these as np.stack does, at a fraction of its call cost
-    psi_i, psi_f = (np.array(s) for s in zip(*states))  # (k, d) each
-    g = np.array([sol.g_grid for sol in sols])  # (k, n_g)
-    weights = _postselection(np.array(bases), np.array([sol.F_g for sol in sols]), psi_i, psi_f)[1]
+    psi_i, psi_f = (np.array(s, dtype=complex).reshape(len(members), -1) for s in (psis_i, psis_f))  # (k, d)
+    if stack.exact.all() and _surely_unit(psi_i) and _surely_unit(psi_f):
+        check_coupling(g, np.array(g_maxes)[:, None])
+    else:
+        for sol, g_max, state_i, state_f in zip(sols, g_maxes, psis_i, psis_f):
+            if not sol.exact:
+                raise NoExactCv(
+                    f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
+                )
+            check_state(state_i)
+            check_state(state_f)
+            check_coupling(sol.g_grid, g_max)
+    weights = _postselection(np.array(bases), stack.F_g, psi_i, psi_f)[1]
     probs = weights.sum(axis=-1)  # (k, n_g)
     vanishing = probs <= OVERLAP_TOL
     if vanishing.any():
@@ -207,9 +228,7 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
         raise OrthogonalPostselection(
             f"success probability {probs[m, j]:.3e} vanishes at g={g[m, j]}"
         )
-    values = np.array([
-        (sol.alpha[:, None, :] @ w[:, :, None])[:, 0, 0] for sol, w in zip(sols, weights)
-    ]) / probs
+    values = (stack.alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs
 
     lowest = np.arange(len(g))[:, None], np.argsort(g, axis=-1)[:, :LIMIT_FIT_POINTS]
     coef, domain, at_zero = _quadratic_fits(g[lowest], values[lowest])
@@ -230,6 +249,16 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
     return reports
 
 
+def _surely_unit(psi: np.ndarray) -> bool:
+    """True when every row of psi (k, d) has a norm so near 1 that check_state accepts it.
+
+    |psi|^2 within UNIT_NORM_TOL of 1 puts the norm within about half that
+    of 1, far inside check_state's bounds however either sum rounds.
+    """
+    squares = psi.real * psi.real + psi.imag * psi.imag
+    return bool((np.abs(squares.sum(axis=-1) - 1.0) <= UNIT_NORM_TOL).all())
+
+
 def _quadratic_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polynomial.fit(x[m], y[m], 2) of each row m and its value at 0, without numpy.polynomial.
 
@@ -238,9 +267,12 @@ def _quadratic_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     fit(0.0).  Every floating-point step is
     numpy's own, in its order: the domain (widened by 1 each way when it
     has zero width), the map onto the window, the Vandermonde matrix, its
-    column norms, one lstsq per row with rcond = len(x) eps (warning as
-    Polynomial.fit does when the rank falls short), the unscaling, and
-    Horner's rule at the mapped 0.  So each is Polynomial.fit's bit for bit.
+    column norms, the least-squares solve with rcond = len(x) eps, the
+    unscaling, and Horner's rule at the mapped 0.  So each is
+    Polynomial.fit's bit for bit.  The rows are solved in one call of the
+    gufunc np.linalg.lstsq itself calls, with its signature and error
+    state, which solves each row as lstsq solves it alone; one RankWarning
+    is given per row whose rank falls short, as Polynomial.fit warns.
     """
     lo, hi = x[:, 0], x[:, -1]
     flat = lo == hi
@@ -257,17 +289,35 @@ def _quadratic_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     lhs = V.swapaxes(-1, -2) / norms[:, None, :]
     rhs = y + 0.0
     rcond = x.shape[-1] * np.finfo(x.dtype).eps
-    coef = np.empty((len(x), 3))
-    for m in range(len(x)):
-        coef[m], _, rank, _ = np.linalg.lstsq(lhs[m], rhs[m], rcond)
-        if rank != 3:
-            warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    coef, ranks = _lstsq_rows(lhs, rhs, rcond)
+    for _ in range(np.count_nonzero(ranks != 3)):
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     coef /= norms
     t0 = off + scl * 0.0
     at_zero = coef[:, 2] + t0 * 0
     at_zero = coef[:, 1] + at_zero * t0
     at_zero = coef[:, 0] + at_zero * t0
     return coef, np.stack([lo, hi], axis=-1), at_zero
+
+
+def _lstsq_rows(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.lstsq(a[m], b[m], rcond)'s solution and rank for each row m of real stacks
+    a (k, p, q) and b (k, p), as arrays (k, q) and (k,), in one call.
+
+    The call is of the private gufunc lstsq itself calls, with lstsq's
+    signature and error state, so each row is solved bit for bit as lstsq
+    solves it alone, and LAPACK's failure to converge raises LinAlgError as
+    lstsq does.  The tests compare the two row by row, so a numpy that
+    changes the gufunc fails them.
+    """
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x, _, ranks, _ = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    return x[..., 0], ranks
+
+
+def _lstsq_failed(err, flag):
+    """np.linalg.lstsq's error-state callback: LAPACK's SVD did not converge."""
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _weak_values(A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray) -> np.ndarray:
@@ -327,8 +377,13 @@ class TrialRecord:
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    """A uniformly random unit vector: real parts, then imaginary parts, drawn standard normal."""
+    v = np.empty(dim, dtype=complex)
+    re, im = v.real, v.imag
+    re[:], im[:] = rng.standard_normal((2, dim))
+    # np.linalg.norm(v)'s own steps: BLAS dot on the strided real and imaginary
+    # views (dot on contiguous copies rounds differently)
+    return v / np.sqrt(re.dot(re) + im.dot(im))
 
 
 def _draws(rng: np.random.Generator, dim: int, n_out: int):
@@ -350,18 +405,20 @@ def _draws(rng: np.random.Generator, dim: int, n_out: int):
             f"no instance with n_out={n_out}: the smallest outcome weight is at most "
             f"1/n_out, at or below the floor {WEIGHT_FLOOR:g}"
         )
+    ones = np.ones(n_out)
     for _ in range(100):
-        a = np.sort(rng.uniform(-1.0, 1.0, size=dim))[::-1]
-        w = rng.dirichlet(np.ones(n_out))
-        if w.min() <= WEIGHT_FLOOR:
+        a = rng.uniform(-1.0, 1.0, size=dim)
+        a.sort()
+        a = a[::-1]
+        w = rng.dirichlet(ones)
+        if min(w.tolist()) <= WEIGHT_FLOOR:
             continue
         Q = rng.uniform(-1.0, 1.0, size=(dim, n_out))
-        Q -= Q.mean(axis=1, keepdims=True)  # rows sum to zero across outcomes
+        Q -= Q.sum(axis=1, keepdims=True) / n_out  # np.mean's steps: rows sum to zero across outcomes
         if np.abs(Q).max(axis=0).min() <= 1e-9:
             continue  # some outcome has no first-order term
 
-        with np.errstate(divide="ignore"):
-            ratios = np.where(Q < 0, w[None, :] / -Q, np.inf)
+        ratios = np.divide(w, -Q, out=np.full(Q.shape, np.inf), where=Q < 0)
         radius = float(ratios.min())
         g_max = min(0.9 * radius, 0.5)
         if g_max < 1e-3:
@@ -391,33 +448,34 @@ def _povm(w: np.ndarray, Q: np.ndarray, g_max: float) -> ParamPovm:
     return ParamPovm(elements=elements, g_max=g_max)
 
 
-def _solve_draws(draws: list[tuple]) -> list[tuple[tuple, GridSolution]]:
-    """((coefficients, a_vec, basis), solve_grid(F, limit_grid(g_max))) of each draw's
-    F = build_F(povm, A), in one stacked solve; every draw has one shape.
+def _solve_draws(draws: list[tuple]) -> list[tuple[int, tuple, GridSolution]]:
+    """(m, (coefficients, a_vec, basis), solve_grid(F, limit_grid(g_max))) of each draw m
+    whose contextual values are exact, for its F = build_F(povm, A); the draws have one
+    shape and are solved in one stack.
 
-    F is read off the draw: identity basis, rows in a's descending order,
-    coefficients w and Q.  Where adjacent entries of a are within
-    DEGENERACY_TOL, build_F's tie-break could permute rows, so F comes from
-    build_F.  F(g) has solve_grid's layout, so each solution is bit for bit
-    solve_grid's.  An incomplete draw raises ValidationError("RowSum").
+    F is read off the draw: identity basis (one array, shared by the
+    draws), rows in a's descending order, coefficients w and Q.  Where
+    adjacent entries of a are within DEGENERACY_TOL, build_F's tie-break
+    could permute rows, so F comes from build_F.  F(g) has solve_grid's
+    layout, so each solution is bit for bit solve_grid's.  An incomplete
+    draw raises ValidationError("RowSum").
     """
-    dim, n_out = draws[0][2].shape
-    C = np.empty((len(draws), 2, dim, n_out), dtype=complex)  # (k, order, d, n_out)
-    a_vec = np.empty((len(draws), 1, dim))
-    bases = []
-    for m, (a, w, Q, g_max, *_) in enumerate(draws):
-        if (a[:-1] - a[1:]).min() <= DEGENERACY_TOL * max(1.0, float(np.abs(a).max())):
-            F = build_F(_povm(w, Q, g_max), np.diag(a))
-            C[m], a_vec[m, 0] = F.poly.coefficients, F.a_vec
-            bases.append(F.basis)
-        else:
-            C[m, 0], C[m, 1], a_vec[m, 0] = w, Q, a
-            bases.append(np.eye(dim, dtype=complex))
+    a, w, Q, g_max = (np.array(field) for field in zip(*(draw[:4] for draw in draws)))
+    k, dim, n_out = Q.shape
+    C = np.empty((k, 2, dim, n_out), dtype=complex)  # (k, order, d, n_out)
+    C[:, 0], C[:, 1] = w[:, None, :], Q
+    a_vec = a[:, None, :]  # (k, 1, d)
+    bases = [np.eye(dim, dtype=complex)] * k
+    tied = (a[:, :-1] - a[:, 1:]).min(axis=1) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(a).max(axis=1))
+    for m in np.flatnonzero(tied).tolist():
+        a_m, w_m, Q_m, g_max_m = draws[m][:4]
+        F = build_F(_povm(w_m, Q_m, g_max_m), np.diag(a_m))
+        C[m], a_vec[m, 0], bases[m] = F.poly.coefficients, F.a_vec, F.basis
     check_row_sums(C)
-    g = np.stack([limit_grid(draw[3]) for draw in draws])  # (k, n_g)
+    g = limit_grid(g_max)  # (k, n_g)
     Fg = np.real(C[:, None, 1] * g[..., None, None] + C[:, None, 0])
     sol = solve_stack(Fg, a_vec, g)
-    return [((C[m], a_vec[m, 0], bases[m]), sol[m]) for m in range(len(draws))]
+    return [(m, (C[m], a_vec[m, 0], bases[m]), sol[m]) for m in np.flatnonzero(sol.exact).tolist()]
 
 
 def _instance(draw: tuple, spectral: tuple, sol: GridSolution) -> ConjectureInstance:
@@ -449,8 +507,7 @@ def generate_linear_commuting_instance(
     weights summing to 1 is at most 1/n_out.
     """
     for draw in _draws(rng, dim, n_out):  # raises GenerationFailed after its last draw
-        [(spectral, sol)] = _solve_draws([draw])
-        if sol.exact:
+        for _, spectral, sol in _solve_draws([draw]):
             return _instance(draw, spectral, sol)
 
 
@@ -486,9 +543,8 @@ def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
     while pending:
         draws = {i: next(streams[i]) for i in sorted(i for chunk in pending for i in chunk)}
         for chunk in pending:
-            for i, (spectral, sol) in zip(chunk, _solve_draws([draws[i] for i in chunk])):
-                if sol.exact:
-                    accepted[i] = draws[i], spectral, sol
+            for m, spectral, sol in _solve_draws([draws[i] for i in chunk]):
+                accepted[chunk[m]] = draws[chunk[m]], spectral, sol
         pending = [left for chunk in pending if (left := [i for i in chunk if accepted[i] is None])]
 
     members = [(spectral[2], sol, draw[3], np.diag(draw[0]), *draw[4:]) for draw, spectral, sol in accepted]

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklab import contextual as cx
 from weaklab import linalg
@@ -16,6 +18,7 @@ from weaklab.errors import GenerationFailed
 from weaklab.files import load_instance
 from weaklab.registry import REGISTRY, get_instance
 from weaklab.errors import (
+    InvalidState,
     NoExactCv,
     NotPositive,
     OrthogonalPostselection,
@@ -581,6 +584,103 @@ def test_lean_fit_on_rotated_instance_files(name):
     assert reports >= 2
 
 
+# windows of five couplings on a coarse grid, so repeated points (and short
+# ranks) are common; a constant window has zero width
+fit_windows = st.one_of(
+    st.lists(st.integers(1, 64), min_size=5, max_size=5).map(lambda i: sorted(v / 640 for v in i)),
+    st.integers(1, 64).map(lambda i: [i / 640] * 5),
+)
+fit_rows = st.tuples(fit_windows, st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fit_rows, min_size=1, max_size=6))
+def test_stacked_lstsq_equals_numpy_lstsq_row_by_row(rows):
+    x = np.array([window for window, _ in rows])
+    y = np.array([values for _, values in rows])
+    # Polynomial.fit's scaled least-squares matrix (5 x 3) of each window
+    lhs = []
+    for window in x:
+        lo, hi = (window[0] - 1, window[-1] + 1) if window[0] == window[-1] else (window[0], window[-1])
+        off, scl = np.polynomial.polyutils.mapparms((lo, hi), (-1, 1))
+        V = np.polynomial.polynomial.polyvander(off + scl * window, 2)
+        norms = np.sqrt(np.square(V).sum(axis=0))
+        norms[norms == 0] = 1
+        lhs.append(V / norms)
+    lhs = np.array(lhs)
+    rcond = 5 * np.finfo(float).eps
+    solutions, ranks = wk._lstsq_rows(lhs, y, rcond)
+    expected = [np.linalg.lstsq(a, b, rcond) for a, b in zip(lhs, y)]
+    assert solutions.tobytes() == np.array([e[0] for e in expected]).tobytes()
+    assert ranks.tolist() == [e[2] for e in expected]
+    # the fit warns once per short-rank row and equals Polynomial.fit row by row
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coef, domain, _ = wk._quadratic_fits(x, y)
+    assert [w.category for w in caught] == [np.exceptions.RankWarning] * sum(e[2] != 3 for e in expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        fits = [np.polynomial.Polynomial.fit(window, values, 2) for window, values in zip(x, y)]
+    assert coef.tobytes() == np.array([f.coef for f in fits]).tobytes()
+    assert domain.tobytes() == np.array([f.domain for f in fits]).tobytes()
+
+
+def ladder_member(povm, psi_f, grid=None, psi_i=PLUS):
+    """One _ladders member (basis, sol, g_max, A, psi_i, psi_f) of povm measuring Z."""
+    F = cx.build_F(povm, Z)
+    sol = cx.solve_grid(F, wk.limit_grid(povm.g_max) if grid is None else grid)
+    return (F.basis, sol, povm.g_max, Z, psi_i, psi_f)
+
+
+def ladder_error(members):
+    with pytest.raises(WeakLabError) as err:
+        wk._ladders(members)
+    return type(err.value), str(err.value)
+
+
+def test_stacked_ladder_guards_keep_the_error_order(count_calls):
+    tilted = final_state(np.pi / 8)
+    ladder = wk.limit_grid(0.9)
+    good = ladder_member(qubit_linear(), tilted)
+    flat = ParamPovm(elements=(PolyMatrix([I2 / 2]), PolyMatrix([I2 / 2])), g_max=0.9)
+    not_exact = ladder_member(flat, tilted)
+    unnormalized = ladder_member(qubit_linear(), 1.5 * tilted)
+    # the ladder tops at 0.1, past these members' g_max
+    narrow = ladder_member(ParamPovm(elements=qubit_linear().elements, g_max=0.05), tilted, ladder)
+    narrower = ladder_member(ParamPovm(elements=qubit_linear().elements, g_max=0.02), tilted, ladder)
+    alone = {name: ladder_error([member]) for name, member in
+             [("not_exact", not_exact), ("unnormalized", unnormalized), ("narrow", narrow), ("narrower", narrower)]}
+    assert [kind for kind, _ in alone.values()] == [NoExactCv, InvalidState, OutOfValidityRange, OutOfValidityRange]
+    # the first failing member raises its own first error, whatever fails after it
+    assert ladder_error([good, unnormalized, not_exact]) == alone["unnormalized"]
+    assert ladder_error([good, not_exact, unnormalized]) == alone["not_exact"]
+    assert ladder_error([good, narrow, not_exact]) == alone["narrow"]
+    assert ladder_error([good, narrower, narrow]) == alone["narrower"]
+    assert alone["narrow"] != alone["narrower"]
+    # a norm within check_state's bound but outside the stacked check's passes
+    barely = ladder_member(qubit_linear(), (1 + 0.9e-10) * tilted)
+    assert report_fields(wk._ladders([good, barely])[1]) == report_fields(wk._ladders([barely])[0])
+    over = ladder_member(qubit_linear(), (1 + 1.1e-10) * tilted)
+    assert ladder_error([good, over])[0] is InvalidState
+    # a stack that passes checks its couplings in one call
+    checks = count_calls(pv, "check_coupling")
+    wk._ladders([good, good, good])
+    assert checks[0] == 1
+
+
+def test_squared_moduli_equal_the_numpy_scalar_loop():
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0, -0.0, complex(0, -0.0), complex(-0.0, 0), tiny, complex(tiny, -3 * tiny), 1e-310 + 2e-311j,
+               1e150, -1.2e150j, 1e-150, complex(1e-150, 1e-150), 1e-160 + 1e-161j]
+    scales = 10.0 ** rng.uniform(-160, 150, 5000)
+    draws = (rng.standard_normal(5000) + 1j * rng.standard_normal(5000)) * scales
+    for z in (np.array(special, dtype=complex), draws.reshape(10, 50, 10)):
+        numpy_scalars = np.array([abs(v) ** 2 for v in z.ravel()]).reshape(z.shape)
+        assert wk._squared_moduli(z).tobytes() == numpy_scalars.tobytes()
+        assert wk._squared_moduli(z).shape == z.shape
+
+
 class KeyedRng:
     """A generator that remembers the key it was seeded with."""
 
@@ -648,6 +748,8 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
             (np.linalg, "lstsq"),
             (np.linalg, "eigh"),
             (np.linalg, "eigvalsh"),
+            (wk, "_ladders"),
+            (wk, "_lstsq_rows"),
         ]
     }
     groups = []  # the (dim, n_out) shapes of each stacked solve
@@ -662,7 +764,9 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
     assert n["eigvalsh"] == 0  # the weak value needs no effect spectrum
     assert n["convert"] == 0  # no trial reads its fit coefficients
     assert n["fit"] == 0  # the ladder repeats Polynomial.fit's steps itself
-    assert n["lstsq"] == 10  # one least-squares solve per trial
+    # one stacked least-squares call per ladder stack, none per trial
+    assert n["lstsq"] == 0
+    assert n["_lstsq_rows"] == n["_ladders"] < 10
     assert n["conditioned_average"] == 0
     assert n["exact_cv_exists"] == 0
     # no draw of this sweep has a near-tie in a, so F is read off every
@@ -728,7 +832,7 @@ def test_sweep_keeps_a_draw_just_inside_the_exactness_tolerance():
     # under EXACT_CV_TOL, so its F(g) layout decides whether it is accepted
     rng = np.random.default_rng((20, 5))
     draw = next(wk._draws(rng, *wk._trial_shape(rng, None, None)))
-    [(_, sol)] = wk._solve_draws([draw])
+    [(_, _, sol)] = wk._solve_draws([draw])
     assert 9.9e-10 < sol.residuals.max() <= cx.EXACT_CV_TOL
     record = wk.conjecture_sweep(20, 6)[5]
     assert record.g_min == 1.6606013560701914e-06
