@@ -8,7 +8,10 @@ log-log regression and check the claim instance by instance.  Each curve
 is evaluated on its whole coupling grid at once: `svd_curve` is one stacked
 SVD returning the (n_g, k) array and `pinv_pole_order` one
 `contextual.solve_grid`.  Every fit is an `OrderEstimate`; a pole order is
-one that also carries its solve.  "Identically zero" is relative to scale:
+one that also carries its solve.  Every fit runs on weak's fit engine, bit
+for bit with numpy (the commutator fits a family's trajectories in one
+stack; the log-log fit repeats np.polyfit), so no command imports
+numpy.polynomial.  "Identically zero" is relative to scale:
 a trajectory against the largest singular value on the grid, a solution
 against max|a|, so a rescaled family or target keeps its verdict.  Every
 g -> 0 ladder is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the
@@ -18,6 +21,7 @@ analyses take the family's g_max as data, so no coupling they read leaves
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,7 +30,7 @@ import numpy as np
 from .contextual import FMatrix, solve_grid
 from .errors import NotLinear, NotPositiveSamples
 from .povm import PolyMatrix
-from .weak import LIMIT_GRID_TOP, limit_grid
+from .weak import LIMIT_GRID_TOP, _lstsq_rows, _polyfit_rows, _polyval, _power_series, limit_grid
 
 #: a trajectory never exceeding this times its scale is identically zero
 ZERO_TRAJECTORY_TOL = 1e-12
@@ -67,7 +71,14 @@ def leading_order_fit(g: np.ndarray, v: np.ndarray) -> OrderEstimate:
             f"sample values must be positive for a log-log fit, min={v.min():.3e}"
         )
     x, y = np.log(g), np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
+    # np.polyfit(x, y, 1)'s steps: Vandermonde columns (x, 1) scaled to unit norm
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coef, rank = _lstsq_rows(lhs, y, len(x) * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning)
+    slope, intercept = coef / scale
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -117,14 +128,9 @@ def truncation_svd_commutator(
     left = svd_curve(F.truncate(n), g_grid)
     full = svd_curve(F, g_grid)
 
-    deg = min(n + 3, len(g_grid) - 1)
-    right = np.empty_like(full)
-    series: list[np.ndarray] = []
-    for t in range(full.shape[1]):
-        coef = np.polynomial.Polynomial.fit(g_grid, full[:, t], deg).convert().coef
-        coef = coef[: n + 1]
-        series.append(coef)
-        right[:, t] = np.polynomial.polynomial.polyval(g_grid, coef)
+    coef, domain = _polyfit_rows(g_grid, full.T, min(n + 3, len(g_grid) - 1))
+    series = [_power_series(c, domain)[: n + 1] for c in coef]
+    right = np.stack([_polyval(g_grid, c) for c in series], axis=-1)
 
     diff = np.abs(left - right)
     ref = np.maximum(np.abs(left), np.abs(right))

@@ -29,10 +29,13 @@ accepted, each chunk's ladders run as one stack; ``weak_limit`` is the
 one-member case.  No arithmetic of a stack runs per member: the guards
 check the whole stack at once (per-member checks run only to name a
 failure), the averages take one stacked product, and the quadratic fit
-repeats numpy's Polynomial.fit step by step with one stacked least-squares
-call per stack.  Each stacked step rounds as it does on one member, so
-every record equals a lone trial's bit for bit and a sweep never imports
-numpy.polynomial.
+is one stacked call of the fit engine below.  Each stacked step rounds as
+it does on one member, so every record equals a lone trial's bit for bit.
+
+One fit engine serves every fit of the package, bit for bit with numpy:
+``_polyfit_rows`` repeats Polynomial.fit for a stack of rows with one
+least-squares call, ``_power_series`` its convert and ``_polyval`` its
+polyval.  asymptotics fits on it too, so no command imports numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -155,18 +158,9 @@ class WeakLimitReport:
     discrepancy: float
 
     @cached_property
-    def fit(self) -> np.polynomial.Polynomial:
-        """Polynomial.fit of the averages at the fit window's couplings, built on first read.
-
-        The ladder fits without numpy.polynomial (see _quadratic_fits); this
-        is the object Polynomial.fit returns for the same points, bit for bit.
-        """
-        return np.polynomial.Polynomial(self.fit_scaled_coefficients, domain=self.fit_domain)
-
-    @cached_property
     def fit_coefficients(self) -> np.ndarray:
         """Ascending, in g itself: value(g) ~ c0 + c1 g + c2 g^2; computed on first read."""
-        return self.fit.convert().coef
+        return _power_series(self.fit_scaled_coefficients, self.fit_domain)
 
 
 def weak_limit(
@@ -231,7 +225,9 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
     values = (stack.alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs
 
     lowest = np.arange(len(g))[:, None], np.argsort(g, axis=-1)[:, :LIMIT_FIT_POINTS]
-    coef, domain, at_zero = _quadratic_fits(g[lowest], values[lowest])
+    coef, domain = _polyfit_rows(g[lowest], values[lowest], 2)
+    off, scl = _onto_window(domain[:, 0], domain[:, 1])
+    at_zero = _polyval(off + scl * 0.0, coef)  # each fit at 0.0, mapped onto its window
     traditional = _weak_values(np.array(As, dtype=complex), psi_i, psi_f)
     reports = []
     for m, sol in enumerate(sols):
@@ -259,50 +255,84 @@ def _surely_unit(psi: np.ndarray) -> bool:
     return bool((np.abs(squares.sum(axis=-1) - 1.0) <= UNIT_NORM_TOL).all())
 
 
-def _quadratic_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Polynomial.fit(x[m], y[m], 2) of each row m and its value at 0, without numpy.polynomial.
+def _polyfit_rows(x: np.ndarray, y: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomial.fit(x, y[m], deg) of each row m of y (k, n): its coef (k, deg + 1) and domain.
 
-    Each row of x is sorted ascending.  Returns the fits' coefficients in
-    the scaled coupling of the window [-1, 1], their domains, and
-    fit(0.0).  Every floating-point step is
+    x (n,) is shared by every row, with one domain (2,), or x (k, n) gives
+    each row its own, with domains (k, 2).  Every floating-point step is
     numpy's own, in its order: the domain (widened by 1 each way when it
-    has zero width), the map onto the window, the Vandermonde matrix, its
-    column norms, the least-squares solve with rcond = len(x) eps, the
-    unscaling, and Horner's rule at the mapped 0.  So each is
-    Polynomial.fit's bit for bit.  The rows are solved in one call of the
-    gufunc np.linalg.lstsq itself calls, with its signature and error
-    state, which solves each row as lstsq solves it alone; one RankWarning
-    is given per row whose rank falls short, as Polynomial.fit warns.
+    has zero width), the map onto the window [-1, 1], the Vandermonde
+    matrix, its column norms (a zero norm taken as 1), the least-squares
+    solve with rcond = n eps and the unscaling, so each fit is
+    Polynomial.fit's bit for bit.  The rows are solved in one _lstsq_rows
+    call, with one RankWarning per row whose rank falls short.
     """
-    lo, hi = x[:, 0], x[:, -1]
+    lo, hi = x.min(axis=-1), x.max(axis=-1)
     flat = lo == hi
     lo, hi = np.where(flat, lo - 1, lo), np.where(flat, hi + 1, hi)
-    span = hi - lo
-    off = (hi * -1.0 - lo * 1.0) / span  # mapparms onto the window [-1, 1]
-    scl = 2.0 / span
-    t = (off[:, None] + scl[:, None] * x) + 0.0
-    V = np.empty((len(x), 3, x.shape[-1]))  # polyvander's layout and steps
-    V[:, 0], V[:, 1] = t * 0 + 1, t
-    V[:, 2] = V[:, 1] * t
+    off, scl = _onto_window(lo, hi)
+    t = (off[..., None] + scl[..., None] * x) + 0.0
+    V = np.empty((*t.shape[:-1], deg + 1, t.shape[-1]))  # polyvander's layout and steps
+    V[..., 0, :] = t * 0 + 1
+    if deg > 0:
+        V[..., 1, :] = t
+    for i in range(2, deg + 1):
+        V[..., i, :] = V[..., i - 1, :] * t
     norms = np.sqrt(np.square(V).sum(axis=-1))
     norms[norms == 0] = 1
-    lhs = V.swapaxes(-1, -2) / norms[:, None, :]
-    rhs = y + 0.0
-    rcond = x.shape[-1] * np.finfo(x.dtype).eps
-    coef, ranks = _lstsq_rows(lhs, rhs, rcond)
-    for _ in range(np.count_nonzero(ranks != 3)):
+    lhs = V.swapaxes(-1, -2) / norms[..., None, :]
+    coef, ranks = _lstsq_rows(lhs, y + 0.0, x.shape[-1] * np.finfo(float).eps)
+    for _ in range(np.count_nonzero(ranks != deg + 1)):
         warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     coef /= norms
-    t0 = off + scl * 0.0
-    at_zero = coef[:, 2] + t0 * 0
-    at_zero = coef[:, 1] + at_zero * t0
-    at_zero = coef[:, 0] + at_zero * t0
-    return coef, np.stack([lo, hi], axis=-1), at_zero
+    return coef, np.stack([lo, hi], axis=-1)
+
+
+def _onto_window(lo, hi):
+    """mapparms((lo, hi), (-1, 1)): (off, scl) of the map off + scl x of [lo, hi] onto the window."""
+    span = hi - lo
+    return (hi * -1.0 - lo * 1.0) / span, 2.0 / span
+
+
+def _polyval(x, c: np.ndarray):
+    """numpy.polynomial.polynomial.polyval(x, c) for coefficients c along the last axis,
+    by its Horner steps; c (..., deg + 1) broadcasts against x."""
+    value = c[..., -1] + x * 0
+    for i in range(2, c.shape[-1] + 1):
+        value = c[..., -i] + value * x
+    return value
+
+
+def _power_series(c: np.ndarray, domain: np.ndarray) -> np.ndarray:
+    """Polynomial(c, domain=domain).convert().coef: a fit's coefficients in x itself.
+
+    convert is Horner's rule in polynomial arithmetic on the map m = off + scl x
+    of the domain onto the window.  As numpy does it, each product is
+    np.convolve in numpy's argument order, trimmed of its trailing zeros, and
+    each sum adds a coefficient to the constant term (which leaves nothing
+    to trim).
+    """
+    off, scl = _onto_window(domain[0], domain[1])
+    m = _trimmed(np.array([0.0 * scl + off, scl]))  # off + scl * [0, 1], as numpy forms it
+    value = _trimmed(np.convolve(m, [0.0]))  # m * 0
+    value[0] += c[-1]
+    for ci in c[-2::-1]:
+        value = _trimmed(np.convolve(value, m))
+        value[0] += ci
+    return value
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zeros, keeping at least one entry: numpy's trimseq."""
+    end = len(c)
+    while end > 1 and c[end - 1] == 0:
+        end -= 1
+    return c[:end]
 
 
 def _lstsq_rows(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.lstsq(a[m], b[m], rcond)'s solution and rank for each row m of real stacks
-    a (k, p, q) and b (k, p), as arrays (k, q) and (k,), in one call.
+    a (..., p, q) and b (..., p), which broadcast, as arrays (..., q) and (...), in one call.
 
     The call is of the private gufunc lstsq itself calls, with lstsq's
     signature and error state, so each row is solved bit for bit as lstsq

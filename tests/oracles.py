@@ -6,9 +6,10 @@ weak-coupling check (both built on the public `meter.isometry_at`), the
 traditional weak value of a pure pre- and postselection, and the
 symmetrized weak value of a mixed state and effect, which checks every
 input itself, with the rank-one projector that makes a state its operand,
-the conjecture trial as a lone loop: build_F and solve_grid on each
-draw, then the weak-limit ladder with numpy's own Polynomial.fit, the path
-conjecture_sweep batches and stacks.  The minimum nonzero order of a family,
+the conjecture trial as a lone loop: its own state draws, build_F and
+solve_grid on each draw, then the weak-limit ladder with numpy's own
+Polynomial.fit, the path conjecture_sweep batches and stacks, and the
+Polynomial a weak-limit report's fit stands for.  The minimum nonzero order of a family,
 with the two errors it raises, lives here too: the acceptance suite reads it
 and no analysis path does.  So does the residual of a single-coupling
 pseudoinverse_cv solution, which no command reads either, and the Monte
@@ -145,6 +146,13 @@ def mixed_weak_value(A: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> floa
     return num / (2.0 * denom)
 
 
+def oracle_random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A uniformly random unit vector: one standard normal draw of its real and imaginary parts."""
+    re, im = rng.standard_normal((2, dim))
+    psi = re + 1j * im
+    return psi / np.linalg.norm(psi)
+
+
 def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> ConjectureInstance:
     """generate_linear_commuting_instance drawn one candidate at a time, each
     with its own ParamPovm, build_F and solve_grid."""
@@ -167,12 +175,12 @@ def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> Conjectur
         )
         povm = ParamPovm(elements=elements, g_max=g_max)
         A = np.diag(a)
-        s_i = weak._random_state(rng, dim)
-        s_f = weak._random_state(rng, dim)
+        s_i = oracle_random_state(rng, dim)
+        s_f = oracle_random_state(rng, dim)
         for _ in range(50):
             if abs(np.vdot(s_f, s_i)) >= 0.1:
                 break
-            s_f = weak._random_state(rng, dim)
+            s_f = oracle_random_state(rng, dim)
         else:
             continue
         F = build_F(povm, A)
@@ -180,6 +188,11 @@ def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> Conjectur
         if sol.exact:
             return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F, sol=sol)
     raise GenerationFailed(f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})")
+
+
+def oracle_fit(rep: WeakLimitReport) -> np.polynomial.Polynomial:
+    """The Polynomial a weak-limit report's quadratic fit stands for: its scaled coefficients on its domain."""
+    return np.polynomial.Polynomial(rep.fit_scaled_coefficients, domain=rep.fit_domain)
 
 
 def oracle_spectral_weak_limit(

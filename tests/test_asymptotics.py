@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklab import asymptotics as ay
+from weaklab import cli
 from weaklab import contextual as cx
 from weaklab import linalg
 from weaklab import povm as pv
@@ -313,3 +320,148 @@ def test_one_stacked_lapack_call_per_grid(name, count_calls):
         eig = count_calls(np.linalg, "eigvalsh")
         pv.validate(povm)
         assert eig[0] == 1
+
+
+# ------------------------------- lean fits: numpy's own steps, bit for bit
+
+
+def caught_warnings(fn):
+    """fn()'s result, or the LinAlgError it raised, and the (category, message) of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except np.linalg.LinAlgError as err:
+            result = str(err)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def fit_problems(draw):
+    """(x, y, deg) for _polyfit_rows: degree 0-12 on 1-13 couplings, x shared
+    (n,) or one row per fit (k, n).  Couplings are a limit_grid ladder, sorted
+    floats, one repeated value (a zero-width domain) or a coarse grid whose
+    repeats make the rank fall short; a row of y may be all zeros."""
+    deg, n, k = draw(st.integers(0, 12)), draw(st.integers(1, 13)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ladder", "sorted", "flat", "coarse"]))
+
+    def couplings():
+        if kind == "ladder":
+            return wk.limit_grid(draw(st.floats(1e-4, 0.5)))[:n]
+        if kind == "flat":
+            return np.full(n, draw(st.floats(-2.0, 2.0)))
+        if kind == "coarse":
+            return np.sort(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))) / 7.0
+        return np.sort(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))) / 1e5
+
+    x = couplings() if draw(st.booleans()) else np.array([couplings() for _ in range(k)])
+    values = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n) | st.just([0.0] * n)
+    y = np.array([draw(values) for _ in range(k)])
+    return x, y, deg
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_problems())
+def test_lean_fit_convert_and_polyval_equal_numpy_polynomial(problem):
+    x, y, deg = problem
+    xs = np.broadcast_to(x, y.shape)
+    (coef, domain), lean_warned = caught_warnings(lambda: wk._polyfit_rows(x, y, deg))
+    fits, numpy_warned = caught_warnings(lambda: [np.polynomial.Polynomial.fit(a, b, deg) for a, b in zip(xs, y)])
+    # one RankWarning per short-rank row, with numpy's category and message
+    assert lean_warned == numpy_warned
+    assert coef.shape == (len(y), deg + 1)
+    for m, fit in enumerate(fits):
+        row_domain = domain if x.ndim == 1 else domain[m]
+        assert coef[m].tobytes() == fit.coef.tobytes()
+        assert row_domain.tobytes() == fit.domain.tobytes()
+        series = wk._power_series(coef[m], row_domain)
+        converted = fit.convert().coef
+        assert len(series) == len(converted) and series.tobytes() == converted.tobytes()
+        assert wk._polyval(xs[m], series).tobytes() == np.polynomial.polynomial.polyval(xs[m], series).tobytes()
+
+
+# coefficients and domains whose products underflow to zero, so that every
+# trim of convert's Horner steps shows, beside zeros of either sign
+series_values = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-300]) | st.floats(-1e3, 1e3)
+domain_ends = st.sampled_from([0.0, 1e-300, 1e-12, 1e12, 1e300]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(series_values, min_size=1, max_size=13), st.lists(domain_ends, min_size=2, max_size=2, unique=True))
+def test_power_series_equals_polynomial_convert(c, ends):
+    c, domain = np.array(c), np.sort(ends)
+    with np.errstate(all="ignore"):
+        lean = wk._power_series(c, domain)
+        converted = np.polynomial.Polynomial(c, domain=domain).convert().coef
+    assert len(lean) == len(converted) and lean.tobytes() == converted.tobytes()
+
+
+# six couplings, some equal (all equal leaves the log-log matrix rank one)
+loglog_points = st.one_of(
+    st.lists(st.floats(1e-6, 1.0), min_size=6, max_size=9),
+    st.floats(1e-6, 1.0).map(lambda g: [g] * 6),
+    st.lists(st.integers(1, 3), min_size=6, max_size=8).map(lambda i: [v / 10 for v in i]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loglog_points, st.data())
+def test_leading_order_fit_equals_numpy_polyfit(g, data):
+    g = np.array(g)
+    v = np.array(data.draw(st.lists(st.floats(1e-12, 1e6), min_size=len(g), max_size=len(g))))
+    order = np.argsort(g)[: ay.FIT_POINTS]
+    lean = caught_warnings(lambda: ay.leading_order_fit(g, v))
+    numpy_fit = caught_warnings(lambda: np.polyfit(np.log(g[order]), np.log(v[order]), 1))
+    if isinstance(numpy_fit[0], np.ndarray):  # else both fail alike: the couplings are all 1
+        slope, intercept = numpy_fit[0]
+        numpy_fit = (float(slope).hex(), float(np.exp(intercept)).hex()), numpy_fit[1]
+        lean = (float(lean[0].exponent).hex(), float(lean[0].coefficient).hex()), lean[1]
+    assert lean == numpy_fit
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
+def test_truncation_series_equal_numpy_polynomial_on_every_registry_family(n):
+    for name in REGISTRY:
+        fam, _ = registry_family(name)
+        g_max = get_instance(name).g_max
+        rep, lean_warned = caught_warnings(lambda: ay.truncation_svd_commutator(fam, n, g_max))
+        full = ay.svd_curve(fam, rep.g_grid)
+        deg = min(n + 3, len(rep.g_grid) - 1)
+        fits, numpy_warned = caught_warnings(
+            lambda: [np.polynomial.Polynomial.fit(rep.g_grid, sigma, deg) for sigma in full.T]
+        )
+        assert lean_warned == numpy_warned
+        series = [fit.convert().coef[: n + 1] for fit in fits]
+        assert [s.tobytes() for s in rep.right_series] == [s.tobytes() for s in series]
+        right = np.stack([np.polynomial.polynomial.polyval(rep.g_grid, s) for s in series], axis=-1)
+        assert rep.right.tobytes() == right.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv, stacks",
+    [
+        (["svd-asymptotics", "--instance", "eq70"], 1),
+        (["svd-asymptotics", "--instance", "quad-cx", "--n", "2"], 1),
+        (["proof-claim", "--instance", "eq70"], 0),
+        (["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817"], 1),
+    ],
+)
+def test_fit_hot_path_shape(argv, stacks, count_calls):
+    counts = {
+        name: count_calls(module, name)
+        for module, name in [
+            (np.polynomial.Polynomial, "fit"),
+            (np.polynomial.Polynomial, "convert"),
+            (np, "polyfit"),
+            (np.linalg, "lstsq"),
+            (wk, "_polyfit_rows"),
+            (wk, "_lstsq_rows"),
+        ]
+    }
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    n = {name: c[0] for name, c in counts.items()}
+    assert n["fit"] == n["convert"] == n["polyfit"] == n["lstsq"] == 0
+    # one fit of every trajectory or ladder in one stack; log-log fits solve one row each
+    assert n["_polyfit_rows"] == stacks
+    assert n["_lstsq_rows"] > 0

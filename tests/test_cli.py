@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -1129,16 +1131,20 @@ def test_cli_import_loads_only_stdlib_numpy_and_weaklab():
 
 
 @pytest.mark.parametrize(
-    "argv, polynomial",
+    "argv",
     [
-        (["conjecture-sweep", "--trials", "20", "--seed", "1"], False),
-        # the probe sees the subpackage once a command reads a fit's coefficients
-        (["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817"], True),
+        ["conjecture-sweep", "--trials", "20", "--seed", "1"],
+        ["weak-limit", "--instance", "qubit-linear", "--theta-f", "0.3926990817"],
+        ["svd-asymptotics", "--instance", "eq70"],
+        ["svd-asymptotics", "--instance", "quad-cx", "--n", "2"],
+        ["proof-claim", "--instance", "eq70"],
+        ["pole-order", "--instance", "eq70", "--a", "1,1"],
+        ["truncation-check", "--instance", "quad-cx", "--n", "1"],
     ],
 )
-def test_sweep_never_loads_numpy_polynomial(argv, polynomial):
-    # the sweep's ladder repeats Polynomial.fit's steps itself, so a sweep
-    # pays no numpy.polynomial import
+def test_no_command_loads_numpy_polynomial(argv):
+    # every fit repeats numpy's steps itself (weak._polyfit_rows and
+    # asymptotics.leading_order_fit), so no command pays the import
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import contextlib, io, json, sys; from weaklab.cli import main\n"
@@ -1151,7 +1157,33 @@ def test_sweep_never_loads_numpy_polynomial(argv, polynomial):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, polynomial]
+    assert json.loads(proc.stdout) == [0, False]
+
+
+#: numpy's polynomial package or np.polyfit named in code, by attribute or by import
+NUMPY_POLYNOMIAL = re.compile(
+    r"\b(?:np|numpy)\s*\.\s*(?:polynomial|polyfit)\b"
+    r"|\bfrom\s+numpy(?:\s*\.\s*\w+)*\s+import\b[^\n]*\b(?:polynomial|polyfit)\b"
+)
+
+
+def code_tokens(text: str) -> str:
+    """The code of a Python source, its tokens joined by spaces, without strings and comments."""
+    skip = {"STRING", "COMMENT", "FSTRING_START", "FSTRING_MIDDLE", "FSTRING_END"}
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return " ".join(t.string for t in tokens if tokenize.tok_name[t.type] not in skip)
+
+
+def test_no_source_uses_numpy_polynomial():
+    # every fit repeats numpy's steps itself; a docstring may still name
+    # what it repeats, the code may not call or import it
+    assert NUMPY_POLYNOMIAL.search(code_tokens("fit = np.polyfit(x, y, 1)\n"))
+    assert NUMPY_POLYNOMIAL.search(code_tokens("from numpy import polynomial\n"))
+    assert NUMPY_POLYNOMIAL.search(code_tokens("import numpy.polynomial\n"))
+    assert not NUMPY_POLYNOMIAL.search(code_tokens('"""numpy.polynomial.polyval"""  # np.polyfit\n'))
+    src = Path(__file__).resolve().parents[1] / "src" / "weaklab"
+    found = [path.name for path in sorted(src.glob("*.py")) if NUMPY_POLYNOMIAL.search(code_tokens(path.read_text()))]
+    assert found == []
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -34,6 +34,7 @@ from oracles import (
     mixed_weak_value,
     oracle_conditioned_average,
     oracle_conjecture_trial,
+    oracle_fit,
     oracle_spectral_weak_limit,
     projector,
     traditional_weak_value,
@@ -499,9 +500,10 @@ def test_fit_coefficients_are_the_converted_fit_computed_once(monkeypatch):
 
 def report_fields(rep):
     """Every number of a weak-limit report, as exact bytes, with its fit's."""
+    fit = oracle_fit(rep)
     arrays = (
         rep.g_grid, rep.conditioned_averages, rep.success_probabilities,
-        rep.fit.coef, rep.fit.domain, rep.fit.window, rep.fit_coefficients,
+        fit.coef, fit.domain, fit.window, rep.fit_coefficients,
     )
     floats = (rep.extrapolated_limit, rep.traditional_value, rep.discrepancy)
     return (*(a.tobytes() for a in arrays), *(float(x).hex() for x in floats))
@@ -616,7 +618,7 @@ def test_stacked_lstsq_equals_numpy_lstsq_row_by_row(rows):
     # the fit warns once per short-rank row and equals Polynomial.fit row by row
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coef, domain, _ = wk._quadratic_fits(x, y)
+        coef, domain = wk._polyfit_rows(x, y, 2)
     assert [w.category for w in caught] == [np.exceptions.RankWarning] * sum(e[2] != 3 for e in expected)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.RankWarning)
