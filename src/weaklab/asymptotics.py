@@ -109,6 +109,7 @@ class TruncationSvdReport:
     right: np.ndarray  # truncated fitted series of the singular values
     right_series: list[np.ndarray]  # fitted, truncated coefficients per trajectory
     commute: bool
+    reliable: bool  # the series fits had full rank; otherwise they, and the verdict, are not pinned down
 
 
 def truncation_svd_commutator(
@@ -118,7 +119,10 @@ def truncation_svd_commutator(
     order-n expansion of the singular values of F along limit_grid(g_max),
     agreeing when they match within 1e-6 relative or both are zero next to
     F's largest singular value on the grid.  Each expansion is a degree
-    n + 3 power series fitted to the whole grid, then truncated.
+    n + 3 power series (at most one below the grid's size) fitted to the
+    whole grid, then truncated.  Every trajectory is fitted on the one grid,
+    so the fits share one rank: the report is reliable when it is full, and
+    a fit that falls short also warns RankWarning, as numpy's does.
 
     The two agree for families whose truncation is exact but differ in
     general; the flagship linear example with determinant g**2 has
@@ -128,7 +132,8 @@ def truncation_svd_commutator(
     left = svd_curve(F.truncate(n), g_grid)
     full = svd_curve(F, g_grid)
 
-    coef, domain = _polyfit_rows(g_grid, full.T, min(n + 3, len(g_grid) - 1))
+    deg = min(n + 3, len(g_grid) - 1)
+    coef, domain, ranks = _polyfit_rows(g_grid, full.T, deg)
     series = [_power_series(c, domain)[: n + 1] for c in coef]
     right = np.stack([_polyval(g_grid, c) for c in series], axis=-1)
 
@@ -142,6 +147,7 @@ def truncation_svd_commutator(
         right=right,
         right_series=series,
         commute=bool(np.all(agree)),
+        reliable=bool(np.all(ranks == deg + 1)),
     )
 
 

@@ -24,6 +24,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -322,10 +323,13 @@ def _cmd_svd_asymptotics(args, spec: InstanceSpec) -> _Output:
             f"(coefficient {_f(est.coefficient)}, r^2 {est.fit_r2:.6f}){tag}"
         )
 
-    tsc = truncation_svd_commutator(fam, args.n, spec.g_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)  # kept as data: tsc.reliable
+        tsc = truncation_svd_commutator(fam, args.n, spec.g_max)
     lines.append(
         f"order-{args.n} truncation vs singular-value expansion: "
         + ("commute" if tsc.commute else "do NOT commute")
+        + ("" if tsc.reliable else "  [UNRELIABLE]")
     )
     lines += [
         f"  sigma_{j + 1} series through g^{args.n}: {_vec(series)}"

@@ -170,7 +170,7 @@ def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite alpha is refused below
         P, ranks = pinv_and_rank(Fg)
         Pa = P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]
-        alpha = np.real(Pa)
+    alpha = Pa.real
     finite = np.isfinite(alpha)
     if not finite.all():
         first = finite.reshape(-1, finite.shape[-1]).all(axis=1).argmin()
@@ -217,7 +217,7 @@ def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     CvSolution without a new solve: the meter's per-outcome eigenvalue
     functions solve each coupling once.
     """
-    alpha, _ = _pinv_weights(np.real(F.poly(g)), F.a_vec, g)
+    alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
     alpha.setflags(write=False)
     return CvSolution(g=float(g), alpha=alpha, F=F)
 

@@ -23,13 +23,14 @@ digits, one top-level key per line.  save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linalg import HERMITIAN_TOL, UNIT_NORM_TOL
+from .linalg import HERMITIAN_TOL, UNIT_NORM_TOL, hermitian_bound
 from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, valid_g_max, validate
 
 _KNOWN_KEYS = {"dim", "g_max", "outcomes", "fmatrix", "observable", "psi_i", "psi_f", "notes"}
@@ -265,12 +266,14 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
     observable = None
     if "observable" in d:
         observable = _decode_matrix(d["observable"], dim, dim, "observable")
-        with np.errstate(over="ignore"):  # an overflowing residual is inf, and is refused
+        with np.errstate(over="ignore"):  # an overflowing residual or magnitude is inf, and is refused
             res = float(np.abs(observable - observable.conj().T).max())
-        _require(res <= HERMITIAN_TOL, "NotHermitian",
+            bound = hermitian_bound(observable)  # relative above scale 1, as linalg.check_hermitian
+            big = float(np.abs(observable).max())
+        _require(math.isfinite(res) and res <= bound, "NotHermitian",
                  f"observable Hermiticity residual {res:.3e}", "observable")
         # the bound linalg's diagonal eigenbasis path keeps to
-        _require(np.abs(observable).max() < 2.0**256, "BadValue",
+        _require(big < 2.0**256, "BadValue",
                  "observable has an entry of magnitude 2**256 or more", "observable")
 
     psi_i = _decode_state(d["psi_i"], dim, "psi_i") if "psi_i" in d else None

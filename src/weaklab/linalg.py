@@ -35,10 +35,14 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
         raise InvalidMatrix(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidMatrix("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - dagger(M)).max() > HERMITIAN_TOL * scale:
+    if np.abs(M - dagger(M)).max() > hermitian_bound(M):
         raise InvalidMatrix("matrix is not Hermitian within tolerance")
     return M
+
+
+def hermitian_bound(M: np.ndarray) -> float:
+    """The largest |M - M^H| entry a Hermitian M may have: HERMITIAN_TOL times max(1, max |M|)."""
+    return HERMITIAN_TOL * max(1.0, float(np.abs(M).max()))
 
 
 def check_state(v: np.ndarray) -> np.ndarray:
@@ -71,18 +75,23 @@ def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     as exact zeros, so an all-zero matrix gets rank 0 and a zero inverse.
     M may be a stack (..., m, n): each matrix is solved on its own, bit for
     bit as a single call would solve it, and the ranks come back as an
-    integer array of shape M.shape[:-2] (a plain int for one matrix).
+    integer (intp) array of shape M.shape[:-2] (a plain int for one matrix).
+    One np.linalg.svd call per M; the kept singular values are inverted in
+    place of a zero array (np.divide with where=), so a dropped one is never
+    divided, and the rank is their count.  1/sigma may overflow for a kept
+    subnormal sigma: callers that accept that hold an errstate over the call.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2:
         raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
     u, s, vh = np.linalg.svd(M, full_matrices=False)
-    keep = s > 1e-12 * max(M.shape[-2:]) * s[..., :1]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
+    top = s[0] if M.ndim == 2 and s.size else s[..., :1]  # a scalar is the cheaper operand
+    keep = s > 1e-12 * max(M.shape[-2:]) * top
+    inv = np.divide(1.0, s, out=np.zeros(s.shape), where=keep)
     P = dagger(vh) @ (inv[..., None] * dagger(u))
-    rank = keep.sum(axis=-1)
-    return (P, int(rank)) if M.ndim == 2 else (P, rank)
+    if M.ndim == 2:
+        return P, int(np.count_nonzero(keep))
+    return P, np.count_nonzero(keep, axis=-1)
 
 
 def psd_sqrt(E: np.ndarray) -> np.ndarray:
@@ -102,16 +111,20 @@ def clamp_psd(w: np.ndarray) -> np.ndarray:
 
     The one positivity rule of psd_sqrt, weak._postselection and povm.root_family:
     an eigenvalue below -PSD_CLAMP_REL times its spectrum's largest magnitude
-    (or NaN) raises NotPositive for the first such spectrum in C order.
+    (or NaN) raises NotPositive for the first such spectrum in C order.  A
+    spectrum whose minimum is at least 0 passes whatever its scale, so the
+    scale is formed only when some minimum is negative or NaN, as
+    max(max w, -min w): that is max |w|, with no |w| array formed.
     """
     low = w.min(axis=-1)
-    scale = np.abs(w).max(axis=-1)
-    ok = low >= -PSD_CLAMP_REL * np.maximum(scale, 1e-300)
-    if not ok.all():
-        k = tuple(np.argwhere(~ok)[0])  # () for a single spectrum
-        raise NotPositive(
-            f"matrix has negative eigenvalue {low[k]:.3e} (scale {scale[k]:.3e})"
-        )
+    if not (low >= 0).all():
+        scale = np.maximum(w.max(axis=-1), -low)
+        ok = low >= -PSD_CLAMP_REL * np.maximum(scale, 1e-300)
+        if not ok.all():
+            k = tuple(np.argwhere(~ok)[0])  # () for a single spectrum
+            raise NotPositive(
+                f"matrix has negative eigenvalue {low[k]:.3e} (scale {scale[k]:.3e})"
+            )
     return np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
 
 

@@ -29,10 +29,6 @@ EIGENVALUE_GAP_TOL = 1e-9
 MatrixFamily = Callable[[float], np.ndarray]
 
 
-def _family_at(op: MatrixFamily, g: float) -> np.ndarray:
-    return np.asarray(op(g), dtype=complex)
-
-
 def positive_family(povm: ParamPovm) -> list[MatrixFamily]:
     """Measurement operators g -> E_j(g)^(1/2) as callables: the square root of a
     matrix polynomial is generally not polynomial in g.  Each reads its outcome
@@ -65,23 +61,26 @@ def compose_isometry(
     at every sampled coupling, and ValueError where two meter eigenvalues
     come closer than EIGENVALUE_GAP_TOL or one is not finite (gap nan); each
     check runs once on the stack of every grid coupling and names the first
-    one that fails.
+    one that fails.  The operators are evaluated only on the grid, which is
+    where their shape is read (off the first evaluation): there is no probe
+    at g = 0, so positive_family's operators form one root stack per grid
+    coupling, 20 in all, and a read-out at one more coupling makes 21.
     """
     ops = tuple(measurement_ops)
     if len(ops) != meter_dim:
         raise DimensionError(
             f"got {len(ops)} operators for meter dimension {meter_dim}"
         )
-    first = _family_at(ops[0], 0.0)
+    grid = default_grid(g_max)
+    Ms = [op(g) for g in grid for op in ops]
+    first = np.asarray(Ms[0])
     if first.ndim != 2 or first.shape[0] != first.shape[1]:
         raise DimensionError(f"measurement operators must be square, got {first.shape}")
     d = first.shape[0]
-
-    grid = default_grid(g_max)
-    Ms = [_family_at(op, g) for g in grid for op in ops]
-    if any(M.shape != (d, d) for M in Ms):
-        raise DimensionError("measurement operators must share one shape")
-    Ms = np.array(Ms).reshape(len(grid), meter_dim, d, d)
+    try:
+        Ms = np.array(Ms, dtype=complex).reshape(len(grid), meter_dim, d, d)
+    except ValueError:  # a ragged list, or one of another shape
+        raise DimensionError("measurement operators must share one shape") from None
     dev = np.abs((dagger(Ms) @ Ms).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
     bad = np.flatnonzero(~(dev <= ISOMETRY_TOL))  # NaN fails too
     if bad.size:
@@ -117,13 +116,15 @@ def compose_isometry(
 
 
 def isometry_at(model: MeterModel, g: float) -> np.ndarray:
-    """U(g) as a (system_dim * meter_dim) x system_dim matrix."""
+    """U(g) as a (system_dim * meter_dim) x system_dim matrix.
+
+    Row i * meter_dim + j is row i of M_j(g): the (meter_dim, d, d) stack
+    of the operators, its first two axes swapped, read row by row.
+    """
     check_coupling(g, model.g_max)
     d, dm = model.system_dim, model.meter_dim
-    U = np.zeros((d * dm, d), dtype=complex)
-    for j, op in enumerate(model.measurement_ops):
-        U[j::dm, :] = _family_at(op, g)
-    return U
+    Ms = np.array([op(g) for op in model.measurement_ops], dtype=complex)
+    return Ms.swapaxes(0, 1).reshape(d * dm, d)
 
 
 def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:

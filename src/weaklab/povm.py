@@ -39,22 +39,22 @@ class PolyMatrix:
     """
 
     def __init__(self, coefficients):
-        coeffs = [np.asarray(c, dtype=complex) for c in coefficients]
-        if not coeffs:
+        try:  # always a copy, so a caller's array stays its own and writable
+            C = np.array(coefficients, dtype=complex, order="C")
+        except ValueError:
+            raise DimensionError("all coefficients must share one shape") from None
+        if C.ndim == 0 or len(C) == 0:
             raise DimensionError("need at least one coefficient")
-        shape = coeffs[0].shape
-        if len(shape) != 2:
-            raise DimensionError(f"coefficients must be matrices, got shape {shape}")
-        for c in coeffs:
-            if c.shape != shape:
-                raise DimensionError("all coefficients must share one shape")
-            if not np.all(np.isfinite(c)):
-                raise DimensionError("coefficient contains non-finite entries")
-        while len(coeffs) > 1 and np.abs(coeffs[-1]).max() <= COEFF_ZERO_TOL:
-            coeffs.pop()
-        self.coefficients = np.array(coeffs)
+        if C.ndim != 3:
+            raise DimensionError(f"coefficients must be matrices, got shape {C.shape[1:]}")
+        if not np.isfinite(C).all():
+            raise DimensionError("coefficient contains non-finite entries")
+        n = len(C)
+        while n > 1 and np.abs(C[n - 1]).max() <= COEFF_ZERO_TOL:
+            n -= 1
+        self.coefficients = C[:n]
         self.coefficients.setflags(write=False)
-        self.shape = shape
+        self.shape = C.shape[1:]
 
     @property
     def max_degree(self) -> int:
@@ -244,10 +244,17 @@ def root_family(povm: ParamPovm) -> Callable[[float], np.ndarray]:
     A commuting family takes B diag(sqrt lambda_j(g)) B^H, its spectra through
     linalg.clamp_psd (psd_sqrt's rule and message); one that raises
     NotCommuting takes psd_sqrt(E_j(g)) per outcome.  A coupling where any
-    outcome is refused raises for the whole stack; no range is checked."""
+    outcome is refused raises for the whole stack; no range is checked.
+
+    The spectra are evaluated by Horner's scheme on a real (degree + 1,
+    n_out, d) copy of spectral_family's coefficients, whose imaginary parts
+    are zero: for finite values that is the real part of the complex
+    evaluation bit for bit, without the complex arithmetic or a transpose.
+    """
     try:
         basis, spectra = spectral_family(povm)
         basis_h = dagger(basis)
+        S = spectra.coefficients.real.transpose(0, 2, 1).copy()  # (degree + 1, n_out, d)
     except NotCommuting:
         basis = None
 
@@ -256,8 +263,10 @@ def root_family(povm: ParamPovm) -> Callable[[float], np.ndarray]:
         if basis is None:
             R = np.array([psd_sqrt(e(g)) for e in povm.elements])
         else:
-            lam = clamp_psd(np.real(spectra(g)).T)  # (n_out, d): one spectrum per outcome
-            R = (basis * np.sqrt(lam)[:, None, :]) @ basis_h
+            lam = S[-1]
+            for k in range(len(S) - 2, -1, -1):
+                lam = lam * g + S[k]
+            R = (basis * np.sqrt(clamp_psd(lam))[:, None, :]) @ basis_h
         R.setflags(write=False)
         return R
 

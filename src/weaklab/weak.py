@@ -225,7 +225,7 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
     values = (stack.alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs
 
     lowest = np.arange(len(g))[:, None], np.argsort(g, axis=-1)[:, :LIMIT_FIT_POINTS]
-    coef, domain = _polyfit_rows(g[lowest], values[lowest], 2)
+    coef, domain, _ = _polyfit_rows(g[lowest], values[lowest], 2)
     off, scl = _onto_window(domain[:, 0], domain[:, 1])
     at_zero = _polyval(off + scl * 0.0, coef)  # each fit at 0.0, mapped onto its window
     traditional = _weak_values(np.array(As, dtype=complex), psi_i, psi_f)
@@ -255,8 +255,9 @@ def _surely_unit(psi: np.ndarray) -> bool:
     return bool((np.abs(squares.sum(axis=-1) - 1.0) <= UNIT_NORM_TOL).all())
 
 
-def _polyfit_rows(x: np.ndarray, y: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomial.fit(x, y[m], deg) of each row m of y (k, n): its coef (k, deg + 1) and domain.
+def _polyfit_rows(x: np.ndarray, y: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polynomial.fit(x, y[m], deg) of each row m of y (k, n): its coef (k, deg + 1), domain
+    and the rank (k,) of its least-squares solve, full at deg + 1.
 
     x (n,) is shared by every row, with one domain (2,), or x (k, n) gives
     each row its own, with domains (k, 2).  Every floating-point step is
@@ -285,7 +286,7 @@ def _polyfit_rows(x: np.ndarray, y: np.ndarray, deg: int) -> tuple[np.ndarray, n
     for _ in range(np.count_nonzero(ranks != deg + 1)):
         warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     coef /= norms
-    return coef, np.stack([lo, hi], axis=-1)
+    return coef, np.stack([lo, hi], axis=-1), ranks
 
 
 def _onto_window(lo, hi):

@@ -17,7 +17,10 @@ Carlo sampler as first written: whole-array draws, searchsorted and
 numpy's own mean and std over the materialized accepted weights.  The
 conditioned average and the Monte Carlo probabilities are here outcome by
 outcome, on povm.measurement_operators, as they were before the library
-read them off F's basis.
+read them off F's basis.  linalg's two shared kernels, pinv_and_rank and
+clamp_psd, are here as first written (boolean-mask inversion and rank sum;
+the scale as max |w| of every spectrum), for the leaner forms to match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -32,16 +35,45 @@ from weaklab.contextual import CvSolution, GridSolution, build_F, solve_grid
 from weaklab.errors import (
     DimensionError,
     GenerationFailed,
+    InvalidMatrix,
     NoExactCv,
     NoSuccesses,
     NotPositive,
     OrthogonalPostselection,
     WeakLabError,
 )
-from weaklab.linalg import check_hermitian, check_state, clamp_psd, dagger
+from weaklab.linalg import PSD_CLAMP_REL, check_hermitian, check_state, clamp_psd, dagger
 from weaklab.meter import MeterModel, isometry_at
 from weaklab.povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix, check_coupling, measurement_operators
 from weaklab.weak import OVERLAP_TOL, ConjectureInstance, TrialRecord, WeakLimitReport
+
+
+def oracle_pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+    """linalg.pinv_and_rank as first written: the kept singular values inverted through a
+    boolean mask, the rank their sum (a plain int for one matrix)."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim < 2:
+        raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
+    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    keep = s > 1e-12 * max(M.shape[-2:]) * s[..., :1]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    P = dagger(vh) @ (inv[..., None] * dagger(u))
+    rank = keep.sum(axis=-1)
+    return (P, int(rank)) if M.ndim == 2 else (P, rank)
+
+
+def oracle_clamp_psd(w: np.ndarray) -> np.ndarray:
+    """linalg.clamp_psd as first written: every spectrum's scale is max |w|."""
+    low = w.min(axis=-1)
+    scale = np.abs(w).max(axis=-1)
+    ok = low >= -PSD_CLAMP_REL * np.maximum(scale, 1e-300)
+    if not ok.all():
+        k = tuple(np.argwhere(~ok)[0])  # () for a single spectrum
+        raise NotPositive(
+            f"matrix has negative eigenvalue {low[k]:.3e} (scale {scale[k]:.3e})"
+        )
+    return np.maximum(w, 0.0)
 
 
 def partial_trace_meter(T: np.ndarray, system_dim: int, meter_dim: int) -> np.ndarray:

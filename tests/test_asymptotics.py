@@ -365,11 +365,14 @@ def fit_problems(draw):
 def test_lean_fit_convert_and_polyval_equal_numpy_polynomial(problem):
     x, y, deg = problem
     xs = np.broadcast_to(x, y.shape)
-    (coef, domain), lean_warned = caught_warnings(lambda: wk._polyfit_rows(x, y, deg))
+    (coef, domain, ranks), lean_warned = caught_warnings(lambda: wk._polyfit_rows(x, y, deg))
     fits, numpy_warned = caught_warnings(lambda: [np.polynomial.Polynomial.fit(a, b, deg) for a, b in zip(xs, y)])
-    # one RankWarning per short-rank row, with numpy's category and message
+    # one RankWarning per short-rank row, with numpy's category and message, and numpy's rank
+    # (which a full fit reports, without the warning)
     assert lean_warned == numpy_warned
     assert coef.shape == (len(y), deg + 1)
+    full = [np.polynomial.Polynomial.fit(a, b, deg, full=True)[1] for a, b in zip(xs, y)]
+    assert ranks.tolist() == [int(info[1]) for info in full]
     for m, fit in enumerate(fits):
         row_domain = domain if x.ndim == 1 else domain[m]
         assert coef[m].tobytes() == fit.coef.tobytes()
@@ -431,6 +434,9 @@ def test_truncation_series_equal_numpy_polynomial_on_every_registry_family(n):
             lambda: [np.polynomial.Polynomial.fit(rep.g_grid, sigma, deg) for sigma in full.T]
         )
         assert lean_warned == numpy_warned
+        # the report is reliable exactly where every fit has full rank, so where none warned
+        ranks = [int(np.polynomial.Polynomial.fit(rep.g_grid, sigma, deg, full=True)[1][1]) for sigma in full.T]
+        assert rep.reliable == (ranks == [deg + 1] * len(ranks)) == (not numpy_warned)
         series = [fit.convert().coef[: n + 1] for fit in fits]
         assert [s.tobytes() for s in rep.right_series] == [s.tobytes() for s in series]
         right = np.stack([np.polynomial.polynomial.polyval(rep.g_grid, s) for s in series], axis=-1)

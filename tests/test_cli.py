@@ -715,6 +715,16 @@ def test_svd_asymptotics_eq70(capsys):
     assert "proof-claim verdict: counterexample_found=true" in out
 
 
+def test_short_rank_series_fits_tag_the_verdict_without_stray_warnings(capsys):
+    # degree 11 on 13 geometric couplings loses rank at rcond 13 eps: each trajectory's fit
+    # warns RankWarning, which the command keeps as data (an error in this suite if it escaped)
+    code, out, err = run(capsys, "svd-asymptotics", "--instance", "eq70", "--n", "8")
+    assert (code, err) == (0, "")
+    assert "order-8 truncation vs singular-value expansion: do NOT commute  [UNRELIABLE]\n" in out
+    # the default order's fits have full rank
+    assert "do NOT commute\n" in run(capsys, "svd-asymptotics", "--instance", "eq70")[1]
+
+
 def test_svd_asymptotics_skips_audit_for_quadratic(capsys):
     code, out, _ = run(capsys, "svd-asymptotics", "--instance", "quad-cx")
     assert code == 0

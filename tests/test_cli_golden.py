@@ -73,6 +73,9 @@ OTHER_COMMANDS = [
     ["conjecture-sweep", "--trials", "3", "--dim", "3", "--n-out", "4"],
     # a large fixed shape: the block's trials solve and run their ladders in two chunks
     ["conjecture-sweep", "--trials", "25", "--dim", "12", "--n-out", "16", "--seed", "2", "--out", "out.csv"],
+    # the order-8 series fits fall short of full rank: the verdict is tagged, no warning printed
+    ["svd-asymptotics", "--n", "8", "--instance", "eq70"],
+    ["svd-asymptotics", "--n", "8", "--instance", "eq70", "--out", "out.csv"],
     # every trial fails at --tol 0 and is serialized beside --out, or in the directory
     ["conjecture-sweep", "--trials", "2", "--tol", "0"],
     ["conjecture-sweep", "--trials", "2", "--tol", "0", "--out", "out.csv"],

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaklab import cli
 from weaklab import files as fl
 from weaklab.errors import ParseError, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
@@ -194,6 +197,39 @@ def test_nonhermitian_observable_rejected(tmp_path):
     check_code(tmp_path, mutate, "NotHermitian")
 
 
+ROTATED = Path(__file__).resolve().parent / "data" / "qubit-linear-rotated.json"
+
+
+def scaled_observable(tmp_path, scale, asymmetry=0.0):
+    """The rotated qubit file with its observable times scale, plus asymmetry on entry (0, 1)."""
+    data = json.loads(ROTATED.read_text())
+    data["observable"] = [[[scale * re, scale * im] for re, im in row] for row in data["observable"]]
+    data["observable"][0][1][0] += asymmetry
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("exponent", [14, 20, 40])
+def test_observable_hermiticity_is_relative_to_its_scale(tmp_path, exponent, capsys):
+    # a float-rotated observable's residual is about 2e-17 times its scale: an absolute
+    # 1e-12 refused it from a scale near 1e4 on
+    path = scaled_observable(tmp_path, 2.0**exponent)
+    spec = fl.load_instance(path)
+    npt.assert_array_equal(spec.observable, fl.load_instance(ROTATED).observable * 2.0**exponent)
+    assert cli.main(["validate", "--file", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**40])
+def test_an_asymmetric_observable_is_still_refused(tmp_path, scale):
+    # an asymmetry of 1e-6 relative to the observable's scale, far above the 1e-12 forgiven
+    with pytest.raises(ValidationError) as err:
+        fl.load_instance(scaled_observable(tmp_path, scale, asymmetry=1e-6 * scale))
+    assert (err.value.code, err.value.context) == ("NotHermitian", "observable")
+    assert re.search(r"observable Hermiticity residual \d\.\d{3}e[+-]\d\d$", str(err.value))
+
+
 def test_negative_family_rejected(tmp_path):
     def mutate(d):
         # flip the linear terms so E_- = (1 - 2g)/2-ish goes negative wide
@@ -320,6 +356,12 @@ C1 = ("outcomes", 1, 0, "matrix")
         # the coefficient-wise sum over outcomes overflows
         ({(*C0, 0, 0): BIG, (*C1, 0, 0): BIG}, "Completeness"),
         ({("observable", 0, 1): BIG, ("observable", 1, 0): [-1e308, 0]}, "NotHermitian"),
+        # |entry| overflows too, so the relative bound is inf: the inf residual is still refused
+        ({("observable", 0, 1): [1.3e308, 1.3e308], ("observable", 1, 0): [-1.3e308, -1.3e308]},
+         "NotHermitian"),
+        # Hermitian, but |entry| overflows: refused by the magnitude bound
+        ({("observable", 0, 1): [1.3e308, 1.3e308], ("observable", 1, 0): [1.3e308, -1.3e308]},
+         "BadValue"),
         ({("psi_i", 0): [1e308, 1e308]}, "BadState"),
     ],
 )

@@ -11,7 +11,7 @@ from weaklab import povm as pv
 from weaklab.errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
 from weaklab.povm import ParamPovm, PolyMatrix
 
-from oracles import partial_trace_meter, projector, trace_distance
+from oracles import oracle_clamp_psd, oracle_pinv_and_rank, partial_trace_meter, projector, trace_distance
 
 
 def random_hermitian(rng, d):
@@ -107,6 +107,99 @@ def test_stacked_pinv_equals_each_single_call():
     # a stack of stacks keeps its leading shape
     P2, ranks2 = linalg.pinv_and_rank(stack.reshape(5, 1, m, n))
     assert np.array_equal(P2[:, 0], P) and np.array_equal(ranks2[:, 0], ranks)
+
+
+def outcome(fn, arg):
+    """fn(arg)'s value, or the type and message of what it raised (a warning raises in the suite)."""
+    try:
+        return fn(arg), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+#: bounded entries, zeros of both signs among them
+small_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+#: 1 keeps the entries, the others make them subnormal, tiny or huge
+scales = st.sampled_from([1.0, 1e-310, 2.0**-1070, 1e-300, 1e300, 2.0**1000])
+
+
+@st.composite
+def kernel_matrices(draw):
+    """One matrix or a stack, real or complex: drawn entries, all zero, of low rank, or with a NaN."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["entries", "zero", "low rank", "nan"]))
+    size = int(np.prod(shape))
+    M = np.array(draw(st.lists(small_floats, min_size=size, max_size=size))).reshape(shape)
+    if draw(st.booleans()):
+        M = M + 1j * np.array(draw(st.lists(small_floats, min_size=size, max_size=size))).reshape(shape)
+    if kind == "zero":
+        M = M * 0.0
+    elif kind == "low rank":  # one column times one row, each matrix rank at most 1
+        M = M[..., :, :1] @ M[..., :1, :]
+    elif kind == "nan":
+        M.flat[draw(st.integers(0, size - 1))] = np.nan
+    return M * draw(scales)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(kernel_matrices())
+def test_pinv_and_rank_equals_its_first_form_bit_for_bit(M):
+    got, err = outcome(linalg.pinv_and_rank, M)
+    want, want_err = outcome(oracle_pinv_and_rank, M)
+    assert err == want_err
+    if want_err is None:
+        (P, rank), (P_want, rank_want) = got, want
+        assert P.dtype == P_want.dtype and P.shape == P_want.shape
+        assert P.tobytes() == P_want.tobytes()
+        if M.ndim == 2:
+            assert type(rank) is type(rank_want) is int and rank == rank_want
+        else:
+            assert rank.dtype == rank_want.dtype == np.intp
+            assert np.array_equal(rank, rank_want)
+
+
+@st.composite
+def kernel_spectra(draw):
+    """One spectrum or a stack: drawn entries, or each spectrum's top value with a negative
+    a few ulps either side of -PSD_CLAMP_REL times it."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(1, 5)))
+    size = int(np.prod(shape))
+    w = np.array(draw(st.lists(small_floats, min_size=size, max_size=size))).reshape(shape)
+    w = w * draw(scales)
+    if draw(st.booleans()) and shape[-1] > 1:
+        top = np.abs(w).max(axis=-1)
+        edge = -linalg.PSD_CLAMP_REL * np.maximum(top, 1e-300)
+        toward = draw(st.sampled_from([-np.inf, np.inf]))
+        for _ in range(draw(st.integers(0, 3))):
+            edge = np.nextafter(edge, toward)
+        w[..., -1] = edge
+    if draw(st.integers(0, 9)) == 0:
+        w.flat[draw(st.integers(0, size - 1))] = np.nan
+    return w
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(kernel_spectra())
+def test_clamp_psd_equals_its_first_form_bit_for_bit(w):
+    got, err = outcome(linalg.clamp_psd, w)
+    want, want_err = outcome(oracle_clamp_psd, w)
+    assert err == want_err
+    if want_err is None:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_clamp_psd_edges_are_the_oracles():
+    # the boundary itself passes, one ulp below it fails, and -0.0 passes as 0.0 does
+    top = 0.75
+    edge = -linalg.PSD_CLAMP_REL * top
+    for w in ([top, edge], [top, np.nextafter(edge, -1.0)], [-0.0, -0.0], [0.0, -0.0, top], [np.nan, 1.0]):
+        (got, err), (want, want_err) = outcome(linalg.clamp_psd, np.array(w)), outcome(oracle_clamp_psd, np.array(w))
+        assert err == want_err
+        assert err is not None or got.tobytes() == want.tobytes()
+    assert linalg.clamp_psd(np.array([top, edge])).tobytes() == np.array([top, 0.0]).tobytes()
+    with pytest.raises(NotPositive, match="negative eigenvalue"):
+        linalg.clamp_psd(np.array([top, np.nextafter(edge, -1.0)]))
 
 
 def test_psd_sqrt_squares_back():

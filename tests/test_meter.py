@@ -168,15 +168,20 @@ def test_dilation_hot_path_shape(count_calls):
     povm = inst.povm
     sqrts = count_calls(linalg, "psd_sqrt")
     solves = count_calls(linalg, "pinv_and_rank")
+    svds = count_calls(np.linalg, "svd")
     eighs = count_calls(np.linalg, "eigh")
+    stacks = count_calls(pv, "clamp_psd")  # one per root stack
     model = dilate(povm, cx.build_F(povm, inst.observable))
     g = 0.7 * povm.g_max
     mt.outcome_probabilities(model, inst.psi_i, g)
     mt.meter_expectation(model, inst.psi_i, g)
     assert sqrts[0] == 0
     assert eighs[0] == 0  # both eigenbases of a diagonal family are permutations
-    # one solve per grid coupling and one at g, not one per outcome
-    assert solves[0] == len(pv.default_grid(povm.g_max)) + 1
+    # one solve per grid coupling and one at g, not one per outcome, each one SVD
+    couplings = len(pv.default_grid(povm.g_max)) + 1
+    assert solves[0] == svds[0] == couplings
+    # one root stack per grid coupling and one at g, shared by every outcome: no probe at g = 0
+    assert stacks[0] == couplings
 
 
 def haar(rng, dim):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from weaklab import povm as pv
-from weaklab.errors import OutOfValidityRange
+from weaklab.errors import DimensionError, OutOfValidityRange
 from weaklab.povm import ParamPovm, PolyMatrix
 
 from oracles import ConstantOutcome, NonUniformOrder, minimum_nonzero_order
@@ -65,6 +67,33 @@ def test_polymatrix_coefficients_are_frozen():
     P = PolyMatrix([I2, Z])
     with pytest.raises(ValueError):
         P.coefficients[0][0, 0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        ([], "need at least one coefficient"),
+        ([I2, np.eye(3)], "all coefficients must share one shape"),
+        ([np.ones(2), np.ones(2)], "coefficients must be matrices, got shape (2,)"),
+        ([I2, np.array([[0.0, np.nan], [0.0, 0.0]])], "coefficient contains non-finite entries"),
+    ],
+)
+def test_polymatrix_refuses_malformed_coefficients(coefficients, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        PolyMatrix(coefficients)
+
+
+def test_polymatrix_copies_an_array_it_is_given():
+    # a complex (degree + 1, rows, cols) array is copied, not frozen in the caller's hands
+    C = np.array([I2, Z], dtype=complex)
+    P = PolyMatrix(C)
+    C[1, 0, 0] = 5.0
+    assert C.flags.writeable and P(1.0)[0, 0] == 2.0
+    # a transposed view gives the same C-ordered coefficients as its slices would
+    T = np.arange(12.0).reshape(2, 3, 2).transpose(0, 2, 1)
+    Q = PolyMatrix(T)
+    assert Q.coefficients.flags.c_contiguous
+    assert Q.coefficients.tobytes() == PolyMatrix(list(T)).coefficients.tobytes()
 
 
 def test_polymatrix_nonzero_orders_and_keep():

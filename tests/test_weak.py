@@ -618,8 +618,9 @@ def test_stacked_lstsq_equals_numpy_lstsq_row_by_row(rows):
     # the fit warns once per short-rank row and equals Polynomial.fit row by row
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coef, domain = wk._polyfit_rows(x, y, 2)
+        coef, domain, fit_ranks = wk._polyfit_rows(x, y, 2)
     assert [w.category for w in caught] == [np.exceptions.RankWarning] * sum(e[2] != 3 for e in expected)
+    assert fit_ranks.tolist() == [e[2] for e in expected]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.RankWarning)
         fits = [np.polynomial.Polynomial.fit(window, values, 2) for window, values in zip(x, y)]
