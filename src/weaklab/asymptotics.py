@@ -30,7 +30,8 @@ import numpy as np
 from .contextual import FMatrix, solve_grid
 from .errors import NotLinear, NotPositiveSamples
 from .povm import PolyMatrix
-from .weak import LIMIT_GRID_TOP, _lstsq_rows, _polyfit_rows, _polyval, _power_series, limit_grid
+from .weak import LIMIT_GRID_POINTS, LIMIT_GRID_TOP, _lstsq_rows, _polyfit_rows, _polyval, _power_series
+from .weak import limit_grid
 
 #: a trajectory never exceeding this times its scale is identically zero
 ZERO_TRAJECTORY_TOL = 1e-12
@@ -119,20 +120,24 @@ def truncation_svd_commutator(
     order-n expansion of the singular values of F along limit_grid(g_max),
     agreeing when they match within 1e-6 relative or both are zero next to
     F's largest singular value on the grid.  Each expansion is a degree
-    n + 3 power series (at most one below the grid's size) fitted to the
-    whole grid, then truncated.  Every trajectory is fitted on the one grid,
-    so the fits share one rank: the report is reliable when it is full, and
-    a fit that falls short also warns RankWarning, as numpy's does.
+    n + 3 power series fitted to the whole grid, then truncated; an n with
+    n + 3 > LIMIT_GRID_POINTS - 1 raises ValueError, since its fit would
+    interpolate the grid and truncate nothing.  Every trajectory is fitted
+    on the one grid, so the fits share one rank: the report is reliable
+    when it is full, and a fit that falls short also warns RankWarning, as
+    numpy's does.
 
     The two agree for families whose truncation is exact but differ in
     general; the flagship linear example with determinant g**2 has
     sigma_min ~ g**2/2 on the left and identically zero on the right.
     """
+    deg = n + 3
+    if deg > LIMIT_GRID_POINTS - 1:
+        raise ValueError(f"truncation order must be at most {LIMIT_GRID_POINTS - 4}, got {n}")
     g_grid = limit_grid(g_max)
     left = svd_curve(F.truncate(n), g_grid)
     full = svd_curve(F, g_grid)
 
-    deg = min(n + 3, len(g_grid) - 1)
     coef, domain, ranks = _polyfit_rows(g_grid, full.T, deg)
     series = [_power_series(c, domain)[: n + 1] for c in coef]
     right = np.stack([_polyval(g_grid, c) for c in series], axis=-1)

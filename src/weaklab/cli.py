@@ -568,7 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
         "svd-asymptotics", parents=[inst], help="singular value curves, poles, claim audit"
     )
     p.add_argument(
-        "--n", type=_at_least(0), default=1, help="truncation order for the commutator check"
+        "--n",
+        type=_at_least(0, below=LIMIT_GRID_POINTS - 3),  # the degree n + 3 fit must not interpolate
+        default=1,
+        help="truncation order for the commutator check",
     )
     p.set_defaults(func=_cmd_svd_asymptotics)
 

@@ -18,6 +18,13 @@ A single structured-text (JSON) schema with top-level keys:
 
 Serialization is canonical: keys sorted, floats rendered with 17 significant
 digits, one top-level key per line.  save -> load -> save is byte-identical.
+
+Loading decodes each matrix and state in one bulk pass (one scan of shapes
+and types, one float() list, one array viewed as complex) and falls back to
+the entry-by-entry decoder only when that pass refuses, so a refusal still
+names the first bad entry's JSON path.  JSON nested past the recursion limit
+and an integer past Python's integer-string digit limit are ParseErrors
+naming the file, as a syntax error is.
 """
 
 from __future__ import annotations
@@ -163,7 +170,40 @@ def _decode_complex_pair(entry, context: str) -> complex:
     return complex(_to_float(entry[0]), _to_float(entry[1]))
 
 
-def _decode_matrix(data, rows: int, cols: int, context: str) -> np.ndarray:
+def _bulk_decode(data, rows: int, cols: int) -> np.ndarray | None:
+    """The (rows, cols) complex matrix that rows of [re, im] pairs encode, in one pass.
+
+    One scan of shapes and types, one float() list, one array viewed as
+    complex.  None whenever the per-entry decoder might answer otherwise:
+    for everything it refuses, and for what it reads entry by entry (a tuple
+    pair, a number subclass, an integer beyond float range, a non-finite
+    entry).
+    """
+    if type(data) is not list or len(data) != rows:
+        return None
+    flat = []
+    for row in data:
+        if type(row) is not list or len(row) != cols:
+            return None
+        for pair in row:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            flat += pair
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = list(map(float, flat))
+    except OverflowError:
+        return None
+    # a NaN or an infinity makes the sum non-finite; so may an overflowing
+    # sum of finite entries, which the per-entry decoder then accepts
+    if not math.isfinite(sum(values)):
+        return None
+    return np.array(values).view(complex).reshape(rows, cols)
+
+
+def _decode_entries(data, rows: int, cols: int, context: str) -> np.ndarray:
+    """The per-entry decoder: a refusal names the first bad entry's JSON path."""
     _require(isinstance(data, list) and len(data) == rows, "BadShape",
              f"expected {rows} rows", context)
     M = np.empty((rows, cols), dtype=complex)
@@ -174,6 +214,11 @@ def _decode_matrix(data, rows: int, cols: int, context: str) -> np.ndarray:
             M[i, j] = _decode_complex_pair(entry, f"{context}[{i}][{j}]")
     _require(bool(np.all(np.isfinite(M))), "BadValue", "non-finite entry", context)
     return M
+
+
+def _decode_matrix(data, rows: int, cols: int, context: str) -> np.ndarray:
+    M = _bulk_decode(data, rows, cols)
+    return M if M is not None else _decode_entries(data, rows, cols, context)
 
 
 def _decode_coefficients(data, rows: int, cols: int, context: str) -> PolyMatrix:
@@ -190,15 +235,20 @@ def _decode_coefficients(data, rows: int, cols: int, context: str) -> PolyMatrix
         _require(k <= MAX_ORDER, "Schema", f"order must be at most {MAX_ORDER}", ctx)
         _require(k not in seen, "Schema", f"duplicate order {k}", ctx)
         seen[k] = _decode_matrix(rec["matrix"], rows, cols, f"{ctx}.matrix")
-    degree = max(seen)
-    coeffs = [seen.get(k, np.zeros((rows, cols), dtype=complex)) for k in range(degree + 1)]
-    return PolyMatrix(coeffs)
+    C = np.zeros((max(seen) + 1, rows, cols), dtype=complex)
+    for k, M in seen.items():
+        C[k] = M
+    return PolyMatrix(C)
 
 
 def _decode_state(data, dim: int, context: str) -> np.ndarray:
-    _require(isinstance(data, list) and len(data) == dim, "BadShape",
-             f"expected {dim} entries", context)
-    v = np.array([_decode_complex_pair(e, f"{context}[{i}]") for i, e in enumerate(data)])
+    v = _bulk_decode([data], 1, dim)
+    if v is not None:
+        v = v[0]
+    else:
+        _require(isinstance(data, list) and len(data) == dim, "BadShape",
+                 f"expected {dim} entries", context)
+        v = np.array([_decode_complex_pair(e, f"{context}[{i}]") for i, e in enumerate(data)])
     with np.errstate(over="ignore"):  # an overflowing norm is inf, and is refused
         n = float(np.linalg.norm(v))
     _require(abs(n - 1.0) <= UNIT_NORM_TOL, "BadState", f"state norm {n!r} is not 1", context)
@@ -240,7 +290,7 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
         _require(comp <= COMPLETENESS_TOL, "Completeness",
                  f"coefficient-wise completeness residual {comp:.3e}", "outcomes")
         worst = float(report.min_eigenvalues.min())
-        _require(np.isfinite(worst), "BadValue",
+        _require(math.isfinite(worst), "BadValue",
                  "outcome matrices are not finite on the validation grid", "outcomes")
         _require(worst >= PSD_GRID_TOL, "NotPositive",
                  f"minimum eigenvalue {worst:.3e} on the validation grid", "outcomes")
@@ -296,9 +346,10 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
 def load_instance(path) -> InstanceSpec:
     """Parse and semantically validate an instance file.
 
-    Syntax errors raise ParseError with file, line and column; semantic
-    violations raise ValidationError with a reason code and the JSON path of
-    the offending entry.
+    Syntax errors raise ParseError with file, line and column; nesting too
+    deep for the parser and an integer past Python's digit limit raise
+    ParseError naming the file.  Semantic violations raise ValidationError
+    with a reason code and the JSON path of the offending entry.
     """
     path = Path(path)
     try:
@@ -309,4 +360,6 @@ def load_instance(path) -> InstanceSpec:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except (RecursionError, ValueError) as e:  # nested too deep; an integer past the digit limit
+        raise ParseError(f"{path}: {e}") from e
     return dict_to_instance(data, name=path.stem)

@@ -140,11 +140,30 @@ def valid_g_max(g_max: float) -> bool:
     return bool(np.isfinite(g_max) and g_max * 1e-3 > 0)
 
 
+#: default_grid's step indices 0 ... 19
+_GRID_STEPS = np.arange(20.0)
+_GRID_STEPS.setflags(write=False)
+
+
 def default_grid(g_max: float) -> np.ndarray:
-    """Twenty logarithmically spaced positivity-check couplings in (0, g_max]."""
+    """Twenty logarithmically spaced positivity-check couplings in (0, g_max].
+
+    Equal bit for bit to np.geomspace(g_max * 1e-3, g_max, 20): these are
+    its steps for a positive finite range (log10 of both ends, a linspace of
+    the logs with step (log hi - log lo) / 19, which is never 0 here, powers
+    of 10, both ends set exactly), without its generic array handling.
+    """
     if not valid_g_max(g_max):
         raise OutOfValidityRange(f"g_max must be positive and finite, got {g_max}")
-    return np.geomspace(g_max * 1e-3, g_max, 20)
+    lo = g_max * 1e-3
+    log_lo = np.log10(lo)
+    log_hi = np.log10(g_max)
+    y = _GRID_STEPS * ((log_hi - log_lo) / 19)
+    y += log_lo
+    grid = 10.0**y
+    grid[0] = lo
+    grid[-1] = g_max
+    return grid
 
 
 @dataclass
@@ -178,22 +197,27 @@ def validate(povm: ParamPovm) -> ValidationReport:
         total = sum(C)  # outcome by outcome, in order: C.sum(axis=0) may add them pairwise
         total[0] -= np.eye(povm.dim)
         comp = np.abs(total).max(axis=(-2, -1))
-    failures = [
-        f"coefficient {k} of outcome {j} is not Hermitian (residual {herm[j, k]:.3e})"
-        for j, k in np.argwhere(herm > HERMITIAN_TOL)
-    ]
-    for k in np.flatnonzero(comp > COMPLETENESS_TOL):
-        failures.append(f"completeness fails at order {k} (residual {comp[k]:.3e})")
+    failures = []  # each list is formed only when its check fails
+    if (herm > HERMITIAN_TOL).any():
+        failures += [f"coefficient {k} of outcome {j} is not Hermitian (residual {herm[j, k]:.3e})"
+                     for j, k in np.argwhere(herm > HERMITIAN_TOL)]
+    if (comp > COMPLETENESS_TOL).any():
+        failures += [f"completeness fails at order {k} (residual {comp[k]:.3e})"
+                     for k in np.flatnonzero(comp > COMPLETENESS_TOL)]
 
     # a coupling range that overflows F(g) gives NaN minima, which fail below
     with np.errstate(over="ignore", invalid="ignore"):
         E = np.stack([e(grid[:, None, None]) for e in povm.elements])  # (n_out, n_g, d, d)
         H = 0.5 * (E + E.conj().swapaxes(-1, -2))
-    finite = np.isfinite(H).all(axis=(-2, -1))
-    mins = np.full(finite.shape, np.nan)
-    mins[finite] = np.linalg.eigvalsh(H[finite])[..., 0]
-    for j, i in np.argwhere(~(mins >= PSD_GRID_TOL)):
-        failures.append(f"outcome {j} has eigenvalue {mins[j, i]:.3e} at g={grid[i]:.6g}")
+    if np.isfinite(H).all():  # the usual case: no masked copy of the stack
+        mins = np.linalg.eigvalsh(H)[..., 0]
+    else:
+        finite = np.isfinite(H).all(axis=(-2, -1))
+        mins = np.full(finite.shape, np.nan)
+        mins[finite] = np.linalg.eigvalsh(H[finite])[..., 0]
+    if not (mins >= PSD_GRID_TOL).all():
+        failures += [f"outcome {j} has eigenvalue {mins[j, i]:.3e} at g={grid[i]:.6g}"
+                     for j, i in np.argwhere(~(mins >= PSD_GRID_TOL))]
 
     return ValidationReport(
         grid=grid,

@@ -147,6 +147,17 @@ def test_truncation_svd_commute_for_diagonal_family():
     npt.assert_allclose(rep.right_series[1], [0.0, 1.0], atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_truncation_order_past_the_ladder_is_refused(n, capsys):
+    # the degree n + 3 fit would no longer be of degree n + 3 (n = 10, 11) or would
+    # interpolate all 13 couplings and truncate nothing (n >= 12): refused, not answered
+    with pytest.raises(ValueError, match=f"truncation order must be at most 9, got {n}"):
+        ay.truncation_svd_commutator(eq70_family(), n)
+    assert cli.main(["svd-asymptotics", "--instance", "eq70", "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --n: must be below 10, got {n}\n")
+
+
 # ------------------------------------------------------------ claim audit
 
 

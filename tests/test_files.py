@@ -146,6 +146,45 @@ def test_missing_file_reports_path():
         fl.load_instance("/nonexistent/nowhere.json")
 
 
+def deeply_nested(tmp_path):
+    """A file whose notes nest 100,000 lists deep: json.loads raises RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 2, "g_max": 0.5, "notes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    return path
+
+
+def long_integer(tmp_path):
+    """The qubit file with a 5,001-digit integer as its first coefficient entry."""
+    data = fl.instance_to_dict(qubit_linear_spec())
+    data["outcomes"][0][0]["matrix"][0][0][0] = 0  # a placeholder for the integer's digits
+    text = fl.canonical_json(data).replace('"matrix": [[[0,', '"matrix": [[[1' + "0" * 5000 + ",", 1)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    return path
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error(tmp_path):
+    path = deeply_nested(tmp_path)
+    with pytest.raises(ParseError, match=r"deep\.json: maximum recursion depth exceeded"):
+        fl.load_instance(path)
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path):
+    path = long_integer(tmp_path)
+    with pytest.raises(ParseError, match=r"long\.json: Exceeds the limit \(\d+ digits\)"):
+        fl.load_instance(path)
+
+
+@pytest.mark.parametrize("write", [deeply_nested, long_integer])
+def test_unparsable_depth_or_length_exits_1_without_a_traceback(tmp_path, capsys, write):
+    path = write(tmp_path)
+    assert cli.main(["validate", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ParseError: {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 # ------------------------------------------------------- validation codes
 
 
@@ -454,3 +493,163 @@ def test_loader_fuzz_raises_only_its_own_errors(data):
         fl.dict_to_instance(doc, "fuzz")
     except (ParseError, ValidationError):
         pass
+
+
+# ------------------------------------------- bulk decode against per-entry
+
+
+ZERO = st.sampled_from([0, 0.0, -0.0])
+REAL = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70) | ZERO
+#: observable entries: below the loader's 2**256 magnitude bound
+SMALL = st.floats(-1e70, 1e70) | st.integers(-(2**64), 2**64) | ZERO
+
+
+@st.composite
+def _hermitian(draw, dim):
+    """A Hermitian observable as rows of pairs: each (j, i) entry mirrors (i, j) exactly."""
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = [draw(SMALL), draw(ZERO)]
+        for j in range(i + 1, dim):
+            re, im = draw(SMALL), draw(SMALL)
+            rows[i][j], rows[j][i] = [re, im], [re, -im]
+    return rows
+
+
+@st.composite
+def _unit_state(draw, dim):
+    """A unit vector of pairs: a signed basis vector, or drawn entries scaled to norm 1."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, dim - 1))
+        one = draw(st.sampled_from([1, 1.0, -1, -1.0]))
+        return [[one if i == k else draw(ZERO), draw(ZERO)] for i in range(dim)]
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * dim, max_size=2 * dim))
+    norm = math.sqrt(sum(x * x for x in parts))
+    if norm < 0.1:
+        parts, norm = [1.0] + [0.0] * (2 * dim - 1), 1.0
+    return [[parts[2 * i] / norm, parts[2 * i + 1] / norm] for i in range(dim)]
+
+
+def _records(draw, matrices):
+    """Coefficient records for {order: matrix}, in a drawn order."""
+    recs = [{"order": k, "matrix": m} for k, m in matrices.items()]
+    return draw(st.permutations(recs))
+
+
+@st.composite
+def _povm_outcomes(draw, dim):
+    """A diagonal family complete order by order, positive on (0, 0.1], plus a
+    Hermitian order-1 coupling of entries (0, 1) that cancels between outcomes 0 and 1."""
+    n_out = draw(st.integers(2, 3))
+    p = [[draw(st.floats(0.2, 0.3)) for _ in range(dim)] for _ in range(n_out - 1)]
+    q = [[draw(st.floats(-0.5, 0.5)) for _ in range(dim)] for _ in range(n_out - 1)]
+    p.append([1.0 - sum(col) for col in zip(*p)])
+    q.append([-sum(col) for col in zip(*q)])
+    c = [draw(st.floats(-0.35, 0.35)), draw(st.floats(-0.35, 0.35))] if dim > 1 else None
+
+    def diag(values, j, order):
+        rows = [[[draw(ZERO), draw(ZERO)] for _ in range(dim)] for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = [values[i], draw(ZERO)]
+        if order == 1 and c is not None and j < 2:
+            sign = 1 if j == 0 else -1
+            rows[0][1] = [sign * c[0], sign * c[1]]
+            rows[1][0] = [sign * c[0], -sign * c[1]]
+        return rows
+
+    return [_records(draw, {0: diag(p[j], j, 0), 1: diag(q[j], j, 1)}) for j in range(n_out)]
+
+
+@st.composite
+def _fmatrix(draw, dim):
+    """A raw family: real entries, any finite value, orders drawn from 0 to 4."""
+    cols = draw(st.integers(1, 3))
+    orders = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    return _records(draw, {
+        k: [[[draw(REAL), draw(ZERO)] for _ in range(cols)] for _ in range(dim)] for k in orders
+    })
+
+
+@st.composite
+def valid_instances(draw):
+    dim = draw(st.integers(1, 3))
+    d = {"dim": dim, "g_max": draw(st.sampled_from([0.1, 0.05]))}
+    if draw(st.booleans()):
+        d["outcomes"] = draw(_povm_outcomes(dim))
+    else:
+        d["fmatrix"] = draw(_fmatrix(dim))
+    if draw(st.booleans()):
+        d["observable"] = draw(_hermitian(dim))
+    for key in ("psi_i", "psi_f"):
+        if draw(st.booleans()):
+            d[key] = draw(_unit_state(dim))
+    return d
+
+
+def _pair_paths(d):
+    """The path of every [re, im] pair in an instance dict."""
+    for key, recs in [("fmatrix", d.get("fmatrix", []))] + [
+        (("outcomes", j), recs) for j, recs in enumerate(d.get("outcomes", []))
+    ]:
+        prefix = key if isinstance(key, tuple) else (key,)
+        for r, rec in enumerate(recs):
+            for i, row in enumerate(rec["matrix"]):
+                yield from (prefix + (r, "matrix", i, k) for k in range(len(row)))
+    for i, row in enumerate(d.get("observable", [])):
+        yield from (("observable", i, k) for k in range(len(row)))
+    for key in ("psi_i", "psi_f"):
+        yield from ((key, i) for i in range(len(d.get(key, []))))
+
+
+def _bits(spec):
+    """Every decoded array as (shape, float.hex of each real and imaginary part): -0.0 kept."""
+    arrays = [e.coefficients for e in spec.povm.elements] if spec.povm else [spec.fmatrix.coefficients]
+    arrays += [spec.observable, spec.psi_i, spec.psi_f]
+    return [
+        None if a is None else (a.shape, [x.hex() for x in np.ascontiguousarray(a).view(float).ravel().tolist()])
+        for a in arrays
+    ]
+
+
+def _decode(d, per_entry):
+    """dict_to_instance's arrays or its refusal; per_entry turns the bulk pass off."""
+    with pytest.MonkeyPatch.context() as mp:
+        if per_entry:
+            mp.setattr(fl, "_bulk_decode", lambda *args: None)
+        try:
+            return _bits(fl.dict_to_instance(d, "bulk"))
+        except ValidationError as err:
+            return err.code, err.context, str(err)
+
+
+MUTATIONS = {
+    "bool": lambda pair: [True, pair[1]],
+    "string": lambda pair: [pair[0], "0"],
+    "tuple": tuple,
+    "triple": lambda pair: [*pair, 0.0],
+    "nan": lambda pair: [math.nan, pair[1]],
+    "inf": lambda pair: [pair[0], math.inf],
+    "-inf": lambda pair: [-math.inf, pair[1]],
+    "huge int": lambda pair: [pair[0], -(10**400)],
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(valid_instances(), st.data())
+def test_bulk_decode_equals_the_per_entry_decoder(d, data):
+    """A valid dict decodes to the same bits either way; a mutated one is refused alike or accepted alike."""
+    bulk = _decode(d, per_entry=False)
+    assert isinstance(bulk, list), bulk  # a valid instance loads
+    assert bulk == _decode(d, per_entry=True)
+
+    doc = copy.deepcopy(d)
+    path = data.draw(st.sampled_from(list(_pair_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    mutation = data.draw(st.sampled_from([*MUTATIONS, "short row"]))
+    if mutation == "short row":  # a matrix row, or a state, one entry short
+        del parent[-1]
+    else:
+        parent[path[-1]] = MUTATIONS[mutation](parent[path[-1]])
+    assert _decode(doc, per_entry=False) == _decode(doc, per_entry=True)

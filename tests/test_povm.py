@@ -9,6 +9,7 @@ import pytest
 from weaklab import povm as pv
 from weaklab.errors import DimensionError, OutOfValidityRange
 from weaklab.povm import ParamPovm, PolyMatrix
+from weaklab.registry import REGISTRY, get_instance
 
 from oracles import ConstantOutcome, NonUniformOrder, minimum_nonzero_order
 
@@ -197,6 +198,14 @@ def test_default_grid():
     npt.assert_allclose(grid[-1], 0.5)
     npt.assert_allclose(grid[0], 0.5e-3)
     assert np.all(np.diff(grid) > 0)
+    # bit for bit np.geomspace's grid, on a seeded sweep of g_max over 600 decades and
+    # on every registry g_max: a numpy whose geomspace rounds differently fails here first
+    rng = np.random.default_rng(20)
+    sweep = 10.0 ** rng.uniform(-300.0, 300.0, 3000)
+    registry_g_max = [get_instance(name).g_max for name in REGISTRY]
+    for g_max in [1e-300, 1e300, *sweep.tolist(), *registry_g_max]:
+        expected = np.geomspace(g_max * 1e-3, g_max, 20)
+        assert pv.default_grid(g_max).tobytes() == expected.tobytes(), g_max
 
 
 # ---------------------------------------------------------- minimum order
