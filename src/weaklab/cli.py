@@ -34,6 +34,7 @@ from .asymptotics import pinv_pole_order, proof_claim_check, svd_curve, truncati
 from .contextual import FMatrix, build_F, solve_grid, truncated_cv_check
 from .errors import NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
+from .linalg import pow2_scale
 from .montecarlo import McConfig, sample_run
 from .povm import check_coupling
 from .povm import validate as validate_povm
@@ -116,10 +117,13 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
         raise _UsageError(
             f"--psi-f needs {dim} reals or {2 * dim} interleaved re,im values"
         )
-    norm = np.linalg.norm(v)
-    if norm == 0:
+    if not v.any():
         raise _UsageError("--psi-f is the zero vector")
-    return v / norm
+    # an exact power-of-two rescale first, so that no norm over- or underflows;
+    # on the real view, as complex division by a subnormal scale gives inf/nan
+    re_im = v.view(float)
+    re_im /= pow2_scale(re_im, axis=-1)
+    return v / np.linalg.norm(v)
 
 
 def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
@@ -169,7 +173,7 @@ def _cmd_validate(args, spec: InstanceSpec) -> _Output:
             "no positivity/completeness constraints apply to a raw family",
         ])
     povm = spec.povm
-    report = validate_povm(povm)
+    report = spec.report if spec.report is not None else validate_povm(povm)
     lines = [
         f"instance {spec.name}: {povm.n_out} outcomes on dimension {povm.dim}, "
         f"degree {povm.max_degree}, g_max {_f(povm.g_max)}",

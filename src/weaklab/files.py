@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .linalg import HERMITIAN_TOL, UNIT_NORM_TOL, hermitian_bound
-from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, valid_g_max, validate
+from .povm import COMPLETENESS_TOL, PSD_GRID_TOL, ParamPovm, PolyMatrix, ValidationReport
+from .povm import valid_g_max, validate
 
 _KNOWN_KEYS = {"dim", "g_max", "outcomes", "fmatrix", "observable", "psi_i", "psi_f", "notes"}
 #: the largest coefficient order a file may give.  A family is decoded into a
@@ -59,6 +60,8 @@ class InstanceSpec:
     psi_f: np.ndarray | None = None
     notes: str = ""
     fmatrix_g_max: float = field(default=0.5, repr=False)
+    #: povm.validate's report, kept by the loader, which refuses a POVM file on it
+    report: ValidationReport | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.povm is None and self.fmatrix is None:
@@ -272,7 +275,7 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
     _require(not ("outcomes" in d and "fmatrix" in d), "Schema",
              "need outcomes or fmatrix, not both", "$")
 
-    povm = None
+    povm = report = None
     if "outcomes" in d:
         data = d["outcomes"]
         _require(isinstance(data, list) and len(data) >= 1, "Schema",
@@ -340,6 +343,7 @@ def dict_to_instance(d: dict, name: str) -> InstanceSpec:
         psi_f=psi_f,
         notes=notes,
         fmatrix_g_max=g_max,
+        report=report,
     )
 
 

@@ -7,8 +7,8 @@ composite index is system-major (flat index i * meter_dim + j).  Reading
 out the meter in that basis reproduces the outcome statistics, and
 attaching eigenvalues alpha_j(g) to the pointer states gives the meter
 expectation sum_j alpha_j(g) P(j).  The operators M_j(g) = E_j(g)^(1/2)
-are povm.root_family's, read one outcome at a time (`positive_family`), and
-`compose_isometry` checks them on one stack.
+are read as one (n, d, d) stack per coupling, povm.root_family's
+(`positive_family`), which `compose_isometry` checks on the grid.
 """
 
 from __future__ import annotations
@@ -20,22 +20,12 @@ import numpy as np
 
 from .errors import DimensionError, NotIsometry
 from .linalg import check_state, dagger
-from .povm import ParamPovm, check_coupling, default_grid, root_family
+from .povm import check_coupling, default_grid
+from .povm import root_family as positive_family  # g -> the (n_out, d, d) root stack
 
 ISOMETRY_TOL = 1e-10
 #: meter eigenvalues must stay at least this far apart where sampled
 EIGENVALUE_GAP_TOL = 1e-9
-
-MatrixFamily = Callable[[float], np.ndarray]
-
-
-def positive_family(povm: ParamPovm) -> list[MatrixFamily]:
-    """Measurement operators g -> E_j(g)^(1/2) as callables: the square root of a
-    matrix polynomial is generally not polynomial in g.  Each reads its outcome
-    off povm.root_family's stack, unchecked: compose_isometry and isometry_at
-    check the coupling range."""
-    roots = root_family(povm)
-    return [lambda g, j=j: roots(g)[j] for j in range(povm.n_out)]
 
 
 @dataclass
@@ -44,43 +34,40 @@ class MeterModel:
 
     system_dim: int
     meter_dim: int
-    measurement_ops: tuple[MatrixFamily, ...]
+    #: g -> the (meter_dim, system_dim, system_dim) stack of M_j(g)
+    roots: Callable[[float], np.ndarray]
     g_max: float
     meter_eigenvalues: tuple[Callable[[float], float], ...] | None = None
 
 
 def compose_isometry(
-    measurement_ops: Sequence[MatrixFamily],
+    roots: Callable[[float], np.ndarray],
     meter_dim: int,
     g_max: float,
     meter_eigenvalues: Sequence[Callable[[float], float]] | None = None,
 ) -> MeterModel:
     """Assemble the dilation isometry, checking completeness on default_grid.
 
-    Raises NotIsometry unless sum_j M_j(g)^H M_j(g) = identity within 1e-10
-    at every sampled coupling, and ValueError where two meter eigenvalues
-    come closer than EIGENVALUE_GAP_TOL or one is not finite (gap nan); each
-    check runs once on the stack of every grid coupling and names the first
-    one that fails.  The operators are evaluated only on the grid, which is
-    where their shape is read (off the first evaluation): there is no probe
-    at g = 0, so positive_family's operators form one root stack per grid
-    coupling, 20 in all, and a read-out at one more coupling makes 21.
+    roots(g) is the (meter_dim, d, d) stack of the operators M_j(g), read once
+    per grid coupling (20 reads, no probe at g = 0); DimensionError unless
+    every stack has meter_dim square matrices of one shape.  Raises
+    NotIsometry unless sum_j M_j(g)^H M_j(g) = identity within 1e-10 at every
+    sampled coupling, and ValueError where two meter eigenvalues come closer
+    than EIGENVALUE_GAP_TOL or one is not finite (gap nan); each check runs
+    once on the stack of every grid coupling and names the first one that
+    fails.
     """
-    ops = tuple(measurement_ops)
-    if len(ops) != meter_dim:
-        raise DimensionError(
-            f"got {len(ops)} operators for meter dimension {meter_dim}"
-        )
     grid = default_grid(g_max)
-    Ms = [op(g) for g in grid for op in ops]
-    first = np.asarray(Ms[0])
-    if first.ndim != 2 or first.shape[0] != first.shape[1]:
-        raise DimensionError(f"measurement operators must be square, got {first.shape}")
-    d = first.shape[0]
+    stacks = [roots(g) for g in grid]
     try:
-        Ms = np.array(Ms, dtype=complex).reshape(len(grid), meter_dim, d, d)
-    except ValueError:  # a ragged list, or one of another shape
-        raise DimensionError("measurement operators must share one shape") from None
+        Ms = np.array(stacks, dtype=complex)
+    except ValueError:  # a ragged list: the stack changes shape between couplings
+        raise DimensionError("root stacks must keep one shape on the grid") from None
+    if Ms.ndim != 4 or Ms.shape[1] != meter_dim or Ms.shape[2] != Ms.shape[3]:
+        raise DimensionError(
+            f"root stacks must hold {meter_dim} square matrices, got shape {Ms.shape[1:]}"
+        )
+    d = Ms.shape[2]
     dev = np.abs((dagger(Ms) @ Ms).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
     bad = np.flatnonzero(~(dev <= ISOMETRY_TOL))  # NaN fails too
     if bad.size:
@@ -109,22 +96,22 @@ def compose_isometry(
     return MeterModel(
         system_dim=d,
         meter_dim=meter_dim,
-        measurement_ops=ops,
+        roots=roots,
         g_max=float(g_max),
         meter_eigenvalues=eigs,
     )
 
 
 def isometry_at(model: MeterModel, g: float) -> np.ndarray:
-    """U(g) as a (system_dim * meter_dim) x system_dim matrix.
+    """U(g) as a new (system_dim * meter_dim) x system_dim matrix.
 
-    Row i * meter_dim + j is row i of M_j(g): the (meter_dim, d, d) stack
-    of the operators, its first two axes swapped, read row by row.
+    Row i * meter_dim + j is row i of M_j(g): the one root stack read at g,
+    its first two axes swapped, copied row by row.
     """
     check_coupling(g, model.g_max)
     d, dm = model.system_dim, model.meter_dim
-    Ms = np.array([op(g) for op in model.measurement_ops], dtype=complex)
-    return Ms.swapaxes(0, 1).reshape(d * dm, d)
+    Ms = np.swapaxes(model.roots(g), 0, 1)
+    return np.array(Ms, dtype=complex, order="C").reshape(d * dm, d)
 
 
 def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklab import asymptotics, cli, contextual, files, linalg
+from weaklab import asymptotics, cli, contextual, files, linalg, povm
 from weaklab.files import load_instance
 
 
@@ -233,6 +233,18 @@ def test_validate_registry_povm(capsys):
     code, out, _ = run(capsys, "validate", "--instance", "qubit-linear")
     assert code == 0
     assert "validation PASSED" in out
+
+
+@pytest.mark.parametrize("source", ["--file", "--instance"])
+def test_validate_checks_the_povm_once(capsys, tmp_path, count_calls, source):
+    # the loader's report serves the command; a registry POVM is validated by the command
+    path = tmp_path / "qubit-linear.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+    validations = count_calls(povm, "validate")
+    code, out, _ = run(capsys, "validate", source, str(path) if source == "--file" else "qubit-linear")
+    assert code == 0
+    assert "validation PASSED" in out
+    assert validations[0] == 1
 
 
 def test_validate_raw_family(capsys):
@@ -671,11 +683,31 @@ discrepancy:        1.239e-11
 """
 
 
-@pytest.mark.parametrize("psi_f", ["2,1", "2,0,1,0"], ids=["real", "interleaved"])
-def test_weak_limit_psi_f_is_normalized_in_either_form(capsys, psi_f):
+@pytest.mark.parametrize(
+    "psi_f, same_as",
+    [
+        ("2,1", None),
+        ("2,0,1,0", None),
+        # norms that overflow or underflow read as the exact power-of-two rescale
+        # whose largest entry is in [1, 2): 1e308 = 1.1125369292536007 * 2**1023
+        # and 1e-320 = 1.9765625 * 2**-1064
+        ("1e308,1e308", "1.1125369292536007,1.1125369292536007"),
+        ("0,1e-320", "0,1.9765625"),
+        ("1e-320,1e-320", "1.9765625,1.9765625"),
+        ("1e-320,0,0,1e-320", "1.9765625,0,0,1.9765625"),
+    ],
+    ids=["real", "interleaved", "overflow", "underflow", "underflow-both", "underflow-complex"],
+)
+def test_weak_limit_psi_f_is_normalized_in_either_form(capsys, psi_f, same_as):
     code, out, err = run(capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", psi_f)
     assert (code, err) == (0, "")
-    assert out == WEAK_LIMIT_PSI_F_2_1
+    if same_as is None:
+        assert out == WEAK_LIMIT_PSI_F_2_1
+    else:
+        assert out == run(capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", same_as)[1]
+        state = cli._parse_state(psi_f, 2)
+        assert np.all(np.isfinite(state.view(float)))
+        assert abs(np.linalg.norm(state) - 1) < 1e-15
 
 
 def test_weak_limit_psi_f_takes_imaginary_parts(capsys):

@@ -10,7 +10,7 @@ from weaklab import meter as mt
 from weaklab import povm as pv
 from weaklab import registry
 from weaklab import weak as wk
-from weaklab.errors import NotIsometry, NotPositive, OutOfValidityRange
+from weaklab.errors import DimensionError, NotIsometry, NotPositive, OutOfValidityRange
 from weaklab.povm import ParamPovm, PolyMatrix
 
 from oracles import (
@@ -37,8 +37,13 @@ def plus_state():
 
 
 def build_model(povm, eigenvalues=None):
-    ops = mt.positive_family(povm)
-    return mt.compose_isometry(ops, povm.n_out, povm.g_max, meter_eigenvalues=eigenvalues)
+    roots = mt.positive_family(povm)
+    return mt.compose_isometry(roots, povm.n_out, povm.g_max, meter_eigenvalues=eigenvalues)
+
+
+def scale_first(roots, factor):
+    """roots with outcome 0's operator scaled by factor(g)."""
+    return lambda g: roots(g) * np.array([factor(g), 1.0])[:, None, None]
 
 
 def test_probabilities_match_povm_expectations():
@@ -65,17 +70,16 @@ def test_isometry_columns_are_orthonormal():
 
 def test_compose_rejects_incomplete_family():
     povm = qubit_linear()
-    ops = mt.positive_family(povm)
-    ops[0] = (lambda inner: (lambda g: 1.1 * inner(g)))(ops[0])
+    roots = scale_first(mt.positive_family(povm), lambda g: 1.1)
     with pytest.raises(NotIsometry):
-        mt.compose_isometry(ops, 2, povm.g_max)
+        mt.compose_isometry(roots, 2, povm.g_max)
 
 
 def test_meter_eigenvalues_must_be_separated():
     povm = qubit_linear()
-    ops = mt.positive_family(povm)
+    roots = mt.positive_family(povm)
     with pytest.raises(ValueError):
-        mt.compose_isometry(ops, 2, povm.g_max, meter_eigenvalues=(lambda g: 1.0, lambda g: 1.0))
+        mt.compose_isometry(roots, 2, povm.g_max, meter_eigenvalues=(lambda g: 1.0, lambda g: 1.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -157,10 +161,11 @@ def test_weak_coupling_check_detects_entanglement():
 # ------------------------------------------------------- eigenbasis dilation
 
 
-def dilate(povm, F):
+def dilate(povm, F, roots=None):
     """The acceptance test's dilation: per-outcome pseudoinverse eigenvalues."""
     eigs = [lambda g, j=j: float(cx.pseudoinverse_cv(F, g).alpha[j]) for j in range(povm.n_out)]
-    return mt.compose_isometry(mt.positive_family(povm), povm.n_out, povm.g_max, eigs)
+    roots = mt.positive_family(povm) if roots is None else roots
+    return mt.compose_isometry(roots, povm.n_out, povm.g_max, eigs)
 
 
 def test_dilation_hot_path_shape(count_calls):
@@ -171,14 +176,19 @@ def test_dilation_hot_path_shape(count_calls):
     svds = count_calls(np.linalg, "svd")
     eighs = count_calls(np.linalg, "eigh")
     stacks = count_calls(pv, "clamp_psd")  # one per root stack
-    model = dilate(povm, cx.build_F(povm, inst.observable))
+    roots, reads = mt.positive_family(povm), []
+    model = dilate(povm, cx.build_F(povm, inst.observable), lambda g: reads.append(g) or roots(g))
+    grid = pv.default_grid(povm.g_max)
+    assert reads == list(grid)  # one read per grid coupling, no probe at g = 0
     g = 0.7 * povm.g_max
     mt.outcome_probabilities(model, inst.psi_i, g)
+    assert len(reads) == len(grid) + 1  # isometry_at reads the stack once
     mt.meter_expectation(model, inst.psi_i, g)
+    assert reads[len(grid):] == [g, g]
     assert sqrts[0] == 0
     assert eighs[0] == 0  # both eigenbases of a diagonal family are permutations
     # one solve per grid coupling and one at g, not one per outcome, each one SVD
-    couplings = len(pv.default_grid(povm.g_max)) + 1
+    couplings = len(grid) + 1
     assert solves[0] == svds[0] == couplings
     # one root stack per grid coupling and one at g, shared by every outcome: no probe at g = 0
     assert stacks[0] == couplings
@@ -220,10 +230,10 @@ def test_eigenbasis_roots_equal_psd_sqrt():
         povm = wk.generate_linear_commuting_instance(rng, dim, n_out).povm
         families += [povm, rotated_povm(povm, haar(rng, dim), rng.permutation(n_out))]
     for povm in families:
-        ops = mt.positive_family(povm)
+        roots = mt.positive_family(povm)
         for g in np.linspace(0.0, povm.g_max, 7):
-            for op, e in zip(ops, povm.elements):
-                npt.assert_allclose(op(g), linalg.psd_sqrt(e(g)), rtol=0, atol=1e-12)
+            for root, e in zip(roots(g), povm.elements, strict=True):
+                npt.assert_allclose(root, linalg.psd_sqrt(e(g)), rtol=0, atol=1e-12)
 
     # bit for bit where psd_sqrt diagonalizes a diagonal matrix: every registry
     # family and generated diagonal ones, on default_grid and at mc's couplings
@@ -240,14 +250,15 @@ def test_eigenbasis_roots_equal_psd_sqrt():
 def test_eigenbasis_roots_follow_the_clamp_rule():
     # (I -+ g Z)/2 has eigenvalue (1 - g)/2, negative past g = 1
     wide = ParamPovm(elements=qubit_linear().elements, g_max=2.0)
-    ops = mt.positive_family(wide)
+    roots = mt.positive_family(wide)
     edge = 1.0 + 2e-13  # a relative -1e-13 is clamped to zero
-    npt.assert_allclose(ops[1](edge), linalg.psd_sqrt(wide.elements[1](edge)), atol=1e-15)
+    npt.assert_allclose(roots(edge)[1], linalg.psd_sqrt(wide.elements[1](edge)), atol=1e-15)
     with pytest.raises(NotPositive) as point:
         linalg.psd_sqrt(wide.elements[1](1.2))
-    for op in ops:  # both outcomes have eigenvalue (1 - g)/2 = -0.1 at g = 1.2
+    # both outcomes have eigenvalue (1 - g)/2 = -0.1 at g = 1.2, and the stack is refused whole
+    for _ in range(2):  # a refused stack is not cached
         with pytest.raises(NotPositive) as err:
-            op(1.2)
+            roots(1.2)
         assert str(err.value) == str(point.value)
 
 
@@ -276,10 +287,9 @@ def test_noncommuting_roots_are_psd_sqrt_bit_for_bit(count_calls):
     for g in (0.0, *pv.default_grid(povm.g_max)):
         roots = np.array([linalg.psd_sqrt(e(g)) for e in povm.elements])
         assert pv.measurement_operators(povm, g).tobytes() == roots.tobytes()
-        for op, root in zip(mt.positive_family(povm), roots):
-            assert op(g).tobytes() == root.tobytes()
+        assert mt.positive_family(povm)(g).tobytes() == roots.tobytes()
     # per coupling: the oracle's four, measurement_operators' four, and positive_family's
-    # four, which its operators share
+    # four, one stack for every outcome
     assert sqrts[0] == 3 * 4 * 21
 
 
@@ -291,26 +301,55 @@ def test_root_stacks_are_read_only(make):
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        mt.positive_family(povm)[1](0.2)[0, 0] = 1.0
+        mt.positive_family(povm)(0.2)[1, 0, 0] = 1.0
     assert pv.measurement_operators(povm, 0.3).tobytes() == stack.tobytes()
 
 
 def test_compose_isometry_refuses_infinite_g_max():
-    ops = mt.positive_family(qubit_linear())
+    roots = mt.positive_family(qubit_linear())
     with pytest.raises(OutOfValidityRange, match="positive and finite, got inf"):
-        mt.compose_isometry(ops, 2, float("inf"))
+        mt.compose_isometry(roots, 2, float("inf"))
 
 
 def test_stacked_checks_name_the_first_failing_coupling():
     povm = qubit_linear()
     grid = pv.default_grid(povm.g_max)
-    ops = mt.positive_family(povm)
-    ops[0] = (lambda inner: (lambda g: (1.1 if g >= grid[5] else 1.0) * inner(g)))(ops[0])
+    roots = scale_first(mt.positive_family(povm), lambda g: 1.1 if g >= grid[5] else 1.0)
     with pytest.raises(NotIsometry, match=f"at g={grid[5]:.6g}$"):
-        mt.compose_isometry(ops, 2, povm.g_max)
-    blank = lambda g: np.full((2, 2), np.nan if g > 0 else 0.5)  # a NaN deviation fails too
+        mt.compose_isometry(roots, 2, povm.g_max)
+    blank = lambda g: np.full((2, 2, 2), np.nan if g > 0 else 0.5)  # a NaN deviation fails too
     with pytest.raises(NotIsometry, match=f"by nan at g={grid[0]:.6g}$"):
-        mt.compose_isometry([blank, blank], 2, povm.g_max)
+        mt.compose_isometry(blank, 2, povm.g_max)
     eigs = (lambda g: 1.0, lambda g: 1.0 if g >= grid[7] else 2.0)
     with pytest.raises(ValueError, match=rf"gap 0\.000e\+00\) at g={grid[7]:.6g}$"):
         mt.compose_isometry(mt.positive_family(povm), 2, povm.g_max, meter_eigenvalues=eigs)
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        (lambda roots, g: roots(g), r"hold 3 square matrices, got shape \(2, 2, 2\)$"),  # 2 outcomes
+        (lambda roots, g: np.eye(3) / 3, r"got shape \(3, 3\)$"),  # a matrix, not a stack
+        (lambda roots, g: np.zeros((3, 2, 3)), r"got shape \(3, 2, 3\)$"),  # not square
+        (lambda roots, g: np.zeros((3, 2, 2) if g < 0.1 else (3, 3, 3)), "one shape on the grid$"),
+        (lambda roots, g: np.zeros((3 if g < 0.1 else 4, 2, 2)), "one shape on the grid$"),
+    ],
+)
+def test_compose_refuses_misshapen_stacks(stack, message):
+    roots = mt.positive_family(qubit_linear())
+    with pytest.raises(DimensionError, match=message):
+        mt.compose_isometry(lambda g: stack(roots, g), 3, 0.9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_isometry_at_returns_a_new_writable_array(dim):
+    # at dim 1 the swapped stack reshapes without a copy, so isometry_at copies it itself
+    povm = ParamPovm(
+        elements=tuple(PolyMatrix([np.eye(dim) / 2, s * np.eye(dim) / 2]) for s in (1, -1)),
+        g_max=0.9,
+    )
+    model = build_model(povm)
+    U = mt.isometry_at(model, 0.3)
+    expected = U.copy()
+    U[...] = 0.0
+    assert mt.isometry_at(model, 0.3).tobytes() == expected.tobytes()
