@@ -32,7 +32,7 @@ import numpy as np
 
 from .asymptotics import pinv_pole_order, proof_claim_check, svd_curve, truncation_svd_commutator
 from .contextual import FMatrix, build_F, solve_grid, truncated_cv_check
-from .errors import NotLinear, ParseError, WeakLabError
+from .errors import NoExactCv, NotLinear, ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .linalg import pow2_scale
 from .montecarlo import McConfig, sample_run
@@ -119,11 +119,12 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
         )
     if not v.any():
         raise _UsageError("--psi-f is the zero vector")
-    # an exact power-of-two rescale first, so that no norm over- or underflows;
-    # on the real view, as complex division by a subnormal scale gives inf/nan
+    # divide the real view by an exact power of two (so no norm over- or underflows), then the
+    # norm: complex / real multiplies by the reciprocal (inf/nan if subnormal, or an ulp off)
     re_im = v.view(float)
     re_im /= pow2_scale(re_im, axis=-1)
-    return v / np.linalg.norm(v)
+    re_im /= np.linalg.norm(v)
+    return v
 
 
 def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
@@ -436,7 +437,10 @@ def _cmd_mc_run(args, spec: InstanceSpec) -> _Output:
             raise _UsageError(f"instance {spec.name!r} {missing}")
     check_coupling(args.g, spec.povm.g_max)
     F = build_F(spec.povm, spec.observable)
-    alpha = solve_grid(F, [args.g]).alpha[0]
+    sol = solve_grid(F, [args.g])
+    if not sol.exact:
+        raise NoExactCv(f"no exact contextual values at g = {_f(args.g)} (residual {sol.residuals[0]:.3e})")
+    alpha = sol.alpha[0]
     try:
         config = McConfig(trials=args.trials, seed=args.seed, g=args.g)
         res = sample_run(F, alpha, spec.psi_i, spec.psi_f, config)

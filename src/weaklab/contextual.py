@@ -16,7 +16,8 @@ stacked call.  Each grid point comes out bit for bit as the single-coupling
 generator and sweep solve their draws through it.  `exact_cv_exists`,
 `truncated_cv_check`, `asymptotics.pinv_pole_order` and `weak.weak_limit`
 go through `solve_grid`; the weak limit and the sweep hand their solution
-on to the weak-limit ladder, so a grid is solved once per limit.
+on to the weak-limit ladder (the sweep a solve's whole stack, or its exact
+members through `GridSolution.__getitem__`), so a grid is solved once per limit.
 
 `pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
 by identity).  Each rule of a solve has one owner: `_pinv_weights`, under both
@@ -143,22 +144,15 @@ class GridSolution:
         return bool(ok) if ok.ndim == 0 else ok
 
     def __getitem__(self, i) -> GridSolution:
-        return GridSolution(self.g_grid[i], self.F_g[i], self.alpha[i], self.residuals[i], self.ranks[i])
-
-    @classmethod
-    def stack(cls, members) -> GridSolution:
-        """The solutions of members of one shape as one stack, member m at index m.
+        """Member i of a stack, or the stack of the members an index array or mask picks.
 
         alpha keeps solve_stack's layout, the real part of a complex array:
-        a product with the stack then takes the BLAS path one with a member
+        a product with the part then takes the BLAS path one with the whole
         takes, and rounds as it does (BLAS dot rounds differently on
         contiguous and strided operands).
         """
-        g_grid, F_g, alpha, residuals, ranks = zip(
-            *((m.g_grid, m.F_g, m.alpha, m.residuals, m.ranks) for m in members)
-        )
-        alpha = np.array(alpha, dtype=complex).real
-        return cls(np.array(g_grid), np.array(F_g), alpha, np.array(residuals), np.array(ranks))
+        alpha = np.array(self.alpha[i], dtype=complex).real
+        return GridSolution(self.g_grid[i], self.F_g[i], alpha, self.residuals[i], self.ranks[i])
 
 
 def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.ndarray | int]:

@@ -6,11 +6,15 @@ open question this module instruments: for measurement families linear in
 the coupling (commuting, minimally disturbing, with exact contextual
 values), does the conditioned average always converge to the traditional
 weak value as the coupling vanishes?  ``conjecture_sweep`` samples random
-instances and measures the discrepancy.  ``weak_limit`` and every trial share
-one core, ``_ladders``: from F's basis and its solve_grid solution it forms
-the ladder's conditioned averages and fits their g -> 0 limit, for one
-member or a stack of them, from the weights of ``_postselection``, which
-conditioned_average and the Monte Carlo share.
+instances and measures the discrepancy.  It draws only E_j(0) = w_j I
+(see ``_povm``), outcomes that carry no information at g = 0: the stratum
+on which the 1/g pole of the contextual values is argued to cancel in the
+conditioned average (off it, a few draws gave a limit other than the weak
+value, or none).  That is a statement about the sampler, not about the
+published hypotheses.  ``weak_limit`` and every trial share one core,
+``_ladders``: from stacked F bases and solve_grid solutions it forms the
+conditioned averages and fits their g -> 0 limits, from the weights of
+``_postselection``, which conditioned_average and the Monte Carlo share.
 
 A sweep batches its linear algebra, not its randomness.  Each trial draws
 from its own stream (seeded by (seed, trial)) through the generator
@@ -24,13 +28,15 @@ pseudoinverse per chunk.  A refused candidate advances only its own trial,
 so every stream is consumed exactly as a lone trial consumes it.  A chunk's
 F(g) is the real part of one complex Horner evaluation, the layout
 solve_grid uses: numpy's matmul takes BLAS for one layout and its own loop
-for another, which round differently.  Once every trial of a block is
-accepted, each chunk's ladders run as one stack; ``weak_limit`` is the
-one-member case.  No arithmetic of a stack runs per member: the guards
-check the whole stack at once (per-member checks run only to name a
-failure), the averages take one stacked product, and the quadratic fit
-is one stacked call of the fit engine below.  Each stacked step rounds as
-it does on one member, so every record equals a lone trial's bit for bit.
+for another, which round differently.  Each solve's exact candidates run
+their ladders at once: the solve's own stack when all are exact, else the
+exact members indexed out of it.  They need no guard, as ``_random_state``
+and ``limit_grid`` give unit states and couplings in range; ``weak_limit``,
+the one-member case and the one caller with outside inputs, checks them.
+No arithmetic of a stack runs per member: the averages take one stacked
+product, and the quadratic fit is one stacked call of the fit engine
+below.  Each stacked step rounds as it does on one member, so every
+record equals a lone trial's bit for bit.
 
 One fit engine serves every fit of the package, bit for bit with numpy:
 ``_polyfit_rows`` repeats Polynomial.fit for a stack of rows with one
@@ -49,7 +55,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
 from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, ValidationError, WeakLabError
-from .linalg import DEGENERACY_TOL, UNIT_NORM_TOL, check_state, clamp_psd, dagger
+from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling
 
 OVERLAP_TOL = 1e-12
@@ -175,46 +181,33 @@ def weak_limit(
     Exact contextual values must exist on the whole grid (otherwise
     NoExactCv); the limit is the constant term of a quadratic fitted to the
     five smallest couplings, compared against the state-pair weak value.
-    The default grid is limit_grid(povm.g_max).
+    The default grid is limit_grid(povm.g_max).  Errors come in the order
+    NoExactCv, InvalidState, OutOfValidityRange, then _ladders' own.
     """
     if g_grid is None:
         g_grid = limit_grid(povm.g_max)
     F = build_F(povm, A)
-    [report] = _ladders([(F.basis, solve_grid(F, g_grid), povm.g_max, A, psi_i, psi_f)])
+    sol = solve_grid(F, g_grid)
+    if not sol.exact:
+        raise NoExactCv(
+            f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
+        )
+    psi_i, psi_f = check_state(psi_i), check_state(psi_f)
+    check_coupling(sol.g_grid, povm.g_max)
+    [report] = _ladders(F.basis[None], sol[None], np.asarray(A, dtype=complex)[None], psi_i[None], psi_f[None])
     return report
 
 
-def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
-    """Weak-limit reports of members (basis, sol, g_max, A, psi_i, psi_f) of one shape,
-    stacked, for sol = solve_grid(F, ...) of F = build_F(povm, A) with basis F.basis.
+def _ladders(bases, sol: GridSolution, A, psi_i, psi_f) -> list[WeakLimitReport]:
+    """Weak-limit reports of a stack: F bases (k, d, d), their exact solve_grid solutions
+    stacked in sol, observables A (k, d, d) and unit states psi_i, psi_f (k, d).
 
-    Raises the first failure met; a member's errors come in this order:
-    NoExactCv, InvalidState, then OutOfValidityRange for a coupling outside
-    (0, g_max], NotPositive from linalg.clamp_psd, and
-    OrthogonalPostselection.  The first three are checked on the whole
-    stack at once, and the one check_coupling call names the first coupling
-    out of range in member order; only when a member may fail the first
-    two do the per-member checks run, in member order, so the error is the
-    one that member raises alone.  Every stacked step rounds as it does on
-    one member, so the averages equal conditioned_average's bit for bit.
+    Raises only the stack's first NotPositive (linalg.clamp_psd) or
+    OrthogonalPostselection.  Every stacked step rounds as it does on one
+    member, so the averages equal conditioned_average's bit for bit.
     """
-    bases, sols, g_maxes, As, psis_i, psis_f = zip(*members)
-    stack = GridSolution.stack(sols)
-    g = stack.g_grid  # (k, n_g)
-    # np.array stacks these as np.stack does, at a fraction of its call cost
-    psi_i, psi_f = (np.array(s, dtype=complex).reshape(len(members), -1) for s in (psis_i, psis_f))  # (k, d)
-    if stack.exact.all() and _surely_unit(psi_i) and _surely_unit(psi_f):
-        check_coupling(g, np.array(g_maxes)[:, None])
-    else:
-        for sol, g_max, state_i, state_f in zip(sols, g_maxes, psis_i, psis_f):
-            if not sol.exact:
-                raise NoExactCv(
-                    f"no exact contextual values on the grid (worst residual {sol.residuals.max():.3e})"
-                )
-            check_state(state_i)
-            check_state(state_f)
-            check_coupling(sol.g_grid, g_max)
-    weights = _postselection(np.array(bases), stack.F_g, psi_i, psi_f)[1]
+    g = sol.g_grid  # (k, n_g)
+    weights = _postselection(bases, sol.F_g, psi_i, psi_f)[1]
     probs = weights.sum(axis=-1)  # (k, n_g)
     vanishing = probs <= OVERLAP_TOL
     if vanishing.any():
@@ -222,18 +215,18 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
         raise OrthogonalPostselection(
             f"success probability {probs[m, j]:.3e} vanishes at g={g[m, j]}"
         )
-    values = (stack.alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs
+    values = (sol.alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs
 
     lowest = np.arange(len(g))[:, None], np.argsort(g, axis=-1)[:, :LIMIT_FIT_POINTS]
     coef, domain, _ = _polyfit_rows(g[lowest], values[lowest], 2)
     off, scl = _onto_window(domain[:, 0], domain[:, 1])
     at_zero = _polyval(off + scl * 0.0, coef)  # each fit at 0.0, mapped onto its window
-    traditional = _weak_values(np.array(As, dtype=complex), psi_i, psi_f)
+    traditional = _weak_values(A, psi_i, psi_f)
     reports = []
-    for m, sol in enumerate(sols):
+    for m in range(len(g)):
         extrapolated, value = float(at_zero[m]), float(traditional[m])
         reports.append(WeakLimitReport(
-            g_grid=sol.g_grid,
+            g_grid=g[m],
             conditioned_averages=values[m],
             success_probabilities=probs[m],
             fit_scaled_coefficients=coef[m],
@@ -243,16 +236,6 @@ def _ladders(members: list[tuple]) -> list[WeakLimitReport]:
             discrepancy=abs(extrapolated - value),
         ))
     return reports
-
-
-def _surely_unit(psi: np.ndarray) -> bool:
-    """True when every row of psi (k, d) has a norm so near 1 that check_state accepts it.
-
-    |psi|^2 within UNIT_NORM_TOL of 1 puts the norm within about half that
-    of 1, far inside check_state's bounds however either sum rounds.
-    """
-    squares = psi.real * psi.real + psi.imag * psi.imag
-    return bool((np.abs(squares.sum(axis=-1) - 1.0) <= UNIT_NORM_TOL).all())
 
 
 def _polyfit_rows(x: np.ndarray, y: np.ndarray, deg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,20 +358,12 @@ def _weak_values(A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray) -> np.ndar
 
 @dataclass
 class ConjectureInstance:
-    """One randomly drawn linear commuting measurement with states.
-
-    F and sol are the generator's exactness check, kept so that a user of
-    the instance need not build F and solve its grid again.
-    """
+    """One randomly drawn linear commuting measurement with states."""
 
     povm: ParamPovm
     observable: np.ndarray
     psi_i: np.ndarray
     psi_f: np.ndarray
-    #: build_F(povm, observable) bit for bit, read off the draw (see _solve_draws)
-    F: FMatrix = field(repr=False)
-    #: solve_grid(F, limit_grid(povm.g_max)), exact at every coupling
-    sol: GridSolution = field(repr=False)
 
 
 @dataclass
@@ -479,24 +454,23 @@ def _povm(w: np.ndarray, Q: np.ndarray, g_max: float) -> ParamPovm:
     return ParamPovm(elements=elements, g_max=g_max)
 
 
-def _solve_draws(draws: list[tuple]) -> list[tuple[int, tuple, GridSolution]]:
-    """(m, (coefficients, a_vec, basis), solve_grid(F, limit_grid(g_max))) of each draw m
-    whose contextual values are exact, for its F = build_F(povm, A); the draws have one
-    shape and are solved in one stack.
+def _solve_draws(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray, GridSolution]:
+    """(exact, bases, sol) of draws of one shape, solved in one stack: member m of sol is
+    solve_grid(F, limit_grid(g_max)) of draw m's F = build_F(povm, A), bases[m] is F.basis
+    and exact[m] says whether its contextual values are exact.
 
-    F is read off the draw: identity basis (one array, shared by the
-    draws), rows in a's descending order, coefficients w and Q.  Where
-    adjacent entries of a are within DEGENERACY_TOL, build_F's tie-break
-    could permute rows, so F comes from build_F.  F(g) has solve_grid's
-    layout, so each solution is bit for bit solve_grid's.  An incomplete
-    draw raises ValidationError("RowSum").
+    F is read off the draw: identity basis, rows in a's descending order,
+    coefficients w and Q.  Where adjacent entries of a are within
+    DEGENERACY_TOL, build_F's tie-break could permute rows, so F comes from
+    build_F.  F(g) has solve_grid's layout, so each solution is bit for bit
+    solve_grid's.  An incomplete draw raises ValidationError("RowSum").
     """
     a, w, Q, g_max = (np.array(field) for field in zip(*(draw[:4] for draw in draws)))
     k, dim, n_out = Q.shape
     C = np.empty((k, 2, dim, n_out), dtype=complex)  # (k, order, d, n_out)
     C[:, 0], C[:, 1] = w[:, None, :], Q
     a_vec = a[:, None, :]  # (k, 1, d)
-    bases = [np.eye(dim, dtype=complex)] * k
+    bases = np.array([np.eye(dim, dtype=complex)] * k)
     tied = (a[:, :-1] - a[:, 1:]).min(axis=1) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(a).max(axis=1))
     for m in np.flatnonzero(tied).tolist():
         a_m, w_m, Q_m, g_max_m = draws[m][:4]
@@ -506,14 +480,18 @@ def _solve_draws(draws: list[tuple]) -> list[tuple[int, tuple, GridSolution]]:
     g = limit_grid(g_max)  # (k, n_g)
     Fg = np.real(C[:, None, 1] * g[..., None, None] + C[:, None, 0])
     sol = solve_stack(Fg, a_vec, g)
-    return [(m, (C[m], a_vec[m, 0], bases[m]), sol[m]) for m in np.flatnonzero(sol.exact).tolist()]
+    return sol.exact, bases, sol
 
 
-def _instance(draw: tuple, spectral: tuple, sol: GridSolution) -> ConjectureInstance:
+def _draw_ladders(draws: list[tuple], bases: np.ndarray, sol: GridSolution) -> list[WeakLimitReport]:
+    """_ladders of exact draws (a, w, Q, g_max, psi_i, psi_f) with _solve_draws' bases and sol."""
+    psi_i, psi_f = (np.array(states) for states in zip(*(draw[4:] for draw in draws)))
+    return _ladders(bases, sol, np.array([np.diag(draw[0]) for draw in draws], dtype=complex), psi_i, psi_f)
+
+
+def _instance(draw: tuple) -> ConjectureInstance:
     a, w, Q, g_max, psi_i, psi_f = draw
-    coefficients, a_vec, basis = spectral
-    F = FMatrix(poly=PolyMatrix(coefficients), a_vec=a_vec, basis=basis)
-    return ConjectureInstance(_povm(w, Q, g_max), np.diag(a), psi_i, psi_f, F, sol)
+    return ConjectureInstance(_povm(w, Q, g_max), np.diag(a), psi_i, psi_f)
 
 
 def generate_linear_commuting_instance(
@@ -531,15 +509,15 @@ def generate_linear_commuting_instance(
     below WEIGHT_FLOOR, whose radius falls below 1e-3, whose first order
     degenerates, whose states overlap by less than 0.1, or whose contextual
     values are not exact on limit_grid(g_max) are rejected and redrawn, up
-    to 100 times.  The instance keeps F and that grid's solution.
+    to 100 times.
 
     A shape no draw can pass raises GenerationFailed before any draw:
     n_out < dim leaves F(g) rank-deficient, and the smallest of n_out
     weights summing to 1 is at most 1/n_out.
     """
     for draw in _draws(rng, dim, n_out):  # raises GenerationFailed after its last draw
-        for _, spectral, sol in _solve_draws([draw]):
-            return _instance(draw, spectral, sol)
+        if _solve_draws([draw])[0][0]:
+            return _instance(draw)
 
 
 def _trial_shape(rng: np.random.Generator, dim: int | None, n_out: int | None) -> tuple[int, int]:
@@ -554,8 +532,8 @@ def _trial_shape(rng: np.random.Generator, dim: int | None, n_out: int | None) -
 def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
     """conjecture_trial of each trial index, stacked by chunk (see the module docstring).
 
-    If a chunk's ladder stack fails, its trials run again alone once every
-    chunk has run, in trial order, so the first failing trial raises its own error.
+    If a ladder stack fails, its trials run again alone once every round has
+    run, in trial order, so the first failing trial raises its own error.
     """
     keys, shapes, streams = [], [], []
     for t in trials:
@@ -569,34 +547,37 @@ def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
         step = max(1, _STACK_ENTRIES // (d * n))
         chunks += [same_shape[start : start + step] for start in range(0, len(same_shape), step)]
 
-    accepted = [None] * len(keys)
+    accepted, reports, failed = [None] * len(keys), [None] * len(keys), []
     pending = chunks
     while pending:
         draws = {i: next(streams[i]) for i in sorted(i for chunk in pending for i in chunk)}
         for chunk in pending:
-            for m, spectral, sol in _solve_draws([draws[i] for i in chunk]):
-                accepted[chunk[m]] = draws[chunk[m]], spectral, sol
+            exact, bases, sol = _solve_draws([draws[i] for i in chunk])
+            kept = [i for i, ok in zip(chunk, exact.tolist()) if ok]
+            if not kept:
+                continue
+            if len(kept) < len(chunk):
+                bases, sol = bases[exact], sol[exact]
+            for i in kept:
+                accepted[i] = draws[i]
+            try:
+                for i, report in zip(kept, _draw_ladders([draws[i] for i in kept], bases, sol)):
+                    reports[i] = report
+            except WeakLabError as err:
+                failed.append((kept, err))
         pending = [left for chunk in pending if (left := [i for i in chunk if accepted[i] is None])]
 
-    members = [(spectral[2], sol, draw[3], np.diag(draw[0]), *draw[4:]) for draw, spectral, sol in accepted]
-    reports, failed = [None] * len(keys), []
-    for chunk in chunks:
-        try:
-            for i, report in zip(chunk, _ladders([members[i] for i in chunk])):
-                reports[i] = report
-        except WeakLabError as err:
-            failed.append((chunk, err))
     if failed:
         for i in sorted(i for chunk, _ in failed for i in chunk):
-            _ladders([members[i]])
+            _draw_ladders([accepted[i]], *_solve_draws([accepted[i]])[1:])
         raise failed[0][1]
     records = []
-    for t, key, (d, n), (draw, spectral, sol), report in zip(trials, keys, shapes, accepted, reports):
+    for t, key, (d, n), draw, report in zip(trials, keys, shapes, accepted, reports):
         passed = report.discrepancy <= tol
         records.append(TrialRecord(
-            key, t, d, n, float(sol.g_grid.min()), report.extrapolated_limit,
+            key, t, d, n, float(report.g_grid.min()), report.extrapolated_limit,
             report.traditional_value, report.discrepancy, passed,
-            instance=None if passed else _instance(draw, spectral, sol),
+            instance=None if passed else _instance(draw),
         ))
     return records
 

@@ -215,10 +215,8 @@ def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> Conjectur
             s_f = oracle_random_state(rng, dim)
         else:
             continue
-        F = build_F(povm, A)
-        sol = solve_grid(F, weak.limit_grid(g_max))
-        if sol.exact:
-            return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f, F=F, sol=sol)
+        if solve_grid(build_F(povm, A), weak.limit_grid(g_max)).exact:
+            return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f)
     raise GenerationFailed(f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})")
 
 
@@ -297,16 +295,16 @@ def oracle_conjecture_trial(
     if n_out is None:
         n_out = int(rng.integers(dim, weak.TRIAL_N_OUT_MAX + 1))
     inst = oracle_instance(rng, dim, n_out)
-    report = oracle_spectral_weak_limit(
-        inst.F.basis, inst.sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f
-    )
+    F = build_F(inst.povm, inst.observable)
+    sol = solve_grid(F, weak.limit_grid(inst.povm.g_max))
+    report = oracle_spectral_weak_limit(F.basis, sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f)
     passed = report.discrepancy <= tol
     return TrialRecord(
         seed=key,
         trial=trial,
         dim=dim,
         n_out=n_out,
-        g_min=float(inst.sol.g_grid.min()),
+        g_min=float(sol.g_grid.min()),
         extrapolated=report.extrapolated_limit,
         traditional=report.traditional_value,
         discrepancy=report.discrepancy,

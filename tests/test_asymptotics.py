@@ -50,7 +50,8 @@ def grid_families():
         rotated = tuple(
             PolyMatrix([U @ c @ U.conj().T for c in e.coefficients]) for e in inst.povm.elements
         )
-        families.append((inst.F.poly, ParamPovm(elements=rotated, g_max=inst.povm.g_max)))
+        poly = cx.build_F(inst.povm, inst.observable).poly
+        families.append((poly, ParamPovm(elements=rotated, g_max=inst.povm.g_max)))
     return families
 
 

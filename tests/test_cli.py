@@ -695,8 +695,12 @@ discrepancy:        1.239e-11
         ("0,1e-320", "0,1.9765625"),
         ("1e-320,1e-320", "1.9765625,1.9765625"),
         ("1e-320,0,0,1e-320", "1.9765625,0,0,1.9765625"),
+        # each entry is divided by the norm, not multiplied by its reciprocal,
+        # which leaves (0, 1.9765625) an ulp short of (0, 1)
+        ("0,1.9765625", "0,1"),
+        ("3,4", "0.6,0.8"),
     ],
-    ids=["real", "interleaved", "overflow", "underflow", "underflow-both", "underflow-complex"],
+    ids=["real", "interleaved", "overflow", "underflow", "underflow-both", "underflow-complex", "exact", "exact-3-4"],
 )
 def test_weak_limit_psi_f_is_normalized_in_either_form(capsys, psi_f, same_as):
     code, out, err = run(capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", psi_f)
@@ -706,6 +710,7 @@ def test_weak_limit_psi_f_is_normalized_in_either_form(capsys, psi_f, same_as):
     else:
         assert out == run(capsys, "weak-limit", "--instance", "qubit-linear", "--psi-f", same_as)[1]
         state = cli._parse_state(psi_f, 2)
+        assert state.tobytes() == cli._parse_state(same_as, 2).tobytes()
         assert np.all(np.isfinite(state.view(float)))
         assert abs(np.linalg.norm(state) - 1) < 1e-15
 
@@ -868,6 +873,21 @@ def test_conjecture_sweep_refuses_a_shape_no_draw_can_pass(capsys, dim, n_out):
     assert err.startswith("error: GenerationFailed: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "n_out, message",
+    [
+        # the smallest of 1000 weights summing to 1 is at most the 1e-3 floor
+        ("1000", "no instance with n_out=1000: the smallest outcome weight is at most 1/n_out, "
+                 "at or below the floor 0.001"),
+        # 1/999 is above the floor, so the draws are tried and refused
+        ("999", "no admissible instance in 100 attempts (dim=2, n_out=999)"),
+    ],
+)
+def test_conjecture_sweep_weight_floor_is_one_in_a_thousand(capsys, n_out, message):
+    code, out, err = run(capsys, "conjecture-sweep", "--trials", "1", "--dim", "2", "--n-out", n_out)
+    assert (code, out, err) == (1, "", f"error: GenerationFailed: {message}\n")
+
+
 def test_conjecture_sweep_fixed_shape(capsys):
     code, out, _ = run(
         capsys,
@@ -932,6 +952,15 @@ def test_mc_run_out_csv(capsys, tmp_path):
         "0.10000000000000001,2000,1,0.53814311058545183,0.24289964566750999,1691,"
         "0.41507537155096519\r\n"
     )
+
+
+def test_mc_run_refuses_weights_that_do_not_reproduce_the_observable(capsys):
+    # at g = 0 qubit-linear's outcomes are both I/2, so no weights reproduce Z
+    argv = ["--instance", "qubit-linear", "--g", "0"]
+    assert "(no exact solution)" in run(capsys, "cv-solve", *argv)[1]
+    code, out, err = run(capsys, "mc-run", *argv, "--trials", "1000", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: NoExactCv: no exact contextual values at g = 0 (residual 1.414e+00)\n"
 
 
 def test_mc_run_without_final_state_names_no_flag(capsys):

@@ -205,8 +205,9 @@ def test_solve_grid_equals_pointwise_solves():
     rng = np.random.default_rng(12)
     for dim, n_out in [(2, 3), (3, 3), (4, 5)]:
         inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
-        families.append(inst.F)
-        families.append(cx.FMatrix(poly=inst.F.poly.truncate(0), a_vec=inst.F.a_vec))
+        F = cx.build_F(inst.povm, inst.observable)
+        families.append(F)
+        families.append(cx.FMatrix(poly=F.poly.truncate(0), a_vec=F.a_vec))
     for F in families:
         sol = cx.solve_grid(F, grid)
         assert sol.alpha.shape == (len(grid), F.n_out)
@@ -232,7 +233,7 @@ def _registry_and_generated_families():
     shapes = [(2, 2), (2, 3), (3, 3), (3, 5), (4, 4)]
     for t in range(100):
         inst = wk.generate_linear_commuting_instance(rng, *shapes[t % len(shapes)])
-        out.append((inst.F, inst.povm.g_max))
+        out.append((cx.build_F(inst.povm, inst.observable), inst.povm.g_max))
     return out
 
 

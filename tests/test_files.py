@@ -328,6 +328,18 @@ def test_unnormalized_state_rejected(tmp_path):
     check_code(tmp_path, mutate, "BadState")
 
 
+@pytest.mark.parametrize("excess, accepted", [(9e-11, True), (1.1e-10, False)])
+def test_loaded_state_norm_is_within_1e_10_of_one(tmp_path, excess, accepted):
+    # literal bounds on both sides of the unit-norm tolerance, 1e-10
+    def mutate(d):
+        d["psi_i"] = [[1.0 + excess, 0.0], [0.0, 0.0]]
+
+    if accepted:
+        assert fl.load_instance(write_instance(tmp_path, mutate)).psi_i.tolist() == [1.0 + excess, 0.0]
+    else:
+        check_code(tmp_path, mutate, "BadState")
+
+
 def test_nonnumeric_entry_rejected(tmp_path):
     def mutate(d):
         d["observable"][0][0] = ["x", 0.0]

@@ -569,6 +569,17 @@ def test_check_state():
         linalg.check_state(np.zeros(2))
 
 
+@pytest.mark.parametrize("excess, accepted", [(9e-11, True), (-9e-11, True), (1.1e-10, False), (-1.1e-10, False)])
+def test_check_state_takes_a_norm_within_1e_10_of_one(excess, accepted):
+    # literal bounds on both sides of the unit-norm tolerance, 1e-10
+    v = np.array([1.0 + excess, 0.0])
+    if accepted:
+        assert linalg.check_state(v).tobytes() == v.astype(complex).tobytes()
+    else:
+        with pytest.raises(InvalidState):
+            linalg.check_state(v)
+
+
 def test_check_hermitian():
     with pytest.raises(InvalidMatrix):
         linalg.check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -223,9 +223,10 @@ def oracle_families():
     rng = np.random.default_rng(17)
     for dim, n_out in ((2, 2), (2, 3), (3, 4), (4, 5), (3, 9), (2, 17)):
         inst = wk.generate_linear_commuting_instance(rng, dim, n_out)
+        F = cx.build_F(inst.povm, inst.observable)
         g = 0.5 * inst.povm.g_max
-        alpha = cx.pseudoinverse_cv(inst.F, g).alpha
-        yield inst.F, alpha, inst.psi_i, inst.psi_f, g
+        alpha = cx.pseudoinverse_cv(F, g).alpha
+        yield F, alpha, inst.psi_i, inst.psi_f, g
     # from e0, the P1 outcome never fires: as the middle outcome it makes the
     # cumulative bounds (a, a, 1), as the first outcome it makes them (0, a, 1)
     P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])

@@ -189,6 +189,21 @@ def test_conditioned_average_phase_invariance():
     npt.assert_allclose(p1, p2, atol=1e-13)
 
 
+@pytest.mark.parametrize("overlap, refused", [(5e-13, True), (2e-12, False)])
+def test_conditioned_average_refuses_a_success_probability_at_most_1e_12(overlap, refused):
+    # from (1, 0), the success probability of qubit-linear is |psi_f[0]|^2 at
+    # every coupling: literal values on both sides of the tolerance, 1e-12
+    F = cx.build_F(qubit_linear(), Z)
+    alpha = cx.pseudoinverse_cv(F, 0.1).alpha
+    psi_i, psi_f = np.array([1.0, 0.0]), np.array([np.sqrt(overlap), np.sqrt(1 - overlap)])
+    if refused:
+        with pytest.raises(OrthogonalPostselection):
+            wk.conditioned_average(F, alpha, psi_i, psi_f, 0.1)
+    else:
+        _, success = wk.conditioned_average(F, alpha, psi_i, psi_f, 0.1)
+        assert success == pytest.approx(overlap, rel=1e-12)
+
+
 def test_conditioned_average_is_convex_combination():
     # at fixed g the average lies between min(alpha) and max(alpha);
     # anomalous values only appear through the g -> 0 blow-up of alpha
@@ -367,14 +382,14 @@ def test_conjecture_sweep_small():
 
 
 def spy_on_core(monkeypatch):
-    """Record (basis, sol, g_max, A, psi_i, psi_f, report) of every member of every
+    """Record (basis, sol, A, psi_i, psi_f, report) of every member of every
     successful _ladders call, in member order."""
     seen = []
     core = wk._ladders
 
-    def spy(members):
-        reports = core(members)
-        seen.extend((*member, report) for member, report in zip(members, reports))
+    def spy(bases, sol, A, psi_i, psi_f):
+        reports = core(bases, sol, A, psi_i, psi_f)
+        seen.extend((bases[m], sol[m], A[m], psi_i[m], psi_f[m], rep) for m, rep in enumerate(reports))
         return reports
 
     monkeypatch.setattr(wk, "_ladders", spy)
@@ -403,8 +418,9 @@ def test_spectral_ladder_equals_per_point_path_on_trials(monkeypatch):
         psi_i = inst.psi_i
         psi_f, rep = by_psi_i.pop(psi_i.tobytes())
         assert inst.psi_f.tobytes() == psi_f.tobytes()
+        F = cx.build_F(inst.povm, inst.observable)
         for k, g in enumerate(rep.g_grid):
-            value, prob = per_point(inst.F, inst.povm, psi_i, psi_f, g)
+            value, prob = per_point(F, inst.povm, psi_i, psi_f, g)
             assert rep.conditioned_averages[k] == value
             assert rep.success_probabilities[k] == prob
 
@@ -451,13 +467,23 @@ KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
 
 
+def weak_limit_error(*args):
+    with pytest.raises(WeakLabError) as err:
+        wk.weak_limit(*args)
+    return type(err.value), str(err.value)
+
+
 def test_spectral_core_error_order():
     flat = ParamPovm(elements=(PolyMatrix([I2 / 2]), PolyMatrix([I2 / 2])), g_max=0.9)
     past = np.array([0.05, 0.95])
     # no exact contextual values beats every later failure
-    with pytest.raises(NoExactCv):
-        wk.weak_limit(flat, Z, KET0, KET1, past)
-    # exact values, but a coupling past g_max: the range rule comes next
+    assert weak_limit_error(flat, Z, 2 * KET0, 3 * KET1, past)[0] is NoExactCv
+    # then the initial state, then the final state, whose messages name their norms
+    assert weak_limit_error(qubit_linear(), Z, 2 * KET0, 3 * KET1, past) == (
+        InvalidState, "state vector norm 2.0 is not 1")
+    assert weak_limit_error(qubit_linear(), Z, KET0, 3 * KET1, past) == (
+        InvalidState, "state vector norm 3.0 is not 1")
+    # exact values and unit states, but a coupling past g_max: the range rule comes next
     with pytest.raises(OutOfValidityRange):
         wk.weak_limit(qubit_linear(), Z, KET0, KET1, past)
     # orthogonal states on a valid grid
@@ -557,10 +583,11 @@ def test_lean_fit_equals_polynomial_fit(g_max, grid, caught):
 def test_lean_fit_on_trials_with_small_coupling_ranges(monkeypatch):
     seen = spy_on_core(monkeypatch)
     wk.conjecture_sweep(11, 100)
-    small = [(basis, sol, g_max, A, psi_i, psi_f, rep) for basis, sol, g_max, A, psi_i, psi_f, rep in seen if g_max < 0.1]
+    # a ladder tops at g_max when g_max < 0.1
+    small = [(basis, sol, sol.g_grid[0], *rest) for basis, sol, *rest in seen if sol.g_grid[0] < 0.1]
     assert len(small) >= 5
-    for basis, sol, g_max, A, psi_i, psi_f, rep in small:
-        assert report_fields(rep) == report_fields(oracle_spectral_weak_limit(basis, sol, g_max, A, psi_i, psi_f))
+    for *member, rep in small:
+        assert report_fields(rep) == report_fields(oracle_spectral_weak_limit(*member))
 
 
 def test_lean_fit_on_every_registry_instance():
@@ -628,49 +655,6 @@ def test_stacked_lstsq_equals_numpy_lstsq_row_by_row(rows):
     assert domain.tobytes() == np.array([f.domain for f in fits]).tobytes()
 
 
-def ladder_member(povm, psi_f, grid=None, psi_i=PLUS):
-    """One _ladders member (basis, sol, g_max, A, psi_i, psi_f) of povm measuring Z."""
-    F = cx.build_F(povm, Z)
-    sol = cx.solve_grid(F, wk.limit_grid(povm.g_max) if grid is None else grid)
-    return (F.basis, sol, povm.g_max, Z, psi_i, psi_f)
-
-
-def ladder_error(members):
-    with pytest.raises(WeakLabError) as err:
-        wk._ladders(members)
-    return type(err.value), str(err.value)
-
-
-def test_stacked_ladder_guards_keep_the_error_order(count_calls):
-    tilted = final_state(np.pi / 8)
-    ladder = wk.limit_grid(0.9)
-    good = ladder_member(qubit_linear(), tilted)
-    flat = ParamPovm(elements=(PolyMatrix([I2 / 2]), PolyMatrix([I2 / 2])), g_max=0.9)
-    not_exact = ladder_member(flat, tilted)
-    unnormalized = ladder_member(qubit_linear(), 1.5 * tilted)
-    # the ladder tops at 0.1, past these members' g_max
-    narrow = ladder_member(ParamPovm(elements=qubit_linear().elements, g_max=0.05), tilted, ladder)
-    narrower = ladder_member(ParamPovm(elements=qubit_linear().elements, g_max=0.02), tilted, ladder)
-    alone = {name: ladder_error([member]) for name, member in
-             [("not_exact", not_exact), ("unnormalized", unnormalized), ("narrow", narrow), ("narrower", narrower)]}
-    assert [kind for kind, _ in alone.values()] == [NoExactCv, InvalidState, OutOfValidityRange, OutOfValidityRange]
-    # the first failing member raises its own first error, whatever fails after it
-    assert ladder_error([good, unnormalized, not_exact]) == alone["unnormalized"]
-    assert ladder_error([good, not_exact, unnormalized]) == alone["not_exact"]
-    assert ladder_error([good, narrow, not_exact]) == alone["narrow"]
-    assert ladder_error([good, narrower, narrow]) == alone["narrower"]
-    assert alone["narrow"] != alone["narrower"]
-    # a norm within check_state's bound but outside the stacked check's passes
-    barely = ladder_member(qubit_linear(), (1 + 0.9e-10) * tilted)
-    assert report_fields(wk._ladders([good, barely])[1]) == report_fields(wk._ladders([barely])[0])
-    over = ladder_member(qubit_linear(), (1 + 1.1e-10) * tilted)
-    assert ladder_error([good, over])[0] is InvalidState
-    # a stack that passes checks its couplings in one call
-    checks = count_calls(pv, "check_coupling")
-    wk._ladders([good, good, good])
-    assert checks[0] == 1
-
-
 def test_squared_moduli_equal_the_numpy_scalar_loop():
     rng = np.random.default_rng(5)
     tiny = np.finfo(float).smallest_subnormal
@@ -720,10 +704,10 @@ def test_sweep_raises_the_first_failing_trials_error(monkeypatch):
         # the per-trial ladder with numpy's fit raises the same
         rng = np.random.default_rng(t)
         inst = wk.generate_linear_commuting_instance(rng, *wk._trial_shape(rng, None, None))
+        F = cx.build_F(inst.povm, inst.observable)
+        sol = cx.solve_grid(F, wk.limit_grid(inst.povm.g_max))
         with pytest.raises(OrthogonalPostselection) as err:
-            oracle_spectral_weak_limit(
-                inst.F.basis, inst.sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f
-            )
+            oracle_spectral_weak_limit(F.basis, sol, inst.povm.g_max, inst.observable, inst.psi_i, inst.psi_f)
         assert str(err.value) == alone[t]
     assert alone[3, 4] != alone[3, 5]
     with pytest.raises(OrthogonalPostselection) as err:
@@ -781,6 +765,27 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
     assert n["pinv_and_rank"] == len(groups)
 
 
+def test_sweep_ladders_each_solve_stack_as_it_comes(count_calls):
+    counts = {
+        name: count_calls(module, name)
+        for module, name in [
+            (wk, "_solve_draws"),
+            (wk, "_ladders"),
+            (cx.GridSolution, "__getitem__"),
+            (linalg, "check_state"),
+            (pv, "check_coupling"),
+        ]
+    }
+    wk.conjecture_sweep(7, 100)
+    n = {name: c[0] for name, c in counts.items()}
+    # one ladder stack per solve stack; only the one solve with a refused
+    # draw (in round one) takes its exact members out of the stack
+    assert n["_solve_draws"] == n["_ladders"] == 10
+    assert n["__getitem__"] == 1
+    # the draws are checked where they are made: no state or coupling guard runs
+    assert n["check_state"] == n["check_coupling"] == 0
+
+
 def record_fields(r):
     """Every field of a TrialRecord but the instance, floats as their exact hex."""
     floats = (r.g_min, r.extrapolated, r.traditional, r.discrepancy)
@@ -819,7 +824,8 @@ def test_sweep_equals_oracle_when_large_shapes_are_chunked(monkeypatch, count_ca
     stacks = []  # (members, dim, n_out) of each _ladders call
     ladders = wk._ladders
     monkeypatch.setattr(
-        wk, "_ladders", lambda members: stacks.append((len(members), *members[0][1].F_g.shape[1:])) or ladders(members)
+        wk, "_ladders", lambda bases, sol, *rest: stacks.append(sol.F_g.shape[:1] + sol.F_g.shape[2:])
+        or ladders(bases, sol, *rest)
     )
     records = wk.conjecture_sweep(5, 40)
     assert pinvs[0] - unchunked > unchunked
@@ -835,7 +841,8 @@ def test_sweep_keeps_a_draw_just_inside_the_exactness_tolerance():
     # under EXACT_CV_TOL, so its F(g) layout decides whether it is accepted
     rng = np.random.default_rng((20, 5))
     draw = next(wk._draws(rng, *wk._trial_shape(rng, None, None)))
-    [(_, _, sol)] = wk._solve_draws([draw])
+    exact, _, sol = wk._solve_draws([draw])
+    assert exact.tolist() == [True]
     assert 9.9e-10 < sol.residuals.max() <= cx.EXACT_CV_TOL
     record = wk.conjecture_sweep(20, 6)[5]
     assert record.g_min == 1.6606013560701914e-06
@@ -873,27 +880,30 @@ def test_near_tie_in_a_takes_F_from_build_F(monkeypatch):
     a_vec, basis = built[0].a_vec, built[0].basis
     assert len(set(a_vec)) < len(a_vec)
     assert not np.array_equal(basis, np.eye(len(a_vec)))
-    # the generator's instance of that draw keeps build_F's F
+    # the solve of that draw takes build_F's basis and solves build_F's F
     rng = np.random.default_rng((3, 2))
-    inst = wk.generate_linear_commuting_instance(rng, *wk._trial_shape(rng, None, None))
-    assert inst.F.poly.coefficients.tobytes() == built[0].poly.coefficients.tobytes()
-    assert inst.F.a_vec.tobytes() == a_vec.tobytes() and inst.F.basis.tobytes() == basis.tobytes()
+    draw = next(wk._draws(rng, *wk._trial_shape(rng, None, None)))
+    exact, bases, sol = wk._solve_draws([draw])
+    assert bases[0].tobytes() == basis.tobytes()
+    fresh = cx.solve_grid(built[0], wk.limit_grid(draw[3]))
+    assert sol[0].alpha.tobytes() == fresh.alpha.tobytes() and exact[0] == fresh.exact
 
 
-def test_generated_instance_keeps_its_grid_solution():
+def test_solve_draws_equals_build_F_and_solve_grid():
     rng = np.random.default_rng(13)
     for _ in range(30):
         dim = int(rng.integers(2, 5))
-        inst = wk.generate_linear_commuting_instance(rng, dim, int(rng.integers(dim, 6)))
-        fresh = cx.solve_grid(inst.F, wk.limit_grid(inst.povm.g_max))
-        for name in ["g_grid", "F_g", "alpha", "residuals", "ranks"]:
-            assert getattr(inst.sol, name).tobytes() == getattr(fresh, name).tobytes()
-        assert inst.sol.exact
-        # the instance's F is read off the draw, and is build_F's bit for bit
-        built = cx.build_F(inst.povm, inst.observable)
-        assert inst.F.poly.coefficients.tobytes() == built.poly.coefficients.tobytes()
-        assert inst.F.a_vec.tobytes() == built.a_vec.tobytes()
-        assert inst.F.basis.tobytes() == built.basis.tobytes()
+        stream = wk._draws(rng, dim, int(rng.integers(dim, 6)))
+        draws = [next(stream) for _ in range(3)]
+        exact, bases, sol = wk._solve_draws(draws)
+        for m, (a, w, Q, g_max, _, _) in enumerate(draws):
+            # F is read off the draw, and is build_F's bit for bit
+            F = cx.build_F(wk._povm(w, Q, g_max), np.diag(a))
+            fresh = cx.solve_grid(F, wk.limit_grid(g_max))
+            for name in ["g_grid", "F_g", "alpha", "residuals", "ranks"]:
+                assert getattr(sol[m], name).tobytes() == getattr(fresh, name).tobytes()
+            assert exact[m] == fresh.exact
+            assert bases[m].tobytes() == F.basis.tobytes()
 
 
 def test_conjecture_trial_equals_weak_limit_on_its_instance():
