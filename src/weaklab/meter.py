@@ -7,8 +7,8 @@ composite index is system-major (flat index i * meter_dim + j).  Reading
 out the meter in that basis reproduces the outcome statistics, and
 attaching eigenvalues alpha_j(g) to the pointer states gives the meter
 expectation sum_j alpha_j(g) P(j).  The operators M_j(g) = E_j(g)^(1/2)
-are read as one (n, d, d) stack per coupling, povm.root_family's
-(`positive_family`), which `compose_isometry` checks on the grid.
+are povm.root_family's (`positive_family`) stacks, which `compose_isometry`
+reads and checks on the whole grid at once, one (n, d, d) stack per coupling.
 """
 
 from __future__ import annotations
@@ -34,23 +34,23 @@ class MeterModel:
 
     system_dim: int
     meter_dim: int
-    #: g -> the (meter_dim, system_dim, system_dim) stack of M_j(g)
-    roots: Callable[[float], np.ndarray]
+    #: g -> the (meter_dim, system_dim, system_dim) stack of M_j(g), one per coupling of an array g
+    roots: Callable[[float | np.ndarray], np.ndarray]
     g_max: float
     meter_eigenvalues: tuple[Callable[[float], float], ...] | None = None
 
 
 def compose_isometry(
-    roots: Callable[[float], np.ndarray],
+    roots: Callable[[float | np.ndarray], np.ndarray],
     meter_dim: int,
     g_max: float,
     meter_eigenvalues: Sequence[Callable[[float], float]] | None = None,
 ) -> MeterModel:
     """Assemble the dilation isometry, checking completeness on default_grid.
 
-    roots(g) is the (meter_dim, d, d) stack of the operators M_j(g), read once
-    per grid coupling (20 reads, no probe at g = 0); DimensionError unless
-    every stack has meter_dim square matrices of one shape.  Raises
+    roots(grid) is read once, on the whole grid (no probe at g = 0), and must
+    be the (20, meter_dim, d, d) stack of the operators M_j(g), one
+    (meter_dim, d, d) stack per coupling; DimensionError otherwise.  Raises
     NotIsometry unless sum_j M_j(g)^H M_j(g) = identity within 1e-10 at every
     sampled coupling, and ValueError where two meter eigenvalues come closer
     than EIGENVALUE_GAP_TOL or one is not finite (gap nan); each check runs
@@ -58,14 +58,10 @@ def compose_isometry(
     fails.
     """
     grid = default_grid(g_max)
-    stacks = [roots(g) for g in grid]
-    try:
-        Ms = np.array(stacks, dtype=complex)
-    except ValueError:  # a ragged list: the stack changes shape between couplings
-        raise DimensionError("root stacks must keep one shape on the grid") from None
-    if Ms.ndim != 4 or Ms.shape[1] != meter_dim or Ms.shape[2] != Ms.shape[3]:
+    Ms = np.asarray(roots(grid))
+    if Ms.ndim != 4 or Ms.shape[:2] != (len(grid), meter_dim) or Ms.shape[2] != Ms.shape[3]:
         raise DimensionError(
-            f"root stacks must hold {meter_dim} square matrices, got shape {Ms.shape[1:]}"
+            f"the grid's root stack must have shape ({len(grid)}, {meter_dim}, d, d), got shape {Ms.shape}"
         )
     d = Ms.shape[2]
     dev = np.abs((dagger(Ms) @ Ms).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
@@ -117,6 +113,8 @@ def isometry_at(model: MeterModel, g: float) -> np.ndarray:
 def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndarray:
     """P(j) = ||M_j(g) s||^2: column j of U(g) s, reshaped system x meter, is M_j(g) s."""
     s = check_state(s)
+    if len(s) != model.system_dim:
+        raise DimensionError(f"state has dimension {len(s)}, not the system's {model.system_dim}")
     W = (isometry_at(model, g) @ s).reshape(model.system_dim, model.meter_dim)
     return np.sum(np.abs(W) ** 2, axis=0)
 

@@ -14,7 +14,6 @@ every other analysis reads the family through F.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -262,18 +261,21 @@ def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, Pol
     return basis, PolyMatrix(spectra.transpose(1, 2, 0))  # (degree + 1, d, n_out)
 
 
-def root_family(povm: ParamPovm) -> Callable[[float], np.ndarray]:
-    """g -> the read-only (n_out, d, d) stack of M_j(g) = E_j(g)^(1/2), kept for the last g.
+def root_family(povm: ParamPovm) -> Callable[[float | np.ndarray], np.ndarray]:
+    """g -> the read-only stack of M_j(g) = E_j(g)^(1/2): (n_out, d, d) at one
+    coupling, (n_g, n_out, d, d) for a 1-D array of n_g, each bit for bit its own read.
 
     A commuting family takes B diag(sqrt lambda_j(g)) B^H, its spectra through
     linalg.clamp_psd (psd_sqrt's rule and message); one that raises
-    NotCommuting takes psd_sqrt(E_j(g)) per outcome.  A coupling where any
-    outcome is refused raises for the whole stack; no range is checked.
+    NotCommuting takes psd_sqrt(E_j(g)) per coupling and outcome.  A refused
+    outcome raises for the whole read, naming the first refused coupling and
+    its first refused outcome; no range is checked.
 
-    The spectra are evaluated by Horner's scheme on a real (degree + 1,
-    n_out, d) copy of spectral_family's coefficients, whose imaginary parts
-    are zero: for finite values that is the real part of the complex
-    evaluation bit for bit, without the complex arithmetic or a transpose.
+    The spectra are evaluated by Horner's scheme, broadcast over the
+    couplings, on a real (degree + 1, n_out, d) copy of spectral_family's
+    coefficients, whose imaginary parts are zero: for finite values that is
+    the real part of the complex evaluation bit for bit, without the complex
+    arithmetic or a transpose.
     """
     try:
         basis, spectra = spectral_family(povm)
@@ -282,15 +284,17 @@ def root_family(povm: ParamPovm) -> Callable[[float], np.ndarray]:
     except NotCommuting:
         basis = None
 
-    @functools.lru_cache(maxsize=1)
-    def roots(g: float) -> np.ndarray:
+    def roots(g: float | np.ndarray) -> np.ndarray:
+        x = np.asarray(g, dtype=float)[..., None, None]  # the couplings, against (n_out, d)
         if basis is None:
-            R = np.array([psd_sqrt(e(g)) for e in povm.elements])
+            R = np.array([[psd_sqrt(e(y)) for e in povm.elements] for y in x.reshape(-1)])
+            R = R.reshape(*x.shape[:-2], povm.n_out, povm.dim, povm.dim)
         else:
-            lam = S[-1]
+            # a degree-0 family never multiplies by x, so its one order is repeated
+            lam = S[-1] if len(S) > 1 else np.broadcast_to(S[0], x.shape[:-2] + S[0].shape)
             for k in range(len(S) - 2, -1, -1):
-                lam = lam * g + S[k]
-            R = (basis * np.sqrt(clamp_psd(lam))[:, None, :]) @ basis_h
+                lam = lam * x + S[k]
+            R = (basis * np.sqrt(clamp_psd(lam))[..., None, :]) @ basis_h
         R.setflags(write=False)
         return R
 

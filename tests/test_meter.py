@@ -42,8 +42,11 @@ def build_model(povm, eigenvalues=None):
 
 
 def scale_first(roots, factor):
-    """roots with outcome 0's operator scaled by factor(g)."""
-    return lambda g: roots(g) * np.array([factor(g), 1.0])[:, None, None]
+    """roots with outcome 0's operator scaled by factor(g), g one coupling or an array of them."""
+    def scaled(g):
+        factors = np.stack(np.broadcast_arrays(factor(g), 1.0), axis=-1)  # (..., 2)
+        return roots(g) * factors[..., None, None]
+    return scaled
 
 
 def test_probabilities_match_povm_expectations():
@@ -146,13 +149,17 @@ def test_weak_coupling_check_product_at_zero():
     assert gap < 1e-12
 
 
+def entangling():
+    """Degree 0, with a zeroth order not proportional to the identity."""
+    return ParamPovm(
+        elements=(PolyMatrix([np.diag([0.9, 0.3])]), PolyMatrix([np.diag([0.1, 0.7])])), g_max=0.5
+    )
+
+
 def test_weak_coupling_check_detects_entanglement():
     # a family whose zeroth order is not proportional to the identity
     # entangles system and meter already at g = 0
-    e1 = PolyMatrix([np.diag([0.9, 0.3])])
-    e2 = PolyMatrix([np.diag([0.1, 0.7])])
-    povm = ParamPovm(elements=(e1, e2), g_max=0.5)
-    model = build_model(povm)
+    model = build_model(entangling())
     ok, gap = weak_coupling_check(model, plus_state())
     assert not ok
     assert gap > 0.1
@@ -179,19 +186,19 @@ def test_dilation_hot_path_shape(count_calls):
     roots, reads = mt.positive_family(povm), []
     model = dilate(povm, cx.build_F(povm, inst.observable), lambda g: reads.append(g) or roots(g))
     grid = pv.default_grid(povm.g_max)
-    assert reads == list(grid)  # one read per grid coupling, no probe at g = 0
+    # one read, of the whole grid: no probe at g = 0
+    assert len(reads) == 1 and reads[0].tobytes() == grid.tobytes()
     g = 0.7 * povm.g_max
     mt.outcome_probabilities(model, inst.psi_i, g)
-    assert len(reads) == len(grid) + 1  # isometry_at reads the stack once
+    assert len(reads) == 2  # isometry_at reads the stack once
     mt.meter_expectation(model, inst.psi_i, g)
-    assert reads[len(grid):] == [g, g]
+    assert reads[1:] == [g, g]
     assert sqrts[0] == 0
     assert eighs[0] == 0  # both eigenbases of a diagonal family are permutations
     # one solve per grid coupling and one at g, not one per outcome, each one SVD
-    couplings = len(grid) + 1
-    assert solves[0] == svds[0] == couplings
-    # one root stack per grid coupling and one at g, shared by every outcome: no probe at g = 0
-    assert stacks[0] == couplings
+    assert solves[0] == svds[0] == len(grid) + 1
+    # one root stack for the whole grid and one per read at g, shared by every outcome
+    assert stacks[0] == 3
 
 
 def haar(rng, dim):
@@ -256,7 +263,7 @@ def test_eigenbasis_roots_follow_the_clamp_rule():
     with pytest.raises(NotPositive) as point:
         linalg.psd_sqrt(wide.elements[1](1.2))
     # both outcomes have eigenvalue (1 - g)/2 = -0.1 at g = 1.2, and the stack is refused whole
-    for _ in range(2):  # a refused stack is not cached
+    for _ in range(2):  # a refused read raises every time
         with pytest.raises(NotPositive) as err:
             roots(1.2)
         assert str(err.value) == str(point.value)
@@ -293,6 +300,77 @@ def test_noncommuting_roots_are_psd_sqrt_bit_for_bit(count_calls):
     assert sqrts[0] == 3 * 4 * 21
 
 
+def test_stacked_root_read_equals_per_coupling_reads(count_calls):
+    rng = np.random.default_rng(12)
+    families = [spec.povm for spec in map(registry.get_instance, registry.REGISTRY) if spec.povm]
+    for _ in range(30):
+        dim = int(rng.integers(2, 5))
+        n_out = int(rng.integers(dim, 6))
+        povm = wk.generate_linear_commuting_instance(rng, dim, n_out).povm
+        # the diagonal path and the general eigenbasis path
+        families += [povm, rotated_povm(povm, haar(rng, dim), rng.permutation(n_out))]
+    families += [entangling(), noncommuting()]
+    assert sum(povm.max_degree == 0 for povm in families) == 2  # flat and entangling
+    sqrts = count_calls(linalg, "psd_sqrt")
+    for povm in families:
+        roots = mt.positive_family(povm)
+        grid = pv.default_grid(povm.g_max)
+        stacked = roots(grid)
+        assert stacked.shape == (len(grid), povm.n_out, povm.dim, povm.dim)
+        assert not stacked.flags.writeable
+        assert stacked.tobytes() == np.array([roots(g) for g in grid]).tobytes()
+    # only the non-commuting family: one psd_sqrt per coupling and outcome, in either form
+    assert sqrts[0] == 2 * 20 * 4
+
+
+def test_stacked_root_read_names_the_first_refused_coupling():
+    # (I -+ g Z)/2 has eigenvalue (1 - g)/2, negative past g = 1, inside this grid
+    wide = ParamPovm(elements=qubit_linear().elements, g_max=2.0)
+    roots = mt.positive_family(wide)
+    grid = pv.default_grid(wide.g_max)
+    first = None
+    for g in grid:
+        try:
+            roots(g)
+        except NotPositive as err:
+            first = str(err)
+            break
+    assert first is not None and g > 1
+    with pytest.raises(NotPositive) as err:
+        roots(grid)
+    assert str(err.value) == first
+
+
+def test_psd_clamp_rel_is_pinned_from_both_sides():
+    # on (I -+ g Z)/2 just past g = 1 the relative eigenvalue is (1 - g)/(1 + g)
+    roots = mt.positive_family(ParamPovm(elements=qubit_linear().elements, g_max=2.0))
+    stack = roots(1 + 1e-10)  # about -5e-11: clamped to zero
+    assert stack[0, 1, 1] == stack[1, 0, 0] == 0
+    with pytest.raises(NotPositive, match=r"eigenvalue -2\.000e-10 \(scale 1\.000e\+00\)$"):
+        roots(1 + 4e-10)  # about -2e-10
+
+
+def test_isometry_tol_is_pinned_from_both_sides():
+    # outcome 0 scaled by f deviates by (f^2 - 1) |E_0(g)| = (f^2 - 1) (1 + g) / 2
+    povm = qubit_linear()
+    grid = pv.default_grid(povm.g_max)
+    roots = mt.positive_family(povm)
+    mt.compose_isometry(scale_first(roots, lambda g: 1 + 2.6e-11), 2, povm.g_max)  # at most 5e-11
+    with pytest.raises(NotIsometry, match=rf"by 2\.00\de-10 at g={grid[0]:.6g}$"):
+        mt.compose_isometry(scale_first(roots, lambda g: 1 + 2e-10), 2, povm.g_max)  # about 2e-10
+
+
+@pytest.mark.parametrize("read", [mt.outcome_probabilities, mt.meter_expectation])
+def test_readouts_refuse_a_state_of_the_wrong_dimension(read):
+    roots, reads = mt.positive_family(qubit_linear()), []
+    model = mt.compose_isometry(
+        lambda g: reads.append(g) or roots(g), 2, 0.9, meter_eigenvalues=(lambda g: 1.0, lambda g: -1.0)
+    )
+    with pytest.raises(DimensionError, match=r"^state has dimension 3, not the system's 2$"):
+        read(model, np.array([1, 0, 0.0]), 0.1)
+    assert len(reads) == 1  # no root read at g = 0.1
+
+
 @pytest.mark.parametrize("make", [qubit_linear, noncommuting])
 def test_root_stacks_are_read_only(make):
     povm = make()
@@ -314,10 +392,11 @@ def test_compose_isometry_refuses_infinite_g_max():
 def test_stacked_checks_name_the_first_failing_coupling():
     povm = qubit_linear()
     grid = pv.default_grid(povm.g_max)
-    roots = scale_first(mt.positive_family(povm), lambda g: 1.1 if g >= grid[5] else 1.0)
+    roots = scale_first(mt.positive_family(povm), lambda g: np.where(g >= grid[5], 1.1, 1.0))
     with pytest.raises(NotIsometry, match=f"at g={grid[5]:.6g}$"):
         mt.compose_isometry(roots, 2, povm.g_max)
-    blank = lambda g: np.full((2, 2, 2), np.nan if g > 0 else 0.5)  # a NaN deviation fails too
+    # a NaN deviation fails too
+    blank = lambda g: np.where(g > 0, np.nan, 0.5)[..., None, None, None] * np.ones((2, 2, 2))
     with pytest.raises(NotIsometry, match=f"by nan at g={grid[0]:.6g}$"):
         mt.compose_isometry(blank, 2, povm.g_max)
     eigs = (lambda g: 1.0, lambda g: 1.0 if g >= grid[7] else 2.0)
@@ -328,11 +407,10 @@ def test_stacked_checks_name_the_first_failing_coupling():
 @pytest.mark.parametrize(
     "stack, message",
     [
-        (lambda roots, g: roots(g), r"hold 3 square matrices, got shape \(2, 2, 2\)$"),  # 2 outcomes
+        (lambda roots, g: roots(g), r"shape \(20, 3, d, d\), got shape \(20, 2, 2, 2\)$"),  # 2 outcomes
         (lambda roots, g: np.eye(3) / 3, r"got shape \(3, 3\)$"),  # a matrix, not a stack
-        (lambda roots, g: np.zeros((3, 2, 3)), r"got shape \(3, 2, 3\)$"),  # not square
-        (lambda roots, g: np.zeros((3, 2, 2) if g < 0.1 else (3, 3, 3)), "one shape on the grid$"),
-        (lambda roots, g: np.zeros((3 if g < 0.1 else 4, 2, 2)), "one shape on the grid$"),
+        (lambda roots, g: np.zeros((len(g), 3, 2, 3)), r"got shape \(20, 3, 2, 3\)$"),  # not square
+        (lambda roots, g: np.zeros((len(g) - 1, 3, 2, 2)), r"got shape \(19, 3, 2, 2\)$"),  # a coupling short
     ],
 )
 def test_compose_refuses_misshapen_stacks(stack, message):
