@@ -401,21 +401,9 @@ def _cmd_conjecture_sweep(args, spec: None) -> _Output:
                 )
         out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
         for r in failures:
-            inst = r.instance
-            fail_spec = InstanceSpec(
-                name=f"conjecture-fail-s{args.seed}-t{r.trial}",
-                povm=inst.povm,
-                observable=inst.observable,
-                psi_i=inst.psi_i,
-                psi_f=inst.psi_f,
-                notes=(
-                    f"failing conjecture trial: seed {args.seed}, trial {r.trial}, "
-                    f"discrepancy {r.discrepancy:.6e} at tol {args.tol:g}"
-                ),
-            )
-            path = os.path.join(out_dir, fail_spec.name + ".json")
+            path = os.path.join(out_dir, r.instance.name + ".json")
             with _writing(path):
-                save_instance(fail_spec, path)
+                save_instance(r.instance, path)
             yield f"serialized failing instance to {path}"
         yield (
             f"{len(records) - len(failures)}/{len(records)} trials passed "

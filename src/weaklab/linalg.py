@@ -13,7 +13,6 @@ import numpy as np
 from .errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
 
 HERMITIAN_TOL = 1e-12
-STATE_NORM_TOL = 1e-12
 #: a state vector's norm may differ from 1 by this much
 UNIT_NORM_TOL = 1e-10
 #: eigenvalues closer than this (times the matrix scale) count as degenerate
@@ -46,12 +45,10 @@ def hermitian_bound(M: np.ndarray) -> float:
 
 
 def check_state(v: np.ndarray) -> np.ndarray:
-    """Return v as a complex vector, raising InvalidState if zero or unnormalized."""
+    """Return v as a complex vector, raising InvalidState unless its norm is 1 +- UNIT_NORM_TOL."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = float(np.linalg.norm(v))
-    if n <= STATE_NORM_TOL:
-        raise InvalidState("state vector is (numerically) zero")
-    if abs(n - 1.0) > UNIT_NORM_TOL:
+    if not abs(n - 1.0) <= UNIT_NORM_TOL:
         raise InvalidState(f"state vector norm {n!r} is not 1")
     return v
 

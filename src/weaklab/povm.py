@@ -60,19 +60,8 @@ class PolyMatrix:
         return len(self.coefficients) - 1
 
     def __call__(self, g: float | np.ndarray) -> np.ndarray:
-        """Value at coupling g; an array g of shape (n, 1, 1) gives n stacked values.
-
-        Every degree stacks, degree 0 included: its one coefficient is
-        repeated to the shape Horner's scheme would give.
-        """
-        if self.max_degree == 0:
-            shape = np.broadcast_shapes(np.shape(g), self.shape)
-            return np.array(np.broadcast_to(self.coefficients[0], shape))
-        C = self.coefficients
-        acc = C[-1]  # the first step below makes a new array
-        for k in range(len(C) - 2, -1, -1):  # indexing: iterating a reversed view is slower
-            acc = acc * g + C[k]
-        return acc
+        """Value at coupling g; an array g of shape (n, 1, 1) gives n stacked values (see _horner)."""
+        return _horner(self.coefficients, g)
 
     def truncate(self, n: int, mode: str = "prefix") -> "PolyMatrix":
         """Low-order part of the family, all other coefficients zeroed.
@@ -91,6 +80,21 @@ class PolyMatrix:
         return PolyMatrix(
             [c if k in keep else np.zeros_like(c) for k, c in enumerate(self.coefficients)]
         )
+
+
+def _horner(C: np.ndarray, x: float | np.ndarray) -> np.ndarray:
+    """sum_k C[k] x**k by Horner's scheme, for coefficients C (degree + 1, ...) of any dtype
+    broadcast against x.
+
+    Every degree broadcasts, degree 0 included: its one coefficient is
+    repeated, as a new array, to the shape Horner's scheme would give.
+    """
+    if len(C) == 1:
+        return np.array(np.broadcast_to(C[0], np.broadcast_shapes(np.shape(x), C.shape[1:])))
+    acc = C[-1]  # the first step below makes a new array
+    for k in range(len(C) - 2, -1, -1):  # indexing: iterating a reversed view is slower
+        acc = acc * x + C[k]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -227,19 +231,17 @@ def validate(povm: ParamPovm) -> ValidationReport:
     )
 
 
-def check_coupling(g: float | np.ndarray, g_max: float | np.ndarray) -> None:
+def check_coupling(g: float | np.ndarray, g_max: float) -> None:
     """Raise OutOfValidityRange unless 0 <= g <= g_max; NaN fails too.
 
-    g may be one coupling or an array of them, and g_max one bound or an
-    array of bounds broadcasting against g (a stack of grids, one bound per
-    row); the error names the first coupling out of range, in C order, and
-    its bound.  g = 0 is allowed: the dilation is evaluated there.
+    g may be one coupling or an array of them, all against the one bound
+    g_max; the error names the first coupling out of range, in C order.
+    g = 0 is allowed: the dilation is evaluated there.
     """
     g = np.asarray(g, dtype=float)
     outside = ~((g >= 0) & (g <= g_max * (1 + 1e-12)))
     if outside.any():
-        bound = np.broadcast_to(g_max, outside.shape)[outside][0]
-        raise OutOfValidityRange(f"g={g[outside][0]} outside validated range (0, {bound}]")
+        raise OutOfValidityRange(f"g={g[outside][0]} outside validated range (0, {g_max}]")
 
 
 def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
@@ -271,7 +273,7 @@ def root_family(povm: ParamPovm) -> Callable[[float | np.ndarray], np.ndarray]:
     outcome raises for the whole read, naming the first refused coupling and
     its first refused outcome; no range is checked.
 
-    The spectra are evaluated by Horner's scheme, broadcast over the
+    The spectra are PolyMatrix's Horner pass (_horner), broadcast over the
     couplings, on a real (degree + 1, n_out, d) copy of spectral_family's
     coefficients, whose imaginary parts are zero: for finite values that is
     the real part of the complex evaluation bit for bit, without the complex
@@ -290,11 +292,7 @@ def root_family(povm: ParamPovm) -> Callable[[float | np.ndarray], np.ndarray]:
             R = np.array([[psd_sqrt(e(y)) for e in povm.elements] for y in x.reshape(-1)])
             R = R.reshape(*x.shape[:-2], povm.n_out, povm.dim, povm.dim)
         else:
-            # a degree-0 family never multiplies by x, so its one order is repeated
-            lam = S[-1] if len(S) > 1 else np.broadcast_to(S[0], x.shape[:-2] + S[0].shape)
-            for k in range(len(S) - 2, -1, -1):
-                lam = lam * x + S[k]
-            R = (basis * np.sqrt(clamp_psd(lam))[..., None, :]) @ basis_h
+            R = (basis * np.sqrt(clamp_psd(_horner(S, x)))[..., None, :]) @ basis_h
         R.setflags(write=False)
         return R
 

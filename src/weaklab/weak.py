@@ -13,8 +13,9 @@ conditioned average (off it, a few draws gave a limit other than the weak
 value, or none).  That is a statement about the sampler, not about the
 published hypotheses.  ``weak_limit`` and every trial share one core,
 ``_ladders``: from stacked F bases and solve_grid solutions it forms the
-conditioned averages and fits their g -> 0 limits, from the weights of
-``_postselection``, which conditioned_average and the Monte Carlo share.
+conditioned averages and fits their g -> 0 limits.  Its weights are
+``_postselection``'s, which the Monte Carlo shares, and its averages
+``_postselected_average``'s: conditioned_average takes both on one coupling.
 
 A sweep batches its linear algebra, not its randomness.  Each trial draws
 from its own stream (seeded by (seed, trial)) through the generator
@@ -55,6 +56,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
 from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, ValidationError, WeakLabError
+from .files import InstanceSpec
 from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling
 
@@ -89,7 +91,9 @@ def conditioned_average(
     """Postselected average of the outcome weights, plus the success probability.
 
     Outcome j contributes weight |<psi_f| M_j(g) psi_i>|^2 (see _postselection); the value is
-    the weight-normalized sum of alpha_j.  As in pseudoinverse_cv, the caller checks g's range.
+    the weight-normalized sum of alpha_j, by the ladders' own _postselected_average.  Errors
+    come in the order NoBasis, InvalidState (psi_i, then psi_f), ValueError (alpha's shape),
+    NotPositive, OrthogonalPostselection.  As in pseudoinverse_cv, the caller checks g's range.
     """
     basis = _operator_basis(F)
     alpha = np.asarray(alpha, dtype=float)
@@ -97,13 +101,9 @@ def conditioned_average(
     psi_f = check_state(psi_f)
     if alpha.shape != (F.n_out,):
         raise ValueError(f"alpha must have shape ({F.n_out},), got {alpha.shape}")
-    weights = _postselection(basis, np.real(F.poly(g))[None], psi_i, psi_f)[1][0]
-    success = float(weights.sum())
-    if success <= OVERLAP_TOL:
-        raise OrthogonalPostselection(
-            f"success probability {success:.3e} vanishes at g={g}"
-        )
-    return float(alpha @ weights) / success, success
+    weights = _postselection(basis, np.real(F.poly(g))[None], psi_i, psi_f)[1]
+    [value], [success] = _postselected_average(alpha, weights, np.array([g]))
+    return float(value), float(success)
 
 
 def _operator_basis(F: FMatrix) -> np.ndarray:
@@ -128,6 +128,20 @@ def _postselection(bases, Fg, psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
     y = (Bh @ psi_f[..., None])[..., 0]
     amplitudes = (y.conj()[..., None, None, None, :] @ (root * x[..., None, None, :])[..., None])[..., 0, 0]
     return x, _squared_moduli(amplitudes)
+
+
+def _postselected_average(alpha, weights, g) -> tuple[np.ndarray, np.ndarray]:
+    """Averages alpha . w / sum(w) and success probabilities sum(w) (...) of contextual values
+    alpha (..., n_out) and _postselection's weights w (..., n_out) at couplings g (...).
+
+    Raises OrthogonalPostselection at the first coupling, in C order, whose success is at
+    most OVERLAP_TOL."""
+    probs = weights.sum(axis=-1)
+    vanishing = probs <= OVERLAP_TOL
+    if vanishing.any():
+        at = tuple(np.argwhere(vanishing)[0])
+        raise OrthogonalPostselection(f"success probability {probs[at]:.3e} vanishes at g={g[at]}")
+    return (alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs, probs
 
 
 def _squared_moduli(z: np.ndarray) -> np.ndarray:
@@ -203,19 +217,12 @@ def _ladders(bases, sol: GridSolution, A, psi_i, psi_f) -> list[WeakLimitReport]
     stacked in sol, observables A (k, d, d) and unit states psi_i, psi_f (k, d).
 
     Raises only the stack's first NotPositive (linalg.clamp_psd) or
-    OrthogonalPostselection.  Every stacked step rounds as it does on one
-    member, so the averages equal conditioned_average's bit for bit.
+    OrthogonalPostselection.  The averages are conditioned_average's own
+    step, _postselected_average, taken on the whole stack at once.
     """
     g = sol.g_grid  # (k, n_g)
     weights = _postselection(bases, sol.F_g, psi_i, psi_f)[1]
-    probs = weights.sum(axis=-1)  # (k, n_g)
-    vanishing = probs <= OVERLAP_TOL
-    if vanishing.any():
-        m, j = np.argwhere(vanishing)[0]
-        raise OrthogonalPostselection(
-            f"success probability {probs[m, j]:.3e} vanishes at g={g[m, j]}"
-        )
-    values = (sol.alpha[..., None, :] @ weights[..., None])[..., 0, 0] / probs
+    values, probs = _postselected_average(sol.alpha, weights, g)  # (k, n_g) each
 
     lowest = np.arange(len(g))[:, None], np.argsort(g, axis=-1)[:, :LIMIT_FIT_POINTS]
     coef, domain, _ = _polyfit_rows(g[lowest], values[lowest], 2)
@@ -357,16 +364,6 @@ def _weak_values(A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray) -> np.ndar
 
 
 @dataclass
-class ConjectureInstance:
-    """One randomly drawn linear commuting measurement with states."""
-
-    povm: ParamPovm
-    observable: np.ndarray
-    psi_i: np.ndarray
-    psi_f: np.ndarray
-
-
-@dataclass
 class TrialRecord:
     """Result of one conjecture trial, CSV-friendly."""
 
@@ -379,7 +376,7 @@ class TrialRecord:
     traditional: float
     discrepancy: float
     passed: bool
-    instance: ConjectureInstance | None = field(default=None, repr=False)
+    instance: InstanceSpec | None = field(default=None, repr=False)
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -489,17 +486,18 @@ def _draw_ladders(draws: list[tuple], bases: np.ndarray, sol: GridSolution) -> l
     return _ladders(bases, sol, np.array([np.diag(draw[0]) for draw in draws], dtype=complex), psi_i, psi_f)
 
 
-def _instance(draw: tuple) -> ConjectureInstance:
+def _instance(draw: tuple, name: str, notes: str = "") -> InstanceSpec:
     a, w, Q, g_max, psi_i, psi_f = draw
-    return ConjectureInstance(_povm(w, Q, g_max), np.diag(a), psi_i, psi_f)
+    return InstanceSpec(name, _povm(w, Q, g_max), observable=np.diag(a), psi_i=psi_i, psi_f=psi_f, notes=notes)
 
 
 def generate_linear_commuting_instance(
     rng: np.random.Generator,
     dim: int,
     n_out: int,
-) -> ConjectureInstance:
-    """Draw a diagonal measurement family linear in g satisfying every hypothesis.
+) -> InstanceSpec:
+    """Draw a diagonal measurement family linear in g satisfying every hypothesis, as
+    the InstanceSpec "generated" with its observable and both states.
 
     Zeroth order: outcome weights w_j times the identity, w drawn from a
     symmetric Dirichlet (so zero coupling extracts no information and the
@@ -517,7 +515,7 @@ def generate_linear_commuting_instance(
     """
     for draw in _draws(rng, dim, n_out):  # raises GenerationFailed after its last draw
         if _solve_draws([draw])[0][0]:
-            return _instance(draw)
+            return _instance(draw, "generated")
 
 
 def _trial_shape(rng: np.random.Generator, dim: int | None, n_out: int | None) -> tuple[int, int]:
@@ -577,7 +575,11 @@ def _trial_block(seed, trials, dim, n_out, tol) -> list[TrialRecord]:
         records.append(TrialRecord(
             key, t, d, n, float(report.g_grid.min()), report.extrapolated_limit,
             report.traditional_value, report.discrepancy, passed,
-            instance=None if passed else _instance(draw),
+            instance=None if passed else _instance(
+                draw, f"conjecture-fail-s{key[0]}-t{t}",
+                f"failing conjecture trial: seed {key[0]}, trial {t}, "
+                f"discrepancy {report.discrepancy:.6e} at tol {tol:g}",
+            ),
         ))
     return records
 
@@ -597,8 +599,8 @@ def conjecture_trial(
     generator's exactness check, so a trial solves its grid once.
     Unspecified dimensions are drawn uniformly with n_out >= dim (so exact
     contextual values can exist): dim from [2, min(TRIAL_DIM_MAX, n_out)]
-    when n_out is fixed, n_out from [dim, TRIAL_N_OUT_MAX] when it is not.  A failing trial keeps its
-    instance attached for serialization.
+    when n_out is fixed, n_out from [dim, TRIAL_N_OUT_MAX] when it is not.  A failing trial
+    carries its InstanceSpec, conjecture-fail-s{seed}-t{trial}, ready to save.
     """
     return _trial_block(seed, [trial], dim, n_out, tol)[0]
 

@@ -42,10 +42,11 @@ from weaklab.errors import (
     OrthogonalPostselection,
     WeakLabError,
 )
+from weaklab.files import InstanceSpec
 from weaklab.linalg import PSD_CLAMP_REL, check_hermitian, check_state, clamp_psd, dagger
 from weaklab.meter import MeterModel, isometry_at
 from weaklab.povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix, check_coupling, measurement_operators
-from weaklab.weak import OVERLAP_TOL, ConjectureInstance, TrialRecord, WeakLimitReport
+from weaklab.weak import OVERLAP_TOL, TrialRecord, WeakLimitReport
 
 
 def oracle_pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
@@ -185,7 +186,7 @@ def oracle_random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> ConjectureInstance:
+def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> InstanceSpec:
     """generate_linear_commuting_instance drawn one candidate at a time, each
     with its own ParamPovm, build_F and solve_grid."""
     for _ in range(100):
@@ -216,7 +217,7 @@ def oracle_instance(rng: np.random.Generator, dim: int, n_out: int) -> Conjectur
         else:
             continue
         if solve_grid(build_F(povm, A), weak.limit_grid(g_max)).exact:
-            return ConjectureInstance(povm=povm, observable=A, psi_i=s_i, psi_f=s_f)
+            return InstanceSpec("generated", povm=povm, observable=A, psi_i=s_i, psi_f=s_f)
     raise GenerationFailed(f"no admissible instance in 100 attempts (dim={dim}, n_out={n_out})")
 
 

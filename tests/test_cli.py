@@ -297,6 +297,36 @@ def test_validate_rejects_overflowing_coupling_range(capsys, tmp_path):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, refusal",
+    [
+        # completeness: outcome 0's order-0 diagonal moved off I/2 (COMPLETENESS_TOL 1e-12)
+        ({"diagonal": 5e-13}, None),
+        ({"diagonal": 2e-12}, "[Completeness]"),
+        # positivity: 1/2 - g/2 at g_max is about -5e-11, then -2e-10 (PSD_GRID_TOL -1e-10)
+        ({"g_max": 1 + 1e-10}, None),
+        ({"g_max": 1 + 4e-10}, "[NotPositive]"),
+    ],
+)
+def test_validate_file_tolerances_from_both_sides(capsys, tmp_path, edit, refusal):
+    path = tmp_path / "edited.json"
+    run(capsys, "registry", "export", "qubit-linear", "--out", str(path))
+    data = json.loads(path.read_text())
+    if "diagonal" in edit:
+        [order0] = [rec for rec in data["outcomes"][0] if rec["order"] == 0]
+        for i in range(2):
+            order0["matrix"][i][i][0] += edit["diagonal"]
+    else:
+        data["g_max"] = edit["g_max"]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    if refusal is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: ValidationError: {refusal}")
+
+
 def test_quadratic_family_overflowing_its_range_is_bad_value(capsys, tmp_path):
     # 0 * g**2 is NaN off the diagonal at g ~ 1e308: NaN minimum, not a LinAlgError
     path = tmp_path / "quad.json"

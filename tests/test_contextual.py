@@ -134,6 +134,20 @@ def test_build_f_rejects_bad_row_sums():
     assert err.value.code == "RowSum"
 
 
+@pytest.mark.parametrize("excess, accepted", [(5e-12, True), (2e-11, False)])
+def test_build_f_row_sum_tolerance_is_1e_11(excess, accepted):
+    # literal bounds on both sides of ROW_SUM_TOL: one spectral row sums to 1 + excess
+    povm = ParamPovm(
+        elements=(PolyMatrix([np.diag([0.5 + excess, 0.5]), Z / 2]), PolyMatrix([I2 / 2, -Z / 2])),
+        g_max=0.5,
+    )
+    if accepted:
+        cx.build_F(povm, Z)
+    else:
+        with pytest.raises(ValidationError, match=r"^\[RowSum\]"):
+            cx.build_F(povm, Z)
+
+
 # ---------------------------------------------------------- pseudoinverse
 
 

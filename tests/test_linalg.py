@@ -565,7 +565,7 @@ def test_check_state():
     npt.assert_allclose(np.linalg.norm(v), 1.0)
     with pytest.raises(InvalidState):
         linalg.check_state(np.array([1.0, 1.0]))
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidState, match=r"^state vector norm 0\.0 is not 1$"):
         linalg.check_state(np.zeros(2))
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from weaklab import contextual as cx
 from weaklab import linalg
 from weaklab import meter as mt
+from weaklab import montecarlo as mc
 from weaklab import povm as pv
 from weaklab import weak as wk
 from weaklab.errors import GenerationFailed
@@ -471,6 +472,34 @@ def weak_limit_error(*args):
     with pytest.raises(WeakLabError) as err:
         wk.weak_limit(*args)
     return type(err.value), str(err.value)
+
+
+BAD_STATES = {
+    "nan": np.array([np.nan, 1.0]),
+    "inf": np.array([np.inf, 0.0]),
+    "zero": np.zeros(2),
+    "norm 1e-13": np.array([1e-13, 0.0]),
+}
+
+
+@pytest.mark.parametrize("position", ["psi_i", "psi_f"])
+@pytest.mark.parametrize("bad", BAD_STATES, ids=str)
+def test_every_state_entry_refuses_a_non_unit_norm(bad, position):
+    # one rule: the norm is within UNIT_NORM_TOL of 1; NaN, inf and zero norms fail it
+    state = BAD_STATES[bad]
+    with pytest.raises(InvalidState, match=r"^state vector norm \S+ is not 1$"):
+        linalg.check_state(state)
+    F = cx.build_F(qubit_linear(), Z)
+    alpha = cx.pseudoinverse_cv(F, 0.1).alpha
+    states = {"psi_i": PLUS, "psi_f": final_state(np.pi / 8), position: state}
+    calls = [
+        lambda: wk.weak_limit(qubit_linear(), Z, states["psi_i"], states["psi_f"]),
+        lambda: wk.conditioned_average(F, alpha, states["psi_i"], states["psi_f"], 0.1),
+        lambda: mc.sample_run(F, alpha, states["psi_i"], states["psi_f"], mc.McConfig(10, 0, 0.1)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidState):
+            call()
 
 
 def test_spectral_core_error_order():
