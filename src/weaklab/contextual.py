@@ -19,6 +19,10 @@ go through `solve_grid`; the weak limit and the sweep hand their solution
 on to the weak-limit ladder (the sweep a solve's whole stack, or its exact
 members through `GridSolution.__getitem__`), so a grid is solved once per limit.
 
+Every pseudoinverse, stacked or single, is linalg.pinv_and_rank's: one call
+of the SVD gufunc that np.linalg.svd itself calls (`svd_s`), made without
+svd's wrapper, on the real F(g) that the gufunc casts to complex itself.
+
 `pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
 by identity).  Each rule of a solve has one owner: `_pinv_weights`, under both
 solvers, raises NoExactCv at the first coupling whose alpha is not finite;
@@ -109,7 +113,7 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
     """
     A = check_hermitian(A)
     basis, poly = spectral_family(povm, A)
-    a_vec = np.real(np.diag(dagger(basis) @ A @ basis))
+    a_vec = (dagger(basis) @ A @ basis).diagonal().real
     check_row_sums(poly.coefficients)
     return FMatrix(poly=poly, a_vec=a_vec, basis=basis)
 
@@ -163,11 +167,9 @@ def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite alpha is refused below
         P, ranks = pinv_and_rank(Fg)
-        Pa = P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]
-    alpha = Pa.real
-    finite = np.isfinite(alpha)
-    if not finite.all():
-        first = finite.reshape(-1, finite.shape[-1]).all(axis=1).argmin()
+        alpha = (P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]).real
+    if not np.isfinite(alpha).all():
+        first = np.isfinite(alpha).reshape(-1, alpha.shape[-1]).all(axis=1).argmin()
         raise NoExactCv(f"contextual values overflow at g = {np.ravel(g)[first]:.9g}")
     return alpha, ranks
 

@@ -77,7 +77,7 @@ def compose_isometry(
         if len(eigs) != meter_dim:
             raise DimensionError("need one meter eigenvalue function per outcome")
         # coupling by coupling, so a memoized solve serves every outcome at once
-        vals = np.array([[float(f(g)) for f in eigs] for g in grid])
+        vals = np.array([[float(f(g)) for f in eigs] for g in grid.tolist()])
         with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
             gaps = np.abs(vals[:, :, None] - vals[:, None, :])
         gaps[:, range(meter_dim), range(meter_dim)] = np.inf
@@ -106,7 +106,7 @@ def isometry_at(model: MeterModel, g: float) -> np.ndarray:
     """
     check_coupling(g, model.g_max)
     d, dm = model.system_dim, model.meter_dim
-    Ms = np.swapaxes(model.roots(g), 0, 1)
+    Ms = model.roots(g).swapaxes(0, 1)
     return np.array(Ms, dtype=complex, order="C").reshape(d * dm, d)
 
 
@@ -116,7 +116,7 @@ def outcome_probabilities(model: MeterModel, s: np.ndarray, g: float) -> np.ndar
     if len(s) != model.system_dim:
         raise DimensionError(f"state has dimension {len(s)}, not the system's {model.system_dim}")
     W = (isometry_at(model, g) @ s).reshape(model.system_dim, model.meter_dim)
-    return np.sum(np.abs(W) ** 2, axis=0)
+    return (np.abs(W) ** 2).sum(axis=0)
 
 
 def meter_expectation(model: MeterModel, s: np.ndarray, g: float) -> float:

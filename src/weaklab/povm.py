@@ -259,7 +259,7 @@ def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, Pol
     except NotCommuting as err:
         names = ["observable"] * len(lead) + [f"outcome {j}, order {k}" for j, k in np.argwhere(nonzero)]
         raise NotCommuting(*err.pair, err.commutator_norm, tuple(names[i] for i in err.pair)) from None
-    spectra = np.real(np.diagonal(dagger(basis) @ C @ basis, axis1=-2, axis2=-1))
+    spectra = (dagger(basis) @ C @ basis).diagonal(axis1=-2, axis2=-1).real
     return basis, PolyMatrix(spectra.transpose(1, 2, 0))  # (degree + 1, d, n_out)
 
 

@@ -125,8 +125,22 @@ scales = st.sampled_from([1.0, 1e-310, 2.0**-1070, 1e-300, 1e300, 2.0**1000])
 
 @st.composite
 def kernel_matrices(draw):
-    """One matrix or a stack, real or complex: drawn entries, all zero, of low rank, or with a NaN."""
-    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    """One matrix or a stack, real or complex: drawn entries, all zero, of low rank, or with a NaN.
+
+    The stack or a core dimension may be empty, the core may be column-major or
+    strided, and a real matrix may be float32, or the real part of a complex
+    array, as solve_stack passes it: every input the SVD gufunc casts or walks itself.
+    """
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    empty = draw(st.sampled_from([None, None, None, "rows", "columns", "stack"]))
+    if empty == "rows":
+        m = 0
+    elif empty == "columns":
+        n = 0
+    elif empty == "stack":
+        lead = [0, *lead]
+    shape = (*lead, m, n)
     kind = draw(st.sampled_from(["entries", "zero", "low rank", "nan"]))
     size = int(np.prod(shape))
     M = np.array(draw(st.lists(small_floats, min_size=size, max_size=size))).reshape(shape)
@@ -134,14 +148,28 @@ def kernel_matrices(draw):
         M = M + 1j * np.array(draw(st.lists(small_floats, min_size=size, max_size=size))).reshape(shape)
     if kind == "zero":
         M = M * 0.0
-    elif kind == "low rank":  # one column times one row, each matrix rank at most 1
+    elif kind == "low rank" and m and n:  # one column times one row, each matrix rank at most 1
         M = M[..., :, :1] @ M[..., :1, :]
-    elif kind == "nan":
+    elif kind == "nan" and size:
         M.flat[draw(st.integers(0, size - 1))] = np.nan
-    return M * draw(scales)
+    real = not np.iscomplexobj(M)
+    if real and draw(st.sampled_from([False, False, False, True])):
+        M = M.astype(np.float32)  # unscaled entries of at most 1e6: no overflow
+    else:
+        M = M * draw(scales)
+    layout = draw(st.sampled_from(["contiguous", "column-major", "strided"]))
+    if layout == "column-major":
+        M = np.ascontiguousarray(M.swapaxes(-1, -2)).swapaxes(-1, -2)
+    elif layout == "strided" and M.dtype == np.float64:  # the real part of a complex array
+        C = np.empty(M.shape, dtype=complex)
+        C.real, C.imag = M, 1.0
+        M = C.real
+    elif layout == "strided":  # every other entry of a wider array
+        M = np.stack([M, M], axis=-1)[..., 0]
+    return M
 
 
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
 @given(kernel_matrices())
 def test_pinv_and_rank_equals_its_first_form_bit_for_bit(M):
     got, err = outcome(linalg.pinv_and_rank, M)
@@ -294,6 +322,41 @@ def test_common_eigenbasis_rejects_noncommuting():
         linalg.common_eigenbasis([1e100 * Z, 1e100 * X])
     assert err.value.pair == (0, 1)
     npt.assert_allclose(err.value.commutator_norm, 2 * np.sqrt(2) * 1e200, rtol=1e-15)
+
+
+@pytest.mark.parametrize("eps, commutes", [(2.5e-11, True), (1e-10, False)])
+def test_common_eigenbasis_takes_a_relative_commutator_up_to_1e_10(eps, commutes):
+    # literal bounds on both sides of the relative commutator tolerance, 1e-10:
+    # [Z, Y] = 2 eps (e01 - e10) has norm 2 sqrt(2) eps, against |Z| |Y| = sqrt(2) (1 + O(eps^2))
+    Z = np.diag([1.0, -1.0])
+    Y = np.array([[1.0, eps], [eps, 0.0]])
+    relative = linalg.commutator_norm(Z, Y) / (np.linalg.norm(Z) * np.linalg.norm(Y))
+    assert relative == pytest.approx(2 * eps, rel=1e-9)  # 5e-11 and 2e-10
+    if commutes:
+        V = linalg.common_eigenbasis([Z, Y])
+        assert V.tobytes() == np.eye(2, dtype=complex).tobytes()
+    else:
+        with pytest.raises(NotCommuting) as err:
+            linalg.common_eigenbasis([Z, Y])
+        assert err.value.pair == (0, 1)
+
+
+@pytest.mark.parametrize("imag, hermitian", [(4e-13, True), (2e-12, False)])
+def test_hermitian_rule_takes_an_imaginary_diagonal_up_to_5e_13_at_scale_1(imag, hermitian):
+    # literal bounds on both sides of HERMITIAN_TOL = 1e-12: |M - M^H| is 2 |Im M_00|
+    # against 1e-12 times max(1, max |M|) = 1, in check_hermitian and in the
+    # diagonal path of common_eigenbasis alike
+    M = np.diag([1.0 + imag * 1j, 0.5])
+    if hermitian:
+        assert linalg.check_hermitian(M).tobytes() == M.tobytes()
+        assert linalg._diagonal_basis([M]) is not None
+        assert linalg.common_eigenbasis([M]).tobytes() == np.eye(2, dtype=complex).tobytes()
+    else:
+        with pytest.raises(InvalidMatrix, match="not Hermitian"):
+            linalg.check_hermitian(M)
+        assert linalg._diagonal_basis([M]) is None
+        with pytest.raises(InvalidMatrix, match="not Hermitian"):
+            linalg.common_eigenbasis([M])
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])

@@ -479,23 +479,27 @@ BAD_STATES = {
     "inf": np.array([np.inf, 0.0]),
     "zero": np.zeros(2),
     "norm 1e-13": np.array([1e-13, 0.0]),
+    # finite entries whose squared norm overflows: refused, not warned about
+    "norm overflows": np.array([1e200, 0.0]),
 }
 
 
 @pytest.mark.parametrize("position", ["psi_i", "psi_f"])
 @pytest.mark.parametrize("bad", BAD_STATES, ids=str)
 def test_every_state_entry_refuses_a_non_unit_norm(bad, position):
-    # one rule: the norm is within UNIT_NORM_TOL of 1; NaN, inf and zero norms fail it
+    # one rule: the norm is within UNIT_NORM_TOL of 1; NaN, inf, zero and overflowing norms fail it
     state = BAD_STATES[bad]
     with pytest.raises(InvalidState, match=r"^state vector norm \S+ is not 1$"):
         linalg.check_state(state)
     F = cx.build_F(qubit_linear(), Z)
     alpha = cx.pseudoinverse_cv(F, 0.1).alpha
+    meter_model = mt.compose_isometry(mt.positive_family(qubit_linear()), 2, qubit_linear().g_max)
     states = {"psi_i": PLUS, "psi_f": final_state(np.pi / 8), position: state}
     calls = [
         lambda: wk.weak_limit(qubit_linear(), Z, states["psi_i"], states["psi_f"]),
         lambda: wk.conditioned_average(F, alpha, states["psi_i"], states["psi_f"], 0.1),
         lambda: mc.sample_run(F, alpha, states["psi_i"], states["psi_f"], mc.McConfig(10, 0, 0.1)),
+        lambda: mt.outcome_probabilities(meter_model, state, 0.1),
     ]
     for call in calls:
         with pytest.raises(InvalidState):
