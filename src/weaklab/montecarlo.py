@@ -6,18 +6,25 @@ postselection probability |<psi_f|state>|^2.  The empirical conditioned
 average is the mean outcome weight over accepted trials.
 
 Sampling uses a counter-based generator (Philox) keyed by the config seed,
-so reruns are bit-identical.  The first `trials` uniforms pick the outcomes:
-a trial's outcome is the number of cumulative probability bounds at or below
-its uniform.  The next `trials` uniforms decide acceptance.  The mean and
-the spread are numpy's own `mean` and `std(ddof=1)` of the accepted outcome
-weights in draw order, formed without that array (see `_mean_and_spread`).
+so reruns are bit-identical.  The first `trials` values of the stream pick
+the outcomes: a trial's outcome is the number of cumulative probability
+bounds at or below its uniform.  The next `trials` values decide acceptance.
+The sampler reads the stream as raw 64-bit words and never forms the
+uniforms: numpy's Philox double is exactly k 2**-53 with k = word >> 11, and
+x 2**53 is exact for x in [0, 1], so u >= b holds exactly when
+k >= ceil(b 2**53) and u < q exactly when k < ceil(q 2**53).  Each bound and
+each acceptance probability becomes such an integer threshold once per run
+(`_thresholds`), and every outcome and acceptance is the one the doubles
+would give.  The mean and the spread are numpy's own `mean` and
+`std(ddof=1)` of the accepted outcome weights in draw order, formed without
+that array (see `_mean_and_spread`).
 
 The trials run in blocks small enough to stay in cache: each block draws its
-outcome uniforms, searches the bounds, draws its acceptance uniforms,
-accepts, tallies and appends its accepted outcome codes before the next
-block starts.  The acceptance uniforms come from a second Philox generator
-moved straight to stream position `trials`, which a counter-based stream
-allows without drawing the values before it.  One bincount over the codes
+outcome words, searches the bounds, draws its acceptance words, accepts,
+tallies and appends its accepted outcome codes before the next block
+starts.  The acceptance words come from a second Philox bit generator moved
+straight to stream position `trials`, which a counter-based stream allows
+without drawing the values before it.  One bincount over the codes
 2 j + accepted tallies the draws and the acceptances of every outcome.  Only
 the accepted outcome codes are kept at trial length, in the smallest
 unsigned type that holds n_out - 1: one byte a trial up to 256 outcomes.
@@ -34,7 +41,7 @@ from .errors import NoSuccesses
 from .linalg import check_state
 from .weak import _operator_basis, _postselection
 
-# Trials per block.  A block's uniforms and search codes (16 bytes a trial,
+# Trials per block.  A block's words and search codes (16 bytes a trial,
 # 256 KiB at 2**14) stay in a core's L2 cache from the draw to the tally;
 # 2**12 to 2**14 ran fastest, and 2**16 and above lost most of the gain over
 # whole-array passes.  It is also the most weights the final sums gather at
@@ -79,6 +86,16 @@ def joint_probabilities(
     p = np.clip(np.square(np.abs(x)) @ Fg, 0.0, None)
     q = np.divide(weights[0], p, out=np.zeros_like(p), where=p > 0)
     return p, np.minimum(q, 1.0)
+
+
+def _thresholds(x: np.ndarray) -> np.ndarray:
+    """ceil(x 2**53) as uint64 words, x clipped to 1: the integer form of a uniform's bound.
+
+    For a Philox uniform u = k 2**-53 and x in [0, 1], u >= x exactly when
+    k >= _thresholds(x) and u < x exactly when k < _thresholds(x).  Past 1,
+    +inf included, the threshold is 2**53, which no k = word >> 11 reaches.
+    """
+    return np.ceil(np.minimum(x, 1.0) * 2.0**53).astype(np.uint64)
 
 
 def _pairwise_sum(weights: np.ndarray, codes: np.ndarray) -> np.float64:
@@ -140,35 +157,37 @@ def sample_run(
     levels = (n_out - 1).bit_length()
     tree = np.full(2**levels - 1, np.inf)
     tree[: n_out - 1] = cum[:-1]
-    root = tree[tree.size // 2] if levels else np.inf  # one outcome: every code is 0
+    tree = _thresholds(tree)
+    root = tree[tree.size // 2] if levels else np.uint64(2**53)  # one outcome: every code is 0
     splits = [tree[2**k - 1 :: 2 ** (k + 1)] for k in reversed(range(levels - 1))]
+    accept_below = _thresholds(q)
 
     trials = config.trials
-    outcome_rng = np.random.Generator(np.random.Philox(key=config.seed))
-    # One double takes one of the four 64-bit outputs of a Philox counter step,
-    # so the acceptance uniforms, stream values trials ... 2 trials - 1, start
-    # trials // 4 steps in and trials % 4 outputs further.
+    outcome_bits = np.random.Philox(key=config.seed)
+    # A Philox counter step makes four 64-bit words, so the acceptance words,
+    # stream values trials ... 2 trials - 1, start trials // 4 steps in and
+    # trials % 4 words further.
     accept_bits = np.random.Philox(key=config.seed).advance(trials // 4)
     accept_bits.random_raw(trials % 4)
-    accept_rng = np.random.Generator(accept_bits)
 
     block = min(_BLOCK, trials)
-    u = np.empty(block)
     code = np.empty(block, dtype=np.intp)
     tally = np.zeros(2 * n_out, dtype=np.intp)  # [rejected, accepted] per outcome
     kept_codes = np.empty(trials, dtype=np.min_scalar_type(n_out - 1))  # in draw order
     successes = 0
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
-        u_n, code_n = u[:n], code[:n]
-        outcome_rng.random(out=u_n)
-        np.greater_equal(u_n, root, out=code_n)
-        for bounds in splits:  # node k splits at bounds[k]
-            above = u_n >= bounds.take(code_n)
+        code_n = code[:n]
+        k = outcome_bits.random_raw(n)
+        k >>= 11
+        np.greater_equal(k, root, out=code_n)
+        for bounds in splits:  # node i splits at bounds[i]
+            above = k >= bounds.take(code_n)
             code_n += code_n
             code_n += above
-        accept_rng.random(out=u_n)
-        accepted = u_n < q.take(code_n)
+        k = accept_bits.random_raw(n)
+        k >>= 11
+        accepted = k < accept_below.take(code_n)
         kept = int(np.count_nonzero(accepted))
         code_n.compress(accepted, out=kept_codes[successes : successes + kept])
         successes += kept

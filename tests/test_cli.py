@@ -625,6 +625,28 @@ def test_truncation_check_identity_for_linear(capsys):
     assert "contextual values match:   True" in out
 
 
+@pytest.mark.parametrize("c, match", [(1e-8, True), (4e-8, False)])
+def test_truncation_check_alpha_tolerance_from_both_sides(capsys, tmp_path, c, match):
+    # E+- = (I +- g Z +- c g^2 Z) / 2 on the default grid geomspace(0.01, 0.5, 12):
+    # truncation moves alpha by 5e-9 and 2e-8 relative, either side of 1e-8
+    I2, Z = np.eye(2), np.diag([1.0, -1.0])
+    elements = tuple(
+        povm.PolyMatrix([I2 / 2, s * Z / 2, s * c * Z / 2]) for s in (1, -1)
+    )
+    spec = files.InstanceSpec(
+        name="quadratic-tail", povm=povm.ParamPovm(elements=elements, g_max=0.5), observable=Z
+    )
+    path = tmp_path / "quadratic-tail.json"
+    files.save_instance(spec, path)
+    code, out, _ = run(
+        capsys, "truncation-check", "--n", "1", "--truncate-mode", "eq13", "--file", str(path)
+    )
+    assert code == 0
+    assert "full family solvable:      True" in out
+    assert "truncated family solvable: True" in out
+    assert f"contextual values match:   {match}\n" in out
+
+
 # ---------------------------------------------------------------- weak-limit
 
 
@@ -1292,14 +1314,20 @@ def test_closed_stdout_exits_one_without_traceback():
     # pipe buffer holds, so a later write of the command must fail
     src = Path(__file__).resolve().parents[1] / "src"
     argv = ["--instance", "qubit-linear", "--theta-f", "0.3", "--grid-points", "4000"]
-    proc = subprocess.Popen(
+    # a failed assertion kills the process and closes both pipes, so it leaves
+    # no ResourceWarning behind to fail a later test
+    with subprocess.Popen(
         [sys.executable, "-m", "weaklab.cli", "weak-limit", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    ) as proc:
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 1
+            assert err == b""
+        finally:
+            proc.kill()
+            proc.wait()

@@ -369,6 +369,27 @@ def test_truncated_cv_check_quadratic_counterexample():
     npt.assert_allclose(rep.truncated_residuals, np.sqrt(2.0), atol=1e-12)
 
 
+def quadratic_tail(c):
+    """E+- = (I +- g Z +- c g^2 Z) / 2: order-1 truncation drops only the c g^2 Z tail."""
+    return ParamPovm(
+        elements=(PolyMatrix([I2 / 2, Z / 2, c * Z / 2]), PolyMatrix([I2 / 2, -Z / 2, -c * Z / 2])),
+        g_max=0.5,
+    )
+
+
+@pytest.mark.parametrize("c, gap, match", [(1e-8, 5.0e-9, True), (4e-8, 2.0e-8, False)])
+def test_truncated_alphas_match_within_1e_8_relative(c, gap, match):
+    # literal bounds on both sides of ALPHA_MATCH_RTOL = 1e-8: alpha = a / (g + c g^2)
+    # against a / g, a relative gap of c g / (1 + c g), widest at g_max = 0.5
+    rep = cx.truncated_cv_check(quadratic_tail(c), Z, 1, np.geomspace(0.01, 0.5, 12), mode="eq13")
+    assert rep.full_solvable and rep.truncated_solvable
+    relative = np.linalg.norm(rep.alpha_full - rep.alpha_truncated, axis=1) / np.linalg.norm(
+        rep.alpha_full, axis=1
+    )
+    assert relative.max() == pytest.approx(gap, rel=1e-6)
+    assert rep.alphas_match is match
+
+
 # ------------------------------------------------------------- pole order
 
 

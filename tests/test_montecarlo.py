@@ -288,61 +288,139 @@ def test_sampler_matches_the_oracle_for_any_length_and_seed(trials, seed):
         agrees_with_oracle(F, alpha, psi_i, psi_f, config)
 
 
+KEYS = (0, 1, 2**64 + 5, 2**128 - 1)
+EDGE_WORDS = np.array([0, 2**64 - 1], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_philox_doubles_are_raw_words_shifted(key):
+    # the sampler compares k = word >> 11 where numpy's Philox Generator gives
+    # the double k 2**-53, and skips to the acceptance words by advance; a
+    # numpy that forms its doubles or moves its stream otherwise fails here
+    for n in [*range(1, 10), BLOCK + 1]:
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(n)
+        words = np.random.Philox(key=key).random_raw(n)
+        assert doubles.tobytes() == ((words >> 11) * 2.0**-53).tobytes()
+    for t in (BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3):  # t % 4 = 0, 1, 2, 3
+        rng = np.random.Generator(np.random.Philox(key=key))
+        rng.random(t)
+        bits = np.random.Philox(key=key).advance(t // 4)
+        bits.random_raw(t % 4)
+        assert rng.random(9).tobytes() == ((bits.random_raw(9) >> 11) * 2.0**-53).tobytes()
+
+
+def test_integer_thresholds_decide_as_the_uniforms_would():
+    # every bound a run compares against, with the k 2**-53 on and beside its threshold
+    checked = 0
+    for F, alpha, psi_i, psi_f, g in oracle_families():
+        p, q = mc.joint_probabilities(F, psi_i, psi_f, g)
+        cum = np.cumsum(p)
+        cum /= cum[-1]
+        bounds = np.concatenate([cum, q, [0.0, 1.0, np.inf]])
+        thresholds = mc._thresholds(bounds)
+        assert thresholds.dtype == np.uint64
+        assert thresholds[-2] == thresholds[-1] == 2**53  # reached by no k
+        k = thresholds[:, None].astype(np.int64) + np.arange(-2, 3)
+        k = k.clip(0, 2**53 - 1).astype(np.uint64)
+        u = k * 2.0**-53  # exact: k has at most 53 bits
+        npt.assert_array_equal(k >= thresholds[:, None], u >= bounds[:, None])
+        npt.assert_array_equal(k < thresholds[:, None], u < bounds[:, None])
+        checked += bounds.size
+    assert checked == 645  # 2 n_out + 3 for each of the 11 families
+
+
+def words_near(x):
+    """Words whose k = word >> 11 is ceil(x 2**53) - 1, itself and + 1, low 11 bits clear and set.
+
+    Only k from 0 to 2**53 - 1 is kept: no other comes from a real stream.
+    """
+    k = np.ceil(np.asarray(x) * 2.0**53).astype(np.int64)[:, None] + np.arange(-1, 2)
+    words = k[(k >= 0) & (k < 2**53)].astype(np.uint64) << np.uint64(11)
+    return np.concatenate([words, words | np.uint64(2**11 - 1)])
+
+
 def test_uniforms_on_a_bound_agree_with_the_oracle(monkeypatch):
-    # a Philox uniform equals a bound with probability about 2**-53, so the
-    # uniforms are forced: each bound, its neighbours, 0 and the largest below 1
-    real_generator = np.random.Generator
+    # a Philox word lands on a threshold with probability about 2**-53, so the
+    # words are forced: on and beside each outcome bound's threshold, and each
+    # acceptance probability's threshold on a trial of its own outcome; 0 and
+    # 2**64 - 1.  The oracle reads the same words as the doubles k 2**-53.
+    real_philox = np.random.Philox
 
     class Forced:
-        """Hands out forced[i] wherever the real stream would hand out its value i.
+        """Hands out forced[i] wherever the real stream would hand out its word i.
 
-        The real values locate each read in the stream, so however the
-        sampler splits its draws, it gets the forced outcome uniforms from
-        the first `trials` values and the forced acceptance uniforms from
+        The real words locate each read in the stream, so however the
+        sampler splits and skips its reads, it gets the forced outcome words
+        from the first `trials` words and the forced acceptance words from
         the next `trials`, and every read is recorded.
         """
 
-        def __init__(self, bit_generator):
-            self.real = real_generator(bit_generator)
+        def __init__(self, key):
+            self.real = real_philox(key=key)
 
-        def random(self, size=None, out=None):
-            drawn = self.real.random(size, out=out)
+        def advance(self, delta):
+            self.real.advance(delta)
+            return self
+
+        def random_raw(self, size):
+            drawn = self.real.random_raw(size)
             at = order[np.searchsorted(stream, drawn, sorter=order).clip(max=stream.size - 1)]
-            assert np.array_equal(stream[at], drawn), "read beyond 2 * trials values"
+            assert np.array_equal(stream[at], drawn), "read beyond 2 * trials words"
             reads.append(at)
-            drawn[...] = forced[at]
-            return drawn
+            return forced[at]
 
-    def read_once_each():
+    class AsDoubles:
+        """The oracle's Generator: each word it reads becomes the double (word >> 11) 2**-53."""
+
+        def __init__(self, bit_generator):
+            self.bits = bit_generator
+
+        def random(self, size):
+            return (self.bits.random_raw(size) >> 11) * 2.0**-53
+
+    def read_once_each(extra):
+        """Was each word read once, and each of `extra` once more?"""
         at = np.concatenate(reads)
         reads.clear()
-        return np.array_equal(np.sort(at), np.arange(forced.size))
+        return np.array_equal(np.sort(at), np.sort(np.concatenate([np.arange(forced.size), extra])))
 
-    monkeypatch.setattr(np.random, "Generator", Forced)
     filler = np.random.default_rng(23)
+    monkeypatch.setattr(np.random, "Philox", Forced)
+    monkeypatch.setattr(np.random, "Generator", AsDoubles)
     reads = []
     for F, alpha, psi_i, psi_f, g in oracle_families():
-        cum = np.cumsum(mc.joint_probabilities(F, psi_i, psi_f, g)[0])
+        p, q = mc.joint_probabilities(F, psi_i, psi_f, g)
+        cum = np.cumsum(p)
         cum /= cum[-1]
-        bounds = cum[:-1]
-        on_bounds = np.concatenate(
-            [bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 1), [0.0, np.nextafter(1, 0)]]
-        )
-        m = on_bounds.size
+        ends = np.ceil(cum * 2.0**53).astype(np.uint64)  # outcome j draws k below ends[j]
+        starts = np.concatenate([np.zeros(1, np.uint64), ends[:-1]])
+        reachable = np.flatnonzero(starts < ends)
+        # outcome trials: the words near each bound, with filler acceptance words;
+        # acceptance trials: the words near q_j, after the lowest word of outcome j;
+        # then the trials (0, 0) and (2**64 - 1, 2**64 - 1)
+        on_bounds = words_near(cum[:-1])
+        near_q = [words_near(q[[j]]) for j in reachable]
+        lowest = [np.full(w.size, starts[j] << np.uint64(11)) for j, w in zip(reachable, near_q)]
+        outcome_words = np.concatenate([on_bounds, *lowest, EDGE_WORDS])
+        accept_words = np.concatenate([*near_q, EDGE_WORDS])
+        m = outcome_words.size
         # the forced trials alone, then the same trials straddling a block edge
         for trials, first in ((m, 0), (BLOCK + m, BLOCK - m // 2)):
-            outcome_u, accept_u = filler.random(trials), filler.random(trials)
-            outcome_u[first : first + m] = on_bounds
-            accept_u[first : first + m] = np.linspace(0, 1, m, endpoint=False)
-            forced = np.concatenate([outcome_u, accept_u])
-            stream = real_generator(np.random.Philox(key=0)).random(forced.size)
+            words = filler.integers(0, 2**64, (2, trials), dtype=np.uint64)
+            words[0, first : first + m] = outcome_words
+            words[1, first + on_bounds.size : first + m] = accept_words
+            forced = words.ravel()
+            stream = real_philox(key=0).random_raw(forced.size)
             order = np.argsort(stream)
             assert np.unique(stream).size == stream.size
             config = mc.McConfig(trials=trials, seed=0, g=g)
-            for run in (oracle_sample_run, mc.sample_run):
+            # the acceptance generator reads and drops the outcome words that
+            # share its first Philox step, trials % 4 of them
+            skipped = np.arange(trials - trials % 4, trials)
+            for run, extra in ((oracle_sample_run, []), (mc.sample_run, skipped)):
                 with contextlib.suppress(NoSuccesses):
                     run(F, alpha, psi_i, psi_f, config)
-                assert read_once_each(), run.__name__
+                assert read_once_each(extra), run.__name__
             agrees_with_oracle(F, alpha, psi_i, psi_f, config)
             reads.clear()
 
