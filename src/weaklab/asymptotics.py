@@ -16,7 +16,8 @@ a trajectory against the largest singular value on the grid, a solution
 against max|a|, so a rescaled family or target keeps its verdict.  Every
 g -> 0 ladder is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the
 analyses take the family's g_max as data, so no coupling they read leaves
-(0, g_max].
+(0, g_max].  `svd_asymptotics` runs every analysis of the `svd-asymptotics`
+command on that ladder and returns them in one report.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import numpy as np
 
 from .contextual import FMatrix, solve_grid
 from .errors import NotLinear, NotPositiveSamples
+from .linalg import _lstsq_rows
 from .povm import PolyMatrix
-from .weak import LIMIT_GRID_POINTS, LIMIT_GRID_TOP, _lstsq_rows, _polyfit_rows, _polyval, _power_series
+from .weak import LIMIT_GRID_POINTS, LIMIT_GRID_TOP, _polyfit_rows, _polyval, _power_series
 from .weak import limit_grid
 
 #: a trajectory never exceeding this times its scale is identically zero
@@ -256,4 +258,48 @@ def pinv_pole_order(F: PolyMatrix, a: np.ndarray, g_grid: np.ndarray) -> PoleEst
     est = leading_order_fit(sol.g_grid, norms)
     return PoleEstimate(
         exponent=-est.exponent, coefficient=est.coefficient, fit_r2=est.fit_r2, **solve
+    )
+
+
+@dataclass
+class SvdAsymptoticsReport:
+    """The singular-value asymptotics of one family along its ascending g -> 0 ladder."""
+
+    g_grid: np.ndarray  # limit_grid(g_max), ascending
+    singular_values: np.ndarray  # (n_g, k), each row descending
+    abs_det: np.ndarray | None  # |det F(g)| on the grid; None for a non-square family
+    det_deviation: float | None  # max relative deviation of abs_det from prod(sigma)
+    probes: list[np.ndarray]  # the two pole-order targets a
+    poles: list[PoleEstimate]  # one per probe
+    truncation: TruncationSvdReport
+    claim: ClaimReport | None  # None for a family that is not linear
+
+
+def svd_asymptotics(F: PolyMatrix, g_max: float, n: int) -> SvdAsymptoticsReport:
+    """Singular values, the pole orders of the probes a = (1, ..., 1) and
+    a = (1, -1, 1, ...), the order-n truncation commutator and the
+    first-order claim audit of F along the ascending limit_grid(g_max).
+
+    The commutator's RankWarning is not shown: its reliable flag keeps it as
+    data.  A family of degree above 1 gets no claim audit (claim None).
+    """
+    g_grid = np.sort(limit_grid(g_max))
+    singular_values = svd_curve(F, g_grid)
+    rows, cols = F.shape
+    abs_det = det_deviation = None
+    if rows == cols:
+        abs_det = np.abs(np.linalg.det(F(g_grid[:, None, None])))
+        prods = np.prod(singular_values, axis=1)
+        det_deviation = float(np.max(np.abs(abs_det - prods) / np.maximum(prods, 1e-300)))
+    probes = [np.ones(rows), (-1.0) ** np.arange(rows)]
+    poles = [pinv_pole_order(F, a, g_grid) for a in probes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        truncation = truncation_svd_commutator(F, n, g_max)
+    try:
+        claim = proof_claim_check(F, g_max)
+    except NotLinear:
+        claim = None
+    return SvdAsymptoticsReport(
+        g_grid, singular_values, abs_det, det_deviation, probes, poles, truncation, claim
     )

@@ -2,8 +2,12 @@
 
 Commands map one-to-one onto the library layers: `validate`, `cv-solve`,
 `pole-order`, `truncation-check`, `weak-limit`, `svd-asymptotics`,
-`proof-claim`, `conjecture-sweep`, `mc-run`, and `registry`.  Instances come
-either from the built-in registry (--instance NAME) or from a JSON file
+`proof-claim`, `conjecture-sweep`, `mc-run`, and `registry`.  Each analysis
+is one library call: `mc-run` is montecarlo.mc_run, `svd-asymptotics` is
+asymptotics.svd_asymptotics and `truncation-check` is
+contextual.truncated_cv_check on its own grid.  A command only parses its
+flags, raises usage errors and formats what that call returns.  Instances
+come either from the built-in registry (--instance NAME) or from a JSON file
 (--file PATH).  Every command is deterministic given its flags; seeds are
 always explicit.  `--out` additionally writes the numeric payload as CSV.
 A command returns its text lines, its table (CSV header and rows) and its
@@ -24,28 +28,22 @@ import functools
 import math
 import os
 import sys
-import warnings
 from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import pinv_pole_order, proof_claim_check, svd_curve, truncation_svd_commutator
+from .asymptotics import pinv_pole_order, proof_claim_check, svd_asymptotics
 from .contextual import FMatrix, build_F, solve_grid, truncated_cv_check
-from .errors import NoExactCv, NotLinear, ParseError, WeakLabError
+from .errors import ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .linalg import pow2_scale
-from .montecarlo import McConfig, sample_run
+from .montecarlo import McConfig, mc_run
 from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
-from .weak import CONJECTURE_TOL, LIMIT_FIT_POINTS, LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX
-from .weak import conditioned_average, conjecture_sweep, limit_grid, weak_limit
-
-
-#: the least relative width, (largest - smallest) / largest, of weak-limit's fit window:
-#: the LIMIT_FIT_POINTS smallest couplings of a --grid-min/--grid-max grid
-LIMIT_FIT_WIDTH = 1e-3
+from .weak import CONJECTURE_TOL, LIMIT_FIT_POINTS, LIMIT_FIT_WIDTH, LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX
+from .weak import conjecture_sweep, limit_grid, weak_limit
 
 
 class _UsageError(Exception):
@@ -227,11 +225,7 @@ def _cmd_pole_order(args, spec: InstanceSpec) -> _Output:
 def _cmd_truncation_check(args, spec: InstanceSpec) -> _Output:
     if spec.povm is None or spec.observable is None:
         raise _UsageError(f"instance {spec.name!r} needs a POVM and an observable")
-    g_max = spec.povm.g_max
-    grid = np.geomspace(g_max / 50.0, g_max, 12)
-    rep = truncated_cv_check(
-        spec.povm, spec.observable, args.n, grid, mode=args.truncate_mode
-    )
+    rep = truncated_cv_check(spec.povm, spec.observable, args.n, mode=args.truncate_mode)
     rows = list(zip(rep.g_grid, rep.full_residuals, rep.truncated_residuals))
     lines = [
         f"instance {spec.name}: truncation order n = {rep.n}, mode = {rep.mode}",
@@ -273,8 +267,6 @@ def _cmd_weak_limit(args, spec: InstanceSpec) -> _Output:
             raise _UsageError(
                 f"--grid-points {args.grid_points} needs more memory than is available"
             ) from None
-        # the quadratic fit's rounding grows about as the inverse square of its window's
-        # relative width; a width of LIMIT_FIT_WIDTH keeps it near 1e-9
         window = np.sort(grid)[:LIMIT_FIT_POINTS]
         if window[-1] - window[0] < LIMIT_FIT_WIDTH * window[-1]:
             raise _UsageError(
@@ -301,36 +293,31 @@ def _cmd_weak_limit(args, spec: InstanceSpec) -> _Output:
 
 def _cmd_svd_asymptotics(args, spec: InstanceSpec) -> _Output:
     fam = _family(spec)
-    grid = np.sort(limit_grid(spec.g_max))
-    singulars = svd_curve(fam, grid)
+    rep = svd_asymptotics(fam, spec.g_max, args.n)
     rows, cols = fam.shape
 
-    header = ["g"] + [f"sigma_{i + 1}" for i in range(singulars.shape[1])]
-    table = np.column_stack([grid, singulars])
+    header = ["g"] + [f"sigma_{i + 1}" for i in range(rep.singular_values.shape[1])]
+    table = np.column_stack([rep.g_grid, rep.singular_values])
     lines = [
         f"instance {spec.name}: {rows} x {cols} family, degree {fam.max_degree}",
         f"{'g':>14}  " + "  ".join(f"{name:>13}" for name in header[1:]),
         *(f"{_f(g):>14}  " + "  ".join(f"{s:>13.6e}" for s in sig) for g, *sig in table),
     ]
-    if rows == cols:
-        dets = np.abs(np.linalg.det(fam(grid[:, None, None])))
-        prods = np.prod(singulars, axis=1)
-        rel = np.max(np.abs(dets - prods) / np.maximum(prods, 1e-300))
-        lines.append(f"det consistency: max rel deviation of |det F| from prod(sigma) = {rel:.3e}")
+    if rep.abs_det is not None:
+        lines.append(
+            f"det consistency: max rel deviation of |det F| from prod(sigma) = {rep.det_deviation:.3e}"
+        )
         header.append("abs_det")
-        table = np.column_stack([table, dets])
+        table = np.column_stack([table, rep.abs_det])
 
-    for a in [np.ones(rows), (-1.0) ** np.arange(rows)]:
-        est = pinv_pole_order(fam, a, grid)
+    for a, est in zip(rep.probes, rep.poles):
         tag = "" if est.reliable else "  [UNRELIABLE]"
         lines.append(
             f"pole order for a = {_vec(a)}: {_f(est.exponent)} "
             f"(coefficient {_f(est.coefficient)}, r^2 {est.fit_r2:.6f}){tag}"
         )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", np.exceptions.RankWarning)  # kept as data: tsc.reliable
-        tsc = truncation_svd_commutator(fam, args.n, spec.g_max)
+    tsc = rep.truncation
     lines.append(
         f"order-{args.n} truncation vs singular-value expansion: "
         + ("commute" if tsc.commute else "do NOT commute")
@@ -341,9 +328,8 @@ def _cmd_svd_asymptotics(args, spec: InstanceSpec) -> _Output:
         for j, series in enumerate(tsc.right_series)
     ]
 
-    try:
-        claim = proof_claim_check(fam, spec.g_max)
-    except NotLinear:
+    claim = rep.claim
+    if claim is None:
         lines.append(f"proof-claim audit skipped: family degree {fam.max_degree} > 1")
     else:
         lines += [
@@ -423,31 +409,24 @@ def _cmd_mc_run(args, spec: InstanceSpec) -> _Output:
                           (spec.psi_i, "has no initial state"), (spec.psi_f, "has no final state")]:
         if part is None:
             raise _UsageError(f"instance {spec.name!r} {missing}")
-    check_coupling(args.g, spec.povm.g_max)
-    F = build_F(spec.povm, spec.observable)
-    sol = solve_grid(F, [args.g])
-    if not sol.exact:
-        raise NoExactCv(f"no exact contextual values at g = {_f(args.g)} (residual {sol.residuals[0]:.3e})")
-    alpha = sol.alpha[0]
+    config = McConfig(trials=args.trials, seed=args.seed, g=args.g)
     try:
-        config = McConfig(trials=args.trials, seed=args.seed, g=args.g)
-        res = sample_run(F, alpha, spec.psi_i, spec.psi_f, config)
+        res = mc_run(spec.povm, spec.observable, spec.psi_i, spec.psi_f, config)
     except MemoryError:
         raise _UsageError(f"--trials {args.trials} needs more memory than is available") from None
-    analytic, success_prob = conditioned_average(F, alpha, spec.psi_i, spec.psi_f, args.g)
-    dev = abs(res.empirical_value - analytic)
+    dev = abs(res.empirical_value - res.analytic_value)
     sig = dev / res.stderr if res.stderr > 0 else float("inf")
     lines = [
         f"instance {spec.name}: g = {_f(args.g)}, {args.trials} trials, seed {args.seed}",
         f"empirical  = {res.empirical_value:.9f} +- {res.stderr:.9f}",
-        f"analytic   = {analytic:.9f}  (success probability {success_prob:.6f})",
+        f"analytic   = {res.analytic_value:.9f}  (success probability {res.success_probability:.6f})",
         f"deviation  = {dev:.3e}  ({sig:.2f} standard errors)",
         f"successes  = {res.successes}/{res.trials}",
         f"per-outcome draws:  {[int(x) for x in res.per_outcome_draws]}",
         f"per-outcome counts: {[int(x) for x in res.per_outcome_counts]}",
     ]
     header = ["g", "trials", "seed", "empirical_value", "stderr", "successes", "analytic_value"]
-    values = [res.empirical_value, res.stderr, res.successes, analytic]
+    values = [res.empirical_value, res.stderr, res.successes, res.analytic_value]
     return _Output(lines, header, [[args.g, args.trials, args.seed, *values]])
 
 

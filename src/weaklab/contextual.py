@@ -25,8 +25,8 @@ svd's wrapper, on the real F(g) that the gufunc casts to complex itself.
 
 `pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
 by identity).  Each rule of a solve has one owner: `_pinv_weights`, under both
-solvers, raises NoExactCv at the first coupling whose alpha is not finite;
-`solve_stack` alone forms the residual ||F(g) alpha - a||, on a copy scaled
+solvers, raises NoExactCv at the first coupling whose F(g) or alpha is not
+finite; `solve_stack` alone forms the residual ||F(g) alpha - a||, on a copy scaled
 by a power of two so that it is finite wherever the true norm is;
 `GridSolution.exact` alone compares residuals with EXACT_CV_TOL; and
 `check_row_sums` alone tests completeness.
@@ -38,6 +38,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import NoExactCv, ValidationError
 from .linalg import check_hermitian, dagger, pinv_and_rank, pow2_scale
@@ -163,10 +164,18 @@ def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.
     """alpha = pinv(F(g)) a and the ranks used, for one F(g) or a stack over the couplings g.
 
     a_vec is one target (d,) or one per member of a stack (..., 1, d); the
-    two products round alike, and the first is the cheaper.
+    two products round alike, and the first is the cheaper.  An F(g) that is
+    not finite, as where a coupling far past g_max overflows it, leaves
+    LAPACK's SVD unconverged: that raises NoExactCv at the first such coupling.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite alpha is refused below
-        P, ranks = pinv_and_rank(Fg)
+        try:
+            P, ranks = pinv_and_rank(Fg)
+        except LinAlgError:
+            finite = np.isfinite(Fg).all(axis=(-2, -1)).ravel()
+            if finite.all():
+                raise
+            raise NoExactCv(f"F(g) is not finite at g = {np.ravel(g)[finite.argmin()]:.9g}") from None
         alpha = (P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]).real
     if not np.isfinite(alpha).all():
         first = np.isfinite(alpha).reshape(-1, alpha.shape[-1]).all(axis=1).argmin()
@@ -179,10 +188,13 @@ def solve_grid(F: FMatrix, g_grid: np.ndarray) -> GridSolution:
 
     The one-F case of solve_stack, on the real part of one Horner
     evaluation over the grid, so every alpha equals pseudoinverse_cv's at
-    that coupling bit for bit.  Raises NoExactCv where alpha is not finite.
+    that coupling bit for bit.  Raises NoExactCv where F(g) or alpha is not
+    finite.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    return solve_stack(np.real(F.poly(g_grid[:, None, None])), F.a_vec, g_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses a non-finite F(g)
+        Fg = np.real(F.poly(g_grid[:, None, None]))
+    return solve_stack(Fg, F.a_vec, g_grid)
 
 
 def solve_stack(Fg: np.ndarray, a_vec: np.ndarray, g: np.ndarray) -> GridSolution:
@@ -239,21 +251,33 @@ class TruncationReport:
     alphas_match: bool
 
 
+def truncation_grid(g_max: float) -> np.ndarray:
+    """The truncation check's grid: 12 couplings geometric from g_max / 50 up to g_max.
+
+    It starts at 0.01 for a g_max of 0.5, so quad-cx's full-family solve
+    stays well-conditioned enough for a 1e-10 residual.
+    """
+    return np.geomspace(g_max / 50.0, g_max, 12)
+
+
 def truncated_cv_check(
     povm: ParamPovm,
     A: np.ndarray,
     n: int,
-    g_grid: np.ndarray,
+    g_grid: np.ndarray | None = None,
     mode: str = "eq13",
 ) -> TruncationReport:
     """Do the truncated outcome family's contextual values survive truncation?
 
     Builds the spectral matrix once and truncates it directly (the truncated
-    family is diagonal in the same basis), then solves both over the grid
-    and compares the solutions point by point.  A family is solvable when
-    its residual stays within EXACT_CV_TOL; alphas_match requires agreement
-    within ALPHA_MATCH_RTOL relative at every grid point.
+    family is diagonal in the same basis), then solves both over the grid,
+    truncation_grid(povm.g_max) by default, and compares the solutions point
+    by point.  A family is solvable when its residual stays within
+    EXACT_CV_TOL; alphas_match requires agreement within ALPHA_MATCH_RTOL
+    relative at every grid point.
     """
+    if g_grid is None:
+        g_grid = truncation_grid(povm.g_max)
     F = build_F(povm, A)
     full = solve_grid(F, g_grid)
     trunc = solve_grid(FMatrix(poly=F.poly.truncate(n, mode), a_vec=F.a_vec), g_grid)

@@ -3,7 +3,10 @@
 Wraps numpy's Hermitian eigensolver and SVD behind fixed conventions (one
 column order and phase for the common eigenbasis, one rank cutoff for the
 pseudoinverse) so that every downstream result is reproducible bit-for-bit
-across runs.
+across runs.  It is the one module that calls numpy's private LAPACK
+gufuncs: `pinv_and_rank` takes every SVD from `svd_s`, and `_lstsq_rows`,
+the least-squares solve under weak's fit engine and asymptotics' log-log
+fit, takes every solve from `lstsq`.
 """
 
 from __future__ import annotations
@@ -105,6 +108,26 @@ def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
 def _svd_failed(err, flag):
     """np.linalg.svd's error-state callback: LAPACK's SVD did not converge."""
     raise LinAlgError("SVD did not converge")
+
+
+def _lstsq_rows(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.lstsq(a[m], b[m], rcond)'s solution and rank for each row m of real stacks
+    a (..., p, q) and b (..., p), which broadcast, as arrays (..., q) and (...), in one call.
+
+    The call is of the private gufunc lstsq itself calls, with lstsq's
+    signature and error state, so each row is solved bit for bit as lstsq
+    solves it alone, and LAPACK's failure to converge raises LinAlgError as
+    lstsq does.  The tests compare the two row by row, so a numpy that
+    changes the gufunc fails them.
+    """
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x, _, ranks, _ = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    return x[..., 0], ranks
+
+
+def _lstsq_failed(err, flag):
+    """np.linalg.lstsq's error-state callback: LAPACK's SVD did not converge."""
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def psd_sqrt(E: np.ndarray) -> np.ndarray:

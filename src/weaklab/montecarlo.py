@@ -3,7 +3,10 @@
 Each trial draws an outcome j with probability <psi_i|E_j(g) psi_i>, forms
 the post-measurement state M_j psi_i / ||M_j psi_i||, and accepts with the
 postselection probability |<psi_f|state>|^2.  The empirical conditioned
-average is the mean outcome weight over accepted trials.
+average is the mean outcome weight over accepted trials.  `mc_run` is the
+whole `mc-run` command: it checks the coupling, builds F, takes the exact
+contextual values at g and samples; its `McResult` carries
+weak.conditioned_average's analytic value beside the estimate.
 
 Sampling uses a counter-based generator (Philox) keyed by the config seed,
 so reruns are bit-identical.  The first `trials` values of the stream pick
@@ -36,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contextual import FMatrix
-from .errors import NoSuccesses
+from .contextual import FMatrix, build_F, solve_grid
+from .errors import NoExactCv, NoSuccesses
 from .linalg import check_state
-from .weak import _operator_basis, _postselection
+from .povm import ParamPovm, check_coupling
+from .weak import _operator_basis, _postselection, conditioned_average
 
 # Trials per block.  A block's words and search codes (16 bytes a trial,
 # 256 KiB at 2**14) stay in a core's L2 cache from the draw to the tally;
@@ -68,6 +72,8 @@ class McResult:
     trials: int
     per_outcome_counts: np.ndarray  # accepted trials per outcome
     per_outcome_draws: np.ndarray  # drawn trials per outcome
+    analytic_value: float  # weak.conditioned_average's value, which the sample estimates
+    success_probability: float  # and its success probability
 
 
 def joint_probabilities(
@@ -141,7 +147,9 @@ def sample_run(
 ) -> McResult:
     """Simulate the protocol and average the outcome weights over accepted trials.
 
-    Raises NoSuccesses when postselection rejects every trial.
+    Raises NoSuccesses when postselection rejects every trial.  After that
+    check, weak.conditioned_average gives the analytic value and success
+    probability the result carries, and raises its own errors.
     """
     alpha = np.asarray(alpha, dtype=float)
     n_out = F.n_out
@@ -200,6 +208,7 @@ def sample_run(
             f"0 of {trials} trials survived postselection at g={config.g}"
         )
     empirical, spread = _mean_and_spread(alpha, kept_codes[:successes])
+    analytic, success = conditioned_average(F, alpha, psi_i, psi_f, config.g)
     return McResult(
         empirical_value=empirical,
         stderr=float(spread / np.sqrt(successes)),
@@ -207,4 +216,24 @@ def sample_run(
         trials=trials,
         per_outcome_counts=tally[1::2].copy(),
         per_outcome_draws=tally[::2] + tally[1::2],
+        analytic_value=analytic,
+        success_probability=success,
     )
+
+
+def mc_run(
+    povm: ParamPovm, A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray, config: McConfig
+) -> McResult:
+    """sample_run of the family's F with its exact contextual values at config.g.
+
+    Errors come in the order OutOfValidityRange, build_F's, NoExactCv (the
+    one-coupling solve is not exact), then sample_run's.
+    """
+    check_coupling(config.g, povm.g_max)
+    F = build_F(povm, A)
+    sol = solve_grid(F, [config.g])
+    if not sol.exact:
+        raise NoExactCv(
+            f"no exact contextual values at g = {float(config.g):.9g} (residual {sol.residuals[0]:.3e})"
+        )
+    return sample_run(F, sol.alpha[0], psi_i, psi_f, config)

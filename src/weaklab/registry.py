@@ -27,10 +27,6 @@ from .povm import ParamPovm, PolyMatrix
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
-#: grid on which the tests check quad-cx's designed properties; starts at 0.01
-#: so the full-family pseudoinverse solve stays well-conditioned enough for a 1e-10 residual
-QUAD_CX_GRID = np.geomspace(0.01, 0.5, 12)
-
 
 def _qubit_linear() -> InstanceSpec:
     eye = np.eye(2)

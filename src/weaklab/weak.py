@@ -52,12 +52,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .contextual import FMatrix, GridSolution, build_F, check_row_sums, solve_grid, solve_stack
 from .errors import GenerationFailed, NoExactCv, OrthogonalPostselection, ValidationError, WeakLabError
 from .files import InstanceSpec
-from .linalg import DEGENERACY_TOL, check_state, clamp_psd, dagger
+from .linalg import DEGENERACY_TOL, _lstsq_rows, check_state, clamp_psd, dagger
 from .povm import ParamPovm, PolyMatrix, check_coupling
 
 OVERLAP_TOL = 1e-12
@@ -65,6 +64,10 @@ OVERLAP_TOL = 1e-12
 LIMIT_GRID_TOP = 0.1
 LIMIT_GRID_POINTS = 13
 LIMIT_FIT_POINTS = 5
+#: the least relative width, (largest - smallest) / largest, of a custom ladder's fit window,
+#: its LIMIT_FIT_POINTS smallest couplings: the quadratic fit's rounding grows about as the
+#: inverse square of the window's relative width, and this width keeps it near 1e-9
+LIMIT_FIT_WIDTH = 1e-3
 CONJECTURE_TOL = 1e-3
 #: generated outcome weights at or below this are rejected and redrawn
 WEIGHT_FLOOR = 1e-3
@@ -319,26 +322,6 @@ def _trimmed(c: np.ndarray) -> np.ndarray:
     while end > 1 and c[end - 1] == 0:
         end -= 1
     return c[:end]
-
-
-def _lstsq_rows(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.lstsq(a[m], b[m], rcond)'s solution and rank for each row m of real stacks
-    a (..., p, q) and b (..., p), which broadcast, as arrays (..., q) and (...), in one call.
-
-    The call is of the private gufunc lstsq itself calls, with lstsq's
-    signature and error state, so each row is solved bit for bit as lstsq
-    solves it alone, and LAPACK's failure to converge raises LinAlgError as
-    lstsq does.  The tests compare the two row by row, so a numpy that
-    changes the gufunc fails them.
-    """
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        x, _, ranks, _ = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
-    return x[..., 0], ranks
-
-
-def _lstsq_failed(err, flag):
-    """np.linalg.lstsq's error-state callback: LAPACK's SVD did not converge."""
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _weak_values(A: np.ndarray, psi_i: np.ndarray, psi_f: np.ndarray) -> np.ndarray:

@@ -413,6 +413,7 @@ def oracle_sample_run(F, alpha, psi_i, psi_f, config):
         raise NoSuccesses("no trial survived postselection")
     values = alpha[drawn[accepted]]
     spread = float(values.std(ddof=1)) if successes > 1 else 0.0
+    analytic, success = weak.conditioned_average(F, alpha, psi_i, psi_f, config.g)
     return mc.McResult(
         empirical_value=float(values.mean()),
         stderr=float(spread / np.sqrt(successes)),
@@ -420,4 +421,6 @@ def oracle_sample_run(F, alpha, psi_i, psi_f, config):
         trials=config.trials,
         per_outcome_counts=np.bincount(drawn[accepted], minlength=F.n_out),
         per_outcome_draws=np.bincount(drawn, minlength=F.n_out),
+        analytic_value=analytic,
+        success_probability=success,
     )

@@ -23,6 +23,7 @@ from weaklab.contextual import (
     exact_cv_exists,
     pseudoinverse_cv,
     truncated_cv_check,
+    truncation_grid,
 )
 from weaklab.linalg import pinv_and_rank
 from weaklab.meter import (
@@ -32,7 +33,7 @@ from weaklab.meter import (
     positive_family,
 )
 from weaklab.montecarlo import McConfig, sample_run
-from weaklab.registry import QUAD_CX_GRID, get_instance
+from weaklab.registry import get_instance
 from weaklab.weak import (
     conditioned_average,
     conjecture_trial,
@@ -132,7 +133,7 @@ def test_quadratic_instance_solvable_only_before_truncation():
     t0 = time.perf_counter()
     spec = get_instance("quad-cx")
     assert minimum_nonzero_order(spec.povm).n == 2
-    rep = truncated_cv_check(spec.povm, spec.observable, 1, QUAD_CX_GRID)
+    rep = truncated_cv_check(spec.povm, spec.observable, 1, truncation_grid(0.5))
     assert rep.full_residuals.max() <= 1e-10
     assert rep.truncated_residuals.min() >= 0.1
     assert not rep.truncated_solvable

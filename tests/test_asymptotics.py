@@ -200,6 +200,61 @@ def test_claim_audit_rejects_nonlinear():
         ay.proof_claim_check(F)
 
 
+@pytest.mark.parametrize("delta, zero", [(9e-12, [1]), (1.1e-11, [])])
+def test_zero_trajectory_tolerance_is_1e_12_of_the_largest_singular_value(delta, zero):
+    # sigma = (1, delta g) on the ladder topped at 0.1: sigma_2 peaks at 9e-13 (zero)
+    # or 1.1e-12 (first order), either side of 1e-12 times sigma_1's 1
+    F = PolyMatrix([np.diag([1.0, 0.0]), np.diag([0.0, delta])])
+    rep = ay.proof_claim_check(F, 0.5)
+    assert rep.zero_trajectories == zero
+    assert (rep.orders[1] is None) == (zero == [1])
+    if not zero:
+        assert rep.orders[1].exponent == pytest.approx(1.0, abs=1e-12)
+    assert rep.claim_holds and not rep.counterexample_found
+
+
+# ------------------------------------------------ the svd-asymptotics report
+
+
+def test_svd_asymptotics_report_is_its_analyses_bit_for_bit():
+    F = eq70_family()
+    rep = ay.svd_asymptotics(F, 1.0, 1)
+    grid = np.sort(wk.limit_grid(1.0))
+    assert rep.g_grid.tobytes() == grid.tobytes()
+    sig = ay.svd_curve(F, grid)
+    assert rep.singular_values.tobytes() == sig.tobytes()
+    dets = np.abs(np.linalg.det(F(grid[:, None, None])))
+    assert rep.abs_det.tobytes() == dets.tobytes()
+    prods = np.prod(sig, axis=1)
+    assert rep.det_deviation == np.max(np.abs(dets - prods) / prods)
+    assert [a.tolist() for a in rep.probes] == [[1.0, 1.0], [1.0, -1.0]]
+    for a, est in zip(rep.probes, rep.poles):
+        alone = ay.pinv_pole_order(F, a, grid)
+        assert (est.exponent, est.coefficient, est.fit_r2) == (alone.exponent, alone.coefficient, alone.fit_r2)
+        assert est.alpha_sup.tobytes() == alone.alpha_sup.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        tsc = ay.truncation_svd_commutator(F, 1, 1.0)
+    assert rep.truncation.right.tobytes() == tsc.right.tobytes()
+    assert (rep.truncation.commute, rep.truncation.reliable) == (tsc.commute, tsc.reliable)
+    assert rep.claim == ay.proof_claim_check(F, 1.0)
+    assert rep.claim.counterexample_found
+
+
+def test_svd_asymptotics_skips_what_does_not_apply():
+    # quad-cx is quadratic: no claim audit; a 2 x 3 family has no determinant
+    spec = get_instance("quad-cx")
+    rep = ay.svd_asymptotics(cx.build_F(spec.povm, spec.observable).poly, spec.g_max, 1)
+    assert rep.claim is None
+    assert rep.abs_det is not None
+    wide = PolyMatrix([np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.eye(2, 3)])
+    rep = ay.svd_asymptotics(wide, 0.5, 1)
+    assert rep.abs_det is None and rep.det_deviation is None
+    assert rep.singular_values.shape == (wk.LIMIT_GRID_POINTS, 2)
+    assert [a.tolist() for a in rep.probes] == [[1.0, 1.0], [1.0, -1.0]]
+    assert rep.claim is not None
+
+
 def test_claim_audit_random_families_are_internally_consistent():
     # generic linear families have constant or first-order singular values;
     # rotated copies of eq70 keep its second-order trajectory because
@@ -473,7 +528,7 @@ def test_fit_hot_path_shape(argv, stacks, count_calls):
             (np, "polyfit"),
             (np.linalg, "lstsq"),
             (wk, "_polyfit_rows"),
-            (wk, "_lstsq_rows"),
+            (linalg, "_lstsq_rows"),
         ]
     }
     with contextlib.redirect_stdout(io.StringIO()):

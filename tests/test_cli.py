@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklab import asymptotics, cli, contextual, files, linalg, povm
+from weaklab import asymptotics, cli, contextual, files, linalg, montecarlo, povm
 from weaklab.files import load_instance
 
 
@@ -111,6 +111,22 @@ def test_subnormal_singular_value_is_refused_by_every_solve(capsys, argv, g):
 
 def test_proof_claim_on_a_subnormal_family_solves_nothing(capsys):
     assert run(capsys, "proof-claim", "--file", SUBNORMAL)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, g",
+    [
+        (["--instance", "quad-cx", "--grid-max", "1e300"], "2.44140625e+296"),
+        (["--file", str(Path(__file__).resolve().parent / "data" / "quad-cx-rotated-permuted.json"),
+          "--grid-max", "1e200"], "2.44140625e+196"),
+    ],
+)
+def test_weak_limit_whose_f_overflows_is_refused_without_a_traceback(capsys, argv, g):
+    # weak_limit solves before its range rule: F(g) = inf leaves LAPACK's SVD
+    # unconverged, which is NoExactCv at the ladder's smallest coupling, not a LinAlgError
+    code, out, err = run(capsys, "weak-limit", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: NoExactCv: F(g) is not finite at g = {g}\n"
 
 
 @pytest.mark.parametrize(
@@ -849,6 +865,32 @@ def test_proof_claim_verdict_survives_a_small_rescale(capsys, tmp_path):
     assert "counterexample_found=true" in out
 
 
+@pytest.mark.parametrize(
+    "delta, line",
+    [
+        ("9e-12", "identically-zero trajectories: [1]"),
+        ("1.1e-11", "sigma_2: leading order 1, coefficient 1.1e-11, r^2 1.000000"),
+    ],
+)
+def test_proof_claim_zero_trajectory_tolerance_from_both_sides(capsys, tmp_path, delta, line):
+    # diag(1, delta g): on the ladder topped at 0.1, sigma_2 peaks at 9e-13 or 1.1e-12,
+    # either side of 1e-12 times sigma_1's 1
+    zero = [0.0, 0.0]
+    path = tmp_path / "zero-trajectory.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "g_max": 0.5,
+        "fmatrix": [
+            {"order": 0, "matrix": [[[1.0, 0.0], zero], [zero, zero]]},
+            {"order": 1, "matrix": [[zero, zero], [zero, [float(delta), 0.0]]]},
+        ],
+    }))
+    code, out, err = run(capsys, "proof-claim", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+    assert "claim holds: true" in out
+
+
 @pytest.mark.parametrize("name", ["qubit-linear", "eq70"])
 def test_g_to_zero_analyses_stay_inside_a_small_g_max(capsys, tmp_path, monkeypatch, name):
     # every g -> 0 ladder is limit_grid(g_max), topped at min(0.1, g_max)
@@ -865,7 +907,6 @@ def test_g_to_zero_analyses_stay_inside_a_small_g_max(capsys, tmp_path, monkeypa
         return svd_curve(F, g_grid)
 
     monkeypatch.setattr(asymptotics, "svd_curve", recording)
-    monkeypatch.setattr(cli, "svd_curve", recording)
     a = ["--a", "1,1"] if name == "eq70" else []
     commands = [["pole-order", *a], ["svd-asymptotics"], ["proof-claim"]]
     if name == "qubit-linear":
@@ -1038,7 +1079,7 @@ def test_mc_run_out_of_memory_is_usage_error(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "sample_run", refuse)
+    monkeypatch.setattr(montecarlo, "sample_run", refuse)
     code, out, err = run(
         capsys, "mc-run", "--instance", "qubit-linear", "--g", "0.1", "--trials", "10000000000000"
     )

@@ -315,6 +315,23 @@ def test_both_solvers_give_finite_weights_or_refuse(case):
         assert point.alpha.tobytes() == grid.alpha[0].tobytes()
 
 
+def test_a_non_finite_f_is_refused_at_its_first_coupling(monkeypatch):
+    # quad-cx's g**2 terms overflow past about 1e154, and LAPACK's SVD of an infinite
+    # F(g) does not converge: NoExactCv names the first such coupling, with no warning
+    spec = registry.get_instance("quad-cx")
+    F = cx.build_F(spec.povm, spec.observable)
+    with pytest.raises(NoExactCv) as err:
+        cx.solve_grid(F, [0.1, 1e160, 1e200])
+    assert str(err.value) == "F(g) is not finite at g = 1e+160"
+    # an SVD that fails on a finite F(g) is not a missing solution: its error stands
+    def fail(M):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cx, "pinv_and_rank", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        cx.solve_grid(F, [0.1])
+
+
 def test_exact_cv_exists():
     grid = np.geomspace(0.01, 0.5, 8)
     assert cx.exact_cv_exists(cx.build_F(qubit_linear(), Z), grid)

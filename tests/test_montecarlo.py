@@ -18,7 +18,7 @@ from weaklab import linalg
 from weaklab import montecarlo as mc
 from weaklab import povm as pv
 from weaklab import weak as wk
-from weaklab.errors import NoSuccesses, ValidationError
+from weaklab.errors import NoSuccesses, OrthogonalPostselection, ValidationError, WeakLabError
 from weaklab.povm import ParamPovm, PolyMatrix
 from weaklab.files import load_instance
 from weaklab.registry import REGISTRY, get_instance
@@ -499,3 +499,47 @@ def test_mc_run_takes_no_psd_sqrt_or_eigh(count_calls, capsys):
     assert eighs[0] == 0
     assert bases[0] == 1  # build_F's, which every later step reads
     assert roots[0] == 0
+
+
+# ------------------------------------------------------------------ mc_run
+
+
+def test_mc_run_is_sample_run_beside_its_conditioned_average():
+    spec = get_instance("qubit-linear")
+    config = mc.McConfig(trials=20_000, seed=3, g=0.1)
+    res = mc.mc_run(spec.povm, spec.observable, spec.psi_i, spec.psi_f, config)
+    F = cx.build_F(spec.povm, spec.observable)
+    alpha = cx.solve_grid(F, [0.1]).alpha[0]
+    alone = mc.sample_run(F, alpha, spec.psi_i, spec.psi_f, config)
+    for field in dataclasses.fields(mc.McResult):
+        assert np.asarray(getattr(res, field.name)).tobytes() == np.asarray(
+            getattr(alone, field.name)
+        ).tobytes(), field.name
+    analytic, success = wk.conditioned_average(F, alpha, spec.psi_i, spec.psi_f, 0.1)
+    assert type(res.analytic_value) is float and type(res.success_probability) is float
+    assert res.analytic_value.hex() == analytic.hex()
+    assert res.success_probability.hex() == success.hex()
+
+
+def test_mc_run_error_order():
+    spec = get_instance("qubit-linear")
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ket0, ket1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+    def error(A, psi_i, psi_f, g):
+        with pytest.raises(WeakLabError) as err:
+            mc.mc_run(spec.povm, A, psi_i, psi_f, mc.McConfig(trials=1000, seed=1, g=g))
+        return type(err.value).__name__, str(err.value)
+
+    # the coupling's range first, then build_F's refusal of X, then the solve at g = 0
+    assert error(X, 2 * ket0, ket1, 5.0)[0] == "OutOfValidityRange"
+    assert error(X, 2 * ket0, ket1, 0.1)[0] == "NotCommuting"
+    assert error(Z, 2 * ket0, ket1, 0.0) == (
+        "NoExactCv", "no exact contextual values at g = 0 (residual 1.414e+00)"
+    )
+    # then sample_run's own: a state off unit norm, then no success, before the
+    # analytic value's OrthogonalPostselection
+    assert error(Z, 2 * ket0, ket1, 0.1) == ("InvalidState", "state vector norm 2.0 is not 1")
+    assert error(Z, ket0, ket1, 0.1)[0] == "NoSuccesses"
+    with pytest.raises(OrthogonalPostselection):
+        wk.conditioned_average(cx.build_F(spec.povm, Z), [1.0, -1.0], ket0, ket1, 0.1)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from weaklab import registry
-from weaklab.contextual import build_F, exact_cv_exists, pseudoinverse_cv
+from weaklab.contextual import build_F, exact_cv_exists, pseudoinverse_cv, truncation_grid
 from weaklab.povm import validate
 
 from oracles import minimum_nonzero_order
@@ -65,8 +65,10 @@ def test_quad_cx_certificates():
 
 
 def test_quad_cx_grid_frozen():
-    npt.assert_allclose(registry.QUAD_CX_GRID, np.geomspace(0.01, 0.5, 12))
-    assert registry.QUAD_CX_GRID[0] == pytest.approx(0.01)
+    # the truncation check's grid at quad-cx's g_max of 0.5 is geomspace(0.01, 0.5, 12) bit for bit
+    grid = truncation_grid(0.5)
+    assert grid.tobytes() == np.geomspace(0.01, 0.5, 12).tobytes()
+    assert grid[0] == pytest.approx(0.01)
 
 
 def test_instances_are_rebuilt_fresh():

@@ -671,7 +671,7 @@ def test_stacked_lstsq_equals_numpy_lstsq_row_by_row(rows):
         lhs.append(V / norms)
     lhs = np.array(lhs)
     rcond = 5 * np.finfo(float).eps
-    solutions, ranks = wk._lstsq_rows(lhs, y, rcond)
+    solutions, ranks = linalg._lstsq_rows(lhs, y, rcond)
     expected = [np.linalg.lstsq(a, b, rcond) for a, b in zip(lhs, y)]
     assert solutions.tobytes() == np.array([e[0] for e in expected]).tobytes()
     assert ranks.tolist() == [e[2] for e in expected]
@@ -769,7 +769,7 @@ def test_sweep_hot_path_shape(count_calls, monkeypatch):
             (np.linalg, "eigh"),
             (np.linalg, "eigvalsh"),
             (wk, "_ladders"),
-            (wk, "_lstsq_rows"),
+            (linalg, "_lstsq_rows"),
         ]
     }
     groups = []  # the (dim, n_out) shapes of each stacked solve
