@@ -17,7 +17,9 @@ against max|a|, so a rescaled family or target keeps its verdict.  Every
 g -> 0 ladder is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the
 analyses take the family's g_max as data, so no coupling they read leaves
 (0, g_max].  `svd_asymptotics` runs every analysis of the `svd-asymptotics`
-command on that ladder and returns them in one report.
+command on that ladder once: the commutator's SVD of F serves the table
+and the claim audit, and one evaluation of F the determinant and both
+probes, solved in one `contextual.solve_stack`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .contextual import FMatrix, solve_grid
-from .errors import NotLinear, NotPositiveSamples
+from .contextual import FMatrix, solve_grid, solve_stack
+from .errors import NoExactCv, NotLinear, NotPositiveSamples
 from .linalg import _lstsq_rows
 from .povm import PolyMatrix
 from .weak import LIMIT_GRID_POINTS, LIMIT_GRID_TOP, _polyfit_rows, _polyval, _power_series
@@ -96,10 +98,16 @@ def svd_curve(F: PolyMatrix, g_grid: np.ndarray) -> np.ndarray:
     inequality sorted singular values move by at most ||F(g_a) - F(g_b)||_2
     between two couplings, so the sorted trajectories are continuous in g;
     where analytic branches cross they follow the sorted order, not the
-    branches.
+    branches.  Raises NoExactCv, before any SVD, at the first coupling
+    where F(g) is not finite.
     """
     g_grid = np.asarray(g_grid, dtype=float)
-    return np.linalg.svd(F(g_grid[:, None, None]), compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite F(g) is refused below
+        Fg = F(g_grid[:, None, None])
+    finite = np.isfinite(Fg).all(axis=(-2, -1))
+    if not finite.all():
+        raise NoExactCv(f"F(g) is not finite at g = {g_grid[finite.argmin()]:.9g}")
+    return np.linalg.svd(Fg, compute_uv=False)
 
 
 @dataclass
@@ -109,6 +117,7 @@ class TruncationSvdReport:
     n: int
     g_grid: np.ndarray
     left: np.ndarray  # singular values of the truncated family, (n_grid, k)
+    full: np.ndarray  # singular values of the family itself, (n_grid, k)
     right: np.ndarray  # truncated fitted series of the singular values
     right_series: list[np.ndarray]  # fitted, truncated coefficients per trajectory
     commute: bool
@@ -151,6 +160,7 @@ def truncation_svd_commutator(
         n=n,
         g_grid=g_grid,
         left=left,
+        full=full,
         right=right,
         right_series=series,
         commute=bool(np.all(agree)),
@@ -194,7 +204,11 @@ def proof_claim_check(F: PolyMatrix, g_max: float = LIMIT_GRID_TOP) -> ClaimRepo
     if F.max_degree > 1:
         raise NotLinear(f"family has degree {F.max_degree}, claim concerns linear families")
     g_grid = limit_grid(g_max)
-    sig = svd_curve(F, g_grid)
+    return _claim_report(g_grid, svd_curve(F, g_grid))
+
+
+def _claim_report(g_grid: np.ndarray, sig: np.ndarray) -> ClaimReport:
+    """proof_claim_check's audit of the singular values sig (n_g, k) on g_grid."""
     zero_tol = ZERO_TRAJECTORY_TOL * sig.max()
 
     zero_traj: list[int] = []
@@ -251,11 +265,15 @@ def pinv_pole_order(F: PolyMatrix, a: np.ndarray, g_grid: np.ndarray) -> PoleEst
     NoExactCv.
     """
     sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
-    norms = np.abs(sol.alpha).max(axis=1)
-    solve = dict(g_grid=sol.g_grid, alpha_sup=norms, ranks=sol.ranks)
+    return _pole_fit(sol.g_grid, np.abs(sol.alpha).max(axis=1), sol.ranks, a)
+
+
+def _pole_fit(g_grid: np.ndarray, norms: np.ndarray, ranks: np.ndarray, a: np.ndarray) -> PoleEstimate:
+    """pinv_pole_order's estimate from a solve's couplings, ||alpha(g)||_inf and ranks."""
+    solve = dict(g_grid=g_grid, alpha_sup=norms, ranks=ranks)
     if norms.max() <= ZERO_TRAJECTORY_TOL * np.abs(a).max():
         return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True, **solve)
-    est = leading_order_fit(sol.g_grid, norms)
+    est = leading_order_fit(g_grid, norms)
     return PoleEstimate(
         exponent=-est.exponent, coefficient=est.coefficient, fit_r2=est.fit_r2, **solve
     )
@@ -282,24 +300,26 @@ def svd_asymptotics(F: PolyMatrix, g_max: float, n: int) -> SvdAsymptoticsReport
 
     The commutator's RankWarning is not shown: its reliable flag keeps it as
     data.  A family of degree above 1 gets no claim audit (claim None).
+    Each field is its separate analysis's bit for bit, and a NoExactCv
+    names the coupling that pinv_pole_order's would.
     """
-    g_grid = np.sort(limit_grid(g_max))
-    singular_values = svd_curve(F, g_grid)
-    rows, cols = F.shape
-    abs_det = det_deviation = None
-    if rows == cols:
-        abs_det = np.abs(np.linalg.det(F(g_grid[:, None, None])))
-        prods = np.prod(singular_values, axis=1)
-        det_deviation = float(np.max(np.abs(abs_det - prods) / np.maximum(prods, 1e-300)))
-    probes = [np.ones(rows), (-1.0) ** np.arange(rows)]
-    poles = [pinv_pole_order(F, a, g_grid) for a in probes]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.RankWarning)
         truncation = truncation_svd_commutator(F, n, g_max)
-    try:
-        claim = proof_claim_check(F, g_max)
-    except NotLinear:
-        claim = None
+    g_grid = np.sort(limit_grid(g_max))
+    singular_values = truncation.full[::-1]
+    Fg = F(g_grid[:, None, None])  # finite: svd_curve refused the ladder otherwise
+    rows, cols = F.shape
+    abs_det = det_deviation = None
+    if rows == cols:
+        abs_det = np.abs(np.linalg.det(Fg))
+        prods = np.prod(singular_values, axis=1)
+        det_deviation = float(np.max(np.abs(abs_det - prods) / np.maximum(prods, 1e-300)))
+    probes = [np.ones(rows), (-1.0) ** np.arange(rows)]
+    sol = solve_stack(np.real(Fg), np.stack(probes)[:, None], np.stack([g_grid, g_grid]))
+    norms = np.abs(sol.alpha).max(axis=-1)
+    poles = [_pole_fit(g_grid, sup, sol.ranks, a) for sup, a in zip(norms, probes)]
+    claim = None if F.max_degree > 1 else _claim_report(truncation.g_grid, truncation.full)
     return SvdAsymptoticsReport(
         g_grid, singular_values, abs_det, det_deviation, probes, poles, truncation, claim
     )

@@ -13,11 +13,13 @@ grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
 stacked call.  Each grid point comes out bit for bit as the single-coupling
 `pseudoinverse_cv` would give it.  `solve_grid` is the one-F case of
 `solve_stack`, which solves the grids of many F at once: the conjecture
-generator and sweep solve their draws through it.  `exact_cv_exists`,
-`truncated_cv_check`, `asymptotics.pinv_pole_order` and `weak.weak_limit`
-go through `solve_grid`; the weak limit and the sweep hand their solution
-on to the weak-limit ladder (the sweep a solve's whole stack, or its exact
-members through `GridSolution.__getitem__`), so a grid is solved once per limit.
+generator and sweep solve their draws through it, and
+`asymptotics.svd_asymptotics` both of its probes in one call.
+`exact_cv_exists`, `truncated_cv_check`, `asymptotics.pinv_pole_order` (the
+`pole-order` command's solve) and `weak.weak_limit` go through
+`solve_grid`; the weak limit and the sweep hand their solution on to the
+weak-limit ladder (the sweep a solve's whole stack, or its exact members
+through `GridSolution.__getitem__`), so a grid is solved once per limit.
 
 Every pseudoinverse, stacked or single, is linalg.pinv_and_rank's: one call
 of the SVD gufunc that np.linalg.svd itself calls (`svd_s`), made without
@@ -167,16 +169,18 @@ def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.
     two products round alike, and the first is the cheaper.  An F(g) that is
     not finite, as where a coupling far past g_max overflows it, leaves
     LAPACK's SVD unconverged: that raises NoExactCv at the first such coupling.
+    Both solvers call it under errstate(over="ignore", invalid="ignore"), which
+    pseudoinverse_cv's evaluation of F(g) shares: what is not finite is
+    refused here, not warned about.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite alpha is refused below
-        try:
-            P, ranks = pinv_and_rank(Fg)
-        except LinAlgError:
-            finite = np.isfinite(Fg).all(axis=(-2, -1)).ravel()
-            if finite.all():
-                raise
-            raise NoExactCv(f"F(g) is not finite at g = {np.ravel(g)[finite.argmin()]:.9g}") from None
-        alpha = (P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]).real
+    try:
+        P, ranks = pinv_and_rank(Fg)
+    except LinAlgError:
+        finite = np.isfinite(Fg).all(axis=(-2, -1)).ravel()
+        if finite.all():
+            raise
+        raise NoExactCv(f"F(g) is not finite at g = {np.ravel(g)[finite.argmin()]:.9g}") from None
+    alpha = (P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]).real
     if not np.isfinite(alpha).all():
         first = np.isfinite(alpha).reshape(-1, alpha.shape[-1]).all(axis=1).argmin()
         raise NoExactCv(f"contextual values overflow at g = {np.ravel(g)[first]:.9g}")
@@ -208,7 +212,8 @@ def solve_stack(Fg: np.ndarray, a_vec: np.ndarray, g: np.ndarray) -> GridSolutio
     and g is (..., n_g).  The residual norm is sqrt(u . u) * s for u = r / s,
     s = pow2_scale(r, axis=-1).  Raises NoExactCv where alpha is not finite.
     """
-    alpha, ranks = _pinv_weights(Fg, a_vec, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses what is not finite
+        alpha, ranks = _pinv_weights(Fg, a_vec, g)
     r = (Fg @ alpha[..., None])[..., 0] - a_vec
     s = pow2_scale(r, axis=-1)
     u = r / s[..., None]
@@ -220,12 +225,13 @@ def solve_stack(Fg: np.ndarray, a_vec: np.ndarray, g: np.ndarray) -> GridSolutio
 def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
-    Raises NoExactCv where alpha is not finite.  The last (F, g) is memoized
-    (lru_cache, maxsize 1), so a repeated call returns the same, read-only
-    CvSolution without a new solve: the meter's per-outcome eigenvalue
-    functions solve each coupling once.
+    Raises NoExactCv where F(g) or alpha is not finite.  The last (F, g) is
+    memoized (lru_cache, maxsize 1), so a repeated call returns the same,
+    read-only CvSolution without a new solve: the meter's per-outcome
+    eigenvalue functions solve each coupling once.
     """
-    alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses a non-finite F(g)
+        alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
     alpha.setflags(write=False)
     return CvSolution(g=float(g), alpha=alpha, F=F)
 

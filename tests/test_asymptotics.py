@@ -213,6 +213,17 @@ def test_zero_trajectory_tolerance_is_1e_12_of_the_largest_singular_value(delta,
     assert rep.claim_holds and not rep.counterexample_found
 
 
+@pytest.mark.parametrize("eps, order, holds", [(3e-6, "1.015899", True), (5e-5, "1.23663328", False)])
+def test_first_order_tolerance_is_1_05(eps, order, holds):
+    # F(g) = [[g, eps], [0, g]]: sigma_2 = g**2 / sigma_1 bends from order 1 (g >> eps) towards
+    # order 2 (g << eps), so its fit over the six smallest couplings lands either side of 1.05
+    F = PolyMatrix([np.array([[0.0, eps], [0.0, 0.0]]), np.eye(2)])
+    rep = ay.proof_claim_check(F, 0.5)
+    assert rep.zero_trajectories == []
+    assert f"{rep.orders[1].exponent:.9g}" == order
+    assert (rep.claim_holds, rep.counterexample_found) == (holds, not holds)
+
+
 # ------------------------------------------------ the svd-asymptotics report
 
 

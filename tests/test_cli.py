@@ -16,6 +16,7 @@ import pytest
 
 from weaklab import asymptotics, cli, contextual, files, linalg, montecarlo, povm
 from weaklab.files import load_instance
+from weaklab.registry import REGISTRY
 
 
 def run(capsys, *argv):
@@ -865,6 +866,16 @@ def test_proof_claim_verdict_survives_a_small_rescale(capsys, tmp_path):
     assert "counterexample_found=true" in out
 
 
+def raw_family_file(path, g_max, *matrices):
+    """Write a raw 2 x 2 family whose order-k matrix is the real matrices[k]; return its path."""
+    fmatrix = [
+        {"order": k, "matrix": [[[float(x), 0.0] for x in row] for row in m]}
+        for k, m in enumerate(matrices)
+    ]
+    path.write_text(json.dumps({"dim": 2, "g_max": g_max, "fmatrix": fmatrix}))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "delta, line",
     [
@@ -875,20 +886,50 @@ def test_proof_claim_verdict_survives_a_small_rescale(capsys, tmp_path):
 def test_proof_claim_zero_trajectory_tolerance_from_both_sides(capsys, tmp_path, delta, line):
     # diag(1, delta g): on the ladder topped at 0.1, sigma_2 peaks at 9e-13 or 1.1e-12,
     # either side of 1e-12 times sigma_1's 1
-    zero = [0.0, 0.0]
-    path = tmp_path / "zero-trajectory.json"
-    path.write_text(json.dumps({
-        "dim": 2,
-        "g_max": 0.5,
-        "fmatrix": [
-            {"order": 0, "matrix": [[[1.0, 0.0], zero], [zero, zero]]},
-            {"order": 1, "matrix": [[zero, zero], [zero, [float(delta), 0.0]]]},
-        ],
-    }))
-    code, out, err = run(capsys, "proof-claim", "--file", str(path))
+    path = raw_family_file(tmp_path / "zero-trajectory.json", 0.5, [[1, 0], [0, 0]], [[0, 0], [0, float(delta)]])
+    code, out, err = run(capsys, "proof-claim", "--file", path)
     assert (code, err) == (0, "")
     assert line in out.splitlines()
     assert "claim holds: true" in out
+
+
+@pytest.mark.parametrize(
+    "eps, line, verdict",
+    [
+        ("3e-6", "sigma_2: leading order 1.015899, coefficient 1.12879357, r^2 0.999946", "true"),
+        ("5e-5", "sigma_2: leading order 1.23663328, coefficient 6.00084047, r^2 0.993617  [UNRELIABLE]",
+         "false"),
+    ],
+)
+def test_proof_claim_first_order_tolerance_from_both_sides(capsys, tmp_path, eps, line, verdict):
+    # [[g, eps], [0, g]]: sigma_2's fitted order lands either side of 1.05
+    path = raw_family_file(tmp_path / "first-order.json", 0.5, [[0, float(eps)], [0, 0]], [[1, 0], [0, 1]])
+    code, out, err = run(capsys, "proof-claim", "--file", path)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+    assert f"claim holds: {verdict}" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["proof-claim", "svd-asymptotics"])
+def test_a_ladder_on_which_f_is_not_finite_is_refused(capsys, tmp_path, command):
+    # 1.7e308 + 1e308 g overflows at the ladder's top coupling 0.1 alone: no fit may drop
+    # that row, and no overflow warning may escape before the one error line
+    path = raw_family_file(tmp_path / "overflow.json", 0.5, [[1.7e308, 0], [0, 1]], [[1e308, 0], [0, 0]])
+    code, out, err = run(capsys, command, "--file", path)
+    assert (code, out, err) == (1, "", "error: NoExactCv: F(g) is not finite at g = 0.1\n")
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_svd_asymptotics_does_its_work_once(capsys, count_calls, name):
+    # one SVD of the family (table, commutator and audit) and one of its truncation,
+    # one stacked pseudoinverse for both probes, and F evaluated once per SVD plus
+    # once for the determinant and the probes
+    curves = count_calls(asymptotics, "svd_curve")
+    pinvs = count_calls(linalg, "pinv_and_rank")
+    evaluations = count_calls(povm, "_horner")
+    assert run(capsys, "svd-asymptotics", "--instance", name)[0] == 0
+    assert (curves[0], pinvs[0]) == (2, 1)
+    assert evaluations[0] <= 3
 
 
 @pytest.mark.parametrize("name", ["qubit-linear", "eq70"])

@@ -332,6 +332,15 @@ def test_a_non_finite_f_is_refused_at_its_first_coupling(monkeypatch):
         cx.solve_grid(F, [0.1])
 
 
+def test_the_single_coupling_solve_refuses_a_non_finite_f_without_a_warning():
+    # the suite turns warnings into errors: an overflow while evaluating F(g) would fail first
+    spec = registry.get_instance("quad-cx")
+    F = cx.build_F(spec.povm, spec.observable)
+    with pytest.raises(NoExactCv) as err:
+        cx.pseudoinverse_cv(F, 1e200)
+    assert str(err.value) == "F(g) is not finite at g = 1e+200"
+
+
 def test_exact_cv_exists():
     grid = np.geomspace(0.01, 0.5, 8)
     assert cx.exact_cv_exists(cx.build_F(qubit_linear(), Z), grid)
