@@ -13,13 +13,14 @@ for bit with numpy (the commutator fits a family's trajectories in one
 stack; the log-log fit repeats np.polyfit), so no command imports
 numpy.polynomial.  "Identically zero" is relative to scale:
 a trajectory against the largest singular value on the grid, a solution
-against max|a|, so a rescaled family or target keeps its verdict.  Every
-g -> 0 ladder is `weak.limit_grid(g_max)`, topped at min(0.1, g_max): the
-analyses take the family's g_max as data, so no coupling they read leaves
-(0, g_max].  `svd_asymptotics` runs every analysis of the `svd-asymptotics`
-command on that ladder once: the commutator's SVD of F serves the table
-and the claim audit, and one evaluation of F the determinant and both
-probes, solved in one `contextual.solve_stack`.
+times the largest |F(g)| against max|a|, so a rescaled family or target
+keeps its verdict.  Every g -> 0 ladder is `weak.limit_grid(g_max)`,
+topped at min(0.1, g_max): the analyses take the family's g_max as data,
+so no coupling they read leaves (0, g_max].  `svd_asymptotics` runs every
+analysis of the `svd-asymptotics` command on that ladder once: the
+commutator's SVD of F serves the table and the claim audit, and one
+evaluation of F the determinant and both probes, solved in one
+`contextual.solve_stack`.
 """
 
 from __future__ import annotations
@@ -260,18 +261,22 @@ class PoleEstimate(OrderEstimate):
 def pinv_pole_order(F: PolyMatrix, a: np.ndarray, g_grid: np.ndarray) -> PoleEstimate:
     """Fit the growth of ||pinv(F(g)) a||_inf over g_grid; the negated slope is the pole order.
 
-    A solution never exceeding 1e-12 max|a| on the grid is alpha_zero, with
-    no fit.  Weights that overflow at some coupling raise solve_grid's
-    NoExactCv.
+    A solution whose largest ||alpha(g)||_inf times the largest |F(g)| on
+    the grid never exceeds 1e-12 max|a| is alpha_zero, with no fit.  Weights
+    that overflow at some coupling raise solve_grid's NoExactCv.
     """
     sol = solve_grid(FMatrix(poly=F, a_vec=a), g_grid)
-    return _pole_fit(sol.g_grid, np.abs(sol.alpha).max(axis=1), sol.ranks, a)
+    return _pole_fit(sol.g_grid, np.abs(sol.alpha).max(axis=1), sol.ranks, a, np.abs(sol.F_g).max())
 
 
-def _pole_fit(g_grid: np.ndarray, norms: np.ndarray, ranks: np.ndarray, a: np.ndarray) -> PoleEstimate:
-    """pinv_pole_order's estimate from a solve's couplings, ||alpha(g)||_inf and ranks."""
+def _pole_fit(
+    g_grid: np.ndarray, norms: np.ndarray, ranks: np.ndarray, a: np.ndarray, f_scale: float
+) -> PoleEstimate:
+    """pinv_pole_order's estimate from a solve's couplings, ||alpha(g)||_inf, ranks and max|F(g)|."""
     solve = dict(g_grid=g_grid, alpha_sup=norms, ranks=ranks)
-    if norms.max() <= ZERO_TRAJECTORY_TOL * np.abs(a).max():
+    with np.errstate(over="ignore"):  # an overflowing product is no zero solution
+        zero = norms.max() * f_scale <= ZERO_TRAJECTORY_TOL * np.abs(a).max()
+    if zero:
         return PoleEstimate(exponent=0.0, coefficient=0.0, fit_r2=1.0, alpha_zero=True, **solve)
     est = leading_order_fit(g_grid, norms)
     return PoleEstimate(
@@ -287,6 +292,7 @@ class SvdAsymptoticsReport:
     singular_values: np.ndarray  # (n_g, k), each row descending
     abs_det: np.ndarray | None  # |det F(g)| on the grid; None for a non-square family
     det_deviation: float | None  # max relative deviation of abs_det from prod(sigma)
+    det_nonfinite_g: float | None  # the first coupling where abs_det or prod(sigma) is not finite
     probes: list[np.ndarray]  # the two pole-order targets a
     poles: list[PoleEstimate]  # one per probe
     truncation: TruncationSvdReport
@@ -301,7 +307,9 @@ def svd_asymptotics(F: PolyMatrix, g_max: float, n: int) -> SvdAsymptoticsReport
     The commutator's RankWarning is not shown: its reliable flag keeps it as
     data.  A family of degree above 1 gets no claim audit (claim None).
     Each field is its separate analysis's bit for bit, and a NoExactCv
-    names the coupling that pinv_pole_order's would.
+    names the coupling that pinv_pole_order's would.  Where |det F| or
+    prod(sigma) overflows, the deviation is not finite and det_nonfinite_g
+    names the first such coupling, with no warning.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.RankWarning)
@@ -310,16 +318,23 @@ def svd_asymptotics(F: PolyMatrix, g_max: float, n: int) -> SvdAsymptoticsReport
     singular_values = truncation.full[::-1]
     Fg = F(g_grid[:, None, None])  # finite: svd_curve refused the ladder otherwise
     rows, cols = F.shape
-    abs_det = det_deviation = None
+    abs_det = det_deviation = det_nonfinite_g = None
     if rows == cols:
-        abs_det = np.abs(np.linalg.det(Fg))
-        prods = np.prod(singular_values, axis=1)
-        det_deviation = float(np.max(np.abs(abs_det - prods) / np.maximum(prods, 1e-300)))
+        with np.errstate(over="ignore", invalid="ignore"):  # where it is not finite is reported
+            abs_det = np.abs(np.linalg.det(Fg))
+            prods = np.prod(singular_values, axis=1)
+            deviations = np.abs(abs_det - prods) / np.maximum(prods, 1e-300)
+        det_deviation = float(np.max(deviations))
+        finite = np.isfinite(deviations)
+        if not finite.all():
+            det_nonfinite_g = float(g_grid[finite.argmin()])
     probes = [np.ones(rows), (-1.0) ** np.arange(rows)]
     sol = solve_stack(np.real(Fg), np.stack(probes)[:, None], np.stack([g_grid, g_grid]))
     norms = np.abs(sol.alpha).max(axis=-1)
-    poles = [_pole_fit(g_grid, sup, sol.ranks, a) for sup, a in zip(norms, probes)]
+    f_scale = np.abs(sol.F_g).max()
+    poles = [_pole_fit(g_grid, sup, sol.ranks, a, f_scale) for sup, a in zip(norms, probes)]
     claim = None if F.max_degree > 1 else _claim_report(truncation.g_grid, truncation.full)
     return SvdAsymptoticsReport(
-        g_grid, singular_values, abs_det, det_deviation, probes, poles, truncation, claim
+        g_grid, singular_values, abs_det, det_deviation, det_nonfinite_g, probes, poles, truncation,
+        claim,
     )

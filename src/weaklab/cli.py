@@ -304,9 +304,11 @@ def _cmd_svd_asymptotics(args, spec: InstanceSpec) -> _Output:
         *(f"{_f(g):>14}  " + "  ".join(f"{s:>13.6e}" for s in sig) for g, *sig in table),
     ]
     if rep.abs_det is not None:
-        lines.append(
-            f"det consistency: max rel deviation of |det F| from prod(sigma) = {rep.det_deviation:.3e}"
-        )
+        lines.append("det consistency: " + (
+            f"max rel deviation of |det F| from prod(sigma) = {rep.det_deviation:.3e}"
+            if rep.det_nonfinite_g is None
+            else f"|det F| or prod(sigma) is not finite at g = {rep.det_nonfinite_g:.9g}"
+        ))
         header.append("abs_det")
         table = np.column_stack([table, rep.abs_det])
 

@@ -19,12 +19,12 @@ A single structured-text (JSON) schema with top-level keys:
 Serialization is canonical: keys sorted, floats rendered with 17 significant
 digits, one top-level key per line.  save -> load -> save is byte-identical.
 
-Loading decodes each matrix and state in one bulk pass (one scan of shapes
-and types, one float() list, one array viewed as complex) and falls back to
-the entry-by-entry decoder only when that pass refuses, so a refusal still
-names the first bad entry's JSON path.  JSON nested past the recursion limit
-and an integer past Python's integer-string digit limit are ParseErrors
-naming the file, as a syntax error is.
+Loading decodes each matrix and state in one pass: one scan of its rows and
+[re, im] pairs, which refuses the first bad row or pair by its JSON path,
+one float() list, one array viewed as complex, then one finiteness check
+(a state's norm check).  JSON nested past the recursion limit and an integer
+past Python's integer-string digit limit are ParseErrors naming the file, as
+a syntax error is.
 """
 
 from __future__ import annotations
@@ -162,66 +162,31 @@ def _to_float(x: int | float) -> float:
         return np.inf if x > 0 else -np.inf
 
 
-def _decode_complex_pair(entry, context: str) -> complex:
-    _require(
-        isinstance(entry, (list, tuple)) and len(entry) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry),
-        "Schema",
-        "expected a [re, im] number pair",
-        context,
-    )
-    return complex(_to_float(entry[0]), _to_float(entry[1]))
-
-
-def _bulk_decode(data, rows: int, cols: int) -> np.ndarray | None:
-    """The (rows, cols) complex matrix that rows of [re, im] pairs encode, in one pass.
-
-    One scan of shapes and types, one float() list, one array viewed as
-    complex.  None whenever the per-entry decoder might answer otherwise:
-    for everything it refuses, and for what it reads entry by entry (a tuple
-    pair, a number subclass, an integer beyond float range, a non-finite
-    entry).
-    """
-    if type(data) is not list or len(data) != rows:
-        return None
-    flat = []
-    for row in data:
-        if type(row) is not list or len(row) != cols:
-            return None
-        for pair in row:
-            if type(pair) is not list or len(pair) != 2:
-                return None
-            flat += pair
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        values = list(map(float, flat))
-    except OverflowError:
-        return None
-    # a NaN or an infinity makes the sum non-finite; so may an overflowing
-    # sum of finite entries, which the per-entry decoder then accepts
-    if not math.isfinite(sum(values)):
-        return None
-    return np.array(values).view(complex).reshape(rows, cols)
-
-
-def _decode_entries(data, rows: int, cols: int, context: str) -> np.ndarray:
-    """The per-entry decoder: a refusal names the first bad entry's JSON path."""
-    _require(isinstance(data, list) and len(data) == rows, "BadShape",
-             f"expected {rows} rows", context)
-    M = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        _require(isinstance(row, list) and len(row) == cols, "BadShape",
-                 f"expected {cols} entries in row {i}", context)
-        for j, entry in enumerate(row):
-            M[i, j] = _decode_complex_pair(entry, f"{context}[{i}][{j}]")
-    _require(bool(np.all(np.isfinite(M))), "BadValue", "non-finite entry", context)
-    return M
+def _pairs(row: list, context: str) -> list:
+    """The parts of row's [re, im] pairs, in order; refuses the first that is no number pair."""
+    parts: list = []
+    for j, pair in enumerate(row):
+        # bool subclasses int, and no type subclasses bool
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and isinstance(pair[0], (int, float)) and isinstance(pair[1], (int, float))
+                and bool not in (type(pair[0]), type(pair[1]))):
+            raise ValidationError("Schema", "expected a [re, im] number pair", f"{context}[{j}]")
+        parts += pair
+    return parts
 
 
 def _decode_matrix(data, rows: int, cols: int, context: str) -> np.ndarray:
-    M = _bulk_decode(data, rows, cols)
-    return M if M is not None else _decode_entries(data, rows, cols, context)
+    """The (rows, cols) matrix that rows of [re, im] pairs encode; a refusal names the first bad entry."""
+    _require(isinstance(data, list) and len(data) == rows, "BadShape",
+             f"expected {rows} rows", context)
+    parts: list = []
+    for i, row in enumerate(data):
+        if not (isinstance(row, list) and len(row) == cols):  # the message is formatted only on refusal
+            raise ValidationError("BadShape", f"expected {cols} entries in row {i}", context)
+        parts += _pairs(row, f"{context}[{i}]")
+    values = list(map(_to_float, parts))
+    _require(all(map(math.isfinite, values)), "BadValue", "non-finite entry", context)
+    return np.array(values).view(complex).reshape(rows, cols)
 
 
 def _decode_coefficients(data, rows: int, cols: int, context: str) -> PolyMatrix:
@@ -245,13 +210,9 @@ def _decode_coefficients(data, rows: int, cols: int, context: str) -> PolyMatrix
 
 
 def _decode_state(data, dim: int, context: str) -> np.ndarray:
-    v = _bulk_decode([data], 1, dim)
-    if v is not None:
-        v = v[0]
-    else:
-        _require(isinstance(data, list) and len(data) == dim, "BadShape",
-                 f"expected {dim} entries", context)
-        v = np.array([_decode_complex_pair(e, f"{context}[{i}]") for i, e in enumerate(data)])
+    _require(isinstance(data, list) and len(data) == dim, "BadShape",
+             f"expected {dim} entries", context)
+    v = np.array(list(map(_to_float, _pairs(data, context)))).view(complex)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, and is refused
         n = float(np.linalg.norm(v))
     _require(abs(n - 1.0) <= UNIT_NORM_TOL, "BadState", f"state norm {n!r} is not 1", context)

@@ -238,6 +238,7 @@ def test_svd_asymptotics_report_is_its_analyses_bit_for_bit():
     assert rep.abs_det.tobytes() == dets.tobytes()
     prods = np.prod(sig, axis=1)
     assert rep.det_deviation == np.max(np.abs(dets - prods) / prods)
+    assert rep.det_nonfinite_g is None
     assert [a.tolist() for a in rep.probes] == [[1.0, 1.0], [1.0, -1.0]]
     for a, est in zip(rep.probes, rep.poles):
         alone = ay.pinv_pole_order(F, a, grid)
@@ -260,7 +261,7 @@ def test_svd_asymptotics_skips_what_does_not_apply():
     assert rep.abs_det is not None
     wide = PolyMatrix([np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.eye(2, 3)])
     rep = ay.svd_asymptotics(wide, 0.5, 1)
-    assert rep.abs_det is None and rep.det_deviation is None
+    assert rep.abs_det is None and rep.det_deviation is None and rep.det_nonfinite_g is None
     assert rep.singular_values.shape == (wk.LIMIT_GRID_POINTS, 2)
     assert [a.tolist() for a in rep.probes] == [[1.0, 1.0], [1.0, -1.0]]
     assert rep.claim is not None
@@ -336,6 +337,20 @@ def test_pole_order_is_scale_covariant_in_the_target():
     npt.assert_allclose([est.exponent for est in ests], ests[1].exponent, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("k", [0, 40, 70, 80, 1000])
+def test_pole_order_is_scale_covariant_in_the_family(k):
+    # ||alpha(g)|| shrinks as F grows, so alpha_zero weighs it by max|F(g)|: by max|a| alone,
+    # a = [1, -1] read zero from k = 70 on and a = [1, 1] from k = 80
+    F = PolyMatrix(eq70_family().coefficients * 2.0**k)
+    ests = [ay.pinv_pole_order(F, np.array(a), wk.limit_grid()) for a in ([1.0, 1.0], [1.0, -1.0])]
+    assert [est.alpha_zero for est in ests] == [False, False]
+    exponents = [est.exponent for est in ests]
+    if k < 1000:
+        assert [f"{x:.8f}" for x in exponents] == ["1.99989894", "1.00000006"]
+    else:  # within 1e-7 of the above: LAPACK rescales inputs this large
+        assert [f"{x:.8f}" for x in exponents] == ["1.99989892", "1.00000004"]
+
+
 def test_rank_drop_makes_the_pole_order_unreliable():
     zero = np.zeros((2, 2))
     F = PolyMatrix([np.diag([1.0, 0.0]), zero, zero, zero, np.diag([0.0, 1.0])])
@@ -369,7 +384,8 @@ def test_pole_norms_and_validate_eigenvalues_match_per_point_loops(monkeypatch):
             norms = np.array([np.abs(linalg.pinv_and_rank(fam(g))[0] @ a).max() for g in grid])
             fitted.clear()
             est = ay.pinv_pole_order(fam, a, grid)
-            if norms.max() <= ay.ZERO_TRAJECTORY_TOL * np.abs(a).max():
+            scale = max(np.abs(fam(g).real).max() for g in grid)
+            if norms.max() * scale <= ay.ZERO_TRAJECTORY_TOL * np.abs(a).max():
                 assert est.alpha_zero and not fitted
             else:
                 assert np.array_equal(fitted[0][0], grid)

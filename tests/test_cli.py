@@ -511,6 +511,24 @@ def test_cv_solve_eq70_reference_point(capsys):
     assert "rank used = 2" in out
 
 
+@pytest.mark.parametrize(
+    "delta, a_line", [(9e-9, "a     = [0.999999991, 1]"), (1.1e-8, "a     = [1, 0.999999989]")]
+)
+def test_cv_solve_eigenvalue_ties_follow_the_degeneracy_tolerance(capsys, tmp_path, delta, a_line):
+    # observable diag(1, 1 - delta) on outcomes (I -+ g Z)/2: within 1e-8 its eigenvalues tie,
+    # and outcome 0's order-1 coefficient diag(-1/2, 1/2) puts the second one first
+    I2, Z = np.eye(2), np.diag([1.0, -1.0])
+    elements = (povm.PolyMatrix([I2 / 2, -Z / 2]), povm.PolyMatrix([I2 / 2, Z / 2]))
+    spec = files.InstanceSpec(
+        name="tie", povm=povm.ParamPovm(elements, g_max=0.9), observable=np.diag([1.0, 1.0 - delta])
+    )
+    path = tmp_path / "tie.json"
+    files.save_instance(spec, path)
+    code, out, err = run(capsys, "cv-solve", "--file", str(path), "--g", "0.1")
+    assert (code, err) == (0, "")
+    assert a_line in out.splitlines()
+
+
 def test_cv_solve_verdict_follows_the_exactness_tolerance(capsys, monkeypatch):
     argv = ("cv-solve", "--instance", "flat", "--g", "0.05")  # residual sqrt(2)
     _, out, _ = run(capsys, *argv)
@@ -917,6 +935,29 @@ def test_a_ladder_on_which_f_is_not_finite_is_refused(capsys, tmp_path, command)
     path = raw_family_file(tmp_path / "overflow.json", 0.5, [[1.7e308, 0], [0, 1]], [[1e308, 0], [0, 0]])
     code, out, err = run(capsys, command, "--file", path)
     assert (code, out, err) == (1, "", "error: NoExactCv: F(g) is not finite at g = 0.1\n")
+
+
+def eq70_file(tmp_path, k):
+    """eq70, [[1 + g, 1], [-1, -1 + g]], times 2**k as a raw family file; return its path."""
+    s = 2.0**k
+    return raw_family_file(tmp_path / f"eq70-{k}.json", 0.5, [[s, s], [-s, -s]], [[s, 0], [0, s]])
+
+
+def test_pole_order_of_a_large_family_is_fitted_not_zero(capsys, tmp_path):
+    # at 2**80, max||alpha(g)|| is below 1e-12 max|a|, but not once times max|F(g)|
+    code, out, err = run(capsys, "pole-order", "--file", eq70_file(tmp_path, 80), "--a", "1,1")
+    assert (code, err) == (0, "")
+    assert "vanishes" not in out
+    assert "pole order   = 1.99989894   (||alpha(g)|| ~ g^-order)" in out.splitlines()
+
+
+@pytest.mark.parametrize("k, g", [(520, "0.00625"), (1000, "2.44140625e-05")])
+def test_svd_asymptotics_names_the_first_coupling_where_det_overflows(capsys, tmp_path, k, g):
+    # |det F(g)| = 2**(2k) g**2 overflows from g = 0.00625 up (k = 520), or on the whole ladder
+    code, out, err = run(capsys, "svd-asymptotics", "--file", eq70_file(tmp_path, k))
+    assert (code, err) == (0, "")
+    assert f"\ndet consistency: |det F| or prod(sigma) is not finite at g = {g}\n" in out
+    assert "\npole order for a = [1, 1]: 1.99989892 (coefficient " in out
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))

@@ -507,7 +507,7 @@ def test_loader_fuzz_raises_only_its_own_errors(data):
         pass
 
 
-# ------------------------------------------- bulk decode against per-entry
+# ------------------------------------------------ decoder against its spec
 
 
 ZERO = st.sampled_from([0, 0.0, -0.0])
@@ -613,25 +613,60 @@ def _pair_paths(d):
         yield from ((key, i) for i in range(len(d.get(key, []))))
 
 
-def _bits(spec):
-    """Every decoded array as (shape, float.hex of each real and imaginary part): -0.0 kept."""
-    arrays = [e.coefficients for e in spec.povm.elements] if spec.povm else [spec.fmatrix.coefficients]
-    arrays += [spec.observable, spec.psi_i, spec.psi_f]
+def _hex(arrays):
+    """Each array as (shape, float.hex of each real and imaginary part), -0.0 kept, or None."""
     return [
         None if a is None else (a.shape, [x.hex() for x in np.ascontiguousarray(a).view(float).ravel().tolist()])
         for a in arrays
     ]
 
 
-def _decode(d, per_entry):
-    """dict_to_instance's arrays or its refusal; per_entry turns the bulk pass off."""
-    with pytest.MonkeyPatch.context() as mp:
-        if per_entry:
-            mp.setattr(fl, "_bulk_decode", lambda *args: None)
-        try:
-            return _bits(fl.dict_to_instance(d, "bulk"))
-        except ValidationError as err:
-            return err.code, err.context, str(err)
+def _bits(spec):
+    """Every decoded array of spec, as _hex gives it."""
+    arrays = [e.coefficients for e in spec.povm.elements] if spec.povm else [spec.fmatrix.coefficients]
+    return _hex(arrays + [spec.observable, spec.psi_i, spec.psi_f])
+
+
+def _expected_bits(d):
+    """_bits of the instance d encodes: each array is np.array(parts, dtype=float).view(complex)."""
+    dim = d["dim"]
+
+    def array(pairs):
+        return np.array([x for pair in pairs for x in pair], dtype=float).view(complex)
+
+    def family(recs, cols):
+        C = np.zeros((max(r["order"] for r in recs) + 1, dim, cols), dtype=complex)
+        for r in recs:
+            C[r["order"]] = array(sum(r["matrix"], [])).reshape(dim, cols)
+        return PolyMatrix(C).coefficients
+
+    if "outcomes" in d:
+        arrays = [family(recs, dim) for recs in d["outcomes"]]
+    else:
+        arrays = [family(d["fmatrix"], len(d["fmatrix"][0]["matrix"][0]))]
+    arrays.append(array(sum(d["observable"], [])).reshape(dim, dim) if "observable" in d else None)
+    arrays += [array(d[key]) if key in d else None for key in ("psi_i", "psi_f")]
+    return _hex(arrays)
+
+
+def _decode(d):
+    """dict_to_instance's arrays, or its refusal as (code, context, message)."""
+    try:
+        return _bits(fl.dict_to_instance(d, "decoded"))
+    except ValidationError as err:
+        return err.code, err.context, str(err)
+
+
+def _refusal(code, context, message):
+    return code, context, str(ValidationError(code, message, context))
+
+
+def _context(path):
+    """The JSON path the loader names for a key path, as outcomes[0][1].matrix[0][2]."""
+    text = path[0]
+    for key in path[1:]:
+        text += f".{key}" if isinstance(key, str) else f"[{key}]"
+    return text
 
 
 MUTATIONS = {
@@ -646,22 +681,48 @@ MUTATIONS = {
 }
 
 
+def _expected(d, doc, path, mutation):
+    """What dict_to_instance gives for doc: the valid instance d, mutated at the pair path."""
+    if mutation == "tuple":
+        return _expected_bits(d)  # a tuple pair reads as a list pair
+    if mutation in ("bool", "string", "triple"):
+        return _refusal("Schema", _context(path), "expected a [re, im] number pair")
+    state = path[0] in ("psi_i", "psi_f")
+    if mutation != "short row":  # a non-finite part
+        if state:
+            norm = "nan" if mutation == "nan" else "inf"
+            return _refusal("BadState", path[0], f"state norm {norm} is not 1")
+        return _refusal("BadValue", _context(path[:-2]), "non-finite entry")
+    if state:
+        return _refusal("BadShape", path[0], f"expected {d['dim']} entries")
+    row = path[-2]
+    cols = len(d["fmatrix"][0]["matrix"][0]) if path[0] == "fmatrix" else d["dim"]
+    if path[:-1] != ("fmatrix", 0, "matrix", 0):
+        return _refusal("BadShape", _context(path[:-2]), f"expected {cols} entries in row {row}")
+    # the short row is the one fmatrix[0] reads its column count from
+    if cols == 1:
+        return _refusal("BadShape", "fmatrix[0]", "a raw family needs at least one column")
+    if d["dim"] > 1:
+        return _refusal("BadShape", "fmatrix[0].matrix", f"expected {cols - 1} entries in row 1")
+    if len(d["fmatrix"]) > 1:
+        return _refusal("BadShape", "fmatrix[1].matrix", f"expected {cols - 1} entries in row 0")
+    return _expected_bits(doc)  # accepted, with the shortened row
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(valid_instances(), st.data())
-def test_bulk_decode_equals_the_per_entry_decoder(d, data):
-    """A valid dict decodes to the same bits either way; a mutated one is refused alike or accepted alike."""
-    bulk = _decode(d, per_entry=False)
-    assert isinstance(bulk, list), bulk  # a valid instance loads
-    assert bulk == _decode(d, per_entry=True)
-
-    doc = copy.deepcopy(d)
-    path = data.draw(st.sampled_from(list(_pair_paths(doc))))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    mutation = data.draw(st.sampled_from([*MUTATIONS, "short row"]))
-    if mutation == "short row":  # a matrix row, or a state, one entry short
-        del parent[-1]
-    else:
-        parent[path[-1]] = MUTATIONS[mutation](parent[path[-1]])
-    assert _decode(doc, per_entry=False) == _decode(doc, per_entry=True)
+def test_decoder_reads_pairs_bit_for_bit_and_names_the_first_bad_entry(d, data):
+    """A valid dict decodes to its parts' bits, -0.0 kept; each mutation of one pair or row
+    gives its own outcome."""
+    assert _decode(d) == _expected_bits(d)
+    path = data.draw(st.sampled_from(list(_pair_paths(d))))
+    for mutation in [*MUTATIONS, "short row"]:
+        doc = copy.deepcopy(d)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutation == "short row":  # a matrix row, or a state, one entry short
+            del parent[-1]
+        else:
+            parent[path[-1]] = MUTATIONS[mutation](parent[path[-1]])
+        assert _decode(doc) == _expected(d, doc, path, mutation), mutation

@@ -511,6 +511,14 @@ def test_diagonal_path_matches_oracle_on_sweep_families(monkeypatch):
         assert_matches_oracle(ops)
 
 
+@pytest.mark.parametrize("delta, basis", [(9e-9, [[0, 1], [1, 0]]), (1.1e-8, [[1, 0], [0, 1]])])
+def test_degeneracy_tol_is_pinned_from_both_sides(delta, basis):
+    # diag(1, 1 - delta)'s eigenvalues tie within 1e-8, and diag(0, 1) puts column 1 first;
+    # 1.1e-8 apart they split, in descending order
+    B = linalg.common_eigenbasis([np.diag([1.0, 1.0 - delta]), np.diag([0.0, 1.0])])
+    npt.assert_array_equal(B, basis)
+
+
 def test_diagonal_path_matches_oracle_on_degenerate_families(monkeypatch):
     t = linalg.DEGENERACY_TOL
     h = linalg.HERMITIAN_TOL

@@ -364,6 +364,16 @@ def test_isometry_tol_is_pinned_from_both_sides():
         mt.compose_isometry(scale_first(roots, lambda g: 1 + 2e-10), 2, povm.g_max)  # about 2e-10
 
 
+def test_eigenvalue_gap_tol_is_pinned_from_both_sides():
+    # constant meter eigenvalues 0 and delta: 1.1e-9 apart they pass, 9e-10 apart they collide
+    povm = qubit_linear()
+    roots = mt.positive_family(povm)
+    model = mt.compose_isometry(roots, 2, povm.g_max, meter_eigenvalues=(lambda g: 0.0, lambda g: 1.1e-9))
+    assert model.meter_eigenvalues[1](0.5) == 1.1e-9
+    with pytest.raises(ValueError, match=r"^meter eigenvalues collide \(gap 9\.000e-10\) at g=0\.0009$"):
+        mt.compose_isometry(roots, 2, povm.g_max, meter_eigenvalues=(lambda g: 0.0, lambda g: 9e-10))
+
+
 @pytest.mark.parametrize("read", [mt.outcome_probabilities, mt.meter_expectation])
 def test_readouts_refuse_a_state_of_the_wrong_dimension(read):
     roots, reads = mt.positive_family(qubit_linear()), []
