@@ -34,12 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import pinv_pole_order, proof_claim_check, svd_asymptotics
-from .contextual import FMatrix, build_F, solve_grid, truncated_cv_check
+from .contextual import FMatrix, build_F, solve_coupling, truncated_cv_check
 from .errors import ParseError, WeakLabError
 from .files import InstanceSpec, canonical_json, instance_to_dict, load_instance, save_instance
 from .linalg import pow2_scale
 from .montecarlo import McConfig, mc_run
-from .povm import check_coupling
 from .povm import validate as validate_povm
 from .registry import REGISTRY, get_instance
 from .weak import CONJECTURE_TOL, LIMIT_FIT_POINTS, LIMIT_FIT_WIDTH, LIMIT_GRID_POINTS, TRIAL_N_OUT_MAX
@@ -143,7 +142,7 @@ def _fmatrix(spec: InstanceSpec, a_text: str | None) -> FMatrix:
     a = _parse_floats(a_text, "--a")
     if len(a) != poly.shape[0]:
         raise _UsageError(f"--a needs {poly.shape[0]} values, one per row of F, got {len(a)}")
-    return FMatrix(poly=poly, a_vec=a)
+    return FMatrix(poly=poly, a_vec=a, g_max=spec.g_max)
 
 
 def _family(spec: InstanceSpec):
@@ -189,8 +188,7 @@ def _cmd_validate(args, spec: InstanceSpec) -> _Output:
 
 def _cmd_cv_solve(args, spec: InstanceSpec) -> _Output:
     F = _fmatrix(spec, args.a)
-    check_coupling(args.g, spec.g_max)
-    sol = solve_grid(F, [args.g])
+    sol = solve_coupling(F, args.g)
     lines = [
         f"instance {spec.name}: F(g) is {F.dim} x {F.n_out}, g = {_f(args.g)}",
         f"a     = {_vec(F.a_vec)}",

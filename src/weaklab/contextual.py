@@ -10,14 +10,14 @@ povm.spectral_family; weak._postselection takes amplitudes in F's basis.
 
 A coupling grid is solved in one go: `solve_grid` evaluates F on the whole
 grid as a (n_g, dim, n_out) stack and takes every pseudoinverse in one
-stacked call.  Each grid point comes out bit for bit as the single-coupling
-`pseudoinverse_cv` would give it.  `solve_grid` is the one-F case of
-`solve_stack`, which solves the grids of many F at once: the conjecture
-generator and sweep solve their draws through it, and
-`asymptotics.svd_asymptotics` both of its probes in one call.
-`exact_cv_exists`, `truncated_cv_check`, `asymptotics.pinv_pole_order` (the
-`pole-order` command's solve) and `weak.weak_limit` go through
-`solve_grid`; the weak limit and the sweep hand their solution on to the
+stacked call, each bit for bit as the single-coupling `pseudoinverse_cv`
+would.  It is the one-F case of `solve_stack`, which solves many F's grids
+at once (the conjecture generator's and sweep's draws, and
+`asymptotics.svd_asymptotics`'s two probes).  `exact_cv_exists`,
+`truncated_cv_check`, `solve_coupling`, `asymptotics.pinv_pole_order`,
+`weak.weak_limit` and `pseudoinverse_cv` (on default_grid(F.g_max)) go
+through `solve_grid`, so a meter dilation makes two solves, its grid's and
+its readout's; the weak limit and the sweep hand their solution on to the
 weak-limit ladder (the sweep a solve's whole stack, or its exact members
 through `GridSolution.__getitem__`), so a grid is solved once per limit.
 
@@ -25,13 +25,13 @@ Every pseudoinverse, stacked or single, is linalg.pinv_and_rank's: one call
 of the SVD gufunc that np.linalg.svd itself calls (`svd_s`), made without
 svd's wrapper, on the real F(g) that the gufunc casts to complex itself.
 
-`pseudoinverse_cv` keeps its last (F, g) in an lru_cache (an FMatrix hashes
-by identity).  Each rule of a solve has one owner: `_pinv_weights`, under both
-solvers, raises NoExactCv at the first coupling whose F(g) or alpha is not
-finite; `solve_stack` alone forms the residual ||F(g) alpha - a||, on a copy scaled
-by a power of two so that it is finite wherever the true norm is;
-`GridSolution.exact` alone compares residuals with EXACT_CV_TOL; and
-`check_row_sums` alone tests completeness.
+`pseudoinverse_cv` keeps its last (F, g) and `_grid_alphas` its last F's grid
+in an lru_cache (an FMatrix hashes by identity).  Each rule of a solve has
+one owner: `_pinv_weights`, under both solvers, raises NoExactCv at the first
+coupling whose F(g) or alpha is not finite; `solve_stack` alone forms the
+residual ||F(g) alpha - a||, on a copy scaled by a power of two so that it
+is finite wherever the true norm is; `GridSolution.exact` alone compares
+residuals with EXACT_CV_TOL; and `check_row_sums` alone tests completeness.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from numpy.linalg import LinAlgError
 
 from .errors import NoExactCv, ValidationError
 from .linalg import check_hermitian, dagger, pinv_and_rank, pow2_scale
-from .povm import ParamPovm, PolyMatrix, spectral_family
+from .povm import ParamPovm, PolyMatrix, check_coupling, default_grid, spectral_family
 
 ROW_SUM_TOL = 1e-11
 EXACT_CV_TOL = 1e-9
@@ -58,15 +58,16 @@ class FMatrix:
     poly evaluates to the d x n_out matrix of outcome eigenvalues; a_vec holds
     the observable eigenvalues in the same (descending) basis order.  basis
     is the unitary whose columns are the common eigenvectors that build_F
-    found, in row order, so E_j(g) = basis diag(F(g)[:, j]) basis^H; it is
-    None for a raw matrix family, which has no operators behind it.  a_vec
+    found, in row order, so E_j(g) = basis diag(F(g)[:, j]) basis^H (None for
+    a raw matrix family); g_max is the family's coupling bound, or None.  a_vec
     is a read-only copy, so nothing solved from F can go stale.  F compares
-    and hashes by identity, the key of pseudoinverse_cv's memo.
+    and hashes by identity, the key of pseudoinverse_cv's memos.
     """
 
     poly: PolyMatrix
     a_vec: np.ndarray
     basis: np.ndarray | None = None
+    g_max: float | None = None
 
     def __post_init__(self):
         a = np.array(self.a_vec, dtype=float)
@@ -118,7 +119,7 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
     basis, poly = spectral_family(povm, A)
     a_vec = (dagger(basis) @ A @ basis).diagonal().real
     check_row_sums(poly.coefficients)
-    return FMatrix(poly=poly, a_vec=a_vec, basis=basis)
+    return FMatrix(poly=poly, a_vec=a_vec, basis=basis, g_max=povm.g_max)
 
 
 @dataclass(frozen=True)
@@ -221,17 +222,38 @@ def solve_stack(Fg: np.ndarray, a_vec: np.ndarray, g: np.ndarray) -> GridSolutio
     return GridSolution(g_grid=g, F_g=Fg, alpha=alpha, residuals=residuals, ranks=ranks)
 
 
+def solve_coupling(F: FMatrix, g: float) -> GridSolution:
+    """solve_grid at one coupling g after check_coupling(g, F.g_max), for an F with a g_max: cv-solve's."""
+    check_coupling(g, F.g_max)
+    return solve_grid(F, [g])
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_alphas(F: FMatrix) -> dict[float, np.ndarray | None]:
+    """default_grid(F.g_max)'s couplings (none without g_max) -> alpha, filled by pseudoinverse_cv."""
+    return {} if F.g_max is None else dict.fromkeys(default_grid(F.g_max).tolist())
+
+
 @functools.lru_cache(maxsize=1)
 def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
-    Raises NoExactCv where F(g) or alpha is not finite.  The last (F, g) is
-    memoized (lru_cache, maxsize 1), so a repeated call returns the same,
-    read-only CvSolution without a new solve: the meter's per-outcome
-    eigenvalue functions solve each coupling once.
+    Raises NoExactCv where F(g) or alpha is not finite, as g's single solve
+    would.  A coupling of default_grid(F.g_max) reads alpha from one stacked
+    solve of that grid (_grid_alphas); any other solves alone.  The last
+    (F, g) is memoized (lru_cache, maxsize 1) as a read-only CvSolution.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses a non-finite F(g)
-        alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
+    grid = _grid_alphas(F)
+    if g in grid and grid[g] is None:  # solve the whole grid; if that fails, each coupling alone
+        try:  # each alpha in the single solve's layout: the real part of its own complex array
+            with np.errstate(over="ignore", invalid="ignore"):  # only alpha is read
+                rows = solve_grid(F, list(grid)).alpha
+            grid.update(zip(grid, (np.array(row, dtype=complex).real for row in rows)))
+        except (NoExactCv, LinAlgError):
+            grid.clear()
+    if (alpha := grid.get(g)) is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses what is not finite
+            alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
     alpha.setflags(write=False)
     return CvSolution(g=float(g), alpha=alpha, F=F)
 

@@ -76,7 +76,7 @@ def compose_isometry(
     if eigs is not None:
         if len(eigs) != meter_dim:
             raise DimensionError("need one meter eigenvalue function per outcome")
-        # coupling by coupling, so a memoized solve serves every outcome at once
+        # coupling by coupling; pseudoinverse_cv's eigenvalues read every coupling from one stacked solve
         vals = np.array([[float(f(g)) for f in eigs] for g in grid.tolist()])
         with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
             gaps = np.abs(vals[:, :, None] - vals[:, None, :])

@@ -16,7 +16,7 @@ import pytest
 
 from weaklab import asymptotics, cli, contextual, files, linalg, montecarlo, povm
 from weaklab.files import load_instance
-from weaklab.registry import REGISTRY
+from weaklab.registry import REGISTRY, get_instance
 
 
 def run(capsys, *argv):
@@ -509,6 +509,25 @@ def test_cv_solve_eq70_reference_point(capsys):
     assert code == 0
     assert "alpha = [-190, 210]" in out
     assert "rank used = 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--instance", "eq70", "--a", "1,1"], ["--instance", "qubit-linear", "--a", "2,0"],
+             ["--instance", "qubit-linear"]]
+)
+def test_cv_solve_is_one_library_call(capsys, monkeypatch, argv):
+    # the range check and the solve are contextual.solve_coupling's, on an F that carries g_max
+    calls = []
+
+    def spied(F, g):
+        calls.append((F.g_max, g))
+        return contextual.solve_coupling(F, g)
+
+    monkeypatch.setattr(cli, "solve_coupling", spied)
+    code, _, _ = run(capsys, "cv-solve", *argv, "--g", "0.1")
+    assert code == 0
+    assert calls == [(get_instance(argv[1]).g_max, 0.1)]
+    assert not hasattr(cli, "check_coupling") and not hasattr(cli, "solve_grid")
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from weaklab import linalg
 from weaklab import povm as pv
 from weaklab import registry
 from weaklab import weak as wk
-from weaklab.errors import NoExactCv, NotCommuting, ValidationError
+from weaklab.errors import NoExactCv, NotCommuting, OutOfValidityRange, ValidationError
 from weaklab.povm import ParamPovm, PolyMatrix
 
 from oracles import ConstantOutcome, NonUniformOrder, cv_residual, minimum_nonzero_order
@@ -240,7 +240,7 @@ def _registry_and_generated_families():
     for name in registry.REGISTRY:
         spec = registry.get_instance(name)
         if spec.povm is None:
-            out.append((cx.FMatrix(poly=spec.fmatrix, a_vec=[1.0, 1.0]), spec.g_max))
+            out.append((cx.FMatrix(poly=spec.fmatrix, a_vec=[1.0, 1.0], g_max=spec.g_max), spec.g_max))
         else:
             out.append((cx.build_F(spec.povm, spec.observable), spec.g_max))
     rng = np.random.default_rng(15)
@@ -339,6 +339,116 @@ def test_the_single_coupling_solve_refuses_a_non_finite_f_without_a_warning():
     with pytest.raises(NoExactCv) as err:
         cx.pseudoinverse_cv(F, 1e200)
     assert str(err.value) == "F(g) is not finite at g = 1e+200"
+
+
+# ------------------------------------------------- the grid memo of pseudoinverse_cv
+
+
+def single_solve(F, g):
+    """The single-coupling solve, as pseudoinverse_cv makes it off the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cx._pinv_weights(F.poly(g).real, F.a_vec, g)[0]
+
+
+def spy_pinv(monkeypatch):
+    """The shape of every matrix or stack that contextual hands pinv_and_rank."""
+    shapes = []
+
+    def spied(M):
+        shapes.append(np.shape(M))
+        return linalg.pinv_and_rank(M)
+
+    monkeypatch.setattr(cx, "pinv_and_rank", spied)
+    return shapes
+
+
+def test_grid_couplings_read_the_single_solve_from_one_stack(monkeypatch):
+    # every default_grid coupling gets the single solve's alpha bit for bit, in its
+    # layout: the real part of its own complex array, so BLAS rounds on it alike
+    families = _registry_and_generated_families()
+    shapes = spy_pinv(monkeypatch)
+    for F, g_max in families:
+        assert F.g_max == g_max
+        for g in pv.default_grid(g_max).tolist():
+            alpha = cx.pseudoinverse_cv(F, g).alpha
+            single = single_solve(F, g)
+            assert alpha.tobytes() == single.tobytes()
+            assert alpha.strides == single.strides == (16,)
+            assert alpha.base.dtype == single.base.dtype == complex
+            assert alpha.base.shape == single.base.shape
+            assert not alpha.flags.writeable
+    # one stacked solve per family, and no single solve but the comparisons' own
+    grids = [shape for shape in shapes if len(shape) == 3]
+    assert len(grids) == len(families)
+    assert len(shapes) == len(families) + 20 * len(families)
+
+
+def test_grid_memo_holds_one_f(count_calls):
+    rng = np.random.default_rng(40)
+    F1, F2 = (cx.build_F(inst.povm, inst.observable)
+              for inst in (wk.generate_linear_commuting_instance(rng, 3, 4) for _ in range(2)))
+    grid1, grid2 = pv.default_grid(F1.g_max).tolist(), pv.default_grid(F2.g_max).tolist()
+    solves = count_calls(linalg, "pinv_and_rank")
+    first = cx.pseudoinverse_cv(F1, grid1[3]).alpha
+    cx.pseudoinverse_cv(F1, grid1[7])
+    assert solves[0] == 1  # the whole grid in one stack
+    cx.pseudoinverse_cv(F2, grid2[3])
+    assert solves[0] == 2  # a second F evicts the first
+    again = cx.pseudoinverse_cv(F1, grid1[3]).alpha
+    assert solves[0] == 3  # the first F's grid is solved again, to the same bits
+    assert again is not first and again.tobytes() == first.tobytes()
+    assert cx._grid_alphas.cache_info().currsize == 1
+    cx.pseudoinverse_cv(F1, 0.7 * F1.g_max)
+    assert solves[0] == 4  # off the grid: one coupling alone
+
+
+def test_a_bare_f_solves_each_coupling_alone(count_calls):
+    F = cx.build_F(qubit_linear(), Z)
+    bare = cx.FMatrix(poly=F.poly, a_vec=F.a_vec)
+    assert F.g_max == 0.9 and bare.g_max is None
+    grid = pv.default_grid(0.9).tolist()[:3]
+    singles = [single_solve(F, g).tobytes() for g in grid]
+    solves = count_calls(linalg, "pinv_and_rank")
+    assert [cx.pseudoinverse_cv(bare, g).alpha.tobytes() for g in grid] == singles
+    assert solves[0] == 3  # one per coupling: no g_max, no grid
+
+
+def test_no_exact_cv_keeps_its_per_coupling_meaning(monkeypatch):
+    # F(g) = [[1, 1 + 1e300 g]] overflows past g = 1.8e8: the top five couplings of
+    # default_grid(1e9), which runs from 1e6 up.  The stacked solve fails once, and
+    # every coupling then solves alone, as it would without the grid.
+    F = cx.FMatrix(poly=PolyMatrix([np.array([[1.0, 1.0]]), np.array([[0.0, 1e300]])]),
+                   a_vec=[1.0], g_max=1e9)
+    grid = pv.default_grid(1e9).tolist()
+    shapes = spy_pinv(monkeypatch)
+    low = cx.pseudoinverse_cv(F, grid[0]).alpha
+    assert shapes == [(20, 1, 2), (1, 2)]  # the failed stack, then the single solve
+    assert np.isfinite(low).all()
+    assert low.tobytes() == single_solve(F, grid[0]).tobytes()
+    for g in grid[1:]:
+        if g > 1.8e8:
+            with pytest.raises(NoExactCv) as served:
+                cx.pseudoinverse_cv(F, g)
+            with pytest.raises(NoExactCv) as alone:
+                single_solve(F, g)
+            assert str(served.value) == str(alone.value)
+            assert str(served.value).endswith(f" at g = {g:.9g}")
+        else:
+            assert cx.pseudoinverse_cv(F, g).alpha.tobytes() == single_solve(F, g).tobytes()
+    assert sum(len(shape) == 3 for shape in shapes) == 1  # attempted once, not once per call
+    assert sum(g > 1.8e8 for g in grid) == 5
+
+
+def test_solve_coupling_checks_the_range_then_solves_one_coupling():
+    F = cx.build_F(qubit_linear(), Z)
+    sol = cx.solve_coupling(F, 0.3)
+    ref = cx.solve_grid(F, [0.3])
+    assert sol.alpha.tobytes() == ref.alpha.tobytes() and sol.residuals == ref.residuals
+    with pytest.raises(OutOfValidityRange) as err:
+        cx.solve_coupling(F, 0.95)
+    with pytest.raises(OutOfValidityRange) as ref_err:
+        pv.check_coupling(0.95, 0.9)
+    assert str(err.value) == str(ref_err.value) == "g=0.95 outside validated range (0, 0.9]"
 
 
 def test_exact_cv_exists():

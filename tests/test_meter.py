@@ -197,9 +197,9 @@ def test_dilation_hot_path_shape(count_calls):
     assert reads[1:] == [g, g]
     assert sqrts[0] == 0
     assert eighs[0] == 0  # both eigenbases of a diagonal family are permutations
-    # one solve per grid coupling and one at g, not one per outcome, each one SVD,
-    # which pinv_and_rank takes from the gufunc itself, not through np.linalg.svd
-    assert solves[0] == svds[0] == len(grid) + 1
+    # one stacked solve of the whole grid and one at g, not one per coupling or outcome,
+    # each one SVD, which pinv_and_rank takes from the gufunc itself, not through np.linalg.svd
+    assert solves[0] == svds[0] == 2
     assert wrappers[0] == 0
     # one root stack for the whole grid and one per read at g, shared by every outcome
     assert stacks[0] == 3
