@@ -25,17 +25,18 @@ Every pseudoinverse, stacked or single, is linalg.pinv_and_rank's: one call
 of the SVD gufunc that np.linalg.svd itself calls (`svd_s`), made without
 svd's wrapper, on the real F(g) that the gufunc casts to complex itself.
 
-`pseudoinverse_cv` keeps its last (F, g) and `_grid_alphas` its last F's grid
-in an lru_cache (an FMatrix hashes by identity).  Each rule of a solve has
-one owner: `_pinv_weights`, under both solvers, raises NoExactCv at the first
-coupling whose F(g) or alpha is not finite; `solve_stack` alone forms the
-residual ||F(g) alpha - a||, on a copy scaled by a power of two so that it
-is finite wherever the true norm is; `GridSolution.exact` alone compares
+`_solved`, the one memo, keeps the last F's solutions in an lru_cache (an
+FMatrix hashes by identity).  Each rule of a solve has one owner:
+`_pinv_weights`, under both solvers, raises NoExactCv at the first coupling
+whose F(g) or alpha is not finite, naming which; `solve_stack` alone forms
+the residual ||F(g) alpha - a||, on a copy scaled by a power of two so that
+it is finite wherever the true norm is; `GridSolution.exact` alone compares
 residuals with EXACT_CV_TOL; and `check_row_sums` alone tests completeness.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ class FMatrix:
     found, in row order, so E_j(g) = basis diag(F(g)[:, j]) basis^H (None for
     a raw matrix family); g_max is the family's coupling bound, or None.  a_vec
     is a read-only copy, so nothing solved from F can go stale.  F compares
-    and hashes by identity, the key of pseudoinverse_cv's memos.
+    and hashes by identity, the key of pseudoinverse_cv's memo.
     """
 
     poly: PolyMatrix
@@ -124,11 +125,14 @@ def build_F(povm: ParamPovm, A: np.ndarray) -> FMatrix:
 
 @dataclass(frozen=True)
 class CvSolution:
-    """Pseudoinverse contextual values at one coupling."""
+    """Pseudoinverse contextual values at one coupling; alpha is made read-only."""
 
     g: float
     alpha: np.ndarray
     F: FMatrix
+
+    def __post_init__(self):
+        self.alpha.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -167,24 +171,26 @@ def _pinv_weights(Fg: np.ndarray, a_vec: np.ndarray, g) -> tuple[np.ndarray, np.
     """alpha = pinv(F(g)) a and the ranks used, for one F(g) or a stack over the couplings g.
 
     a_vec is one target (d,) or one per member of a stack (..., 1, d); the
-    two products round alike, and the first is the cheaper.  An F(g) that is
-    not finite, as where a coupling far past g_max overflows it, leaves
-    LAPACK's SVD unconverged: that raises NoExactCv at the first such coupling.
+    two products round alike, and the first is the cheaper.  Finiteness is
+    tested only where LAPACK's SVD fails or alpha is not finite: NoExactCv
+    then names the first coupling whose F(g), or else alpha, is not finite.
     Both solvers call it under errstate(over="ignore", invalid="ignore"), which
     pseudoinverse_cv's evaluation of F(g) shares: what is not finite is
     refused here, not warned about.
     """
     try:
         P, ranks = pinv_and_rank(Fg)
+        alpha = (P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]).real
+        finite = np.isfinite(alpha).all(axis=-1)
     except LinAlgError:
-        finite = np.isfinite(Fg).all(axis=(-2, -1)).ravel()
+        finite = np.isfinite(Fg).all(axis=(-2, -1))  # no alpha: F(g) alone is refused
         if finite.all():
             raise
-        raise NoExactCv(f"F(g) is not finite at g = {np.ravel(g)[finite.argmin()]:.9g}") from None
-    alpha = (P @ a_vec if a_vec.ndim == 1 else (P @ a_vec[..., None])[..., 0]).real
-    if not np.isfinite(alpha).all():
-        first = np.isfinite(alpha).reshape(-1, alpha.shape[-1]).all(axis=1).argmin()
-        raise NoExactCv(f"contextual values overflow at g = {np.ravel(g)[first]:.9g}")
+    if not finite.all():
+        F_finite = np.isfinite(Fg).all(axis=(-2, -1))
+        k = np.ravel(F_finite & finite).argmin()
+        cause = "contextual values overflow" if np.ravel(F_finite)[k] else "F(g) is not finite"
+        raise NoExactCv(f"{cause} at g = {np.ravel(g)[k]:.9g}")
     return alpha, ranks
 
 
@@ -229,33 +235,31 @@ def solve_coupling(F: FMatrix, g: float) -> GridSolution:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_alphas(F: FMatrix) -> dict[float, np.ndarray | None]:
-    """default_grid(F.g_max)'s couplings (none without g_max) -> alpha, filled by pseudoinverse_cv."""
-    return {} if F.g_max is None else dict.fromkeys(default_grid(F.g_max).tolist())
+def _solved(F: FMatrix) -> dict[float, CvSolution]:
+    """g -> CvSolution for the last F, seeded from one stacked solve of default_grid(F.g_max);
+    empty without a g_max or where that solve raises, so that each g then solves alone."""
+    if F.g_max is not None:
+        with contextlib.suppress(NoExactCv, LinAlgError), np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_grid(F, default_grid(F.g_max))  # only alpha is read
+            return {g: CvSolution(g, np.array(alpha, dtype=complex).real, F)  # a single solve's layout
+                    for g, alpha in zip(sol.g_grid.tolist(), sol.alpha)}
+    return {}
 
 
-@functools.lru_cache(maxsize=1)
 def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
     Raises NoExactCv where F(g) or alpha is not finite, as g's single solve
-    would.  A coupling of default_grid(F.g_max) reads alpha from one stacked
-    solve of that grid (_grid_alphas); any other solves alone.  The last
-    (F, g) is memoized (lru_cache, maxsize 1) as a read-only CvSolution.
+    would.  A coupling of default_grid(F.g_max) is read from one stacked
+    solve of that grid, any other solved alone, bit for bit alike; each is
+    kept, as a read-only CvSolution, for as long as F is the last F (_solved).
     """
-    grid = _grid_alphas(F)
-    if g in grid and grid[g] is None:  # solve the whole grid; if that fails, each coupling alone
-        try:  # each alpha in the single solve's layout: the real part of its own complex array
-            with np.errstate(over="ignore", invalid="ignore"):  # only alpha is read
-                rows = solve_grid(F, list(grid)).alpha
-            grid.update(zip(grid, (np.array(row, dtype=complex).real for row in rows)))
-        except (NoExactCv, LinAlgError):
-            grid.clear()
-    if (alpha := grid.get(g)) is None:
+    solved = _solved(F)
+    if (sol := solved.get(g)) is None:
         with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses what is not finite
             alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
-    alpha.setflags(write=False)
-    return CvSolution(g=float(g), alpha=alpha, F=F)
+        sol = solved[g] = CvSolution(float(g), alpha, F)
+    return sol
 
 
 def exact_cv_exists(F: FMatrix, g_grid: np.ndarray) -> bool:

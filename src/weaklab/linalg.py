@@ -75,9 +75,9 @@ def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
 
     Singular values at or below 1e-12 * max(m, n) * sigma_max are treated
     as exact zeros, so an all-zero matrix gets rank 0 and a zero inverse.
-    M may be a stack (..., m, n): each matrix is solved on its own, bit for
-    bit as a single call would solve it, and the ranks come back as an
-    integer (intp) array of shape M.shape[:-2] (a plain int for one matrix).
+    M is a matrix or a stack (..., m, n), one code path for both: each is
+    solved on its own, bit for bit as alone, and the ranks come back as an
+    intp array of shape M.shape[:-2] (a plain int for one matrix).
 
     The SVD is one call of svd_s, the private gufunc that
     np.linalg.svd(M, full_matrices=False) itself calls, with svd's complex
@@ -96,13 +96,10 @@ def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
         raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
     with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
         u, s, vh = _umath_linalg.svd_s(M, signature="D->DdD")
-    if M.ndim == 2:
-        keep = s > 1e-12 * max(M.shape) * s[0] if len(s) else s > 0  # 0 x n and m x 0 keep none
-        inv = np.divide(1.0, s, out=np.zeros(s.shape), where=keep)
-        return vh.conj().T @ (inv[:, None] * u.conj().T), int(np.count_nonzero(keep))
-    keep = s > 1e-12 * max(M.shape[-2:]) * s[..., :1]
+    keep = s > 1e-12 * max(M.shape[-2:]) * s[..., :1]  # 0 x n and m x 0 keep none
     inv = np.divide(1.0, s, out=np.zeros(s.shape), where=keep)
-    return dagger(vh) @ (inv[..., None] * dagger(u)), np.count_nonzero(keep, axis=-1)
+    ranks = np.count_nonzero(keep, axis=-1)
+    return dagger(vh) @ (inv[..., None] * dagger(u)), ranks if M.ndim > 2 else int(ranks)
 
 
 def _svd_failed(err, flag):

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DimensionError, NotCommuting, OutOfValidityRange
 from .linalg import HERMITIAN_TOL, clamp_psd, common_eigenbasis, dagger, psd_sqrt
 
-#: coefficient matrices with no entry above this are treated as zero
-COEFF_ZERO_TOL = 1e-12
 COMPLETENESS_TOL = 1e-12
 #: minimum eigenvalue allowed on the positivity grid
 PSD_GRID_TOL = -1e-10
@@ -33,8 +31,8 @@ class PolyMatrix:
     """Matrix-valued polynomial, stored by coefficient order.
 
     coefficients is one read-only (degree + 1, rows, cols) complex array:
-    coefficients[k] multiplies g**k.  Trailing all-zero coefficients are
-    trimmed on construction; evaluation uses Horner's scheme.
+    coefficients[k] multiplies g**k.  Trailing coefficients that are exactly
+    zero are trimmed on construction; evaluation uses Horner's scheme.
     """
 
     def __init__(self, coefficients):
@@ -49,7 +47,7 @@ class PolyMatrix:
         if not np.isfinite(C).all():
             raise DimensionError("coefficient contains non-finite entries")
         n = len(C)
-        while n > 1 and np.abs(C[n - 1]).max() <= COEFF_ZERO_TOL:
+        while n > 1 and not C[n - 1].any():
             n -= 1
         self.coefficients = C[:n]
         self.coefficients.setflags(write=False)
@@ -245,15 +243,15 @@ def check_coupling(g: float | np.ndarray, g_max: float) -> None:
 
 
 def spectral_family(povm: ParamPovm, *lead: np.ndarray) -> tuple[np.ndarray, PolyMatrix]:
-    """(basis, poly): the common eigenbasis of lead and every nonzero coefficient,
-    and E_j(g) = basis diag(poly(g)[:, j]) basis^H read off in it.
+    """(basis, poly): the common eigenbasis of lead and every coefficient that is not
+    exactly zero, and E_j(g) = basis diag(poly(g)[:, j]) basis^H read off in it.
 
     Basis order: descending eigenvalues of the lead operators, ties broken
     by the coefficients in (outcome, order) sequence.  Raises NotCommuting,
     naming the pair "observable" (a lead operator) or "outcome j, order k".
     """
     C = povm.coefficients  # (n_out, degree + 1, d, d)
-    nonzero = np.abs(C).max(axis=(-2, -1)) > COEFF_ZERO_TOL
+    nonzero = C.any(axis=(-2, -1))
     try:
         basis = common_eigenbasis([*lead, *C[nonzero]])
     except NotCommuting as err:

@@ -45,7 +45,7 @@ from weaklab.errors import (
 from weaklab.files import InstanceSpec
 from weaklab.linalg import PSD_CLAMP_REL, check_hermitian, check_state, clamp_psd, dagger
 from weaklab.meter import MeterModel, isometry_at
-from weaklab.povm import COEFF_ZERO_TOL, ParamPovm, PolyMatrix, check_coupling, measurement_operators
+from weaklab.povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
 from weaklab.weak import OVERLAP_TOL, TrialRecord, WeakLimitReport
 
 
@@ -341,7 +341,7 @@ def minimum_nonzero_order(povm: ParamPovm) -> MinOrderResult:
     NonUniformOrder (with the per-outcome orders attached) if outcomes
     disagree.
     """
-    nonzero = np.abs(povm.coefficients).max(axis=(-2, -1)) > COEFF_ZERO_TOL
+    nonzero = povm.coefficients.any(axis=(-2, -1))
     nonzero[:, 0] = False
     orders = tuple(nonzero.argmax(axis=1).tolist())  # first order >= 1 per outcome, 0 if none
     constant = [j for j, k in enumerate(orders) if k == 0]

@@ -293,11 +293,13 @@ def test_claim_audit_random_families_are_internally_consistent():
     assert n_flagged >= 20  # every rotated eq70 copy must be flagged
 
 
-@pytest.mark.parametrize("k", [-38, -35, 0, 20, 40])
+@pytest.mark.parametrize("k", [-60, -40, -38, -35, 0, 20, 40])
 def test_claim_verdict_is_scale_covariant(k):
     # 2**k rescales every singular value exactly; "identically zero" is
-    # relative to the largest, so the verdict cannot depend on k
+    # relative to the largest, and only an exactly zero coefficient is
+    # trimmed, so neither the verdict nor the degree can depend on k
     F = PolyMatrix([2.0**k * c for c in eq70_family().coefficients])
+    assert F.max_degree == 1
     rep = ay.proof_claim_check(F)
     assert rep.zero_trajectories == []
     assert rep.counterexample_found

@@ -92,6 +92,17 @@ def test_overflowing_contextual_values_are_an_error(capsys, argv, where):
     assert err == f"error: NoExactCv: contextual values overflow {where}\n"
 
 
+def test_cv_solve_names_an_infinite_f_where_the_svd_converges(capsys, tmp_path):
+    # F(g) = [[1, 1 + 1e300 g]] is [[1, inf]] at g = 2.4e8, inside g_max = 1e9
+    path = tmp_path / "row.json"
+    fmatrix = [{"order": 0, "matrix": [[[1.0, 0.0], [1.0, 0.0]]]},
+               {"order": 1, "matrix": [[[0.0, 0.0], [1e300, 0.0]]]}]
+    path.write_text(json.dumps({"dim": 1, "g_max": 1e9, "fmatrix": fmatrix}))
+    code, out, err = run(capsys, "cv-solve", "--file", str(path), "--g", "2.4e8", "--a", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: NoExactCv: F(g) is not finite at g = 240000000\n"
+
+
 SUBNORMAL = str(Path(__file__).resolve().parent / "data" / "subnormal-sigma.json")
 
 
@@ -977,6 +988,17 @@ def test_svd_asymptotics_names_the_first_coupling_where_det_overflows(capsys, tm
     assert (code, err) == (0, "")
     assert f"\ndet consistency: |det F| or prod(sigma) is not finite at g = {g}\n" in out
     assert "\npole order for a = [1, 1]: 1.99989892 (coefficient " in out
+
+
+def test_svd_asymptotics_keeps_the_degree_of_a_tiny_family(capsys, tmp_path):
+    # every coefficient of eq70 times 2**-40 is at most 9.1e-13: only an exactly zero
+    # coefficient is trimmed, so the family stays linear and the counterexample stands
+    code, out, err = run(capsys, "svd-asymptotics", "--file", eq70_file(tmp_path, -40))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "instance eq70--40: 2 x 2 family, degree 1"
+    assert "proof-claim verdict: counterexample_found=true" in lines
+    assert "pole order for a = [1, 1]: 1.99989894 (coefficient 2.20128142e+12, r^2 1.000000)" in lines
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))

@@ -192,12 +192,14 @@ def test_pip_repeat_coupling_returns_the_same_solution(count_calls):
     F = cx.build_F(qubit_linear(), Z)
     solves = count_calls(linalg, "pinv_and_rank")
     first = cx.pseudoinverse_cv(F, 0.3)
+    assert solves[0] == 2  # the default grid's one stack, then 0.3 alone
     assert cx.pseudoinverse_cv(F, 0.3) is first
     assert cx.pseudoinverse_cv(F, 0.5).g == 0.5
-    again = cx.pseudoinverse_cv(F, 0.3)  # the memo holds one coupling
-    assert again is not first
-    assert np.array_equal(again.alpha, first.alpha)
+    assert cx.pseudoinverse_cv(F, 0.3) is first  # every coupling solved for the last F is kept
     assert solves[0] == 3
+    for g in pv.default_grid(F.g_max).tolist():
+        assert cx.pseudoinverse_cv(F, g) is cx.pseudoinverse_cv(F, g)
+    assert solves[0] == 3  # the grid's couplings are read from its stack
 
 
 def test_a_vec_and_alpha_are_read_only():
@@ -211,6 +213,9 @@ def test_a_vec_and_alpha_are_read_only():
     raw = cx.FMatrix(poly=PolyMatrix([np.eye(2)]), a_vec=a)
     a[0] = 5.0  # F keeps its own copy; the caller's array stays writable
     assert raw.a_vec[0] == 1.0
+    built = cx.CvSolution(0.3, np.array([1.0, -1.0]), raw)  # CvSolution itself marks alpha read-only
+    with pytest.raises(ValueError):
+        built.alpha[0] = 2.0
 
 
 def test_solve_grid_equals_pointwise_solves():
@@ -389,17 +394,21 @@ def test_grid_memo_holds_one_f(count_calls):
               for inst in (wk.generate_linear_commuting_instance(rng, 3, 4) for _ in range(2)))
     grid1, grid2 = pv.default_grid(F1.g_max).tolist(), pv.default_grid(F2.g_max).tolist()
     solves = count_calls(linalg, "pinv_and_rank")
-    first = cx.pseudoinverse_cv(F1, grid1[3]).alpha
+    first = cx.pseudoinverse_cv(F1, grid1[3])
     cx.pseudoinverse_cv(F1, grid1[7])
     assert solves[0] == 1  # the whole grid in one stack
+    off = cx.pseudoinverse_cv(F1, 0.7 * F1.g_max)
+    assert solves[0] == 2  # off the grid: one coupling alone, then kept
+    assert cx.pseudoinverse_cv(F1, 0.7 * F1.g_max) is off
+    assert list(cx._solved(F1)) == [*grid1, 0.7 * F1.g_max]
     cx.pseudoinverse_cv(F2, grid2[3])
-    assert solves[0] == 2  # a second F evicts the first
-    again = cx.pseudoinverse_cv(F1, grid1[3]).alpha
-    assert solves[0] == 3  # the first F's grid is solved again, to the same bits
-    assert again is not first and again.tobytes() == first.tobytes()
-    assert cx._grid_alphas.cache_info().currsize == 1
-    cx.pseudoinverse_cv(F1, 0.7 * F1.g_max)
-    assert solves[0] == 4  # off the grid: one coupling alone
+    assert solves[0] == 3  # a second F evicts the first, with every coupling it kept
+    assert cx._solved.cache_info().currsize == 1
+    again = cx.pseudoinverse_cv(F1, grid1[3])
+    assert solves[0] == 4  # the first F's grid is solved again, to the same bits
+    assert again is not first and again.alpha.tobytes() == first.alpha.tobytes()
+    assert cx.pseudoinverse_cv(F1, 0.7 * F1.g_max).alpha.tobytes() == off.alpha.tobytes()
+    assert solves[0] == 5
 
 
 def test_a_bare_f_solves_each_coupling_alone(count_calls):
@@ -431,12 +440,26 @@ def test_no_exact_cv_keeps_its_per_coupling_meaning(monkeypatch):
                 cx.pseudoinverse_cv(F, g)
             with pytest.raises(NoExactCv) as alone:
                 single_solve(F, g)
-            assert str(served.value) == str(alone.value)
-            assert str(served.value).endswith(f" at g = {g:.9g}")
+            assert str(served.value) == str(alone.value) == f"F(g) is not finite at g = {g:.9g}"
         else:
             assert cx.pseudoinverse_cv(F, g).alpha.tobytes() == single_solve(F, g).tobytes()
     assert sum(len(shape) == 3 for shape in shapes) == 1  # attempted once, not once per call
     assert sum(g > 1.8e8 for g in grid) == 5
+    assert list(cx._solved(F)) == [g for g in grid if g <= 1.8e8]  # a refusal is not kept
+
+
+def test_an_infinite_f_is_named_where_the_svd_converges():
+    # F(2.4e8) = [[1, inf]]: LAPACK's SVD converges, and alpha is not finite; the cause
+    # named is F(g), at its own coupling, not an overflow of the contextual values
+    F = cx.FMatrix(poly=PolyMatrix([np.array([[1.0, 1.0]]), np.array([[0.0, 1e300]])]),
+                   a_vec=[1.0], g_max=1e9)
+    for solve in (lambda: cx.solve_grid(F, [2.4e8]), lambda: cx.pseudoinverse_cv(F, 2.4e8),
+                  lambda: cx.solve_grid(F, [1e8, 2.4e8, 3e8])):
+        with pytest.raises(NoExactCv) as err:
+            solve()
+        assert str(err.value) == "F(g) is not finite at g = 240000000"
+    sol = cx.solve_grid(F, [1e8])
+    assert np.isfinite(sol.alpha).all() and sol.exact
 
 
 def test_solve_coupling_checks_the_range_then_solves_one_coupling():
@@ -587,7 +610,7 @@ def _loop_orders(povm):
     """Smallest order k >= 1 with a nonzero coefficient per outcome, 0 if none."""
     orders = []
     for e in povm.elements:
-        ks = [k for k, c in enumerate(e.coefficients) if np.abs(c).max() > pv.COEFF_ZERO_TOL]
+        ks = [k for k, c in enumerate(e.coefficients) if np.abs(c).max() > 0]
         ks = [k for k in ks if k >= 1]
         orders.append(min(ks) if ks else 0)
     return tuple(orders)
@@ -595,7 +618,7 @@ def _loop_orders(povm):
 
 def _loop_spectral(povm, *lead):
     ops = list(lead) + [
-        c for e in povm.elements for c in e.coefficients if np.abs(c).max() > pv.COEFF_ZERO_TOL
+        c for e in povm.elements for c in e.coefficients if np.abs(c).max() > 0
     ]
     basis = linalg.common_eigenbasis(ops)
     coeffs = []
