@@ -21,12 +21,11 @@ its readout's; the weak limit and the sweep hand their solution on to the
 weak-limit ladder (the sweep a solve's whole stack, or its exact members
 through `GridSolution.__getitem__`), so a grid is solved once per limit.
 
-Every pseudoinverse, stacked or single, is linalg.pinv_and_rank's: one call
-of the SVD gufunc that np.linalg.svd itself calls (`svd_s`), made without
-svd's wrapper, on the real F(g) that the gufunc casts to complex itself.
+Every pseudoinverse, stacked or single, is linalg.pinv_and_rank's: one SVD
+call on the real F(g), which the SVD casts to complex itself.
 
-`_solved`, the one memo, keeps the last F's solutions in an lru_cache (an
-FMatrix hashes by identity).  Each rule of a solve has one owner:
+`_solved`, the one memo, keeps the last F's grid and one more coupling
+(an FMatrix hashes by identity).  Each rule of a solve has one owner:
 `_pinv_weights`, under both solvers, raises NoExactCv at the first coupling
 whose F(g) or alpha is not finite, naming which; `solve_stack` alone forms
 the residual ||F(g) alpha - a||, on a copy scaled by a power of two so that
@@ -50,6 +49,7 @@ from .povm import ParamPovm, PolyMatrix, check_coupling, default_grid, spectral_
 ROW_SUM_TOL = 1e-11
 EXACT_CV_TOL = 1e-9
 ALPHA_MATCH_RTOL = 1e-8
+_GRID_POINTS = len(default_grid(1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +250,16 @@ def pseudoinverse_cv(F: FMatrix, g: float) -> CvSolution:
     """Minimum-norm least-squares weights alpha = pinv(F(g)) a.
 
     Raises NoExactCv where F(g) or alpha is not finite, as g's single solve
-    would.  A coupling of default_grid(F.g_max) is read from one stacked
-    solve of that grid, any other solved alone, bit for bit alike; each is
-    kept, as a read-only CvSolution, for as long as F is the last F (_solved).
+    would.  A coupling of default_grid(F.g_max) comes from one stacked solve
+    of that grid, any other alone, bit for bit alike, kept read-only while F
+    is the last F (_solved), one off the grid until the next evicts it.
     """
     solved = _solved(F)
     if (sol := solved.get(g)) is None:
         with np.errstate(over="ignore", invalid="ignore"):  # _pinv_weights refuses what is not finite
             alpha, _ = _pinv_weights(F.poly(g).real, F.a_vec, g)
+        if len(solved) > _GRID_POINTS:  # the grid and one more coupling at most
+            solved.popitem()
         sol = solved[g] = CvSolution(float(g), alpha, F)
     return sol
 

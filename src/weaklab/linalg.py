@@ -3,16 +3,17 @@
 Wraps numpy's Hermitian eigensolver and SVD behind fixed conventions (one
 column order and phase for the common eigenbasis, one rank cutoff for the
 pseudoinverse) so that every downstream result is reproducible bit-for-bit
-across runs.  It is the one module that calls numpy's private LAPACK
-gufuncs: `pinv_and_rank` takes every SVD from `svd_s`, and `_lstsq_rows`,
-the least-squares solve under weak's fit engine and asymptotics' log-log
-fit, takes every solve from `lstsq`.
+across runs.  Every SVD of `pinv_and_rank` and every least-squares solve of
+`_lstsq_rows` is one call of what `_bind_lapack` bound at import: numpy's
+private LAPACK gufunc where it passes a known-answer check, else the public one.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 
 from .errors import DimensionError, InvalidMatrix, InvalidState, NotCommuting, NotPositive
 
@@ -79,52 +80,64 @@ def pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     solved on its own, bit for bit as alone, and the ranks come back as an
     intp array of shape M.shape[:-2] (a plain int for one matrix).
 
-    The SVD is one call of svd_s, the private gufunc that
-    np.linalg.svd(M, full_matrices=False) itself calls, with svd's complex
-    signature and error state: each matrix is factored bit for bit as svd
-    factors it (the gufunc casts a real or float32 M itself, and walks a
-    strided one), and LAPACK's failure to converge raises LinAlgError as svd
-    does.  The tests compare the two on empty, strided, real and complex
-    stacks, so a numpy that changes the gufunc fails them.  The kept
-    singular values are inverted in place of a zero array (np.divide with
-    where=), so a dropped one is never divided, and the rank is their count.
-    1/sigma may overflow for a kept subnormal sigma: callers that accept
-    that hold an errstate over the call.
+    The SVD is one call of _svd, with svd's error state: each matrix is
+    factored bit for bit as np.linalg.svd(M, full_matrices=False) factors
+    it, and LAPACK's failure to converge raises LinAlgError as svd does.
+    The kept singular values are inverted in place of a zero array
+    (np.divide with where=), so a dropped one is never divided, and the rank
+    is their count.  1/sigma may overflow for a kept subnormal sigma: callers
+    that accept that hold an errstate over the call.
     """
     M = np.asarray(M)
     if M.ndim < 2:
         raise InvalidMatrix(f"expected a matrix, got shape {M.shape}")
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        u, s, vh = _umath_linalg.svd_s(M, signature="D->DdD")
+    with _lapack_errstate("SVD did not converge"):
+        u, s, vh = _svd(M)
     keep = s > 1e-12 * max(M.shape[-2:]) * s[..., :1]  # 0 x n and m x 0 keep none
     inv = np.divide(1.0, s, out=np.zeros(s.shape), where=keep)
     ranks = np.count_nonzero(keep, axis=-1)
     return dagger(vh) @ (inv[..., None] * dagger(u)), ranks if M.ndim > 2 else int(ranks)
 
 
-def _svd_failed(err, flag):
-    """np.linalg.svd's error-state callback: LAPACK's SVD did not converge."""
-    raise LinAlgError("SVD did not converge")
-
-
 def _lstsq_rows(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.lstsq(a[m], b[m], rcond)'s solution and rank for each row m of real stacks
-    a (..., p, q) and b (..., p), which broadcast, as arrays (..., q) and (...), in one call.
-
-    The call is of the private gufunc lstsq itself calls, with lstsq's
-    signature and error state, so each row is solved bit for bit as lstsq
-    solves it alone, and LAPACK's failure to converge raises LinAlgError as
-    lstsq does.  The tests compare the two row by row, so a numpy that
-    changes the gufunc fails them.
-    """
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        x, _, ranks, _ = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    """np.linalg.lstsq(a[m], b[m], rcond)'s solution and rank, bit for bit, for each row m of real stacks
+    a (..., p, q) and b (..., p), which broadcast, as arrays (..., q) and (...), in one call of _lstsq."""
+    with _lapack_errstate("SVD did not converge in Linear Least Squares"):
+        x, ranks = _lstsq(a, b[..., None], rcond)
     return x[..., 0], ranks
 
 
-def _lstsq_failed(err, flag):
-    """np.linalg.lstsq's error-state callback: LAPACK's SVD did not converge."""
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
+def _lapack_errstate(message: str) -> np.errstate:
+    """np.linalg's error state over a LAPACK gufunc, whose one callback raises LinAlgError(message)."""
+    def failed(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _bind_lapack(umath) -> tuple:
+    """(_svd, _lstsq): the gufuncs of umath (numpy's _umath_linalg, or None) that np.linalg.svd(M,
+    full_matrices=False) and np.linalg.lstsq(a, b) call, b (..., p, 1) giving x (..., q, 1) and
+    ranks, each where it answers a fixed 2 x 2 bit for bit as that function does; else the function."""
+    def svd(M):
+        return umath.svd_s(M, signature="D->DdD")
+    def lstsq(a, b, rcond):
+        return umath.lstsq(a, b, rcond, signature="ddd->ddid")[::2]  # (x, rank)
+    def public_svd(M):
+        return np.linalg.svd(np.asarray(M, dtype=complex), full_matrices=False)
+    def public_lstsq(a, b, rcond):  # row by row
+        return np.vectorize(lambda a, b: np.linalg.lstsq(a, b, rcond)[::2], otypes="di",
+                            signature="(p,q),(p,k)->(q,k),()")(a, b)
+    def checked(private, public, *known):
+        with contextlib.suppress(Exception):  # a private gufunc that is gone or changed may fail in any way
+            if all(v.dtype == w.dtype and v.shape == w.shape and v.tobytes() == w.tobytes()
+                   for v, w in zip(private(*known), public(*known), strict=True)):
+                return private
+        return public
+    K = np.array([[1.0, 2.0], [3.0, 4.0]])
+    return checked(svd, public_svd, K), checked(lstsq, public_lstsq, K, K[:, :1], 1e-15)
+
+
+_svd, _lstsq = _bind_lapack(getattr(np.linalg, "_umath_linalg", None))
 
 
 def psd_sqrt(E: np.ndarray) -> np.ndarray:

@@ -43,10 +43,16 @@ from weaklab.errors import (
     WeakLabError,
 )
 from weaklab.files import InstanceSpec
-from weaklab.linalg import PSD_CLAMP_REL, check_hermitian, check_state, clamp_psd, dagger
+from weaklab.linalg import check_hermitian, check_state, clamp_psd, dagger
 from weaklab.meter import MeterModel, isometry_at
 from weaklab.povm import ParamPovm, PolyMatrix, check_coupling, measurement_operators
-from weaklab.weak import OVERLAP_TOL, TrialRecord, WeakLimitReport
+from weaklab.weak import TrialRecord, WeakLimitReport
+
+#: literal copies of linalg.PSD_CLAMP_REL, weak.OVERLAP_TOL and weak.CONJECTURE_TOL (the
+#: default --tol), so that a library value moved by mistake does not move the oracles too
+PSD_CLAMP_REL = 1e-10
+OVERLAP_TOL = 1e-12
+CONJECTURE_TOL = 1e-3
 
 
 def oracle_pinv_and_rank(M: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
@@ -285,7 +291,7 @@ def oracle_spectral_weak_limit(
 
 
 def oracle_conjecture_trial(
-    seed, trial: int = 0, dim: int | None = None, n_out: int | None = None, tol: float = weak.CONJECTURE_TOL
+    seed, trial: int = 0, dim: int | None = None, n_out: int | None = None, tol: float = CONJECTURE_TOL
 ) -> TrialRecord:
     """conjecture_trial on its own: its stream, oracle_instance, then oracle_spectral_weak_limit."""
     key = (int(seed), int(trial))

@@ -6,9 +6,10 @@ any `conjecture-fail-*.json`.  The set covers every subcommand on every
 registry instance by `--instance` and by `--file`, each with and without
 `--out`; the two non-diagonal files under `tests/data/` (registry families
 conjugated by a fixed unitary, one of them with its outcomes permuted), which
-reach the general eigenbasis path of `build_F`; and
-usage errors (exit 2) and analytic failures (exit 1), two of them on the
-non-commuting and the incomplete instance files there.
+reach the general eigenbasis path of `build_F`; `weak-limit --psi-f` in
+both of its forms; and usage errors (exit 2) and analytic failures (exit
+1), two of them on the non-commuting and the incomplete instance files
+there.
 
 Each command runs in its own empty directory with a relative `--out`.  The
 directory, the directory of exported registry instances and `tests/data` are
@@ -79,6 +80,9 @@ OTHER_COMMANDS = [
     # every trial fails at --tol 0 and is serialized beside --out, or in the directory
     ["conjecture-sweep", "--trials", "2", "--tol", "0"],
     ["conjecture-sweep", "--trials", "2", "--tol", "0", "--out", "out.csv"],
+    # a final state from --psi-f: dim reals, or 2 dim interleaved re,im values, either normalized
+    *(["weak-limit", "--psi-f", psi, *source] for source in (["--instance", "qubit-linear"],
+      ["--file", "<DATA>/qubit-linear-rotated.json"]) for psi in ("0.6,0.8", "0.6,0.3,-0.2,0.8")),
 ]
 ERROR_COMMANDS = [
     [],

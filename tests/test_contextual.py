@@ -190,16 +190,25 @@ def test_pip_least_squares_when_no_exact_solution():
 
 def test_pip_repeat_coupling_returns_the_same_solution(count_calls):
     F = cx.build_F(qubit_linear(), Z)
+    grid = pv.default_grid(F.g_max).tolist()
     solves = count_calls(linalg, "pinv_and_rank")
     first = cx.pseudoinverse_cv(F, 0.3)
     assert solves[0] == 2  # the default grid's one stack, then 0.3 alone
     assert cx.pseudoinverse_cv(F, 0.3) is first
-    assert cx.pseudoinverse_cv(F, 0.5).g == 0.5
-    assert cx.pseudoinverse_cv(F, 0.3) is first  # every coupling solved for the last F is kept
-    assert solves[0] == 3
-    for g in pv.default_grid(F.g_max).tolist():
+    for g in grid:
         assert cx.pseudoinverse_cv(F, g) is cx.pseudoinverse_cv(F, g)
-    assert solves[0] == 3  # the grid's couplings are read from its stack
+    assert solves[0] == 2  # the grid's couplings are read from its stack
+    other = cx.pseudoinverse_cv(F, 0.5)
+    assert cx.pseudoinverse_cv(F, 0.5) is other and solves[0] == 3
+    assert list(cx._solved(F)) == [*grid, 0.5]  # one coupling off the grid: 0.5 evicted 0.3
+    again = cx.pseudoinverse_cv(F, 0.3)
+    assert solves[0] == 4  # the evicted coupling is solved again, to the same bits
+    assert again is not first and again.alpha.tobytes() == first.alpha.tobytes()
+    for g in np.linspace(0.01, 0.89, 500).tolist():
+        cx.pseudoinverse_cv(F, g)
+    assert list(cx._solved(F)) == [*grid, 0.89]  # bounded: the grid and the last coupling
+    assert all(cx.pseudoinverse_cv(F, g) is cx.pseudoinverse_cv(F, g) for g in grid)
+    assert solves[0] == 4 + 500
 
 
 def test_a_vec_and_alpha_are_read_only():

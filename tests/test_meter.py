@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
-from numpy.linalg import _umath_linalg
 
 from weaklab import contextual as cx
 from weaklab import linalg
@@ -181,7 +180,7 @@ def test_dilation_hot_path_shape(count_calls):
     povm = inst.povm
     sqrts = count_calls(linalg, "psd_sqrt")
     solves = count_calls(linalg, "pinv_and_rank")
-    svds = count_calls(_umath_linalg, "svd_s")  # LAPACK's thin SVD, however it is reached
+    svds = count_calls(linalg, "_svd")  # LAPACK's thin SVD, at the one seam that binds it
     wrappers = count_calls(np.linalg, "svd")
     eighs = count_calls(np.linalg, "eigh")
     stacks = count_calls(pv, "clamp_psd")  # one per root stack
@@ -198,7 +197,7 @@ def test_dilation_hot_path_shape(count_calls):
     assert sqrts[0] == 0
     assert eighs[0] == 0  # both eigenbases of a diagonal family are permutations
     # one stacked solve of the whole grid and one at g, not one per coupling or outcome,
-    # each one SVD, which pinv_and_rank takes from the gufunc itself, not through np.linalg.svd
+    # each one SVD, which pinv_and_rank takes from the gufunc the seam bound, not through np.linalg.svd
     assert solves[0] == svds[0] == 2
     assert wrappers[0] == 0
     # one root stack for the whole grid and one per read at g, shared by every outcome
